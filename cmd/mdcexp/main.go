@@ -28,23 +28,18 @@ import (
 	"megadc/internal/metrics"
 	"megadc/internal/obs"
 	"megadc/internal/profiling"
-	"megadc/internal/trace"
+	"megadc/internal/runconfig"
 )
 
 func main() {
+	run := runconfig.Register(flag.CommandLine, 10)
 	var (
-		id          = flag.String("e", "all", "experiment id (e1..e18, x1..x4) or 'all'")
-		full        = flag.Bool("full", false, "run the larger configurations")
-		seed        = flag.Int64("seed", 1, "deterministic seed")
-		auditN      = flag.Int("audit", 10, "run the conservation-law auditor every N Propagate calls (0 disables)")
-		list        = flag.Bool("list", false, "list experiments and exit")
-		asJSON      = flag.Bool("json", false, "emit each table as a JSON document")
-		asMD        = flag.Bool("md", false, "emit each table as GitHub-flavoured markdown")
-		useTrace    = flag.Bool("trace", false, "attach the flight recorder to every platform the experiments build")
-		traceEvents = flag.String("trace-events", "", "with -trace: write the event log to this file ('-' = stdout)")
-		traceTS     = flag.String("trace-ts", "", "with -trace: write the time series to this file (.json = JSON, else CSV; '-' = stdout)")
-		tracePerf   = flag.String("trace-perfetto", "", "with -trace: write Chrome trace-event JSON for Perfetto (ui.perfetto.dev; '-' = stdout)")
-		obsFlags    = profiling.RegisterFlags(flag.CommandLine)
+		id       = flag.String("e", "all", "experiment id (e1..e18, x1..x4) or 'all'")
+		full     = flag.Bool("full", false, "run the larger configurations")
+		list     = flag.Bool("list", false, "list experiments and exit")
+		asJSON   = flag.Bool("json", false, "emit each table as a JSON document")
+		asMD     = flag.Bool("md", false, "emit each table as GitHub-flavoured markdown")
+		obsFlags = profiling.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -62,18 +57,9 @@ func main() {
 		return
 	}
 
-	opts := exp.Options{Full: *full, Seed: *seed, AuditEvery: *auditN,
+	opts := exp.Options{Full: *full, Seed: run.Seed, AuditEvery: run.Audit,
 		Registry: metrics.NewRegistry()}
-	if *useTrace {
-		opts.Trace = trace.NewRecorder(trace.DefaultRingSize)
-		opts.Trace.TS = &trace.Timeseries{}
-	} else if *traceEvents != "" || *traceTS != "" || *tracePerf != "" {
-		fmt.Fprintln(os.Stderr, "mdcexp: -trace-events/-trace-ts/-trace-perfetto require -trace")
-		os.Exit(2)
-	}
-	// Reject unwritable export paths up front, before the run burns time
-	// on an export that will fail at the end.
-	if err := trace.EnsureWritable(*traceEvents, *traceTS, *tracePerf); err != nil {
+	if opts.Trace, err = run.Recorder(); err != nil {
 		fmt.Fprintln(os.Stderr, "mdcexp:", err)
 		os.Exit(2)
 	}
@@ -117,7 +103,7 @@ func main() {
 		fmt.Printf("(%s in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	if opts.Trace != nil {
-		if err := trace.ExportFiles(opts.Trace, *traceEvents, *traceTS, *tracePerf); err != nil {
+		if err := run.Export(opts.Trace); err != nil {
 			fmt.Fprintln(os.Stderr, "mdcexp:", err)
 			os.Exit(1)
 		}

@@ -41,35 +41,25 @@ import (
 	"megadc/internal/causal"
 	"megadc/internal/cluster"
 	"megadc/internal/core"
-	"megadc/internal/ctrlplane"
 	"megadc/internal/energy"
 	"megadc/internal/faults"
 	"megadc/internal/metrics"
 	"megadc/internal/obs"
-	"megadc/internal/policy"
 	"megadc/internal/profiling"
 	"megadc/internal/requests"
+	"megadc/internal/runconfig"
 	"megadc/internal/sessions"
 	"megadc/internal/spans"
-	"megadc/internal/trace"
 	"megadc/internal/workload"
 )
 
 func main() {
+	run := runconfig.Register(flag.CommandLine, 0)
+	run.RegisterPlatform(flag.CommandLine)
 	var (
-		pods        = flag.Int("pods", 4, "number of logical pods")
-		servers     = flag.Int("servers", 8, "servers per pod")
-		switches    = flag.Int("switches", 4, "LB switches")
-		swPods      = flag.Int("switchpods", 0, "partition switches into this many §V-A switch pods (0 = flat)")
-		isps        = flag.Int("isps", 2, "ISPs (one access router each)")
-		links       = flag.Int("links", 2, "access links per ISP")
 		apps        = flag.Int("apps", 16, "applications to onboard")
 		duration    = flag.Float64("duration", 3600, "simulated seconds")
 		flash       = flag.Int("flash", -1, "app index to hit with a 10× flash crowd (-1: none)")
-		seed        = flag.Int64("seed", 1, "deterministic seed")
-		auditN      = flag.Int("audit", 0, "run the conservation-law auditor every N Propagate calls (0 disables)")
-		knobs       = flag.String("knobs", "", "comma-separated knob letters A..F (empty = all)")
-		polName     = flag.String("policy", "", "control policy (empty = greedy): "+strings.Join(policy.Names(), ", "))
 		printTopo   = flag.Bool("print-topology", false, "validate and print the Figure 1 topology, then exit")
 		failures    = flag.String("fail", "", "comma-separated failures to inject mid-run: server, switch, link")
 		churn       = flag.Bool("churn", false, "continuous MTBF/MTTR fault injection with detection delay and repair")
@@ -85,21 +75,7 @@ func main() {
 		reqService  = flag.String("req-service", "exponential", "with -requests: service-time distribution (exponential|deterministic)")
 		useEnergy   = flag.Bool("energy", false, "attach the consolidation knob and report energy")
 		traceFile   = flag.String("demand-trace", "", "drive the most popular app's demand from a trace file (lines: 'time rate-multiplier')")
-		useTrace    = flag.Bool("trace", false, "attach the flight recorder + time-series sampler (DESIGN.md §10)")
-		traceEvents = flag.String("trace-events", "", "with -trace: write the event log to this file ('-' = stdout)")
-		traceTS     = flag.String("trace-ts", "", "with -trace: write the time series to this file (.json = JSON, else CSV; '-' = stdout)")
-		tracePerf   = flag.String("trace-perfetto", "", "with -trace: write Chrome trace-event JSON for Perfetto (ui.perfetto.dev; '-' = stdout)")
-		traceRing   = flag.Int("trace-ring", trace.DefaultRingSize, "with -trace: event ring capacity (older events are overwritten)")
 		useSpans    = flag.Bool("spans", false, "record control-plane latency histograms (queue waits, drains, fault latencies; DESIGN.md §11)")
-		serialize   = flag.Bool("serialize", false, "serialize switch reconfiguration through the VIP/RIP request queue (§IV queue waits become measurable)")
-		useCtrl     = flag.Bool("ctrl", false, "route control decisions over the fallible async message bus (DESIGN.md §12)")
-		ctrlDelay   = flag.Float64("ctrl-delay", 0, "with -ctrl: mean one-way control-message delay (s)")
-		ctrlJitter  = flag.Float64("ctrl-jitter", 0, "with -ctrl: uniform delay jitter added per message (s)")
-		ctrlLoss    = flag.Float64("ctrl-loss", 0, "with -ctrl: per-message loss probability [0,1]")
-		ctrlDup     = flag.Float64("ctrl-dup", 0, "with -ctrl: per-message duplication probability [0,1]")
-		ctrlSnap    = flag.Float64("ctrl-snapshot", 0, "with -ctrl: pod-utilization snapshot period for the global manager (s; 0 = live reads)")
-		partMTBF    = flag.Float64("ctrl-partition-mtbf", 0, "with -ctrl and -churn: mean time between pod control-plane partitions (s; 0 disables)")
-		partMTTR    = flag.Float64("ctrl-partition-mttr", 120, "with -ctrl and -churn: mean partition duration before heal (s)")
 		obsFlags    = profiling.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
@@ -115,39 +91,22 @@ func main() {
 		fmt.Printf("observability: http://%s/metrics\n\n", obsSession.Obs.Addr())
 	}
 
-	topo := core.SmallTopology()
-	topo.Pods = *pods
-	topo.ServersPerPod = *servers
-	topo.Switches = *switches
-	topo.ISPs = *isps
-	topo.LinksPerISP = *links
-	topo.SwitchPods = *swPods
-	topo.Seed = *seed
-
-	cfg := core.DefaultConfig()
-	cfg.AuditEvery = *auditN
-	cfg.SerializeReconfig = *serialize
-	cfg.Policy = *polName
-	var rec *trace.Recorder
-	if *useTrace {
-		rec = trace.NewRecorder(*traceRing)
-		rec.TS = &trace.Timeseries{}
-		cfg.Trace = rec
-	} else if *traceEvents != "" || *traceTS != "" || *tracePerf != "" {
-		fmt.Fprintln(os.Stderr, "megadcsim: -trace-events/-trace-ts/-trace-perfetto require -trace")
-		os.Exit(2)
-	}
-	// Reject unwritable export paths up front, before the run burns time
-	// on an export that will fail at the end.
-	if err := trace.EnsureWritable(*traceEvents, *traceTS, *tracePerf); err != nil {
+	// The metrics registry backs the bus, span and causal histograms and
+	// the live /metrics page.
+	reg := metrics.NewRegistry()
+	topo, cfg, err := run.Platform(reg)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "megadcsim:", err)
 		os.Exit(2)
 	}
-	// The metrics registry backs both the span histograms and the live
-	// /metrics page; span tracking rides on the flight recorder's event
-	// hook (a recorder is created implicitly when -spans is given
-	// without -trace).
-	reg := metrics.NewRegistry()
+	if !*useReqs && (*reqRate != 0 || *reqQueue != 1000 || *reqCPU != 0.005 || *reqService != "exponential") {
+		fmt.Fprintln(os.Stderr, "megadcsim: -req-* flags require -requests")
+		os.Exit(2)
+	}
+	rec := cfg.Trace
+	// Span tracking rides on the flight recorder's event hook (a
+	// recorder is created implicitly when -spans is given without
+	// -trace).
 	var tracker *spans.Tracker
 	if *useSpans {
 		tracker = spans.New(reg)
@@ -156,50 +115,9 @@ func main() {
 	// Decision provenance (DESIGN.md §16): with tracing on, assemble
 	// per-decision span trees and feed the causal.* metric families.
 	var asm *causal.Assembler
-	if *useTrace {
+	if rec != nil {
 		asm = causal.New(reg)
 		cfg.Causal = asm
-	}
-	if *useCtrl {
-		cfg.Ctrl.Enable = true
-		cfg.Ctrl.Default = ctrlplane.LinkConfig{
-			Delay:    *ctrlDelay,
-			Jitter:   *ctrlJitter,
-			LossProb: *ctrlLoss,
-			DupProb:  *ctrlDup,
-		}
-		cfg.Ctrl.SnapshotEvery = *ctrlSnap
-		cfg.Ctrl.Registry = reg
-	} else if *ctrlDelay != 0 || *ctrlJitter != 0 || *ctrlLoss != 0 || *ctrlDup != 0 || *ctrlSnap != 0 || *partMTBF != 0 {
-		fmt.Fprintln(os.Stderr, "megadcsim: -ctrl-* flags require -ctrl")
-		os.Exit(2)
-	}
-	if !*useReqs && (*reqRate != 0 || *reqQueue != 1000 || *reqCPU != 0.005 || *reqService != "exponential") {
-		fmt.Fprintln(os.Stderr, "megadcsim: -req-* flags require -requests")
-		os.Exit(2)
-	}
-	if *knobs != "" {
-		var ks []core.Knob
-		for _, c := range strings.Split(strings.ToUpper(*knobs), ",") {
-			switch strings.TrimSpace(c) {
-			case "A":
-				ks = append(ks, core.KnobSelectiveExposure)
-			case "B":
-				ks = append(ks, core.KnobVIPTransfer)
-			case "C":
-				ks = append(ks, core.KnobServerTransfer)
-			case "D":
-				ks = append(ks, core.KnobAppDeployment)
-			case "E":
-				ks = append(ks, core.KnobVMResize)
-			case "F":
-				ks = append(ks, core.KnobRIPWeights)
-			default:
-				fmt.Fprintf(os.Stderr, "megadcsim: unknown knob %q\n", c)
-				os.Exit(2)
-			}
-		}
-		cfg = cfg.WithKnobs(ks...)
 	}
 
 	p, err := core.NewPlatform(topo, cfg)
@@ -215,11 +133,11 @@ func main() {
 
 	// Onboard a Zipf-popular application mix at ~55% aggregate load.
 	weights := workload.ZipfWeights(*apps, 0.9)
-	totalCPU := 0.55 * topo.ServerCapacity.CPU * float64(*pods**servers)
+	totalCPU := 0.55 * topo.ServerCapacity.CPU * float64(topo.Pods*topo.ServersPerPod)
 	// Offered bandwidth fits whichever is tighter: the access links or
 	// the LB fabric aggregate.
-	linkAgg := topo.LinkMbps * float64(*isps**links)
-	fabricAgg := topo.SwitchLimits.ThroughputMbps * float64(*switches)
+	linkAgg := topo.LinkMbps * float64(topo.ISPs*topo.LinksPerISP)
+	fabricAgg := topo.SwitchLimits.ThroughputMbps * float64(topo.Switches)
 	totalMbps := 0.55 * linkAgg
 	if 0.55*fabricAgg < totalMbps {
 		totalMbps = 0.55 * fabricAgg
@@ -314,8 +232,8 @@ func main() {
 		if *churnFlap {
 			fc.Flap = faults.FlapConfig{MTBF: 3 * *churnMTBF, Cycles: 3, Down: 2, Up: 8}
 		}
-		if *partMTBF > 0 {
-			fc.Partition = faults.Class{MTBF: *partMTBF, MTTR: *partMTTR}
+		if run.CtrlPartitionMTBF > 0 {
+			fc.Partition = faults.Class{MTBF: run.CtrlPartitionMTBF, MTTR: run.CtrlPartitionMTTR}
 		}
 		inj = faults.New(p, fc)
 		mon = faults.NewMonitor(p, 0.95, 10)
@@ -451,7 +369,7 @@ func main() {
 		printSpanSummary(reg)
 	}
 	if rec != nil {
-		if err := trace.ExportFiles(rec, *traceEvents, *traceTS, *tracePerf); err != nil {
+		if err := run.Export(rec); err != nil {
 			fmt.Fprintln(os.Stderr, "megadcsim:", err)
 			stopProf()
 			os.Exit(1)
@@ -473,7 +391,7 @@ func main() {
 		stopProf()
 		os.Exit(1)
 	}
-	if *auditN > 0 {
+	if run.Audit > 0 {
 		fmt.Println("invariants: ok (audited)")
 	} else {
 		fmt.Println("invariants: ok")

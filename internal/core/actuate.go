@@ -1,0 +1,155 @@
+package core
+
+// One actuation path (DESIGN.md §17): each of the managers' twelve
+// decision sites states an Action, and Platform.actuate owns cause
+// allocation, the actuation latency, bus routing, and the
+// serialized-vs-direct choice for switch-configuration requests.
+
+import (
+	"errors"
+
+	"megadc/internal/ctrlplane"
+	"megadc/internal/trace"
+	"megadc/internal/viprip"
+)
+
+// errDeadLetter marks a request whose control message exhausted its
+// retry cap before the request completed.
+var errDeadLetter = errors.New("core: control-plane message dead-lettered")
+
+// Action is one manager decision, stated as what to change; actuate
+// decides how the change travels.
+type Action struct {
+	// Knob, Prio and Refs describe the decision: they are recorded on
+	// the EvDecision root of its causal tree.
+	Knob Knob
+	Prio viprip.Priority
+	Refs []trace.Ref
+
+	// Delay is the actuation latency between the decision and the
+	// effect's dispatch. An Inline action dispatches within the deciding
+	// call instead.
+	Delay  float64
+	Inline bool
+
+	// Dispatch, when set, runs as the delay elapses, before the effect
+	// leaves and outside the decision's cause scope: it releases
+	// in-flight markers and captures send-time state.
+	Dispatch func()
+
+	// From, To and Name route the effect as one control RPC. With no To
+	// the effect applies where the decision was made, with no message.
+	From, To ctrlplane.Endpoint
+	Name     string
+
+	// Apply is the effect, run under the decision's cause where the
+	// message lands. OnDead, when set, runs if the message exhausts its
+	// retries (see ctrlplane.Bus.CallWithDeadLetter for the
+	// at-least-once caveat).
+	Apply  func()
+	OnDead func()
+
+	// Request, in place of Apply, is a switch-configuration request sent
+	// through configure. On a serialized pipeline the pipeline's service
+	// time models the reconfiguration latency, so Delay is skipped.
+	Request *viprip.Request
+}
+
+// actuate records the decision, then dispatches its effect after the
+// actuation latency along the action's route. It returns the decision's
+// CauseID (0 on untraced runs) so multi-step protocols can continue
+// under it.
+func (p *Platform) actuate(a Action) uint64 {
+	cid := p.decide(a.Knob, a.Prio, a.Refs...)
+	dispatch := func() {
+		if a.Dispatch != nil {
+			a.Dispatch()
+		}
+		p.withCause(cid, func() {
+			apply := a.Apply
+			if r := a.Request; r != nil {
+				apply = func() { p.configure(r) }
+			}
+			if a.To == "" {
+				apply()
+				return
+			}
+			p.send(a.From, a.To, a.Name, apply, a.OnDead)
+		})
+	}
+	if a.Inline || (a.Request != nil && p.VIPRIP.Serialized()) {
+		dispatch()
+	} else {
+		p.Eng.After(a.Delay, dispatch)
+	}
+	return cid
+}
+
+// decide allocates a CauseID for one control decision and records its
+// EvDecision root — knob code, priority class, and the entity refs the
+// decision concerns — under that cause scope. On untraced runs it is a
+// no-op returning 0. Cause allocation happens only in single-threaded
+// control code and consumes no engine randomness, so traced runs stay
+// byte-identical to untraced ones and CauseIDs are identical for any
+// Propagate worker count.
+func (p *Platform) decide(k Knob, prio viprip.Priority, refs ...trace.Ref) uint64 {
+	rec := p.Cfg.Trace
+	cid := rec.NewCause()
+	if cid == 0 {
+		return 0
+	}
+	prev := rec.SetCause(cid)
+	rec.Record(trace.EvDecision, float64(k), float64(prio), refs...)
+	rec.SetCause(prev)
+	return cid
+}
+
+// withCause runs f with the recorder's current-cause scope set to cid,
+// restoring the previous scope after. The bus and the serialized
+// pipeline do their own equivalent for the continuations they run.
+func (p *Platform) withCause(cid uint64, f func()) {
+	prev := p.Cfg.Trace.SetCause(cid)
+	f()
+	p.Cfg.Trace.SetCause(prev)
+}
+
+// later runs f under cause cid after d simulated seconds: the next step
+// of a multi-step actuation.
+func (p *Platform) later(cid uint64, d float64, f func()) {
+	p.Eng.After(d, func() { p.withCause(cid, f) })
+}
+
+// send carries apply from one control endpoint to another as an
+// at-least-once RPC; onDead (may be nil) runs if it dead-letters.
+func (p *Platform) send(from, to ctrlplane.Endpoint, name string, apply, onDead func()) {
+	p.ctrl.CallWithDeadLetter(from, to, name, apply, onDead)
+}
+
+// configure sends a switch-configuration request down the CSM pipeline:
+// queued behind earlier work when the pipeline is serialized, applied at
+// once otherwise. Either way r.OnDone runs when the request completes.
+func (p *Platform) configure(r *viprip.Request) {
+	if p.VIPRIP.Serialized() {
+		p.VIPRIP.Submit(r)
+		return
+	}
+	p.VIPRIP.Do(r)
+}
+
+// request sends r from an endpoint to the CSM pipeline and reports its
+// outcome exactly once: the request's own result when it completes, or
+// errDeadLetter when its message dead-letters first. At-least-once
+// delivery can fire both paths (a delivered request whose acks were all
+// lost still dead-letters); whichever comes second is ignored.
+func (p *Platform) request(from ctrlplane.Endpoint, name string, r *viprip.Request, done func(err error, broken int64)) {
+	settled := false
+	settle := func(err error, broken int64) {
+		if settled {
+			return
+		}
+		settled = true
+		done(err, broken)
+	}
+	r.OnDone = func(r *viprip.Request) { settle(r.Err, r.Result.Broken) }
+	p.send(from, ctrlplane.CSM, name, func() { p.configure(r) }, func() { settle(errDeadLetter, 0) })
+}

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"megadc/internal/causal"
 	"megadc/internal/ctrlplane"
@@ -27,7 +28,7 @@ type Knob int
 
 // The control knobs of Section IV.
 const (
-	KnobSelectiveExposure Knob = iota // A
+	KnobSelectiveExposure Knob = iota // A (ParseKnobs maps the letters in this order)
 	KnobVIPTransfer                   // B
 	KnobServerTransfer                // C
 	KnobAppDeployment                 // D
@@ -261,6 +262,20 @@ func (c Config) WithKnobs(knobs ...Knob) Config {
 		out.Knobs[k] = true
 	}
 	return out
+}
+
+// ParseKnobs parses a comma-separated list of the paper's knob letters
+// A..F (case-insensitive), as the command-line -knobs flag takes them.
+func ParseKnobs(s string) ([]Knob, error) {
+	var ks []Knob
+	for _, c := range strings.Split(strings.ToUpper(s), ",") {
+		c = strings.TrimSpace(c)
+		if len(c) != 1 || c[0] < 'A' || c[0] >= 'A'+byte(numKnobs) {
+			return nil, fmt.Errorf("core: unknown knob %q", c)
+		}
+		ks = append(ks, Knob(c[0]-'A'))
+	}
+	return ks, nil
 }
 
 // Enabled reports whether knob k is on.

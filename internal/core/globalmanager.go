@@ -14,10 +14,6 @@ import (
 	"megadc/internal/viprip"
 )
 
-// errDeadLetter marks a drain step whose control message exhausted its
-// retry cap; the drain settles as a failed transfer.
-var errDeadLetter = errors.New("core: control-plane message dead-lettered")
-
 // GlobalManager is the datacenter-scale resource manager (paper Section
 // III-A). It monitors every pod, LB switch, and access link, and
 // actuates the global knobs: selective VIP exposure (A), dynamic VIP
@@ -207,31 +203,32 @@ func (g *GlobalManager) shiftExposureOffLink(vipStr string, hot netmodel.LinkID)
 	newHot := weights[hotIdx] - delta
 	perCold := delta / float64(len(coldIdx))
 	traffic := g.p.Net.VIPTraffic(vipStr)
-	cid := g.p.decide(KnobSelectiveExposure, viprip.PriorityNormal,
-		trace.VIP(vip), trace.App(app), trace.Link(hot))
-	g.p.Eng.After(cfg.DNSUpdateLatency, func() {
-		g.p.withCause(cid, func() {
-			// The weight set travels as one message; the generation captured
-			// at send time makes a reordered retry that arrives after some
-			// other decision rewrote this app's record abort instead of
-			// clobbering it. On the synchronous path the generation trivially
-			// matches and the guard is free.
-			gen := g.p.DNS.Gen(app)
-			g.p.ctrl.Call(ctrlplane.Global, ctrlplane.DNS, "exposure-shift", func() {
-				if err := g.p.DNS.SetWeightIfGen(app, vipStr, newHot, gen); err != nil {
-					return
-				}
-				g.p.Cfg.Trace.Record(trace.EvUnexpose, newHot, delta,
-					trace.VIP(vip), trace.App(app), trace.Link(hot))
-				for _, i := range coldIdx {
-					g.p.DNS.SetWeight(app, dnsVIPs[i], weights[i]+perCold)
-					g.p.Cfg.Trace.Record(trace.EvExpose, weights[i]+perCold, perCold,
-						trace.VIP(dnsVIPs[i]), trace.App(app))
-				}
-				g.ExposureChanges++
-				g.p.Propagate()
-			})
-		})
+	// The weight set travels as one message; the generation captured at
+	// send time makes a reordered retry that arrives after some other
+	// decision rewrote this app's record abort instead of clobbering it.
+	// On an ideal bus the generation trivially matches and the guard is
+	// free.
+	var gen int64
+	g.p.actuate(Action{
+		Knob: KnobSelectiveExposure, Prio: viprip.PriorityNormal,
+		Refs:     []trace.Ref{trace.VIP(vip), trace.App(app), trace.Link(hot)},
+		Delay:    cfg.DNSUpdateLatency,
+		Dispatch: func() { gen = g.p.DNS.Gen(app) },
+		From:     ctrlplane.Global, To: ctrlplane.DNS, Name: "exposure-shift",
+		Apply: func() {
+			if err := g.p.DNS.SetWeightIfGen(app, vipStr, newHot, gen); err != nil {
+				return
+			}
+			g.p.Cfg.Trace.Record(trace.EvUnexpose, newHot, delta,
+				trace.VIP(vip), trace.App(app), trace.Link(hot))
+			for _, i := range coldIdx {
+				g.p.DNS.SetWeight(app, dnsVIPs[i], weights[i]+perCold)
+				g.p.Cfg.Trace.Record(trace.EvExpose, weights[i]+perCold, perCold,
+					trace.VIP(dnsVIPs[i]), trace.App(app))
+			}
+			g.ExposureChanges++
+			g.p.Propagate()
+		},
 	})
 	return traffic / 2
 }
@@ -290,24 +287,25 @@ func (g *GlobalManager) costAwareExposure() {
 			continue
 		}
 		delta := weights[hotIdx] / 2
-		cid := g.p.decide(KnobSelectiveExposure, viprip.PriorityLow,
-			trace.VIP(vip), trace.App(app), trace.Link(hot.ID))
-		g.p.Eng.After(cfg.DNSUpdateLatency, func() {
-			g.p.withCause(cid, func() {
-				gen := g.p.DNS.Gen(app)
-				g.p.ctrl.Call(ctrlplane.Global, ctrlplane.DNS, "cost-shift", func() {
-					if err := g.p.DNS.SetWeightIfGen(app, dnsVIPs[hotIdx], weights[hotIdx]-delta, gen); err != nil {
-						return
-					}
-					g.p.DNS.SetWeight(app, dnsVIPs[cheapIdx], weights[cheapIdx]+delta)
-					g.p.Cfg.Trace.Record(trace.EvUnexpose, weights[hotIdx]-delta, delta,
-						trace.VIP(dnsVIPs[hotIdx]), trace.App(app))
-					g.p.Cfg.Trace.Record(trace.EvExpose, weights[cheapIdx]+delta, delta,
-						trace.VIP(dnsVIPs[cheapIdx]), trace.App(app))
-					g.ExposureChanges++
-					g.p.Propagate()
-				})
-			})
+		var gen int64
+		g.p.actuate(Action{
+			Knob: KnobSelectiveExposure, Prio: viprip.PriorityLow,
+			Refs:     []trace.Ref{trace.VIP(vip), trace.App(app), trace.Link(hot.ID)},
+			Delay:    cfg.DNSUpdateLatency,
+			Dispatch: func() { gen = g.p.DNS.Gen(app) },
+			From:     ctrlplane.Global, To: ctrlplane.DNS, Name: "cost-shift",
+			Apply: func() {
+				if err := g.p.DNS.SetWeightIfGen(app, dnsVIPs[hotIdx], weights[hotIdx]-delta, gen); err != nil {
+					return
+				}
+				g.p.DNS.SetWeight(app, dnsVIPs[cheapIdx], weights[cheapIdx]+delta)
+				g.p.Cfg.Trace.Record(trace.EvUnexpose, weights[hotIdx]-delta, delta,
+					trace.VIP(dnsVIPs[hotIdx]), trace.App(app))
+				g.p.Cfg.Trace.Record(trace.EvExpose, weights[cheapIdx]+delta, delta,
+					trace.VIP(dnsVIPs[cheapIdx]), trace.App(app))
+				g.ExposureChanges++
+				g.p.Propagate()
+			},
 		})
 		return // one shift per step
 	}
@@ -475,24 +473,6 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 	token := g.drainSeq
 	g.draining[vip] = token
 	g.p.Suppress(vip, true)
-	cfg := &g.p.Cfg
-	vips, ws, err := g.p.DNS.Weights(app)
-	if err != nil {
-		delete(g.draining, vip)
-		g.p.Suppress(vip, false)
-		return
-	}
-	restoreWeight := 1.0
-	for i, v := range vips {
-		if v == string(vip) {
-			restoreWeight = ws[i]
-		}
-	}
-	// The whole drain protocol — hide, TTL wait, transfer attempts with
-	// retries, forced break accounting, restore — is one decision: every
-	// event it records, across every asynchronous hop, carries this cause.
-	cid := g.p.decide(KnobVIPTransfer, viprip.PriorityHigh,
-		trace.VIP(vip), trace.SwitchRef(home), trace.SwitchRef(dst))
 	// mine reports whether this drain instance still owns the VIP. Every
 	// asynchronous completion below checks it first: over a faulty
 	// control plane a step's message can settle twice (at-least-once:
@@ -502,15 +482,31 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 	// VIPTransfers/DrainForceBreaks (violating I4.BROKEN_ACCOUNTED —
 	// every broken connection accounted exactly once).
 	mine := func() bool { return g.draining[vip] == token }
-	abort := func() {
+	release := func() {
 		if !mine() {
 			return
 		}
 		delete(g.draining, vip)
 		g.p.Suppress(vip, false)
 	}
-	finish := func() {
-		g.p.ctrl.CallWithDeadLetter(ctrlplane.Global, ctrlplane.DNS, "drain-restore", func() {
+	vips, ws, err := g.p.DNS.Weights(app)
+	if err != nil {
+		release()
+		return
+	}
+	restoreWeight := 1.0
+	for i, v := range vips {
+		if v == string(vip) {
+			restoreWeight = ws[i]
+		}
+	}
+	cfg := &g.p.Cfg
+	// The whole drain protocol — hide, TTL wait, transfer attempts with
+	// retries, forced break accounting, restore — is one decision: every
+	// event it records, across every asynchronous hop, carries its cause.
+	var cid uint64
+	restore := func() {
+		g.p.send(ctrlplane.Global, ctrlplane.DNS, "drain-restore", func() {
 			if !mine() {
 				return
 			}
@@ -526,20 +522,17 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 			g.p.DNS.SetWeight(app, string(vip), restored)
 			g.p.Cfg.Trace.Record(trace.EvDrainFinish, restored, 0,
 				trace.VIP(vip), trace.App(app))
-			delete(g.draining, vip)
-			g.p.Suppress(vip, false)
+			release()
 			g.p.Propagate()
-		}, func() {
-			// Restore undeliverable: release the drain without touching
-			// exposure — the VIP stays hidden until reconciliation.
-			abort()
-		})
+		}, release) // restore undeliverable: the VIP stays hidden until reconciliation
 	}
-	attempt := func(retriesLeft int, attemptFn func(int)) {
+	var attempt func(retriesLeft int)
+	attempt = func(retriesLeft int) {
 		if !mine() {
 			return
 		}
-		if retriesLeft == 0 && g.p.Cfg.Trace.Enabled() {
+		force := retriesLeft == 0
+		if force && g.p.Cfg.Trace.Enabled() {
 			conns := 0
 			if h, ok := g.p.Fabric.HomeOf(vip); ok {
 				conns = g.p.Fabric.Switch(h).VIPConns(vip)
@@ -547,78 +540,51 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 			g.p.Cfg.Trace.Record(trace.EvDrainForce, float64(conns), 0,
 				trace.VIP(vip), trace.SwitchRef(dst))
 		}
-		// settled makes the attempt's outcome single-shot: the transfer
-		// message's apply path and its dead-letter path can both fire
-		// (at-least-once), but only the first one counts.
-		settled := false
-		settle := func(err error, broken int64) {
-			if settled || !mine() {
+		// On a serialized pipeline the transfer waits its turn; broken
+		// connections are counted at apply time inside the VIP/RIP manager.
+		g.p.request(ctrlplane.Global, "vip-transfer", &viprip.Request{
+			Op: viprip.OpTransferVIP, App: app, Priority: viprip.PriorityHigh,
+			VIP: vip, Dst: dst, Force: force,
+		}, func(err error, broken int64) {
+			if !mine() {
 				return
 			}
-			settled = true
 			switch {
 			case err == nil:
 				g.VIPTransfers++
 				g.DrainForceBreaks += broken
 				g.p.Cfg.Causal.AddBroken(cid, broken)
-				finish()
+				restore()
 			case errors.Is(err, lbswitch.ErrActiveConns) && retriesLeft > 0:
 				g.p.Cfg.Trace.Record(trace.EvDrainRetry, float64(retriesLeft), cfg.DrainMargin,
 					trace.VIP(vip), trace.SwitchRef(dst))
-				g.p.Eng.After(cfg.DrainMargin, func() {
-					g.p.withCause(cid, func() { attemptFn(retriesLeft - 1) })
-				})
+				g.p.later(cid, cfg.DrainMargin, func() { attempt(retriesLeft - 1) })
 			default:
 				g.FailedTransfers++
-				finish()
+				restore()
 			}
-		}
-		g.p.ctrl.CallWithDeadLetter(ctrlplane.Global, ctrlplane.CSM, "vip-transfer", func() {
-			if g.p.VIPRIP.Serialized() {
-				// The transfer waits its turn in the single switch-
-				// configuration pipeline; broken connections are counted at
-				// apply time inside the manager.
-				g.p.VIPRIP.Submit(&viprip.Request{
-					Op: viprip.OpTransferVIP, App: app,
-					Priority: viprip.PriorityHigh,
-					VIP:      vip, Dst: dst, Force: retriesLeft == 0,
-					OnDone: func(r *viprip.Request) { settle(r.Err, r.Result.Broken) },
-				})
-				return
-			}
-			before := g.p.Fabric.BrokenConns
-			err := g.p.Fabric.TransferVIP(vip, dst, retriesLeft == 0)
-			settle(err, g.p.Fabric.BrokenConns-before)
-		}, func() {
-			settle(errDeadLetter, 0)
 		})
 	}
-	var attemptRec func(int)
-	attemptRec = func(n int) { attempt(n, attemptRec) }
-
-	g.p.Eng.After(cfg.DNSUpdateLatency, func() {
-		g.p.withCause(cid, func() {
-			g.p.ctrl.CallWithDeadLetter(ctrlplane.Global, ctrlplane.DNS, "drain-hide", func() {
-				if !mine() {
-					return
-				}
-				if err := g.p.DNS.SetWeight(app, string(vip), 0); err != nil {
-					delete(g.draining, vip)
-					g.p.Suppress(vip, false)
-					return
-				}
-				g.p.Cfg.Trace.Record(trace.EvDrainStart, restoreWeight, g.p.DNS.TTL()+cfg.DrainMargin,
-					trace.VIP(vip), trace.SwitchRef(home), trace.SwitchRef(dst))
-				g.p.Propagate()
-				g.p.Eng.After(g.p.DNS.TTL()+cfg.DrainMargin, func() {
-					g.p.withCause(cid, func() { attemptRec(2) })
-				})
-			}, func() {
-				// The hide never reached DNS: the VIP was never actually
-				// drained, so just release it.
-				abort()
-			})
-		})
+	cid = g.p.actuate(Action{
+		Knob: KnobVIPTransfer, Prio: viprip.PriorityHigh,
+		Refs:  []trace.Ref{trace.VIP(vip), trace.SwitchRef(home), trace.SwitchRef(dst)},
+		Delay: cfg.DNSUpdateLatency,
+		From:  ctrlplane.Global, To: ctrlplane.DNS, Name: "drain-hide",
+		Apply: func() {
+			if !mine() {
+				return
+			}
+			if err := g.p.DNS.SetWeight(app, string(vip), 0); err != nil {
+				release()
+				return
+			}
+			g.p.Cfg.Trace.Record(trace.EvDrainStart, restoreWeight, g.p.DNS.TTL()+cfg.DrainMargin,
+				trace.VIP(vip), trace.SwitchRef(home), trace.SwitchRef(dst))
+			g.p.Propagate()
+			g.p.later(cid, g.p.DNS.TTL()+cfg.DrainMargin, func() { attempt(2) })
+		},
+		// The hide never reached DNS: the VIP was never drained.
+		OnDead: release,
 	})
 }
 
@@ -691,48 +657,25 @@ func (g *GlobalManager) interPodWeights() {
 			for _, i := range coldIdx {
 				newWeights[i] += per
 			}
-			vip := vip
-			nw := newWeights
-			shifted := moved
-			cold := len(coldIdx)
-			swID := sw.ID
-			cid := g.p.decide(KnobRIPWeights, viprip.PriorityNormal,
-				trace.VIP(vip), trace.SwitchRef(swID))
-			onApplied := func() {
-				g.p.Cfg.Trace.Record(trace.EvWeightShift, shifted, float64(cold),
-					trace.VIP(vip), trace.SwitchRef(swID))
-				g.InterPodAdjusts++
-				g.p.Propagate()
-			}
-			if g.p.VIPRIP.Serialized() {
-				// The serialized pipeline models the reconfiguration
-				// latency as the request's service time, so no extra
-				// After here — queue wait comes on top of it.
-				app, _ := sw.AppOf(vip)
-				g.p.withCause(cid, func() {
-					g.p.ctrl.Call(ctrlplane.Global, ctrlplane.CSM, "inter-pod-weights", func() {
-						g.p.VIPRIP.Submit(&viprip.Request{
-							Op: viprip.OpAdjustWeights, App: app,
-							Priority: viprip.PriorityNormal,
-							VIP:      vip, Weights: nw,
-							OnDone: func(r *viprip.Request) {
-								if r.Err == nil {
-									onApplied()
-								}
-							},
-						})
-					})
-				})
-				continue
-			}
-			g.p.Eng.After(cfg.SwitchReconfigLatency, func() {
-				g.p.withCause(cid, func() {
-					g.p.ctrl.Call(ctrlplane.Global, ctrlplane.CSM, "inter-pod-weights", func() {
-						if err := g.p.VIPRIP.AdjustWeights(vip, nw); err == nil {
-							onApplied()
+			app, _ := sw.AppOf(vip)
+			g.p.actuate(Action{
+				Knob: KnobRIPWeights, Prio: viprip.PriorityNormal,
+				Refs:  []trace.Ref{trace.VIP(vip), trace.SwitchRef(sw.ID)},
+				Delay: cfg.SwitchReconfigLatency,
+				From:  ctrlplane.Global, To: ctrlplane.CSM, Name: "inter-pod-weights",
+				Request: &viprip.Request{
+					Op: viprip.OpAdjustWeights, App: app, Priority: viprip.PriorityNormal,
+					VIP: vip, Weights: newWeights,
+					OnDone: func(r *viprip.Request) {
+						if r.Err != nil {
+							return
 						}
-					})
-				})
+						g.p.Cfg.Trace.Record(trace.EvWeightShift, moved, float64(len(coldIdx)),
+							trace.VIP(vip), trace.SwitchRef(sw.ID))
+						g.InterPodAdjusts++
+						g.p.Propagate()
+					},
+				},
 			})
 		}
 	}
@@ -760,20 +703,20 @@ func (g *GlobalManager) deployToRelievePods() {
 		}
 		vip := g.hottestVIPOfApp(app, podID)
 		g.pendingDeploy[app] = true
-		cid := g.p.decide(KnobAppDeployment, viprip.PriorityNormal,
-			trace.App(app), trace.Pod(target), trace.VIP(vip))
-		g.p.Eng.After(cfg.VMDeployLatency, func() {
-			delete(g.pendingDeploy, app)
-			g.p.withCause(cid, func() {
-				g.p.ctrl.Call(ctrlplane.Global, ctrlplane.Pod(int(target)), "deploy", func() {
-					if vm, err := g.p.DeployInstanceFor(app, target, vip); err == nil {
-						g.p.Cfg.Trace.Record(trace.EvDeploy, float64(vm.ID), 0,
-							trace.App(app), trace.Pod(target), trace.VIP(vip))
-						g.Deployments++
-						g.p.Propagate()
-					}
-				})
-			})
+		g.p.actuate(Action{
+			Knob: KnobAppDeployment, Prio: viprip.PriorityNormal,
+			Refs:     []trace.Ref{trace.App(app), trace.Pod(target), trace.VIP(vip)},
+			Delay:    cfg.VMDeployLatency,
+			Dispatch: func() { delete(g.pendingDeploy, app) },
+			From:     ctrlplane.Global, To: ctrlplane.Pod(int(target)), Name: "deploy",
+			Apply: func() {
+				if vm, err := g.p.DeployInstanceFor(app, target, vip); err == nil {
+					g.p.Cfg.Trace.Record(trace.EvDeploy, float64(vm.ID), 0,
+						trace.App(app), trace.Pod(target), trace.VIP(vip))
+					g.Deployments++
+					g.p.Propagate()
+				}
+			},
 		})
 	}
 }
@@ -794,21 +737,20 @@ func (g *GlobalManager) removeIdleInstances() {
 		for _, vmID := range a.VMIDs() {
 			vm := g.p.Cluster.VM(vmID)
 			if vm.State == cluster.VMRunning && vm.Demand.CPU < 1e-6 && a.NumInstances() > g.p.Cfg.VIPsPerApp {
-				vmID := vmID
-				cid := g.p.decide(KnobAppDeployment, viprip.PriorityLow,
-					trace.App(app), trace.VM(vmID))
-				g.p.Eng.After(g.p.Cfg.SwitchReconfigLatency, func() {
-					g.p.withCause(cid, func() {
-						g.p.ctrl.Call(ctrlplane.Global, ctrlplane.CSM, "remove-instance", func() {
-							if g.p.Cluster.VM(vmID) == nil {
-								return
-							}
-							if err := g.p.RemoveInstance(vmID); err == nil {
-								g.Removals++
-								g.p.Propagate()
-							}
-						})
-					})
+				g.p.actuate(Action{
+					Knob: KnobAppDeployment, Prio: viprip.PriorityLow,
+					Refs:  []trace.Ref{trace.App(app), trace.VM(vmID)},
+					Delay: g.p.Cfg.SwitchReconfigLatency,
+					From:  ctrlplane.Global, To: ctrlplane.CSM, Name: "remove-instance",
+					Apply: func() {
+						if g.p.Cluster.VM(vmID) == nil {
+							return
+						}
+						if err := g.p.RemoveInstance(vmID); err == nil {
+							g.Removals++
+							g.p.Propagate()
+						}
+					},
 				})
 				break // at most one removal per app per step
 			}
@@ -891,56 +833,35 @@ func (g *GlobalManager) vacateAndTransfer(srv cluster.ServerID, donor, recipient
 	g.pendingServer[srv] = true
 	server := g.p.Cluster.Server(srv)
 	nVMs := server.NumVMs()
-	latency := g.p.Cfg.VacateLatencyPerVM*float64(nVMs) + g.p.Cfg.VMMigrateLatency
-	cid := g.p.decide(KnobServerTransfer, viprip.PriorityNormal,
-		trace.Server(srv), trace.Pod(donor), trace.Pod(recipient))
-	g.p.Eng.After(latency, func() {
-		delete(g.pendingServer, srv)
-		g.p.withCause(cid, func() {
-			g.p.ctrl.Call(ctrlplane.Global, ctrlplane.Pod(int(donor)), "server-transfer", func() {
-				server := g.p.Cluster.Server(srv)
-				if server == nil || server.Pod != donor {
+	g.p.actuate(Action{
+		Knob: KnobServerTransfer, Prio: viprip.PriorityNormal,
+		Refs:     []trace.Ref{trace.Server(srv), trace.Pod(donor), trace.Pod(recipient)},
+		Delay:    g.p.Cfg.VacateLatencyPerVM*float64(nVMs) + g.p.Cfg.VMMigrateLatency,
+		Dispatch: func() { delete(g.pendingServer, srv) },
+		From:     ctrlplane.Global, To: ctrlplane.Pod(int(donor)), Name: "server-transfer",
+		Apply: func() {
+			server := g.p.Cluster.Server(srv)
+			if server == nil || server.Pod != donor {
+				return
+			}
+			for _, vmID := range server.VMIDs() {
+				vm := g.p.Cluster.VM(vmID)
+				dst := g.p.emptiestServer(donor, srv, vm.Slice)
+				if dst == nil {
+					return // cannot fully vacate; abandon
+				}
+				if err := g.p.Cluster.MigrateVM(vmID, dst.ID); err != nil {
 					return
 				}
-				for _, vmID := range server.VMIDs() {
-					vm := g.p.Cluster.VM(vmID)
-					dst := g.rehomeTarget(donor, srv, vm.Slice)
-					if dst == cluster.ServerID(-1) {
-						return // cannot fully vacate; abandon
-					}
-					if err := g.p.Cluster.MigrateVM(vmID, dst); err != nil {
-						return
-					}
-				}
-				if err := g.p.Cluster.TransferServer(srv, recipient); err == nil {
-					g.p.Cfg.Trace.Record(trace.EvServerTransfer, float64(nVMs), 0,
-						trace.Server(srv), trace.Pod(donor), trace.Pod(recipient))
-					g.ServerTransfers++
-					g.p.Propagate()
-				}
-			})
-		})
+			}
+			if err := g.p.Cluster.TransferServer(srv, recipient); err == nil {
+				g.p.Cfg.Trace.Record(trace.EvServerTransfer, float64(nVMs), 0,
+					trace.Server(srv), trace.Pod(donor), trace.Pod(recipient))
+				g.ServerTransfers++
+				g.p.Propagate()
+			}
+		},
 	})
-}
-
-// rehomeTarget finds a server in pod (≠ excluded) that fits slice.
-func (g *GlobalManager) rehomeTarget(pod cluster.PodID, exclude cluster.ServerID, slice cluster.Resources) cluster.ServerID {
-	pd := g.p.Cluster.Pod(pod)
-	best := cluster.ServerID(-1)
-	var bestFree float64
-	for _, sid := range pd.ServerIDs() {
-		if sid == exclude {
-			continue
-		}
-		s := g.p.Cluster.Server(sid)
-		if !s.Serving() || !s.Used().Add(slice).Fits(s.Capacity) {
-			continue
-		}
-		if best == cluster.ServerID(-1) || s.Free().CPU > bestFree {
-			best, bestFree = sid, s.Free().CPU
-		}
-	}
-	return best
 }
 
 // ---- Elephant-pod guard ---------------------------------------------------
@@ -980,15 +901,23 @@ func (g *GlobalManager) guardElephantPods() {
 			if target == cluster.NoPod {
 				break
 			}
-			cid := g.p.decide(KnobServerTransfer, viprip.PriorityHigh,
-				trace.Server(best), trace.Pod(podID), trace.Pod(target))
-			if err := g.p.Cluster.TransferServer(best, target); err != nil {
+			moved := false
+			g.p.actuate(Action{
+				Knob: KnobServerTransfer, Prio: viprip.PriorityHigh,
+				Refs:   []trace.Ref{trace.Server(best), trace.Pod(podID), trace.Pod(target)},
+				Inline: true,
+				Apply: func() {
+					if g.p.Cluster.TransferServer(best, target) != nil {
+						return
+					}
+					g.p.Cfg.Trace.Record(trace.EvServerTransfer, float64(bestVMs), 1,
+						trace.Server(best), trace.Pod(podID), trace.Pod(target))
+					moved = true
+				},
+			})
+			if !moved {
 				break
 			}
-			g.p.withCause(cid, func() {
-				g.p.Cfg.Trace.Record(trace.EvServerTransfer, float64(bestVMs), 1,
-					trace.Server(best), trace.Pod(podID), trace.Pod(target))
-			})
 			g.ElephantMoves++
 		}
 	}
@@ -1028,10 +957,8 @@ func (g *GlobalManager) hottestVIPOfApp(app cluster.AppID, pod cluster.PodID) lb
 	for _, vmID := range g.p.Cluster.AppVMsInPod(app, pod) {
 		vm := g.p.Cluster.VM(vmID)
 		if ov := vm.Overload(); ov > worst {
-			if rip, ok := g.p.RIPForVM(vmID); ok {
-				if v, ok := g.p.VIPOfRIP(rip); ok {
-					vip, worst = v, ov
-				}
+			if v, ok := g.p.vipOfVM(vmID); ok {
+				vip, worst = v, ov
 			}
 		}
 	}
@@ -1075,7 +1002,7 @@ func (g *GlobalManager) coldestPodWithRoom(actor uint64, exclude cluster.PodID, 
 		if id == exclude {
 			continue
 		}
-		if g.p.emptiestServer(id, slice) == nil {
+		if g.p.emptiestServer(id, noServer, slice) == nil {
 			continue
 		}
 		if u := g.podUtil(id); u < cfg.PodUnderloadUtil {

@@ -101,9 +101,9 @@ type Platform struct {
 	// pods; new VIP allocations then go through it.
 	SwitchHier *viprip.Hierarchy
 
-	// ctrl is the control-plane message bus (nil unless Cfg.Ctrl.Enable);
-	// all its methods are nil-safe, so call sites route through it
-	// unconditionally.
+	// ctrl is the control-plane message bus every actuation routes
+	// through (actuate.go); Cfg.Ctrl.Enable decides whether it is the
+	// inline synchronous path or the fallible asynchronous one.
 	ctrl *ctrlplane.Bus
 
 	pods     []*PodManager   // indexed by PodID (dense)
@@ -366,23 +366,23 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 		p.VIPRIP.StartSerialized(eng, cfg.SwitchReconfigLatency)
 	}
 
-	// Fallible asynchronous control plane (DESIGN.md §12): manager
-	// decisions travel as at-least-once messages over a seeded, faultable
-	// bus. The bus seeds its own RNG (defaulting to the topology seed) so
-	// engine randomness is never perturbed, and pods reconcile their
-	// deferred local decisions when their partition heals.
-	if cfg.Ctrl.Enable {
-		ctrlCfg := cfg.Ctrl
-		if ctrlCfg.Seed == 0 {
-			ctrlCfg.Seed = topo.Seed
-		}
-		p.ctrl = ctrlplane.New(eng, ctrlCfg)
-		p.ctrl.SetTracer(cfg.Trace)
-		p.ctrl.OnHeal = func(ep ctrlplane.Endpoint) {
-			if id, ok := ctrlplane.PodOf(ep); ok {
-				if pm := p.Pod(cluster.PodID(id)); pm != nil {
-					pm.Reconcile()
-				}
+	// Control plane (DESIGN.md §12): every actuation travels over the
+	// bus, which is always present. Disabled (the default) it applies each
+	// call inline — the synchronous control plane. Enabled, decisions
+	// become at-least-once messages over seeded, faultable links; the bus
+	// seeds its own RNG (defaulting to the topology seed) so engine
+	// randomness is never perturbed, and pods reconcile their deferred
+	// local decisions when their partition heals.
+	ctrlCfg := cfg.Ctrl
+	if ctrlCfg.Seed == 0 {
+		ctrlCfg.Seed = topo.Seed
+	}
+	p.ctrl = ctrlplane.New(eng, ctrlCfg)
+	p.ctrl.SetTracer(cfg.Trace)
+	p.ctrl.OnHeal = func(ep ctrlplane.Endpoint) {
+		if id, ok := ctrlplane.PodOf(ep); ok {
+			if pm := p.Pod(cluster.PodID(id)); pm != nil {
+				pm.Reconcile()
 			}
 		}
 	}
@@ -391,44 +391,14 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 	return p, nil
 }
 
-// Ctrl returns the control-plane message bus. Nil when the synchronous
-// control plane is in effect — every Bus method is nil-safe, so callers
-// need not check.
+// Ctrl returns the control-plane message bus. It is never nil; its
+// Enabled method reports whether messages actually traverse faultable
+// links (Cfg.Ctrl.Enable) or apply inline.
 func (p *Platform) Ctrl() *ctrlplane.Bus { return p.ctrl }
 
 // Causal returns the decision-provenance assembler (nil unless
 // Cfg.Causal was set). Its methods are nil-safe.
 func (p *Platform) Causal() *causal.Assembler { return p.Cfg.Causal }
-
-// decide allocates a CauseID for one control decision and records its
-// EvDecision root — knob code, priority class, and the entity refs the
-// decision concerns — under that cause scope. On untraced runs it is a
-// no-op returning 0. Cause allocation happens only in single-threaded
-// control code and consumes no engine randomness, so traced runs stay
-// byte-identical to untraced ones and CauseIDs are identical for any
-// Propagate worker count.
-func (p *Platform) decide(k Knob, prio viprip.Priority, refs ...trace.Ref) uint64 {
-	rec := p.Cfg.Trace
-	cid := rec.NewCause()
-	if cid == 0 {
-		return 0
-	}
-	prev := rec.SetCause(cid)
-	rec.Record(trace.EvDecision, float64(k), float64(prio), refs...)
-	rec.SetCause(prev)
-	return cid
-}
-
-// withCause runs f with the recorder's current-cause scope set to cid,
-// restoring the previous scope after. A decision's asynchronous
-// continuations (engine timers; the bus and the serialized pipeline do
-// their own equivalent internally) wrap their bodies in it so the
-// events they record inherit the decision's CauseID.
-func (p *Platform) withCause(cid uint64, f func()) {
-	prev := p.Cfg.Trace.SetCause(cid)
-	f()
-	p.Cfg.Trace.SetCause(prev)
-}
 
 // Policy returns the resolved control-policy bundle (Cfg.Policy);
 // Policy().Stats carries the probe count E18 tabulates.
@@ -587,7 +557,7 @@ func (p *Platform) DeployInstanceFor(app cluster.AppID, pod cluster.PodID, prefe
 		}
 		slice = a.DefaultSlice
 	}
-	server := p.emptiestServer(pod, slice)
+	server := p.emptiestServer(pod, noServer, slice)
 	if server == nil {
 		return nil, fmt.Errorf("core: pod %d has no server with room for %v", pod, slice)
 	}
@@ -633,6 +603,18 @@ func (p *Platform) bindRIP(rip lbswitch.RIP, vm cluster.VMID, vip lbswitch.VIP) 
 	p.ripHome[ri] = vi
 	p.vmRIP = growFill(p.vmRIP, int(vm)+1, ids.None)
 	p.vmRIP[vm] = ri
+}
+
+// vipOfVM returns the VIP the VM's RIP is configured under.
+func (p *Platform) vipOfVM(vm cluster.VMID) (lbswitch.VIP, bool) {
+	if vm < 0 || int(vm) >= len(p.vmRIP) || p.vmRIP[vm] == ids.None {
+		return "", false
+	}
+	ri := p.vmRIP[vm]
+	if int(ri) >= len(p.ripHome) || p.ripHome[ri] == ids.None {
+		return "", false
+	}
+	return p.vipIx.Key(p.ripHome[ri]), true
 }
 
 // VIPOfRIP returns the VIP a RIP is configured under.
@@ -707,9 +689,12 @@ func (p *Platform) RemoveInstance(vm cluster.VMID) error {
 	return nil
 }
 
-// emptiestServer returns the server in pod with the most free CPU that
-// can fit slice, or nil.
-func (p *Platform) emptiestServer(pod cluster.PodID, slice cluster.Resources) *cluster.Server {
+// noServer, passed as emptiestServer's exclude, excludes nothing.
+const noServer = cluster.ServerID(-1)
+
+// emptiestServer returns the serving server in pod, other than exclude,
+// with the most free CPU that can fit slice, or nil.
+func (p *Platform) emptiestServer(pod cluster.PodID, exclude cluster.ServerID, slice cluster.Resources) *cluster.Server {
 	pd := p.Cluster.Pod(pod)
 	if pd == nil {
 		return nil
@@ -717,7 +702,7 @@ func (p *Platform) emptiestServer(pod cluster.PodID, slice cluster.Resources) *c
 	var best *cluster.Server
 	for _, id := range pd.ServerIDs() {
 		s := p.Cluster.Server(id)
-		if !s.Serving() || !s.Used().Add(slice).Fits(s.Capacity) {
+		if id == exclude || !s.Serving() || !s.Used().Add(slice).Fits(s.Capacity) {
 			continue
 		}
 		if best == nil || s.Free().CPU > best.Free().CPU {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"megadc/internal/cluster"
@@ -225,22 +227,23 @@ func (pm *PodManager) defaultSlice(app cluster.AppID) cluster.Resources {
 
 func (pm *PodManager) scheduleResize(vmID cluster.VMID, slice cluster.Resources) {
 	pm.pendingVM[vmID] = true
-	cid := pm.p.decide(KnobVMResize, viprip.PriorityNormal,
-		trace.VM(vmID), trace.Pod(pm.pod))
-	pm.p.Eng.After(pm.p.Cfg.VMResizeLatency, func() {
-		delete(pm.pendingVM, vmID)
-		vm := pm.p.Cluster.VM(vmID)
-		if vm == nil {
-			return // removed while the resize was in flight
-		}
-		oldCPU := vm.Slice.CPU
-		if err := pm.p.Cluster.ResizeVM(vmID, slice); err == nil {
-			pm.p.withCause(cid, func() {
+	pm.p.actuate(Action{
+		Knob: KnobVMResize, Prio: viprip.PriorityNormal,
+		Refs:     []trace.Ref{trace.VM(vmID), trace.Pod(pm.pod)},
+		Delay:    pm.p.Cfg.VMResizeLatency,
+		Dispatch: func() { delete(pm.pendingVM, vmID) },
+		Apply: func() {
+			vm := pm.p.Cluster.VM(vmID)
+			if vm == nil {
+				return // removed while the resize was in flight
+			}
+			oldCPU := vm.Slice.CPU
+			if err := pm.p.Cluster.ResizeVM(vmID, slice); err == nil {
 				pm.p.Cfg.Trace.Record(trace.EvResizeVM, oldCPU, slice.CPU,
 					trace.VM(vmID), trace.Pod(pm.pod))
-			})
-			pm.Resizes++
-		}
+				pm.Resizes++
+			}
+		},
 	})
 }
 
@@ -283,58 +286,37 @@ func (pm *PodManager) defragment() {
 			if vm.State != cluster.VMRunning || pm.pendingVM[vmID] {
 				continue
 			}
-			target := pm.migrationTarget(sid, vm.Slice)
-			if target == cluster.ServerID(-1) {
+			target := pm.p.emptiestServer(pm.pod, sid, vm.Slice)
+			if target == nil {
 				continue
 			}
 			if victim == cluster.VMID(-1) || vm.Slice.CPU < victimCPU {
-				victim, victimCPU, dst = vmID, vm.Slice.CPU, target
+				victim, victimCPU, dst = vmID, vm.Slice.CPU, target.ID
 			}
 		}
 		if victim == cluster.VMID(-1) {
 			continue
 		}
-		vmID, target := victim, dst
-		from := sid
-		pm.pendingVM[vmID] = true
-		cid := pm.p.decide(KnobVMResize, viprip.PriorityLow,
-			trace.VM(vmID), trace.Server(from), trace.Server(target))
-		pm.p.Eng.After(pm.p.Cfg.VMMigrateLatency, func() {
-			delete(pm.pendingVM, vmID)
-			if pm.p.Cluster.VM(vmID) == nil {
-				return
-			}
-			if err := pm.p.Cluster.MigrateVM(vmID, target); err == nil {
-				pm.p.withCause(cid, func() {
+		pm.pendingVM[victim] = true
+		pm.p.actuate(Action{
+			Knob: KnobVMResize, Prio: viprip.PriorityLow,
+			Refs:     []trace.Ref{trace.VM(victim), trace.Server(sid), trace.Server(dst)},
+			Delay:    pm.p.Cfg.VMMigrateLatency,
+			Dispatch: func() { delete(pm.pendingVM, victim) },
+			Apply: func() {
+				if pm.p.Cluster.VM(victim) == nil {
+					return
+				}
+				if err := pm.p.Cluster.MigrateVM(victim, dst); err == nil {
 					pm.p.Cfg.Trace.Record(trace.EvMigrateVM, 0, 0,
-						trace.VM(vmID), trace.Server(from), trace.Server(target))
-				})
-				pm.Defrags++
-				pm.p.Propagate()
-			}
+						trace.VM(victim), trace.Server(sid), trace.Server(dst))
+					pm.Defrags++
+					pm.p.Propagate()
+				}
+			},
 		})
 		return // one defrag per pod per step
 	}
-}
-
-// migrationTarget finds a pod server (≠ from) that fits slice.
-func (pm *PodManager) migrationTarget(from cluster.ServerID, slice cluster.Resources) cluster.ServerID {
-	pd := pm.p.Cluster.Pod(pm.pod)
-	best := cluster.ServerID(-1)
-	var bestFree float64
-	for _, sid := range pd.ServerIDs() {
-		if sid == from {
-			continue
-		}
-		s := pm.p.Cluster.Server(sid)
-		if !s.Serving() || !s.Used().Add(slice).Fits(s.Capacity) {
-			continue
-		}
-		if best == cluster.ServerID(-1) || s.Free().CPU > bestFree {
-			best, bestFree = sid, s.Free().CPU
-		}
-	}
-	return best
 }
 
 // adjustIntraPodWeights is the intra-pod half of knob F: for every VIP
@@ -434,17 +416,17 @@ func (pm *PodManager) desiredWeights(sw *lbswitch.Switch, vip lbswitch.VIP) ([]f
 // the reconfiguration latency. Both fresh decisions and Reconcile
 // reissues come through here, so each gets its own CauseID.
 func (pm *PodManager) issueWeights(vip lbswitch.VIP, newWeights []float64) {
-	cid := pm.p.decide(KnobRIPWeights, viprip.PriorityNormal,
-		trace.VIP(vip), trace.Pod(pm.pod))
-	pm.p.Eng.After(pm.p.Cfg.SwitchReconfigLatency, func() {
-		pm.p.withCause(cid, func() {
-			pm.p.ctrl.Call(ctrlplane.Pod(int(pm.pod)), ctrlplane.CSM, "intra-weights", func() {
-				if err := pm.p.VIPRIP.AdjustWeights(vip, newWeights); err == nil {
-					pm.WeightAdjusts++
-					pm.p.Propagate()
-				}
-			})
-		})
+	pm.p.actuate(Action{
+		Knob: KnobRIPWeights, Prio: viprip.PriorityNormal,
+		Refs:  []trace.Ref{trace.VIP(vip), trace.Pod(pm.pod)},
+		Delay: pm.p.Cfg.SwitchReconfigLatency,
+		From:  ctrlplane.Pod(int(pm.pod)), To: ctrlplane.CSM, Name: "intra-weights",
+		Apply: func() {
+			if err := pm.p.VIPRIP.AdjustWeights(vip, newWeights); err == nil {
+				pm.WeightAdjusts++
+				pm.p.Propagate()
+			}
+		},
 	})
 }
 
@@ -472,10 +454,7 @@ func (pm *PodManager) localScaleOut() {
 				continue
 			}
 			if ov := vm.Overload(); ov > seen[vm.App].overload {
-				var vip lbswitch.VIP
-				if rip, ok := pm.p.RIPForVM(vmID); ok {
-					vip, _ = pm.p.VIPOfRIP(rip)
-				}
+				vip, _ := pm.p.vipOfVM(vmID)
 				seen[vm.App] = hot{app: vm.App, overload: ov, vip: vip}
 			}
 		}
@@ -490,14 +469,12 @@ func (pm *PodManager) localScaleOut() {
 		}
 	}
 	// Deterministic order: worst first, then app ID.
-	for i := 0; i < len(hots); i++ {
-		for j := i + 1; j < len(hots); j++ {
-			if hots[j].overload > hots[i].overload ||
-				(hots[j].overload == hots[i].overload && hots[j].app < hots[i].app) {
-				hots[i], hots[j] = hots[j], hots[i]
-			}
+	slices.SortFunc(hots, func(a, b hot) int {
+		if c := cmp.Compare(b.overload, a.overload); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(a.app, b.app)
+	})
 	for _, h := range hots {
 		if pm.degraded() {
 			// Degraded mode refuses new placements: existing VIPs keep
@@ -516,24 +493,24 @@ func (pm *PodManager) tryScaleOut(app cluster.AppID, vip lbswitch.VIP, overload 
 		return false // a deployment for this app is already in flight
 	}
 	slice := pm.defaultSlice(app)
-	if pm.p.emptiestServer(pm.pod, slice) == nil {
+	if pm.p.emptiestServer(pm.pod, noServer, slice) == nil {
 		return false // no room locally; the global manager's problem
 	}
 	pm.pendingDeploy[app] = true
-	cid := pm.p.decide(KnobAppDeployment, viprip.PriorityNormal,
-		trace.App(app), trace.Pod(pm.pod), trace.VIP(vip))
-	pm.p.Eng.After(pm.p.Cfg.VMDeployLatency, func() {
-		delete(pm.pendingDeploy, app)
-		pm.p.withCause(cid, func() {
-			pm.p.ctrl.Call(ctrlplane.Pod(int(pm.pod)), ctrlplane.CSM, "local-deploy", func() {
-				if vm, err := pm.p.DeployInstanceFor(app, pm.pod, vip); err == nil {
-					pm.p.Cfg.Trace.Record(trace.EvScaleOut, float64(vm.ID), overload,
-						trace.App(app), trace.Pod(pm.pod), trace.VIP(vip))
-					pm.LocalDeploys++
-					pm.p.Propagate()
-				}
-			})
-		})
+	pm.p.actuate(Action{
+		Knob: KnobAppDeployment, Prio: viprip.PriorityNormal,
+		Refs:     []trace.Ref{trace.App(app), trace.Pod(pm.pod), trace.VIP(vip)},
+		Delay:    pm.p.Cfg.VMDeployLatency,
+		Dispatch: func() { delete(pm.pendingDeploy, app) },
+		From:     ctrlplane.Pod(int(pm.pod)), To: ctrlplane.CSM, Name: "local-deploy",
+		Apply: func() {
+			if vm, err := pm.p.DeployInstanceFor(app, pm.pod, vip); err == nil {
+				pm.p.Cfg.Trace.Record(trace.EvScaleOut, float64(vm.ID), overload,
+					trace.App(app), trace.Pod(pm.pod), trace.VIP(vip))
+				pm.LocalDeploys++
+				pm.p.Propagate()
+			}
+		},
 	})
 	return true
 }
@@ -621,10 +598,8 @@ func (pm *PodManager) reissueScaleOut(app cluster.AppID, hint lbswitch.VIP) bool
 			}
 			if ov := vm.Overload(); ov > worst {
 				worst = ov
-				if rip, ok := pm.p.RIPForVM(vmID); ok {
-					if v, ok := pm.p.VIPOfRIP(rip); ok {
-						vip = v
-					}
+				if v, ok := pm.p.vipOfVM(vmID); ok {
+					vip = v
 				}
 			}
 		}
@@ -669,17 +644,11 @@ func (pm *PodManager) BuildPlacementProblem() (*placement.Problem, []cluster.App
 			instances[vm.App] = append(instances[vm.App], machIndex[sid])
 		}
 	}
-	var apps []cluster.AppID
+	apps := make([]cluster.AppID, 0, len(demand))
 	for app := range demand {
 		apps = append(apps, app)
 	}
-	for i := 0; i < len(apps); i++ {
-		for j := i + 1; j < len(apps); j++ {
-			if apps[j] < apps[i] {
-				apps[i], apps[j] = apps[j], apps[i]
-			}
-		}
-	}
+	slices.Sort(apps)
 	for _, app := range apps {
 		prob.AppDemand = append(prob.AppDemand, demand[app])
 		prob.AppMem = append(prob.AppMem, pm.defaultSlice(app).MemMB)

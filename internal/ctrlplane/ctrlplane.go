@@ -14,8 +14,8 @@
 // seeded RNG — never from the simulation engine's — and the ideal fast
 // path (zero delay, zero loss, no partition) applies effects inline
 // with zero engine events and zero RNG draws, so a run with the bus
-// enabled at ideal settings is byte-identical to a run without it
-// (core.TestSyncEquivalence).
+// enabled at ideal settings ends in the same platform state as a run
+// with it disabled (core.TestSyncEquivalence).
 package ctrlplane
 
 import (

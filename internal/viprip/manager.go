@@ -427,6 +427,26 @@ func (m *Manager) process(r *Request) {
 // mode this runs at processing time; in serialized mode it runs when
 // the pipeline finishes, serviceTime after processing began.
 func (m *Manager) apply(r *Request) {
+	m.exec(r)
+	r.Done = true
+	m.Processed++
+	m.traceReq(trace.EvReqDone, r)
+}
+
+// Do applies r at once, bypassing the queue: the direct write of a
+// control plane that does not serialize reconfiguration. Unlike a queued
+// request it records no lifecycle events and does not count as
+// processed. OnDone runs after the operation, as it would on the pump.
+func (m *Manager) Do(r *Request) {
+	m.exec(r)
+	r.Done = true
+	if r.OnDone != nil {
+		r.OnDone(r)
+	}
+}
+
+// exec performs the request's operation, filling Result and Err.
+func (m *Manager) exec(r *Request) {
 	switch r.Op {
 	case OpAddVIP:
 		r.Result.VIP, r.Result.Switch, r.Err = m.AddVIP(r.App)
@@ -448,9 +468,6 @@ func (m *Manager) apply(r *Request) {
 	default:
 		r.Err = fmt.Errorf("viprip: unknown op %d", r.Op)
 	}
-	r.Done = true
-	m.Processed++
-	m.traceReq(trace.EvReqDone, r)
 }
 
 // traceReq records one request-lifecycle transition. The refs name the

@@ -293,6 +293,37 @@ func TestAdjustWeightsPreservesTotal(t *testing.T) {
 	}
 }
 
+// Do is the unserialized control plane's direct write: the operation
+// lands at once, bypasses the queue and its counters, and still runs
+// OnDone with the result.
+func TestDoAppliesAtOnce(t *testing.T) {
+	m := newTestManager(t, 2, LeastVIPs)
+	vip, sw, _ := m.AddVIP(1)
+	r1, _ := m.AllocRIP()
+	r2, _ := m.AllocRIP()
+	m.AddRIP(1, r1, 1, vip)
+	m.AddRIP(1, r2, 3, vip)
+	var done *Request
+	r := &Request{Op: OpAdjustWeights, App: 1, VIP: vip, Weights: []float64{2, 2},
+		OnDone: func(r *Request) { done = r }}
+	m.Do(r)
+	if done != r || r.Err != nil || !r.Done {
+		t.Fatalf("OnDone got %v, err %v, done %v", done, r.Err, r.Done)
+	}
+	if _, ws, _ := m.Fabric().Switch(sw).Weights(vip); ws[0] != 2 || ws[1] != 2 {
+		t.Errorf("weights = %v, want [2 2]", ws)
+	}
+	if m.Processed != 0 || m.Pending() != 0 {
+		t.Errorf("processed = %d, pending = %d; Do must bypass the queue", m.Processed, m.Pending())
+	}
+	dst := lbswitch.SwitchID(1 - sw)
+	tr := &Request{Op: OpTransferVIP, VIP: vip, Dst: dst}
+	m.Do(tr)
+	if home, _ := m.Fabric().HomeOf(vip); tr.Err != nil || home != dst {
+		t.Errorf("transfer: err %v, home %d, want %d", tr.Err, home, dst)
+	}
+}
+
 func TestQueuePriorityOrder(t *testing.T) {
 	m := newTestManager(t, 3, LeastVIPs)
 	low := &Request{Op: OpAddVIP, App: 1, Priority: PriorityLow}
