@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -61,7 +62,7 @@ type Server struct {
 	Health health.State
 
 	used Resources
-	vms  map[VMID]*VM
+	vms  []*VM // ascending by ID
 }
 
 // Serving reports whether the server is healthy enough to host work.
@@ -80,14 +81,12 @@ func (s *Server) Utilization() float64 { return s.used.MaxFraction(s.Capacity) }
 func (s *Server) NumVMs() int { return len(s.vms) }
 
 // VMIDs returns the IDs of VMs on the server in ascending order.
-func (s *Server) VMIDs() []VMID {
-	ids := make([]VMID, 0, len(s.vms))
-	for id := range s.vms {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
-}
+func (s *Server) VMIDs() []VMID { return vmIDsOf(s.vms) }
+
+// VMs returns the server's VMs in ascending ID order as a read-only
+// view of the membership slice — no copy, for allocation-free scans.
+// The caller must not mutate it or hold it across membership changes.
+func (s *Server) VMs() []*VM { return s.vms }
 
 // VM is a virtual machine instance of one application, holding a hard
 // resource slice on one server.
@@ -118,28 +117,21 @@ type Application struct {
 	ID           AppID
 	Name         string
 	DefaultSlice Resources // slice given to a new instance
-	vms          map[VMID]*VM
+	vms          []*VM     // ascending by ID
 }
 
 // NumInstances returns the number of live (non-stopped) VM instances.
 func (a *Application) NumInstances() int { return len(a.vms) }
 
 // VMIDs returns the application's instance IDs in ascending order.
-func (a *Application) VMIDs() []VMID {
-	ids := make([]VMID, 0, len(a.vms))
-	for id := range a.vms {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
-}
+func (a *Application) VMIDs() []VMID { return vmIDsOf(a.vms) }
 
 // Pod is a logical group of servers managed by one pod manager. Pods are
 // formed by configuration, not physical adjacency, so servers can be
 // transferred between pods (paper Section IV-C).
 type Pod struct {
 	ID      PodID
-	servers map[ServerID]*Server
+	servers []*Server // ascending by ID
 }
 
 // NumServers returns the number of servers in the pod.
@@ -147,12 +139,61 @@ func (p *Pod) NumServers() int { return len(p.servers) }
 
 // ServerIDs returns the pod's server IDs in ascending order.
 func (p *Pod) ServerIDs() []ServerID {
-	ids := make([]ServerID, 0, len(p.servers))
-	for id := range p.servers {
-		ids = append(ids, id)
+	ids := make([]ServerID, len(p.servers))
+	for i, s := range p.servers {
+		ids[i] = s.ID
 	}
-	slices.Sort(ids)
 	return ids
+}
+
+// Servers returns the pod's servers in ascending ID order as a read-only
+// view of the membership slice — no copy, for allocation-free scans.
+// The caller must not mutate it or hold it across membership changes.
+func (p *Pod) Servers() []*Server { return p.servers }
+
+// Membership lists (Pod.servers, Server.vms, Application.vms) are
+// slices kept ascending by ID rather than maps: ID-ordered iteration —
+// which every float aggregate needs for run-to-run determinism — then
+// needs no sort, and a list costs one pointer per member. IDs are
+// assigned in increasing order, so creation appends; moves and removals
+// binary-search their position.
+
+func vmIDsOf(vms []*VM) []VMID {
+	ids := make([]VMID, len(vms))
+	for i, v := range vms {
+		ids[i] = v.ID
+	}
+	return ids
+}
+
+// member is an entry of a membership list, ordered by key (its ID).
+type member interface{ key() int }
+
+func (s *Server) key() int { return int(s.ID) }
+func (v *VM) key() int     { return int(v.ID) }
+
+// search finds key in the ascending list.
+func search[T member](list []T, key int) (int, bool) {
+	return slices.BinarySearchFunc(list, key, func(m T, k int) int { return cmp.Compare(m.key(), k) })
+}
+
+func has[T member](list []T, key int) bool {
+	_, ok := search(list, key)
+	return ok
+}
+
+// insertMember adds m to the ascending list.
+func insertMember[T member](list []T, m T) []T {
+	i, _ := search(list, m.key())
+	return slices.Insert(list, i, m)
+}
+
+// removeMember removes the entry with the given key from the ascending list.
+func removeMember[T member](list []T, key int) []T {
+	if i, ok := search(list, key); ok {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
 }
 
 // Errors returned by cluster mutations.
@@ -186,7 +227,7 @@ func New() *Cluster {
 
 // AddPod creates a new empty pod.
 func (c *Cluster) AddPod() *Pod {
-	p := &Pod{ID: PodID(len(c.pods)), servers: make(map[ServerID]*Server)}
+	p := &Pod{ID: PodID(len(c.pods))}
 	c.pods = append(c.pods, p)
 	return p
 }
@@ -197,14 +238,14 @@ func (c *Cluster) AddServer(pod PodID, capacity Resources) (*Server, error) {
 	if !capacity.NonNegative() {
 		return nil, fmt.Errorf("%w: negative capacity %v", ErrBadState, capacity)
 	}
-	s := &Server{ID: ServerID(len(c.servers)), Pod: NoPod, Capacity: capacity, vms: make(map[VMID]*VM)}
+	s := &Server{ID: ServerID(len(c.servers)), Pod: NoPod, Capacity: capacity}
 	if pod != NoPod {
 		p := c.Pod(pod)
 		if p == nil {
 			return nil, fmt.Errorf("%w: pod %d", ErrNotFound, pod)
 		}
 		s.Pod = pod
-		p.servers[s.ID] = s
+		p.servers = append(p.servers, s) // newest ID: stays ascending
 	}
 	c.servers = append(c.servers, s)
 	return s, nil
@@ -212,7 +253,7 @@ func (c *Cluster) AddServer(pod PodID, capacity Resources) (*Server, error) {
 
 // AddApp registers an application with a default per-instance slice.
 func (c *Cluster) AddApp(name string, defaultSlice Resources) *Application {
-	a := &Application{ID: AppID(len(c.apps)), Name: name, DefaultSlice: defaultSlice, vms: make(map[VMID]*VM)}
+	a := &Application{ID: AppID(len(c.apps)), Name: name, DefaultSlice: defaultSlice}
 	c.apps = append(c.apps, a)
 	return a
 }
@@ -322,8 +363,8 @@ func (c *Cluster) PlaceVM(app AppID, server ServerID, slice Resources) (*VM, err
 	v := &VM{ID: VMID(len(c.vms)), App: app, Server: server, Slice: slice, State: VMDeploying}
 	c.vms = append(c.vms, v)
 	c.numVMs++
-	a.vms[v.ID] = v
-	s.vms[v.ID] = v
+	a.vms = append(a.vms, v) // newest ID: both lists stay ascending
+	s.vms = append(s.vms, v)
 	s.used = s.used.Add(slice)
 	return v, nil
 }
@@ -350,8 +391,9 @@ func (c *Cluster) RemoveVM(vm VMID) error {
 	}
 	s := c.servers[v.Server]
 	s.used = s.used.Sub(v.Slice)
-	delete(s.vms, vm)
-	delete(c.apps[v.App].vms, vm)
+	s.vms = removeMember(s.vms, int(vm))
+	a := c.apps[v.App]
+	a.vms = removeMember(a.vms, int(vm))
 	c.vms[vm] = nil
 	c.numVMs--
 	v.State = VMStopped
@@ -398,9 +440,9 @@ func (c *Cluster) MigrateVM(vm VMID, to ServerID) error {
 	}
 	src := c.servers[v.Server]
 	src.used = src.used.Sub(v.Slice)
-	delete(src.vms, vm)
+	src.vms = removeMember(src.vms, int(vm))
 	dst.used = dst.used.Add(v.Slice)
-	dst.vms[vm] = v
+	dst.vms = insertMember(dst.vms, v)
 	v.Server = to
 	return nil
 }
@@ -420,17 +462,17 @@ func (c *Cluster) TransferServer(server ServerID, to PodID) error {
 	if s.Pod == to {
 		return nil
 	}
-	if s.Pod != NoPod {
-		delete(c.pods[s.Pod].servers, server)
+	if src := c.Pod(s.Pod); src != nil {
+		src.servers = removeMember(src.servers, int(server))
 	}
-	dst.servers[server] = s
+	dst.servers = insertMember(dst.servers, s)
 	s.Pod = to
 	return nil
 }
 
 // PodUsed returns the summed used resources of the pod's servers.
-// Aggregation iterates in sorted ID order: float sums must not depend
-// on map iteration order, or identically seeded runs diverge at the
+// Aggregation iterates in ascending ID order: float sums must not
+// depend on update history, or identically seeded runs diverge at the
 // last bit.
 func (c *Cluster) PodUsed(pod PodID) Resources {
 	p := c.Pod(pod)
@@ -438,8 +480,8 @@ func (c *Cluster) PodUsed(pod PodID) Resources {
 		return Resources{}
 	}
 	var u Resources
-	for _, id := range p.ServerIDs() {
-		u = u.Add(p.servers[id].used)
+	for _, s := range p.servers {
+		u = u.Add(s.used)
 	}
 	return u
 }
@@ -451,8 +493,8 @@ func (c *Cluster) PodCapacity(pod PodID) Resources {
 		return Resources{}
 	}
 	var u Resources
-	for _, id := range p.ServerIDs() {
-		u = u.Add(p.servers[id].Capacity)
+	for _, s := range p.servers {
+		u = u.Add(s.Capacity)
 	}
 	return u
 }
@@ -469,10 +511,9 @@ func (c *Cluster) PodDemand(pod PodID) Resources {
 		return Resources{}
 	}
 	var d Resources
-	for _, sid := range p.ServerIDs() {
-		s := p.servers[sid]
-		for _, vid := range s.VMIDs() {
-			d = d.Add(s.vms[vid].Demand)
+	for _, s := range p.servers {
+		for _, v := range s.vms {
+			d = d.Add(v.Demand)
 		}
 	}
 	return d
@@ -499,18 +540,18 @@ func (c *Cluster) AppVMsInPod(app AppID, pod PodID) []VMID {
 		return nil
 	}
 	var ids []VMID
-	for id, v := range a.vms {
-		if s := c.servers[v.Server]; s != nil && s.Pod == pod {
-			ids = append(ids, id)
+	for _, v := range a.vms {
+		if c.servers[v.Server].Pod == pod {
+			ids = append(ids, v.ID)
 		}
 	}
-	slices.Sort(ids)
 	return ids
 }
 
 // Covers reports whether app has at least one instance in pod.
 func (c *Cluster) Covers(app AppID, pod PodID) bool {
-	return len(c.AppVMsInPod(app, pod)) > 0
+	a := c.App(app)
+	return a != nil && slices.ContainsFunc(a.vms, func(v *VM) bool { return c.servers[v.Server].Pod == pod })
 }
 
 // approxEqual compares resource vectors with a relative tolerance that
@@ -542,16 +583,34 @@ func absf(x float64) float64 {
 }
 
 // CheckInvariants verifies internal consistency: per-server used equals
-// the sum of its VM slices and never exceeds capacity, and all index maps
-// agree. It returns the first violation found, or nil. Tests and the
-// simulation harness call this after mutation sequences.
+// the sum of its VM slices and never exceeds capacity, every membership
+// list is strictly ascending by ID, and all indexes agree. It returns
+// the first violation found, or nil. Tests and the simulation harness
+// call this after mutation sequences.
 func (c *Cluster) CheckInvariants() error {
+	for i, p := range c.pods {
+		pid := PodID(i)
+		for j, s := range p.servers {
+			if j > 0 && p.servers[j-1].ID >= s.ID {
+				return fmt.Errorf("pod %d server list not strictly ascending at server %d", pid, s.ID)
+			}
+			if s.Pod != pid {
+				return fmt.Errorf("pod %d lists server %d which claims pod %d", pid, s.ID, s.Pod)
+			}
+		}
+	}
 	for i, s := range c.servers {
 		id := ServerID(i)
 		var sum Resources
-		for vid, v := range s.vms {
+		for j, v := range s.vms {
+			if j > 0 && s.vms[j-1].ID >= v.ID {
+				return fmt.Errorf("server %d VM list not strictly ascending at vm %d", id, v.ID)
+			}
+			if c.VM(v.ID) != v {
+				return fmt.Errorf("server %d lists vm %d which is not registered", id, v.ID)
+			}
 			if v.Server != id {
-				return fmt.Errorf("vm %d on server %d claims server %d", vid, id, v.Server)
+				return fmt.Errorf("vm %d on server %d claims server %d", v.ID, id, v.Server)
 			}
 			sum = sum.Add(v.Slice)
 		}
@@ -562,17 +621,18 @@ func (c *Cluster) CheckInvariants() error {
 			return fmt.Errorf("server %d overcommitted: used %v > capacity %v", id, s.used, s.Capacity)
 		}
 		if s.Pod != NoPod {
-			p := c.pods[s.Pod]
-			if p == nil || p.servers[id] == nil {
+			if p := c.Pod(s.Pod); p == nil || !has(p.servers, int(id)) {
 				return fmt.Errorf("server %d claims pod %d but pod does not list it", id, s.Pod)
 			}
 		}
 	}
-	for i, p := range c.pods {
-		pid := PodID(i)
-		for sid, s := range p.servers {
-			if s.Pod != pid {
-				return fmt.Errorf("pod %d lists server %d which claims pod %d", pid, sid, s.Pod)
+	for _, a := range c.apps {
+		for j, v := range a.vms {
+			if j > 0 && a.vms[j-1].ID >= v.ID {
+				return fmt.Errorf("app %d VM list not strictly ascending at vm %d", a.ID, v.ID)
+			}
+			if v.App != a.ID || c.VM(v.ID) != v {
+				return fmt.Errorf("app %d lists vm %d which does not belong to it", a.ID, v.ID)
 			}
 		}
 	}
@@ -581,12 +641,10 @@ func (c *Cluster) CheckInvariants() error {
 			continue // removed VM; its ID is retired, never reused
 		}
 		vid := VMID(i)
-		a := c.App(v.App)
-		if a == nil || a.vms[vid] == nil {
+		if a := c.App(v.App); a == nil || !has(a.vms, i) {
 			return fmt.Errorf("vm %d claims app %d but app does not list it", vid, v.App)
 		}
-		s := c.Server(v.Server)
-		if s == nil || s.vms[vid] == nil {
+		if s := c.Server(v.Server); s == nil || !has(s.vms, i) {
 			return fmt.Errorf("vm %d claims server %d but server does not list it", vid, v.Server)
 		}
 	}

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -388,5 +390,178 @@ func TestPropertyRandomOpsKeepInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPropertyMembershipOrder runs random AddServer/PlaceVM/RemoveVM/
+// MigrateVM/TransferServer sequences against a map-based model of pod,
+// server and application membership, and checks after every operation
+// that Pod.ServerIDs, Server.VMIDs, Application.VMIDs and AppVMsInPod
+// list exactly the model's members in strictly ascending order.
+func TestPropertyMembershipOrder(t *testing.T) {
+	f := func(ops []uint8, seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		c := New()
+		podOf := map[ServerID]PodID{} // model: server → pod
+		hostOf := map[VMID]ServerID{} // model: live VM → server
+		appOf := map[VMID]AppID{}     // model: live VM → app
+		var servers []ServerID
+		var vms []VMID
+		for i := 0; i < 3; i++ {
+			c.AddPod()
+		}
+		apps := []AppID{c.AddApp("a", testSlice()).ID, c.AddApp("b", testSlice()).ID}
+		addServer := func() {
+			pod := PodID(rng.Intn(3))
+			s, err := c.AddServer(pod, testServer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			podOf[s.ID] = pod
+			servers = append(servers, s.ID)
+		}
+		addServer()
+		for _, op := range ops {
+			switch op % 5 {
+			case 0:
+				addServer()
+			case 1:
+				app := apps[rng.Intn(len(apps))]
+				srv := servers[rng.Intn(len(servers))]
+				if v, err := c.PlaceVM(app, srv, testSlice()); err == nil {
+					hostOf[v.ID], appOf[v.ID] = srv, app
+					vms = append(vms, v.ID)
+				}
+			case 2:
+				if len(vms) > 0 {
+					i := rng.Intn(len(vms))
+					if err := c.RemoveVM(vms[i]); err != nil {
+						t.Fatal(err)
+					}
+					delete(hostOf, vms[i])
+					delete(appOf, vms[i])
+					vms = append(vms[:i], vms[i+1:]...)
+				}
+			case 3:
+				if len(vms) > 0 {
+					id := vms[rng.Intn(len(vms))]
+					dst := servers[rng.Intn(len(servers))]
+					if err := c.MigrateVM(id, dst); err == nil {
+						hostOf[id] = dst
+					}
+				}
+			case 4:
+				srv := servers[rng.Intn(len(servers))]
+				pod := PodID(rng.Intn(3))
+				if err := c.TransferServer(srv, pod); err != nil {
+					t.Fatal(err)
+				}
+				podOf[srv] = pod
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Logf("invariant violated: %v", err)
+				return false
+			}
+			for _, pid := range c.PodIDs() {
+				var want []ServerID
+				for _, sid := range servers {
+					if podOf[sid] == pid {
+						want = append(want, sid)
+					}
+				}
+				if !sameAscending(c.Pod(pid).ServerIDs(), want) {
+					t.Logf("pod %d servers %v, model %v", pid, c.Pod(pid).ServerIDs(), want)
+					return false
+				}
+				for _, app := range apps {
+					var wantVMs []VMID
+					for _, id := range vms {
+						if appOf[id] == app && podOf[hostOf[id]] == pid {
+							wantVMs = append(wantVMs, id)
+						}
+					}
+					if got := c.AppVMsInPod(app, pid); !sameAscending(got, wantVMs) {
+						t.Logf("app %d in pod %d: %v, model %v", app, pid, got, wantVMs)
+						return false
+					}
+					if c.Covers(app, pid) != (len(wantVMs) > 0) {
+						t.Logf("Covers(%d, %d) disagrees with model", app, pid)
+						return false
+					}
+				}
+			}
+			for _, sid := range servers {
+				var want []VMID
+				for _, id := range vms {
+					if hostOf[id] == sid {
+						want = append(want, id)
+					}
+				}
+				if !sameAscending(c.Server(sid).VMIDs(), want) {
+					t.Logf("server %d VMs %v, model %v", sid, c.Server(sid).VMIDs(), want)
+					return false
+				}
+			}
+			for _, app := range apps {
+				var want []VMID
+				for _, id := range vms {
+					if appOf[id] == app {
+						want = append(want, id)
+					}
+				}
+				if !sameAscending(c.App(app).VMIDs(), want) {
+					t.Logf("app %d VMs %v, model %v", app, c.App(app).VMIDs(), want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(13))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// sameAscending reports whether got is strictly ascending and equal to
+// want (whose elements are distinct, in any order).
+func sameAscending[T cmp.Ordered](got, want []T) bool {
+	for i := 1; i < len(got); i++ {
+		if got[i-1] >= got[i] {
+			return false
+		}
+	}
+	want = slices.Clone(want)
+	slices.Sort(want)
+	return slices.Equal(got, want)
+}
+
+// TestCheckInvariantsRejectsUnsortedMembership corrupts the order of
+// each membership list in turn and checks the audit catches it.
+func TestCheckInvariantsRejectsUnsortedMembership(t *testing.T) {
+	cases := map[string]func(c *Cluster, pod *Pod, srv *Server, app *Application){
+		"pod servers": func(c *Cluster, pod *Pod, _ *Server, _ *Application) {
+			pod.servers[0], pod.servers[1] = pod.servers[1], pod.servers[0]
+		},
+		"server vms": func(_ *Cluster, _ *Pod, srv *Server, _ *Application) {
+			srv.vms[0], srv.vms[1] = srv.vms[1], srv.vms[0]
+		},
+		"app vms": func(_ *Cluster, _ *Pod, _ *Server, app *Application) {
+			app.vms[0], app.vms[1] = app.vms[1], app.vms[0]
+		},
+	}
+	for name, corrupt := range cases {
+		c, pods, servers, app := buildSmall(t)
+		for i := 0; i < 2; i++ {
+			if _, err := c.PlaceVM(app.ID, servers[0].ID, testSlice()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%s: clean cluster: %v", name, err)
+		}
+		corrupt(c, pods[0], servers[0], app)
+		if err := c.CheckInvariants(); err == nil {
+			t.Errorf("%s: out-of-order membership list passed CheckInvariants", name)
+		}
 	}
 }

@@ -20,6 +20,7 @@ func allocTestPlatform(t testing.TB, workers int) *Platform {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(p.Close)
 	for i := 0; i < 3*parallelThreshold; i++ {
 		d := Demand{CPU: 0.5 + float64(i%7)*0.31, Mbps: 10 + float64(i%11)*3.7}
 		if _, err := p.OnboardApp(fmt.Sprintf("al-%d", i),

@@ -40,6 +40,7 @@ func TestPropertyChaos(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		defer p.Close()
 		rng := rand.New(rand.NewSource(seed))
 		var apps []cluster.AppID
 		for i := 0; i < 4; i++ {

@@ -33,6 +33,7 @@ func runPropagationScenario(t *testing.T, cfg Config, nOps int) *Platform {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(p.Close)
 	rng := rand.New(rand.NewSource(42))
 	var apps []cluster.AppID
 	for i := 0; i < 4; i++ {
@@ -233,6 +234,7 @@ func TestPropagateWorkerCountInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(p.Close)
 		for i := 0; i < 2*parallelThreshold; i++ {
 			d := Demand{CPU: 0.5 + float64(i%7)*0.31, Mbps: 10 + float64(i%11)*3.7}
 			if _, err := p.OnboardApp("wk", cluster.Resources{CPU: 0.25, MemMB: 128, NetMbps: 10}, 1, d); err != nil {
@@ -268,6 +270,7 @@ func TestPropagateDirtyWorkerCountInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(p.Close)
 		for i := 0; i < apps; i++ {
 			d := Demand{CPU: 0.4 + float64(i%5)*0.27, Mbps: 8 + float64(i%13)*2.9}
 			if _, err := p.OnboardApp("dw", cluster.Resources{CPU: 0.2, MemMB: 128, NetMbps: 8}, 1, d); err != nil {

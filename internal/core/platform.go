@@ -391,6 +391,22 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 	return p, nil
 }
 
+// Close stops the platform's parked Propagate worker goroutines, which
+// otherwise keep the whole platform reachable until the process exits,
+// and returns once they have exited. Callers that build many platforms
+// in one process (experiment sweeps, tournaments, tests) should Close
+// each when done. Close is idempotent; a closed platform stays usable,
+// its Propagate computing sequentially (results are identical for any
+// worker count).
+func (p *Platform) Close() {
+	for _, ch := range p.pool.start {
+		close(ch)
+	}
+	p.pool.start = nil
+	p.pool.closed = true
+	p.pool.live.Wait()
+}
+
 // Ctrl returns the control-plane message bus. It is never nil; its
 // Enabled method reports whether messages actually traverse faultable
 // links (Cfg.Ctrl.Enable) or apply inline.
@@ -654,8 +670,7 @@ func (p *Platform) reconcileExposure(app cluster.AppID) {
 		if !ok {
 			continue
 		}
-		rips, _, err := p.Fabric.Switch(home).Weights(vip)
-		hasRIPs := err == nil && len(rips) > 0
+		hasRIPs := p.Fabric.Switch(home).NumRIPsOf(vip) > 0
 		if !hasRIPs && ws[i] != 0 {
 			p.DNS.SetWeight(app, vipStr, 0)
 		} else if hasRIPs && ws[i] == 0 {

@@ -7,6 +7,7 @@ import (
 
 	"megadc/internal/cluster"
 	"megadc/internal/ctrlplane"
+	"megadc/internal/ids"
 	"megadc/internal/lbswitch"
 	"megadc/internal/placement"
 	"megadc/internal/trace"
@@ -52,6 +53,25 @@ type PodManager struct {
 	// partitioned, FIFO, for Reconcile to replay after the heal. Pod-local
 	// knobs (resize, defrag) keep running on local state throughout.
 	deferred []deferredOp
+
+	// Knob-F scratch, reused across steps so that a converged pod's
+	// weight scan allocates nothing (see adjustIntraPodWeights and
+	// desiredWeights).
+	podVIPs    []ids.Index // the VIP index of each in-pod VM's RIP, sorted
+	candidates []weightCandidate
+	wRIPs      []lbswitch.RIP
+	wTags      []int64
+	wWeights   []float64
+	wInPod     []int     // positions in the group of the in-pod RIPs
+	wCaps      []float64 // their VMs' CPU slices, parallel to wInPod
+}
+
+// weightCandidate is a VIP that may need an intra-pod redistribution,
+// keyed by where a switch-by-switch scan would reach it.
+type weightCandidate struct {
+	sw  *lbswitch.Switch
+	seq uint64 // the VIP's insertion sequence on sw
+	vip lbswitch.VIP
 }
 
 // deferredOp is one queued degraded-mode decision.
@@ -325,15 +345,70 @@ func (pm *PodManager) defragment() {
 // the in-pod total (and therefore the load on other pods) unchanged.
 // The adjustment is enacted through the global VIP/RIP manager, as the
 // paper requires.
+//
+// The scan is pod-local (DESIGN.md §18): candidates come from the pod's
+// own VMs through the RIP binding tables, not from every VIP on every
+// switch. They are visited in the order the switch-by-switch scan would
+// reach them — home switch ID, then insertion sequence on that switch —
+// because every issued adjustment allocates a CauseID and schedules its
+// message in issue order.
 func (pm *PodManager) adjustIntraPodWeights() {
-	for _, sw := range pm.p.Fabric.Switches() {
+	for _, c := range pm.weightCandidates() {
+		pm.adjustVIP(c.sw, c.vip)
+	}
+}
+
+// weightCandidates returns, in scan order, the VIPs homed on serving
+// switches under which two or more of the pod's VMs have their RIPs.
+// Every VIP desiredWeights can act on is among them. The returned
+// slice is scratch, valid until the next call.
+func (pm *PodManager) weightCandidates() []weightCandidate {
+	p := pm.p
+	pd := p.Cluster.Pod(pm.pod)
+	if pd == nil {
+		return nil
+	}
+	// Sorting the pod's VIP indices, rather than counting them in a
+	// table indexed by VIP, keeps the scratch proportional to the pod.
+	vips := pm.podVIPs[:0]
+	for _, srv := range pd.Servers() {
+		for _, vm := range srv.VMs() {
+			if int(vm.ID) >= len(p.vmRIP) || p.vmRIP[vm.ID] == ids.None {
+				continue
+			}
+			if vi := p.ripHome[p.vmRIP[vm.ID]]; vi != ids.None {
+				vips = append(vips, vi)
+			}
+		}
+	}
+	slices.Sort(vips)
+	pm.podVIPs = vips
+	cands := pm.candidates[:0]
+	for i, vi := range vips {
+		// Take each VIP once, at the second entry of its run.
+		if i == 0 || vips[i-1] != vi || (i >= 2 && vips[i-2] == vi) {
+			continue
+		}
+		vip := p.vipIx.Key(vi)
+		home, ok := p.Fabric.HomeOf(vip)
+		if !ok {
+			continue
+		}
+		sw := p.Fabric.Switch(home)
 		if !sw.Serving() {
 			continue
 		}
-		for _, vip := range sw.VIPs() {
-			pm.adjustVIP(sw, vip)
-		}
+		seq, _ := sw.VIPSeq(vip)
+		cands = append(cands, weightCandidate{sw: sw, seq: seq, vip: vip})
 	}
+	slices.SortFunc(cands, func(a, b weightCandidate) int {
+		if c := cmp.Compare(a.sw.ID, b.sw.ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	pm.candidates = cands
+	return cands
 }
 
 func (pm *PodManager) adjustVIP(sw *lbswitch.Switch, vip lbswitch.VIP) {
@@ -352,21 +427,19 @@ func (pm *PodManager) adjustVIP(sw *lbswitch.Switch, vip lbswitch.VIP) {
 }
 
 // desiredWeights computes the knob-F intra-pod weight redistribution for
-// vip, returning ok=false when nothing exceeds the deadband.
+// vip, returning ok=false when nothing exceeds the deadband. It works in
+// the pod manager's scratch; only a returned weight vector is allocated,
+// since the actuation that carries it outlives the step.
 func (pm *PodManager) desiredWeights(sw *lbswitch.Switch, vip lbswitch.VIP) ([]float64, bool) {
-	rips, weights, err := sw.Weights(vip)
+	rips, tags, weights, err := sw.AppendWeightsTagged(vip, pm.wRIPs[:0], pm.wTags[:0], pm.wWeights[:0])
+	pm.wRIPs, pm.wTags, pm.wWeights = rips, tags, weights
 	if err != nil {
 		return nil, false
 	}
-	var inPod []int
+	inPod, caps := pm.wInPod[:0], pm.wCaps[:0]
 	var inPodTotal, capTotal float64
-	caps := make([]float64, len(rips))
-	for i, rip := range rips {
-		vmID, ok := pm.p.VMForRIP(rip)
-		if !ok {
-			continue
-		}
-		vm := pm.p.Cluster.VM(vmID)
+	for i := range rips {
+		vm := pm.p.Cluster.VM(pm.p.vmOfRIP(rips[i], tags[i]))
 		if vm == nil {
 			continue
 		}
@@ -376,26 +449,33 @@ func (pm *PodManager) desiredWeights(sw *lbswitch.Switch, vip lbswitch.VIP) ([]f
 		}
 		inPod = append(inPod, i)
 		inPodTotal += weights[i]
-		caps[i] = vm.Slice.CPU
-		capTotal += caps[i]
+		caps = append(caps, vm.Slice.CPU)
+		capTotal += vm.Slice.CPU
 	}
+	pm.wInPod, pm.wCaps = inPod, caps
 	if len(inPod) < 2 || inPodTotal <= 0 || capTotal <= 0 {
 		return nil, false
 	}
-	newWeights := append([]float64(nil), weights...)
-	changed := false
-	for _, i := range inPod {
-		w := inPodTotal * caps[i] / capTotal
+	target := func(j int) float64 {
+		w := inPodTotal * caps[j] / capTotal
 		if w <= 0 {
 			w = 1e-6 // weights must stay positive
 		}
-		if diff := w - newWeights[i]; diff > weightDeadband*inPodTotal || diff < -weightDeadband*inPodTotal {
+		return w
+	}
+	changed := false
+	for j, i := range inPod {
+		if diff := target(j) - weights[i]; diff > weightDeadband*inPodTotal || diff < -weightDeadband*inPodTotal {
 			changed = true
+			break
 		}
-		newWeights[i] = w
 	}
 	if !changed {
 		return nil, false
+	}
+	newWeights := append([]float64(nil), weights...)
+	for j, i := range inPod {
+		newWeights[i] = target(j)
 	}
 	// Renormalize exactly to preserve the full total against float drift.
 	var oldTotal, newTotal float64

@@ -123,6 +123,8 @@ type propPool struct {
 	wg     sync.WaitGroup
 	apps   []int32 // the pass's work list, read-only during the pass
 	cursor atomic.Int64
+	live   sync.WaitGroup // running workers, for Platform.Close to wait on
+	closed bool           // Platform.Close ran: compute sequentially from now on
 }
 
 // insertSorted inserts v into sorted s if absent, keeping s sorted.
@@ -368,7 +370,7 @@ func (p *Platform) propagateFull() {
 // warrant it. Callers must have grown p.applied past the last app and
 // refreshed every app's share cache.
 func (p *Platform) computeApps(apps []int32) {
-	if nw := p.workers(); nw > 1 && len(apps) >= parallelThreshold {
+	if nw := p.workers(); nw > 1 && !p.pool.closed && len(apps) >= parallelThreshold {
 		p.computeAppsParallel(apps, nw)
 		return
 	}
@@ -383,7 +385,9 @@ func (p *Platform) ensurePool(nw int) {
 	for len(p.pool.start) < nw {
 		ch := make(chan struct{}, 1)
 		p.pool.start = append(p.pool.start, ch)
+		p.pool.live.Add(1)
 		go func() {
+			defer p.pool.live.Done()
 			sc := &propScratch{}
 			for range ch {
 				for {
@@ -479,16 +483,8 @@ func (p *Platform) computeApp(app cluster.AppID, demand Demand, rec *appApplied,
 			} else if len(rips) > 0 {
 				frac = 1 / float64(len(rips))
 			}
-			// RIP → VM: the switch entry's tag carries the VM index for
-			// RIPs deployed through the platform; untagged entries (direct
-			// fabric configuration) fall back to the interner.
-			vmID := cluster.VMID(-1)
-			if t := tags[j]; t >= 0 {
-				vmID = cluster.VMID(t)
-			} else if ri, ok := p.ripIx.Lookup(rips[j]); ok && int(ri) < len(p.ripVM) {
-				vmID = p.ripVM[ri]
-			}
-			if vmID < 0 || p.Cluster.VM(vmID) == nil {
+			vmID := p.vmOfRIP(rips[j], tags[j])
+			if p.Cluster.VM(vmID) == nil {
 				continue
 			}
 			rec.vms = append(rec.vms, appliedVM{vm: vmID, res: cluster.Resources{
@@ -497,6 +493,20 @@ func (p *Platform) computeApp(app cluster.AppID, demand Demand, rec *appApplied,
 			}})
 		}
 	}
+}
+
+// vmOfRIP resolves a switch RIP entry to its VM (-1 when unbound): the
+// entry's tag carries the VM index for RIPs deployed through the
+// platform; untagged entries (direct fabric configuration) fall back to
+// the interner. Read-only, so safe from the concurrent compute phase.
+func (p *Platform) vmOfRIP(rip lbswitch.RIP, tag int64) cluster.VMID {
+	if tag >= 0 {
+		return cluster.VMID(tag)
+	}
+	if ri, ok := p.ripIx.Lookup(rip); ok && int(ri) < len(p.ripVM) {
+		return p.ripVM[ri]
+	}
+	return -1
 }
 
 // undoApp removes an app's previously applied contributions, leaving

@@ -72,6 +72,7 @@ func RunE14(o Options) (*metrics.Table, *E14Result, error) {
 		inj.Start(duration)
 		mon.Start(duration)
 		p.Eng.RunUntil(duration)
+		p.Close()
 		mon.Finish()
 		if err := p.CheckInvariants(); err != nil {
 			return nil, nil, fmt.Errorf("exp: e14 mtbf=%v: %w", mtbf, err)

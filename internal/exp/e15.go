@@ -94,6 +94,7 @@ func RunE15(o Options) (*metrics.Table, *E15Result, error) {
 		p.Start()
 		inj.Start(duration)
 		p.Eng.RunUntil(duration)
+		p.Close()
 		if err := p.CheckInvariants(); err != nil {
 			return nil, nil, fmt.Errorf("exp: e15 mtbf=%v: %w", mtbf, err)
 		}

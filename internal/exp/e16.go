@@ -119,6 +119,7 @@ func RunE16(o Options) (*metrics.Table, *E16Result, error) {
 			return p.Eng.Now() < duration
 		})
 		p.Eng.RunUntil(duration)
+		p.Close()
 		if err := p.CheckInvariants(); err != nil {
 			return nil, nil, fmt.Errorf("exp: e16 point %+v: %w", pt, err)
 		}

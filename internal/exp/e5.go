@@ -123,6 +123,7 @@ func RunE5(o Options) (*metrics.Table, *E5Result, error) {
 			p.Global.Step()
 			p.Eng.RunFor(cfg.DNSUpdateLatency + 1)
 		}
+		p.Close()
 		utils := p.Net.LinkUtilizations()
 		var maxU float64
 		for _, u := range utils {

@@ -70,6 +70,7 @@ func runPodRelief(o Options, name string, cfg core.Config) (*E7Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.Close()
 	// Background apps keep the other pods moderately busy.
 	for i := 1; i < 4; i++ {
 		pod := p.Cluster.PodIDs()[i]

@@ -70,6 +70,7 @@ func runAgility(o Options, name string, knobs []core.Knob) (*E8Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.Close()
 	// The app under test: 2 instances, one per pod, initially satisfied.
 	app, err := p.OnboardApp("app", cluster.Resources{CPU: 2, MemMB: 1024, NetMbps: 200}, 2, core.Demand{CPU: 3, Mbps: 100})
 	if err != nil {

@@ -40,6 +40,7 @@ func RunX1(o Options) (*metrics.Table, *X1Result, error) {
 		if err != nil {
 			return X1Row{}, err
 		}
+		defer p.Close()
 		app, err := p.OnboardApp("site", cluster.Resources{CPU: 1, MemMB: 1024, NetMbps: 100}, 4, core.Demand{})
 		if err != nil {
 			return X1Row{}, err

@@ -34,6 +34,7 @@ func RunX3(o Options) (*metrics.Table, *X3Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	defer p.Close()
 	slice := cluster.Resources{CPU: 1, MemMB: 1024, NetMbps: 100}
 	hot, err := p.OnboardApp("hot", slice, 4, core.Demand{})
 	if err != nil {

@@ -69,6 +69,7 @@ func RunX4(o Options) (*metrics.Table, *X4Result, error) {
 		}
 		dip := p.TotalSatisfaction()
 		p.Eng.RunUntil(1500)
+		p.Close()
 		if err := p.CheckInvariants(); err != nil {
 			return nil, nil, fmt.Errorf("exp: x4 %s: %w", c.name, err)
 		}

@@ -113,6 +113,10 @@ type vipEntry struct {
 	ripIndex map[RIP]*ripEntry
 	conns    int
 	loadMbps float64 // fluid offered load
+	// seq is the VIP's insertion sequence on this switch. vipOrder is
+	// append-only and removals keep the survivors' order, so ascending
+	// seq is exactly vipOrder order.
+	seq uint64
 }
 
 type conn struct {
@@ -131,6 +135,7 @@ type Switch struct {
 
 	vips      map[VIP]*vipEntry
 	vipOrder  []VIP // insertion order for deterministic iteration
+	nextSeq   uint64
 	totalRIPs int
 	conns     map[ConnID]conn
 	nextConn  ConnID
@@ -209,6 +214,17 @@ func (s *Switch) VIPs() []VIP {
 // caller must not mutate it or hold it across configuration changes.
 func (s *Switch) VIPOrder() []VIP { return s.vipOrder }
 
+// VIPSeq returns vip's insertion sequence on the switch: VIPs in
+// ascending VIPSeq are in VIPOrder order, so a caller holding a subset
+// of the switch's VIPs can sort it into scan order without the scan.
+func (s *Switch) VIPSeq(vip VIP) (uint64, bool) {
+	e, ok := s.vips[vip]
+	if !ok {
+		return 0, false
+	}
+	return e.seq, true
+}
+
 // AddVIP configures a new VIP owned by app.
 func (s *Switch) AddVIP(vip VIP, app cluster.AppID) error {
 	if _, ok := s.vips[vip]; ok {
@@ -217,7 +233,8 @@ func (s *Switch) AddVIP(vip VIP, app cluster.AppID) error {
 	if len(s.vips) >= s.Limits.MaxVIPs {
 		return fmt.Errorf("%w: switch %d at %d", ErrVIPLimit, s.ID, s.Limits.MaxVIPs)
 	}
-	s.vips[vip] = &vipEntry{app: app, ripIndex: make(map[RIP]*ripEntry)}
+	s.vips[vip] = &vipEntry{app: app, ripIndex: make(map[RIP]*ripEntry), seq: s.nextSeq}
+	s.nextSeq++
 	s.vipOrder = append(s.vipOrder, vip)
 	s.sumValid = false
 	s.Reconfigs++
@@ -368,6 +385,31 @@ func (s *Switch) Weights(vip VIP) (rips []RIP, weights []float64, err error) {
 		weights = append(weights, re.weight)
 	}
 	return rips, weights, nil
+}
+
+// AppendWeightsTagged is Weights with each RIP's tag (-1 when unset),
+// appended to caller-provided buffers so hot paths can reuse scratch
+// space instead of allocating both vectors per call.
+func (s *Switch) AppendWeightsTagged(vip VIP, rips []RIP, tags []int64, weights []float64) ([]RIP, []int64, []float64, error) {
+	e, ok := s.vips[vip]
+	if !ok {
+		return rips, tags, weights, fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
+	}
+	for _, re := range e.rips {
+		rips = append(rips, re.rip)
+		tags = append(tags, re.tag)
+		weights = append(weights, re.weight)
+	}
+	return rips, tags, weights, nil
+}
+
+// NumRIPsOf returns the size of vip's RIP group (0 when vip is not
+// configured on the switch).
+func (s *Switch) NumRIPsOf(vip VIP) int {
+	if e, ok := s.vips[vip]; ok {
+		return len(e.rips)
+	}
+	return 0
 }
 
 // TotalWeight returns the sum of RIP weights for vip.
@@ -644,6 +686,11 @@ func (s *Switch) CheckInvariants() error {
 	}
 	if len(s.vipOrder) != len(s.vips) {
 		return fmt.Errorf("switch %d: vipOrder len %d != vips len %d", s.ID, len(s.vipOrder), len(s.vips))
+	}
+	for i := 1; i < len(s.vipOrder); i++ {
+		if s.vips[s.vipOrder[i-1]].seq >= s.vips[s.vipOrder[i]].seq {
+			return fmt.Errorf("switch %d: vipOrder not in insertion sequence at %s", s.ID, s.vipOrder[i])
+		}
 	}
 	nRIPs := 0
 	perVIP := make(map[VIP]int)

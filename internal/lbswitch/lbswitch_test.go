@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -251,6 +252,54 @@ func TestSetWeightAndTotal(t *testing.T) {
 	}
 	if err := s.SetWeight("w", "r1", 1); !errors.Is(err, ErrNoSuchVIP) {
 		t.Errorf("missing vip err = %v", err)
+	}
+}
+
+// TestVIPSeqAndTaggedWeights checks that sorting VIPs by VIPSeq
+// reproduces VIPOrder across removals and re-adds, and that the
+// allocation-free accessors agree with Weights.
+func TestVIPSeqAndTaggedWeights(t *testing.T) {
+	s := NewSwitch(0, smallLimits())
+	for _, v := range []VIP{"a", "b", "c", "d"} {
+		s.AddVIP(v, 1)
+	}
+	s.RemoveVIP("b", false)
+	s.AddVIP("b", 1)
+	s.RemoveVIP("a", false)
+	order := s.VIPOrder()
+	for i := 1; i < len(order); i++ {
+		prev, _ := s.VIPSeq(order[i-1])
+		cur, _ := s.VIPSeq(order[i])
+		if prev >= cur {
+			t.Fatalf("VIPSeq not ascending along VIPOrder %v at %s", order, order[i])
+		}
+	}
+	if _, ok := s.VIPSeq("a"); ok {
+		t.Error("removed VIP still has a sequence")
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	s.AddRIP("c", "r1", 1)
+	s.AddRIP("c", "r2", 3)
+	s.SetRIPTag("c", "r2", 7)
+	rips, tags, ws, err := s.AppendWeightsTagged("c", nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRIPs, wantWs, _ := s.Weights("c")
+	if !slices.Equal(rips, wantRIPs) || !slices.Equal(ws, wantWs) || !slices.Equal(tags, []int64{-1, 7}) {
+		t.Errorf("AppendWeightsTagged = %v %v %v, want %v %v [-1 7]", rips, tags, ws, wantRIPs, wantWs)
+	}
+	if _, _, _, err := s.AppendWeightsTagged("missing", nil, nil, nil); !errors.Is(err, ErrNoSuchVIP) {
+		t.Errorf("missing vip err = %v", err)
+	}
+	if n := s.NumRIPsOf("c"); n != 2 {
+		t.Errorf("NumRIPsOf(c) = %d, want 2", n)
+	}
+	if n := s.NumRIPsOf("missing"); n != 0 {
+		t.Errorf("NumRIPsOf(missing) = %d, want 0", n)
 	}
 }
 
