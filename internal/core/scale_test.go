@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"megadc/internal/cluster"
 	"megadc/internal/lbswitch"
 )
 
@@ -146,5 +148,37 @@ func TestPaperScale300K(t *testing.T) {
 	t.Logf("128 steady ticks in %v (%v/tick)", time.Since(start), time.Since(start)/128)
 	if n := steadyAllocs(p); n != 0 {
 		t.Fatalf("steady tick allocates %v times, want 0", n)
+	}
+}
+
+// TestScaleDemandCrossCheck runs the incremental demand path at a scale
+// tier and compares it bit for bit against a full recompute. Zero
+// demands and re-raises take VIPs off their links and back on, and a
+// PropagateFull every 500 calls clears and re-adds everything. The debug
+// cross-check runs on one call in 40 (each costs two state captures and
+// a full recompute, ~30 ms at this tier) and before every PropagateFull;
+// the platform must end with clean invariants and a clean audit.
+func TestScaleDemandCrossCheck(t *testing.T) {
+	spec := ScaleSpecFor(2000)
+	p := buildScale(t, spec)
+	rng := rand.New(rand.NewSource(5))
+	for i := 1; i <= 2000; i++ {
+		app := cluster.AppID(rng.Intn(spec.Apps))
+		d := spec.Demand.Scale(0.8 + 0.4*rng.Float64())
+		if rng.Intn(4) == 0 {
+			d = Demand{}
+		}
+		p.Cfg.PropagateDebugCheck = i%40 == 0
+		p.SetAppDemand(app, d) // panics if incremental diverges from full
+		if i%500 == 0 {
+			p.debugCheckAgainstFull()
+			p.PropagateFull()
+		}
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := p.Audit(); !rep.OK() {
+		t.Fatalf("audit after demand churn:\n%s", rep)
 	}
 }

@@ -71,9 +71,14 @@ func (in *Interner[K]) Len() int { return len(in.keys) }
 // value is an empty set. All methods tolerate out-of-range reads
 // (absent) and grow on writes, so callers can index by entity ID
 // without pre-sizing.
+//
+// The set tracks the word range [lo, hi) that can hold members, so
+// Reset and AppendMembers cost the span of the members rather than the
+// whole table: a dirty set with one member among 100K scans one word.
 type Bitset struct {
-	words []uint64
-	count int
+	words  []uint64
+	count  int
+	lo, hi int // every set bit lies in words[lo:hi]; meaningless when count == 0
 }
 
 // Grow ensures the set can hold members in [0, n) without reallocating.
@@ -98,6 +103,13 @@ func (b *Bitset) Set(i int) bool {
 		return false
 	}
 	b.words[w] |= m
+	if b.count == 0 {
+		b.lo, b.hi = w, w+1
+	} else if w < b.lo {
+		b.lo = w
+	} else if w >= b.hi {
+		b.hi = w + 1
+	}
 	b.count++
 	return true
 }
@@ -128,7 +140,9 @@ func (b *Bitset) Count() int { return b.count }
 
 // Reset empties the set, keeping capacity.
 func (b *Bitset) Reset() {
-	clear(b.words)
+	if b.count > 0 {
+		clear(b.words[b.lo:b.hi])
+	}
 	b.count = 0
 }
 
@@ -136,7 +150,11 @@ func (b *Bitset) Reset() {
 // returns it; bitset iteration order is inherently sorted, so callers
 // get deterministic traversal without a separate sorted index.
 func (b *Bitset) AppendMembers(dst []int32) []int32 {
-	for wi, w := range b.words {
+	if b.count == 0 {
+		return dst
+	}
+	for wi := b.lo; wi < b.hi; wi++ {
+		w := b.words[wi]
 		base := int32(wi << 6)
 		for w != 0 {
 			dst = append(dst, base+int32(bits.TrailingZeros64(w)))

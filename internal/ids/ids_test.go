@@ -157,3 +157,83 @@ func TestBitsetReset(t *testing.T) {
 		t.Fatal("Set after Reset not new")
 	}
 }
+
+// bitsetOp is one step of the watermark property test.
+type bitsetOp struct {
+	Kind uint8  // Set, Clear, Reset, AppendMembers/Count, Grow
+	I    uint16 // member for Set/Clear, length for Grow
+}
+
+// TestPropertyBitsetWatermark checks the bitset against a map model
+// over random Set/Clear/Reset/AppendMembers/Count sequences, with Grow
+// past the current length in between: members come out ascending and
+// exactly as the model holds them, however the tracked word range
+// moved.
+func TestPropertyBitsetWatermark(t *testing.T) {
+	prop := func(ops []bitsetOp) bool {
+		var b Bitset
+		ref := make(map[int]bool)
+		for _, op := range ops {
+			i := int(op.I) % 5000
+			switch op.Kind % 6 {
+			case 0, 1:
+				if b.Set(i) == ref[i] {
+					return false
+				}
+				ref[i] = true
+			case 2:
+				if b.Clear(i) != ref[i] {
+					return false
+				}
+				delete(ref, i)
+			case 3:
+				if op.I%8 == 0 {
+					b.Reset()
+					clear(ref)
+				}
+			case 4:
+				b.Grow(len(b.words)*64 + int(op.I)%300)
+			}
+			if b.Count() != len(ref) {
+				return false
+			}
+			members := b.AppendMembers(nil)
+			if len(members) != len(ref) {
+				return false
+			}
+			for k, m := range members {
+				if !ref[int(m)] || (k > 0 && members[k-1] >= m) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(11))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBitsetWatermarkSpan pins the cost bound: one member of a
+// 100K-bit set spans one word, and Reset leaves every word zero.
+func TestBitsetWatermarkSpan(t *testing.T) {
+	var b Bitset
+	b.Grow(100_000)
+	b.Set(70_001)
+	if b.hi-b.lo != 1 {
+		t.Fatalf("one member spans words [%d, %d), want one word", b.lo, b.hi)
+	}
+	b.Set(9)
+	b.Set(99_999)
+	b.Clear(70_001)
+	b.Reset()
+	for wi, w := range b.words {
+		if w != 0 {
+			t.Fatalf("word %d = %#x after Reset", wi, w)
+		}
+	}
+	b.Set(64)
+	if b.lo != 1 || b.hi != 2 || len(b.AppendMembers(nil)) != 1 {
+		t.Fatalf("after Reset and Set(64): words [%d, %d)", b.lo, b.hi)
+	}
+}

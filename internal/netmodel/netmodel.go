@@ -66,6 +66,12 @@ type Link struct {
 	// add/subtract accumulator would drift by ULPs depending on update
 	// history, which would break the bit-for-bit equivalence between
 	// incremental and full demand propagation.
+	//
+	// A cleared share stays in shareKeys with value 0, so the undo/apply
+	// pair of a demand update rewrites a value instead of deleting and
+	// re-inserting a key in a sorted slice. LoadMbps drops the zero
+	// keys when it rebuilds the sum, which bounds the key set by the
+	// VIPs that carried traffic since the last read.
 	shares    map[VIPAddr]float64
 	shareKeys []VIPAddr
 	loadSum   float64
@@ -77,38 +83,50 @@ func (l *Link) Serving() bool { return l.Health.Serving() }
 
 // LoadMbps returns the current offered load on the link: the sum of the
 // per-VIP shares in sorted VIP order (cached until a share changes).
+//
+// Rebuilding the sum also compacts away the zero-share keys. They never
+// changed a bit of it: shares are non-negative and the sum starts at +0,
+// so every partial sum x is ≥ +0, and for such x, x + 0 == x exactly.
+// Because it writes the link, LoadMbps must not run concurrently with
+// anything else that touches the network.
 func (l *Link) LoadMbps() float64 {
 	if !l.sumValid {
 		var sum float64
+		keep := l.shareKeys[:0]
 		for _, vip := range l.shareKeys {
-			sum += l.shares[vip]
+			share := l.shares[vip]
+			if share == 0 {
+				delete(l.shares, vip)
+				continue
+			}
+			sum += share
+			keep = append(keep, vip)
 		}
+		clear(l.shareKeys[len(keep):]) // release the dropped strings
+		l.shareKeys = keep
 		l.loadSum = sum
 		l.sumValid = true
 	}
 	return l.loadSum
 }
 
+// setShare records vip's share. Only a key the link does not hold (never
+// held, or compacted away) costs a sorted insert.
 func (l *Link) setShare(vip VIPAddr, share float64) {
 	if _, ok := l.shares[vip]; !ok {
 		i, _ := slices.BinarySearch(l.shareKeys, vip)
-		l.shareKeys = append(l.shareKeys, "")
-		copy(l.shareKeys[i+1:], l.shareKeys[i:])
-		l.shareKeys[i] = vip
+		l.shareKeys = slices.Insert(l.shareKeys, i, vip)
 	}
 	l.shares[vip] = share
 	l.sumValid = false
 }
 
+// clearShare zeroes vip's share in place; LoadMbps drops the key later.
 func (l *Link) clearShare(vip VIPAddr) {
-	if _, ok := l.shares[vip]; !ok {
-		return
+	if share, ok := l.shares[vip]; ok && share != 0 {
+		l.shares[vip] = 0
+		l.sumValid = false
 	}
-	delete(l.shares, vip)
-	if i, found := slices.BinarySearch(l.shareKeys, vip); found {
-		l.shareKeys = append(l.shareKeys[:i], l.shareKeys[i+1:]...)
-	}
-	l.sumValid = false
 }
 
 // Utilization returns load/capacity; above 1 means overloaded.
@@ -125,14 +143,24 @@ type advertisement struct {
 	padded bool // AS-path padded: kept as backup, attracts no new traffic
 }
 
+// vipState is everything the network holds about one VIP, in one record
+// so a traffic update costs one network-level map lookup. A record
+// exists while the VIP has an advertisement or nonzero traffic.
+type vipState struct {
+	ads     []advertisement
+	traffic float64
+	// applied lists the active links at the last redistribute, the
+	// ones that may hold a share of this VIP to clear before reapplying.
+	applied []LinkID
+}
+
 // Network is the access-connection layer state.
 type Network struct {
 	routers map[AccessRouterID]*AccessRouter
 	borders map[BorderRouterID]*BorderRouter
-	links   map[LinkID]*Link
-	order   []LinkID
+	links   []*Link // indexed by LinkID; IDs are dense from AddLink
 
-	ads map[VIPAddr][]advertisement
+	vips map[VIPAddr]*vipState
 
 	// RouteUpdates counts BGP route updates emitted towards the ISPs
 	// (each advertise, withdraw, or padding change is one update). The
@@ -140,20 +168,10 @@ type Network struct {
 	// number low; E4 reports it.
 	RouteUpdates int64
 
-	vipTraffic map[VIPAddr]float64
-	applied    map[VIPAddr]appliedLoad
-
 	// OnRouteChange, when set, is called after any advertisement change
 	// for a VIP (advertise, withdraw, padding flip). The platform uses it
 	// to mark the VIP's owner dirty for incremental demand propagation.
 	OnRouteChange func(vip VIPAddr)
-}
-
-// appliedLoad remembers how a VIP's traffic was last spread over links,
-// so redistribute can subtract it exactly before reapplying.
-type appliedLoad struct {
-	links []LinkID
-	share float64
 }
 
 // Errors returned by network operations.
@@ -166,12 +184,9 @@ var (
 // New returns an empty access network.
 func New() *Network {
 	return &Network{
-		routers:    make(map[AccessRouterID]*AccessRouter),
-		borders:    make(map[BorderRouterID]*BorderRouter),
-		links:      make(map[LinkID]*Link),
-		ads:        make(map[VIPAddr][]advertisement),
-		vipTraffic: make(map[VIPAddr]float64),
-		applied:    make(map[VIPAddr]appliedLoad),
+		routers: make(map[AccessRouterID]*AccessRouter),
+		borders: make(map[BorderRouterID]*BorderRouter),
+		vips:    make(map[VIPAddr]*vipState),
 	}
 }
 
@@ -202,22 +217,20 @@ func (n *Network) AddLink(ar AccessRouterID, br BorderRouterID, capacityMbps, co
 	}
 	l := &Link{ID: LinkID(len(n.links)), Router: ar, Border: br, CapacityMbps: capacityMbps, CostPerMbps: costPerMbps,
 		shares: make(map[VIPAddr]float64)}
-	n.links[l.ID] = l
-	n.order = append(n.order, l.ID)
+	n.links = append(n.links, l)
 	return l, nil
 }
 
 // Link returns the link with the given ID, or nil.
-func (n *Network) Link(id LinkID) *Link { return n.links[id] }
+func (n *Network) Link(id LinkID) *Link {
+	if id < 0 || int(id) >= len(n.links) {
+		return nil
+	}
+	return n.links[id]
+}
 
 // Links returns all links in creation order.
-func (n *Network) Links() []*Link {
-	out := make([]*Link, 0, len(n.order))
-	for _, id := range n.order {
-		out = append(out, n.links[id])
-	}
-	return out
-}
+func (n *Network) Links() []*Link { return slices.Clone(n.links) }
 
 // Router returns the access router with the given ID, or nil.
 func (n *Network) Router(id AccessRouterID) *AccessRouter { return n.routers[id] }
@@ -228,42 +241,53 @@ func (n *Network) NumRouters() int { return len(n.routers) }
 // NumBorders returns the number of border routers.
 func (n *Network) NumBorders() int { return len(n.borders) }
 
+// vip returns vip's record, creating it when absent.
+func (n *Network) vip(vip VIPAddr) *vipState {
+	st := n.vips[vip]
+	if st == nil {
+		st = &vipState{}
+		n.vips[vip] = st
+	}
+	return st
+}
+
+// routeChanged respreads vip's traffic after an advertisement change and
+// notifies the route-change hook.
+func (n *Network) routeChanged(vip VIPAddr, st *vipState) {
+	n.RouteUpdates++
+	n.redistribute(vip, st)
+	if n.OnRouteChange != nil {
+		n.OnRouteChange(vip)
+	}
+}
+
 // Advertise announces vip over the given link. If padded is true the
 // route is AS-path padded: it provides reachability as a backup but
 // attracts no new traffic.
 func (n *Network) Advertise(vip VIPAddr, link LinkID, padded bool) error {
-	if _, ok := n.links[link]; !ok {
+	if n.Link(link) == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownLink, link)
 	}
-	for _, ad := range n.ads[vip] {
+	st := n.vip(vip)
+	for _, ad := range st.ads {
 		if ad.link == link {
 			return fmt.Errorf("%w: %s on %d", ErrDupAd, vip, link)
 		}
 	}
-	n.ads[vip] = append(n.ads[vip], advertisement{link: link, padded: padded})
-	n.RouteUpdates++
-	n.redistribute(vip)
-	if n.OnRouteChange != nil {
-		n.OnRouteChange(vip)
-	}
+	st.ads = append(st.ads, advertisement{link: link, padded: padded})
+	n.routeChanged(vip, st)
 	return nil
 }
 
 // Withdraw removes vip's route from the given link.
 func (n *Network) Withdraw(vip VIPAddr, link LinkID) error {
-	ads := n.ads[vip]
-	for i, ad := range ads {
-		if ad.link == link {
-			n.ads[vip] = append(ads[:i], ads[i+1:]...)
-			if len(n.ads[vip]) == 0 {
-				delete(n.ads, vip)
+	if st := n.vips[vip]; st != nil {
+		for i, ad := range st.ads {
+			if ad.link == link {
+				st.ads = slices.Delete(st.ads, i, i+1)
+				n.routeChanged(vip, st)
+				return nil
 			}
-			n.RouteUpdates++
-			n.redistribute(vip)
-			if n.OnRouteChange != nil {
-				n.OnRouteChange(vip)
-			}
-			return nil
 		}
 	}
 	return fmt.Errorf("%w: %s not on link %d", ErrNoRoute, vip, link)
@@ -273,27 +297,33 @@ func (n *Network) Withdraw(vip VIPAddr, link LinkID) error {
 // is the "advertise padded AS paths through the old routers before
 // withdrawing" transition step of the naive baseline.
 func (n *Network) SetPadded(vip VIPAddr, link LinkID, padded bool) error {
-	for i, ad := range n.ads[vip] {
-		if ad.link == link {
-			if ad.padded != padded {
-				n.ads[vip][i].padded = padded
-				n.RouteUpdates++
-				n.redistribute(vip)
-				if n.OnRouteChange != nil {
-					n.OnRouteChange(vip)
+	if st := n.vips[vip]; st != nil {
+		for i, ad := range st.ads {
+			if ad.link == link {
+				if ad.padded != padded {
+					st.ads[i].padded = padded
+					n.routeChanged(vip, st)
 				}
+				return nil
 			}
-			return nil
 		}
 	}
 	return fmt.Errorf("%w: %s not on link %d", ErrNoRoute, vip, link)
+}
+
+// ads returns vip's advertisements (nil when it has none).
+func (n *Network) ads(vip VIPAddr) []advertisement {
+	if st := n.vips[vip]; st != nil {
+		return st.ads
+	}
+	return nil
 }
 
 // ActiveLinks returns the links carrying vip (unpadded advertisements),
 // sorted by LinkID.
 func (n *Network) ActiveLinks(vip VIPAddr) []LinkID {
 	var out []LinkID
-	for _, ad := range n.ads[vip] {
+	for _, ad := range n.ads(vip) {
 		if !ad.padded {
 			out = append(out, ad.link)
 		}
@@ -306,12 +336,12 @@ func (n *Network) ActiveLinks(vip VIPAddr) []LinkID {
 // many of them terminate on serving links, without allocating — the
 // reachability inputs the demand-propagation hot path needs.
 func (n *Network) RouteCounts(vip VIPAddr) (active, serving int) {
-	for _, ad := range n.ads[vip] {
+	for _, ad := range n.ads(vip) {
 		if ad.padded {
 			continue
 		}
 		active++
-		if l := n.links[ad.link]; l != nil && l.Serving() {
+		if n.links[ad.link].Serving() {
 			serving++
 		}
 	}
@@ -321,7 +351,7 @@ func (n *Network) RouteCounts(vip VIPAddr) (active, serving int) {
 // AllLinks returns every link vip is advertised on, padded or not.
 func (n *Network) AllLinks(vip VIPAddr) []LinkID {
 	var out []LinkID
-	for _, ad := range n.ads[vip] {
+	for _, ad := range n.ads(vip) {
 		out = append(out, ad.link)
 	}
 	slices.Sort(out)
@@ -336,67 +366,73 @@ func (n *Network) SetVIPTraffic(vip VIPAddr, mbps float64) error {
 	if mbps < 0 {
 		return fmt.Errorf("netmodel: negative traffic %v", mbps)
 	}
-	n.vipTraffic[vip] = mbps
+	st := n.vips[vip]
 	if mbps == 0 {
-		delete(n.vipTraffic, vip)
+		if st == nil {
+			return nil
+		}
+		mbps = 0 // -0 is stored as +0
+	} else if st == nil {
+		st = n.vip(vip)
 	}
-	n.redistribute(vip)
+	st.traffic = mbps
+	n.redistribute(vip, st)
 	return nil
 }
 
 // VIPTraffic returns the external traffic attributed to vip.
-func (n *Network) VIPTraffic(vip VIPAddr) float64 { return n.vipTraffic[vip] }
+func (n *Network) VIPTraffic(vip VIPAddr) float64 {
+	if st := n.vips[vip]; st != nil {
+		return st.traffic
+	}
+	return 0
+}
 
 // redistribute incrementally updates link loads for one VIP: it removes
 // the VIP's previous contribution and applies the contribution implied
 // by the current traffic and active-link set. Incremental updates keep
 // SetVIPTraffic O(links-per-VIP) so experiments can carry tens of
 // thousands of VIPs. The previous link slice is reused so steady-state
-// traffic updates do not allocate.
-func (n *Network) redistribute(vip VIPAddr) {
-	prev := n.applied[vip]
-	for _, id := range prev.links {
-		if l := n.links[id]; l != nil {
-			l.clearShare(vip)
-		}
+// traffic updates do not allocate. A record left with no advertisement
+// and no traffic is dropped.
+func (n *Network) redistribute(vip VIPAddr, st *vipState) {
+	for _, id := range st.applied {
+		n.links[id].clearShare(vip)
 	}
-	links := prev.links[:0]
-	for _, ad := range n.ads[vip] {
+	links := st.applied[:0]
+	for _, ad := range st.ads {
 		if !ad.padded {
 			links = append(links, ad.link)
 		}
 	}
 	slices.Sort(links)
-	t := n.vipTraffic[vip]
-	if t == 0 || len(links) == 0 {
-		if cap(links) == 0 {
-			delete(n.applied, vip)
-		} else {
-			n.applied[vip] = appliedLoad{links: links}
+	st.applied = links
+	if st.traffic == 0 || len(links) == 0 {
+		if len(st.ads) == 0 && st.traffic == 0 {
+			delete(n.vips, vip)
 		}
 		return
 	}
-	share := t / float64(len(links))
+	share := st.traffic / float64(len(links))
 	for _, id := range links {
 		n.links[id].setShare(vip, share)
 	}
-	n.applied[vip] = appliedLoad{links: links, share: share}
 }
 
 // LinkLoads returns per-link load in creation order.
 func (n *Network) LinkLoads() []float64 {
-	out := make([]float64, 0, len(n.order))
-	for _, id := range n.order {
-		out = append(out, n.links[id].LoadMbps())
+	out := make([]float64, 0, len(n.links))
+	for _, l := range n.links {
+		out = append(out, l.LoadMbps())
 	}
 	return out
 }
 
 // LinkUtilizations returns per-link utilization in creation order.
 func (n *Network) LinkUtilizations() []float64 {
-	out := make([]float64, 0, len(n.order))
-	for _, id := range n.order {
-		out = append(out, n.links[id].Utilization())
+	out := make([]float64, 0, len(n.links))
+	for _, l := range n.links {
+		out = append(out, l.Utilization())
 	}
 	return out
 }
@@ -405,9 +441,9 @@ func (n *Network) LinkUtilizations() []float64 {
 // sorted by descending utilization.
 func (n *Network) OverloadedLinks(threshold float64) []LinkID {
 	var out []LinkID
-	for _, id := range n.order {
-		if n.links[id].Utilization() > threshold {
-			out = append(out, id)
+	for _, l := range n.links {
+		if l.Utilization() > threshold {
+			out = append(out, l.ID)
 		}
 	}
 	slices.SortFunc(out, func(a, b LinkID) int {
@@ -426,8 +462,7 @@ func (n *Network) OverloadedLinks(threshold float64) []LinkID {
 // TotalCost returns the sum over links of load × cost-per-Mbps.
 func (n *Network) TotalCost() float64 {
 	var sum float64
-	for _, id := range n.order {
-		l := n.links[id]
+	for _, l := range n.links {
 		sum += l.LoadMbps() * l.CostPerMbps
 	}
 	return sum
@@ -436,9 +471,9 @@ func (n *Network) TotalCost() float64 {
 // VIPsOnLink returns the VIPs actively carried by the link, sorted.
 func (n *Network) VIPsOnLink(link LinkID) []VIPAddr {
 	var out []VIPAddr
-	for vip := range n.ads {
-		for _, id := range n.ActiveLinks(vip) {
-			if id == link {
+	for vip, st := range n.vips {
+		for _, ad := range st.ads {
+			if ad.link == link && !ad.padded {
 				out = append(out, vip)
 				break
 			}
@@ -449,40 +484,43 @@ func (n *Network) VIPsOnLink(link LinkID) []VIPAddr {
 }
 
 // CheckInvariants verifies that link loads equal the per-VIP traffic
-// shares and that no advertisement references a missing link.
+// shares, that no advertisement references a missing link, and that no
+// empty VIP record lingers.
 func (n *Network) CheckInvariants() error {
 	// Sorted VIP order: the expected per-link loads are float sums, so
 	// the accumulation order must not depend on map iteration.
-	vips := make([]VIPAddr, 0, len(n.ads))
-	for vip := range n.ads {
+	vips := make([]VIPAddr, 0, len(n.vips))
+	for vip := range n.vips {
 		vips = append(vips, vip)
 	}
 	slices.Sort(vips)
-	want := make(map[LinkID]float64)
+	want := make([]float64, len(n.links))
 	for _, vip := range vips {
-		ads := n.ads[vip]
-		for _, ad := range ads {
-			if _, ok := n.links[ad.link]; !ok {
+		st := n.vips[vip]
+		if len(st.ads) == 0 && st.traffic == 0 {
+			return fmt.Errorf("vip %s keeps an empty record", vip)
+		}
+		for _, ad := range st.ads {
+			if n.Link(ad.link) == nil {
 				return fmt.Errorf("vip %s advertised on missing link %d", vip, ad.link)
 			}
 		}
-		t := n.vipTraffic[vip]
 		active := n.ActiveLinks(vip)
-		if t > 0 && len(active) > 0 {
-			share := t / float64(len(active))
+		if st.traffic > 0 && len(active) > 0 {
+			share := st.traffic / float64(len(active))
 			for _, id := range active {
 				want[id] += share
 			}
 		}
 	}
-	for _, id := range n.order {
-		l := n.links[id]
-		d := l.LoadMbps() - want[id]
+	for _, l := range n.links {
+		w := want[l.ID]
+		d := l.LoadMbps() - w
 		if d < 0 {
 			d = -d
 		}
-		if d > 1e-6*(1+want[id]) {
-			return fmt.Errorf("link %d load %v != expected %v", id, l.LoadMbps(), want[id])
+		if d > 1e-6*(1+w) {
+			return fmt.Errorf("link %d load %v != expected %v", l.ID, l.LoadMbps(), w)
 		}
 	}
 	return nil
