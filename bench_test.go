@@ -1,13 +1,14 @@
 package megadc
 
-// One benchmark per experiment table (E1–E13; the paper's quantitative
-// claims and proposed evaluations — see DESIGN.md §4), plus
-// micro-benchmarks of the hot paths. Run:
+// Micro-benchmarks of the hot paths: the event engine, the switch, DNS,
+// the IP pool, the placement controller, Propagate and the two manager
+// steps. Run:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 //
-// The experiment benchmarks execute the same code as `mdcexp -e <id>`
-// and report each table's headline figure as a custom metric.
+// They are developer tools; no number they print is committed. The
+// committed performance numbers come from the bench/ harness
+// (BENCHMARK.json, bench/baseline.json).
 
 import (
 	"math/rand"
@@ -16,153 +17,11 @@ import (
 	"megadc/internal/cluster"
 	"megadc/internal/core"
 	"megadc/internal/dnsctl"
-	"megadc/internal/exp"
 	"megadc/internal/lbswitch"
 	"megadc/internal/placement"
 	"megadc/internal/sim"
 	"megadc/internal/viprip"
 )
-
-func benchOpts() exp.Options { return exp.Options{Seed: 1} }
-
-func BenchmarkE1SwitchPacking(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, res, err := exp.RunE1(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Rows[1].MinSwitches), "switches@3vip20rip")
-	}
-}
-
-func BenchmarkE2PlacementScalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, res, err := exp.RunE2(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Rows[len(res.Rows)-1]
-		b.ReportMetric(last.CentralizedSec, "central-s@max")
-		b.ReportMetric(last.HierMaxSec, "hier-s@max")
-	}
-}
-
-func BenchmarkE3PodSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, res, err := exp.RunE3(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MonolithicSec, "monolithic-s")
-	}
-}
-
-func BenchmarkE4LinkRelief(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, res, err := exp.RunE4(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Selective.ReliefTime, "selective-relief-s")
-		b.ReportMetric(res.Naive.ReliefTime, "naive-relief-s")
-	}
-}
-
-func BenchmarkE5VIPsPerApp(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, res, err := exp.RunE5(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[5].LinkCoV, "linkCoV@k6")
-	}
-}
-
-func BenchmarkE6VIPTransfer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, res, err := exp.RunE6(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[0].DrainSeconds, "drain-s@clean")
-	}
-}
-
-func BenchmarkE7PodRelief(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, res, err := exp.RunE7(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[len(res.Rows)-1].FinalSatisfaction, "satisfaction@all")
-	}
-}
-
-func BenchmarkE8KnobAgility(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, res, err := exp.RunE8(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range res.Rows {
-			if r.Knob == "E (VM resize)" {
-				b.ReportMetric(r.RecoverySeconds, "resize-recovery-s")
-			}
-		}
-	}
-}
-
-func BenchmarkE9Multiplexing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, res, err := exp.RunE9(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[len(res.Rows)-1].OverloadProb, "overload@64parts")
-	}
-}
-
-func BenchmarkE10FabricLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, res, err := exp.RunE10(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MaxSwitchUtil, "max-switch-util")
-	}
-}
-
-func BenchmarkE11TwoLayer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, res, err := exp.RunE11(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[len(res.Rows)-1].ConflictGap, "gap@16x")
-	}
-}
-
-func BenchmarkE12AllocationSpace(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, res, err := exp.RunE12(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Log10States, "log10-states")
-	}
-}
-
-func BenchmarkE13PolicyConflict(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, res, err := exp.RunE13(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.OneLayer.Objective-res.TwoLayer.Objective, "conflict-gap")
-	}
-}
-
-// ---- micro-benchmarks of hot paths ---------------------------------------
 
 func BenchmarkEngineEventThroughput(b *testing.B) {
 	eng := sim.New(1)

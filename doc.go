@@ -13,7 +13,7 @@
 // the full system inventory and the per-experiment index, EXPERIMENTS.md
 // for paper-vs-measured results, and README.md to get started.
 //
-// The root package carries the repository-level benchmark suite
-// (bench_test.go): one benchmark per experiment table E1–E13 plus
-// micro-benchmarks of the hot paths.
+// The root package carries the paper-claim and end-to-end tests plus
+// micro-benchmarks of the hot paths (bench_test.go, ext_bench_test.go).
+// Committed performance numbers come from the separate bench/ module.
 package megadc

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"megadc/internal/causal"
@@ -159,7 +160,7 @@ type Config struct {
 	// attaches per-entity event timelines to audit violation reports.
 	// Nil (the default) disables tracing entirely — the disabled path
 	// adds no work and no allocations to the steady-state Propagate tick
-	// (guarded by BENCH_propagate.json).
+	// (guarded by TestPropagateSteadyTickAllocFree).
 	Trace *trace.Recorder
 
 	// TraceSampleEvery is the period (simulated seconds) of the traced
@@ -292,8 +293,31 @@ func (c *Config) Validate() error {
 	if c.VIPsPerApp <= 0 {
 		return fmt.Errorf("core: VIPsPerApp must be positive")
 	}
-	if c.PodControlInterval <= 0 || c.GlobalControlInterval <= 0 {
-		return fmt.Errorf("core: control intervals must be positive")
+	if !(c.PodControlInterval > 0) || !(c.GlobalControlInterval > 0) ||
+		math.IsInf(c.PodControlInterval, 0) || math.IsInf(c.GlobalControlInterval, 0) {
+		return fmt.Errorf("core: control intervals must be positive and finite")
+	}
+	// A negative or NaN delay would schedule an engine event in the past
+	// or break the event heap's order; an infinite one never fires.
+	for _, d := range []struct {
+		name string
+		v    float64
+	}{
+		{"SwitchReconfigLatency", c.SwitchReconfigLatency},
+		{"DNSUpdateLatency", c.DNSUpdateLatency},
+		{"VMResizeLatency", c.VMResizeLatency},
+		{"VMDeployLatency", c.VMDeployLatency},
+		{"VMMigrateLatency", c.VMMigrateLatency},
+		{"VacateLatencyPerVM", c.VacateLatencyPerVM},
+		{"DrainMargin", c.DrainMargin},
+		{"TraceSampleEvery", c.TraceSampleEvery},
+	} {
+		if !(d.v >= 0) || math.IsInf(d.v, 0) {
+			return fmt.Errorf("core: %s must be finite and >= 0, got %v", d.name, d.v)
+		}
+	}
+	if c.PropagateWorkers < 0 {
+		return fmt.Errorf("core: PropagateWorkers must be >= 0, got %d", c.PropagateWorkers)
 	}
 	if c.AuditEvery < 0 {
 		return fmt.Errorf("core: AuditEvery must be >= 0, got %d", c.AuditEvery)

@@ -51,6 +51,32 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero interval accepted")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mutate := range map[string]func(*Config){
+		"NaN pod interval":         func(c *Config) { c.PodControlInterval = nan },
+		"+Inf global interval":     func(c *Config) { c.GlobalControlInterval = inf },
+		"negative switch reconfig": func(c *Config) { c.SwitchReconfigLatency = -1 },
+		"NaN DNS update":           func(c *Config) { c.DNSUpdateLatency = nan },
+		"negative VM resize":       func(c *Config) { c.VMResizeLatency = -1 },
+		"NaN VM resize":            func(c *Config) { c.VMResizeLatency = nan },
+		"+Inf VM deploy":           func(c *Config) { c.VMDeployLatency = inf },
+		"-Inf VM migrate":          func(c *Config) { c.VMMigrateLatency = -inf },
+		"negative vacate per VM":   func(c *Config) { c.VacateLatencyPerVM = -0.5 },
+		"NaN drain margin":         func(c *Config) { c.DrainMargin = nan },
+		"negative trace sample":    func(c *Config) { c.TraceSampleEvery = -30 },
+		"negative workers":         func(c *Config) { c.PropagateWorkers = -1 },
+	} {
+		bad = DefaultConfig()
+		mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	zero := DefaultConfig()
+	zero.VMResizeLatency, zero.DrainMargin, zero.TraceSampleEvery = 0, 0, 0
+	if err := zero.Validate(); err != nil {
+		t.Errorf("zero latencies rejected: %v", err)
+	}
 }
 
 func TestConfigWithKnobs(t *testing.T) {

@@ -49,9 +49,9 @@ type ScaleSpec struct {
 func PaperScaleSpec() ScaleSpec { return ScaleSpecFor(300_000) }
 
 // ScaleSpecFor derives a proportional tier of the paper-scale platform
-// from its server count (the scale index of BENCH_scale.json): as many
-// apps as servers, 20 instances per app, so every server carries ~20
-// VMs at every tier.
+// from its server count (the tier index of the bench scale100k workload,
+// TestScaleSmoke10K and TestPaperScale300K): as many apps as servers,
+// 20 instances per app, so every server carries ~20 VMs at every tier.
 func ScaleSpecFor(servers int) ScaleSpec {
 	return ScaleSpec{
 		Servers:         servers,
