@@ -200,7 +200,7 @@ type message struct {
 	sentAt   float64 // first attempt's send time
 	attempts int
 	cause    uint64 // decision CauseID captured at Call time (DESIGN.md §16)
-	timer    *sim.Event
+	timer    sim.Event
 	done     bool // acked or dead-lettered; straggler deliveries are inert
 }
 

@@ -19,7 +19,6 @@ import (
 	"megadc/internal/ctrlplane"
 	"megadc/internal/lbswitch"
 	"megadc/internal/netmodel"
-	"megadc/internal/sim"
 )
 
 // Class configures one component class's failure behavior. A class with
@@ -356,8 +355,7 @@ func (in *Injector) flapLink(id netmodel.LinkID, cyclesLeft int) {
 		return
 	}
 	in.FlapCycles++
-	var det *sim.Event
-	det = in.p.Eng.After(in.cfg.Link.DetectDelay, func() {
+	det := in.p.Eng.After(in.cfg.Link.DetectDelay, func() {
 		if _, err := in.p.DetectLink(id); err == nil {
 			in.Detections++
 		}

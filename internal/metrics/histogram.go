@@ -17,7 +17,7 @@ import (
 //
 // The zero value is not ready to use; construct with NewHistogram.
 type Histogram struct {
-	bounds []float64 // ascending bucket upper bounds; one extra overflow bucket follows
+	bounds []float64 // ascending bucket upper bounds, never written (may be shared); one extra overflow bucket follows
 	counts []uint64  // len(bounds)+1; counts[len(bounds)] is the overflow bucket
 	count  uint64
 	sum    float64
@@ -40,13 +40,18 @@ func DefaultLatencyBounds() []float64 {
 	return bounds
 }
 
+// defaultBounds is built once and shared by every histogram on the
+// default scheme, so thousands of per-app histograms do not each pull
+// their own copy of the bounds into the cache on Observe.
+var defaultBounds = DefaultLatencyBounds()
+
 // NewHistogram creates a histogram with the given ascending bucket
 // upper bounds; values above the last bound land in an implicit
 // overflow bucket. A nil or empty bounds slice selects
 // DefaultLatencyBounds. Bounds must be finite and strictly ascending.
 func NewHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
-		bounds = DefaultLatencyBounds()
+		bounds = defaultBounds
 	} else {
 		bounds = slices.Clone(bounds)
 	}
@@ -74,8 +79,7 @@ func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 		panic(fmt.Sprintf("metrics: Histogram.Observe(%v): duration must be finite and non-negative", v))
 	}
-	idx, _ := slices.BinarySearch(h.bounds, v) // first bucket whose bound is >= v
-	h.counts[idx]++
+	h.counts[h.bucket(v)]++
 	h.count++
 	h.add(v)
 	if v < h.min {
@@ -84,6 +88,23 @@ func (h *Histogram) Observe(v float64) {
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// bucket returns the index of the first bound ≥ v, or len(bounds) for
+// the overflow bucket. It is a lower-bound binary search with a plain
+// `<`: v and every bound are finite, so slices.BinarySearch's NaN-aware
+// comparison would only cost time.
+func (h *Histogram) bucket(v float64) int {
+	lo, hi := 0, len(h.bounds)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if h.bounds[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // add accumulates v into the compensated sum (Neumaier's variant of

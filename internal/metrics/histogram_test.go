@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -59,6 +60,34 @@ func TestHistogramZeroDuration(t *testing.T) {
 	h.Observe(0)
 	if h.Count() != 2 || h.Max() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatalf("zero durations: count=%d max=%v p50=%v", h.Count(), h.Max(), h.Quantile(0.5))
+	}
+}
+
+// TestHistogramBucketMatchesBinarySearch pins the bucket search to
+// slices.BinarySearch for values below, on, between and above every
+// bound, on the default bounds and on custom ones.
+func TestHistogramBucketMatchesBinarySearch(t *testing.T) {
+	for _, bounds := range [][]float64{
+		nil, // DefaultLatencyBounds
+		{1},
+		{0, 0.5, 1, 2.5, 10},
+		{-3, -1, 0, 1e-9, 7, 1e6},
+	} {
+		h := NewHistogram(bounds)
+		b := h.bounds
+		vs := []float64{b[0] - 1, math.Nextafter(b[0], math.Inf(-1)), b[len(b)-1] * 2, b[len(b)-1] + 1}
+		for i, x := range b {
+			vs = append(vs, x, math.Nextafter(x, math.Inf(1)))
+			if i > 0 {
+				vs = append(vs, (b[i-1]+x)/2, math.Nextafter(x, math.Inf(-1)))
+			}
+		}
+		for _, v := range vs {
+			want, _ := slices.BinarySearch(b, v)
+			if got := h.bucket(v); got != want {
+				t.Errorf("bounds %v: bucket(%v) = %d, slices.BinarySearch = %d", bounds, v, got, want)
+			}
+		}
 	}
 }
 

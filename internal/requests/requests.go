@@ -178,6 +178,7 @@ type Engine struct {
 	queues  map[lbswitch.SwitchID]*swQueue
 	qOrder  []lbswitch.SwitchID // attach order, for deterministic refresh
 	pool    sim.Pool[request]
+	arrival func() // pre-bound per-arrival callback: arrive, then schedule the next
 	stats   Stats
 
 	latAll   *metrics.Histogram
@@ -228,6 +229,10 @@ func New(p *core.Platform, cfg Config) (*Engine, error) {
 		cServed:  cfg.Registry.Counter("requests.served"),
 		cDropped: cfg.Registry.Counter("requests.dropped"),
 		cNoExpo:  cfg.Registry.Counter("requests.no_exposure"),
+	}
+	e.arrival = func() {
+		e.arrive()
+		e.scheduleNext()
 	}
 	e.pool.New = func(r *request) {
 		r.e = e
@@ -361,10 +366,7 @@ func (e *Engine) scheduleNext() {
 	if e.cfg.StopAt > 0 && next > e.cfg.StopAt {
 		return
 	}
-	e.p.Eng.At(next, func() {
-		e.arrive()
-		e.scheduleNext()
-	})
+	e.p.Eng.At(next, e.arrival)
 }
 
 // arrive handles one request: pick app → resolve VIP → home switch →

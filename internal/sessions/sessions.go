@@ -63,6 +63,7 @@ type appDriver struct {
 	pop     *dnsctl.ClientPopulation
 	profile workload.Profile
 	stats   Stats
+	arrival func() // pre-bound per-arrival callback: arrive, then schedule the next
 }
 
 // session is one in-flight session's state, pooled arena-style: records
@@ -128,6 +129,10 @@ func (d *Driver) AddApp(app cluster.AppID, profile workload.Profile) error {
 		return err
 	}
 	ad := &appDriver{app: app, pop: pop, profile: profile}
+	ad.arrival = func() {
+		d.arrive(ad)
+		d.scheduleNext(ad)
+	}
 	d.apps[app] = ad
 	d.scheduleNext(ad)
 	return nil
@@ -200,10 +205,7 @@ func (d *Driver) scheduleNext(ad *appDriver) {
 	if d.StopAt > 0 && next > d.StopAt {
 		return
 	}
-	d.p.Eng.At(next, func() {
-		d.arrive(ad)
-		d.scheduleNext(ad)
-	})
+	d.p.Eng.At(next, ad.arrival)
 }
 
 // arrive handles one session arrival: resolve → connect → hold → close.

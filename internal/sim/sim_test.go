@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -53,16 +54,18 @@ func TestAfter(t *testing.T) {
 }
 
 func TestAtPastPanics(t *testing.T) {
-	e := New(1)
-	e.At(10, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
-			}
-		}()
-		e.At(5, func() {})
-	})
-	e.Run()
+	for _, at := range []Time{5, math.NaN()} {
+		e := New(1)
+		e.At(10, func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("scheduling at %v (now 10) did not panic", at)
+				}
+			}()
+			e.At(at, func() {})
+		})
+		e.Run()
+	}
 }
 
 func TestEvery(t *testing.T) {
@@ -97,39 +100,70 @@ func TestCancel(t *testing.T) {
 	e := New(1)
 	fired := false
 	ev := e.At(5, func() { fired = true })
-	e.Cancel(ev)
+	if !e.Cancel(ev) {
+		t.Error("Cancel of a scheduled event reported false")
+	}
+	if e.Pending() != 0 {
+		t.Errorf("Pending = %d after Cancel, want 0", e.Pending())
+	}
 	e.Run()
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	if !ev.Canceled() {
-		t.Error("Canceled() = false after Cancel")
+	// Double cancel, cancel-after-fire and the zero Event are no-ops.
+	if e.Cancel(ev) {
+		t.Error("double Cancel reported true")
 	}
-	// Double cancel and cancel-after-fire are no-ops.
-	e.Cancel(ev)
-	ev2 := e.At(6, func() {})
+	fired2 := false
+	ev2 := e.At(6, func() { fired2 = true }) // takes over ev's slot
+	if ev2.slot != ev.slot {
+		t.Fatalf("slot not reused: %d then %d", ev.slot, ev2.slot)
+	}
+	if e.Cancel(ev) {
+		t.Error("stale handle cancelled the event that reused its slot")
+	}
 	e.Run()
-	e.Cancel(ev2)
-	e.Cancel(nil)
+	if !fired2 {
+		t.Error("event behind a stale cancel did not fire")
+	}
+	if e.Cancel(ev2) {
+		t.Error("Cancel after fire reported true")
+	}
+	if e.Cancel(Event{}) {
+		t.Error("Cancel of the zero Event reported true")
+	}
+	if e.Pending() != 0 || e.Steps() != 1 {
+		t.Errorf("Pending = %d, Steps = %d, want 0 and 1", e.Pending(), e.Steps())
+	}
 }
 
 func TestCancelMiddleOfHeap(t *testing.T) {
 	e := New(1)
 	var got []Time
-	evs := make([]*Event, 0, 20)
+	evs := make([]Event, 0, 20)
 	for i := 1; i <= 20; i++ {
 		tt := Time(i)
 		evs = append(evs, e.At(tt, func() { got = append(got, tt) }))
 	}
 	// Cancel every third event.
+	cancelled := 0
 	for i := 0; i < len(evs); i += 3 {
-		e.Cancel(evs[i])
+		if !e.Cancel(evs[i]) {
+			t.Fatalf("Cancel(evs[%d]) reported false", i)
+		}
+		cancelled++
+	}
+	if e.Pending() != len(evs)-cancelled {
+		t.Errorf("Pending = %d, want %d", e.Pending(), len(evs)-cancelled)
 	}
 	e.Run()
 	for _, at := range got {
 		if int(at-1)%3 == 0 {
 			t.Errorf("cancelled event at %v fired", at)
 		}
+	}
+	if len(got) != len(evs)-cancelled {
+		t.Errorf("fired %d events, want %d", len(got), len(evs)-cancelled)
 	}
 	if !sort.Float64sAreSorted(got) {
 		t.Errorf("events fired out of order: %v", got)

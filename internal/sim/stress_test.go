@@ -14,7 +14,7 @@ func TestStressLargeHeap(t *testing.T) {
 	const n = 1_000_000
 	e := New(1)
 	fired := 0
-	events := make([]*Event, 0, n)
+	events := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
 		at := e.Rand().Float64() * 1000
 		events = append(events, e.At(at, func() { fired++ }))
@@ -22,8 +22,13 @@ func TestStressLargeHeap(t *testing.T) {
 	// Cancel every 7th event.
 	cancelled := 0
 	for i := 0; i < n; i += 7 {
-		e.Cancel(events[i])
+		if !e.Cancel(events[i]) {
+			t.Fatalf("Cancel(events[%d]) reported false", i)
+		}
 		cancelled++
+	}
+	if e.Pending() != n-cancelled {
+		t.Fatalf("pending %d after cancels, want %d", e.Pending(), n-cancelled)
 	}
 	e.Run()
 	if fired != n-cancelled {
