@@ -218,6 +218,19 @@ type Cluster struct {
 	vms     []*VM
 
 	numVMs int // live (non-nil) entries in vms
+
+	// OnVMChange, when set, is called after every change to a VM that
+	// can move the serving capacity behind it: Start, RemoveVM, ResizeVM
+	// and MigrateVM (the VM's state, slice or host server). The platform
+	// uses it to invalidate its memoized per-switch backend capacity.
+	OnVMChange func(vm *VM)
+}
+
+// vmChanged fires the OnVMChange hook.
+func (c *Cluster) vmChanged(v *VM) {
+	if c.OnVMChange != nil {
+		c.OnVMChange(v)
+	}
 }
 
 // New returns an empty cluster.
@@ -379,6 +392,7 @@ func (c *Cluster) Start(vm VMID) error {
 		return fmt.Errorf("%w: vm %d is %v", ErrBadState, vm, v.State)
 	}
 	v.State = VMRunning
+	c.vmChanged(v)
 	return nil
 }
 
@@ -397,6 +411,7 @@ func (c *Cluster) RemoveVM(vm VMID) error {
 	c.vms[vm] = nil
 	c.numVMs--
 	v.State = VMStopped
+	c.vmChanged(v)
 	return nil
 }
 
@@ -417,6 +432,7 @@ func (c *Cluster) ResizeVM(vm VMID, slice Resources) error {
 	}
 	s.used = newUsed
 	v.Slice = slice
+	c.vmChanged(v)
 	return nil
 }
 
@@ -444,6 +460,7 @@ func (c *Cluster) MigrateVM(vm VMID, to ServerID) error {
 	dst.used = dst.used.Add(v.Slice)
 	dst.vms = insertMember(dst.vms, v)
 	v.Server = to
+	c.vmChanged(v)
 	return nil
 }
 

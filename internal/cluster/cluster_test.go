@@ -565,3 +565,62 @@ func TestCheckInvariantsRejectsUnsortedMembership(t *testing.T) {
 		}
 	}
 }
+
+// TestOnVMChange: the hook fires exactly once per successful Start,
+// RemoveVM, ResizeVM and MigrateVM, after the change, and never for a
+// placement, a rejected operation or a no-op migration.
+func TestOnVMChange(t *testing.T) {
+	c, _, servers, app := buildSmall(t)
+	var fired []VMState
+	var calls int
+	c.OnVMChange = func(vm *VM) {
+		calls++
+		fired = append(fired, vm.State)
+	}
+	expect := func(op string, want int) {
+		t.Helper()
+		if calls != want {
+			t.Fatalf("after %s: hook fired %d times in total, want %d", op, calls, want)
+		}
+	}
+	vm, err := c.PlaceVM(app.ID, servers[0].ID, testSlice())
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("PlaceVM", 0)
+	if err := c.Start(vm.ID); err != nil {
+		t.Fatal(err)
+	}
+	expect("Start", 1)
+	if err := c.Start(vm.ID); err == nil {
+		t.Fatal("Start of a running VM accepted")
+	}
+	expect("rejected Start", 1)
+	if err := c.ResizeVM(vm.ID, Resources{CPU: 2, MemMB: 1024, NetMbps: 100}); err != nil {
+		t.Fatal(err)
+	}
+	expect("ResizeVM", 2)
+	if err := c.ResizeVM(vm.ID, Resources{CPU: 1000}); err == nil {
+		t.Fatal("oversized resize accepted")
+	}
+	expect("rejected ResizeVM", 2)
+	if err := c.MigrateVM(vm.ID, vm.Server); err != nil {
+		t.Fatal(err)
+	}
+	expect("no-op MigrateVM", 2)
+	if err := c.MigrateVM(vm.ID, servers[1].ID); err != nil {
+		t.Fatal(err)
+	}
+	expect("MigrateVM", 3)
+	if err := c.RemoveVM(vm.ID); err != nil {
+		t.Fatal(err)
+	}
+	expect("RemoveVM", 4)
+	if err := c.RemoveVM(vm.ID); err == nil {
+		t.Fatal("double RemoveVM accepted")
+	}
+	expect("rejected RemoveVM", 4)
+	if want := []VMState{VMRunning, VMRunning, VMRunning, VMStopped}; !slices.Equal(fired, want) {
+		t.Errorf("hook saw states %v, want %v (fired after each change)", fired, want)
+	}
+}

@@ -6,7 +6,8 @@ package core
 //
 //	I1.* VIP/RIP bidirectional consistency (viprip ↔ lbswitch ↔ cluster)
 //	I2.* DNS share sums and generation monotonicity (dnsctl)
-//	I3.* capacity accounting and fault-snapshot discipline (cluster)
+//	I3.* capacity accounting, fault-snapshot discipline (cluster) and
+//	     the memoized per-switch backend CPU (core)
 //	I4.* fluid+session demand conservation (core, sessions)
 //	I5.* link/switch load decomposition and limits (netmodel, lbswitch)
 //
@@ -39,6 +40,7 @@ func (p *Platform) Audit() *audit.Report {
 	p.auditVIPRIP(rep)
 	p.auditDNS(rep)
 	p.auditCapacity(rep)
+	p.auditBackendCPU(rep)
 	p.auditConservation(rep)
 	p.auditNetwork(rep)
 	p.lastAuditCount = len(rep.Violations)
@@ -335,6 +337,27 @@ func (p *Platform) auditCapacity(rep *audit.Report) {
 					"detected link holds zero capacity",
 					fmt.Sprintf("%v", l.CapacityMbps), "link %d", l.ID)
 			}
+		}
+	}
+}
+
+// auditBackendCPU checks I3.BACKEND_CPU_CURRENT: every memoized switch
+// backend CPU whose generations are still current equals a fresh full
+// scan, bit for bit. A mismatch means some mutation moved a switch's
+// backend capacity without bumping either generation, so the request
+// engine would serve at a stale µ.
+func (p *Platform) auditBackendCPU(rep *audit.Report) {
+	bs := p.NewBackendScan()
+	for id := range p.backendCPU {
+		e := &p.backendCPU[id]
+		sw := p.Fabric.Switch(lbswitch.SwitchID(id))
+		if !e.current(sw, p.backendGen[id]) {
+			continue
+		}
+		if fresh := bs.scan(sw); math.Float64bits(fresh) != math.Float64bits(e.cpu) {
+			rep.Addf("core", "I3.BACKEND_CPU_CURRENT",
+				fmt.Sprintf("memoized backend CPU == full scan %v", fresh),
+				fmt.Sprintf("%v", e.cpu), "switch %d", id)
 		}
 	}
 }

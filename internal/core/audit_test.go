@@ -77,6 +77,26 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			t.Fatalf("missing I3.SNAPSHOT_IFF_FAULTED, got:\n%s", rep)
 		}
 	})
+	t.Run("I3.BACKEND_CPU_CURRENT", func(t *testing.T) {
+		p, app := auditTestPlatform(t)
+		vm := p.Cluster.VM(p.Cluster.App(app).VMIDs()[0])
+		vip, _ := p.vipOfVM(vm.ID)
+		home, _ := p.Fabric.HomeOf(vip)
+		bs := p.NewBackendScan()
+		before := bs.SwitchCPU(home)
+		if rep := p.Audit(); rep.Has("I3.BACKEND_CPU_CURRENT") {
+			t.Fatalf("fresh memo flagged:\n%s", rep)
+		}
+		// Grow the backend behind the VM-change hook's back: the memo is
+		// now stale while both generations still look current.
+		vm.Slice.CPU += 1
+		if got := bs.SwitchCPU(home); got != before {
+			t.Fatalf("setup: memo recomputed (%v → %v) without a bump", before, got)
+		}
+		if rep := p.Audit(); !rep.Has("I3.BACKEND_CPU_CURRENT") {
+			t.Fatalf("missing I3.BACKEND_CPU_CURRENT, got:\n%s", rep)
+		}
+	})
 	t.Run("I4.VIP_TRAFFIC_SUM", func(t *testing.T) {
 		p, app := auditTestPlatform(t)
 		vip := p.Fabric.VIPsOfApp(app)[0]

@@ -2,6 +2,7 @@ package core
 
 import (
 	"megadc/internal/cluster"
+	"megadc/internal/ids"
 	"megadc/internal/lbswitch"
 )
 
@@ -11,6 +12,23 @@ import (
 // servers. The request engine (internal/requests) derives each switch
 // queue's service rate from this number, so a pod failure or a drain
 // visibly slows the queue instead of silently vanishing from the model.
+//
+// The result is memoized per switch on the platform (DESIGN.md §21).
+// An entry stays valid while two generations still equal the ones it
+// was computed at:
+//
+//   - the switch's own lbswitch.Switch.BackendGen, which moves on every
+//     VIP/RIP add or remove and every RIP tag write;
+//   - the platform's per-switch backend generation, which moves when a
+//     backend VM starts, stops, resizes or migrates (cluster's
+//     OnVMChange hook, routed vmRIP → ripHome → home switch), when a
+//     RIP binding is recorded (bindRIP), and when a server enters or
+//     leaves Healthy (FaultServer, RepairServer).
+//
+// Switch health is not part of the memo: SwitchCPU checks Serving live.
+// Recomputation is the full scan in VIPOrder and RIP order, so a cached
+// value is bit-identical to a fresh scan; audit invariant
+// I3.BACKEND_CPU_CURRENT checks exactly that for every current entry.
 //
 // The scan owns reusable scratch buffers: refreshing capacity for every
 // switch each control interval is allocation-free after warm-up, which
@@ -22,21 +40,48 @@ type BackendScan struct {
 	mbps []float64
 }
 
+// backendEntry is one switch's memoized backend CPU and the two
+// generations it was computed at (see BackendScan).
+type backendEntry struct {
+	cpu   float64
+	swGen uint64 // lbswitch.Switch.BackendGen
+	gen   uint64 // Platform.backendGen
+	ok    bool
+}
+
+// current reports whether the entry still describes switch sw.
+func (e *backendEntry) current(sw *lbswitch.Switch, gen uint64) bool {
+	return e.ok && e.swGen == sw.BackendGen() && e.gen == gen
+}
+
 // NewBackendScan returns a scan bound to the platform.
 func (p *Platform) NewBackendScan() *BackendScan { return &BackendScan{p: p} }
 
 // SwitchCPU returns the healthy backend CPU (cores) behind switch id.
 // A non-serving switch black-holes its traffic, so its capacity is 0
-// regardless of backend health. RIP entries resolve to VMs through the
-// dense tag the platform stamps at deploy time, falling back to the
-// string-keyed RIP table for entries configured outside the platform
-// (hand-built tests, forced transfers).
+// regardless of backend health. The value comes from the platform's
+// per-switch memo when neither generation moved since it was computed,
+// and from a full scan otherwise.
 func (bs *BackendScan) SwitchCPU(id lbswitch.SwitchID) float64 {
 	p := bs.p
 	sw := p.Fabric.Switch(id)
 	if sw == nil || !sw.Serving() {
 		return 0
 	}
+	e := &p.backendCPU[id]
+	if gen := p.backendGen[id]; !e.current(sw, gen) {
+		*e = backendEntry{cpu: bs.scan(sw), swGen: sw.BackendGen(), gen: gen, ok: true}
+	}
+	return e.cpu
+}
+
+// scan is the full, uncached walk behind SwitchCPU, ignoring the
+// switch's own health. RIP entries resolve to VMs through the dense tag
+// the platform stamps at deploy time, falling back to the string-keyed
+// RIP table for entries configured outside the platform (hand-built
+// tests, forced transfers).
+func (bs *BackendScan) scan(sw *lbswitch.Switch) float64 {
+	p := bs.p
 	var cpu float64
 	for _, vip := range sw.VIPOrder() {
 		bs.rips, bs.tags, bs.mbps = bs.rips[:0], bs.tags[:0], bs.mbps[:0]
@@ -62,4 +107,23 @@ func (bs *BackendScan) SwitchCPU(id lbswitch.SwitchID) float64 {
 		}
 	}
 	return cpu
+}
+
+// bumpBackend invalidates switch id's memoized backend CPU.
+func (p *Platform) bumpBackend(id lbswitch.SwitchID) { p.backendGen[id]++ }
+
+// bumpVMBackend invalidates the memo of the switch homing vm's VIP: the
+// only switch whose backend CPU can count vm. A VM without a bound RIP
+// backs no switch.
+func (p *Platform) bumpVMBackend(vm cluster.VMID) {
+	if int(vm) >= len(p.vmRIP) || p.vmRIP[vm] == ids.None {
+		return
+	}
+	vi := p.ripHome[p.vmRIP[vm]]
+	if vi == ids.None {
+		return
+	}
+	if home, ok := p.Fabric.HomeOf(p.vipIx.Key(vi)); ok {
+		p.bumpBackend(home)
+	}
 }

@@ -57,9 +57,19 @@ func (p *Platform) FaultServer(id cluster.ServerID) error {
 	}
 	srv.Health = health.FailedUndetected
 	p.srvSnap[id] = srv.Capacity
+	p.bumpServerBackends(srv)
 	p.traceHealth(trace.Server(id), health.Healthy, health.FailedUndetected)
 	p.Propagate()
 	return nil
+}
+
+// bumpServerBackends invalidates the memoized backend CPU of every
+// switch a VM on srv backs: called when srv enters or leaves Healthy,
+// which decides whether its VMs count as serving capacity.
+func (p *Platform) bumpServerBackends(srv *cluster.Server) {
+	for _, vm := range srv.VMs() {
+		p.bumpVMBackend(vm.ID)
+	}
 }
 
 // DetectServer runs the control-plane reaction to a server fault: all
@@ -114,6 +124,7 @@ func (p *Platform) RepairServer(id cluster.ServerID) error {
 	srv.Capacity = snap
 	delete(p.srvSnap, id)
 	srv.Health = health.Healthy
+	p.bumpServerBackends(srv)
 	p.traceHealth(trace.Server(id), prev, health.Healthy)
 	p.Propagate()
 	return nil

@@ -137,6 +137,13 @@ type Platform struct {
 	vmRIP   []ids.Index
 	ripHome []ids.Index
 
+	// Memoized backend CPU per switch (backends.go): backendGen is the
+	// platform's half of each entry's validity key, bumped on VM,
+	// binding and server-health changes; backendCPU holds the entries.
+	// Both are indexed by SwitchID and sized once with the fabric.
+	backendGen []uint64
+	backendCPU []backendEntry
+
 	linkRR int // round-robin cursor for VIP advertisement
 
 	// activeVIPs remembers which VIPs carried load after the last
@@ -265,6 +272,8 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 	for i := 0; i < topo.Switches; i++ {
 		p.Fabric.AddSwitch(topo.SwitchLimits)
 	}
+	p.backendGen = make([]uint64, topo.Switches)
+	p.backendCPU = make([]backendEntry, topo.Switches)
 
 	// IP pools and the VIP/RIP manager.
 	vipPool, err := viprip.NewIPPool(topo.VIPPoolBase, topo.VIPPoolSize)
@@ -311,6 +320,7 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 	// where demand lands marks the owning application for incremental
 	// repropagation (see propagate.go).
 	p.DNS.OnChange = p.markAppDirty
+	p.Cluster.OnVMChange = func(vm *cluster.VM) { p.bumpVMBackend(vm.ID) }
 	p.Net.OnRouteChange = func(vip netmodel.VIPAddr) { p.markVIPDirty(lbswitch.VIP(vip)) }
 	for i := 0; i < p.Fabric.NumSwitches(); i++ {
 		p.Fabric.Switch(lbswitch.SwitchID(i)).OnReconfig = p.onSwitchReconfig
@@ -599,7 +609,7 @@ func (p *Platform) DeployInstanceFor(app cluster.AppID, pod cluster.PodID, prefe
 		p.Cluster.RemoveVM(vm.ID)
 		return nil, err
 	}
-	p.bindRIP(rip, vm.ID, vip)
+	p.bindRIP(rip, vm.ID, vip, sw)
 	// Tag the switch entry with the VM index so demand propagation
 	// resolves RIP → VM by slice offset, not string lookup.
 	if s := p.Fabric.Switch(sw); s != nil {
@@ -610,7 +620,9 @@ func (p *Platform) DeployInstanceFor(app cluster.AppID, pod cluster.PodID, prefe
 }
 
 // bindRIP records the rip ↔ vm ↔ home-VIP binding in the dense tables.
-func (p *Platform) bindRIP(rip lbswitch.RIP, vm cluster.VMID, vip lbswitch.VIP) {
+// home is the switch vip is homed on, whose memoized backend CPU the
+// new binding invalidates.
+func (p *Platform) bindRIP(rip lbswitch.RIP, vm cluster.VMID, vip lbswitch.VIP, home lbswitch.SwitchID) {
 	ri := p.ripIx.Intern(rip)
 	vi := p.vipIndex(vip)
 	p.ripVM = growFill(p.ripVM, int(ri)+1, cluster.VMID(-1))
@@ -619,6 +631,7 @@ func (p *Platform) bindRIP(rip lbswitch.RIP, vm cluster.VMID, vip lbswitch.VIP) 
 	p.ripHome[ri] = vi
 	p.vmRIP = growFill(p.vmRIP, int(vm)+1, ids.None)
 	p.vmRIP[vm] = ri
+	p.bumpBackend(home)
 }
 
 // vipOfVM returns the VIP the VM's RIP is configured under.

@@ -64,6 +64,18 @@ type PodManager struct {
 	wWeights   []float64
 	wInPod     []int     // positions in the group of the in-pod RIPs
 	wCaps      []float64 // their VMs' CPU slices, parallel to wInPod
+
+	// Local scale-out scratch (see localScaleOut).
+	hots []hotApp
+}
+
+// hotApp is a local scale-out candidate: an application, its
+// worst-overloaded VM in the pod, and the VIP that VM's RIP serves.
+type hotApp struct {
+	app      cluster.AppID
+	overload float64
+	vm       cluster.VMID
+	vip      lbswitch.VIP
 }
 
 // weightCandidate is a VIP that may need an intra-pod redistribution,
@@ -518,43 +530,44 @@ func (pm *PodManager) localScaleOut() {
 	if pd == nil {
 		return
 	}
-	// Find, per app, the worst-overloaded VM in this pod and the VIP its
-	// RIP serves: that VIP is where the new instance must add capacity.
-	type hot struct {
-		app      cluster.AppID
-		overload float64
-		vip      lbswitch.VIP
-	}
-	seen := make(map[cluster.AppID]hot)
-	for _, sid := range pd.ServerIDs() {
-		srv := pm.p.Cluster.Server(sid)
-		for _, vmID := range srv.VMIDs() {
-			vm := pm.p.Cluster.VM(vmID)
-			if vm.State != cluster.VMRunning {
-				continue
-			}
-			if ov := vm.Overload(); ov > seen[vm.App].overload {
-				vip, _ := pm.p.vipOfVM(vmID)
-				seen[vm.App] = hot{app: vm.App, overload: ov, vip: vip}
-			}
-		}
-	}
 	// Scale out as soon as a VM is persistently past the resize
 	// deadband: below that, knob E still has room to act alone.
 	trigger := 1 + resizeDeadband
-	var hots []hot
-	for _, h := range seen {
-		if h.overload > trigger {
-			hots = append(hots, h)
+	// Find, per app, the worst-overloaded VM in this pod (the first one,
+	// in server then VM order, on ties) and the VIP its RIP serves: that
+	// VIP is where the new instance must add capacity. Only VMs past the
+	// trigger are collected; an app whose worst VM is past it has that
+	// VM among them. A stable sort by (app, overload desc) puts each
+	// app's winner first in its run, and Compact keeps just that one.
+	hots := pm.hots[:0]
+	for _, srv := range pd.Servers() {
+		for _, vm := range srv.VMs() {
+			if vm.State != cluster.VMRunning {
+				continue
+			}
+			if ov := vm.Overload(); ov > trigger {
+				hots = append(hots, hotApp{app: vm.App, overload: ov, vm: vm.ID})
+			}
 		}
 	}
+	slices.SortStableFunc(hots, func(a, b hotApp) int {
+		if c := cmp.Compare(a.app, b.app); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.overload, a.overload)
+	})
+	hots = slices.CompactFunc(hots, func(a, b hotApp) bool { return a.app == b.app })
 	// Deterministic order: worst first, then app ID.
-	slices.SortFunc(hots, func(a, b hot) int {
+	slices.SortFunc(hots, func(a, b hotApp) int {
 		if c := cmp.Compare(b.overload, a.overload); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.app, b.app)
 	})
+	for i := range hots {
+		hots[i].vip, _ = pm.p.vipOfVM(hots[i].vm)
+	}
+	pm.hots = hots
 	for _, h := range hots {
 		if pm.degraded() {
 			// Degraded mode refuses new placements: existing VIPs keep

@@ -247,7 +247,7 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 			rip := rips[i*spec.InstancesPerApp+j]
 			vip := vips[j%len(vips)]
 			home := vipSw[j%len(vips)]
-			p.bindRIP(rip, vm.ID, vip)
+			p.bindRIP(rip, vm.ID, vip, home)
 			perSwitch[home] = append(perSwitch[home], ripCfg{vip: vip, rip: rip, tag: int64(vm.ID)})
 		}
 		p.appDemand = growSlice(p.appDemand, int(app.ID)+1)

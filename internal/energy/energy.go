@@ -143,12 +143,14 @@ func (c *Consolidator) stepPod(pod cluster.PodID) {
 
 // powerOnOne restores the lowest-numbered powered-off server of the
 // pod. The choice must be deterministic (not map iteration order) so
-// identically seeded runs reproduce byte-for-byte.
+// identically seeded runs reproduce byte-for-byte. A server somewhere in
+// the failure lifecycle stays off: its capacity belongs to the fault
+// snapshot until repair (audit I3.DETECTED_ZEROED, I3.SNAPSHOT_EXACT).
 func (c *Consolidator) powerOnOne(pod cluster.PodID) {
 	pick := cluster.ServerID(-1)
 	for id := range c.off {
 		srv := c.p.Cluster.Server(id)
-		if srv == nil || srv.Pod != pod {
+		if srv == nil || srv.Pod != pod || !srv.Serving() {
 			continue
 		}
 		if pick < 0 || id < pick {
@@ -165,7 +167,8 @@ func (c *Consolidator) powerOnOne(pod cluster.PodID) {
 
 // powerOffOne vacates and powers off the least-loaded powered-on server
 // of the pod, if its VMs fit elsewhere without breaching PackCeiling and
-// at least one other powered-on server remains.
+// at least one other powered-on server remains. Failed servers are not
+// candidates, for the same reason powerOnOne skips them.
 func (c *Consolidator) powerOffOne(pod cluster.PodID) {
 	pd := c.p.Cluster.Pod(pod)
 	if pd == nil {
@@ -175,7 +178,7 @@ func (c *Consolidator) powerOffOne(pod cluster.PodID) {
 	on := 0
 	for _, sid := range pd.ServerIDs() {
 		srv := c.p.Cluster.Server(sid)
-		if srv.Capacity.IsZero() {
+		if srv.Capacity.IsZero() || !srv.Serving() {
 			continue
 		}
 		on++

@@ -207,3 +207,55 @@ func TestConsolidationSavesEnergyOnDiurnalLoad(t *testing.T) {
 	t.Logf("energy: %0.f Wh -> %0.f Wh (%.1f%% saved), min satisfaction %.3f -> %.3f",
 		base, cons, saving*100, baseSat, consSat)
 }
+
+// TestConsolidatorLeavesFailedServersAlone: a powered-off server that
+// faults and is detected must not be powered back on while it awaits
+// repair — its capacity is the fault snapshot's until RepairServer
+// (I3.DETECTED_ZEROED) — and comes back on normally once repaired.
+func TestConsolidatorLeavesFailedServersAlone(t *testing.T) {
+	p := newPlatform(t, 1, 8)
+	app, err := p.OnboardApp("a", slice(), 2, core.Demand{CPU: 2, Mbps: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewConsolidator(p)
+	for i := 0; i < 10; i++ {
+		c.Step()
+	}
+	var dark cluster.ServerID = -1
+	for _, id := range p.Cluster.ServerIDs() {
+		if c.IsOff(id) {
+			dark = id
+			break
+		}
+	}
+	if dark < 0 {
+		t.Fatal("setup: nothing consolidated")
+	}
+	if _, err := p.FailServer(dark); err != nil {
+		t.Fatal(err)
+	}
+	onCap := p.Cluster.PodCapacity(p.Cluster.PodIDs()[0]).CPU
+	p.SetAppDemand(app.ID, core.Demand{CPU: onCap * 5, Mbps: 100})
+	for i := 0; i < 10; i++ {
+		c.Step()
+	}
+	if !c.IsOff(dark) || !p.Cluster.Server(dark).Capacity.IsZero() {
+		t.Errorf("failed server %d powered on before repair", dark)
+	}
+	if err := p.AuditErr(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RepairServer(dark); err != nil {
+		t.Fatal(err)
+	}
+	// Every other server is back on by now; any load powers this one on.
+	c.PowerOnAbove = 0
+	c.Step()
+	if c.IsOff(dark) || p.Cluster.Server(dark).Capacity.IsZero() {
+		t.Errorf("repaired server %d not powered back on", dark)
+	}
+	if err := p.AuditErr(); err != nil {
+		t.Fatal(err)
+	}
+}

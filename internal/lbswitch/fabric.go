@@ -197,7 +197,7 @@ func (f *Fabric) TransferVIP(vip VIP, dst SwitchID, force bool) error {
 		if err := to.AddRIP(vip, rip, weights[i]); err != nil {
 			return fmt.Errorf("lbswitch: transfer RIP re-add failed: %w", err)
 		}
-		to.vips[vip].ripIndex[rip].tag = tags[i]
+		to.setTag(to.vips[vip].ripIndex[rip], tags[i])
 	}
 	if load > 0 {
 		if err := to.SetVIPLoad(vip, load); err != nil {

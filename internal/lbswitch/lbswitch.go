@@ -148,6 +148,12 @@ type Switch struct {
 	loadSum  float64
 	sumValid bool
 
+	// backendGen moves whenever the switch's backend set changes: a VIP
+	// or RIP is added or removed, or a RIP's tag (the VM it resolves to)
+	// is rewritten. Weight and load changes leave it alone. Callers
+	// memoize per-switch derivations of the backend set behind it.
+	backendGen uint64
+
 	// Reconfigs counts programmatic reconfiguration operations applied to
 	// the switch (VIP/RIP add/remove, weight changes). The paper notes
 	// these take "only several seconds"; the latency itself is applied by
@@ -169,6 +175,11 @@ type Switch struct {
 // Serving reports whether the switch is healthy enough to forward
 // traffic and accept VIP placements.
 func (s *Switch) Serving() bool { return s.Health.Serving() }
+
+// BackendGen returns the switch's backend generation: it changes on
+// every VIP/RIP membership change and every RIP tag write, and on
+// nothing else (not on weight, load, connection or health changes).
+func (s *Switch) BackendGen() uint64 { return s.backendGen }
 
 // NewSwitch returns a switch with the given limits.
 func NewSwitch(id SwitchID, limits Limits) *Switch {
@@ -237,6 +248,7 @@ func (s *Switch) AddVIP(vip VIP, app cluster.AppID) error {
 	s.nextSeq++
 	s.vipOrder = append(s.vipOrder, vip)
 	s.sumValid = false
+	s.backendGen++
 	s.Reconfigs++
 	if s.OnReconfig != nil {
 		s.OnReconfig(vip, app)
@@ -270,6 +282,7 @@ func (s *Switch) RemoveVIP(vip VIP, force bool) (broken int, err error) {
 		}
 	}
 	s.sumValid = false
+	s.backendGen++
 	s.Reconfigs++
 	if s.OnReconfig != nil {
 		s.OnReconfig(vip, e.app)
@@ -296,6 +309,7 @@ func (s *Switch) AddRIP(vip VIP, rip RIP, weight float64) error {
 	e.rips = append(e.rips, re)
 	e.ripIndex[rip] = re
 	s.totalRIPs++
+	s.backendGen++
 	s.Reconfigs++
 	if s.OnReconfig != nil {
 		s.OnReconfig(vip, e.app)
@@ -329,6 +343,7 @@ func (s *Switch) RemoveRIP(vip VIP, rip RIP) (broken int, err error) {
 		}
 	}
 	s.totalRIPs--
+	s.backendGen++
 	s.Reconfigs++
 	if s.OnReconfig != nil {
 		s.OnReconfig(vip, e.app)
@@ -360,7 +375,8 @@ func (s *Switch) SetWeight(vip VIP, rip RIP, weight float64) error {
 
 // SetRIPTag attaches an opaque tag to a configured RIP (see ripEntry).
 // Unlike weight changes this is not a reconfiguration: no counter bump,
-// no OnReconfig callback.
+// no OnReconfig callback. It does move the backend generation, since
+// the tag names the instance behind the RIP.
 func (s *Switch) SetRIPTag(vip VIP, rip RIP, tag int64) error {
 	e, ok := s.vips[vip]
 	if !ok {
@@ -370,8 +386,15 @@ func (s *Switch) SetRIPTag(vip VIP, rip RIP, tag int64) error {
 	if !ok {
 		return fmt.Errorf("%w: %s in %s", ErrNoSuchRIP, rip, vip)
 	}
-	re.tag = tag
+	s.setTag(re, tag)
 	return nil
+}
+
+// setTag is the only writer of a RIP entry's tag, so no path can change
+// which instance a RIP resolves to without moving the backend generation.
+func (s *Switch) setTag(re *ripEntry, tag int64) {
+	re.tag = tag
+	s.backendGen++
 }
 
 // Weights returns the RIPs and weights of vip's group in insertion order.

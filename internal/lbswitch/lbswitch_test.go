@@ -442,3 +442,62 @@ func TestPropertySwitchInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBackendGen: the backend generation moves on every VIP/RIP
+// membership change and every RIP tag write — including the tag a VIP
+// transfer carries to the destination switch — and on nothing else: not
+// on weight, load, connection or health changes.
+func TestBackendGen(t *testing.T) {
+	f := NewFabric()
+	s := f.AddSwitch(smallLimits())
+	dst := f.AddSwitch(smallLimits())
+	moves := func(name string, want bool, op func() error) {
+		t.Helper()
+		before := s.BackendGen()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if moved := s.BackendGen() != before; moved != want {
+			t.Errorf("%s: generation moved = %v, want %v", name, moved, want)
+		}
+	}
+	moves("AddVIP", true, func() error { return s.AddVIP("v", 1) })
+	moves("AddRIP", true, func() error { return s.AddRIP("v", "r1", 1) })
+	moves("AddRIP", true, func() error { return s.AddRIP("v", "r2", 1) })
+	moves("SetRIPTag", true, func() error { return s.SetRIPTag("v", "r1", 7) })
+	moves("SetWeight", false, func() error { return s.SetWeight("v", "r1", 3) })
+	moves("SetVIPLoad", false, func() error { return s.SetVIPLoad("v", 40) })
+	moves("OpenConn", false, func() error {
+		id, _, err := s.OpenConn("v", rand.New(rand.NewSource(1)))
+		s.CloseConn(id)
+		return err
+	})
+	moves("RemoveRIP", true, func() error { _, err := s.RemoveRIP("v", "r2"); return err })
+	moves("RemoveVIP", true, func() error { _, err := s.RemoveVIP("v", false); return err })
+
+	// A transfer bumps both ends; the destination also moves for the
+	// tag the transfer carries over.
+	if err := f.PlaceVIP("t", 3, s.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddRIP("t", "r4", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetRIPTag("t", "r4", 11); err != nil {
+		t.Fatal(err)
+	}
+	srcBefore, dstBefore := s.BackendGen(), dst.BackendGen()
+	if err := f.TransferVIP("t", dst.ID, false); err != nil {
+		t.Fatal(err)
+	}
+	if s.BackendGen() == srcBefore {
+		t.Error("TransferVIP: source generation did not move")
+	}
+	// AddVIP + AddRIP + the carried tag write.
+	if got := dst.BackendGen() - dstBefore; got != 3 {
+		t.Errorf("TransferVIP: destination generation moved %d times, want 3 (AddVIP, AddRIP, tag)", got)
+	}
+	if _, tags, _, _ := dst.AppendWeightsTagged("t", nil, nil, nil); !slices.Equal(tags, []int64{11}) {
+		t.Errorf("transferred tags = %v, want [11]", tags)
+	}
+}

@@ -14,8 +14,10 @@
 // switch serves at healthyBackendCPU / CPUPerRequest requests per
 // second (core.BackendScan), so a server failure, a drain, or a pod
 // partition slows the queue and the p99 visibly degrades — the
-// tail-latency coupling every SLO experiment in ROADMAP items 3–4
-// needs.
+// tail-latency coupling the request-latency experiments (E17) measure.
+// The platform memoizes each switch's backend CPU behind generation
+// counters, so a refresh rescans only the switches whose backends
+// changed (DESIGN.md §21).
 //
 // Determinism: the engine draws every sample from its own seeded RNG
 // (the ctrlplane idiom), so enabling requests never shifts the
@@ -174,8 +176,8 @@ type Engine struct {
 
 	apps    []*appState
 	weights []float64
-	sampler *workload.Sampler // built once at Start; weights are frozen after
-	queues  map[lbswitch.SwitchID]*swQueue
+	sampler *workload.Sampler   // built once at Start; weights are frozen after
+	queues  []*swQueue          // by SwitchID; nil = not attached yet
 	qOrder  []lbswitch.SwitchID // attach order, for deterministic refresh
 	pool    sim.Pool[request]
 	arrival func() // pre-bound per-arrival callback: arrive, then schedule the next
@@ -223,7 +225,7 @@ func New(p *core.Platform, cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(seed)),
 		scan:     p.NewBackendScan(),
-		queues:   make(map[lbswitch.SwitchID]*swQueue),
+		queues:   make([]*swQueue, p.Fabric.NumSwitches()),
 		latAll:   cfg.Registry.Histogram("requests.latency.all"),
 		waitAll:  cfg.Registry.Histogram("requests.wait.all"),
 		cServed:  cfg.Registry.Counter("requests.served"),
@@ -289,10 +291,10 @@ func (e *Engine) Start() error {
 	e.started = true
 	// One alias table for the whole run: app popularity is fixed after
 	// Start, and the table makes per-arrival app choice O(1) instead of
-	// an O(apps) scan (ROADMAP item 2 headroom). Pick consumes a single
-	// draw from the engine's own RNG, so platform determinism is
-	// untouched; the draw→index mapping differs from PickWeighted's, so
-	// landing this re-pinned the request-stream goldens (CHANGES.md).
+	// an O(apps) scan. Pick consumes a single draw from the engine's own
+	// RNG, so platform determinism is untouched; the draw→index mapping
+	// differs from PickWeighted's, so landing this re-pinned the
+	// request-stream goldens (CHANGES.md).
 	e.sampler = workload.NewSampler(e.weights)
 	e.refresh()
 	// Every's first argument is an absolute time: offset from Now so an
@@ -311,8 +313,7 @@ func (e *Engine) Stats() Stats { return e.stats }
 // RefreshCapacity forces one capacity-refresh pass outside the periodic
 // schedule — re-deriving every attached queue's service rate from
 // current backend health — for callers that just mutated the topology
-// and want queues to react immediately (and for the scale benchmarks,
-// which measure exactly this pass).
+// and want queues to react immediately.
 func (e *Engine) RefreshCapacity() { e.refresh() }
 
 // AttachedQueues returns how many switch queues the engine has attached
@@ -331,7 +332,7 @@ func (e *Engine) Pending() int {
 
 // queueFor returns (attaching on first sight) the queue of switch id.
 func (e *Engine) queueFor(id lbswitch.SwitchID) *swQueue {
-	if q, ok := e.queues[id]; ok {
+	if q := e.queues[id]; q != nil {
 		return q
 	}
 	q := &swQueue{
@@ -347,7 +348,9 @@ func (e *Engine) queueFor(id lbswitch.SwitchID) *swQueue {
 // refresh re-derives every attached queue's service rate from current
 // backend health, and restarts service on queues that stalled at µ = 0.
 // Iteration follows attach order, so the event sequence is a pure
-// function of the run's history — never of map iteration order.
+// function of the run's history. Only switches whose backends changed
+// since the last read are rescanned (core.BackendScan's memo); the rest
+// return their memoized capacity.
 func (e *Engine) refresh() {
 	for _, id := range e.qOrder {
 		q := e.queues[id]
