@@ -2,13 +2,14 @@ package core
 
 // One actuation path (DESIGN.md §17): each of the managers' twelve
 // decision sites states an Action, and Platform.actuate owns cause
-// allocation, the actuation latency, bus routing, and the
-// serialized-vs-direct choice for switch-configuration requests.
+// allocation, in-flight claims, the actuation latency, bus routing, and
+// the serialized-vs-direct choice for switch-configuration requests.
 
 import (
 	"errors"
 
 	"megadc/internal/ctrlplane"
+	"megadc/internal/lbswitch"
 	"megadc/internal/trace"
 	"megadc/internal/viprip"
 )
@@ -32,9 +33,14 @@ type Action struct {
 	Delay  float64
 	Inline bool
 
-	// Dispatch, when set, runs as the delay elapses, before the effect
-	// leaves and outside the decision's cause scope: it releases
-	// in-flight markers and captures send-time state.
+	// Claim, when set, is held from the decision until the delay
+	// elapses, so the deciding manager does not decide the same thing
+	// again while the action is in flight.
+	Claim claimKey
+
+	// Dispatch, when set, runs as the delay elapses, after Claim is
+	// released, before the effect leaves and outside the decision's
+	// cause scope: it captures send-time state.
 	Dispatch func()
 
 	// From, To and Name route the effect as one control RPC. With no To
@@ -61,7 +67,12 @@ type Action struct {
 // under it.
 func (p *Platform) actuate(a Action) uint64 {
 	cid := p.decide(a.Knob, a.Prio, a.Refs...)
+	var tok uint64
+	if a.Claim.kind != claimNone {
+		tok = p.claims.claim(a.Claim)
+	}
 	dispatch := func() {
+		p.claims.release(a.Claim, tok)
 		if a.Dispatch != nil {
 			a.Dispatch()
 		}
@@ -83,6 +94,77 @@ func (p *Platform) actuate(a Action) uint64 {
 		p.Eng.After(a.Delay, dispatch)
 	}
 	return cid
+}
+
+// claimKind is what a claim holds.
+type claimKind uint8
+
+const (
+	claimNone   claimKind = iota
+	claimServer           // a server being vacated for transfer (knob C)
+	claimDeploy           // an application being deployed (knob D)
+	claimVM               // a VM being resized or migrated (knob E)
+	claimDrain            // a VIP being drained for transfer (knob B)
+)
+
+// globalOwner owns the global manager's claims. A pod manager's claims
+// are owned by its pod ID, so a global and a pod-local deployment of
+// one application never collide.
+const globalOwner = -1
+
+// claimKey names one claim: its owner, its kind, and the entity, by ID
+// or, for a drain, by VIP address.
+type claimKey struct {
+	owner int32
+	kind  claimKind
+	id    int64
+	vip   lbswitch.VIP
+}
+
+// claimOf names owner's claim on the entity with ID id.
+func claimOf(owner int, k claimKind, id int) claimKey {
+	return claimKey{owner: int32(owner), kind: k, id: int64(id)}
+}
+
+// drainClaim names the global manager's claim on a VIP it drains.
+func drainClaim(vip lbswitch.VIP) claimKey {
+	return claimKey{owner: globalOwner, kind: claimDrain, vip: vip}
+}
+
+// claimTable holds the claims in flight, each with the token it was
+// taken with. Claiming a held key hands it to the new claimant: the old
+// token no longer holds it, so the old claimant's release is a no-op.
+type claimTable struct {
+	m   map[claimKey]uint64
+	seq uint64
+}
+
+// claim takes k and returns the (never zero) token that holds it.
+func (c *claimTable) claim(k claimKey) uint64 {
+	if c.m == nil {
+		c.m = make(map[claimKey]uint64)
+	}
+	c.seq++
+	c.m[k] = c.seq
+	return c.seq
+}
+
+// held reports whether anyone holds k.
+func (c *claimTable) held(k claimKey) bool {
+	_, ok := c.m[k]
+	return ok
+}
+
+// heldBy reports whether token tok still holds k.
+func (c *claimTable) heldBy(k claimKey, tok uint64) bool {
+	return tok != 0 && c.m[k] == tok
+}
+
+// release drops k if token tok still holds it.
+func (c *claimTable) release(k claimKey, tok uint64) {
+	if c.heldBy(k, tok) {
+		delete(c.m, k)
+	}
 }
 
 // decide allocates a CauseID for one control decision and records its

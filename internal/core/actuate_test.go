@@ -14,7 +14,10 @@ import (
 // TestOneActuationPath pins the manager files to the single actuation
 // path: the twelve decision sites each call actuate exactly once, and no
 // manager code allocates causes, schedules timers, calls the bus, or
-// picks between the serialized and direct pipelines by hand.
+// picks between the serialized and direct pipelines by hand. In-flight
+// claims belong to actuate's claim table: no manager struct keeps a map
+// field of its own (podSnap, a control-plane snapshot, excepted), and no
+// Action's Dispatch deletes from one.
 func TestOneActuationPath(t *testing.T) {
 	forbidden := map[string]bool{
 		"decide": true, "withCause": true, "After": true, "At": true, "Every": true,
@@ -29,19 +32,28 @@ func TestOneActuationPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			switch m := sel.Sel.Name; {
-			case m == "actuate":
-				actuations++
-			case forbidden[m]:
-				t.Errorf("%s: manager calls %s directly; route it through actuate", fset.Position(call.Pos()), m)
+			switch n := n.(type) {
+			case *ast.StructType:
+				for _, field := range n.Fields.List {
+					if _, isMap := field.Type.(*ast.MapType); isMap && (len(field.Names) != 1 || field.Names[0].Name != "podSnap") {
+						t.Errorf("%s: manager struct declares a map field; hold in-flight state as an Action Claim", fset.Position(field.Pos()))
+					}
+				}
+			case *ast.KeyValueExpr:
+				if key, ok := n.Key.(*ast.Ident); ok && key.Name == "Dispatch" && callsDelete(n.Value) {
+					t.Errorf("%s: Dispatch deletes an in-flight marker; state it as the Action's Claim", fset.Position(n.Pos()))
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				switch m := sel.Sel.Name; {
+				case m == "actuate":
+					actuations++
+				case forbidden[m]:
+					t.Errorf("%s: manager calls %s directly; route it through actuate", fset.Position(n.Pos()), m)
+				}
 			}
 			return true
 		})
@@ -49,6 +61,20 @@ func TestOneActuationPath(t *testing.T) {
 	if actuations != 12 {
 		t.Errorf("manager files contain %d actuate calls, want the 12 decision sites", actuations)
 	}
+}
+
+// callsDelete reports whether the builtin delete is called anywhere in n.
+func callsDelete(n ast.Node) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "delete" {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // TestActuateTiming checks the dispatch rules: a delayed action records

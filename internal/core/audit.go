@@ -12,8 +12,8 @@ package core
 //	I5.* link/switch load decomposition and limits (netmodel, lbswitch)
 //
 // Violations are structured audit.Violation records, never panics; the
-// Propagate hook (Config.AuditEvery / Config.AuditOnChange) accumulates
-// them and AuditErr gates end-of-run success on an empty set.
+// Propagate hook (Config.AuditEvery) accumulates them and AuditErr gates
+// end-of-run success on an empty set.
 
 import (
 	"fmt"
@@ -72,12 +72,11 @@ func (p *Platform) AuditErr() error {
 	return nil
 }
 
-// maybeAudit is the Propagate hook: it audits when the tick matches
-// Config.AuditEvery (or always under AuditOnChange) and accumulates any
-// violations, capped at maxAuditViolations.
+// maybeAudit is the Propagate hook, called when Config.AuditEvery is
+// positive: it audits when the tick matches AuditEvery (every call at 1)
+// and accumulates any violations, capped at maxAuditViolations.
 func (p *Platform) maybeAudit() {
-	if !p.Cfg.AuditOnChange &&
-		(p.Cfg.AuditEvery <= 0 || p.propagateTicks%int64(p.Cfg.AuditEvery) != 0) {
+	if p.propagateTicks%int64(p.Cfg.AuditEvery) != 0 {
 		return
 	}
 	rep := p.Audit()

@@ -138,7 +138,7 @@ func TestAuditHookAccumulates(t *testing.T) {
 	topo.Seed = 77
 	cfg := DefaultConfig()
 	cfg.VIPsPerApp = 2
-	cfg.AuditOnChange = true
+	cfg.AuditEvery = 1
 	p, err := NewPlatform(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestDrainDropMidwayKeepsVIPUnexposed(t *testing.T) {
 	topo := SmallTopology()
 	cfg := DefaultConfig()
 	cfg.VIPsPerApp = 2
-	cfg.AuditOnChange = true
+	cfg.AuditEvery = 1
 	p, err := NewPlatform(topo, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func TestPropertyChaos(t *testing.T) {
 		cfg.PropagateDebugCheck = true
 		// Run the conservation-law auditor on every Propagate; any
 		// accumulated violation fails the run below.
-		cfg.AuditOnChange = true
+		cfg.AuditEvery = 1
 		// Route control decisions over the fallible bus with a small
 		// delivery delay, so message faults below have a window to hit.
 		cfg.Ctrl.Enable = true

@@ -142,11 +142,6 @@ type Config struct {
 	// AuditErr); the auditor never panics.
 	AuditEvery int
 
-	// AuditOnChange audits after every single Propagate call regardless
-	// of AuditEvery — the maximally strict (and slow) setting used by
-	// regression tests and the CI audit job.
-	AuditOnChange bool
-
 	// AuditOverloadUtil, when positive, makes the auditor flag any link
 	// or switch whose utilization exceeds it (I5.LINK_OVERLOAD /
 	// I5.SWITCH_OVERLOAD). Off by default: several experiments overload

@@ -126,9 +126,9 @@ func TestRecycleSkipsSuppressedAndUsed(t *testing.T) {
 	p := newTestPlatform(t, cfg)
 	app, _ := p.OnboardApp("a", defaultSlice(), 2, Demand{CPU: 1, Mbps: 300})
 	vips := p.DNS.VIPs(app.ID)
-	// Suppressed (draining) VIPs are left alone even at weight 0.
+	// VIPs under a drain claim are left alone even at weight 0.
 	p.DNS.SetWeight(app.ID, vips[0], 0)
-	p.Suppress(lbswitchVIP(vips[0]), true)
+	p.claims.claim(drainClaim(lbswitchVIP(vips[0])))
 	p.Propagate()
 	before := p.Net.ActiveLinks(vips[0])
 	recycles := p.Global.VIPRecycles

@@ -128,33 +128,33 @@ func TestSessionClosedAfterVMRemoval(t *testing.T) {
 	}
 }
 
-// TestSuppressBlocksReconcile covers the Suppress/reconcile interaction
-// used by the drain protocol.
+// TestSuppressBlocksReconcile covers the drain-claim/reconcile
+// interaction the drain protocol relies on.
 func TestSuppressBlocksReconcile(t *testing.T) {
 	p := newTestPlatform(t, testConfig())
 	app, _ := p.OnboardApp("a", defaultSlice(), 2, Demand{CPU: 1, Mbps: 10})
 	vips := p.DNS.VIPs(app.ID)
 	vip := lbswitch.VIP(vips[0])
-	// Drain-style: suppress and hide.
-	p.Suppress(vip, true)
+	// Drain-style: claim and hide.
+	tok := p.claims.claim(drainClaim(vip))
 	p.DNS.SetWeight(app.ID, vips[0], 0)
-	// A deploy triggers reconcileExposure; the suppressed VIP must stay
+	// A deploy triggers reconcileExposure; the claimed VIP must stay
 	// hidden even though it has RIPs.
 	if _, err := p.DeployInstance(app.ID, p.Cluster.PodIDs()[0]); err != nil {
 		t.Fatal(err)
 	}
 	_, ws, _ := p.DNS.Weights(app.ID)
 	if ws[0] != 0 {
-		t.Error("suppressed VIP was re-exposed by reconcile")
+		t.Error("claimed VIP was re-exposed by reconcile")
 	}
-	// Unsuppress: the next reconcile re-exposes it.
-	p.Suppress(vip, false)
+	// Release: the next reconcile re-exposes it.
+	p.claims.release(drainClaim(vip), tok)
 	if _, err := p.DeployInstance(app.ID, p.Cluster.PodIDs()[1]); err != nil {
 		t.Fatal(err)
 	}
 	_, ws, _ = p.DNS.Weights(app.ID)
 	if ws[0] == 0 {
-		t.Error("unsuppressed VIP with RIPs not re-exposed")
+		t.Error("released VIP with RIPs not re-exposed")
 	}
 }
 

@@ -156,11 +156,8 @@ func TestDrainRetryTimeoutAccounting(t *testing.T) {
 			t.Errorf("drained VIP weight = %v, want 1 (restored once)", ws[i])
 		}
 	}
-	if len(g.draining) != 0 {
-		t.Errorf("draining set not empty: %v", g.draining)
-	}
-	if p.suppressed[vip] {
-		t.Error("VIP still suppressed after drain finished")
+	if len(p.claims.m) != 0 {
+		t.Errorf("claims still held after the drain finished: %v", p.claims.m)
 	}
 	// Each transfer attempt's message dead-lettered (all acks lost), and
 	// the stale dead letters were ignored by the settled guard.

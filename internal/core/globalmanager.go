@@ -36,18 +36,6 @@ type GlobalManager struct {
 	DrainForceBreaks int64
 	VIPRecycles      int64
 
-	pendingServer map[cluster.ServerID]bool
-	pendingDeploy map[cluster.AppID]bool
-
-	// draining maps each VIP under an active knob-B drain to that drain's
-	// instance token (from drainSeq). Every completion path of the drain
-	// protocol re-checks the token, so a stale completion — a retried
-	// Force whose original settled, or a dead letter racing a delivered
-	// transfer — can neither double-count (I4.BROKEN_ACCOUNTED) nor
-	// re-expose a VIP someone else is draining (I1.EXPOSED_HOMED).
-	draining map[lbswitch.VIP]int64
-	drainSeq int64
-
 	// podSnap holds the last pod-utilization snapshot received over the
 	// control plane; podUtil reads it instead of live state when the
 	// stale-snapshot regime (Cfg.Ctrl.SnapshotEvery) is on.
@@ -62,11 +50,8 @@ type GlobalManager struct {
 
 func newGlobalManager(p *Platform) *GlobalManager {
 	return &GlobalManager{
-		p:             p,
-		pendingServer: make(map[cluster.ServerID]bool),
-		pendingDeploy: make(map[cluster.AppID]bool),
-		draining:      make(map[lbswitch.VIP]int64),
-		podSnap:       make(map[cluster.PodID]float64),
+		p:       p,
+		podSnap: make(map[cluster.PodID]float64),
 	}
 }
 
@@ -355,7 +340,7 @@ func (g *GlobalManager) recycleUnusedVIPs() {
 			if weights[i] != 0 || g.p.Net.VIPTraffic(vipStr) > 0 {
 				continue
 			}
-			if g.p.suppressed[lbswitch.VIP(vipStr)] {
+			if g.p.claims.held(drainClaim(lbswitch.VIP(vipStr))) {
 				continue // drains manage their own exposure
 			}
 			active := g.p.Net.ActiveLinks(vipStr)
@@ -392,7 +377,7 @@ func (g *GlobalManager) balanceSwitches() {
 			if excess <= 0 {
 				break
 			}
-			if g.draining[vip] != 0 {
+			if g.p.claims.held(drainClaim(vip)) {
 				continue
 			}
 			dst := g.pickTransferTarget(sw, vip)
@@ -469,10 +454,11 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 	if !ok {
 		return
 	}
-	g.drainSeq++
-	token := g.drainSeq
-	g.draining[vip] = token
-	g.p.Suppress(vip, true)
+	// The drain spans several actions, so it holds its claim itself:
+	// while held, balanceSwitches picks no second drain for the VIP and
+	// exposure reconciliation leaves its DNS weight alone.
+	key := drainClaim(vip)
+	token := g.p.claims.claim(key)
 	// mine reports whether this drain instance still owns the VIP. Every
 	// asynchronous completion below checks it first: over a faulty
 	// control plane a step's message can settle twice (at-least-once:
@@ -481,14 +467,8 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 	// (violating I1.EXPOSED_HOMED if it lost its home) or double-count
 	// VIPTransfers/DrainForceBreaks (violating I4.BROKEN_ACCOUNTED —
 	// every broken connection accounted exactly once).
-	mine := func() bool { return g.draining[vip] == token }
-	release := func() {
-		if !mine() {
-			return
-		}
-		delete(g.draining, vip)
-		g.p.Suppress(vip, false)
-	}
+	mine := func() bool { return g.p.claims.heldBy(key, token) }
+	release := func() { g.p.claims.release(key, token) }
 	vips, ws, err := g.p.DNS.Weights(app)
 	if err != nil {
 		release()
@@ -694,7 +674,7 @@ func (g *GlobalManager) deployToRelievePods() {
 			continue
 		}
 		app, ok := g.hottestApp(podID)
-		if !ok || g.pendingDeploy[app] {
+		if !ok || g.p.claims.held(claimOf(globalOwner, claimDeploy, int(app))) {
 			continue
 		}
 		target, ok := g.coldestPodWithRoom(uint64(app), podID, g.p.appSlice[app])
@@ -702,13 +682,12 @@ func (g *GlobalManager) deployToRelievePods() {
 			continue
 		}
 		vip := g.hottestVIPOfApp(app, podID)
-		g.pendingDeploy[app] = true
 		g.p.actuate(Action{
 			Knob: KnobAppDeployment, Prio: viprip.PriorityNormal,
-			Refs:     []trace.Ref{trace.App(app), trace.Pod(target), trace.VIP(vip)},
-			Delay:    cfg.VMDeployLatency,
-			Dispatch: func() { delete(g.pendingDeploy, app) },
-			From:     ctrlplane.Global, To: ctrlplane.Pod(int(target)), Name: "deploy",
+			Refs:  []trace.Ref{trace.App(app), trace.Pod(target), trace.VIP(vip)},
+			Delay: cfg.VMDeployLatency,
+			Claim: claimOf(globalOwner, claimDeploy, int(app)),
+			From:  ctrlplane.Global, To: ctrlplane.Pod(int(target)), Name: "deploy",
 			Apply: func() {
 				if vm, err := g.p.DeployInstanceFor(app, target, vip); err == nil {
 					g.p.Cfg.Trace.Record(trace.EvDeploy, float64(vm.ID), 0,
@@ -808,7 +787,7 @@ func (g *GlobalManager) pickServerToVacate(donor cluster.PodID) (cluster.ServerI
 	best := cluster.ServerID(-1)
 	bestVMs := 0
 	for _, sid := range pd.ServerIDs() {
-		if g.pendingServer[sid] {
+		if g.p.claims.held(claimOf(globalOwner, claimServer, int(sid))) {
 			continue
 		}
 		srv := g.p.Cluster.Server(sid)
@@ -830,15 +809,14 @@ func (g *GlobalManager) pickServerToVacate(donor cluster.PodID) (cluster.ServerI
 // cannot be rehomed the transfer is abandoned (already-moved VMs stay at
 // their new homes; they remain inside the donor pod).
 func (g *GlobalManager) vacateAndTransfer(srv cluster.ServerID, donor, recipient cluster.PodID) {
-	g.pendingServer[srv] = true
 	server := g.p.Cluster.Server(srv)
 	nVMs := server.NumVMs()
 	g.p.actuate(Action{
 		Knob: KnobServerTransfer, Prio: viprip.PriorityNormal,
-		Refs:     []trace.Ref{trace.Server(srv), trace.Pod(donor), trace.Pod(recipient)},
-		Delay:    g.p.Cfg.VacateLatencyPerVM*float64(nVMs) + g.p.Cfg.VMMigrateLatency,
-		Dispatch: func() { delete(g.pendingServer, srv) },
-		From:     ctrlplane.Global, To: ctrlplane.Pod(int(donor)), Name: "server-transfer",
+		Refs:  []trace.Ref{trace.Server(srv), trace.Pod(donor), trace.Pod(recipient)},
+		Delay: g.p.Cfg.VacateLatencyPerVM*float64(nVMs) + g.p.Cfg.VMMigrateLatency,
+		Claim: claimOf(globalOwner, claimServer, int(srv)),
+		From:  ctrlplane.Global, To: ctrlplane.Pod(int(donor)), Name: "server-transfer",
 		Apply: func() {
 			server := g.p.Cluster.Server(srv)
 			if server == nil || server.Pod != donor {

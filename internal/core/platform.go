@@ -181,10 +181,10 @@ type Platform struct {
 	// nothing after warm-up.
 	pool propPool
 
-	// suppressed marks VIPs whose DNS exposure is being managed by an
-	// in-flight control action (e.g. a knob-B drain); exposure
-	// reconciliation leaves them alone.
-	suppressed map[lbswitch.VIP]bool
+	// claims holds the managers' in-flight claims (actuate.go). A VIP
+	// under a drain claim has its DNS exposure managed by the drain, so
+	// exposure reconciliation leaves it alone.
+	claims claimTable
 
 	// Session-level demand overlay (see SessionOpened/SessionClosed):
 	// discrete sessions contribute demand on top of the fluid model.
@@ -232,18 +232,17 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 		return nil, fmt.Errorf("core: topology needs switches, pods, and servers")
 	}
 	p := &Platform{
-		Eng:        eng,
-		Cfg:        cfg,
-		Cluster:    cluster.New(),
-		Fabric:     lbswitch.NewFabric(),
-		Net:        netmodel.New(),
-		DNS:        dnsctl.New(topo.DNSTTLSeconds),
-		vipIx:      ids.NewInterner[lbswitch.VIP](0),
-		ripIx:      ids.NewInterner[lbswitch.RIP](0),
-		suppressed: make(map[lbswitch.VIP]bool),
-		srvSnap:    make(map[cluster.ServerID]cluster.Resources),
-		swSnap:     make(map[lbswitch.SwitchID]lbswitch.Limits),
-		linkSnap:   make(map[netmodel.LinkID]float64),
+		Eng:      eng,
+		Cfg:      cfg,
+		Cluster:  cluster.New(),
+		Fabric:   lbswitch.NewFabric(),
+		Net:      netmodel.New(),
+		DNS:      dnsctl.New(topo.DNSTTLSeconds),
+		vipIx:    ids.NewInterner[lbswitch.VIP](0),
+		ripIx:    ids.NewInterner[lbswitch.RIP](0),
+		srvSnap:  make(map[cluster.ServerID]cluster.Resources),
+		swSnap:   make(map[lbswitch.SwitchID]lbswitch.Limits),
+		linkSnap: make(map[netmodel.LinkID]float64),
 
 		seed: topo.Seed,
 	}
@@ -655,20 +654,10 @@ func (p *Platform) VIPOfRIP(rip lbswitch.RIP) (lbswitch.VIP, bool) {
 	return p.vipIx.Key(p.ripHome[ri]), true
 }
 
-// Suppress marks or unmarks a VIP as under explicit exposure control (a
-// drain in progress); reconcileExposure skips suppressed VIPs.
-func (p *Platform) Suppress(vip lbswitch.VIP, on bool) {
-	if on {
-		p.suppressed[vip] = true
-	} else {
-		delete(p.suppressed, vip)
-	}
-}
-
 // reconcileExposure keeps DNS exposure consistent with serving capacity:
 // a VIP with no RIPs configured must not be exposed (clients resolving
 // to it would reach nothing), and a VIP that regained RIPs is re-exposed
-// with weight 1. VIPs under explicit control (Suppress) are left alone.
+// with weight 1. VIPs under a drain claim are left alone.
 func (p *Platform) reconcileExposure(app cluster.AppID) {
 	vips, ws, err := p.DNS.Weights(app)
 	if err != nil {
@@ -676,7 +665,7 @@ func (p *Platform) reconcileExposure(app cluster.AppID) {
 	}
 	for i, vipStr := range vips {
 		vip := lbswitch.VIP(vipStr)
-		if p.suppressed[vip] {
+		if p.claims.held(drainClaim(vip)) {
 			continue
 		}
 		home, ok := p.Fabric.HomeOf(vip)

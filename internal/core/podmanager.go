@@ -45,9 +45,6 @@ type PodManager struct {
 	// algorithms beyond acceptable levels").
 	LastDecision time.Duration
 
-	pendingVM     map[cluster.VMID]bool
-	pendingDeploy map[cluster.AppID]bool
-
 	// deferred queues the pod's non-local decisions (weight adjustments,
 	// scale-outs — anything needing the CSM pipeline) made while
 	// partitioned, FIFO, for Reconcile to replay after the heal. Pod-local
@@ -115,11 +112,7 @@ const (
 )
 
 func newPodManager(p *Platform, pod cluster.PodID) *PodManager {
-	return &PodManager{
-		p: p, pod: pod,
-		pendingVM:     make(map[cluster.VMID]bool),
-		pendingDeploy: make(map[cluster.AppID]bool),
-	}
+	return &PodManager{p: p, pod: pod}
 }
 
 // PodID returns the managed pod's ID.
@@ -186,7 +179,7 @@ func (pm *PodManager) resizeVMs() {
 		// redistribution slightly shifts per-VM demand every step.
 		for _, vmID := range srv.VMIDs() {
 			vm := pm.p.Cluster.VM(vmID)
-			if vm.State != cluster.VMRunning || pm.pendingVM[vmID] {
+			if vm.State != cluster.VMRunning || pm.p.claims.held(claimOf(int(pm.pod), claimVM, int(vmID))) {
 				continue
 			}
 			def := pm.defaultSlice(vm.App)
@@ -198,7 +191,7 @@ func (pm *PodManager) resizeVMs() {
 		// Pass 2: grow.
 		for _, vmID := range srv.VMIDs() {
 			vm := pm.p.Cluster.VM(vmID)
-			if vm.State != cluster.VMRunning || pm.pendingVM[vmID] {
+			if vm.State != cluster.VMRunning || pm.p.claims.held(claimOf(int(pm.pod), claimVM, int(vmID))) {
 				continue
 			}
 			def := pm.defaultSlice(vm.App)
@@ -258,12 +251,11 @@ func (pm *PodManager) defaultSlice(app cluster.AppID) cluster.Resources {
 }
 
 func (pm *PodManager) scheduleResize(vmID cluster.VMID, slice cluster.Resources) {
-	pm.pendingVM[vmID] = true
 	pm.p.actuate(Action{
 		Knob: KnobVMResize, Prio: viprip.PriorityNormal,
-		Refs:     []trace.Ref{trace.VM(vmID), trace.Pod(pm.pod)},
-		Delay:    pm.p.Cfg.VMResizeLatency,
-		Dispatch: func() { delete(pm.pendingVM, vmID) },
+		Refs:  []trace.Ref{trace.VM(vmID), trace.Pod(pm.pod)},
+		Delay: pm.p.Cfg.VMResizeLatency,
+		Claim: claimOf(int(pm.pod), claimVM, int(vmID)),
 		Apply: func() {
 			vm := pm.p.Cluster.VM(vmID)
 			if vm == nil {
@@ -301,7 +293,7 @@ func (pm *PodManager) defragment() {
 		blocked := false
 		for _, vmID := range srv.VMIDs() {
 			vm := pm.p.Cluster.VM(vmID)
-			if vm.State == cluster.VMRunning && !pm.pendingVM[vmID] && vm.Overload() > trigger {
+			if vm.State == cluster.VMRunning && !pm.p.claims.held(claimOf(int(pm.pod), claimVM, int(vmID))) && vm.Overload() > trigger {
 				blocked = true
 				break
 			}
@@ -315,7 +307,7 @@ func (pm *PodManager) defragment() {
 		var dst cluster.ServerID
 		for _, vmID := range srv.VMIDs() {
 			vm := pm.p.Cluster.VM(vmID)
-			if vm.State != cluster.VMRunning || pm.pendingVM[vmID] {
+			if vm.State != cluster.VMRunning || pm.p.claims.held(claimOf(int(pm.pod), claimVM, int(vmID))) {
 				continue
 			}
 			target := pm.p.emptiestServer(pm.pod, sid, vm.Slice)
@@ -329,12 +321,11 @@ func (pm *PodManager) defragment() {
 		if victim == cluster.VMID(-1) {
 			continue
 		}
-		pm.pendingVM[victim] = true
 		pm.p.actuate(Action{
 			Knob: KnobVMResize, Prio: viprip.PriorityLow,
-			Refs:     []trace.Ref{trace.VM(victim), trace.Server(sid), trace.Server(dst)},
-			Delay:    pm.p.Cfg.VMMigrateLatency,
-			Dispatch: func() { delete(pm.pendingVM, victim) },
+			Refs:  []trace.Ref{trace.VM(victim), trace.Server(sid), trace.Server(dst)},
+			Delay: pm.p.Cfg.VMMigrateLatency,
+			Claim: claimOf(int(pm.pod), claimVM, int(victim)),
 			Apply: func() {
 				if pm.p.Cluster.VM(victim) == nil {
 					return
@@ -582,20 +573,19 @@ func (pm *PodManager) localScaleOut() {
 // tryScaleOut starts one local scale-out deployment for app, reporting
 // whether a deployment was actually issued.
 func (pm *PodManager) tryScaleOut(app cluster.AppID, vip lbswitch.VIP, overload float64) bool {
-	if pm.pendingDeploy[app] {
+	if pm.p.claims.held(claimOf(int(pm.pod), claimDeploy, int(app))) {
 		return false // a deployment for this app is already in flight
 	}
 	slice := pm.defaultSlice(app)
 	if pm.p.emptiestServer(pm.pod, noServer, slice) == nil {
 		return false // no room locally; the global manager's problem
 	}
-	pm.pendingDeploy[app] = true
 	pm.p.actuate(Action{
 		Knob: KnobAppDeployment, Prio: viprip.PriorityNormal,
-		Refs:     []trace.Ref{trace.App(app), trace.Pod(pm.pod), trace.VIP(vip)},
-		Delay:    pm.p.Cfg.VMDeployLatency,
-		Dispatch: func() { delete(pm.pendingDeploy, app) },
-		From:     ctrlplane.Pod(int(pm.pod)), To: ctrlplane.CSM, Name: "local-deploy",
+		Refs:  []trace.Ref{trace.App(app), trace.Pod(pm.pod), trace.VIP(vip)},
+		Delay: pm.p.Cfg.VMDeployLatency,
+		Claim: claimOf(int(pm.pod), claimDeploy, int(app)),
+		From:  ctrlplane.Pod(int(pm.pod)), To: ctrlplane.CSM, Name: "local-deploy",
 		Apply: func() {
 			if vm, err := pm.p.DeployInstanceFor(app, pm.pod, vip); err == nil {
 				pm.p.Cfg.Trace.Record(trace.EvScaleOut, float64(vm.ID), overload,

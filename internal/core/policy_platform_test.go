@@ -10,7 +10,7 @@ import (
 // swings, deploys, removals, exposure flips, forced transfers,
 // fault/detect/repair cycles, link flaps, session churn — once per
 // registered policy with the auditor in its strictest mode
-// (AuditOnChange: all five invariant families I1–I5 after every single
+// (AuditEvery 1: all five invariant families I1–I5 after every single
 // Propagate). Every policy must keep every conservation law intact
 // under chaos, and two identically-seeded runs must end bit-identical:
 // policies may not consume platform randomness or depend on map order.
@@ -21,7 +21,7 @@ func TestPolicyChaosAuditClean(t *testing.T) {
 			run := func() *Platform {
 				cfg := DefaultConfig()
 				cfg.Policy = name
-				cfg.AuditOnChange = true
+				cfg.AuditEvery = 1
 				return runPropagationScenario(t, cfg, nOps)
 			}
 			a := run()

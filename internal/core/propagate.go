@@ -267,7 +267,7 @@ func (p *Platform) Propagate() {
 			p.debugCheckAgainstFull()
 		}
 	}
-	if p.Cfg.AuditOnChange || p.Cfg.AuditEvery > 0 {
+	if p.Cfg.AuditEvery > 0 {
 		p.maybeAudit()
 	}
 }

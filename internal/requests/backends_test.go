@@ -67,7 +67,7 @@ func TestBackendCPUCacheMatchesFullScan(t *testing.T) {
 			reg := metrics.NewRegistry()
 			cfg := core.DefaultConfig()
 			cfg.SerializeReconfig = true
-			cfg.AuditOnChange = true
+			cfg.AuditEvery = 1
 			cfg.Ctrl.Enable = true
 			cfg.Ctrl.Default = ctrlplane.LinkConfig{Delay: 0.5, Jitter: 0.2, LossProb: 0.02}
 			cfg.Ctrl.Registry = reg

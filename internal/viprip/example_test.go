@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"megadc/internal/lbswitch"
+	"megadc/internal/sim"
 	"megadc/internal/viprip"
 )
 
@@ -18,11 +19,13 @@ func Example() {
 	rips, _ := viprip.NewIPPool("10.0.0.0", 1024)
 	mgr := viprip.NewManager(fab, vips, rips, viprip.Blend)
 
-	low := &viprip.Request{Op: viprip.OpAddVIP, App: 1, Priority: viprip.PriorityLow}
-	high := &viprip.Request{Op: viprip.OpAddVIP, App: 2, Priority: viprip.PriorityHigh}
-	mgr.Submit(low)
-	mgr.Submit(high)
-	done := mgr.ProcessAll()
+	var done []*viprip.Request
+	record := func(r *viprip.Request) { done = append(done, r) }
+	mgr.Submit(&viprip.Request{Op: viprip.OpAddVIP, App: 1, Priority: viprip.PriorityLow, OnDone: record})
+	mgr.Submit(&viprip.Request{Op: viprip.OpAddVIP, App: 2, Priority: viprip.PriorityHigh, OnDone: record})
+	eng := sim.New(1)
+	mgr.StartSerialized(eng, 1)
+	eng.Run()
 	fmt.Println("processed first:", done[0].App, "(high priority)")
 
 	rip, _ := mgr.AllocRIP()

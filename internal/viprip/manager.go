@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"megadc/internal/cluster"
 	"megadc/internal/lbswitch"
@@ -129,9 +128,9 @@ type Manager struct {
 // recorded. A nil recorder disables tracing.
 func (m *Manager) SetTracer(r *trace.Recorder) { m.tracer = r }
 
-// Request is one queued (re)configuration request. Submit requests with
-// Submit and drain with ProcessAll; Result and Err are filled when the
-// request is processed.
+// Request is one (re)configuration request: applied at once with Do, or
+// queued with Submit for the serialized pipeline (StartSerialized).
+// Result and Err are filled when the request is applied.
 type Request struct {
 	Op       Op
 	App      cluster.AppID
@@ -266,11 +265,11 @@ func (m *Manager) Pending() int {
 	return n
 }
 
-// StartSerialized switches the manager from batch processing
-// (ProcessAll) to the paper's serialized control plane: submitted
-// requests are popped one at a time, highest priority first (FIFO
-// within a priority), and each occupies the single CSM configuration
-// pipeline for serviceTime simulated seconds before its effect lands.
+// StartSerialized starts the paper's serialized control plane on eng:
+// submitted requests, including any queued before the call, are popped
+// one at a time, highest priority first (FIFO within a priority), and
+// each occupies the single CSM configuration pipeline for serviceTime
+// simulated seconds before its effect lands.
 // Under churn the queue wait — not server capacity — is what bounds
 // elasticity; the span layer measures exactly this gap (submit →
 // process) per priority class.
@@ -316,31 +315,28 @@ func (m *Manager) pump() {
 	})
 }
 
-// complete finishes the in-service request when the pipeline's service
-// time elapses. The pipeline's switch can fail while the request is in
-// service. The request must not vanish: it is resubmitted (back of its
-// priority class — a fresh seq keeps requestOrder honest) up to
-// maxRequeues times, then surfaces a typed error.
+// complete applies the in-service request when the pipeline's service
+// time elapses and marks it done. The pipeline's switch can fail while
+// the request is in service. The request must not vanish: it is
+// resubmitted (back of its priority class — a fresh seq keeps
+// requestOrder honest) up to maxRequeues times, then surfaces a typed
+// error.
 func (m *Manager) complete(r *Request) {
-	if m.switchFailedMidFlight(r) {
-		if r.requeues < maxRequeues {
-			r.requeues++
-			m.Requeues++
-			m.traceReq(trace.EvReqRequeue, r)
-			m.Submit(r)
-			return
-		}
+	if !m.switchFailedMidFlight(r) {
+		m.exec(r)
+	} else if r.requeues < maxRequeues {
+		r.requeues++
+		m.Requeues++
+		m.traceReq(trace.EvReqRequeue, r)
+		m.Submit(r)
+		return
+	} else {
 		r.Err = fmt.Errorf("%w: op %d vip %s after %d resubmissions",
 			ErrSwitchFailedMidFlight, r.Op, r.VIP, r.requeues)
-		r.Done = true
-		m.Processed++
-		m.traceReq(trace.EvReqDone, r)
-		if r.OnDone != nil {
-			r.OnDone(r)
-		}
-		return
 	}
-	m.apply(r)
+	r.Done = true
+	m.Processed++
+	m.traceReq(trace.EvReqDone, r)
 	if r.OnDone != nil {
 		r.OnDone(r)
 	}
@@ -378,59 +374,13 @@ func (m *Manager) switchFailedMidFlight(r *Request) bool {
 
 // requestOrder is the paper's serialization contract: strictly higher
 // priority first; within a priority, submission (FIFO) order. The seq
-// comparison makes the order total, so the sort's stability is not
-// load-bearing and the contract survives any future refactor of the
-// queue representation.
+// comparison makes the order total, so the pump's pick does not depend
+// on the queue's layout.
 func requestOrder(a, b *Request) int {
 	if a.Priority != b.Priority {
 		return cmp.Compare(b.Priority, a.Priority)
 	}
 	return cmp.Compare(a.seq, b.seq)
-}
-
-// ProcessAll drains the queue, highest priority first (FIFO within a
-// priority), applying each request. It returns the processed requests in
-// execution order. Requests submitted while the batch is being processed
-// (by callbacks or re-entrant manager use) land in the next batch, never
-// ahead of already-ordered work.
-func (m *Manager) ProcessAll() []*Request {
-	if m.eng != nil {
-		// Batch-draining a serialized queue would double-process the
-		// pump's in-flight work and erase every queue wait; the two
-		// modes must not be mixed.
-		panic("viprip: ProcessAll on a serialized manager (see StartSerialized)")
-	}
-	slices.SortStableFunc(m.queue, requestOrder)
-	out := m.queue
-	m.queue = nil
-	for i, r := range out {
-		if i > 0 && requestOrder(out[i-1], r) > 0 {
-			// Enforce, not just assume, the serialization contract.
-			panic(fmt.Sprintf("viprip: queue order violated: %+v before %+v", out[i-1], r))
-		}
-		m.process(r)
-	}
-	return out
-}
-
-func (m *Manager) process(r *Request) {
-	m.withCause(r.Cause, func() {
-		m.traceReq(trace.EvReqProcess, r)
-		m.apply(r)
-		if r.OnDone != nil {
-			r.OnDone(r)
-		}
-	})
-}
-
-// apply executes the request's operation and marks it done. In batch
-// mode this runs at processing time; in serialized mode it runs when
-// the pipeline finishes, serviceTime after processing began.
-func (m *Manager) apply(r *Request) {
-	m.exec(r)
-	r.Done = true
-	m.Processed++
-	m.traceReq(trace.EvReqDone, r)
 }
 
 // Do applies r at once, bypassing the queue: the direct write of a
@@ -473,7 +423,7 @@ func (m *Manager) exec(r *Request) {
 // traceReq records one request-lifecycle transition. The refs name the
 // app plus whichever addresses the request carries (the result VIP once
 // processing assigned one); A/B carry priority and submission seq so a
-// timeline shows why the queue ordered the batch the way it did.
+// timeline shows why the queue ordered its requests the way it did.
 func (m *Manager) traceReq(t trace.Type, r *Request) {
 	if m.tracer == nil {
 		return

@@ -118,18 +118,9 @@ func TestSerializedOnDoneResubmit(t *testing.T) {
 	}
 }
 
-func TestSerializedProcessAllPanics(t *testing.T) {
-	m, _ := newSerializedManager(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ProcessAll on a serialized manager must panic")
-		}
-	}()
-	m.ProcessAll()
-}
-
-// The new ops work through the batch path too (used by tests and any
-// non-serialized caller).
+// Requests queued before the pipeline starts run once it does, highest
+// priority first: the transfer, then the weight change at the VIP's new
+// home.
 func TestBatchAdjustWeightsAndTransfer(t *testing.T) {
 	f := lbswitch.NewFabric()
 	for i := 0; i < 2; i++ {
@@ -153,7 +144,7 @@ func TestBatchAdjustWeightsAndTransfer(t *testing.T) {
 	}
 	m.Submit(&Request{Op: OpAdjustWeights, App: 7, Priority: PriorityNormal, VIP: vip, Weights: []float64{2}})
 	m.Submit(&Request{Op: OpTransferVIP, App: 7, Priority: PriorityHigh, VIP: vip, Dst: 1 - home})
-	out := m.ProcessAll()
+	out := runQueued(m)
 	if len(out) != 2 {
 		t.Fatalf("processed %d", len(out))
 	}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"megadc/internal/lbswitch"
+	"megadc/internal/sim"
 	"megadc/internal/trace"
 )
 
@@ -130,6 +131,31 @@ func newTestManager(t *testing.T, nSwitches int, policy Policy) *Manager {
 		t.Fatal(err)
 	}
 	return NewManager(fab, vp, rp, policy)
+}
+
+// runQueued runs m's serialized pipeline until its queue is empty,
+// starting it on a fresh engine if it is not running yet, and returns
+// the requests that were waiting in completion order.
+func runQueued(m *Manager) []*Request {
+	var done []*Request
+	waiting := m.queue
+	if m.inflight != nil {
+		waiting = append([]*Request{m.inflight}, waiting...)
+	}
+	for _, r := range waiting {
+		next := r.OnDone
+		r.OnDone = func(r *Request) {
+			done = append(done, r)
+			if next != nil {
+				next(r)
+			}
+		}
+	}
+	if !m.Serialized() {
+		m.StartSerialized(sim.New(1), 1)
+	}
+	m.eng.Run()
+	return done
 }
 
 func TestAddVIPLeastVIPs(t *testing.T) {
@@ -335,7 +361,7 @@ func TestQueuePriorityOrder(t *testing.T) {
 	if m.Pending() != 3 {
 		t.Errorf("Pending = %d", m.Pending())
 	}
-	done := m.ProcessAll()
+	done := runQueued(m)
 	if len(done) != 3 || done[0] != high || done[1] != norm || done[2] != low {
 		t.Errorf("execution order wrong: %v", []*Request{done[0], done[1], done[2]})
 	}
@@ -360,7 +386,7 @@ func TestQueueFIFOWithinPriority(t *testing.T) {
 		reqs = append(reqs, r)
 		m.Submit(r)
 	}
-	done := m.ProcessAll()
+	done := runQueued(m)
 	for i := range reqs {
 		if done[i] != reqs[i] {
 			t.Fatalf("FIFO violated at %d", i)
@@ -372,7 +398,7 @@ func TestQueueOps(t *testing.T) {
 	m := newTestManager(t, 1, LeastVIPs)
 	add := &Request{Op: OpAddVIP, App: 1}
 	m.Submit(add)
-	m.ProcessAll()
+	runQueued(m)
 	rip, _ := m.AllocRIP()
 	addRIP := &Request{Op: OpAddRIP, App: 1, RIP: rip, Weight: 1}
 	m.Submit(addRIP)
@@ -380,14 +406,14 @@ func TestQueueOps(t *testing.T) {
 	m.Submit(delRIP)
 	delVIP := &Request{Op: OpDelVIP, VIP: add.Result.VIP}
 	m.Submit(delVIP)
-	for _, r := range m.ProcessAll() {
+	for _, r := range runQueued(m) {
 		if r.Err != nil {
 			t.Errorf("op %d err: %v", r.Op, r.Err)
 		}
 	}
 	bad := &Request{Op: Op(99)}
 	m.Submit(bad)
-	m.ProcessAll()
+	runQueued(m)
 	if bad.Err == nil {
 		t.Error("unknown op accepted")
 	}
@@ -453,8 +479,7 @@ func TestPropertyManagerRespectsLimits(t *testing.T) {
 // priority-descending with FIFO tie-breaking, exactly — not merely "highs
 // before lows". (sort.Slice's instability could historically reorder
 // equal-priority requests once the queue grew past the small-slice
-// threshold; requestOrder's seq tiebreak makes the order total and
-// ProcessAll enforces it.)
+// threshold; requestOrder's seq tiebreak makes the order total.)
 func TestQueueInterleavedExactOrder(t *testing.T) {
 	m := newTestManager(t, 8, LeastVIPs)
 	prios := []Priority{
@@ -467,7 +492,7 @@ func TestQueueInterleavedExactOrder(t *testing.T) {
 		reqs[i] = &Request{Op: OpAddVIP, App: 1, Priority: p}
 		m.Submit(reqs[i])
 	}
-	done := m.ProcessAll()
+	done := runQueued(m)
 	// Expected: all highs in submission order, then normals, then lows.
 	var want []*Request
 	for _, p := range []Priority{PriorityHigh, PriorityNormal, PriorityLow} {
@@ -496,7 +521,7 @@ func TestQueueTraceTransitions(t *testing.T) {
 	m.SetTracer(rec)
 	r := &Request{Op: OpAddVIP, App: 7, Priority: PriorityHigh}
 	m.Submit(r)
-	m.ProcessAll()
+	runQueued(m)
 	var types []trace.Type
 	for _, ev := range rec.Events() {
 		if ev.Touches(trace.App(7)) {
