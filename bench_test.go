@@ -17,6 +17,7 @@ import (
 	"megadc/internal/cluster"
 	"megadc/internal/core"
 	"megadc/internal/dnsctl"
+	"megadc/internal/ids"
 	"megadc/internal/lbswitch"
 	"megadc/internal/placement"
 	"megadc/internal/sim"
@@ -67,7 +68,7 @@ func BenchmarkSwitchOpenCloseConn(b *testing.B) {
 func BenchmarkDNSResolve(b *testing.B) {
 	d := dnsctl.New(60)
 	for i := 0; i < 3; i++ {
-		d.Register(1, string(rune('a'+i)), float64(i+1))
+		d.Register(1, string(rune('a'+i)), ids.Index(i), float64(i+1))
 	}
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()

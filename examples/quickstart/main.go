@@ -39,7 +39,8 @@ func main() {
 		app.Name, len(p.Fabric.VIPsOfApp(app.ID)), app.NumInstances())
 	for _, vip := range p.Fabric.VIPsOfApp(app.ID) {
 		home, _ := p.Fabric.HomeOf(vip)
-		links := p.Net.ActiveLinks(string(vip))
+		h, _ := p.Fabric.Handle(vip)
+		links := p.Net.ActiveLinks(h)
 		fmt.Printf("  VIP %s on switch %d, advertised on link %v\n", vip, home, links)
 	}
 

@@ -10,7 +10,6 @@ import (
 
 	"megadc/internal/cluster"
 	"megadc/internal/core"
-	"megadc/internal/lbswitch"
 	"megadc/internal/metrics"
 	"megadc/internal/workload"
 )
@@ -76,11 +75,11 @@ func TestFigure1Topology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vipStr, err := p.DNS.Resolve(app.ID, p.Rand())
+	vi, err := p.DNS.Resolve(app.ID, p.Rand())
 	if err != nil {
 		t.Fatal(err)
 	}
-	vip := lbswitch.VIP(vipStr)
+	vip := p.Fabric.Addr(vi)
 	home, ok := p.Fabric.HomeOf(vip)
 	if !ok {
 		t.Fatalf("resolved VIP %s not homed", vip)

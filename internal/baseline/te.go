@@ -87,8 +87,9 @@ func RunSelectiveExposureTE(cfg TEConfig) TEResult {
 	st := &teState{cfg: cfg, eng: eng}
 	dns := dnsctl.New(cfg.DNSTTLSeconds)
 	const app = 1
-	dns.Register(app, "hot", 1)
-	dns.Register(app, "cold", 0)
+	const hot, cold = 0, 1 // VIP handles
+	dns.Register(app, "hot", hot, 1)
+	dns.Register(app, "cold", cold, 0)
 	pop, err := dnsctl.NewClientPopulation(dns, app, 2000, cfg.ViolatorFraction, cfg.ViolationHoldSec, eng.Rand())
 	if err != nil {
 		panic(fmt.Sprintf("baseline: %v", err))
@@ -102,10 +103,10 @@ func RunSelectiveExposureTE(cfg TEConfig) TEResult {
 	})
 	scheduleArrivals(st, func() string {
 		vip, err := pop.Arrive(eng.Now(), eng.Rand())
-		if err != nil {
+		if err != nil || vip == hot {
 			return "hot"
 		}
-		return vip
+		return "cold"
 	})
 	runTE(st, &res)
 	return res

@@ -9,7 +9,7 @@ import (
 	"errors"
 
 	"megadc/internal/ctrlplane"
-	"megadc/internal/lbswitch"
+	"megadc/internal/ids"
 	"megadc/internal/trace"
 	"megadc/internal/viprip"
 )
@@ -113,12 +113,11 @@ const (
 const globalOwner = -1
 
 // claimKey names one claim: its owner, its kind, and the entity, by ID
-// or, for a drain, by VIP address.
+// or, for a drain, by VIP handle.
 type claimKey struct {
 	owner int32
 	kind  claimKind
 	id    int64
-	vip   lbswitch.VIP
 }
 
 // claimOf names owner's claim on the entity with ID id.
@@ -126,9 +125,10 @@ func claimOf(owner int, k claimKind, id int) claimKey {
 	return claimKey{owner: int32(owner), kind: k, id: int64(id)}
 }
 
-// drainClaim names the global manager's claim on a VIP it drains.
-func drainClaim(vip lbswitch.VIP) claimKey {
-	return claimKey{owner: globalOwner, kind: claimDrain, vip: vip}
+// drainClaim names the global manager's claim on the VIP with handle h,
+// which it drains.
+func drainClaim(h ids.Index) claimKey {
+	return claimKey{owner: globalOwner, kind: claimDrain, id: int64(h)}
 }
 
 // claimTable holds the claims in flight, each with the token it was

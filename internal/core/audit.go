@@ -10,6 +10,7 @@ package core
 //	     the memoized per-switch backend CPU (core)
 //	I4.* fluid+session demand conservation (core, sessions)
 //	I5.* link/switch load decomposition and limits (netmodel, lbswitch)
+//	I6.* request-counter conservation per switch (lbswitch, requests)
 //
 // Violations are structured audit.Violation records, never panics; the
 // Propagate hook (Config.AuditEvery) accumulates them and AuditErr gates
@@ -43,6 +44,7 @@ func (p *Platform) Audit() *audit.Report {
 	p.auditBackendCPU(rep)
 	p.auditConservation(rep)
 	p.auditNetwork(rep)
+	p.auditRequests(rep)
 	p.lastAuditCount = len(rep.Violations)
 	// Flight-recorder integration: attach the per-entity event timeline
 	// to each violation before recording the audit event itself, so the
@@ -86,6 +88,19 @@ func (p *Platform) maybeAudit() {
 			continue
 		}
 		p.auditViolations = append(p.auditViolations, v)
+	}
+}
+
+// auditRequests checks I6: every switch's request counters conserve —
+// each enqueued request was served or is still queued, and the depth
+// stays within [0, high-water] (lbswitch.Switch.CheckReqInvariants).
+// Switches with no request engine attached hold zero counters.
+func (p *Platform) auditRequests(rep *audit.Report) {
+	for i := 0; i < p.Fabric.NumSwitches(); i++ {
+		if err := p.Fabric.Switch(lbswitch.SwitchID(i)).CheckReqInvariants(); err != nil {
+			rep.Addf("lbswitch", "I6.REQ_COUNTERS",
+				"enqueued == served + depth, 0 <= depth <= high-water", err.Error(), "switch %d", i)
+		}
 	}
 }
 
@@ -173,7 +188,7 @@ func (p *Platform) auditVIPRIP(rep *audit.Report) {
 					continue
 				}
 				if hi := p.ripHome[ri]; hi != ids.None {
-					if home := p.vipIx.Key(hi); home != vip {
+					if home := p.Fabric.Addr(hi); home != vip {
 						rep.Addf("viprip", "I1.RIP_HOME_MATCH",
 							fmt.Sprintf("rip %s configured under its home VIP %s", rip, home),
 							string(vip), "switch %d", sw.ID)
@@ -367,31 +382,30 @@ func (p *Platform) auditBackendCPU(rep *audit.Report) {
 // (The per-driver session-outcome conservation lives in
 // sessions.Driver.Audit, which sees the outcome counters.)
 func (p *Platform) auditConservation(rep *audit.Report) {
-	vips := make([]lbswitch.VIP, 0, len(p.vipOwner))
+	vis := make([]ids.Index, 0, len(p.vipOwner))
 	for vi, owner := range p.vipOwner {
-		if owner < 0 {
-			continue
+		if owner >= 0 {
+			vis = append(vis, ids.Index(vi))
 		}
-		vips = append(vips, p.vipIx.Key(ids.Index(vi)))
 	}
-	slices.Sort(vips)
-	for _, vip := range vips {
-		vi, _ := p.vipIx.Lookup(vip)
+	p.sortByAddr(vis)
+	for _, vi := range vis {
+		vip := p.Fabric.Addr(vi)
 		sess := p.sessVIP.get(vi)
 		if sess < 0 {
 			rep.Addf("core", "I4.SESS_NONNEG",
 				"session overlay >= 0", fmt.Sprintf("%v", sess), "vip %s", vip)
 		}
 		want := p.fluidTraffic.get(vi) + sess
-		got := p.Net.VIPTraffic(string(vip))
+		got := p.Net.VIPTraffic(vi)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			rep.Addf("core", "I4.VIP_TRAFFIC_SUM",
 				fmt.Sprintf("traffic == fluid+session == %v", want),
 				fmt.Sprintf("%v", got), "vip %s", vip)
 		}
-		if home, ok := p.Fabric.HomeOf(vip); ok {
+		if home, ok := p.Fabric.Home(vi); ok {
 			wantSw := p.fluidSwLoad.get(vi) + sess
-			gotSw := p.Fabric.Switch(home).VIPLoad(vip)
+			gotSw := p.Fabric.Load(vi)
 			if math.Float64bits(gotSw) != math.Float64bits(wantSw) {
 				rep.Addf("core", "I4.SWITCH_LOAD_SUM",
 					fmt.Sprintf("switch load == fluid+session == %v", wantSw),

@@ -100,7 +100,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	t.Run("I4.VIP_TRAFFIC_SUM", func(t *testing.T) {
 		p, app := auditTestPlatform(t)
 		vip := p.Fabric.VIPsOfApp(app)[0]
-		vi := p.vipIndex(vip)
+		vi := p.handleOf(vip)
 		p.fluidTraffic.set(vi, p.fluidTraffic.get(vi)+1) // ledger no longer matches the network
 		if rep := p.Audit(); !rep.Has("I4.VIP_TRAFFIC_SUM") {
 			t.Fatalf("missing I4.VIP_TRAFFIC_SUM, got:\n%s", rep)
@@ -128,6 +128,18 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			t.Fatalf("missing I5.LINK_OVERLOAD, got:\n%s", rep)
 		}
 	})
+	t.Run("I6.REQ_COUNTERS", func(t *testing.T) {
+		p, _ := auditTestPlatform(t)
+		sw := p.Fabric.Switch(1)
+		sw.NoteReqEnqueued()
+		if rep := p.Audit(); !rep.OK() {
+			t.Fatalf("a queued request is not a violation, got:\n%s", rep)
+		}
+		sw.Req.Served++ // served without leaving the queue
+		if rep := p.Audit(); !rep.Has("I6.REQ_COUNTERS") {
+			t.Fatalf("missing I6.REQ_COUNTERS, got:\n%s", rep)
+		}
+	})
 }
 
 // TestAuditHookAccumulates checks the Propagate-time hook: violations
@@ -152,7 +164,7 @@ func TestAuditHookAccumulates(t *testing.T) {
 		t.Fatalf("clean onboarding accumulated violations: %v", p.AuditViolations())
 	}
 	vip := p.Fabric.VIPsOfApp(a.ID)[0]
-	vi := p.vipIndex(vip)
+	vi := p.handleOf(vip)
 	p.fluidTraffic.set(vi, p.fluidTraffic.get(vi)+3)
 	p.Propagate() // no dirty apps: the corruption survives and the hook sees it
 	vs := p.AuditViolations()

@@ -26,7 +26,7 @@ import (
 //     leaves Healthy (FaultServer, RepairServer).
 //
 // Switch health is not part of the memo: SwitchCPU checks Serving live.
-// Recomputation is the full scan in VIPOrder and RIP order, so a cached
+// Recomputation is the full scan in VIP insertion and RIP order, so a cached
 // value is bit-identical to a fresh scan; audit invariant
 // I3.BACKEND_CPU_CURRENT checks exactly that for every current entry.
 //
@@ -83,10 +83,10 @@ func (bs *BackendScan) SwitchCPU(id lbswitch.SwitchID) float64 {
 func (bs *BackendScan) scan(sw *lbswitch.Switch) float64 {
 	p := bs.p
 	var cpu float64
-	for _, vip := range sw.VIPOrder() {
+	for i := 0; i < sw.NumVIPs(); i++ {
 		bs.rips, bs.tags, bs.mbps = bs.rips[:0], bs.tags[:0], bs.mbps[:0]
 		var err error
-		bs.rips, bs.tags, bs.mbps, err = sw.AppendVIPLoadShareTagged(vip, 0, bs.rips, bs.tags, bs.mbps)
+		bs.rips, bs.tags, bs.mbps, err = p.Fabric.AppendLoadShareTagged(sw.HandleAt(i), 0, bs.rips, bs.tags, bs.mbps)
 		if err != nil {
 			continue
 		}
@@ -123,7 +123,7 @@ func (p *Platform) bumpVMBackend(vm cluster.VMID) {
 	if vi == ids.None {
 		return
 	}
-	if home, ok := p.Fabric.HomeOf(p.vipIx.Key(vi)); ok {
+	if home, ok := p.Fabric.Home(vi); ok {
 		p.bumpBackend(home)
 	}
 }

@@ -90,22 +90,32 @@ func TestRecycleUnusedVIPs(t *testing.T) {
 	vips := p.DNS.VIPs(app.ID)
 	p.DNS.SetWeight(app.ID, vips[0], 0)
 	p.Propagate()
-	oldLinks := p.Net.ActiveLinks(vips[0])
+	oldLinks := p.Net.ActiveLinks(p.handleOf(lbswitchVIP(vips[0])))
 	if len(oldLinks) != 1 {
 		t.Fatal("setup: VIP not advertised once")
 	}
 	// Load the unused VIP's current link with synthetic traffic so it is
 	// definitely not the least-loaded link and recycling must move it.
-	if err := p.Net.Advertise("192.0.2.99", oldLinks[0], false); err != nil {
+	// The synthetic VIP is placed with the reconfiguration hook
+	// detached, so the platform neither owns nor audits it.
+	sw := p.Fabric.Switch(0)
+	hook := sw.OnReconfig
+	sw.OnReconfig = nil
+	if err := p.Fabric.PlaceVIP("192.0.2.99", 999, sw.ID); err != nil {
 		t.Fatal(err)
 	}
-	p.Net.SetVIPTraffic("192.0.2.99", 500)
+	sw.OnReconfig = hook
+	synth := p.handleOf("192.0.2.99")
+	if err := p.Net.Advertise(synth, oldLinks[0], false); err != nil {
+		t.Fatal(err)
+	}
+	p.Net.SetVIPTraffic(synth, 500)
 	p.Global.Step()
 	p.Eng.RunFor(5)
 	if p.Global.VIPRecycles == 0 {
 		t.Fatal("unused VIP not recycled")
 	}
-	newLinks := p.Net.ActiveLinks(vips[0])
+	newLinks := p.Net.ActiveLinks(p.handleOf(lbswitchVIP(vips[0])))
 	if len(newLinks) != 1 {
 		t.Fatalf("recycled VIP advertised %d times", len(newLinks))
 	}
@@ -128,16 +138,16 @@ func TestRecycleSkipsSuppressedAndUsed(t *testing.T) {
 	vips := p.DNS.VIPs(app.ID)
 	// VIPs under a drain claim are left alone even at weight 0.
 	p.DNS.SetWeight(app.ID, vips[0], 0)
-	p.claims.claim(drainClaim(lbswitchVIP(vips[0])))
+	p.claims.claim(drainClaim(p.handleOf(lbswitchVIP(vips[0]))))
 	p.Propagate()
-	before := p.Net.ActiveLinks(vips[0])
+	before := p.Net.ActiveLinks(p.handleOf(lbswitchVIP(vips[0])))
 	recycles := p.Global.VIPRecycles
 	p.Global.Step()
 	p.Eng.RunFor(5)
 	if p.Global.VIPRecycles != recycles {
 		t.Error("suppressed VIP recycled")
 	}
-	after := p.Net.ActiveLinks(vips[0])
+	after := p.Net.ActiveLinks(p.handleOf(lbswitchVIP(vips[0])))
 	if len(before) != len(after) || before[0] != after[0] {
 		t.Error("suppressed VIP moved")
 	}

@@ -86,7 +86,7 @@ func TestSessionOverlayDirect(t *testing.T) {
 	baseVM := p.Cluster.VM(vmID).Demand
 	baseFabric := p.Fabric.TotalThroughputMbps()
 
-	p.SessionOpened(vip, vmID, res)
+	p.SessionOpened(p.handleOf(vip), vmID, res)
 	if got := p.Cluster.VM(vmID).Demand.CPU; math.Abs(got-baseVM.CPU-0.5) > 1e-9 {
 		t.Errorf("VM CPU demand = %v", got)
 	}
@@ -98,7 +98,7 @@ func TestSessionOverlayDirect(t *testing.T) {
 	if got := p.Cluster.VM(vmID).Demand.CPU; math.Abs(got-baseVM.CPU-0.5) > 1e-9 {
 		t.Errorf("after Propagate, VM CPU = %v", got)
 	}
-	p.SessionClosed(vip, vmID, res)
+	p.SessionClosed(p.handleOf(vip), vmID, res)
 	if got := p.Cluster.VM(vmID).Demand.CPU; math.Abs(got-baseVM.CPU) > 1e-9 {
 		t.Errorf("after close, VM CPU = %v", got)
 	}
@@ -118,11 +118,11 @@ func TestSessionClosedAfterVMRemoval(t *testing.T) {
 	vip := p.Fabric.VIPsOfApp(app.ID)[0]
 	vmID := app.VMIDs()[0]
 	res := cluster.Resources{CPU: 0.5, NetMbps: 20}
-	p.SessionOpened(vip, vmID, res)
+	p.SessionOpened(p.handleOf(vip), vmID, res)
 	if err := p.RemoveInstance(vmID); err != nil {
 		t.Fatal(err)
 	}
-	p.SessionClosed(vip, vmID, res) // must not panic or corrupt
+	p.SessionClosed(p.handleOf(vip), vmID, res) // must not panic or corrupt
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSuppressBlocksReconcile(t *testing.T) {
 	vips := p.DNS.VIPs(app.ID)
 	vip := lbswitch.VIP(vips[0])
 	// Drain-style: claim and hide.
-	tok := p.claims.claim(drainClaim(vip))
+	tok := p.claims.claim(drainClaim(p.handleOf(vip)))
 	p.DNS.SetWeight(app.ID, vips[0], 0)
 	// A deploy triggers reconcileExposure; the claimed VIP must stay
 	// hidden even though it has RIPs.
@@ -148,7 +148,7 @@ func TestSuppressBlocksReconcile(t *testing.T) {
 		t.Error("claimed VIP was re-exposed by reconcile")
 	}
 	// Release: the next reconcile re-exposes it.
-	p.claims.release(drainClaim(vip), tok)
+	p.claims.release(drainClaim(p.handleOf(vip)), tok)
 	if _, err := p.DeployInstance(app.ID, p.Cluster.PodIDs()[1]); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestPropagateIdempotent(t *testing.T) {
 	// Add a session overlay for good measure.
 	app0 := p.Cluster.AppIDs()[0]
 	vip := p.Fabric.VIPsOfApp(app0)[0]
-	p.SessionOpened(vip, p.Cluster.App(app0).VMIDs()[0], cluster.Resources{CPU: 0.3, NetMbps: 10})
+	p.SessionOpened(p.handleOf(vip), p.Cluster.App(app0).VMIDs()[0], cluster.Resources{CPU: 0.3, NetMbps: 10})
 
 	snapshot := func() (vm map[cluster.VMID]cluster.Resources, links []float64, fabric float64) {
 		vm = make(map[cluster.VMID]cluster.Resources)

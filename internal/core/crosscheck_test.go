@@ -139,14 +139,14 @@ func runPropagationScenario(t *testing.T, cfg Config, nOps int) *Platform {
 					vm:  vms[rng.Intn(len(vms))],
 					res: cluster.Resources{CPU: rng.Float64(), NetMbps: rng.Float64() * 20},
 				}
-				p.SessionOpened(s.vip, s.vm, s.res)
+				p.SessionOpened(p.handleOf(s.vip), s.vm, s.res)
 				sessions = append(sessions, s)
 			}
 		case 12, 13: // close the oldest open session
 			if len(sessions) > 0 {
 				s := sessions[0]
 				sessions = sessions[1:]
-				p.SessionClosed(s.vip, s.vm, s.res)
+				p.SessionClosed(p.handleOf(s.vip), s.vm, s.res)
 			}
 		}
 		if err := p.CheckInvariants(); err != nil {
@@ -154,7 +154,7 @@ func runPropagationScenario(t *testing.T, cfg Config, nOps int) *Platform {
 		}
 	}
 	for _, s := range sessions {
-		p.SessionClosed(s.vip, s.vm, s.res)
+		p.SessionClosed(p.handleOf(s.vip), s.vm, s.res)
 	}
 	p.Eng.RunFor(120)
 	if err := p.CheckInvariants(); err != nil {

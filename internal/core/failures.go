@@ -156,8 +156,8 @@ func (p *Platform) FaultSwitch(id lbswitch.SwitchID) error {
 	p.traceHealth(trace.SwitchRef(id), health.Healthy, health.FailedUndetected)
 	// A health transition is invisible to the reconfiguration hooks, so
 	// mark every VIP homed on the switch dirty explicitly.
-	for _, vip := range sw.VIPs() {
-		p.markVIPDirty(vip)
+	for i := 0; i < sw.NumVIPs(); i++ {
+		p.markVIPDirty(sw.HandleAt(i))
 	}
 	p.Propagate()
 	return nil
@@ -233,8 +233,8 @@ func (p *Platform) RepairSwitch(id lbswitch.SwitchID) error {
 	sw.Health = health.Healthy
 	p.traceHealth(trace.SwitchRef(id), prev, health.Healthy)
 	// VIPs still homed here (fault never detected) regain reachability.
-	for _, vip := range sw.VIPs() {
-		p.markVIPDirty(vip)
+	for i := 0; i < sw.NumVIPs(); i++ {
+		p.markVIPDirty(sw.HandleAt(i))
 	}
 	p.rehomeOrphanVIPs(sw)
 	p.Propagate()
@@ -257,11 +257,10 @@ func (p *Platform) rehomeOrphanVIPs(sw *lbswitch.Switch) (placed int) {
 				return placed
 			}
 			var rips []lbswitch.RIP
-			if vi, ok := p.vipIx.Lookup(vip); ok {
-				for ri, home := range p.ripHome {
-					if home == vi {
-						rips = append(rips, p.ripIx.Key(ids.Index(ri)))
-					}
+			vi := p.handleOf(vip)
+			for ri, home := range p.ripHome {
+				if home == vi {
+					rips = append(rips, p.ripIx.Key(ids.Index(ri)))
 				}
 			}
 			slices.Sort(rips)
@@ -331,8 +330,8 @@ func (p *Platform) FaultLink(id netmodel.LinkID) error {
 	p.traceHealth(trace.Link(id), health.Healthy, health.FailedUndetected)
 	// A health transition is invisible to the route-change hook, so mark
 	// every VIP advertised over the link dirty explicitly.
-	for _, vip := range p.Net.VIPsOnLink(id) {
-		p.markVIPDirty(lbswitch.VIP(vip))
+	for _, vi := range p.Net.VIPsOnLink(id) {
+		p.markVIPDirty(vi)
 	}
 	p.Propagate()
 	return nil
@@ -400,15 +399,16 @@ func (p *Platform) RepairLink(id netmodel.LinkID) error {
 	p.traceHealth(trace.Link(id), prev, health.Healthy)
 	// VIPs still routed over the link (fault never detected) regain
 	// their share of reachability.
-	for _, vip := range p.Net.VIPsOnLink(id) {
-		p.markVIPDirty(lbswitch.VIP(vip))
+	for _, vi := range p.Net.VIPsOnLink(id) {
+		p.markVIPDirty(vi)
 	}
 	for _, app := range p.DNS.Apps() {
 		for _, vipStr := range p.DNS.VIPs(app) {
-			if len(p.Net.ActiveLinks(vipStr)) > 0 {
+			vi := p.handleOf(lbswitch.VIP(vipStr))
+			if len(p.Net.ActiveLinks(vi)) > 0 {
 				continue
 			}
-			if err := p.Net.Advertise(vipStr, id, false); err != nil {
+			if err := p.Net.Advertise(vi, id, false); err != nil {
 				return err
 			}
 		}

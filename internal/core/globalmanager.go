@@ -7,6 +7,7 @@ import (
 
 	"megadc/internal/cluster"
 	"megadc/internal/ctrlplane"
+	"megadc/internal/ids"
 	"megadc/internal/lbswitch"
 	"megadc/internal/netmodel"
 	"megadc/internal/policy"
@@ -118,9 +119,9 @@ func (g *GlobalManager) balanceAccessLinks() {
 		if excess <= 0 {
 			continue
 		}
-		// Hottest VIPs on the link first.
+		// Hottest VIPs on the link first, ties in address order.
 		vips := g.p.Net.VIPsOnLink(linkID)
-		slices.SortFunc(vips, func(a, b string) int {
+		slices.SortStableFunc(vips, func(a, b ids.Index) int {
 			ta, tb := g.p.Net.VIPTraffic(a), g.p.Net.VIPTraffic(b)
 			if ta != tb {
 				if ta > tb {
@@ -128,13 +129,13 @@ func (g *GlobalManager) balanceAccessLinks() {
 				}
 				return 1
 			}
-			return cmp.Compare(a, b)
+			return 0
 		})
-		for _, vipStr := range vips {
+		for _, vi := range vips {
 			if excess <= 0 {
 				break
 			}
-			moved := g.shiftExposureOffLink(vipStr, linkID)
+			moved := g.shiftExposureOffLink(vi, linkID)
 			excess -= moved
 		}
 	}
@@ -144,9 +145,10 @@ func (g *GlobalManager) balanceAccessLinks() {
 // hot link) and raises the weights of the owning app's VIPs on links
 // below the overload threshold. It returns the traffic expected to move
 // off the hot link.
-func (g *GlobalManager) shiftExposureOffLink(vipStr string, hot netmodel.LinkID) float64 {
-	vip := lbswitch.VIP(vipStr)
-	home, ok := g.p.Fabric.HomeOf(vip)
+func (g *GlobalManager) shiftExposureOffLink(vi ids.Index, hot netmodel.LinkID) float64 {
+	vip := g.p.Fabric.Addr(vi)
+	vipStr := string(vip)
+	home, ok := g.p.Fabric.Home(vi)
 	if !ok {
 		return 0
 	}
@@ -168,14 +170,15 @@ func (g *GlobalManager) shiftExposureOffLink(vipStr string, hot netmodel.LinkID)
 			continue
 		}
 		cold := true
-		for _, l := range g.p.Net.ActiveLinks(v) {
+		active := g.p.Net.ActiveLinks(g.p.handleOf(lbswitch.VIP(v)))
+		for _, l := range active {
 			lk := g.p.Net.Link(l)
 			if !lk.Serving() || lk.Utilization() > cfg.LinkOverloadUtil {
 				cold = false
 				break
 			}
 		}
-		if cold && len(g.p.Net.ActiveLinks(v)) > 0 {
+		if cold && len(active) > 0 {
 			coldIdx = append(coldIdx, i)
 		}
 	}
@@ -187,7 +190,7 @@ func (g *GlobalManager) shiftExposureOffLink(vipStr string, hot netmodel.LinkID)
 	delta := weights[hotIdx] / 2
 	newHot := weights[hotIdx] - delta
 	perCold := delta / float64(len(coldIdx))
-	traffic := g.p.Net.VIPTraffic(vipStr)
+	traffic := g.p.Net.VIPTraffic(vi)
 	// The weight set travels as one message; the generation captured at
 	// send time makes a reordered retry that arrives after some other
 	// decision rewrote this app's record abort instead of clobbering it.
@@ -241,9 +244,10 @@ func (g *GlobalManager) costAwareExposure() {
 	if hot == nil {
 		return
 	}
-	for _, vipStr := range g.p.Net.VIPsOnLink(hot.ID) {
-		vip := lbswitch.VIP(vipStr)
-		home, ok := g.p.Fabric.HomeOf(vip)
+	for _, vi := range g.p.Net.VIPsOnLink(hot.ID) {
+		vip := g.p.Fabric.Addr(vi)
+		vipStr := string(vip)
+		home, ok := g.p.Fabric.Home(vi)
 		if !ok {
 			continue
 		}
@@ -261,7 +265,7 @@ func (g *GlobalManager) costAwareExposure() {
 				hotIdx = i
 				continue
 			}
-			for _, l := range g.p.Net.ActiveLinks(v) {
+			for _, l := range g.p.Net.ActiveLinks(g.p.handleOf(lbswitch.VIP(v))) {
 				link := g.p.Net.Link(l)
 				if link.Serving() && link.CostPerMbps < hot.CostPerMbps && link.Utilization() < cfg.CostShiftCeiling {
 					cheapIdx = i
@@ -337,22 +341,23 @@ func (g *GlobalManager) recycleUnusedVIPs() {
 			continue
 		}
 		for i, vipStr := range vips {
-			if weights[i] != 0 || g.p.Net.VIPTraffic(vipStr) > 0 {
+			vi := g.p.handleOf(lbswitch.VIP(vipStr))
+			if weights[i] != 0 || g.p.Net.VIPTraffic(vi) > 0 {
 				continue
 			}
-			if g.p.claims.held(drainClaim(lbswitch.VIP(vipStr))) {
+			if g.p.claims.held(drainClaim(vi)) {
 				continue // drains manage their own exposure
 			}
-			active := g.p.Net.ActiveLinks(vipStr)
+			active := g.p.Net.ActiveLinks(vi)
 			if len(active) == 1 && isTarget[active[0]] {
 				continue // already parked on a light link
 			}
 			target := targets[rr%len(targets)]
 			rr++
 			for _, l := range active {
-				g.p.Net.Withdraw(vipStr, l)
+				g.p.Net.Withdraw(vi, l)
 			}
-			if err := g.p.Net.Advertise(vipStr, target, false); err == nil {
+			if err := g.p.Net.Advertise(vi, target, false); err == nil {
 				g.VIPRecycles++
 			}
 		}
@@ -377,7 +382,7 @@ func (g *GlobalManager) balanceSwitches() {
 			if excess <= 0 {
 				break
 			}
-			if g.p.claims.held(drainClaim(vip)) {
+			if g.p.claims.held(drainClaim(g.p.handleOf(vip))) {
 				continue
 			}
 			dst := g.pickTransferTarget(sw, vip)
@@ -457,7 +462,7 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 	// The drain spans several actions, so it holds its claim itself:
 	// while held, balanceSwitches picks no second drain for the VIP and
 	// exposure reconciliation leaves its DNS weight alone.
-	key := drainClaim(vip)
+	key := drainClaim(g.p.handleOf(vip))
 	token := g.p.claims.claim(key)
 	// mine reports whether this drain instance still owns the VIP. Every
 	// asynchronous completion below checks it first: over a faulty

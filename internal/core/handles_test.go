@@ -1,0 +1,101 @@
+package core
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestVIPTablesKeyedByHandle is the source guard of the VIP handle
+// design (DESIGN.md §22): non-test code in lbswitch, netmodel, dnsctl
+// and core keys no map by a VIP address — a VIP, a VIPAddr, a string,
+// or a struct of this package holding one of those — except the one
+// address → handle table the fabric owns (lbswitch's vipTable.ix, made
+// by newVIPTable).
+// Per-VIP state lives in slices indexed by the fabric's handles, and
+// core keeps no interner of its own (vipIx) beside them.
+func TestVIPTablesKeyedByHandle(t *testing.T) {
+	isAddr := func(e ast.Expr) bool {
+		switch e := e.(type) {
+		case *ast.Ident:
+			return e.Name == "VIP" || e.Name == "VIPAddr" || e.Name == "string"
+		case *ast.SelectorExpr:
+			return e.Sel.Name == "VIP" || e.Sel.Name == "VIPAddr"
+		}
+		return false
+	}
+	for _, dir := range []string{".", "../lbswitch", "../netmodel", "../dnsctl"} {
+		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fset := token.NewFileSet()
+		var files []*ast.File
+		for _, name := range names {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := parser.ParseFile(fset, name, src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		// Struct types that hold an address, and the one allowed table.
+		addrStructs := make(map[string]bool)
+		allowed := make(map[ast.Node]bool)
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					if isAddr(field.Type) {
+						addrStructs[ts.Name.Name] = true
+					}
+					if dir == "../lbswitch" && ts.Name.Name == "vipTable" && len(field.Names) == 1 && field.Names[0].Name == "ix" {
+						allowed[field.Type] = true
+					}
+				}
+				return true
+			})
+		}
+		if dir == "../lbswitch" && len(allowed) != 1 {
+			t.Errorf("lbswitch: the fabric's address table vipTable.ix is missing")
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					// The table's constructor makes the allowed map.
+					return dir != "../lbswitch" || n.Name.Name != "newVIPTable"
+				case *ast.MapType:
+					key, isIdent := n.Key.(*ast.Ident)
+					if !allowed[n] && (isAddr(n.Key) || isIdent && addrStructs[key.Name]) {
+						t.Errorf("%s: map keyed by a VIP address; key the table by the fabric's VIP handle",
+							fset.Position(n.Pos()))
+					}
+				case *ast.Ident:
+					if dir == "." && n.Name == "vipIx" {
+						t.Errorf("%s: core keeps its own VIP interner; VIP handles come from lbswitch.Fabric",
+							fset.Position(n.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	}
+}

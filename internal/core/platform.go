@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"megadc/internal/audit"
 	"megadc/internal/causal"
@@ -77,16 +80,39 @@ func SmallTopology() Topology {
 	}
 }
 
+// validate rejects physical parameters that would otherwise panic deep
+// in a substrate or quietly poison the model (a NaN TTL makes client
+// caches never expire): the DNS TTL, the access-link capacity and every
+// server capacity component must be positive and finite.
+func (t Topology) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"DNSTTLSeconds", t.DNSTTLSeconds},
+		{"LinkMbps", t.LinkMbps},
+		{"ServerCapacity.CPU", t.ServerCapacity.CPU},
+		{"ServerCapacity.MemMB", t.ServerCapacity.MemMB},
+		{"ServerCapacity.NetMbps", t.ServerCapacity.NetMbps},
+	} {
+		if !(f.v > 0) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: topology %s must be positive and finite, got %v", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Platform is one mega data center under management: all substrates plus
 // the hierarchical managers. Construct with NewPlatform, onboard
 // applications, drive demand, and Run the engine.
 //
 // Hot-path per-entity state lives in dense struct-of-arrays tables (see
-// tables.go): cluster IDs are contiguous by construction, and VIPs/RIPs
-// are interned to contiguous indices on first sight. Interning order is
-// a pure function of the call sequence, so seeded runs intern
-// identically — and nothing observable depends on the order itself
-// (sorted outputs sort by external string key, not intern index).
+// tables.go): cluster IDs are contiguous by construction, VIPs carry the
+// dense handles the Fabric assigns at first placement (DESIGN.md §22),
+// and RIPs are interned to contiguous indices on first sight. Handle and
+// interning order are pure functions of the call sequence, so seeded
+// runs assign identically — and nothing observable depends on the order
+// itself (sorted outputs sort by address, not handle or index).
 type Platform struct {
 	Eng     *sim.Engine
 	Cfg     Config
@@ -116,10 +142,9 @@ type Platform struct {
 	// randomness.
 	pol policy.Bundle
 
-	// Interners: dense indices for the externally string-keyed entities.
-	// Indices are stable and never reused; IPPool address recycling maps
-	// a reused VIP/RIP string back to its existing index.
-	vipIx *ids.Interner[lbswitch.VIP]
+	// ripIx gives RIPs dense indices. Indices are stable and never
+	// reused; IPPool address recycling maps a reused RIP string back to
+	// its existing index. (VIP handles come from the Fabric.)
 	ripIx *ids.Interner[lbswitch.RIP]
 
 	// Demand and slice registries, indexed by AppID. The bitsets are
@@ -132,7 +157,7 @@ type Platform struct {
 
 	// RIP ↔ VM ↔ home-VIP binding tables. ripVM is indexed by RIP index
 	// (-1 = unbound), vmRIP by VMID (ids.None = no RIP), ripHome by RIP
-	// index (VIP index or ids.None).
+	// index (VIP handle or ids.None).
 	ripVM   []cluster.VMID
 	vmRIP   []ids.Index
 	ripHome []ids.Index
@@ -166,15 +191,19 @@ type Platform struct {
 	dirtyScratch   []int32
 	computeScratch []int32
 	appScratch     []int32
-	vipOwner       []cluster.AppID // by VIP index; -1 = unowned
+	vipOwner       []cluster.AppID // by VIP handle; -1 = unowned
 	applied        []appApplied    // by AppID
 	shareCache     []sharesCache   // by AppID
-	fluidTraffic   epochF64        // by VIP index
-	fluidSwLoad    epochF64        // by VIP index
+	fluidTraffic   epochF64        // by VIP handle
+	fluidSwLoad    epochF64        // by VIP handle
 	fluidVM        epochRes        // by VMID
 	propagateTicks int64
 	scratch        propScratch
 	activeScratch  []int32
+
+	// checkBefore and checkAfter are the reusable captures of
+	// Config.PropagateDebugCheck (debugCheckAgainstFull).
+	checkBefore, checkAfter propState
 
 	// Persistent parallel-compute pool (see propagate.go): long-lived
 	// workers signalled per pass, so the parallel path allocates
@@ -189,7 +218,7 @@ type Platform struct {
 	// Session-level demand overlay (see SessionOpened/SessionClosed):
 	// discrete sessions contribute demand on top of the fluid model.
 	sessVM  epochRes // by VMID
-	sessVIP epochF64 // by VIP index
+	sessVIP epochF64 // by VIP handle
 
 	// Pre-failure snapshots, taken at fault time and consumed by the
 	// Repair* paths so components come back with their exact original
@@ -231,14 +260,17 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 	if topo.Switches <= 0 || topo.Pods <= 0 || topo.ServersPerPod <= 0 {
 		return nil, fmt.Errorf("core: topology needs switches, pods, and servers")
 	}
+	if err := topo.validate(); err != nil {
+		return nil, err
+	}
+	fab := lbswitch.NewFabric()
 	p := &Platform{
 		Eng:      eng,
 		Cfg:      cfg,
 		Cluster:  cluster.New(),
-		Fabric:   lbswitch.NewFabric(),
-		Net:      netmodel.New(),
+		Fabric:   fab,
+		Net:      netmodel.New(func(h ids.Index) netmodel.VIPAddr { return string(fab.Addr(h)) }),
 		DNS:      dnsctl.New(topo.DNSTTLSeconds),
-		vipIx:    ids.NewInterner[lbswitch.VIP](0),
 		ripIx:    ids.NewInterner[lbswitch.RIP](0),
 		srvSnap:  make(map[cluster.ServerID]cluster.Resources),
 		swSnap:   make(map[lbswitch.SwitchID]lbswitch.Limits),
@@ -320,7 +352,7 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 	// repropagation (see propagate.go).
 	p.DNS.OnChange = p.markAppDirty
 	p.Cluster.OnVMChange = func(vm *cluster.VM) { p.bumpVMBackend(vm.ID) }
-	p.Net.OnRouteChange = func(vip netmodel.VIPAddr) { p.markVIPDirty(lbswitch.VIP(vip)) }
+	p.Net.OnRouteChange = p.markVIPDirty
 	for i := 0; i < p.Fabric.NumSwitches(); i++ {
 		p.Fabric.Switch(lbswitch.SwitchID(i)).OnReconfig = p.onSwitchReconfig
 	}
@@ -452,8 +484,21 @@ func (p *Platform) Rand() *rand.Rand { return p.Eng.Rand() }
 // so that attaching them never perturbs the engine's main stream.
 func (p *Platform) Seed() int64 { return p.seed }
 
-// vipIndex returns vip's dense index, assigning one on first sight.
-func (p *Platform) vipIndex(vip lbswitch.VIP) ids.Index { return p.vipIx.Intern(vip) }
+// handleOf returns vip's fabric handle, or ids.None for an address that
+// was never placed. Every VIP the platform registers in DNS or routes
+// was placed first, so it has one.
+func (p *Platform) handleOf(vip lbswitch.VIP) ids.Index {
+	if h, ok := p.Fabric.Handle(vip); ok {
+		return h
+	}
+	return ids.None
+}
+
+// sortByAddr sorts VIP handles into lexical address order, the only VIP
+// order the platform lets reach an output (DESIGN.md §22).
+func (p *Platform) sortByAddr(vis []ids.Index) {
+	slices.SortFunc(vis, func(a, b ids.Index) int { return cmp.Compare(p.Fabric.Addr(a), p.Fabric.Addr(b)) })
+}
 
 // appDemandOf returns app's offered demand (zero when none registered).
 func (p *Platform) appDemandOf(app cluster.AppID) Demand {
@@ -504,11 +549,12 @@ func (p *Platform) OnboardApp(name string, slice cluster.Resources, instances in
 		if err != nil {
 			return nil, fmt.Errorf("core: onboarding %s: %w", name, err)
 		}
-		if err := p.DNS.Register(app.ID, string(vip), 1); err != nil {
+		h := p.handleOf(vip)
+		if err := p.DNS.Register(app.ID, string(vip), h, 1); err != nil {
 			return nil, err
 		}
 		link := p.pickAdvertLink()
-		if err := p.Net.Advertise(string(vip), link, false); err != nil {
+		if err := p.Net.Advertise(h, link, false); err != nil {
 			return nil, err
 		}
 	}
@@ -623,7 +669,7 @@ func (p *Platform) DeployInstanceFor(app cluster.AppID, pod cluster.PodID, prefe
 // new binding invalidates.
 func (p *Platform) bindRIP(rip lbswitch.RIP, vm cluster.VMID, vip lbswitch.VIP, home lbswitch.SwitchID) {
 	ri := p.ripIx.Intern(rip)
-	vi := p.vipIndex(vip)
+	vi := p.handleOf(vip)
 	p.ripVM = growFill(p.ripVM, int(ri)+1, cluster.VMID(-1))
 	p.ripVM[ri] = vm
 	p.ripHome = growFill(p.ripHome, int(ri)+1, ids.None)
@@ -642,7 +688,7 @@ func (p *Platform) vipOfVM(vm cluster.VMID) (lbswitch.VIP, bool) {
 	if int(ri) >= len(p.ripHome) || p.ripHome[ri] == ids.None {
 		return "", false
 	}
-	return p.vipIx.Key(p.ripHome[ri]), true
+	return p.Fabric.Addr(p.ripHome[ri]), true
 }
 
 // VIPOfRIP returns the VIP a RIP is configured under.
@@ -651,7 +697,7 @@ func (p *Platform) VIPOfRIP(rip lbswitch.RIP) (lbswitch.VIP, bool) {
 	if !ok || int(ri) >= len(p.ripHome) || p.ripHome[ri] == ids.None {
 		return "", false
 	}
-	return p.vipIx.Key(p.ripHome[ri]), true
+	return p.Fabric.Addr(p.ripHome[ri]), true
 }
 
 // reconcileExposure keeps DNS exposure consistent with serving capacity:
@@ -665,10 +711,11 @@ func (p *Platform) reconcileExposure(app cluster.AppID) {
 	}
 	for i, vipStr := range vips {
 		vip := lbswitch.VIP(vipStr)
-		if p.claims.held(drainClaim(vip)) {
+		vi := p.handleOf(vip)
+		if p.claims.held(drainClaim(vi)) {
 			continue
 		}
-		home, ok := p.Fabric.HomeOf(vip)
+		home, ok := p.Fabric.Home(vi)
 		if !ok {
 			continue
 		}
@@ -746,30 +793,26 @@ func (p *Platform) SetAppDemand(app cluster.AppID, d Demand) {
 func (p *Platform) AppDemand(app cluster.AppID) Demand { return p.appDemandOf(app) }
 
 // SessionOpened records a discrete session's demand: res pinned to the
-// VM it connected to (TCP affinity) and its bandwidth on the VIP it
-// arrived through. Every write below re-evaluates the same canonical
-// fluid+session expression Propagate uses, so session churn leaves the
-// platform in exactly the state a full recompute would build and needs
-// no dirty marking.
-func (p *Platform) SessionOpened(vip lbswitch.VIP, vm cluster.VMID, res cluster.Resources) {
-	vi := p.vipIndex(vip)
+// VM it connected to (TCP affinity) and its bandwidth on the VIP (by
+// fabric handle) it arrived through. Every write below re-evaluates the
+// same canonical fluid+session expression Propagate uses, so session
+// churn leaves the platform in exactly the state a full recompute would
+// build and needs no dirty marking.
+func (p *Platform) SessionOpened(vi ids.Index, vm cluster.VMID, res cluster.Resources) {
 	vmi := ids.Index(vm)
 	p.sessVIP.set(vi, p.sessVIP.get(vi)+res.NetMbps)
 	p.sessVM.add(vmi, res)
 	if v := p.Cluster.VM(vm); v != nil {
 		v.Demand = p.sessVM.get(vmi).Add(p.fluidVM.get(vmi))
 	}
-	p.Net.SetVIPTraffic(string(vip), p.fluidTraffic.get(vi)+p.sessVIP.get(vi))
-	if home, ok := p.Fabric.HomeOf(vip); ok {
-		p.Fabric.Switch(home).SetVIPLoad(vip, p.fluidSwLoad.get(vi)+p.sessVIP.get(vi))
-	}
+	p.Net.SetVIPTraffic(vi, p.fluidTraffic.get(vi)+p.sessVIP.get(vi))
+	p.Fabric.SetLoad(vi, p.fluidSwLoad.get(vi)+p.sessVIP.get(vi))
 	p.markVIPActive(vi)
 }
 
 // SessionClosed reverses SessionOpened when the session ends, writing
 // the same canonical fluid+session sums.
-func (p *Platform) SessionClosed(vip lbswitch.VIP, vm cluster.VMID, res cluster.Resources) {
-	vi := p.vipIndex(vip)
+func (p *Platform) SessionClosed(vi ids.Index, vm cluster.VMID, res cluster.Resources) {
 	vmi := ids.Index(vm)
 	if left := p.sessVIP.get(vi) - res.NetMbps; left <= 1e-12 {
 		p.sessVIP.del(vi)
@@ -785,10 +828,8 @@ func (p *Platform) SessionClosed(vip lbswitch.VIP, vm cluster.VMID, res cluster.
 	if v := p.Cluster.VM(vm); v != nil {
 		v.Demand = p.sessVM.get(vmi).Add(p.fluidVM.get(vmi))
 	}
-	p.Net.SetVIPTraffic(string(vip), p.fluidTraffic.get(vi)+p.sessVIP.get(vi))
-	if home, ok := p.Fabric.HomeOf(vip); ok {
-		p.Fabric.Switch(home).SetVIPLoad(vip, p.fluidSwLoad.get(vi)+p.sessVIP.get(vi))
-	}
+	p.Net.SetVIPTraffic(vi, p.fluidTraffic.get(vi)+p.sessVIP.get(vi))
+	p.Fabric.SetLoad(vi, p.fluidSwLoad.get(vi)+p.sessVIP.get(vi))
 }
 
 // DriveDemand schedules periodic demand updates for app following the
@@ -884,8 +925,8 @@ func (p *Platform) AppServedDemand(app cluster.AppID) (served, demand float64) {
 // that terminate on serving links. Every VIP is advertised at
 // onboarding, so zero active routes means the VIP was withdrawn (or its
 // routes all died): unreachable until re-advertised.
-func (p *Platform) vipReachability(vipStr string) float64 {
-	active, serving := p.Net.RouteCounts(vipStr)
+func (p *Platform) vipReachability(vi ids.Index) float64 {
+	active, serving := p.Net.RouteCounts(vi)
 	if active == 0 {
 		return 0
 	}

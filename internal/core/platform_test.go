@@ -147,6 +147,44 @@ func TestNewPlatformValidation(t *testing.T) {
 	}
 }
 
+// TestNewPlatformRejectsBadTopology: a non-positive or non-finite DNS
+// TTL, link capacity or server capacity component is a construction
+// error. Before, a zero TTL panicked inside dnsctl.New, a NaN TTL made
+// client caches never expire, and a NaN link capacity was accepted.
+func TestNewPlatformRejectsBadTopology(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name   string
+		mutate func(*Topology)
+	}{
+		{"zero TTL", func(t *Topology) { t.DNSTTLSeconds = 0 }},
+		{"negative TTL", func(t *Topology) { t.DNSTTLSeconds = -60 }},
+		{"NaN TTL", func(t *Topology) { t.DNSTTLSeconds = nan }},
+		{"+Inf TTL", func(t *Topology) { t.DNSTTLSeconds = inf }},
+		{"zero link", func(t *Topology) { t.LinkMbps = 0 }},
+		{"NaN link", func(t *Topology) { t.LinkMbps = nan }},
+		{"+Inf link", func(t *Topology) { t.LinkMbps = inf }},
+		{"zero server CPU", func(t *Topology) { t.ServerCapacity.CPU = 0 }},
+		{"NaN server memory", func(t *Topology) { t.ServerCapacity.MemMB = nan }},
+		{"-Inf server network", func(t *Topology) { t.ServerCapacity.NetMbps = math.Inf(-1) }},
+		{"+Inf server CPU", func(t *Topology) { t.ServerCapacity.CPU = inf }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			topo := SmallTopology()
+			c.mutate(&topo)
+			p, err := NewPlatform(topo, testConfig())
+			if err == nil {
+				p.Close()
+				t.Fatalf("%s accepted", c.name)
+			}
+		})
+	}
+	if _, err := NewPlatform(SmallTopology(), testConfig()); err != nil {
+		t.Fatalf("small topology rejected: %v", err)
+	}
+}
+
 func defaultSlice() cluster.Resources {
 	return cluster.Resources{CPU: 1, MemMB: 1024, NetMbps: 100}
 }
@@ -163,7 +201,7 @@ func TestOnboardApp(t *testing.T) {
 		t.Fatalf("VIPs = %d, want %d", len(vips), p.Cfg.VIPsPerApp)
 	}
 	for _, vip := range vips {
-		if got := p.Net.ActiveLinks(string(vip)); len(got) != 1 {
+		if got := p.Net.ActiveLinks(p.handleOf(vip)); len(got) != 1 {
 			t.Errorf("VIP %s advertised on %d links, want 1", vip, len(got))
 		}
 	}

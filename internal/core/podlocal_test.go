@@ -90,7 +90,7 @@ func refWeightScan(pm *PodManager) []weightDecision {
 		if !sw.Serving() {
 			continue
 		}
-		for _, vip := range sw.VIPOrder() {
+		for _, vip := range sw.VIPs() {
 			if w, ok := refDesiredWeights(pm, sw, vip); ok {
 				out = append(out, weightDecision{vip, w})
 			}

@@ -392,11 +392,11 @@ func (pm *PodManager) weightCandidates() []weightCandidate {
 		if i == 0 || vips[i-1] != vi || (i >= 2 && vips[i-2] == vi) {
 			continue
 		}
-		vip := p.vipIx.Key(vi)
-		home, ok := p.Fabric.HomeOf(vip)
+		home, ok := p.Fabric.Home(vi)
 		if !ok {
 			continue
 		}
+		vip := p.Fabric.Addr(vi)
 		sw := p.Fabric.Switch(home)
 		if !sw.Serving() {
 			continue

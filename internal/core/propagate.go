@@ -12,6 +12,7 @@ import (
 	"megadc/internal/cluster"
 	"megadc/internal/ids"
 	"megadc/internal/lbswitch"
+	"megadc/internal/netmodel"
 )
 
 // Incremental demand propagation.
@@ -71,7 +72,7 @@ const parallelThreshold = 64
 
 // appliedVIP records what one Propagate wrote for one VIP of an app.
 type appliedVIP struct {
-	vip     ids.Index // VIP intern index
+	vip     ids.Index // VIP handle
 	traffic float64   // fluid Mbps set on the access network (pre-reachability)
 	swLoad  float64   // fluid Mbps set on the home switch (post-reachability)
 	hasHome bool
@@ -97,7 +98,7 @@ func (r *appApplied) reset() {
 	r.vms = r.vms[:0]
 }
 
-// sharesCache holds an app's DNS expected shares with interned VIPs,
+// sharesCache holds an app's DNS expected shares by VIP handle,
 // invalidated by the DNS record generation (gen 0 = no valid cache).
 // Refreshed only in sequential phases; the compute phase reads it.
 type sharesCache struct {
@@ -153,13 +154,13 @@ func (p *Platform) markAppDirty(app cluster.AppID) {
 	p.dirtyApps.Set(int(app))
 }
 
-// markVIPDirty marks the application owning vip dirty, when known.
-func (p *Platform) markVIPDirty(vip lbswitch.VIP) {
-	vi, ok := p.vipIx.Lookup(vip)
-	if !ok || int(vi) >= len(p.vipOwner) {
+// markVIPDirty marks the application owning the VIP with handle h
+// dirty, when known.
+func (p *Platform) markVIPDirty(h ids.Index) {
+	if h < 0 || int(h) >= len(p.vipOwner) {
 		return
 	}
-	if owner := p.vipOwner[vi]; owner >= 0 {
+	if owner := p.vipOwner[h]; owner >= 0 {
 		p.markAppDirty(owner)
 	}
 }
@@ -168,10 +169,9 @@ func (p *Platform) markVIPDirty(vip lbswitch.VIP) {
 // membership or weight change re-routes that VIP's demand. It also
 // maintains the VIP→owner index (AddVIP always precedes any route or
 // session activity on a VIP, so the index is complete by construction).
-func (p *Platform) onSwitchReconfig(vip lbswitch.VIP, app cluster.AppID) {
-	vi := p.vipIndex(vip)
-	p.vipOwner = growFill(p.vipOwner, int(vi)+1, cluster.AppID(-1))
-	p.vipOwner[vi] = app
+func (p *Platform) onSwitchReconfig(h ids.Index, app cluster.AppID) {
+	p.vipOwner = growFill(p.vipOwner, int(h)+1, cluster.AppID(-1))
+	p.vipOwner[h] = app
 	p.markAppDirty(app)
 }
 
@@ -186,8 +186,8 @@ func (p *Platform) unmarkVIPActive(vi ids.Index) {
 }
 
 // refreshShares revalidates app's DNS share cache against the current
-// record generation. Sequential phases only: it interns VIPs and grows
-// the cache table, both unsafe under the concurrent compute phase.
+// record generation. Sequential phases only: it grows the cache table,
+// unsafe under the concurrent compute phase.
 func (p *Platform) refreshShares(app cluster.AppID) {
 	gen := p.DNS.Gen(app)
 	if gen == 0 {
@@ -207,10 +207,7 @@ func (p *Platform) refreshShares(app cluster.AppID) {
 		return
 	}
 	c.gen = gen
-	c.vips = c.vips[:0]
-	for _, v := range vips {
-		c.vips = append(c.vips, p.vipIndex(lbswitch.VIP(v)))
-	}
+	c.vips = append(c.vips[:0], vips...)
 	c.shares = append(c.shares[:0], shares...)
 }
 
@@ -335,12 +332,9 @@ func (p *Platform) propagateFull() {
 	p.activeScratch = act
 	for _, a := range act {
 		vi := ids.Index(a)
-		vip := p.vipIx.Key(vi)
 		sess := p.sessVIP.get(vi)
-		p.Net.SetVIPTraffic(string(vip), sess)
-		if home, ok := p.Fabric.HomeOf(vip); ok {
-			p.Fabric.Switch(home).SetVIPLoad(vip, sess)
-		}
+		p.Net.SetVIPTraffic(vi, sess)
+		p.Fabric.SetLoad(vi, sess) // a no-op when the VIP lost its home
 		if sess == 0 {
 			p.activeVIPs.Clear(int(vi))
 		}
@@ -436,11 +430,10 @@ func (p *Platform) computeApp(app cluster.AppID, demand Demand, rec *appApplied,
 	}
 	for i, vi := range sc.vips {
 		share := sc.shares[i]
-		vip := p.vipIx.Key(vi)
 		vipMbps := demand.Mbps * share
 		vipCPU := demand.CPU * share
 		av := appliedVIP{vip: vi, traffic: vipMbps, act: vipMbps > 0 || vipCPU > 0}
-		home, ok := p.Fabric.HomeOf(vip)
+		home, ok := p.Fabric.Home(vi)
 		if !ok {
 			rec.vips = append(rec.vips, av)
 			continue
@@ -452,7 +445,7 @@ func (p *Platform) computeApp(app cluster.AppID, demand Demand, rec *appApplied,
 		// demand (av.traffic keeps the full value — the packets do cross
 		// the access links), it just never reaches a VM, which is
 		// exactly the gap the availability accounting measures.
-		reach := p.vipReachability(string(vip))
+		reach := p.vipReachability(vi)
 		if !sw.Serving() {
 			reach = 0
 		}
@@ -464,7 +457,7 @@ func (p *Platform) computeApp(app cluster.AppID, demand Demand, rec *appApplied,
 		if reach == 0 {
 			continue
 		}
-		rips, tags, mbpsShares, err := sw.AppendVIPLoadShareTagged(vip, vipMbps,
+		rips, tags, mbpsShares, err := p.Fabric.AppendLoadShareTagged(vi, vipMbps,
 			scratch.rips[:0], scratch.tags[:0], scratch.mbps[:0])
 		scratch.rips, scratch.tags, scratch.mbps = rips, tags, mbpsShares
 		if err != nil {
@@ -514,15 +507,12 @@ func (p *Platform) vmOfRIP(rip lbswitch.RIP, tag int64) cluster.VMID {
 func (p *Platform) undoApp(rec *appApplied) {
 	for i := range rec.vips {
 		av := &rec.vips[i]
-		vip := p.vipIx.Key(av.vip)
 		sess := p.sessVIP.get(av.vip)
-		p.Net.SetVIPTraffic(string(vip), sess)
+		p.Net.SetVIPTraffic(av.vip, sess)
 		p.fluidTraffic.del(av.vip)
 		// The VIP may have moved switches (or lost its home) since the
-		// ledger was written, so resolve the current home.
-		if home, ok := p.Fabric.HomeOf(vip); ok {
-			p.Fabric.Switch(home).SetVIPLoad(vip, sess)
-		}
+		// ledger was written; SetLoad writes its current home, if any.
+		p.Fabric.SetLoad(av.vip, sess)
 		p.fluidSwLoad.del(av.vip)
 		if sess == 0 {
 			p.unmarkVIPActive(av.vip)
@@ -544,14 +534,11 @@ func (p *Platform) undoApp(rec *appApplied) {
 func (p *Platform) applyRec(rec *appApplied) {
 	for i := range rec.vips {
 		av := &rec.vips[i]
-		vip := p.vipIx.Key(av.vip)
 		sess := p.sessVIP.get(av.vip)
-		p.Net.SetVIPTraffic(string(vip), av.traffic+sess)
+		p.Net.SetVIPTraffic(av.vip, av.traffic+sess)
 		p.fluidTraffic.set(av.vip, av.traffic)
 		if av.hasHome {
-			if home, ok := p.Fabric.HomeOf(vip); ok {
-				p.Fabric.Switch(home).SetVIPLoad(vip, av.swLoad+sess)
-			}
+			p.Fabric.SetLoad(av.vip, av.swLoad+sess)
 			p.fluidSwLoad.set(av.vip, av.swLoad)
 		}
 		if av.act || sess > 0 {
@@ -569,65 +556,80 @@ func (p *Platform) applyRec(rec *appApplied) {
 }
 
 // propState is a bitwise snapshot of everything Propagate writes, used
-// by the debug cross-check.
+// by the debug cross-check: VM demand by VMID (zero for VMs without a
+// RIP), VIP traffic and home-switch load by VIP handle (zero for
+// unowned handles), and every switch throughput and link load. Captures
+// reuse their slices, so checking every call allocates nothing after
+// warm-up.
 type propState struct {
-	vmDemand   map[cluster.VMID]cluster.Resources
-	vipTraffic map[lbswitch.VIP]uint64
-	swVIPLoad  map[lbswitch.VIP]uint64
+	vmDemand   []cluster.Resources
+	vipTraffic []uint64
+	swVIPLoad  []uint64
 	swLoads    []uint64
 	linkLoads  []uint64
 }
 
-func (p *Platform) captureState() *propState {
-	s := &propState{
-		vmDemand:   make(map[cluster.VMID]cluster.Resources),
-		vipTraffic: make(map[lbswitch.VIP]uint64),
-		swVIPLoad:  make(map[lbswitch.VIP]uint64),
-	}
+// capture overwrites s with the platform's current propagated state.
+func (s *propState) capture(p *Platform) {
+	s.vmDemand = s.vmDemand[:0]
 	for vm, ri := range p.vmRIP {
-		if ri == ids.None {
-			continue
+		var d cluster.Resources
+		if ri != ids.None {
+			if v := p.Cluster.VM(cluster.VMID(vm)); v != nil {
+				d = v.Demand
+			}
 		}
-		if v := p.Cluster.VM(cluster.VMID(vm)); v != nil {
-			s.vmDemand[cluster.VMID(vm)] = v.Demand
-		}
+		s.vmDemand = append(s.vmDemand, d)
 	}
+	s.vipTraffic, s.swVIPLoad = s.vipTraffic[:0], s.swVIPLoad[:0]
 	for vi, owner := range p.vipOwner {
-		if owner < 0 {
-			continue
+		var traffic, load float64
+		if owner >= 0 {
+			traffic = p.Net.VIPTraffic(ids.Index(vi))
+			load = p.Fabric.Load(ids.Index(vi))
 		}
-		vip := p.vipIx.Key(ids.Index(vi))
-		s.vipTraffic[vip] = math.Float64bits(p.Net.VIPTraffic(string(vip)))
-		if home, ok := p.Fabric.HomeOf(vip); ok {
-			s.swVIPLoad[vip] = math.Float64bits(p.Fabric.Switch(home).VIPLoad(vip))
-		}
+		s.vipTraffic = append(s.vipTraffic, math.Float64bits(traffic))
+		s.swVIPLoad = append(s.swVIPLoad, math.Float64bits(load))
 	}
+	s.swLoads = s.swLoads[:0]
 	for i := 0; i < p.Fabric.NumSwitches(); i++ {
 		s.swLoads = append(s.swLoads, math.Float64bits(p.Fabric.Switch(lbswitch.SwitchID(i)).ThroughputMbps()))
 	}
-	for _, l := range p.Net.Links() {
+	s.linkLoads = s.linkLoads[:0]
+	for i := 0; ; i++ {
+		l := p.Net.Link(netmodel.LinkID(i))
+		if l == nil {
+			break
+		}
 		s.linkLoads = append(s.linkLoads, math.Float64bits(l.LoadMbps()))
 	}
+}
+
+// captureState returns a fresh snapshot of the propagated state.
+func (p *Platform) captureState() *propState {
+	s := &propState{}
+	s.capture(p)
 	return s
 }
 
 func (a *propState) diff(b *propState) string {
+	if len(a.vmDemand) != len(b.vmDemand) {
+		return fmt.Sprintf("vm count %d != %d", len(a.vmDemand), len(b.vmDemand))
+	}
 	for vm, da := range a.vmDemand {
 		if db := b.vmDemand[vm]; da != db {
 			return fmt.Sprintf("vm %d demand %+v != %+v", vm, da, db)
 		}
 	}
-	if len(a.vmDemand) != len(b.vmDemand) {
-		return fmt.Sprintf("vm count %d != %d", len(a.vmDemand), len(b.vmDemand))
+	if len(a.vipTraffic) != len(b.vipTraffic) {
+		return fmt.Sprintf("vip count %d != %d", len(a.vipTraffic), len(b.vipTraffic))
 	}
-	for vip, ta := range a.vipTraffic {
-		if tb := b.vipTraffic[vip]; ta != tb {
-			return fmt.Sprintf("vip %s traffic %v != %v", vip, math.Float64frombits(ta), math.Float64frombits(tb))
+	for vi := range a.vipTraffic {
+		if ta, tb := a.vipTraffic[vi], b.vipTraffic[vi]; ta != tb {
+			return fmt.Sprintf("vip %d traffic %v != %v", vi, math.Float64frombits(ta), math.Float64frombits(tb))
 		}
-	}
-	for vip, la := range a.swVIPLoad {
-		if lb := b.swVIPLoad[vip]; la != lb {
-			return fmt.Sprintf("vip %s switch load %v != %v", vip, math.Float64frombits(la), math.Float64frombits(lb))
+		if la, lb := a.swVIPLoad[vi], b.swVIPLoad[vi]; la != lb {
+			return fmt.Sprintf("vip %d switch load %v != %v", vi, math.Float64frombits(la), math.Float64frombits(lb))
 		}
 	}
 	for i := range a.swLoads {
@@ -645,11 +647,12 @@ func (a *propState) diff(b *propState) string {
 
 // debugCheckAgainstFull verifies that the incremental pass left exactly
 // the state a full recompute builds, and panics on any bit difference.
+// The two captures live on the platform and are reused.
 func (p *Platform) debugCheckAgainstFull() {
-	before := p.captureState()
+	p.checkBefore.capture(p)
 	p.propagateFull()
-	after := p.captureState()
-	if d := before.diff(after); d != "" {
+	p.checkAfter.capture(p)
+	if d := p.checkBefore.diff(&p.checkAfter); d != "" {
 		panic("core: incremental propagation diverged from full recompute: " + d)
 	}
 }

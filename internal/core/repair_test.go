@@ -328,7 +328,7 @@ func TestRepairLinkReadvertisesDarkVIPs(t *testing.T) {
 		t.Errorf("re-advertised %d VIPs with no other link", readv)
 	}
 	for _, vipStr := range p.DNS.VIPs(app.ID) {
-		if n := len(p.Net.ActiveLinks(vipStr)); n != 0 {
+		if n := len(p.Net.ActiveLinks(p.handleOf(lbswitch.VIP(vipStr)))); n != 0 {
 			t.Errorf("VIP %s kept %d active links", vipStr, n)
 		}
 	}
@@ -340,7 +340,7 @@ func TestRepairLinkReadvertisesDarkVIPs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, vipStr := range p.DNS.VIPs(app.ID) {
-		links := p.Net.ActiveLinks(vipStr)
+		links := p.Net.ActiveLinks(p.handleOf(lbswitch.VIP(vipStr)))
 		if len(links) != 1 || links[0] != netmodel.LinkID(0) {
 			t.Errorf("VIP %s active links after repair = %v", vipStr, links)
 		}

@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"megadc/internal/cluster"
+	"megadc/internal/ids"
 	"megadc/internal/lbswitch"
 )
 
@@ -225,10 +226,11 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 			if err != nil {
 				return fmt.Errorf("core: bulk app %d vip: %w", i, err)
 			}
-			if err := p.DNS.Register(app.ID, string(vip), 1); err != nil {
+			h := p.handleOf(vip)
+			if err := p.DNS.Register(app.ID, string(vip), h, 1); err != nil {
 				return err
 			}
-			if err := p.Net.Advertise(string(vip), p.pickAdvertLink(), false); err != nil {
+			if err := p.Net.Advertise(h, p.pickAdvertLink(), false); err != nil {
 				return err
 			}
 			vips = append(vips, vip)
@@ -259,7 +261,7 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 	// Stage 3 — fabric. Each worker owns whole switches; within one
 	// switch the planned RIPs apply in stage-2 order, so the final
 	// per-switch state is independent of how switches map to workers.
-	hooks := make([]func(lbswitch.VIP, cluster.AppID), nsw)
+	hooks := make([]func(ids.Index, cluster.AppID), nsw)
 	for s := 0; s < nsw; s++ {
 		sw := p.Fabric.Switch(lbswitch.SwitchID(s))
 		hooks[s], sw.OnReconfig = sw.OnReconfig, nil

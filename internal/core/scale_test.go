@@ -63,14 +63,14 @@ func fabricDigest(p *Platform) string {
 	var b strings.Builder
 	var rips []lbswitch.RIP
 	var tags []int64
-	var mbps []float64
+	var weights []float64
 	for i := 0; i < p.Fabric.NumSwitches(); i++ {
 		sw := p.Fabric.Switch(lbswitch.SwitchID(i))
 		fmt.Fprintf(&b, "sw%d reconfigs=%d\n", i, sw.Reconfigs)
-		for _, vip := range sw.VIPOrder() {
-			rips, tags, mbps = rips[:0], tags[:0], mbps[:0]
-			rips, tags, mbps, _ = sw.AppendVIPLoadShareTagged(vip, sw.VIPLoad(vip), rips, tags, mbps)
-			fmt.Fprintf(&b, " %s rips=%v tags=%v mbps=%v\n", vip, rips, tags, mbps)
+		for _, vip := range sw.VIPs() {
+			rips, tags, weights = rips[:0], tags[:0], weights[:0]
+			rips, tags, weights, _ = sw.AppendWeightsTagged(vip, rips, tags, weights)
+			fmt.Fprintf(&b, " %s load=%v rips=%v tags=%v weights=%v\n", vip, sw.VIPLoad(vip), rips, tags, weights)
 		}
 	}
 	return b.String()
@@ -155,9 +155,10 @@ func TestPaperScale300K(t *testing.T) {
 // tier and compares it bit for bit against a full recompute. Zero
 // demands and re-raises take VIPs off their links and back on, and a
 // PropagateFull every 500 calls clears and re-adds everything. The debug
-// cross-check runs on one call in 40 (each costs two state captures and
-// a full recompute, ~30 ms at this tier) and before every PropagateFull;
-// the platform must end with clean invariants and a clean audit.
+// cross-check runs on every call (two slice captures and a full
+// recompute, a few milliseconds at this tier) and before every
+// PropagateFull; the platform must end with clean invariants and a
+// clean audit.
 func TestScaleDemandCrossCheck(t *testing.T) {
 	spec := ScaleSpecFor(2000)
 	p := buildScale(t, spec)
@@ -168,7 +169,7 @@ func TestScaleDemandCrossCheck(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			d = Demand{}
 		}
-		p.Cfg.PropagateDebugCheck = i%40 == 0
+		p.Cfg.PropagateDebugCheck = true
 		p.SetAppDemand(app, d) // panics if incremental diverges from full
 		if i%500 == 0 {
 			p.debugCheckAgainstFull()

@@ -36,7 +36,7 @@ func TestViolationCarriesTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	vip := p.Fabric.VIPsOfApp(a.ID)[0]
-	vi := p.vipIndex(vip)
+	vi := p.handleOf(vip)
 	p.fluidSwLoad.set(vi, p.fluidSwLoad.get(vi)+1) // ledger no longer matches the switch table
 	rep := p.Audit()
 	if rep.OK() {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"megadc/internal/cluster"
+	"megadc/internal/ids"
 )
 
 // ClientPopulation models the resolver caches of a pool of clients for
@@ -30,7 +31,7 @@ type ClientPopulation struct {
 }
 
 type clientCache struct {
-	vip      string
+	vip      ids.Index // handle of the cached answer
 	expiry   float64
 	violator bool
 }
@@ -56,6 +57,7 @@ func NewClientPopulation(dns *DNS, app cluster.AppID, n int, violatorFraction, v
 		clients:          make([]clientCache, n),
 	}
 	for i := range p.clients {
+		p.clients[i].vip = ids.None
 		p.clients[i].expiry = -1 // nothing cached
 		p.clients[i].violator = rng.Float64() < violatorFraction
 	}
@@ -63,18 +65,18 @@ func NewClientPopulation(dns *DNS, app cluster.AppID, n int, violatorFraction, v
 }
 
 // Arrive attributes one session arrival at time t to a random client and
-// returns the VIP the client connects to. The client re-resolves if its
-// cache has expired (violators hold entries longer).
-func (p *ClientPopulation) Arrive(t float64, rng *rand.Rand) (string, error) {
+// returns the handle of the VIP the client connects to. The client
+// re-resolves if its cache has expired (violators hold entries longer).
+func (p *ClientPopulation) Arrive(t float64, rng *rand.Rand) (ids.Index, error) {
 	c := &p.clients[rng.Intn(len(p.clients))]
 	hold := p.dns.TTL()
 	if c.violator {
 		hold += p.violationHold
 	}
-	if c.expiry < 0 || t > c.expiry || c.vip == "" {
+	if c.expiry < 0 || t > c.expiry || c.vip == ids.None {
 		vip, err := p.dns.Resolve(p.app, rng)
 		if err != nil {
-			return "", err
+			return ids.None, err
 		}
 		c.vip = vip
 		c.expiry = t + hold
@@ -83,9 +85,9 @@ func (p *ClientPopulation) Arrive(t float64, rng *rand.Rand) (string, error) {
 }
 
 // UsingVIP returns the fraction of clients whose *currently cached and
-// unexpired* entry (at time t) is vip. Clients with no valid cache count
-// as not using it.
-func (p *ClientPopulation) UsingVIP(vip string, t float64) float64 {
+// unexpired* entry (at time t) is the VIP with handle vip. Clients with
+// no valid cache count as not using it.
+func (p *ClientPopulation) UsingVIP(vip ids.Index, t float64) float64 {
 	n := 0
 	for i := range p.clients {
 		c := &p.clients[i]

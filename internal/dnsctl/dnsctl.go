@@ -9,15 +9,23 @@
 // with TTL-bound caches, including the fraction of clients that violate
 // TTLs (per the paper's citations of Pang et al. and Callahan et al.) —
 // the reason a VIP being drained for transfer keeps receiving stragglers.
+//
+// Each exposure carries the VIP's address and its dense handle (the
+// ids.Index the platform's lbswitch.Fabric assigns, DESIGN.md §22).
+// Management writes name a VIP by address; the per-request path —
+// Resolve, ExpectedShares and the client caches — hands out handles, so
+// a resolution reaches the VIP's switch without hashing an address.
 package dnsctl
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
 	"megadc/internal/cluster"
+	"megadc/internal/ids"
 	"megadc/internal/trace"
 )
 
@@ -32,6 +40,7 @@ var (
 
 type exposure struct {
 	vip    string
+	h      ids.Index
 	weight float64
 }
 
@@ -42,8 +51,8 @@ type record struct {
 
 // DNS is the authoritative DNS of the platform.
 type DNS struct {
-	ttl     float64 // seconds
-	records map[cluster.AppID]*record
+	ttl     float64   // seconds
+	records []*record // indexed by AppID; nil = no record
 
 	// Resolutions counts queries answered; WeightChanges counts exposure
 	// reconfigurations (an agility/complexity output for E4/E5).
@@ -74,10 +83,18 @@ func (d *DNS) SetTracer(r *trace.Recorder) { d.tracer = r }
 // every change, or 0 when the app has no record. Caches of derived
 // values (e.g. expected shares) stay valid while the generation holds.
 func (d *DNS) Gen(app cluster.AppID) int64 {
-	if r := d.records[app]; r != nil {
+	if r := d.record(app); r != nil {
 		return r.gen
 	}
 	return 0
+}
+
+// record returns app's record, or nil.
+func (d *DNS) record(app cluster.AppID) *record {
+	if app < 0 || int(app) >= len(d.records) {
+		return nil
+	}
+	return d.records[app]
 }
 
 func (d *DNS) changed(app cluster.AppID, r *record) {
@@ -87,25 +104,34 @@ func (d *DNS) changed(app cluster.AppID, r *record) {
 	}
 }
 
-// New returns a DNS with the given record TTL in seconds.
+// New returns a DNS with the given record TTL in seconds. It panics
+// unless the TTL is positive and finite: a NaN TTL would make client
+// caches never expire.
 func New(ttlSeconds float64) *DNS {
-	if ttlSeconds <= 0 {
-		panic("dnsctl: TTL must be positive")
+	if !(ttlSeconds > 0) || math.IsInf(ttlSeconds, 0) {
+		panic("dnsctl: TTL must be positive and finite")
 	}
-	return &DNS{ttl: ttlSeconds, records: make(map[cluster.AppID]*record)}
+	return &DNS{ttl: ttlSeconds}
 }
 
 // TTL returns the record TTL in seconds.
 func (d *DNS) TTL() float64 { return d.ttl }
 
-// Register adds a VIP for app with the given exposure weight (0 hides
-// the VIP from resolution while keeping it registered).
-func (d *DNS) Register(app cluster.AppID, vip string, weight float64) error {
+// Register adds the VIP with address vip and handle h for app with the
+// given exposure weight (0 hides the VIP from resolution while keeping
+// it registered).
+func (d *DNS) Register(app cluster.AppID, vip string, h ids.Index, weight float64) error {
 	if weight < 0 {
 		return fmt.Errorf("dnsctl: negative weight %v", weight)
 	}
-	r := d.records[app]
+	if app < 0 {
+		return fmt.Errorf("%w: %d", ErrNoApp, app)
+	}
+	r := d.record(app)
 	if r == nil {
+		if int(app) >= len(d.records) {
+			d.records = append(d.records, make([]*record, int(app)+1-len(d.records))...)
+		}
 		r = &record{}
 		d.records[app] = r
 	}
@@ -114,14 +140,14 @@ func (d *DNS) Register(app cluster.AppID, vip string, weight float64) error {
 			return fmt.Errorf("%w: %s", ErrDupVIP, vip)
 		}
 	}
-	r.vips = append(r.vips, exposure{vip: vip, weight: weight})
+	r.vips = append(r.vips, exposure{vip: vip, h: h, weight: weight})
 	d.changed(app, r)
 	return nil
 }
 
 // Unregister removes a VIP from app's record.
 func (d *DNS) Unregister(app cluster.AppID, vip string) error {
-	r := d.records[app]
+	r := d.record(app)
 	if r == nil {
 		return fmt.Errorf("%w: %d", ErrNoApp, app)
 	}
@@ -141,7 +167,7 @@ func (d *DNS) SetWeight(app cluster.AppID, vip string, weight float64) error {
 	if weight < 0 {
 		return fmt.Errorf("dnsctl: negative weight %v", weight)
 	}
-	r := d.records[app]
+	r := d.record(app)
 	if r == nil {
 		return fmt.Errorf("%w: %d", ErrNoApp, app)
 	}
@@ -177,13 +203,9 @@ func (d *DNS) SetWeightIfGen(app cluster.AppID, vip string, weight float64, gen 
 // ExposeOnly sets weight 1 on the listed VIPs and 0 on all of app's
 // other VIPs.
 func (d *DNS) ExposeOnly(app cluster.AppID, vips ...string) error {
-	r := d.records[app]
+	r := d.record(app)
 	if r == nil {
 		return fmt.Errorf("%w: %d", ErrNoApp, app)
-	}
-	keep := make(map[string]bool, len(vips))
-	for _, v := range vips {
-		keep[v] = true
 	}
 	for _, v := range vips {
 		found := false
@@ -200,7 +222,7 @@ func (d *DNS) ExposeOnly(app cluster.AppID, vips ...string) error {
 	dirty := false
 	for i := range r.vips {
 		w := 0.0
-		if keep[r.vips[i].vip] {
+		if slices.Contains(vips, r.vips[i].vip) {
 			w = 1.0
 		}
 		if r.vips[i].weight != w {
@@ -217,7 +239,7 @@ func (d *DNS) ExposeOnly(app cluster.AppID, vips ...string) error {
 
 // Weights returns app's VIPs and exposure weights in registration order.
 func (d *DNS) Weights(app cluster.AppID) (vips []string, weights []float64, err error) {
-	r := d.records[app]
+	r := d.record(app)
 	if r == nil {
 		return nil, nil, fmt.Errorf("%w: %d", ErrNoApp, app)
 	}
@@ -230,17 +252,18 @@ func (d *DNS) Weights(app cluster.AppID) (vips []string, weights []float64, err 
 
 // Apps returns every application with a DNS record, sorted.
 func (d *DNS) Apps() []cluster.AppID {
-	out := make([]cluster.AppID, 0, len(d.records))
-	for app := range d.records {
-		out = append(out, app)
+	var out []cluster.AppID
+	for app, r := range d.records {
+		if r != nil {
+			out = append(out, cluster.AppID(app))
+		}
 	}
-	slices.Sort(out)
 	return out
 }
 
 // VIPs returns app's registered VIPs sorted.
 func (d *DNS) VIPs(app cluster.AppID) []string {
-	r := d.records[app]
+	r := d.record(app)
 	if r == nil {
 		return nil
 	}
@@ -253,40 +276,40 @@ func (d *DNS) VIPs(app cluster.AppID) []string {
 }
 
 // Resolve answers one query for app with a weighted choice among the
-// exposed (weight > 0) VIPs.
-func (d *DNS) Resolve(app cluster.AppID, rng *rand.Rand) (string, error) {
-	r := d.records[app]
+// exposed (weight > 0) VIPs, returning the chosen VIP's handle.
+func (d *DNS) Resolve(app cluster.AppID, rng *rand.Rand) (ids.Index, error) {
+	r := d.record(app)
 	if r == nil {
-		return "", fmt.Errorf("%w: %d", ErrNoApp, app)
+		return ids.None, fmt.Errorf("%w: %d", ErrNoApp, app)
 	}
 	var total float64
 	for _, e := range r.vips {
 		total += e.weight
 	}
 	if total <= 0 {
-		return "", fmt.Errorf("%w: app %d", ErrNoExposed, app)
+		return ids.None, fmt.Errorf("%w: app %d", ErrNoExposed, app)
 	}
 	d.Resolutions++
 	x := rng.Float64() * total
 	for _, e := range r.vips {
 		x -= e.weight
 		if x < 0 && e.weight > 0 {
-			return e.vip, nil
+			return e.h, nil
 		}
 	}
 	// Numeric edge: return the last exposed VIP.
 	for i := len(r.vips) - 1; i >= 0; i-- {
 		if r.vips[i].weight > 0 {
-			return r.vips[i].vip, nil
+			return r.vips[i].h, nil
 		}
 	}
-	return "", fmt.Errorf("%w: app %d", ErrNoExposed, app)
+	return ids.None, fmt.Errorf("%w: app %d", ErrNoExposed, app)
 }
 
 // ExpectedShares returns the steady-state fraction of resolutions each
-// registered VIP receives, in registration order.
-func (d *DNS) ExpectedShares(app cluster.AppID) (vips []string, shares []float64, err error) {
-	r := d.records[app]
+// registered VIP receives, with the VIPs' handles, in registration order.
+func (d *DNS) ExpectedShares(app cluster.AppID) (vips []ids.Index, shares []float64, err error) {
+	r := d.record(app)
 	if r == nil {
 		return nil, nil, fmt.Errorf("%w: %d", ErrNoApp, app)
 	}
@@ -295,7 +318,7 @@ func (d *DNS) ExpectedShares(app cluster.AppID) (vips []string, shares []float64
 		total += e.weight
 	}
 	for _, e := range r.vips {
-		vips = append(vips, e.vip)
+		vips = append(vips, e.h)
 		if total > 0 {
 			shares = append(shares, e.weight/total)
 		} else {

@@ -4,17 +4,29 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"megadc/internal/ids"
 )
 
+// testVIPs names the tests' VIPs: a VIP's handle is its index here.
+var testVIPs = []string{"v1", "v2", "a", "b", "c", "old", "new"}
+
+func hOf(vip string) ids.Index { return ids.Index(slices.Index(testVIPs, vip)) }
+
 func TestNewTTLValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New(0) did not panic")
-		}
-	}()
-	New(0)
+	for _, ttl := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%v) did not panic", ttl)
+				}
+			}()
+			New(ttl)
+		}()
+	}
 }
 
 func TestRegisterResolve(t *testing.T) {
@@ -22,19 +34,19 @@ func TestRegisterResolve(t *testing.T) {
 	if d.TTL() != 60 {
 		t.Errorf("TTL = %v", d.TTL())
 	}
-	if err := d.Register(1, "v1", 1); err != nil {
+	if err := d.Register(1, "v1", hOf("v1"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Register(1, "v1", 1); !errors.Is(err, ErrDupVIP) {
+	if err := d.Register(1, "v1", hOf("v1"), 1); !errors.Is(err, ErrDupVIP) {
 		t.Errorf("dup err = %v", err)
 	}
-	if err := d.Register(1, "v2", -1); err == nil {
+	if err := d.Register(1, "v2", hOf("v2"), -1); err == nil {
 		t.Error("negative weight accepted")
 	}
 	rng := rand.New(rand.NewSource(1))
 	vip, err := d.Resolve(1, rng)
-	if err != nil || vip != "v1" {
-		t.Errorf("Resolve = %q,%v", vip, err)
+	if err != nil || vip != hOf("v1") {
+		t.Errorf("Resolve = %d,%v", vip, err)
 	}
 	if _, err := d.Resolve(99, rng); !errors.Is(err, ErrNoApp) {
 		t.Errorf("missing app err = %v", err)
@@ -46,10 +58,10 @@ func TestRegisterResolve(t *testing.T) {
 
 func TestResolveWeighted(t *testing.T) {
 	d := New(60)
-	d.Register(1, "a", 1)
-	d.Register(1, "b", 3)
+	d.Register(1, "a", hOf("a"), 1)
+	d.Register(1, "b", hOf("b"), 3)
 	rng := rand.New(rand.NewSource(2))
-	counts := map[string]int{}
+	counts := map[ids.Index]int{}
 	const n = 40000
 	for i := 0; i < n; i++ {
 		vip, err := d.Resolve(1, rng)
@@ -58,22 +70,22 @@ func TestResolveWeighted(t *testing.T) {
 		}
 		counts[vip]++
 	}
-	if frac := float64(counts["b"]) / n; math.Abs(frac-0.75) > 0.02 {
+	if frac := float64(counts[hOf("b")]) / n; math.Abs(frac-0.75) > 0.02 {
 		t.Errorf("b fraction = %v, want ≈0.75", frac)
 	}
 }
 
 func TestZeroWeightHidden(t *testing.T) {
 	d := New(60)
-	d.Register(1, "a", 1)
-	d.Register(1, "b", 0)
+	d.Register(1, "a", hOf("a"), 1)
+	d.Register(1, "b", hOf("b"), 0)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {
 		vip, err := d.Resolve(1, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vip == "b" {
+		if vip == hOf("b") {
 			t.Fatal("zero-weight VIP resolved")
 		}
 	}
@@ -86,7 +98,7 @@ func TestZeroWeightHidden(t *testing.T) {
 
 func TestSetWeightAndChanges(t *testing.T) {
 	d := New(60)
-	d.Register(1, "a", 1)
+	d.Register(1, "a", hOf("a"), 1)
 	if err := d.SetWeight(1, "a", 2); err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +123,9 @@ func TestSetWeightAndChanges(t *testing.T) {
 
 func TestExposeOnly(t *testing.T) {
 	d := New(60)
-	d.Register(1, "a", 1)
-	d.Register(1, "b", 1)
-	d.Register(1, "c", 0)
+	d.Register(1, "a", hOf("a"), 1)
+	d.Register(1, "b", hOf("b"), 1)
+	d.Register(1, "c", hOf("c"), 0)
 	if err := d.ExposeOnly(1, "c"); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +143,7 @@ func TestExposeOnly(t *testing.T) {
 
 func TestUnregister(t *testing.T) {
 	d := New(60)
-	d.Register(1, "a", 1)
+	d.Register(1, "a", hOf("a"), 1)
 	if err := d.Unregister(1, "a"); err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +166,9 @@ func TestApps(t *testing.T) {
 	if got := d.Apps(); len(got) != 0 {
 		t.Errorf("empty Apps = %v", got)
 	}
-	d.Register(3, "a", 1)
-	d.Register(1, "b", 1)
-	d.Register(2, "c", 1)
+	d.Register(3, "a", hOf("a"), 1)
+	d.Register(1, "b", hOf("b"), 1)
+	d.Register(2, "c", hOf("c"), 1)
 	got := d.Apps()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("Apps = %v, want sorted [1 2 3]", got)
@@ -165,13 +177,13 @@ func TestApps(t *testing.T) {
 
 func TestExpectedShares(t *testing.T) {
 	d := New(60)
-	d.Register(1, "a", 1)
-	d.Register(1, "b", 3)
+	d.Register(1, "a", hOf("a"), 1)
+	d.Register(1, "b", hOf("b"), 3)
 	vips, shares, err := d.ExpectedShares(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vips[0] != "a" || shares[0] != 0.25 || shares[1] != 0.75 {
+	if vips[0] != hOf("a") || shares[0] != 0.25 || shares[1] != 0.75 {
 		t.Errorf("shares = %v %v", vips, shares)
 	}
 	d.SetWeight(1, "a", 0)
@@ -187,7 +199,7 @@ func TestExpectedShares(t *testing.T) {
 
 func TestClientPopulationCaching(t *testing.T) {
 	d := New(10)
-	d.Register(1, "old", 1)
+	d.Register(1, "old", hOf("old"), 1)
 	rng := rand.New(rand.NewSource(4))
 	p, err := NewClientPopulation(d, 1, 500, 0, 0, rng)
 	if err != nil {
@@ -199,23 +211,23 @@ func TestClientPopulationCaching(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := p.UsingVIP("old", 1); got < 0.99 {
+	if got := p.UsingVIP(hOf("old"), 1); got < 0.99 {
 		t.Fatalf("warm fraction = %v", got)
 	}
 	// Switch exposure to a new VIP.
-	d.Register(1, "new", 1)
+	d.Register(1, "new", hOf("new"), 1)
 	d.ExposeOnly(1, "new")
 	// Before TTL expiry, cached clients still go to old.
 	for i := 0; i < 2000; i++ {
 		vip, _ := p.Arrive(5, rng)
-		if vip != "old" {
+		if vip != hOf("old") {
 			t.Fatal("client re-resolved before TTL expiry")
 		}
 	}
 	// After TTL expiry, arrivals re-resolve to new.
 	for i := 0; i < 2000; i++ {
 		vip, _ := p.Arrive(11, rng)
-		if vip != "new" {
+		if vip != hOf("new") {
 			t.Fatal("client used stale entry past TTL with no violators")
 		}
 	}
@@ -223,7 +235,7 @@ func TestClientPopulationCaching(t *testing.T) {
 
 func TestClientPopulationViolators(t *testing.T) {
 	d := New(10)
-	d.Register(1, "old", 1)
+	d.Register(1, "old", hOf("old"), 1)
 	rng := rand.New(rand.NewSource(5))
 	p, err := NewClientPopulation(d, 1, 2000, 0.3, 100, rng)
 	if err != nil {
@@ -232,14 +244,14 @@ func TestClientPopulationViolators(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		p.Arrive(0, rng)
 	}
-	d.Register(1, "new", 1)
+	d.Register(1, "new", hOf("new"), 1)
 	d.ExposeOnly(1, "new")
 	// At t=15 (past TTL=10, within violation hold), only violators
 	// should still hit old.
 	oldCount, n := 0, 20000
 	for i := 0; i < n; i++ {
 		vip, _ := p.Arrive(15, rng)
-		if vip == "old" {
+		if vip == hOf("old") {
 			oldCount++
 		}
 	}
@@ -282,12 +294,11 @@ func TestPropertyResolveRespectsWeights(t *testing.T) {
 			weights = weights[:12]
 		}
 		d := New(30)
-		exposed := make(map[string]bool)
+		exposed := make(map[ids.Index]bool)
 		for i, w := range weights {
-			vip := string(rune('a' + i))
-			d.Register(1, vip, float64(w))
+			d.Register(1, string(rune('a'+i)), ids.Index(i), float64(w))
 			if w > 0 {
-				exposed[vip] = true
+				exposed[ids.Index(i)] = true
 			}
 		}
 		rng := rand.New(rand.NewSource(seed))
@@ -297,7 +308,7 @@ func TestPropertyResolveRespectsWeights(t *testing.T) {
 				return len(exposed) == 0 && errors.Is(err, ErrNoExposed)
 			}
 			if !exposed[vip] {
-				t.Logf("resolved hidden VIP %q", vip)
+				t.Logf("resolved hidden VIP %d", vip)
 				return false
 			}
 		}

@@ -13,8 +13,9 @@ import (
 func Example() {
 	dns := dnsctl.New(60) // 60-second TTL
 	const app = 1
-	dns.Register(app, "vip-on-hot-link", 1)
-	dns.Register(app, "vip-on-cold-link", 1)
+	const hotVIP, coldVIP = 0, 1 // handles, as the platform's fabric assigns them
+	dns.Register(app, "vip-on-hot-link", hotVIP, 1)
+	dns.Register(app, "vip-on-cold-link", coldVIP, 1)
 
 	// The hot link overloads: stop exposing its VIP.
 	dns.SetWeight(app, "vip-on-hot-link", 0)
@@ -23,7 +24,7 @@ func Example() {
 	hot := 0
 	for i := 0; i < 100; i++ {
 		vip, _ := dns.Resolve(app, rng)
-		if vip == "vip-on-hot-link" {
+		if vip == hotVIP {
 			hot++
 		}
 	}

@@ -149,7 +149,11 @@ func RunE5(o Options) (*metrics.Table, *E5Result, error) {
 }
 
 // readvertise moves a VIP's single advertisement to the target link.
-func readvertise(p *core.Platform, vip string, target netmodel.LinkID) error {
+func readvertise(p *core.Platform, addr string, target netmodel.LinkID) error {
+	vip, ok := p.Fabric.Handle(lbswitch.VIP(addr))
+	if !ok {
+		return fmt.Errorf("exp: e5: VIP %s was never placed", addr)
+	}
 	for _, l := range p.Net.AllLinks(vip) {
 		if l == target {
 			return nil

@@ -58,8 +58,9 @@ func runDrain(seed int64, ttl, violatorFrac, arrivalRate, meanSession, horizon f
 	eng := sim.New(seed)
 	dns := dnsctl.New(ttl)
 	const app = 1
-	dns.Register(app, "hot", 1)
-	dns.Register(app, "other", 1)
+	const hot, otherVIP = 0, 1 // VIP handles
+	dns.Register(app, "hot", hot, 1)
+	dns.Register(app, "other", otherVIP, 1)
 	pop, err := dnsctl.NewClientPopulation(dns, app, 1000, violatorFrac, horizon*2, eng.Rand())
 	if err != nil {
 		return E6Row{}, err
@@ -84,11 +85,11 @@ func runDrain(seed int64, ttl, violatorFrac, arrivalRate, meanSession, horizon f
 		}
 		vip, err := pop.Arrive(eng.Now(), eng.Rand())
 		if err == nil {
-			target := sw
-			if vip == "other" {
-				target = other
+			target, addr := sw, lbswitch.VIP("hot")
+			if vip == otherVIP {
+				target, addr = other, "other"
 			}
-			if id, _, err := target.OpenConn(lbswitch.VIP(vip), eng.Rand()); err == nil {
+			if id, _, err := target.OpenConn(addr, eng.Rand()); err == nil {
 				row.SessionsServed++
 				dur := eng.Rand().ExpFloat64() * meanSession
 				eng.After(dur, func() { target.CloseConn(id) })

@@ -1,9 +1,11 @@
 // Package ids provides the dense integer-ID machinery behind the
-// paper-scale data path (DESIGN.md §13): an interning layer that assigns
-// contiguous indices to externally-keyed entities (VIPs, RIPs) so
-// hot-path state can live in flat struct-of-arrays tables indexed by
-// slice offset instead of pointer-heavy maps, and a bitset used for
-// dirty sets and membership flags.
+// paper-scale data path (DESIGN.md §13): the Index type every dense
+// handle uses (VIP handles, which lbswitch.Fabric assigns, DESIGN.md
+// §22), an interning layer that assigns contiguous indices to
+// externally-keyed entities (RIPs) so hot-path state can live in flat
+// struct-of-arrays tables indexed by slice offset instead of
+// pointer-heavy maps, and a bitset used for dirty sets and membership
+// flags.
 //
 // Interned indices are assigned in first-seen order and are never
 // reused or compacted: an entity that disappears keeps its index, and

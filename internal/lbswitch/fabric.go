@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"megadc/internal/cluster"
+	"megadc/internal/ids"
 	"megadc/internal/trace"
 )
 
@@ -15,10 +16,16 @@ import (
 // (knob B, Section IV-B): because every LB switch connects to every
 // border router, a VIP can be moved internally with no external route
 // re-advertisement.
+//
+// The fabric owns the VIP address table (DESIGN.md §22): it gives every
+// VIP a dense handle the first time the address is placed, and it is
+// the only place that maps address ↔ handle. A VIP's home is the switch
+// its table entry sits on, so the handle-taking methods (Home, SetLoad,
+// Load, AppendLoadShareTagged) reach it without hashing the address.
 type Fabric struct {
 	switches []*Switch // indexed by SwitchID (dense, assigned by AddSwitch)
-	vipHome  map[VIP]SwitchID
-	appVIPs  map[cluster.AppID]map[VIP]struct{} // per-app VIP index
+	tab      *vipTable
+	appVIPs  [][]ids.Index // per-app VIP handles, indexed by AppID
 
 	// Transfers counts successful dynamic VIP transfers; BrokenConns
 	// counts connections broken by forced transfers.
@@ -39,17 +46,12 @@ var ErrVIPExists = errors.New("lbswitch: VIP already homed in fabric")
 var ErrVIPUnknown = errors.New("lbswitch: VIP not homed in fabric")
 
 // NewFabric returns an empty fabric.
-func NewFabric() *Fabric {
-	return &Fabric{
-		vipHome: make(map[VIP]SwitchID),
-		appVIPs: make(map[cluster.AppID]map[VIP]struct{}),
-	}
-}
+func NewFabric() *Fabric { return &Fabric{tab: newVIPTable()} }
 
 // AddSwitch creates a switch with the given limits and adds it to the pool.
 func (f *Fabric) AddSwitch(limits Limits) *Switch {
 	id := SwitchID(len(f.switches))
-	sw := NewSwitch(id, limits)
+	sw := newSwitch(id, limits, f.tab)
 	f.switches = append(f.switches, sw)
 	return sw
 }
@@ -75,7 +77,7 @@ func (f *Fabric) Switches() []*Switch {
 func (f *Fabric) NumSwitches() int { return len(f.switches) }
 
 // NumVIPs returns the number of VIPs homed in the fabric.
-func (f *Fabric) NumVIPs() int { return len(f.vipHome) }
+func (f *Fabric) NumVIPs() int { return f.tab.live }
 
 // NumRIPs returns the total RIP entries across all switches.
 func (f *Fabric) NumRIPs() int {
@@ -86,17 +88,75 @@ func (f *Fabric) NumRIPs() int {
 	return n
 }
 
-// HomeOf returns the switch currently hosting vip.
-func (f *Fabric) HomeOf(vip VIP) (SwitchID, bool) {
-	id, ok := f.vipHome[vip]
-	return id, ok
+// Handle returns vip's handle, or false when vip was never placed. A
+// handle outlives its VIP's removal: placing the address again reuses it.
+func (f *Fabric) Handle(vip VIP) (ids.Index, bool) {
+	h, ok := f.tab.ix[vip]
+	return h, ok
 }
 
-// PlaceVIP configures vip for app on the given switch and records the
-// home mapping.
+// Addr returns the address of handle h. It panics when h was never
+// assigned, exactly like an out-of-range slice index.
+func (f *Fabric) Addr(h ids.Index) VIP { return f.tab.addrs[h] }
+
+// HomeOf returns the switch currently hosting vip.
+func (f *Fabric) HomeOf(vip VIP) (SwitchID, bool) {
+	if e := f.tab.lookup(vip); e != nil {
+		return e.sw.ID, true
+	}
+	return 0, false
+}
+
+// Home returns the switch currently hosting the VIP with handle h.
+func (f *Fabric) Home(h ids.Index) (SwitchID, bool) {
+	if e := f.tab.at(h); e != nil {
+		return e.sw.ID, true
+	}
+	return 0, false
+}
+
+// SetLoad sets the fluid offered load of the VIP with handle h on its
+// home switch (Switch.SetVIPLoad by handle). An unhomed VIP returns
+// ErrVIPUnknown itself, unwrapped, so callers that skip unhomed VIPs
+// pay no allocation.
+func (f *Fabric) SetLoad(h ids.Index, mbps float64) error {
+	e := f.tab.at(h)
+	if e == nil {
+		return ErrVIPUnknown
+	}
+	return e.setLoad(mbps)
+}
+
+// Load returns the fluid offered load of the VIP with handle h (0 when
+// it is not homed).
+func (f *Fabric) Load(h ids.Index) float64 {
+	if e := f.tab.at(h); e != nil {
+		return e.loadMbps
+	}
+	return 0
+}
+
+// AppendLoadShareTagged is Switch.AppendVIPLoadShare by handle, on the
+// VIP's home switch (ErrVIPUnknown when it has none), that also appends
+// each RIP's tag (-1 when unset) so the hot path resolves RIP → VM by
+// dense index instead of a string-keyed lookup per RIP.
+func (f *Fabric) AppendLoadShareTagged(h ids.Index, load float64, rips []RIP, tags []int64, mbps []float64) ([]RIP, []int64, []float64, error) {
+	e := f.tab.at(h)
+	if e == nil {
+		return rips, tags, mbps, ErrVIPUnknown
+	}
+	rips, tags, mbps = e.appendLoadShareTagged(load, rips, tags, mbps)
+	return rips, tags, mbps, nil
+}
+
+// PlaceVIP configures vip for app on the given switch, assigning vip's
+// handle on first placement.
 func (f *Fabric) PlaceVIP(vip VIP, app cluster.AppID, sw SwitchID) error {
-	if _, ok := f.vipHome[vip]; ok {
+	if f.tab.lookup(vip) != nil {
 		return fmt.Errorf("%w: %s", ErrVIPExists, vip)
+	}
+	if app < 0 {
+		return fmt.Errorf("lbswitch: VIP %s for negative app %d", vip, app)
 	}
 	s := f.Switch(sw)
 	if s == nil {
@@ -105,13 +165,10 @@ func (f *Fabric) PlaceVIP(vip VIP, app cluster.AppID, sw SwitchID) error {
 	if err := s.AddVIP(vip, app); err != nil {
 		return err
 	}
-	f.vipHome[vip] = sw
-	set := f.appVIPs[app]
-	if set == nil {
-		set = make(map[VIP]struct{})
-		f.appVIPs[app] = set
+	if int(app) >= len(f.appVIPs) {
+		f.appVIPs = append(f.appVIPs, make([][]ids.Index, int(app)+1-len(f.appVIPs))...)
 	}
-	set[vip] = struct{}{}
+	f.appVIPs[app] = append(f.appVIPs[app], f.tab.ix[vip])
 	f.tracer.Record(trace.EvPlaceVIP, 0, 0, trace.VIP(vip), trace.App(app), trace.SwitchRef(sw))
 	return nil
 }
@@ -119,24 +176,19 @@ func (f *Fabric) PlaceVIP(vip VIP, app cluster.AppID, sw SwitchID) error {
 // DropVIP removes vip from its home switch. Active connections block the
 // removal unless force is set.
 func (f *Fabric) DropVIP(vip VIP, force bool) error {
-	home, ok := f.vipHome[vip]
-	if !ok {
+	e := f.tab.lookup(vip)
+	if e == nil {
 		return fmt.Errorf("%w: %s", ErrVIPUnknown, vip)
 	}
-	sw := f.Switch(home)
-	app, hasApp := sw.AppOf(vip)
-	broken, err := sw.RemoveVIP(vip, force)
+	home, app, h := e.sw.ID, e.app, e.h
+	broken, err := e.sw.RemoveVIP(vip, force)
 	if err != nil {
 		return err
 	}
 	f.BrokenConns += int64(broken)
-	delete(f.vipHome, vip)
-	if hasApp {
-		if set := f.appVIPs[app]; set != nil {
-			delete(set, vip)
-			if len(set) == 0 {
-				delete(f.appVIPs, app)
-			}
+	if int(app) < len(f.appVIPs) {
+		if i := slices.Index(f.appVIPs[app], h); i >= 0 {
+			f.appVIPs[app] = slices.Delete(f.appVIPs[app], i, i+1)
 		}
 	}
 	f.tracer.Record(trace.EvDropVIP, float64(broken), 0, trace.VIP(vip), trace.SwitchRef(home))
@@ -150,10 +202,11 @@ func (f *Fabric) DropVIP(vip VIP, force bool) error {
 // with ErrActiveConns unless either the VIP is quiescent or force is set
 // (breaking the remaining sessions, whose count is tallied).
 func (f *Fabric) TransferVIP(vip VIP, dst SwitchID, force bool) error {
-	home, ok := f.vipHome[vip]
-	if !ok {
+	e := f.tab.lookup(vip)
+	if e == nil {
 		return fmt.Errorf("%w: %s", ErrVIPUnknown, vip)
 	}
+	home := e.sw.ID
 	if home == dst {
 		return nil
 	}
@@ -170,7 +223,7 @@ func (f *Fabric) TransferVIP(vip VIP, dst SwitchID, force bool) error {
 	// dense RIP → VM resolution survives VIP moves (same package, so the
 	// entry is reachable directly; this is bookkeeping, not reconfig).
 	tags := make([]int64, 0, len(rips))
-	for _, re := range from.vips[vip].rips {
+	for _, re := range e.rips {
 		tags = append(tags, re.tag)
 	}
 	if from.VIPConns(vip) > 0 && !force {
@@ -197,14 +250,13 @@ func (f *Fabric) TransferVIP(vip VIP, dst SwitchID, force bool) error {
 		if err := to.AddRIP(vip, rip, weights[i]); err != nil {
 			return fmt.Errorf("lbswitch: transfer RIP re-add failed: %w", err)
 		}
-		to.setTag(to.vips[vip].ripIndex[rip], tags[i])
+		to.setTag(to.entry(vip).ripIndex[rip], tags[i])
 	}
 	if load > 0 {
 		if err := to.SetVIPLoad(vip, load); err != nil {
 			return err
 		}
 	}
-	f.vipHome[vip] = dst
 	f.Transfers++
 	f.tracer.Record(trace.EvTransferVIP, float64(broken), 0,
 		trace.VIP(vip), trace.SwitchRef(home), trace.SwitchRef(dst))
@@ -215,13 +267,12 @@ func (f *Fabric) TransferVIP(vip VIP, dst SwitchID, force bool) error {
 // from the per-app index, so cost scales with the app's own VIP count,
 // not the fabric-wide total.
 func (f *Fabric) VIPsOfApp(app cluster.AppID) []VIP {
-	set := f.appVIPs[app]
-	if len(set) == 0 {
+	if app < 0 || int(app) >= len(f.appVIPs) || len(f.appVIPs[app]) == 0 {
 		return nil
 	}
-	out := make([]VIP, 0, len(set))
-	for vip := range set {
-		out = append(out, vip)
+	out := make([]VIP, 0, len(f.appVIPs[app]))
+	for _, h := range f.appVIPs[app] {
+		out = append(out, f.tab.addrs[h])
 	}
 	slices.Sort(out)
 	return out
@@ -255,49 +306,56 @@ func (f *Fabric) AggregateCapacityMbps() float64 {
 	return sum
 }
 
-// CheckInvariants validates every switch plus the home index.
+// CheckInvariants validates every switch plus the address table and
+// the per-app index.
 func (f *Fabric) CheckInvariants() error {
 	for _, s := range f.switches {
+		if s.tab != f.tab {
+			return fmt.Errorf("fabric: switch %d has its own address table", s.ID)
+		}
 		if err := s.CheckInvariants(); err != nil {
 			return err
 		}
 	}
-	for vip, home := range f.vipHome {
-		s := f.Switch(home)
-		if s == nil {
-			return fmt.Errorf("fabric: VIP %s homed on unknown switch %d", vip, home)
+	if len(f.tab.ix) != len(f.tab.addrs) || len(f.tab.entry) != len(f.tab.addrs) {
+		return fmt.Errorf("fabric: address table sizes %d/%d/%d differ", len(f.tab.ix), len(f.tab.addrs), len(f.tab.entry))
+	}
+	live, indexed := 0, 0
+	for h, e := range f.tab.entry {
+		vip := f.tab.addrs[h]
+		if f.tab.ix[vip] != ids.Index(h) {
+			return fmt.Errorf("fabric: VIP %s maps to handle %d, not %d", vip, f.tab.ix[vip], h)
 		}
-		if !s.HasVIP(vip) {
-			return fmt.Errorf("fabric: VIP %s homed on switch %d which lacks it", vip, home)
+		if e == nil {
+			continue
 		}
-		app, ok := s.AppOf(vip)
-		if !ok {
-			return fmt.Errorf("fabric: VIP %s has no owning app on switch %d", vip, home)
+		live++
+		if f.Switch(e.sw.ID) != e.sw {
+			return fmt.Errorf("fabric: VIP %s homed on unknown switch %d", vip, e.sw.ID)
 		}
-		if _, ok := f.appVIPs[app][vip]; !ok {
-			return fmt.Errorf("fabric: VIP %s missing from app %d index", vip, app)
+		if int(e.app) >= len(f.appVIPs) || !slices.Contains(f.appVIPs[e.app], e.h) {
+			return fmt.Errorf("fabric: VIP %s missing from app %d index", vip, e.app)
 		}
 	}
-	// Every configured VIP must be in the home index exactly once, and
-	// the per-app index must not hold strays.
+	for app, hs := range f.appVIPs {
+		indexed += len(hs)
+		for _, h := range hs {
+			if e := f.tab.at(h); e == nil || e.app != cluster.AppID(app) {
+				return fmt.Errorf("fabric: app %d index holds unhomed VIP %s", app, f.tab.addrs[h])
+			}
+		}
+	}
+	// Every configured VIP must be in the table exactly once, and the
+	// per-app index must not hold strays.
 	n := 0
 	for _, s := range f.switches {
 		n += s.NumVIPs()
 	}
-	if n != len(f.vipHome) {
-		return fmt.Errorf("fabric: %d VIPs configured on switches, %d homed", n, len(f.vipHome))
+	if n != live || live != f.tab.live {
+		return fmt.Errorf("fabric: %d VIPs configured on switches, %d homed", n, live)
 	}
-	idx := 0
-	for _, set := range f.appVIPs {
-		idx += len(set)
-		for vip := range set {
-			if _, ok := f.vipHome[vip]; !ok {
-				return fmt.Errorf("fabric: app index holds unhomed VIP %s", vip)
-			}
-		}
-	}
-	if idx != len(f.vipHome) {
-		return fmt.Errorf("fabric: app index holds %d VIPs, %d homed", idx, len(f.vipHome))
+	if indexed != live {
+		return fmt.Errorf("fabric: app index holds %d VIPs, %d homed", indexed, live)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package lbswitch
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -210,5 +211,67 @@ func TestPropertyFabricTransfers(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(7))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFabricHandles: the fabric assigns a VIP's handle at its first
+// placement and keeps it across transfers, drops and re-placement; the
+// handle-taking methods reach the same entry as the address-taking ones.
+func TestFabricHandles(t *testing.T) {
+	f := newTestFabric(2)
+	if _, ok := f.Handle("v"); ok {
+		t.Fatal("unplaced VIP has a handle")
+	}
+	f.PlaceVIP("w", 1, 1)
+	f.PlaceVIP("v", 1, 0)
+	h, ok := f.Handle("v")
+	if !ok || h != 1 || f.Addr(h) != "v" {
+		t.Fatalf("Handle(v) = %d,%v, Addr = %q", h, ok, f.Addr(h))
+	}
+	f.Switch(0).AddRIP("v", "r1", 1)
+	f.Switch(0).AddRIP("v", "r2", 3)
+	if err := f.SetLoad(h, 40); err != nil {
+		t.Fatal(err)
+	}
+	if home, ok := f.Home(h); !ok || home != 0 || f.Load(h) != 40 || f.Switch(0).VIPLoad("v") != 40 {
+		t.Errorf("Home/Load = %d,%v,%v", home, ok, f.Load(h))
+	}
+	rips, tags, mbps, err := f.AppendLoadShareTagged(h, 8, nil, nil, nil)
+	wantRIPs, wantMbps, _ := f.Switch(0).AppendVIPLoadShare("v", 8, nil, nil)
+	if err != nil || !slices.Equal(rips, wantRIPs) || !slices.Equal(mbps, wantMbps) || !slices.Equal(tags, []int64{-1, -1}) {
+		t.Errorf("AppendLoadShareTagged = %v %v %v %v", rips, tags, mbps, err)
+	}
+	if err := f.TransferVIP("v", 1, false); err != nil {
+		t.Fatal(err)
+	}
+	if home, _ := f.Home(h); home != 1 || f.Load(h) != 40 {
+		t.Errorf("after transfer: home %d load %v", home, f.Load(h))
+	}
+	if err := f.DropVIP("v", false); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := f.Home(h); ok || f.Load(h) != 0 {
+		t.Error("dropped VIP still homed by handle")
+	}
+	if err := f.SetLoad(h, 1); !errors.Is(err, ErrVIPUnknown) {
+		t.Errorf("SetLoad on a dropped VIP: %v", err)
+	}
+	if _, _, _, err := f.AppendLoadShareTagged(h, 1, nil, nil, nil); !errors.Is(err, ErrVIPUnknown) {
+		t.Errorf("AppendLoadShareTagged on a dropped VIP: %v", err)
+	}
+	if err := f.PlaceVIP("v", 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := f.Handle("v"); again != h {
+		t.Errorf("re-placed VIP got handle %d, want %d", again, h)
+	}
+	if err := f.PlaceVIP("x", -1, 0); err == nil {
+		t.Error("negative app accepted")
+	}
+	if err := f.Switch(1).AddVIP("v", 2); !errors.Is(err, ErrDupVIP) {
+		t.Errorf("VIP configured on a second switch of the fabric: %v", err)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

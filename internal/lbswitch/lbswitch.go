@@ -15,6 +15,7 @@
 package lbswitch
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -23,6 +24,7 @@ import (
 
 	"megadc/internal/cluster"
 	"megadc/internal/health"
+	"megadc/internal/ids"
 )
 
 // VIP is a virtual IP address (externally routable).
@@ -108,20 +110,66 @@ type ripEntry struct {
 }
 
 type vipEntry struct {
+	h        ids.Index // the VIP's handle in its address table
+	sw       *Switch   // the switch the VIP is configured on
 	app      cluster.AppID
 	rips     []*ripEntry // kept in insertion order for determinism
 	ripIndex map[RIP]*ripEntry
 	conns    int
 	loadMbps float64 // fluid offered load
-	// seq is the VIP's insertion sequence on this switch. vipOrder is
-	// append-only and removals keep the survivors' order, so ascending
-	// seq is exactly vipOrder order.
+	// seq is the VIP's insertion sequence on this switch. Switch.vips
+	// is append-only and removals keep the survivors' order, so
+	// ascending seq is exactly insertion order.
 	seq uint64
 }
 
 type conn struct {
-	vip VIP
+	h   ids.Index
 	rip RIP
+}
+
+// vipTable is the VIP address book a fabric shares with its switches
+// (DESIGN.md §22): the one address → handle map, and per handle the
+// address and the VIP's entry on the switch it is configured on. A
+// handle is a dense int32 assigned the first time an address is placed
+// and never reused, so per-VIP state elsewhere can live in slices
+// indexed by it. Handles are assigned only by AddVIP, which runs in
+// sequential code; everything else only reads the table.
+type vipTable struct {
+	ix    map[VIP]ids.Index
+	addrs []VIP
+	entry []*vipEntry // nil while the VIP is on no switch
+	live  int         // non-nil entries
+}
+
+func newVIPTable() *vipTable { return &vipTable{ix: make(map[VIP]ids.Index)} }
+
+// intern returns vip's handle, assigning the next one on first sight.
+func (t *vipTable) intern(vip VIP) ids.Index {
+	if h, ok := t.ix[vip]; ok {
+		return h
+	}
+	h := ids.Index(len(t.addrs))
+	t.ix[vip] = h
+	t.addrs = append(t.addrs, vip)
+	t.entry = append(t.entry, nil)
+	return h
+}
+
+// at returns the configured entry of handle h, or nil.
+func (t *vipTable) at(h ids.Index) *vipEntry {
+	if h < 0 || int(h) >= len(t.entry) {
+		return nil
+	}
+	return t.entry[h]
+}
+
+// lookup returns vip's configured entry, or nil.
+func (t *vipTable) lookup(vip VIP) *vipEntry {
+	if h, ok := t.ix[vip]; ok {
+		return t.entry[h]
+	}
+	return nil
 }
 
 // Switch is one L4 load-balancing switch.
@@ -133,18 +181,18 @@ type Switch struct {
 	// black-hole the traffic of every VIP still homed on them.
 	Health health.State
 
-	vips      map[VIP]*vipEntry
-	vipOrder  []VIP // insertion order for deterministic iteration
+	tab       *vipTable   // shared with the fabric; private to a lone switch
+	vips      []*vipEntry // configured VIPs in insertion order
 	nextSeq   uint64
 	totalRIPs int
 	conns     map[ConnID]conn
 	nextConn  ConnID
 
 	// Cached canonical throughput: the sum of per-VIP fluid loads in
-	// vipOrder, recomputed lazily after a load or membership change. The
-	// fixed summation order keeps ThroughputMbps independent of map
-	// iteration and update history, which incremental demand propagation
-	// relies on for bit-exact results.
+	// insertion order, recomputed lazily after a load or membership
+	// change. The fixed summation order keeps ThroughputMbps independent
+	// of update history, which incremental demand propagation relies on
+	// for bit-exact results.
 	loadSum  float64
 	sumValid bool
 
@@ -162,10 +210,10 @@ type Switch struct {
 
 	// OnReconfig, when set, is called after every configuration change
 	// that can shift how the VIP's demand lands (VIP/RIP add/remove,
-	// weight change), with the affected VIP and its owning application.
-	// The platform uses it to mark the application dirty for incremental
-	// demand propagation.
-	OnReconfig func(vip VIP, app cluster.AppID)
+	// weight change), with the affected VIP's handle and its owning
+	// application. The platform uses it to mark the application dirty
+	// for incremental demand propagation.
+	OnReconfig func(h ids.Index, app cluster.AppID)
 
 	// Req accumulates request-queue telemetry when a request engine is
 	// attached (see reqstats.go). Zero-valued and untouched otherwise.
@@ -181,14 +229,33 @@ func (s *Switch) Serving() bool { return s.Health.Serving() }
 // nothing else (not on weight, load, connection or health changes).
 func (s *Switch) BackendGen() uint64 { return s.backendGen }
 
-// NewSwitch returns a switch with the given limits.
+// NewSwitch returns a switch with the given limits and its own VIP
+// address table. Switches of a fabric share the fabric's table instead
+// (Fabric.AddSwitch).
 func NewSwitch(id SwitchID, limits Limits) *Switch {
+	return newSwitch(id, limits, newVIPTable())
+}
+
+func newSwitch(id SwitchID, limits Limits, tab *vipTable) *Switch {
 	return &Switch{
 		ID:     id,
 		Limits: limits,
-		vips:   make(map[VIP]*vipEntry),
+		tab:    tab,
 		conns:  make(map[ConnID]conn),
 	}
+}
+
+// entry returns vip's entry when vip is configured on this switch.
+func (s *Switch) entry(vip VIP) *vipEntry {
+	if e := s.tab.lookup(vip); e != nil && e.sw == s {
+		return e
+	}
+	return nil
+}
+
+// noVIP is the error for an address not configured on the switch.
+func (s *Switch) noVIP(vip VIP) error {
+	return fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
 }
 
 // NumVIPs returns the number of configured VIPs.
@@ -201,12 +268,12 @@ func (s *Switch) NumRIPs() int { return s.totalRIPs }
 func (s *Switch) NumConns() int { return len(s.conns) }
 
 // HasVIP reports whether vip is configured on the switch.
-func (s *Switch) HasVIP(vip VIP) bool { _, ok := s.vips[vip]; return ok }
+func (s *Switch) HasVIP(vip VIP) bool { return s.entry(vip) != nil }
 
 // AppOf returns the application a configured VIP belongs to.
 func (s *Switch) AppOf(vip VIP) (cluster.AppID, bool) {
-	e, ok := s.vips[vip]
-	if !ok {
+	e := s.entry(vip)
+	if e == nil {
 		return 0, false
 	}
 	return e.app, true
@@ -214,44 +281,49 @@ func (s *Switch) AppOf(vip VIP) (cluster.AppID, bool) {
 
 // VIPs returns the configured VIPs in insertion order.
 func (s *Switch) VIPs() []VIP {
-	out := make([]VIP, len(s.vipOrder))
-	copy(out, s.vipOrder)
+	out := make([]VIP, len(s.vips))
+	for i, e := range s.vips {
+		out[i] = s.tab.addrs[e.h]
+	}
 	return out
 }
 
-// VIPOrder returns the switch's VIPs in insertion order as a read-only
-// view of the internal slice — no copy, so allocation-free scans over
-// every switch (capacity refresh in the request engine) can use it. The
-// caller must not mutate it or hold it across configuration changes.
-func (s *Switch) VIPOrder() []VIP { return s.vipOrder }
+// HandleAt returns the handle of the i-th configured VIP in insertion
+// order, i in [0, NumVIPs). Allocation-free scans over a switch's VIPs
+// (the platform's backend capacity scan) index with it.
+func (s *Switch) HandleAt(i int) ids.Index { return s.vips[i].h }
 
 // VIPSeq returns vip's insertion sequence on the switch: VIPs in
-// ascending VIPSeq are in VIPOrder order, so a caller holding a subset
-// of the switch's VIPs can sort it into scan order without the scan.
+// ascending VIPSeq are in VIPs order, so a caller holding a subset of
+// the switch's VIPs can sort it into scan order without the scan.
 func (s *Switch) VIPSeq(vip VIP) (uint64, bool) {
-	e, ok := s.vips[vip]
-	if !ok {
+	e := s.entry(vip)
+	if e == nil {
 		return 0, false
 	}
 	return e.seq, true
 }
 
-// AddVIP configures a new VIP owned by app.
+// AddVIP configures a new VIP owned by app. A VIP is configured on at
+// most one switch of a fabric at a time.
 func (s *Switch) AddVIP(vip VIP, app cluster.AppID) error {
-	if _, ok := s.vips[vip]; ok {
-		return fmt.Errorf("%w: %s on switch %d", ErrDupVIP, vip, s.ID)
+	if e := s.tab.lookup(vip); e != nil {
+		return fmt.Errorf("%w: %s on switch %d", ErrDupVIP, vip, e.sw.ID)
 	}
 	if len(s.vips) >= s.Limits.MaxVIPs {
 		return fmt.Errorf("%w: switch %d at %d", ErrVIPLimit, s.ID, s.Limits.MaxVIPs)
 	}
-	s.vips[vip] = &vipEntry{app: app, ripIndex: make(map[RIP]*ripEntry), seq: s.nextSeq}
+	h := s.tab.intern(vip)
+	e := &vipEntry{h: h, sw: s, app: app, ripIndex: make(map[RIP]*ripEntry), seq: s.nextSeq}
+	s.tab.entry[h] = e
+	s.tab.live++
 	s.nextSeq++
-	s.vipOrder = append(s.vipOrder, vip)
+	s.vips = append(s.vips, e)
 	s.sumValid = false
 	s.backendGen++
 	s.Reconfigs++
 	if s.OnReconfig != nil {
-		s.OnReconfig(vip, app)
+		s.OnReconfig(h, app)
 	}
 	return nil
 }
@@ -260,41 +332,40 @@ func (s *Switch) AddVIP(vip VIP, app cluster.AppID) error {
 // if connections are still using the VIP, unless force is set, in which
 // case the connections are broken and their count returned.
 func (s *Switch) RemoveVIP(vip VIP, force bool) (broken int, err error) {
-	e, ok := s.vips[vip]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
+	e := s.entry(vip)
+	if e == nil {
+		return 0, s.noVIP(vip)
 	}
 	if e.conns > 0 && !force {
 		return 0, fmt.Errorf("%w: %s has %d", ErrActiveConns, vip, e.conns)
 	}
 	broken = e.conns
-	for id, c := range s.conns {
-		if c.vip == vip {
-			delete(s.conns, id)
+	if broken > 0 {
+		for id, c := range s.conns {
+			if c.h == e.h {
+				delete(s.conns, id)
+			}
 		}
 	}
 	s.totalRIPs -= len(e.rips)
-	delete(s.vips, vip)
-	for i, v := range s.vipOrder {
-		if v == vip {
-			s.vipOrder = append(s.vipOrder[:i], s.vipOrder[i+1:]...)
-			break
-		}
-	}
+	i, _ := slices.BinarySearchFunc(s.vips, e.seq, func(x *vipEntry, seq uint64) int { return cmp.Compare(x.seq, seq) })
+	s.vips = slices.Delete(s.vips, i, i+1)
+	s.tab.entry[e.h] = nil
+	s.tab.live--
 	s.sumValid = false
 	s.backendGen++
 	s.Reconfigs++
 	if s.OnReconfig != nil {
-		s.OnReconfig(vip, e.app)
+		s.OnReconfig(e.h, e.app)
 	}
 	return broken, nil
 }
 
 // AddRIP adds a RIP with the given positive weight to vip's group.
 func (s *Switch) AddRIP(vip VIP, rip RIP, weight float64) error {
-	e, ok := s.vips[vip]
-	if !ok {
-		return fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
+	e := s.entry(vip)
+	if e == nil {
+		return s.noVIP(vip)
 	}
 	if !validWeight(weight) {
 		return fmt.Errorf("%w: %v", ErrBadWeight, weight)
@@ -312,7 +383,7 @@ func (s *Switch) AddRIP(vip VIP, rip RIP, weight float64) error {
 	s.backendGen++
 	s.Reconfigs++
 	if s.OnReconfig != nil {
-		s.OnReconfig(vip, e.app)
+		s.OnReconfig(e.h, e.app)
 	}
 	return nil
 }
@@ -320,9 +391,9 @@ func (s *Switch) AddRIP(vip VIP, rip RIP, weight float64) error {
 // RemoveRIP removes a RIP from vip's group. Connections bound to the RIP
 // are broken (a real switch would drop them); the count is returned.
 func (s *Switch) RemoveRIP(vip VIP, rip RIP) (broken int, err error) {
-	e, ok := s.vips[vip]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
+	e := s.entry(vip)
+	if e == nil {
+		return 0, s.noVIP(vip)
 	}
 	re, ok := e.ripIndex[rip]
 	if !ok {
@@ -330,7 +401,7 @@ func (s *Switch) RemoveRIP(vip VIP, rip RIP) (broken int, err error) {
 	}
 	broken = re.conns
 	for id, c := range s.conns {
-		if c.vip == vip && c.rip == rip {
+		if c.h == e.h && c.rip == rip {
 			delete(s.conns, id)
 		}
 	}
@@ -346,7 +417,7 @@ func (s *Switch) RemoveRIP(vip VIP, rip RIP) (broken int, err error) {
 	s.backendGen++
 	s.Reconfigs++
 	if s.OnReconfig != nil {
-		s.OnReconfig(vip, e.app)
+		s.OnReconfig(e.h, e.app)
 	}
 	return broken, nil
 }
@@ -354,9 +425,9 @@ func (s *Switch) RemoveRIP(vip VIP, rip RIP) (broken int, err error) {
 // SetWeight programmatically changes a RIP's load-balancing weight
 // (paper knob F, Section IV-F).
 func (s *Switch) SetWeight(vip VIP, rip RIP, weight float64) error {
-	e, ok := s.vips[vip]
-	if !ok {
-		return fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
+	e := s.entry(vip)
+	if e == nil {
+		return s.noVIP(vip)
 	}
 	re, ok := e.ripIndex[rip]
 	if !ok {
@@ -368,7 +439,7 @@ func (s *Switch) SetWeight(vip VIP, rip RIP, weight float64) error {
 	re.weight = weight
 	s.Reconfigs++
 	if s.OnReconfig != nil {
-		s.OnReconfig(vip, e.app)
+		s.OnReconfig(e.h, e.app)
 	}
 	return nil
 }
@@ -378,9 +449,9 @@ func (s *Switch) SetWeight(vip VIP, rip RIP, weight float64) error {
 // no OnReconfig callback. It does move the backend generation, since
 // the tag names the instance behind the RIP.
 func (s *Switch) SetRIPTag(vip VIP, rip RIP, tag int64) error {
-	e, ok := s.vips[vip]
-	if !ok {
-		return fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
+	e := s.entry(vip)
+	if e == nil {
+		return s.noVIP(vip)
 	}
 	re, ok := e.ripIndex[rip]
 	if !ok {
@@ -399,9 +470,9 @@ func (s *Switch) setTag(re *ripEntry, tag int64) {
 
 // Weights returns the RIPs and weights of vip's group in insertion order.
 func (s *Switch) Weights(vip VIP) (rips []RIP, weights []float64, err error) {
-	e, ok := s.vips[vip]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
+	e := s.entry(vip)
+	if e == nil {
+		return nil, nil, s.noVIP(vip)
 	}
 	for _, re := range e.rips {
 		rips = append(rips, re.rip)
@@ -414,9 +485,9 @@ func (s *Switch) Weights(vip VIP) (rips []RIP, weights []float64, err error) {
 // appended to caller-provided buffers so hot paths can reuse scratch
 // space instead of allocating both vectors per call.
 func (s *Switch) AppendWeightsTagged(vip VIP, rips []RIP, tags []int64, weights []float64) ([]RIP, []int64, []float64, error) {
-	e, ok := s.vips[vip]
-	if !ok {
-		return rips, tags, weights, fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
+	e := s.entry(vip)
+	if e == nil {
+		return rips, tags, weights, s.noVIP(vip)
 	}
 	for _, re := range e.rips {
 		rips = append(rips, re.rip)
@@ -429,7 +500,7 @@ func (s *Switch) AppendWeightsTagged(vip VIP, rips []RIP, tags []int64, weights 
 // NumRIPsOf returns the size of vip's RIP group (0 when vip is not
 // configured on the switch).
 func (s *Switch) NumRIPsOf(vip VIP) int {
-	if e, ok := s.vips[vip]; ok {
+	if e := s.entry(vip); e != nil {
 		return len(e.rips)
 	}
 	return 0
@@ -437,9 +508,9 @@ func (s *Switch) NumRIPsOf(vip VIP) int {
 
 // TotalWeight returns the sum of RIP weights for vip.
 func (s *Switch) TotalWeight(vip VIP) (float64, error) {
-	e, ok := s.vips[vip]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
+	e := s.entry(vip)
+	if e == nil {
+		return 0, s.noVIP(vip)
 	}
 	var sum float64
 	for _, re := range e.rips {
@@ -450,9 +521,9 @@ func (s *Switch) TotalWeight(vip VIP) (float64, error) {
 
 // PickRIP performs one weighted load-balancing decision for vip.
 func (s *Switch) PickRIP(vip VIP, rng *rand.Rand) (RIP, error) {
-	e, ok := s.vips[vip]
-	if !ok {
-		return "", fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
+	e := s.entry(vip)
+	if e == nil {
+		return "", s.noVIP(vip)
 	}
 	re, err := pickWeighted(e.rips, rng)
 	if err != nil {
@@ -483,9 +554,9 @@ func pickWeighted(rips []*ripEntry, rng *rand.Rand) (*ripEntry, error) {
 // chosen by weighted balancing. The binding is sticky: the connection
 // stays on that RIP for its lifetime (TCP session affinity).
 func (s *Switch) OpenConn(vip VIP, rng *rand.Rand) (ConnID, RIP, error) {
-	e, ok := s.vips[vip]
-	if !ok {
-		return 0, "", fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
+	e := s.entry(vip)
+	if e == nil {
+		return 0, "", s.noVIP(vip)
 	}
 	if len(s.conns) >= s.Limits.MaxConns {
 		return 0, "", fmt.Errorf("%w: switch %d at %d", ErrConnLimit, s.ID, s.Limits.MaxConns)
@@ -496,7 +567,7 @@ func (s *Switch) OpenConn(vip VIP, rng *rand.Rand) (ConnID, RIP, error) {
 	}
 	id := s.nextConn
 	s.nextConn++
-	s.conns[id] = conn{vip: vip, rip: re.rip}
+	s.conns[id] = conn{h: e.h, rip: re.rip}
 	re.conns++
 	e.conns++
 	return id, re.rip, nil
@@ -511,8 +582,7 @@ func (s *Switch) CloseConn(id ConnID) bool {
 		return false
 	}
 	delete(s.conns, id)
-	e := s.vips[c.vip]
-	if e != nil {
+	if e := s.tab.at(c.h); e != nil && e.sw == s {
 		e.conns--
 		if re := e.ripIndex[c.rip]; re != nil {
 			re.conns--
@@ -523,7 +593,7 @@ func (s *Switch) CloseConn(id ConnID) bool {
 
 // VIPConns returns the number of active connections on vip.
 func (s *Switch) VIPConns(vip VIP) int {
-	if e, ok := s.vips[vip]; ok {
+	if e := s.entry(vip); e != nil {
 		return e.conns
 	}
 	return 0
@@ -532,8 +602,8 @@ func (s *Switch) VIPConns(vip VIP) int {
 // RIPConns returns per-RIP active connection counts for vip, in the RIP
 // group's insertion order.
 func (s *Switch) RIPConns(vip VIP) (rips []RIP, counts []int) {
-	e, ok := s.vips[vip]
-	if !ok {
+	e := s.entry(vip)
+	if e == nil {
 		return nil, nil
 	}
 	for _, re := range e.rips {
@@ -547,21 +617,25 @@ func (s *Switch) RIPConns(vip VIP) (rips []RIP, counts []int) {
 // and the connection model coexist; experiments use whichever granularity
 // they need.
 func (s *Switch) SetVIPLoad(vip VIP, mbps float64) error {
-	e, ok := s.vips[vip]
-	if !ok {
-		return fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
+	e := s.entry(vip)
+	if e == nil {
+		return s.noVIP(vip)
 	}
+	return e.setLoad(mbps)
+}
+
+func (e *vipEntry) setLoad(mbps float64) error {
 	if mbps < 0 {
 		return fmt.Errorf("lbswitch: negative load %v", mbps)
 	}
 	e.loadMbps = mbps
-	s.sumValid = false
+	e.sw.sumValid = false
 	return nil
 }
 
 // VIPLoad returns the fluid offered load on vip in Mbps.
 func (s *Switch) VIPLoad(vip VIP) float64 {
-	if e, ok := s.vips[vip]; ok {
+	if e := s.entry(vip); e != nil {
 		return e.loadMbps
 	}
 	return 0
@@ -573,8 +647,8 @@ func (s *Switch) VIPLoad(vip VIP) float64 {
 func (s *Switch) ThroughputMbps() float64 {
 	if !s.sumValid {
 		var sum float64
-		for _, vip := range s.vipOrder {
-			sum += s.vips[vip].loadMbps
+		for _, e := range s.vips {
+			sum += e.loadMbps
 		}
 		s.loadSum = sum
 		s.sumValid = true
@@ -622,9 +696,9 @@ func (s *Switch) BottleneckUtilization() float64 {
 // weights, returning parallel slices. This is the fluid-model equivalent
 // of weighted connection balancing.
 func (s *Switch) VIPLoadShare(vip VIP) (rips []RIP, mbps []float64, err error) {
-	e, ok := s.vips[vip]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
+	e := s.entry(vip)
+	if e == nil {
+		return nil, nil, s.noVIP(vip)
 	}
 	return s.appendLoadShare(e, e.loadMbps, nil, nil)
 }
@@ -635,21 +709,15 @@ func (s *Switch) VIPLoadShare(vip VIP) (rips []RIP, mbps []float64, err error) {
 // (demand propagation distributes the fluid-only load while the stored
 // load also carries the discrete-session overlay).
 func (s *Switch) AppendVIPLoadShare(vip VIP, load float64, rips []RIP, mbps []float64) ([]RIP, []float64, error) {
-	e, ok := s.vips[vip]
-	if !ok {
-		return rips, mbps, fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
+	e := s.entry(vip)
+	if e == nil {
+		return rips, mbps, s.noVIP(vip)
 	}
 	return s.appendLoadShare(e, load, rips, mbps)
 }
 
-// AppendVIPLoadShareTagged is AppendVIPLoadShare but also appends each
-// RIP's tag (-1 when unset) to tags, letting the hot path resolve
-// RIP → VM by dense index instead of a string-keyed lookup per RIP.
-func (s *Switch) AppendVIPLoadShareTagged(vip VIP, load float64, rips []RIP, tags []int64, mbps []float64) ([]RIP, []int64, []float64, error) {
-	e, ok := s.vips[vip]
-	if !ok {
-		return rips, tags, mbps, fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
-	}
+// appendLoadShareTagged backs Fabric.AppendLoadShareTagged.
+func (e *vipEntry) appendLoadShareTagged(load float64, rips []RIP, tags []int64, mbps []float64) ([]RIP, []int64, []float64) {
 	var total float64
 	for _, re := range e.rips {
 		total += re.weight
@@ -663,7 +731,7 @@ func (s *Switch) AppendVIPLoadShareTagged(vip VIP, load float64, rips []RIP, tag
 		}
 		mbps = append(mbps, share)
 	}
-	return rips, tags, mbps, nil
+	return rips, tags, mbps
 }
 
 func (s *Switch) appendLoadShare(e *vipEntry, load float64, rips []RIP, mbps []float64) ([]RIP, []float64, error) {
@@ -685,9 +753,9 @@ func (s *Switch) appendLoadShare(e *vipEntry, load float64, rips []RIP, mbps []f
 // ExportVIP captures vip's full configuration (app, RIP group, weights,
 // fluid load) for transfer to another switch.
 func (s *Switch) ExportVIP(vip VIP) (app cluster.AppID, rips []RIP, weights []float64, loadMbps float64, err error) {
-	e, ok := s.vips[vip]
-	if !ok {
-		return 0, nil, nil, 0, fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
+	e := s.entry(vip)
+	if e == nil {
+		return 0, nil, nil, 0, s.noVIP(vip)
 	}
 	for _, re := range e.rips {
 		rips = append(rips, re.rip)
@@ -707,46 +775,47 @@ func (s *Switch) CheckInvariants() error {
 	if len(s.conns) > s.Limits.MaxConns {
 		return fmt.Errorf("switch %d: %d conns > limit %d", s.ID, len(s.conns), s.Limits.MaxConns)
 	}
-	if len(s.vipOrder) != len(s.vips) {
-		return fmt.Errorf("switch %d: vipOrder len %d != vips len %d", s.ID, len(s.vipOrder), len(s.vips))
-	}
-	for i := 1; i < len(s.vipOrder); i++ {
-		if s.vips[s.vipOrder[i-1]].seq >= s.vips[s.vipOrder[i]].seq {
-			return fmt.Errorf("switch %d: vipOrder not in insertion sequence at %s", s.ID, s.vipOrder[i])
+	for i, e := range s.vips {
+		if e.sw != s || s.tab.at(e.h) != e {
+			return fmt.Errorf("switch %d: VIP %s entry not in the address table", s.ID, s.tab.addrs[e.h])
+		}
+		if i > 0 && s.vips[i-1].seq >= e.seq {
+			return fmt.Errorf("switch %d: VIPs not in insertion sequence at %s", s.ID, s.tab.addrs[e.h])
 		}
 	}
 	nRIPs := 0
-	perVIP := make(map[VIP]int)
-	perRIP := make(map[VIP]map[RIP]int)
+	perVIP := make(map[ids.Index]int)
+	perRIP := make(map[ids.Index]map[RIP]int)
 	for id, c := range s.conns {
-		e, ok := s.vips[c.vip]
-		if !ok {
-			return fmt.Errorf("switch %d: conn %d references unknown VIP %s", s.ID, id, c.vip)
+		e := s.tab.at(c.h)
+		if e == nil || e.sw != s {
+			return fmt.Errorf("switch %d: conn %d references unknown VIP handle %d", s.ID, id, c.h)
 		}
 		if _, ok := e.ripIndex[c.rip]; !ok {
 			return fmt.Errorf("switch %d: conn %d references unknown RIP %s", s.ID, id, c.rip)
 		}
-		perVIP[c.vip]++
-		if perRIP[c.vip] == nil {
-			perRIP[c.vip] = make(map[RIP]int)
+		perVIP[c.h]++
+		if perRIP[c.h] == nil {
+			perRIP[c.h] = make(map[RIP]int)
 		}
-		perRIP[c.vip][c.rip]++
+		perRIP[c.h][c.rip]++
 	}
-	for vip, e := range s.vips {
+	for _, e := range s.vips {
+		vip := s.tab.addrs[e.h]
 		nRIPs += len(e.rips)
 		if len(e.rips) != len(e.ripIndex) {
 			return fmt.Errorf("switch %d: VIP %s rips/index mismatch", s.ID, vip)
 		}
-		if e.conns != perVIP[vip] {
-			return fmt.Errorf("switch %d: VIP %s conns %d != tracked %d", s.ID, vip, e.conns, perVIP[vip])
+		if e.conns != perVIP[e.h] {
+			return fmt.Errorf("switch %d: VIP %s conns %d != tracked %d", s.ID, vip, e.conns, perVIP[e.h])
 		}
 		for _, re := range e.rips {
 			if re.weight <= 0 {
 				return fmt.Errorf("switch %d: VIP %s RIP %s non-positive weight", s.ID, vip, re.rip)
 			}
-			if re.conns != perRIP[vip][re.rip] {
+			if re.conns != perRIP[e.h][re.rip] {
 				return fmt.Errorf("switch %d: VIP %s RIP %s conns %d != tracked %d",
-					s.ID, vip, re.rip, re.conns, perRIP[vip][re.rip])
+					s.ID, vip, re.rip, re.conns, perRIP[e.h][re.rip])
 			}
 		}
 	}
@@ -757,24 +826,18 @@ func (s *Switch) CheckInvariants() error {
 }
 
 // SortVIPsByLoad returns the switch's VIPs sorted by descending fluid
-// load, breaking ties by VIP string for determinism.
+// load, breaking ties by VIP address for determinism.
 func (s *Switch) SortVIPsByLoad() []VIP {
-	vips := s.VIPs()
-	slices.SortFunc(vips, func(a, b VIP) int {
-		la, lb := s.VIPLoad(a), s.VIPLoad(b)
-		if la != lb {
-			if la > lb {
-				return -1
-			}
-			return 1
+	es := slices.Clone(s.vips)
+	slices.SortFunc(es, func(a, b *vipEntry) int {
+		if c := cmp.Compare(b.loadMbps, a.loadMbps); c != 0 {
+			return c
 		}
-		if a < b {
-			return -1
-		}
-		if a > b {
-			return 1
-		}
-		return 0
+		return cmp.Compare(s.tab.addrs[a.h], s.tab.addrs[b.h])
 	})
+	vips := make([]VIP, len(es))
+	for i, e := range es {
+		vips[i] = s.tab.addrs[e.h]
+	}
 	return vips
 }

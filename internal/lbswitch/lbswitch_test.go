@@ -256,7 +256,7 @@ func TestSetWeightAndTotal(t *testing.T) {
 }
 
 // TestVIPSeqAndTaggedWeights checks that sorting VIPs by VIPSeq
-// reproduces VIPOrder across removals and re-adds, and that the
+// reproduces VIPs order across removals and re-adds, and that the
 // allocation-free accessors agree with Weights.
 func TestVIPSeqAndTaggedWeights(t *testing.T) {
 	s := NewSwitch(0, smallLimits())
@@ -266,12 +266,12 @@ func TestVIPSeqAndTaggedWeights(t *testing.T) {
 	s.RemoveVIP("b", false)
 	s.AddVIP("b", 1)
 	s.RemoveVIP("a", false)
-	order := s.VIPOrder()
+	order := s.VIPs()
 	for i := 1; i < len(order); i++ {
 		prev, _ := s.VIPSeq(order[i-1])
 		cur, _ := s.VIPSeq(order[i])
 		if prev >= cur {
-			t.Fatalf("VIPSeq not ascending along VIPOrder %v at %s", order, order[i])
+			t.Fatalf("VIPSeq not ascending along VIPs %v at %s", order, order[i])
 		}
 	}
 	if _, ok := s.VIPSeq("a"); ok {

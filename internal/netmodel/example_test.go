@@ -3,25 +3,30 @@ package netmodel_test
 import (
 	"fmt"
 
+	"megadc/internal/ids"
 	"megadc/internal/netmodel"
 )
 
 // Route advertisement with AS-path padding — the mechanics behind both
 // selective VIP exposure (no route changes) and the naive baseline.
+// VIPs are named by handle; the platform takes handles and addresses
+// from its lbswitch.Fabric, here a one-entry table stands in.
 func Example() {
-	n := netmodel.New()
+	addrs := []netmodel.VIPAddr{"vip-1"}
+	n := netmodel.New(func(h ids.Index) netmodel.VIPAddr { return addrs[h] })
+	const vip1 ids.Index = 0
 	ar := n.AddAccessRouter("isp-a")
 	br := n.AddBorderRouter()
 	l1, _ := n.AddLink(ar.ID, br.ID, 1000, 1)
 	l2, _ := n.AddLink(ar.ID, br.ID, 1000, 1)
 
-	n.Advertise("vip-1", l1.ID, false)
-	n.Advertise("vip-1", l2.ID, true) // padded backup: reachability, no traffic
-	n.SetVIPTraffic("vip-1", 600)
+	n.Advertise(vip1, l1.ID, false)
+	n.Advertise(vip1, l2.ID, true) // padded backup: reachability, no traffic
+	n.SetVIPTraffic(vip1, 600)
 	fmt.Printf("primary %.0f Mbps, padded backup %.0f Mbps\n", l1.LoadMbps(), l2.LoadMbps())
 
 	// Unpadding the backup (the naive TE transition) splits the traffic.
-	n.SetPadded("vip-1", l2.ID, false)
+	n.SetPadded(vip1, l2.ID, false)
 	fmt.Printf("after unpad: %.0f / %.0f, route updates so far: %d\n",
 		l1.LoadMbps(), l2.LoadMbps(), n.RouteUpdates)
 	// Output:

@@ -47,8 +47,8 @@ func (m *loadModel) load(vips []VIPAddr, link LinkID) (sum float64, carried []VI
 // after every operation leaves zero-share keys in place for the next one.
 func peekLoad(l *Link) float64 {
 	var sum float64
-	for _, vip := range l.shareKeys {
-		sum += l.shares[vip]
+	for _, h := range l.shareKeys {
+		sum += l.net.vips[h].shareOn(l.ID)
 	}
 	return sum
 }
@@ -70,7 +70,7 @@ func TestLoadSumBitIdentical(t *testing.T) {
 
 func checkLoadSums(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	n := New()
+	n := newTestNet()
 	ar := n.AddAccessRouter("isp")
 	br := n.AddBorderRouter()
 	var links []LinkID
@@ -85,7 +85,12 @@ func checkLoadSums(t *testing.T, seed int64) {
 	for i := range vips {
 		vips[i] = fmt.Sprintf("10.0.%d.%d", i%3, i)
 	}
+	// Hand out handles in reverse address order, so handle order and
+	// the canonical address order disagree everywhere.
 	slices.Sort(vips)
+	for i := len(vips) - 1; i >= 0; i-- {
+		n.h(vips[i])
+	}
 	m := &loadModel{ads: make(map[VIPAddr]map[LinkID]bool), traffic: make(map[VIPAddr]float64)}
 	// Magnitudes far apart make the float sum depend on its order.
 	traffic := func() float64 {
@@ -158,12 +163,9 @@ func checkLoadSums(t *testing.T, seed int64) {
 			if !compact {
 				continue
 			}
-			if !slices.Equal(l.shareKeys, carried) {
+			if keys := n.keys(l); !slices.Equal(keys, carried) {
 				t.Fatalf("op %d %s: link %d keys %v after LoadMbps, want the nonzero shares %v",
-					op, desc, id, l.shareKeys, carried)
-			}
-			if len(l.shares) != len(l.shareKeys) {
-				t.Fatalf("op %d %s: link %d holds %d shares for %d keys", op, desc, id, len(l.shares), len(l.shareKeys))
+					op, desc, id, keys, carried)
 			}
 		}
 		if compact {
@@ -174,31 +176,36 @@ func checkLoadSums(t *testing.T, seed int64) {
 	}
 }
 
-// TestVIPRecordLifetime pins when a VIP's record exists: while it has an
-// advertisement or nonzero traffic, and no longer.
+// TestVIPRecordLifetime pins when a VIP's record holds state: while it
+// has an advertisement or nonzero traffic, and no longer. Records are
+// slots of a table indexed by handle, so "dropped" means left empty.
 func TestVIPRecordLifetime(t *testing.T) {
 	n, links := buildNet(t)
+	empty := func(vip VIPAddr) bool {
+		st := n.vips[n.h(vip)]
+		return len(st.ads) == 0 && st.traffic == 0 && st.share == 0 && len(st.applied) == 0
+	}
 	n.SetVIPTraffic("v", 0)
 	if len(n.vips) != 0 {
-		t.Fatal("zero traffic on an unknown VIP created a record")
+		t.Fatal("zero traffic on an unknown VIP grew the record table")
 	}
 	n.SetVIPTraffic("v", 100) // traffic before any route
 	n.Advertise("v", links[0].ID, false)
 	n.Withdraw("v", links[0].ID)
-	if n.vips["v"] == nil || n.VIPTraffic("v") != 100 {
+	if empty("v") || n.VIPTraffic("v") != 100 {
 		t.Fatal("record with traffic but no route was dropped")
 	}
 	n.SetVIPTraffic("v", math.Copysign(0, -1))
-	if len(n.vips) != 0 {
-		t.Fatal("record with no route and no traffic kept")
+	if !empty("v") {
+		t.Fatal("record with no route and no traffic kept state")
 	}
 	if bits := math.Float64bits(n.VIPTraffic("v")); bits != 0 {
 		t.Fatalf("VIPTraffic after -0 = %#x, want +0", bits)
 	}
 	n.Advertise("v", links[1].ID, true)
 	n.Withdraw("v", links[1].ID)
-	if len(n.vips) != 0 {
-		t.Fatal("withdrawing the last route of an idle VIP kept its record")
+	if !empty("v") {
+		t.Fatal("withdrawing the last route of an idle VIP kept state")
 	}
 	if n.Link(-1) != nil || n.Link(LinkID(len(links))) != nil {
 		t.Fatal("Link resolved an ID out of range")

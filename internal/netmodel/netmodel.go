@@ -14,6 +14,7 @@ import (
 	"slices"
 
 	"megadc/internal/health"
+	"megadc/internal/ids"
 )
 
 // Identifier types for access-network elements.
@@ -29,6 +30,11 @@ type (
 // VIPAddr is a virtual IP address as seen by the routing system. It is
 // deliberately a separate type from lbswitch.VIP only in name — both are
 // strings — so that this package does not depend on lbswitch.
+//
+// The network keys every per-VIP record by the VIP's dense handle (an
+// ids.Index the platform's lbswitch.Fabric assigns, DESIGN.md §22) and
+// renders an address only for errors and for the lexical order its
+// canonical sums and sorted outputs follow.
 type VIPAddr = string
 
 // AccessRouter belongs to one ISP from which the DC buys connectivity.
@@ -60,20 +66,21 @@ type Link struct {
 	// link repaired.
 	Health health.State
 
-	// Per-VIP traffic shares currently routed over this link, with the
-	// key set kept sorted so the total load is always the same canonical
-	// sum regardless of the order shares were applied in. A running
-	// add/subtract accumulator would drift by ULPs depending on update
-	// history, which would break the bit-for-bit equivalence between
-	// incremental and full demand propagation.
+	// The VIPs that may hold a traffic share on this link, by handle,
+	// kept in lexical address order so the total load is always the
+	// same canonical sum regardless of the order shares were applied
+	// in. A running add/subtract accumulator would drift by ULPs
+	// depending on update history, which would break the bit-for-bit
+	// equivalence between incremental and full demand propagation. The
+	// share itself lives in the VIP's record (vipState.shareOn).
 	//
-	// A cleared share stays in shareKeys with value 0, so the undo/apply
+	// A VIP whose share drops to 0 stays in shareKeys, so the undo/apply
 	// pair of a demand update rewrites a value instead of deleting and
 	// re-inserting a key in a sorted slice. LoadMbps drops the zero
 	// keys when it rebuilds the sum, which bounds the key set by the
 	// VIPs that carried traffic since the last read.
-	shares    map[VIPAddr]float64
-	shareKeys []VIPAddr
+	net       *Network
+	shareKeys []ids.Index
 	loadSum   float64
 	sumValid  bool
 }
@@ -82,7 +89,8 @@ type Link struct {
 func (l *Link) Serving() bool { return l.Health.Serving() }
 
 // LoadMbps returns the current offered load on the link: the sum of the
-// per-VIP shares in sorted VIP order (cached until a share changes).
+// per-VIP shares in lexical VIP address order (cached until a share
+// changes).
 //
 // Rebuilding the sum also compacts away the zero-share keys. They never
 // changed a bit of it: shares are non-negative and the sum starts at +0,
@@ -93,16 +101,16 @@ func (l *Link) LoadMbps() float64 {
 	if !l.sumValid {
 		var sum float64
 		keep := l.shareKeys[:0]
-		for _, vip := range l.shareKeys {
-			share := l.shares[vip]
+		for _, h := range l.shareKeys {
+			st := &l.net.vips[h]
+			share := st.shareOn(l.ID)
 			if share == 0 {
-				delete(l.shares, vip)
+				st.keyed = slices.DeleteFunc(st.keyed, func(id LinkID) bool { return id == l.ID })
 				continue
 			}
 			sum += share
-			keep = append(keep, vip)
+			keep = append(keep, h)
 		}
-		clear(l.shareKeys[len(keep):]) // release the dropped strings
 		l.shareKeys = keep
 		l.loadSum = sum
 		l.sumValid = true
@@ -110,23 +118,17 @@ func (l *Link) LoadMbps() float64 {
 	return l.loadSum
 }
 
-// setShare records vip's share. Only a key the link does not hold (never
-// held, or compacted away) costs a sorted insert.
-func (l *Link) setShare(vip VIPAddr, share float64) {
-	if _, ok := l.shares[vip]; !ok {
-		i, _ := slices.BinarySearch(l.shareKeys, vip)
-		l.shareKeys = slices.Insert(l.shareKeys, i, vip)
-	}
-	l.shares[vip] = share
-	l.sumValid = false
-}
-
-// clearShare zeroes vip's share in place; LoadMbps drops the key later.
-func (l *Link) clearShare(vip VIPAddr) {
-	if share, ok := l.shares[vip]; ok && share != 0 {
-		l.shares[vip] = 0
-		l.sumValid = false
-	}
+// addKey inserts handle h into the link's key set at its lexical
+// address position and records the link in the VIP's keyed list. Only
+// a key the link does not hold (never held, or compacted away) gets
+// here.
+func (l *Link) addKey(h ids.Index, st *vipState) {
+	addr := l.net.addr(h)
+	i, _ := slices.BinarySearchFunc(l.shareKeys, addr, func(k ids.Index, a VIPAddr) int {
+		return cmp.Compare(l.net.addr(k), a)
+	})
+	l.shareKeys = slices.Insert(l.shareKeys, i, h)
+	st.keyed = append(st.keyed, l.ID)
 }
 
 // Utilization returns load/capacity; above 1 means overloaded.
@@ -144,14 +146,27 @@ type advertisement struct {
 }
 
 // vipState is everything the network holds about one VIP, in one record
-// so a traffic update costs one network-level map lookup. A record
-// exists while the VIP has an advertisement or nonzero traffic.
+// indexed by the VIP's handle, so a traffic update costs one slice
+// index. A record is empty (the zero value, bar its reusable slices)
+// while the VIP has no advertisement and no traffic.
 type vipState struct {
 	ads     []advertisement
 	traffic float64
-	// applied lists the active links at the last redistribute, the
-	// ones that may hold a share of this VIP to clear before reapplying.
+	// applied lists the active links at the last redistribute, sorted:
+	// each carries share, the traffic split equally over them (0 when
+	// the VIP has no traffic or no active link).
 	applied []LinkID
+	share   float64
+	// keyed lists the links whose shareKeys hold this VIP.
+	keyed []LinkID
+}
+
+// shareOn returns the VIP's traffic share on link id.
+func (st *vipState) shareOn(id LinkID) float64 {
+	if st.share != 0 && slices.Contains(st.applied, id) {
+		return st.share
+	}
+	return 0
 }
 
 // Network is the access-connection layer state.
@@ -160,7 +175,8 @@ type Network struct {
 	borders map[BorderRouterID]*BorderRouter
 	links   []*Link // indexed by LinkID; IDs are dense from AddLink
 
-	vips map[VIPAddr]*vipState
+	vips []vipState // indexed by VIP handle
+	addr func(ids.Index) VIPAddr
 
 	// RouteUpdates counts BGP route updates emitted towards the ISPs
 	// (each advertise, withdraw, or padding change is one update). The
@@ -169,9 +185,10 @@ type Network struct {
 	RouteUpdates int64
 
 	// OnRouteChange, when set, is called after any advertisement change
-	// for a VIP (advertise, withdraw, padding flip). The platform uses it
-	// to mark the VIP's owner dirty for incremental demand propagation.
-	OnRouteChange func(vip VIPAddr)
+	// for a VIP (advertise, withdraw, padding flip) with the VIP's
+	// handle. The platform uses it to mark the VIP's owner dirty for
+	// incremental demand propagation.
+	OnRouteChange func(h ids.Index)
 }
 
 // Errors returned by network operations.
@@ -181,12 +198,14 @@ var (
 	ErrDupAd       = errors.New("netmodel: VIP already advertised on link")
 )
 
-// New returns an empty access network.
-func New() *Network {
+// New returns an empty access network whose VIPs are named by handle;
+// addr renders a handle's address (the platform passes its fabric's
+// table, lbswitch.Fabric.Addr).
+func New(addr func(h ids.Index) VIPAddr) *Network {
 	return &Network{
 		routers: make(map[AccessRouterID]*AccessRouter),
 		borders: make(map[BorderRouterID]*BorderRouter),
-		vips:    make(map[VIPAddr]*vipState),
+		addr:    addr,
 	}
 }
 
@@ -216,7 +235,7 @@ func (n *Network) AddLink(ar AccessRouterID, br BorderRouterID, capacityMbps, co
 		return nil, fmt.Errorf("netmodel: non-positive capacity %v", capacityMbps)
 	}
 	l := &Link{ID: LinkID(len(n.links)), Router: ar, Border: br, CapacityMbps: capacityMbps, CostPerMbps: costPerMbps,
-		shares: make(map[VIPAddr]float64)}
+		net: n}
 	n.links = append(n.links, l)
 	return l, nil
 }
@@ -241,89 +260,95 @@ func (n *Network) NumRouters() int { return len(n.routers) }
 // NumBorders returns the number of border routers.
 func (n *Network) NumBorders() int { return len(n.borders) }
 
-// vip returns vip's record, creating it when absent.
-func (n *Network) vip(vip VIPAddr) *vipState {
-	st := n.vips[vip]
-	if st == nil {
-		st = &vipState{}
-		n.vips[vip] = st
+// vip returns handle h's record, growing the table to hold it.
+func (n *Network) vip(h ids.Index) *vipState {
+	if int(h) >= len(n.vips) {
+		n.vips = append(n.vips, make([]vipState, int(h)+1-len(n.vips))...)
 	}
-	return st
+	return &n.vips[h]
 }
 
-// routeChanged respreads vip's traffic after an advertisement change and
-// notifies the route-change hook.
-func (n *Network) routeChanged(vip VIPAddr, st *vipState) {
+// find returns handle h's record, or nil when the table never grew to it.
+func (n *Network) find(h ids.Index) *vipState {
+	if h < 0 || int(h) >= len(n.vips) {
+		return nil
+	}
+	return &n.vips[h]
+}
+
+// routeChanged respreads the VIP's traffic after an advertisement change
+// and notifies the route-change hook.
+func (n *Network) routeChanged(h ids.Index, st *vipState) {
 	n.RouteUpdates++
-	n.redistribute(vip, st)
+	n.redistribute(h, st)
 	if n.OnRouteChange != nil {
-		n.OnRouteChange(vip)
+		n.OnRouteChange(h)
 	}
 }
 
-// Advertise announces vip over the given link. If padded is true the
-// route is AS-path padded: it provides reachability as a backup but
-// attracts no new traffic.
-func (n *Network) Advertise(vip VIPAddr, link LinkID, padded bool) error {
+// Advertise announces the VIP with handle h over the given link. If
+// padded is true the route is AS-path padded: it provides reachability
+// as a backup but attracts no new traffic.
+func (n *Network) Advertise(h ids.Index, link LinkID, padded bool) error {
 	if n.Link(link) == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownLink, link)
 	}
-	st := n.vip(vip)
+	st := n.vip(h)
 	for _, ad := range st.ads {
 		if ad.link == link {
-			return fmt.Errorf("%w: %s on %d", ErrDupAd, vip, link)
+			return fmt.Errorf("%w: %s on %d", ErrDupAd, n.addr(h), link)
 		}
 	}
 	st.ads = append(st.ads, advertisement{link: link, padded: padded})
-	n.routeChanged(vip, st)
+	n.routeChanged(h, st)
 	return nil
 }
 
-// Withdraw removes vip's route from the given link.
-func (n *Network) Withdraw(vip VIPAddr, link LinkID) error {
-	if st := n.vips[vip]; st != nil {
+// Withdraw removes the VIP's route from the given link.
+func (n *Network) Withdraw(h ids.Index, link LinkID) error {
+	if st := n.find(h); st != nil {
 		for i, ad := range st.ads {
 			if ad.link == link {
 				st.ads = slices.Delete(st.ads, i, i+1)
-				n.routeChanged(vip, st)
+				n.routeChanged(h, st)
 				return nil
 			}
 		}
 	}
-	return fmt.Errorf("%w: %s not on link %d", ErrNoRoute, vip, link)
+	return fmt.Errorf("%w: %s not on link %d", ErrNoRoute, n.addr(h), link)
 }
 
 // SetPadded changes the padding state of an existing advertisement; this
 // is the "advertise padded AS paths through the old routers before
 // withdrawing" transition step of the naive baseline.
-func (n *Network) SetPadded(vip VIPAddr, link LinkID, padded bool) error {
-	if st := n.vips[vip]; st != nil {
+func (n *Network) SetPadded(h ids.Index, link LinkID, padded bool) error {
+	if st := n.find(h); st != nil {
 		for i, ad := range st.ads {
 			if ad.link == link {
 				if ad.padded != padded {
 					st.ads[i].padded = padded
-					n.routeChanged(vip, st)
+					n.routeChanged(h, st)
 				}
 				return nil
 			}
 		}
 	}
-	return fmt.Errorf("%w: %s not on link %d", ErrNoRoute, vip, link)
+	return fmt.Errorf("%w: %s not on link %d", ErrNoRoute, n.addr(h), link)
 }
 
-// ads returns vip's advertisements (nil when it has none).
-func (n *Network) ads(vip VIPAddr) []advertisement {
-	if st := n.vips[vip]; st != nil {
+// ads returns the VIP's advertisements (nil when it has none).
+func (n *Network) ads(h ids.Index) []advertisement {
+	if st := n.find(h); st != nil {
 		return st.ads
 	}
 	return nil
 }
 
-// ActiveLinks returns the links carrying vip (unpadded advertisements),
-// sorted by LinkID.
-func (n *Network) ActiveLinks(vip VIPAddr) []LinkID {
+// ActiveLinks returns the links carrying the VIP (unpadded
+// advertisements), sorted by LinkID.
+func (n *Network) ActiveLinks(h ids.Index) []LinkID {
 	var out []LinkID
-	for _, ad := range n.ads(vip) {
+	for _, ad := range n.ads(h) {
 		if !ad.padded {
 			out = append(out, ad.link)
 		}
@@ -332,11 +357,11 @@ func (n *Network) ActiveLinks(vip VIPAddr) []LinkID {
 	return out
 }
 
-// RouteCounts returns how many active (unpadded) routes vip has and how
-// many of them terminate on serving links, without allocating — the
+// RouteCounts returns how many active (unpadded) routes the VIP has and
+// how many of them terminate on serving links, without allocating — the
 // reachability inputs the demand-propagation hot path needs.
-func (n *Network) RouteCounts(vip VIPAddr) (active, serving int) {
-	for _, ad := range n.ads(vip) {
+func (n *Network) RouteCounts(h ids.Index) (active, serving int) {
+	for _, ad := range n.ads(h) {
 		if ad.padded {
 			continue
 		}
@@ -348,56 +373,58 @@ func (n *Network) RouteCounts(vip VIPAddr) (active, serving int) {
 	return active, serving
 }
 
-// AllLinks returns every link vip is advertised on, padded or not.
-func (n *Network) AllLinks(vip VIPAddr) []LinkID {
+// AllLinks returns every link the VIP is advertised on, padded or not.
+func (n *Network) AllLinks(h ids.Index) []LinkID {
 	var out []LinkID
-	for _, ad := range n.ads(vip) {
+	for _, ad := range n.ads(h) {
 		out = append(out, ad.link)
 	}
 	slices.Sort(out)
 	return out
 }
 
-// SetVIPTraffic sets the external traffic attributed to vip in Mbps. The
-// traffic is carried by vip's active links, split equally (external BGP
-// splits coarse-grained; the paper controls balance at the granularity of
-// whole VIPs via DNS, not per-link ratios).
-func (n *Network) SetVIPTraffic(vip VIPAddr, mbps float64) error {
+// SetVIPTraffic sets the external traffic attributed to the VIP in Mbps.
+// The traffic is carried by the VIP's active links, split equally
+// (external BGP splits coarse-grained; the paper controls balance at the
+// granularity of whole VIPs via DNS, not per-link ratios).
+func (n *Network) SetVIPTraffic(h ids.Index, mbps float64) error {
 	if mbps < 0 {
 		return fmt.Errorf("netmodel: negative traffic %v", mbps)
 	}
-	st := n.vips[vip]
+	var st *vipState
 	if mbps == 0 {
-		if st == nil {
+		if st = n.find(h); st == nil {
 			return nil
 		}
 		mbps = 0 // -0 is stored as +0
-	} else if st == nil {
-		st = n.vip(vip)
+	} else {
+		st = n.vip(h)
 	}
 	st.traffic = mbps
-	n.redistribute(vip, st)
+	n.redistribute(h, st)
 	return nil
 }
 
-// VIPTraffic returns the external traffic attributed to vip.
-func (n *Network) VIPTraffic(vip VIPAddr) float64 {
-	if st := n.vips[vip]; st != nil {
+// VIPTraffic returns the external traffic attributed to the VIP.
+func (n *Network) VIPTraffic(h ids.Index) float64 {
+	if st := n.find(h); st != nil {
 		return st.traffic
 	}
 	return 0
 }
 
-// redistribute incrementally updates link loads for one VIP: it removes
-// the VIP's previous contribution and applies the contribution implied
-// by the current traffic and active-link set. Incremental updates keep
+// redistribute incrementally updates link loads for one VIP: it
+// invalidates the links that carried its previous share and spreads the
+// current traffic over the current active-link set, keying the VIP on
+// any link that does not hold it yet. Incremental updates keep
 // SetVIPTraffic O(links-per-VIP) so experiments can carry tens of
 // thousands of VIPs. The previous link slice is reused so steady-state
-// traffic updates do not allocate. A record left with no advertisement
-// and no traffic is dropped.
-func (n *Network) redistribute(vip VIPAddr, st *vipState) {
-	for _, id := range st.applied {
-		n.links[id].clearShare(vip)
+// traffic updates do not allocate.
+func (n *Network) redistribute(h ids.Index, st *vipState) {
+	if st.share != 0 {
+		for _, id := range st.applied {
+			n.links[id].sumValid = false
+		}
 	}
 	links := st.applied[:0]
 	for _, ad := range st.ads {
@@ -407,15 +434,17 @@ func (n *Network) redistribute(vip VIPAddr, st *vipState) {
 	}
 	slices.Sort(links)
 	st.applied = links
+	st.share = 0
 	if st.traffic == 0 || len(links) == 0 {
-		if len(st.ads) == 0 && st.traffic == 0 {
-			delete(n.vips, vip)
-		}
 		return
 	}
-	share := st.traffic / float64(len(links))
+	st.share = st.traffic / float64(len(links))
 	for _, id := range links {
-		n.links[id].setShare(vip, share)
+		l := n.links[id]
+		if !slices.Contains(st.keyed, id) {
+			l.addKey(h, st)
+		}
+		l.sumValid = false
 	}
 }
 
@@ -468,44 +497,51 @@ func (n *Network) TotalCost() float64 {
 	return sum
 }
 
-// VIPsOnLink returns the VIPs actively carried by the link, sorted.
-func (n *Network) VIPsOnLink(link LinkID) []VIPAddr {
-	var out []VIPAddr
-	for vip, st := range n.vips {
-		for _, ad := range st.ads {
+// VIPsOnLink returns the handles of the VIPs actively carried by the
+// link, in lexical address order.
+func (n *Network) VIPsOnLink(link LinkID) []ids.Index {
+	var out []ids.Index
+	for h := range n.vips {
+		for _, ad := range n.vips[h].ads {
 			if ad.link == link && !ad.padded {
-				out = append(out, vip)
+				out = append(out, ids.Index(h))
 				break
 			}
 		}
 	}
-	slices.Sort(out)
+	n.sortByAddr(out)
 	return out
 }
 
+// sortByAddr sorts handles into lexical address order: the one order
+// the network lets reach an output or a float sum.
+func (n *Network) sortByAddr(hs []ids.Index) {
+	slices.SortFunc(hs, func(a, b ids.Index) int { return cmp.Compare(n.addr(a), n.addr(b)) })
+}
+
 // CheckInvariants verifies that link loads equal the per-VIP traffic
-// shares, that no advertisement references a missing link, and that no
-// empty VIP record lingers.
+// shares, that no advertisement references a missing link, and that
+// every link's key set is in address order and agrees with the keyed
+// lists of its VIPs.
 func (n *Network) CheckInvariants() error {
-	// Sorted VIP order: the expected per-link loads are float sums, so
-	// the accumulation order must not depend on map iteration.
-	vips := make([]VIPAddr, 0, len(n.vips))
-	for vip := range n.vips {
-		vips = append(vips, vip)
-	}
-	slices.Sort(vips)
-	want := make([]float64, len(n.links))
-	for _, vip := range vips {
-		st := n.vips[vip]
-		if len(st.ads) == 0 && st.traffic == 0 {
-			return fmt.Errorf("vip %s keeps an empty record", vip)
+	// Lexical VIP order: the expected per-link loads are float sums, so
+	// the accumulation order must be the canonical one.
+	var vips []ids.Index
+	for h := range n.vips {
+		if st := &n.vips[h]; len(st.ads) > 0 || st.traffic != 0 {
+			vips = append(vips, ids.Index(h))
 		}
+	}
+	n.sortByAddr(vips)
+	want := make([]float64, len(n.links))
+	for _, h := range vips {
+		st := &n.vips[h]
 		for _, ad := range st.ads {
 			if n.Link(ad.link) == nil {
-				return fmt.Errorf("vip %s advertised on missing link %d", vip, ad.link)
+				return fmt.Errorf("vip %s advertised on missing link %d", n.addr(h), ad.link)
 			}
 		}
-		active := n.ActiveLinks(vip)
+		active := n.ActiveLinks(h)
 		if st.traffic > 0 && len(active) > 0 {
 			share := st.traffic / float64(len(active))
 			for _, id := range active {
@@ -514,6 +550,14 @@ func (n *Network) CheckInvariants() error {
 		}
 	}
 	for _, l := range n.links {
+		for i, h := range l.shareKeys {
+			if i > 0 && n.addr(l.shareKeys[i-1]) >= n.addr(h) {
+				return fmt.Errorf("link %d share keys out of address order at %s", l.ID, n.addr(h))
+			}
+			if !slices.Contains(n.vips[h].keyed, l.ID) {
+				return fmt.Errorf("link %d keys vip %s, which does not list the link", l.ID, n.addr(h))
+			}
+		}
 		w := want[l.ID]
 		d := l.LoadMbps() - w
 		if d < 0 {

@@ -10,9 +10,9 @@ import (
 
 // buildNet makes 2 ISPs × 1 AR each, 2 border routers, 4 links
 // (each AR to each border router), 1000 Mbps each.
-func buildNet(t *testing.T) (*Network, []*Link) {
+func buildNet(t *testing.T) (*testNet, []*Link) {
 	t.Helper()
-	n := New()
+	n := newTestNet()
 	ar1 := n.AddAccessRouter("isp-a")
 	ar2 := n.AddAccessRouter("isp-b")
 	b1 := n.AddBorderRouter()
@@ -29,7 +29,7 @@ func buildNet(t *testing.T) (*Network, []*Link) {
 }
 
 func TestAddLinkValidation(t *testing.T) {
-	n := New()
+	n := newTestNet()
 	ar := n.AddAccessRouter("isp")
 	br := n.AddBorderRouter()
 	if _, err := n.AddLink(99, br.ID, 100, 0); err == nil {
@@ -151,7 +151,7 @@ func TestOverloadedLinks(t *testing.T) {
 }
 
 func TestTotalCostAndVIPsOnLink(t *testing.T) {
-	n := New()
+	n := newTestNet()
 	ar := n.AddAccessRouter("isp")
 	br := n.AddBorderRouter()
 	cheap, _ := n.AddLink(ar.ID, br.ID, 1000, 1)
@@ -228,7 +228,7 @@ func TestTrafficSplit(t *testing.T) {
 func TestPropertyTrafficConservation(t *testing.T) {
 	f := func(ops []uint8, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := New()
+		n := newTestNet()
 		ar := n.AddAccessRouter("isp")
 		br := n.AddBorderRouter()
 		var linkIDs []LinkID

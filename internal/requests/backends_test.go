@@ -25,8 +25,8 @@ func fullScanCPU(p *core.Platform, id lbswitch.SwitchID) float64 {
 		return 0
 	}
 	var cpu float64
-	for _, vip := range sw.VIPOrder() {
-		rips, tags, _, err := sw.AppendVIPLoadShareTagged(vip, 0, nil, nil, nil)
+	for _, vip := range sw.VIPs() {
+		rips, tags, _, err := sw.AppendWeightsTagged(vip, nil, nil, nil)
 		if err != nil {
 			continue
 		}

@@ -378,13 +378,13 @@ func (e *Engine) arrive() {
 	e.stats.Generated++
 	now := e.p.Eng.Now()
 	as := e.apps[e.sampler.Pick(e.rng)]
-	vipStr, err := as.pop.Arrive(now, e.rng)
+	vi, err := as.pop.Arrive(now, e.rng)
 	if err != nil {
 		e.stats.NoExposure++
 		e.cNoExpo.Inc()
 		return
 	}
-	home, ok := e.p.Fabric.HomeOf(lbswitch.VIP(vipStr))
+	home, ok := e.p.Fabric.Home(vi)
 	if !ok {
 		e.stats.NoExposure++
 		e.cNoExpo.Inc()

@@ -19,6 +19,7 @@ import (
 	"megadc/internal/cluster"
 	"megadc/internal/core"
 	"megadc/internal/dnsctl"
+	"megadc/internal/ids"
 	"megadc/internal/lbswitch"
 	"megadc/internal/sim"
 	"megadc/internal/workload"
@@ -77,7 +78,7 @@ type session struct {
 	ad     *appDriver
 	sw     *lbswitch.Switch
 	connID lbswitch.ConnID
-	vip    lbswitch.VIP
+	vip    ids.Index // fabric handle of the VIP the session arrived through
 	vm     cluster.VMID
 	res    cluster.Resources
 	end    func() // pre-bound close callback, reused across recycles
@@ -211,19 +212,18 @@ func (d *Driver) scheduleNext(ad *appDriver) {
 // arrive handles one session arrival: resolve → connect → hold → close.
 func (d *Driver) arrive(ad *appDriver) {
 	now := d.p.Eng.Now()
-	vipStr, err := ad.pop.Arrive(now, d.p.Rand())
+	vi, err := ad.pop.Arrive(now, d.p.Rand())
 	if err != nil {
 		ad.stats.NoExposure++
 		return
 	}
-	vip := lbswitch.VIP(vipStr)
-	home, ok := d.p.Fabric.HomeOf(vip)
+	home, ok := d.p.Fabric.Home(vi)
 	if !ok {
 		ad.stats.NoExposure++
 		return
 	}
 	sw := d.p.Fabric.Switch(home)
-	connID, rip, err := sw.OpenConn(vip, d.p.Rand())
+	connID, rip, err := sw.OpenConn(d.p.Fabric.Addr(vi), d.p.Rand())
 	if err != nil {
 		ad.stats.Rejected++
 		return
@@ -236,12 +236,12 @@ func (d *Driver) arrive(ad *appDriver) {
 	}
 	tpl := d.cfg.Template.Draw(d.p.Rand())
 	res := cluster.Resources{CPU: tpl.CPU, NetMbps: tpl.Mbps}
-	d.p.SessionOpened(vip, vmID, res)
+	d.p.SessionOpened(vi, vmID, res)
 	ad.stats.Started++
 	ad.stats.Active++
 
 	s := d.pool.Get()
-	s.ad, s.sw, s.connID, s.vip, s.vm, s.res = ad, sw, connID, vip, vmID, res
+	s.ad, s.sw, s.connID, s.vip, s.vm, s.res = ad, sw, connID, vi, vmID, res
 	d.p.Eng.After(tpl.Duration, s.end)
 }
 
