@@ -57,7 +57,7 @@ func BenchmarkSwitchOpenCloseConn(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id, _, err := sw.OpenConn("v", rng)
+		id, _, _, err := sw.OpenConn("v", rng)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -381,11 +381,6 @@ func main() {
 				len(asm.Causes()), asm.Abandoned())
 		}
 	}
-	if err := p.CheckInvariants(); err != nil {
-		fmt.Fprintln(os.Stderr, "megadcsim: INVARIANT VIOLATION:", err)
-		stopProf() // the full run already happened; keep its profiles
-		os.Exit(1)
-	}
 	if err := p.AuditErr(); err != nil {
 		fmt.Fprintln(os.Stderr, "megadcsim: AUDIT VIOLATION:", err)
 		stopProf()
@@ -509,7 +504,7 @@ func printTopology(p *core.Platform, topo core.Topology) {
 	}
 	fmt.Println()
 	fmt.Println("Global manager: access-link LB, LB-switch LB, inter-pod LB, VIP/RIP manager")
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		fmt.Println("TOPOLOGY INVALID:", err)
 		os.Exit(1)
 	}

@@ -66,7 +66,7 @@ func main() {
 	p.Eng.RunUntil(2800)
 	fmt.Printf("t=2800  final: satisfaction=%.3f, deployments=%d, transfers=%d\n",
 		p.TotalSatisfaction(), p.Global.Deployments, p.Global.ServerTransfers)
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		log.Fatal("invariants: ", err)
 	}
 	fmt.Println("invariants: ok")

@@ -72,7 +72,7 @@ func main() {
 		ttr.Quantile(0.5), ttr.Quantile(0.95), ttr.Max(), ttr.N())
 	fmt.Printf("route updates: %d\n", p.Net.RouteUpdates)
 
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		log.Fatal("invariant violation: ", err)
 	}
 	fmt.Println("invariants: ok")

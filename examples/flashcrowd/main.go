@@ -70,7 +70,7 @@ func main() {
 	})
 	p.Eng.RunUntil(4200)
 
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		log.Fatal("invariants: ", err)
 	}
 	fmt.Println("\nflash crowd absorbed; invariants ok")

@@ -63,7 +63,7 @@ func run(consolidate bool) (wh, minSat float64, maxOff int) {
 		return p.Eng.Now() < 86400
 	})
 	p.Eng.RunUntil(86400)
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		log.Fatal("invariants: ", err)
 	}
 	return meter.EnergyWh(86400), minSat, maxOff

@@ -129,7 +129,7 @@ func main() {
 	fmt.Printf("\ndrains completed: %d (p50=%.1fs p99=%.1fs)\n",
 		drain.Count(), drain.Quantile(0.5), drain.Quantile(0.99))
 
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		log.Fatal("invariant violation: ", err)
 	}
 	fmt.Println("invariants: ok")

@@ -62,7 +62,7 @@ func main() {
 			p.Cluster.PodNumVMs(pm.PodID()), elapsed, sat, changes)
 	}
 
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		log.Fatal("invariants: ", err)
 	}
 	fmt.Println("\ninvariants: ok")

@@ -57,7 +57,7 @@ func main() {
 	fmt.Printf("after recovery (t=1800): satisfaction=%.3f, instances=%d\n",
 		p.AppSatisfaction(app.ID), app.NumInstances())
 
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		log.Fatal("invariants: ", err)
 	}
 	fmt.Println("invariants: ok")

@@ -150,7 +150,7 @@ func main() {
 		latAll.Quantile(0.5), latAll.Quantile(0.99), latAll.Quantile(0.999), latAll.Max())
 	fmt.Printf("churn: %d server faults, %d repairs\n", inj.ServerFaults, inj.Repairs)
 
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		log.Fatal("invariant violation: ", err)
 	}
 	fmt.Println("invariants: ok")

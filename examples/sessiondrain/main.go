@@ -92,7 +92,7 @@ func main() {
 	if p.Fabric.Switch(0).Utilization() < 1.0 {
 		fmt.Println("switch 0 relieved by the drain-and-transfer protocol")
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		log.Fatal("invariants: ", err)
 	}
 	fmt.Println("invariants: ok")

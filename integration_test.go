@@ -6,6 +6,7 @@ package megadc
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"megadc/internal/cluster"
@@ -88,16 +89,16 @@ func TestFigure1Topology(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PickRIP: %v", err)
 	}
-	vmID, ok := p.VMForRIP(rip)
-	if !ok {
+	rips, tags, _, _ := p.Fabric.Switch(home).AppendWeightsTagged(vip, nil, nil, nil)
+	vm := p.Cluster.VM(cluster.VMID(tags[slices.Index(rips, rip)]))
+	if vm == nil {
 		t.Fatalf("RIP %s has no VM", rip)
 	}
-	vm := p.Cluster.VM(vmID)
 	srv := p.Cluster.Server(vm.Server)
 	if srv == nil || srv.Pod == cluster.NoPod {
 		t.Fatal("VM's server not in a pod")
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -161,7 +162,7 @@ func TestEndToEndScenario(t *testing.T) {
 	if imb := metrics.Imbalance(podUtils); imb > 2.5 {
 		t.Errorf("pod imbalance = %v (utils %v)", imb, podUtils)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -17,6 +17,7 @@ package core
 // end-of-run success on an empty set.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -104,90 +105,85 @@ func (p *Platform) auditRequests(rep *audit.Report) {
 	}
 }
 
-// auditVIPRIP checks I1: every RIP configured on a switch backs exactly
-// one registered VM, the RIP↔VM index is a bijection over live VMs, and
-// every VIP DNS exposes is homed on a switch.
+// auditVIPRIP checks I1: the fabric's tables and the switch-pod
+// partition are consistent, the VM-indexed RIP bindings hold each RIP
+// once and only for live VMs, every switch RIP entry is tagged with the
+// bound VM whose RIP it is and sits under that VM's home VIP, and every
+// VIP DNS exposes is homed on a switch.
 func (p *Platform) auditVIPRIP(rep *audit.Report) {
 	if err := p.Fabric.CheckInvariants(); err != nil {
 		rep.Add("lbswitch", "I1.FABRIC", "consistent switch tables", err.Error(), "")
 	}
-	// Reports sort by external RIP string, not intern index, so the
-	// violation order never depends on interning history.
-	rips := make([]lbswitch.RIP, 0, len(p.ripVM))
-	for ri, vm := range p.ripVM {
-		if vm < 0 {
-			continue
+	if p.SwitchHier != nil {
+		if err := p.SwitchHier.CheckInvariants(); err != nil {
+			rep.Add("viprip", "I1.SWITCH_POD_PARTITION", "every switch in exactly one switch pod", err.Error(), "")
 		}
-		rips = append(rips, p.ripIx.Key(ids.Index(ri)))
 	}
-	slices.Sort(rips)
-	for _, rip := range rips {
-		ri, _ := p.ripIx.Lookup(rip)
-		vm := p.ripVM[ri]
-		if int(vm) >= len(p.vmRIP) || p.vmRIP[vm] != ri {
-			back := lbswitch.RIP("")
-			if int(vm) < len(p.vmRIP) && p.vmRIP[vm] != ids.None {
-				back = p.ripIx.Key(p.vmRIP[vm])
-			}
+	// Bound VMs in RIP order: reports sort by RIP string, and two VMs
+	// holding one RIP land next to each other.
+	var bound []cluster.VMID
+	for vm, rip := range p.vmRIP {
+		if rip != "" {
+			bound = append(bound, cluster.VMID(vm))
+		}
+	}
+	slices.SortFunc(bound, func(a, b cluster.VMID) int {
+		return cmp.Or(cmp.Compare(p.vmRIP[a], p.vmRIP[b]), cmp.Compare(a, b))
+	})
+	for i, vm := range bound {
+		rip := p.vmRIP[vm]
+		if i > 0 && p.vmRIP[bound[i-1]] == rip {
 			rep.Addf("viprip", "I1.RIP_VM_BIJECTION",
-				fmt.Sprintf("vmRIP[%d] == %s", vm, rip), string(back),
+				"every RIP held by one VM", fmt.Sprintf("vm %d and vm %d", bound[i-1], vm),
 				"rip %s", rip)
 		}
 		if p.Cluster.VM(vm) == nil {
 			rep.Addf("viprip", "I1.RIP_LIVE_VM",
-				"every indexed RIP backs a live VM", "VM missing from cluster",
+				"every bound RIP backs a live VM", "VM missing from cluster",
 				"rip %s -> vm %d", rip, vm)
 		}
-		if p.ripHome[ri] == ids.None {
+		if p.vmHome[vm] == ids.None {
 			rep.Addf("viprip", "I1.RIP_HOME_KNOWN",
-				"every indexed RIP has a home VIP", "no home-VIP entry",
+				"every bound RIP has a home VIP", "no home-VIP entry",
 				"rip %s", rip)
-		}
-	}
-	for vmi, ri := range p.vmRIP {
-		if ri == ids.None {
-			continue
-		}
-		vm := cluster.VMID(vmi)
-		rip := p.ripIx.Key(ri)
-		if int(ri) >= len(p.ripVM) || p.ripVM[ri] != vm {
-			back := cluster.VMID(-1)
-			if int(ri) < len(p.ripVM) {
-				back = p.ripVM[ri]
-			}
-			rep.Addf("viprip", "I1.RIP_VM_BIJECTION",
-				fmt.Sprintf("ripVM[%s] == %d", rip, vm), fmt.Sprintf("%d", back),
-				"vm %d", vm)
 		}
 	}
 	// Every VM placed through the platform serves through a RIP.
 	for _, vmID := range p.Cluster.VMIDs() {
-		if int(vmID) >= len(p.vmRIP) || p.vmRIP[vmID] == ids.None {
+		if _, ok := p.RIPForVM(vmID); !ok {
 			rep.Addf("viprip", "I1.VM_HAS_RIP",
 				"every placed VM has a RIP", "no RIP configured",
 				"vm %d", vmID)
 		}
 	}
-	// Every RIP a switch load-balances to is registered and configured
-	// under its recorded home VIP (no orphan RIPs receiving traffic).
+	// Every RIP a switch load-balances to is tagged with the bound VM
+	// holding it and configured under that VM's home VIP (no orphan
+	// RIPs receiving traffic).
+	var rips []lbswitch.RIP
+	var tags []int64
+	var ws []float64
 	for _, sw := range p.Fabric.Switches() {
 		for _, vip := range sw.VIPs() {
-			swRIPs, _, err := sw.Weights(vip)
+			var err error
+			rips, tags, ws, err = sw.AppendWeightsTagged(vip, rips[:0], tags[:0], ws[:0])
 			if err != nil {
 				continue
 			}
-			for _, rip := range swRIPs {
-				ri, known := p.ripIx.Lookup(rip)
-				if known && (int(ri) >= len(p.ripVM) || p.ripVM[ri] < 0) {
-					known = false
-				}
-				if !known {
+			for j, rip := range rips {
+				vm := vmOfTag(tags[j])
+				held, ok := p.RIPForVM(vm)
+				if !ok {
 					rep.Addf("viprip", "I1.NO_ORPHAN_RIP",
-						"every switch-configured RIP is registered", "unknown RIP",
+						"every switch-configured RIP is tagged with a bound VM", fmt.Sprintf("tag %d", tags[j]),
 						"switch %d vip %s rip %s", sw.ID, vip, rip)
 					continue
 				}
-				if hi := p.ripHome[ri]; hi != ids.None {
+				if held != rip {
+					rep.Addf("viprip", "I1.RIP_VM_BIJECTION",
+						fmt.Sprintf("vmRIP[%d] == %s", vm, rip), string(held),
+						"switch %d vip %s", sw.ID, vip)
+				}
+				if hi := p.vmHome[vm]; hi != ids.None {
 					if home := p.Fabric.Addr(hi); home != vip {
 						rep.Addf("viprip", "I1.RIP_HOME_MATCH",
 							fmt.Sprintf("rip %s configured under its home VIP %s", rip, home),
@@ -413,8 +409,8 @@ func (p *Platform) auditConservation(rep *audit.Report) {
 			}
 		}
 	}
-	for vmi, ri := range p.vmRIP {
-		if ri == ids.None {
+	for vmi, home := range p.vmHome {
+		if home == ids.None {
 			continue
 		}
 		vmID := cluster.VMID(vmi)

@@ -28,6 +28,16 @@ func auditTestPlatform(t *testing.T) (*Platform, cluster.AppID) {
 	return p, a.ID
 }
 
+// auditBoundVM returns the app's first VM, its RIP, and the switch and
+// VIP its RIP entry sits under.
+func auditBoundVM(p *Platform, app cluster.AppID) (cluster.VMID, lbswitch.RIP, *lbswitch.Switch, lbswitch.VIP) {
+	vm := p.Cluster.App(app).VMIDs()[0]
+	rip, _ := p.RIPForVM(vm)
+	vip, _ := p.vipOfVM(vm)
+	home, _ := p.Fabric.HomeOf(vip)
+	return vm, rip, p.Fabric.Switch(home), vip
+}
+
 func TestAuditCleanPlatform(t *testing.T) {
 	p, _ := auditTestPlatform(t)
 	if rep := p.Audit(); !rep.OK() {
@@ -38,16 +48,97 @@ func TestAuditCleanPlatform(t *testing.T) {
 // TestAuditDetectsCorruption white-box corrupts each audited layer and
 // checks the auditor reports the matching invariant ID.
 func TestAuditDetectsCorruption(t *testing.T) {
+	t.Run("I1.FABRIC", func(t *testing.T) {
+		p, app := auditTestPlatform(t)
+		_, _, sw, _ := auditBoundVM(p, app)
+		sw.Limits.MaxRIPs = 0 // the switch now holds more RIPs than it may
+		if rep := p.Audit(); !rep.Has("I1.FABRIC") {
+			t.Fatalf("missing I1.FABRIC, got:\n%s", rep)
+		}
+	})
+	t.Run("I1.SWITCH_POD_PARTITION", func(t *testing.T) {
+		topo := SmallTopology()
+		topo.SwitchPods = 2
+		p, err := NewPlatform(topo, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := p.Audit(); !rep.OK() {
+			t.Fatalf("clean switch-pod platform audits dirty:\n%s", rep)
+		}
+		p.Fabric.AddSwitch(topo.SwitchLimits) // a switch no switch pod owns
+		if rep := p.Audit(); !rep.Has("I1.SWITCH_POD_PARTITION") {
+			t.Fatalf("missing I1.SWITCH_POD_PARTITION, got:\n%s", rep)
+		}
+	})
 	t.Run("I1.RIP_VM_BIJECTION", func(t *testing.T) {
-		p, _ := auditTestPlatform(t)
-		for _, ri := range p.vmRIP {
-			if ri != ids.None {
-				p.ripVM[ri] = -1 // forward half of the binding gone
+		t.Run("shared RIP", func(t *testing.T) {
+			p, app := auditTestPlatform(t)
+			vms := p.Cluster.App(app).VMIDs()
+			p.vmRIP[vms[1]] = p.vmRIP[vms[0]] // two VMs now hold one RIP
+			if rep := p.Audit(); !rep.Has("I1.RIP_VM_BIJECTION") {
+				t.Fatalf("missing I1.RIP_VM_BIJECTION, got:\n%s", rep)
+			}
+		})
+		t.Run("tag disagrees", func(t *testing.T) {
+			p, app := auditTestPlatform(t)
+			_, rip, sw, vip := auditBoundVM(p, app)
+			other := p.Cluster.App(app).VMIDs()[1]
+			if err := sw.SetRIPTag(vip, rip, int64(other)); err != nil {
+				t.Fatal(err)
+			}
+			if rep := p.Audit(); !rep.Has("I1.RIP_VM_BIJECTION") {
+				t.Fatalf("missing I1.RIP_VM_BIJECTION, got:\n%s", rep)
+			}
+		})
+	})
+	t.Run("I1.RIP_LIVE_VM", func(t *testing.T) {
+		p, app := auditTestPlatform(t)
+		vm, _, _, _ := auditBoundVM(p, app)
+		if err := p.Cluster.RemoveVM(vm); err != nil { // behind the bindings' back
+			t.Fatal(err)
+		}
+		if rep := p.Audit(); !rep.Has("I1.RIP_LIVE_VM") {
+			t.Fatalf("missing I1.RIP_LIVE_VM, got:\n%s", rep)
+		}
+	})
+	t.Run("I1.RIP_HOME_KNOWN", func(t *testing.T) {
+		p, app := auditTestPlatform(t)
+		vm, _, _, _ := auditBoundVM(p, app)
+		p.vmHome[vm] = ids.None
+		if rep := p.Audit(); !rep.Has("I1.RIP_HOME_KNOWN") {
+			t.Fatalf("missing I1.RIP_HOME_KNOWN, got:\n%s", rep)
+		}
+	})
+	t.Run("I1.VM_HAS_RIP", func(t *testing.T) {
+		p, app := auditTestPlatform(t)
+		vm, _, _, _ := auditBoundVM(p, app)
+		p.vmRIP[vm], p.vmHome[vm] = "", ids.None
+		if rep := p.Audit(); !rep.Has("I1.VM_HAS_RIP") {
+			t.Fatalf("missing I1.VM_HAS_RIP, got:\n%s", rep)
+		}
+	})
+	t.Run("I1.NO_ORPHAN_RIP", func(t *testing.T) {
+		p, app := auditTestPlatform(t)
+		_, rip, sw, vip := auditBoundVM(p, app)
+		if err := sw.SetRIPTag(vip, rip, -1); err != nil {
+			t.Fatal(err)
+		}
+		if rep := p.Audit(); !rep.Has("I1.NO_ORPHAN_RIP") {
+			t.Fatalf("missing I1.NO_ORPHAN_RIP, got:\n%s", rep)
+		}
+	})
+	t.Run("I1.RIP_HOME_MATCH", func(t *testing.T) {
+		p, app := auditTestPlatform(t)
+		vm, _, _, vip := auditBoundVM(p, app)
+		for _, other := range p.Fabric.VIPsOfApp(app) {
+			if other != vip {
+				p.vmHome[vm] = p.handleOf(other)
 				break
 			}
 		}
-		if rep := p.Audit(); !rep.Has("I1.RIP_VM_BIJECTION") {
-			t.Fatalf("missing I1.RIP_VM_BIJECTION, got:\n%s", rep)
+		if rep := p.Audit(); !rep.Has("I1.RIP_HOME_MATCH") {
+			t.Fatalf("missing I1.RIP_HOME_MATCH, got:\n%s", rep)
 		}
 	})
 	t.Run("I1.EXPOSED_HOMED", func(t *testing.T) {
@@ -108,8 +199,8 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	})
 	t.Run("I4.VM_DEMAND_SUM", func(t *testing.T) {
 		p, _ := auditTestPlatform(t)
-		for vmi, ri := range p.vmRIP {
-			if ri == ids.None {
+		for vmi, rip := range p.vmRIP {
+			if rip == "" {
 				continue
 			}
 			if vm := p.Cluster.VM(cluster.VMID(vmi)); vm != nil {

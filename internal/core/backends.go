@@ -21,7 +21,7 @@ import (
 //     VIP/RIP add or remove and every RIP tag write;
 //   - the platform's per-switch backend generation, which moves when a
 //     backend VM starts, stops, resizes or migrates (cluster's
-//     OnVMChange hook, routed vmRIP → ripHome → home switch), when a
+//     OnVMChange hook, routed vmHome → home switch), when a
 //     RIP binding is recorded (bindRIP), and when a server enters or
 //     leaves Healthy (FaultServer, RepairServer).
 //
@@ -76,10 +76,9 @@ func (bs *BackendScan) SwitchCPU(id lbswitch.SwitchID) float64 {
 }
 
 // scan is the full, uncached walk behind SwitchCPU, ignoring the
-// switch's own health. RIP entries resolve to VMs through the dense tag
-// the platform stamps at deploy time, falling back to the string-keyed
-// RIP table for entries configured outside the platform (hand-built
-// tests, forced transfers).
+// switch's own health. RIP entries resolve to VMs through the tag the
+// platform stamps when it configures them; an untagged entry backs no
+// VM.
 func (bs *BackendScan) scan(sw *lbswitch.Switch) float64 {
 	p := bs.p
 	var cpu float64
@@ -90,13 +89,8 @@ func (bs *BackendScan) scan(sw *lbswitch.Switch) float64 {
 		if err != nil {
 			continue
 		}
-		for i, tag := range bs.tags {
-			var vm *cluster.VM
-			if tag >= 0 {
-				vm = p.Cluster.VM(cluster.VMID(tag))
-			} else if vmID, ok := p.VMForRIP(bs.rips[i]); ok {
-				vm = p.Cluster.VM(vmID)
-			}
+		for _, tag := range bs.tags {
+			vm := p.Cluster.VM(vmOfTag(tag))
 			if vm == nil || vm.State != cluster.VMRunning {
 				continue
 			}
@@ -116,10 +110,7 @@ func (p *Platform) bumpBackend(id lbswitch.SwitchID) { p.backendGen[id]++ }
 // only switch whose backend CPU can count vm. A VM without a bound RIP
 // backs no switch.
 func (p *Platform) bumpVMBackend(vm cluster.VMID) {
-	if int(vm) >= len(p.vmRIP) || p.vmRIP[vm] == ids.None {
-		return
-	}
-	vi := p.ripHome[p.vmRIP[vm]]
+	vi := p.vmHomeOf(vm)
 	if vi == ids.None {
 		return
 	}

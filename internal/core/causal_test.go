@@ -81,7 +81,7 @@ func TestCausalInheritanceUnderFaults(t *testing.T) {
 	}
 	// A sticky tracked connection forces the third transfer attempt to
 	// break it.
-	if _, _, err := p.Fabric.Switch(home).OpenConn(vip, p.Rand()); err != nil {
+	if _, _, _, err := p.Fabric.Switch(home).OpenConn(vip, p.Rand()); err != nil {
 		t.Fatal(err)
 	}
 	p.Global.startDrainAndTransfer(vip, dstID)

@@ -105,7 +105,7 @@ func TestNoClaimOutlivesItsAction(t *testing.T) {
 			if !ok {
 				return
 			}
-			if _, _, err := p.Fabric.Switch(home).OpenConn(vip, p.Rand()); err != nil {
+			if _, _, _, err := p.Fabric.Switch(home).OpenConn(vip, p.Rand()); err != nil {
 				t.Errorf("open sticky connection: %v", err)
 				return
 			}

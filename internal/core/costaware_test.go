@@ -48,7 +48,7 @@ func TestCostAwareExposureReducesCost(t *testing.T) {
 			t.Errorf("link %d above ceiling: %v", l.ID, l.Utilization())
 		}
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -125,7 +125,7 @@ func TestRecycleUnusedVIPs(t *testing.T) {
 	if p.Net.Link(newLinks[0]).LoadMbps() <= 0 {
 		t.Error("re-exposed VIP carries nothing on its recycled link")
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }

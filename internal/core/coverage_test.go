@@ -67,7 +67,7 @@ func TestKnobCVacatesLoadedDonorServer(t *testing.T) {
 			return // found the fresh empty server
 		}
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -105,7 +105,7 @@ func TestSessionOverlayDirect(t *testing.T) {
 	if got := p.Fabric.TotalThroughputMbps(); math.Abs(got-baseFabric) > 1e-9 {
 		t.Errorf("after close, fabric = %v", got)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -123,7 +123,7 @@ func TestSessionClosedAfterVMRemoval(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.SessionClosed(p.handleOf(vip), vmID, res) // must not panic or corrupt
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }

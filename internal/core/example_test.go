@@ -28,7 +28,7 @@ func Example() {
 	fmt.Printf("after 4x spike: %.2f\n", p.AppSatisfaction(app.ID))
 	p.Eng.RunUntil(1800)
 	fmt.Printf("after the knobs react: %.2f (invariants ok: %v)\n",
-		p.AppSatisfaction(app.ID), p.CheckInvariants() == nil)
+		p.AppSatisfaction(app.ID), p.AuditErr() == nil)
 	// Output:
 	// VIPs: 3, instances: 4, satisfaction: 1.00
 	// after 4x spike: 0.33

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
 	"megadc/internal/cluster"
 	"megadc/internal/health"
-	"megadc/internal/ids"
 	"megadc/internal/lbswitch"
 	"megadc/internal/netmodel"
 	"megadc/internal/trace"
@@ -243,9 +243,10 @@ func (p *Platform) RepairSwitch(id lbswitch.SwitchID) error {
 
 // rehomeOrphanVIPs places DNS-registered VIPs that lost their fabric
 // home (dropped when a switch died with no spare capacity) onto the
-// given switch, rebuilding each VIP's RIP group from the RIP→VIP index
-// and re-exposing it. Stops early when the switch is full; the rest
-// stay orphaned until more capacity repairs. Returns the number placed.
+// given switch, rebuilding each VIP's RIP group from the VMs homed under
+// it (in RIP order, each entry tagged with its VM) and re-exposing it.
+// Stops early when the switch is full; the rest stay orphaned until
+// more capacity repairs. Returns the number placed.
 func (p *Platform) rehomeOrphanVIPs(sw *lbswitch.Switch) (placed int) {
 	for _, app := range p.DNS.Apps() {
 		for _, vipStr := range p.DNS.VIPs(app) {
@@ -256,22 +257,21 @@ func (p *Platform) rehomeOrphanVIPs(sw *lbswitch.Switch) (placed int) {
 			if err := p.Fabric.PlaceVIP(vip, app, sw.ID); err != nil {
 				return placed
 			}
-			var rips []lbswitch.RIP
+			var vms []cluster.VMID
 			vi := p.handleOf(vip)
-			for ri, home := range p.ripHome {
+			for vm, home := range p.vmHome {
 				if home == vi {
-					rips = append(rips, p.ripIx.Key(ids.Index(ri)))
+					vms = append(vms, cluster.VMID(vm))
 				}
 			}
-			slices.Sort(rips)
-			for _, rip := range rips {
+			slices.SortFunc(vms, func(a, b cluster.VMID) int { return cmp.Compare(p.vmRIP[a], p.vmRIP[b]) })
+			for _, vm := range vms {
+				rip := p.vmRIP[vm]
 				if err := sw.AddRIP(vip, rip, 1); err != nil {
 					break
 				}
 				// Restore the RIP→VM tag the dropped switch carried.
-				if ri, ok := p.ripIx.Lookup(rip); ok && p.ripVM[ri] >= 0 {
-					sw.SetRIPTag(vip, rip, int64(p.ripVM[ri]))
-				}
+				sw.SetRIPTag(vip, rip, int64(vm))
 			}
 			placed++
 			p.reconcileExposure(app)

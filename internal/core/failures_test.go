@@ -30,7 +30,7 @@ func TestFailServerRemovesVMsAndRecovers(t *testing.T) {
 	if !p.Cluster.Server(victim).Capacity.IsZero() {
 		t.Error("dead server still has capacity")
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 	// Explicit repair restores satisfaction.
@@ -82,7 +82,7 @@ func TestFailSwitchRehomesVIPs(t *testing.T) {
 	if got := p.AppSatisfaction(app.ID); got < 0.99 {
 		t.Errorf("satisfaction after switch failure = %v", got)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := p.FailSwitch(99); err == nil {
@@ -117,7 +117,7 @@ func TestFailSwitchDropsWhenNoCapacity(t *testing.T) {
 			t.Error("dropped VIP still exposed")
 		}
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -166,7 +166,7 @@ func TestFailLinkReadvertises(t *testing.T) {
 	if total < 399 {
 		t.Errorf("traffic lost after link failure: %v", total)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.FailLink(99); err == nil {
@@ -215,7 +215,7 @@ func TestCascadedFailuresConvergeUnderControlLoops(t *testing.T) {
 			t.Errorf("app %d satisfaction = %v", a.ID, got)
 		}
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -591,20 +591,18 @@ func (g *GlobalManager) interPodWeights() {
 			continue
 		}
 		for _, vip := range sw.VIPs() {
-			rips, weights, err := sw.Weights(vip)
-			if err != nil || len(rips) < 2 {
+			_, tags, weights, err := sw.AppendWeightsTagged(vip, nil, nil, nil)
+			if err != nil || len(tags) < 2 {
 				continue
 			}
 			// Partition the VIP's RIPs by pod.
-			podOf := make([]cluster.PodID, len(rips))
+			podOf := make([]cluster.PodID, len(tags))
 			hasHot, hasCold := false, false
-			for i, rip := range rips {
+			for i, tag := range tags {
 				podOf[i] = cluster.NoPod
-				if vmID, ok := g.p.VMForRIP(rip); ok {
-					if vm := g.p.Cluster.VM(vmID); vm != nil {
-						if srv := g.p.Cluster.Server(vm.Server); srv != nil {
-							podOf[i] = srv.Pod
-						}
+				if vm := g.p.Cluster.VM(vmOfTag(tag)); vm != nil {
+					if srv := g.p.Cluster.Server(vm.Server); srv != nil {
+						podOf[i] = srv.Pod
 					}
 				}
 				if podOf[i] == cluster.NoPod {
@@ -623,7 +621,7 @@ func (g *GlobalManager) interPodWeights() {
 			newWeights := append([]float64(nil), weights...)
 			var moved float64
 			var coldIdx []int
-			for i := range rips {
+			for i := range tags {
 				if podOf[i] == cluster.NoPod {
 					continue
 				}

@@ -115,7 +115,7 @@ func TestKnobBVIPTransferRelievesSwitch(t *testing.T) {
 			}
 		}
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Error(err)
 	}
 	if p.Net.RouteUpdates != routeUpdates {
@@ -163,7 +163,7 @@ func TestKnobCServerTransfer(t *testing.T) {
 	if u := p.Pod(pod0).Utilization(); u >= 0.94 {
 		t.Errorf("pod util after transfer = %v", u)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Error(err)
 	}
 }
@@ -200,7 +200,7 @@ func TestKnobDDeployment(t *testing.T) {
 	if !p.Cluster.Covers(app.ID, pod1) {
 		t.Error("app does not cover the cold pod after deployment")
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Error(err)
 	}
 }
@@ -242,7 +242,7 @@ func TestKnobFInterPodWeights(t *testing.T) {
 	g.Step()
 	p.Eng.RunFor(cfg.SwitchReconfigLatency + 1)
 
-	rips, after, _ := sw.Weights(vip)
+	_, tags, after, _ := sw.AppendWeightsTagged(vip, nil, nil, nil)
 	totalAfter := after[0] + after[1]
 	if math.Abs(totalAfter-totalBefore) > 1e-6 {
 		t.Errorf("total weight %v -> %v; must be preserved", totalBefore, totalAfter)
@@ -251,9 +251,8 @@ func TestKnobFInterPodWeights(t *testing.T) {
 		t.Fatal("no inter-pod adjustment")
 	}
 	// The RIP in the hot pod lost weight.
-	for i, rip := range rips {
-		vmID, _ := p.VMForRIP(rip)
-		vm := p.Cluster.VM(vmID)
+	for i, tag := range tags {
+		vm := p.Cluster.VM(cluster.VMID(tag))
 		srv := p.Cluster.Server(vm.Server)
 		if srv.Pod == pod0 && after[i] >= before[i] {
 			t.Errorf("hot-pod RIP weight %v -> %v; should decrease", before[i], after[i])
@@ -300,7 +299,7 @@ func TestElephantGuard(t *testing.T) {
 	if g.ElephantMoves == 0 {
 		t.Error("no elephant moves recorded")
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Error(err)
 	}
 }
@@ -335,7 +334,7 @@ func TestElephantGuardVMLimit(t *testing.T) {
 	if got := p.Cluster.PodNumVMs(pod1); got > cfg.MaxPodVMs {
 		t.Errorf("guard pushed pod1 over the limit: %d VMs", got)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Error(err)
 	}
 }
@@ -363,7 +362,7 @@ func TestRemoveIdleInstances(t *testing.T) {
 	if got := app.NumInstances(); got < cfg.VIPsPerApp {
 		t.Errorf("instances = %d fell below floor %d", got, cfg.VIPsPerApp)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Error(err)
 	}
 }
@@ -399,7 +398,7 @@ func TestFullLoopConvergence(t *testing.T) {
 	if imb := metrics.Imbalance(p.Fabric.Utilizations()); imb > 3.5 {
 		t.Errorf("switch imbalance = %v", imb)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Error(err)
 	}
 }
@@ -432,7 +431,7 @@ func TestDrainBlockedByConnectionsForces(t *testing.T) {
 	// Open sticky connections on both VIPs (extreme TTL violators).
 	for _, app := range []cluster.AppID{a0.ID, a1.ID} {
 		vip := p.Fabric.VIPsOfApp(app)[0]
-		if _, _, err := p.Fabric.Switch(0).OpenConn(vip, p.Rand()); err != nil {
+		if _, _, _, err := p.Fabric.Switch(0).OpenConn(vip, p.Rand()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,6 +10,32 @@ import (
 	"testing"
 )
 
+// parseNonTest parses the non-test Go files of dir.
+func parseNonTest(t *testing.T, dir string) (*token.FileSet, []*ast.File) {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := parser.ParseFile(fset, name, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return fset, files
+}
+
 // TestVIPTablesKeyedByHandle is the source guard of the VIP handle
 // design (DESIGN.md §22): non-test code in lbswitch, netmodel, dnsctl
 // and core keys no map by a VIP address — a VIP, a VIPAddr, a string,
@@ -29,26 +55,7 @@ func TestVIPTablesKeyedByHandle(t *testing.T) {
 		return false
 	}
 	for _, dir := range []string{".", "../lbswitch", "../netmodel", "../dnsctl"} {
-		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fset := token.NewFileSet()
-		var files []*ast.File
-		for _, name := range names {
-			if strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			src, err := os.ReadFile(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := parser.ParseFile(fset, name, src, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
+		fset, files := parseNonTest(t, dir)
 		// Struct types that hold an address, and the one allowed table.
 		addrStructs := make(map[string]bool)
 		allowed := make(map[ast.Node]bool)
@@ -97,5 +104,52 @@ func TestVIPTablesKeyedByHandle(t *testing.T) {
 				return true
 			})
 		}
+	}
+}
+
+// TestRIPBindingsKeyedByVM is the source guard of the single RIP → VM
+// binding (DESIGN.md §13): non-test core code keys no map by a RIP — an
+// lbswitch.RIP or a struct of this package holding one — and declares
+// no interner or RIP index (ripIx, ripVM, ripHome). A RIP's bindings
+// live in the VM-indexed vmRIP and vmHome, and the RIP → VM direction
+// is the tag on the RIP's switch entry.
+func TestRIPBindingsKeyedByVM(t *testing.T) {
+	isRIP := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "RIP"
+	}
+	fset, files := parseNonTest(t, ".")
+	ripStructs := make(map[string]bool)
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					for _, field := range st.Fields.List {
+						if isRIP(field.Type) {
+							ripStructs[ts.Name.Name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.MapType:
+				key, isIdent := n.Key.(*ast.Ident)
+				if isRIP(n.Key) || isIdent && ripStructs[key.Name] {
+					t.Errorf("%s: map keyed by a RIP; key RIP bindings by VMID", fset.Position(n.Pos()))
+				}
+			case *ast.Ident:
+				switch n.Name {
+				case "ripIx", "ripVM", "ripHome", "Interner", "NewInterner":
+					t.Errorf("%s: %s is a second RIP index; resolve RIPs through their switch-entry tags",
+						fset.Position(n.Pos()), n.Name)
+				}
+			}
+			return true
+		})
 	}
 }

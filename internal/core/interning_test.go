@@ -49,14 +49,13 @@ type runOutcome struct {
 	latency      []uint64 // quantiles of requests.latency.all
 }
 
-// TestInterningOrderInvariance pins that VIP handle and RIP index
-// assignment is an invisible implementation detail. The padded run
-// first hands out thousands of fabric handles in reverse lexical
-// address order — including every address the VIP pool will allocate,
-// so the real VIPs reuse handles that run against address order — and
-// shifts every RIP index the same way. No observable output of the
-// seeded run may change: VM demand, per-VIP traffic and switch load,
-// every link load and switch throughput, satisfaction, the audit
+// TestInterningOrderInvariance pins that VIP handle assignment is an
+// invisible implementation detail. The padded run first hands out
+// thousands of fabric handles in reverse lexical address order —
+// including every address the VIP pool will allocate, so the real VIPs
+// reuse handles that run against address order. No observable output
+// of the seeded run may change: VM demand, per-VIP traffic and switch
+// load, every link load and switch throughput, satisfaction, the audit
 // report, and the counters and latency quantiles of a request engine
 // run. Outputs must follow addresses, never handle order (DESIGN.md §22).
 func TestInterningOrderInvariance(t *testing.T) {
@@ -76,21 +75,16 @@ func TestInterningOrderInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			var vips []lbswitch.VIP
-			var rips []lbswitch.RIP
 			for i := 0; i < 3000; i++ {
 				addr, err := pool.Alloc()
 				if err != nil {
 					t.Fatal(err)
 				}
 				vips = append(vips, lbswitch.VIP(addr), lbswitch.VIP(fmt.Sprintf("padvip-%d", i)))
-				rips = append(rips, lbswitch.RIP(fmt.Sprintf("padrip-%d", i)))
 			}
 			slices.Sort(vips)
 			slices.Reverse(vips)
-			slices.Sort(rips)
-			slices.Reverse(rips)
 			padHandles(t, p, vips)
-			core.PadRIPIndex(p, rips)
 		}
 		var apps []cluster.AppID
 		for i := 0; i < 12; i++ {

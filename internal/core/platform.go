@@ -107,12 +107,12 @@ func (t Topology) validate() error {
 // applications, drive demand, and Run the engine.
 //
 // Hot-path per-entity state lives in dense struct-of-arrays tables (see
-// tables.go): cluster IDs are contiguous by construction, VIPs carry the
-// dense handles the Fabric assigns at first placement (DESIGN.md §22),
-// and RIPs are interned to contiguous indices on first sight. Handle and
-// interning order are pure functions of the call sequence, so seeded
+// tables.go): cluster IDs are contiguous by construction, and VIPs carry
+// the dense handles the Fabric assigns at first placement (DESIGN.md
+// §22). Handle order is a pure function of the call sequence, so seeded
 // runs assign identically — and nothing observable depends on the order
-// itself (sorted outputs sort by address, not handle or index).
+// itself (sorted outputs sort by address, not handle). RIPs get no index
+// of their own: a RIP's bindings are kept by its VM's ID.
 type Platform struct {
 	Eng     *sim.Engine
 	Cfg     Config
@@ -142,11 +142,6 @@ type Platform struct {
 	// randomness.
 	pol policy.Bundle
 
-	// ripIx gives RIPs dense indices. Indices are stable and never
-	// reused; IPPool address recycling maps a reused RIP string back to
-	// its existing index. (VIP handles come from the Fabric.)
-	ripIx *ids.Interner[lbswitch.RIP]
-
 	// Demand and slice registries, indexed by AppID. The bitsets are
 	// authoritative for membership; the value slots of cleared entries
 	// are stale.
@@ -155,12 +150,13 @@ type Platform struct {
 	appSlice    []cluster.Resources
 	appSliceSet ids.Bitset
 
-	// RIP ↔ VM ↔ home-VIP binding tables. ripVM is indexed by RIP index
-	// (-1 = unbound), vmRIP by VMID (ids.None = no RIP), ripHome by RIP
-	// index (VIP handle or ids.None).
-	ripVM   []cluster.VMID
-	vmRIP   []ids.Index
-	ripHome []ids.Index
+	// RIP bindings, indexed by VMID (VMIDs are never reused): vmRIP is
+	// the VM's RIP ("" = none) and vmHome the handle of the VIP it is
+	// configured under (ids.None = none); both are set and cleared
+	// together. The RIP → VM direction is the tag on the RIP's switch
+	// entry, which names the VM (DESIGN.md §13).
+	vmRIP  []lbswitch.RIP
+	vmHome []ids.Index
 
 	// Memoized backend CPU per switch (backends.go): backendGen is the
 	// platform's half of each entry's validity key, bumped on VM,
@@ -271,7 +267,6 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 		Fabric:   fab,
 		Net:      netmodel.New(func(h ids.Index) netmodel.VIPAddr { return string(fab.Addr(h)) }),
 		DNS:      dnsctl.New(topo.DNSTTLSeconds),
-		ripIx:    ids.NewInterner[lbswitch.RIP](0),
 		srvSnap:  make(map[cluster.ServerID]cluster.Resources),
 		swSnap:   make(map[lbswitch.SwitchID]lbswitch.Limits),
 		linkSnap: make(map[netmodel.LinkID]float64),
@@ -516,21 +511,21 @@ func (p *Platform) appSliceOf(app cluster.AppID) (cluster.Resources, bool) {
 	return p.appSlice[app], true
 }
 
-// VMForRIP resolves a RIP to its VM.
-func (p *Platform) VMForRIP(rip lbswitch.RIP) (cluster.VMID, bool) {
-	ri, ok := p.ripIx.Lookup(rip)
-	if !ok || int(ri) >= len(p.ripVM) || p.ripVM[ri] < 0 {
-		return 0, false
-	}
-	return p.ripVM[ri], true
-}
-
 // RIPForVM resolves a VM to its RIP.
 func (p *Platform) RIPForVM(vm cluster.VMID) (lbswitch.RIP, bool) {
-	if vm < 0 || int(vm) >= len(p.vmRIP) || p.vmRIP[vm] == ids.None {
+	if vm < 0 || int(vm) >= len(p.vmRIP) || p.vmRIP[vm] == "" {
 		return "", false
 	}
-	return p.ripIx.Key(p.vmRIP[vm]), true
+	return p.vmRIP[vm], true
+}
+
+// vmHomeOf returns the handle of the VIP vm's RIP is configured under,
+// or ids.None when vm has no RIP.
+func (p *Platform) vmHomeOf(vm cluster.VMID) ids.Index {
+	if vm < 0 || int(vm) >= len(p.vmHome) {
+		return ids.None
+	}
+	return p.vmHome[vm]
 }
 
 // OnboardApp registers an application end to end: VIPs allocated on
@@ -655,8 +650,8 @@ func (p *Platform) DeployInstanceFor(app cluster.AppID, pod cluster.PodID, prefe
 		return nil, err
 	}
 	p.bindRIP(rip, vm.ID, vip, sw)
-	// Tag the switch entry with the VM index so demand propagation
-	// resolves RIP → VM by slice offset, not string lookup.
+	// Tag the switch entry with the VM: the tag is the only RIP → VM
+	// mapping, so an untagged entry would back no VM.
 	if s := p.Fabric.Switch(sw); s != nil {
 		s.SetRIPTag(vip, rip, int64(vm.ID))
 	}
@@ -664,40 +659,24 @@ func (p *Platform) DeployInstanceFor(app cluster.AppID, pod cluster.PodID, prefe
 	return vm, nil
 }
 
-// bindRIP records the rip ↔ vm ↔ home-VIP binding in the dense tables.
-// home is the switch vip is homed on, whose memoized backend CPU the
-// new binding invalidates.
+// bindRIP records vm's RIP and home VIP in the VM-indexed tables. home
+// is the switch vip is homed on, whose memoized backend CPU the new
+// binding invalidates. The caller tags the RIP's switch entry with vm.
 func (p *Platform) bindRIP(rip lbswitch.RIP, vm cluster.VMID, vip lbswitch.VIP, home lbswitch.SwitchID) {
-	ri := p.ripIx.Intern(rip)
-	vi := p.handleOf(vip)
-	p.ripVM = growFill(p.ripVM, int(ri)+1, cluster.VMID(-1))
-	p.ripVM[ri] = vm
-	p.ripHome = growFill(p.ripHome, int(ri)+1, ids.None)
-	p.ripHome[ri] = vi
-	p.vmRIP = growFill(p.vmRIP, int(vm)+1, ids.None)
-	p.vmRIP[vm] = ri
+	p.vmRIP = growSlice(p.vmRIP, int(vm)+1)
+	p.vmRIP[vm] = rip
+	p.vmHome = growFill(p.vmHome, int(vm)+1, ids.None)
+	p.vmHome[vm] = p.handleOf(vip)
 	p.bumpBackend(home)
 }
 
 // vipOfVM returns the VIP the VM's RIP is configured under.
 func (p *Platform) vipOfVM(vm cluster.VMID) (lbswitch.VIP, bool) {
-	if vm < 0 || int(vm) >= len(p.vmRIP) || p.vmRIP[vm] == ids.None {
+	vi := p.vmHomeOf(vm)
+	if vi == ids.None {
 		return "", false
 	}
-	ri := p.vmRIP[vm]
-	if int(ri) >= len(p.ripHome) || p.ripHome[ri] == ids.None {
-		return "", false
-	}
-	return p.Fabric.Addr(p.ripHome[ri]), true
-}
-
-// VIPOfRIP returns the VIP a RIP is configured under.
-func (p *Platform) VIPOfRIP(rip lbswitch.RIP) (lbswitch.VIP, bool) {
-	ri, ok := p.ripIx.Lookup(rip)
-	if !ok || int(ri) >= len(p.ripHome) || p.ripHome[ri] == ids.None {
-		return "", false
-	}
-	return p.Fabric.Addr(p.ripHome[ri]), true
+	return p.Fabric.Addr(vi), true
 }
 
 // reconcileExposure keeps DNS exposure consistent with serving capacity:
@@ -735,16 +714,13 @@ func (p *Platform) RemoveInstance(vm cluster.VMID) error {
 	if v == nil {
 		return fmt.Errorf("core: unknown vm %d", vm)
 	}
-	if int(vm) < len(p.vmRIP) && p.vmRIP[vm] != ids.None {
-		ri := p.vmRIP[vm]
-		rip := p.ripIx.Key(ri)
+	if rip, ok := p.RIPForVM(vm); ok {
 		if err := p.VIPRIP.DelRIP(v.App, rip); err != nil {
 			return err
 		}
 		p.VIPRIP.FreeRIP(rip)
-		p.vmRIP[vm] = ids.None
-		p.ripVM[ri] = -1
-		p.ripHome[ri] = ids.None
+		p.vmRIP[vm] = ""
+		p.vmHome[vm] = ids.None
 	}
 	if err := p.Cluster.RemoveVM(vm); err != nil {
 		return err
@@ -966,7 +942,10 @@ func (p *Platform) TotalSatisfaction() float64 {
 	return served / demand
 }
 
-// CheckInvariants validates every substrate plus the RIP↔VM index.
+// CheckInvariants validates the cluster, fabric and network tables on
+// their own. It is a subset of Audit (I3.CLUSTER, I1.FABRIC,
+// I5.LINK_DECOMP), kept for the benchmark harness; every other caller
+// gates on AuditErr, which also checks the cross-layer invariants.
 func (p *Platform) CheckInvariants() error {
 	if err := p.Cluster.CheckInvariants(); err != nil {
 		return err
@@ -974,38 +953,5 @@ func (p *Platform) CheckInvariants() error {
 	if err := p.Fabric.CheckInvariants(); err != nil {
 		return err
 	}
-	if err := p.Net.CheckInvariants(); err != nil {
-		return err
-	}
-	for i, vm := range p.ripVM {
-		if vm < 0 {
-			continue
-		}
-		ri := ids.Index(i)
-		if int(vm) >= len(p.vmRIP) || p.vmRIP[vm] != ri {
-			return fmt.Errorf("core: rip %s -> vm %d back-binding mismatch", p.ripIx.Key(ri), vm)
-		}
-		if p.Cluster.VM(vm) == nil {
-			return fmt.Errorf("core: rip %s maps to missing vm %d", p.ripIx.Key(ri), vm)
-		}
-	}
-	// Cross-layer: every VIP DNS actually exposes (weight > 0) must be
-	// homed on a switch — otherwise clients would resolve to a dead
-	// address. (Hidden VIPs may be legitimately un-homed, e.g. dropped
-	// by a switch failure with no spare capacity.)
-	for _, app := range p.DNS.Apps() {
-		vips, weights, err := p.DNS.Weights(app)
-		if err != nil {
-			continue
-		}
-		for i, vipStr := range vips {
-			if weights[i] <= 0 {
-				continue
-			}
-			if _, ok := p.Fabric.HomeOf(lbswitch.VIP(vipStr)); !ok {
-				return fmt.Errorf("core: exposed VIP %s of app %d not homed on any switch", vipStr, app)
-			}
-		}
-	}
-	return nil
+	return p.Net.CheckInvariants()
 }

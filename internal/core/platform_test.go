@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,7 +125,7 @@ func TestNewPlatformTopology(t *testing.T) {
 	if got := len(p.PodManagers()); got != topo.Pods {
 		t.Errorf("pod managers = %d", got)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Error(err)
 	}
 }
@@ -226,7 +227,7 @@ func TestOnboardApp(t *testing.T) {
 	if covered != 4 {
 		t.Errorf("app covers %d pods, want 4 (round-robin)", covered)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Error(err)
 	}
 }
@@ -267,7 +268,7 @@ func TestSwitchPodHierarchyOnPlatform(t *testing.T) {
 	if err := p.SwitchHier.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Error(err)
 	}
 	// Invalid pod counts surface at construction.
@@ -354,14 +355,21 @@ func TestRemoveInstance(t *testing.T) {
 	if err := p.RemoveInstance(vms[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.VMForRIP(rip); ok {
-		t.Error("RIP mapping survived removal")
+	if _, ok := p.RIPForVM(vms[0]); ok {
+		t.Error("RIP binding survived removal")
+	}
+	for _, sw := range p.Fabric.Switches() {
+		for _, vip := range sw.VIPs() {
+			if rips, _, _ := sw.Weights(vip); slices.Contains(rips, rip) {
+				t.Errorf("RIP %s still configured under %s", rip, vip)
+			}
+		}
 	}
 	if app.NumInstances() != 1 {
 		t.Errorf("instances = %d", app.NumInstances())
 	}
 	p.Propagate()
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Error(err)
 	}
 	if err := p.RemoveInstance(999); err == nil {

@@ -22,22 +22,18 @@ type weightDecision struct {
 }
 
 // refDesiredWeights is the knob-F computation as the switch-by-switch
-// scan did it: a fresh copy of the weight vector and a string-keyed
-// RIP → VM lookup per RIP.
+// scan did it: fresh copies of the weight and tag vectors, each RIP
+// resolved to its VM through its entry's tag.
 func refDesiredWeights(pm *PodManager, sw *lbswitch.Switch, vip lbswitch.VIP) ([]float64, bool) {
-	rips, weights, err := sw.Weights(vip)
+	rips, tags, weights, err := sw.AppendWeightsTagged(vip, nil, nil, nil)
 	if err != nil {
 		return nil, false
 	}
 	var inPod []int
 	var inPodTotal, capTotal float64
 	caps := make([]float64, len(rips))
-	for i, rip := range rips {
-		vmID, ok := pm.p.VMForRIP(rip)
-		if !ok {
-			continue
-		}
-		vm := pm.p.Cluster.VM(vmID)
+	for i := range rips {
+		vm := pm.p.Cluster.VM(cluster.VMID(tags[i]))
 		if vm == nil {
 			continue
 		}
@@ -307,7 +303,7 @@ func TestCloseStopsPropagateWorkers(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	p.PropagateFull() // sequential after Close
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 	if runtime.NumGoroutine() > base {

@@ -376,10 +376,7 @@ func (pm *PodManager) weightCandidates() []weightCandidate {
 	vips := pm.podVIPs[:0]
 	for _, srv := range pd.Servers() {
 		for _, vm := range srv.VMs() {
-			if int(vm.ID) >= len(p.vmRIP) || p.vmRIP[vm.ID] == ids.None {
-				continue
-			}
-			if vi := p.ripHome[p.vmRIP[vm.ID]]; vi != ids.None {
+			if vi := p.vmHomeOf(vm.ID); vi != ids.None {
 				vips = append(vips, vi)
 			}
 		}
@@ -442,7 +439,7 @@ func (pm *PodManager) desiredWeights(sw *lbswitch.Switch, vip lbswitch.VIP) ([]f
 	inPod, caps := pm.wInPod[:0], pm.wCaps[:0]
 	var inPodTotal, capTotal float64
 	for i := range rips {
-		vm := pm.p.Cluster.VM(pm.p.vmOfRIP(rips[i], tags[i]))
+		vm := pm.p.Cluster.VM(vmOfTag(tags[i]))
 		if vm == nil {
 			continue
 		}

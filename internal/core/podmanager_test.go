@@ -113,7 +113,7 @@ func TestKnobFIntraPodWeights(t *testing.T) {
 	pm.Step()
 	p.Eng.RunFor(cfg.SwitchReconfigLatency + 1)
 
-	rips, after, _ := sw.Weights(vip)
+	rips, tags, after, _ := sw.AppendWeightsTagged(vip, nil, nil, nil)
 	if len(rips) != 2 {
 		t.Fatalf("rips = %v", rips)
 	}
@@ -123,8 +123,7 @@ func TestKnobFIntraPodWeights(t *testing.T) {
 	}
 	// The VM with 3 CPU should get 3× the weight of the 1-CPU VM.
 	bigIdx := 0
-	rip0VM, _ := p.VMForRIP(rips[0])
-	if rip0VM != vms[0] {
+	if cluster.VMID(tags[0]) != vms[0] {
 		bigIdx = 1
 	}
 	ratio := after[bigIdx] / after[1-bigIdx]
@@ -159,7 +158,7 @@ func TestLocalScaleOutDeploysInstance(t *testing.T) {
 	if got := p.AppSatisfaction(app.ID); got < 0.99 {
 		t.Errorf("satisfaction after scale-out = %v", got)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Error(err)
 	}
 }
@@ -187,6 +186,24 @@ func TestDefragmentUnblocksGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Cluster.Start(blocker.ID)
+	// Bind each hand-placed VM's RIP the way DeployInstance does,
+	// bypassing it on purpose to pin both VMs to the full server.
+	bind := func(app cluster.AppID, vm cluster.VMID) {
+		rip, err := p.VIPRIP.AllocRIP()
+		if err != nil {
+			t.Fatal(err)
+		}
+		vip, sw, err := p.VIPRIP.AddRIP(app, rip, 1, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.bindRIP(rip, vm, vip, sw)
+		if err := p.Fabric.Switch(sw).SetRIPTag(vip, rip, int64(vm)); err != nil {
+			t.Fatal(err)
+		}
+		p.reconcileExposure(app)
+	}
+	bind(blockApp.ID, blocker.ID)
 	hot, err := p.OnboardApp("hot", defaultSlice(), 0, Demand{})
 	if err != nil {
 		t.Fatal(err)
@@ -196,11 +213,8 @@ func TestDefragmentUnblocksGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Cluster.Start(vm.ID)
-	rip, _ := p.VIPRIP.AllocRIP()
-	p.VIPRIP.AddRIP(hot.ID, rip, 1, "")
-	// Hand-wire the RIP↔VM mapping (bypassing DeployInstance on purpose
-	// to pin the VM to the full server).
-	vm.Demand = cluster.Resources{CPU: 4}
+	bind(hot.ID, vm.ID)
+	p.SetAppDemand(hot.ID, Demand{CPU: 4})
 	if free := p.Cluster.Server(servers[0]).Free().CPU; free > 1e-9 {
 		t.Fatalf("setup: server 0 has %v free CPU", free)
 	}
@@ -214,13 +228,12 @@ func TestDefragmentUnblocksGrowth(t *testing.T) {
 		t.Fatalf("Defrags = %d, want 1", pm.Defrags)
 	}
 	// After migration, a further step grows the slice on the new server.
-	vm.Demand = cluster.Resources{CPU: 4}
 	pm.Step()
 	p.Eng.RunFor(cfg.VMResizeLatency + 1)
 	if got := p.Cluster.VM(vm.ID).Slice.CPU; got <= 1 {
 		t.Errorf("slice after defrag+resize = %v, want > 1", got)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -317,8 +317,8 @@ func (p *Platform) propagateDirty() {
 // the dirty path over the full app set.
 func (p *Platform) propagateFull() {
 	// Reset every VM carrying a RIP to its session-overlay base.
-	for vm, ri := range p.vmRIP {
-		if ri == ids.None {
+	for vm, home := range p.vmHome {
+		if home == ids.None {
 			continue
 		}
 		if v := p.Cluster.VM(cluster.VMID(vm)); v != nil {
@@ -476,7 +476,7 @@ func (p *Platform) computeApp(app cluster.AppID, demand Demand, rec *appApplied,
 			} else if len(rips) > 0 {
 				frac = 1 / float64(len(rips))
 			}
-			vmID := p.vmOfRIP(rips[j], tags[j])
+			vmID := vmOfTag(tags[j])
 			if p.Cluster.VM(vmID) == nil {
 				continue
 			}
@@ -488,19 +488,11 @@ func (p *Platform) computeApp(app cluster.AppID, demand Demand, rec *appApplied,
 	}
 }
 
-// vmOfRIP resolves a switch RIP entry to its VM (-1 when unbound): the
-// entry's tag carries the VM index for RIPs deployed through the
-// platform; untagged entries (direct fabric configuration) fall back to
-// the interner. Read-only, so safe from the concurrent compute phase.
-func (p *Platform) vmOfRIP(rip lbswitch.RIP, tag int64) cluster.VMID {
-	if tag >= 0 {
-		return cluster.VMID(tag)
-	}
-	if ri, ok := p.ripIx.Lookup(rip); ok && int(ri) < len(p.ripVM) {
-		return p.ripVM[ri]
-	}
-	return -1
-}
+// vmOfTag resolves a switch RIP entry's tag to the VM behind it. The
+// platform tags every entry it configures with the VM's ID, and the tag
+// is the only RIP → VM mapping; an untagged entry (-1) names no VM, so
+// it backs none.
+func vmOfTag(tag int64) cluster.VMID { return cluster.VMID(tag) }
 
 // undoApp removes an app's previously applied contributions, leaving
 // each touched VIP and VM at its session-overlay base.
@@ -572,9 +564,9 @@ type propState struct {
 // capture overwrites s with the platform's current propagated state.
 func (s *propState) capture(p *Platform) {
 	s.vmDemand = s.vmDemand[:0]
-	for vm, ri := range p.vmRIP {
+	for vm, home := range p.vmHome {
 		var d cluster.Resources
-		if ri != ids.None {
+		if home != ids.None {
 			if v := p.Cluster.VM(cluster.VMID(vm)); v != nil {
 				d = v.Demand
 			}

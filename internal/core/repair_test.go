@@ -75,7 +75,7 @@ func TestRepairRestoresExactPreFailureState(t *testing.T) {
 		t.Errorf("repaired link health = %v", link.Health)
 	}
 
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 	// After full repair the control loops can restore satisfaction.
@@ -146,7 +146,7 @@ func TestFaultDetectRepairIdempotency(t *testing.T) {
 	if err := p.RepairLink(9999); err == nil {
 		t.Error("repairing unknown link accepted")
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -217,7 +217,7 @@ func TestDetectionDelayOrdering(t *testing.T) {
 	if got := p.AppSatisfaction(app.ID); got < 0.99 {
 		t.Errorf("satisfaction after repair = %v", got)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -300,7 +300,7 @@ func TestRepairSwitchRehomesOrphanedVIPs(t *testing.T) {
 	if sat := p.AppSatisfaction(app.ID); sat < 0.99 {
 		t.Errorf("satisfaction after switch repair = %v", sat)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -348,7 +348,7 @@ func TestRepairLinkReadvertisesDarkVIPs(t *testing.T) {
 	if sat := p.AppSatisfaction(app.ID); sat < 0.99 {
 		t.Errorf("satisfaction after link repair = %v", sat)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -384,7 +384,7 @@ func TestUndetectedLinkFlapBlackholesWithoutRouteChurn(t *testing.T) {
 	if p.Net.RouteUpdates != updates {
 		t.Errorf("flap repair issued route updates: %d -> %d", updates, p.Net.RouteUpdates)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }

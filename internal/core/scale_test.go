@@ -22,7 +22,7 @@ func buildScale(t testing.TB, spec ScaleSpec) *Platform {
 	if got := p.Cluster.NumVMs(); got != spec.NumVMs() {
 		t.Fatalf("built %d VMs, want %d", got, spec.NumVMs())
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -176,7 +176,7 @@ func TestScaleDemandCrossCheck(t *testing.T) {
 			p.PropagateFull()
 		}
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 	if rep := p.Audit(); !rep.OK() {

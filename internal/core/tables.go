@@ -13,8 +13,8 @@ import (
 // entity touched. The tables here replace those maps with flat slices
 // indexed by dense integer IDs: cluster IDs (apps, VMs, pods, servers,
 // switches) are already contiguous by construction, VIPs carry the
-// dense handles lbswitch.Fabric assigns at first placement, and RIPs
-// get contiguous indices from an ids.Interner at first sight. Dirty sets and membership flags are
+// dense handles lbswitch.Fabric assigns at first placement, and RIP
+// bindings are kept by VMID. Dirty sets and membership flags are
 // bitsets, whose ascending iteration is inherently sorted — replacing
 // the O(n)-per-insert sorted mirrors the map design needed for
 // deterministic traversal.

@@ -96,7 +96,7 @@ func TestConsolidatorPowersOffIdleServers(t *testing.T) {
 	if on == 0 {
 		t.Error("every server powered off")
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -129,7 +129,7 @@ func TestConsolidatorPowersBackOnUnderLoad(t *testing.T) {
 			t.Errorf("server %d on but zero capacity", id)
 		}
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -153,7 +153,7 @@ func TestConsolidatorRespectsPackCeiling(t *testing.T) {
 	if c.PowerOffs != 0 {
 		t.Errorf("powered off despite pack ceiling: %d", c.PowerOffs)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -187,7 +187,7 @@ func TestConsolidationSavesEnergyOnDiurnalLoad(t *testing.T) {
 			return p.Eng.Now() < 86400
 		})
 		p.Eng.RunUntil(86400)
-		if err := p.CheckInvariants(); err != nil {
+		if err := p.AuditErr(); err != nil {
 			t.Fatal(err)
 		}
 		return meter.EnergyWh(86400), minSat

@@ -74,10 +74,7 @@ func RunE14(o Options) (*metrics.Table, *E14Result, error) {
 		p.Eng.RunUntil(duration)
 		p.Close()
 		mon.Finish()
-		if err := p.CheckInvariants(); err != nil {
-			return nil, nil, fmt.Errorf("exp: e14 mtbf=%v: %w", mtbf, err)
-		}
-		if err := o.auditCheck(p); err != nil {
+		if err := p.AuditErr(); err != nil {
 			return nil, nil, fmt.Errorf("exp: e14 mtbf=%v: %w", mtbf, err)
 		}
 		ttr := mon.Avail.AllRecoveries()

@@ -95,10 +95,7 @@ func RunE15(o Options) (*metrics.Table, *E15Result, error) {
 		inj.Start(duration)
 		p.Eng.RunUntil(duration)
 		p.Close()
-		if err := p.CheckInvariants(); err != nil {
-			return nil, nil, fmt.Errorf("exp: e15 mtbf=%v: %w", mtbf, err)
-		}
-		if err := o.auditCheck(p); err != nil {
+		if err := p.AuditErr(); err != nil {
 			return nil, nil, fmt.Errorf("exp: e15 mtbf=%v: %w", mtbf, err)
 		}
 

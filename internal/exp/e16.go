@@ -120,10 +120,7 @@ func RunE16(o Options) (*metrics.Table, *E16Result, error) {
 		})
 		p.Eng.RunUntil(duration)
 		p.Close()
-		if err := p.CheckInvariants(); err != nil {
-			return nil, nil, fmt.Errorf("exp: e16 point %+v: %w", pt, err)
-		}
-		if err := o.auditCheck(p); err != nil {
+		if err := p.AuditErr(); err != nil {
 			return nil, nil, fmt.Errorf("exp: e16 point %+v: %w", pt, err)
 		}
 

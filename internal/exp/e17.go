@@ -107,10 +107,7 @@ func RunE17(o Options) (*metrics.Table, *E17Result, error) {
 			inj.Start(duration)
 			p.Eng.RunUntil(duration + 60) // drain the queues past StopAt
 			p.Close()
-			if err := p.CheckInvariants(); err != nil {
-				return nil, nil, fmt.Errorf("exp: e17 shape=%dx%d mtbf=%v: %w", shape[0], shape[1], mtbf, err)
-			}
-			if err := o.auditCheck(p); err != nil {
+			if err := p.AuditErr(); err != nil {
 				return nil, nil, fmt.Errorf("exp: e17 shape=%dx%d mtbf=%v: %w", shape[0], shape[1], mtbf, err)
 			}
 

@@ -134,11 +134,7 @@ func RunE18(o Options) (*metrics.Table, *E18Result, error) {
 				inj.Start(duration)
 				p.Eng.RunUntil(duration + 60) // drain the queues past StopAt
 				p.Close()
-				if err := p.CheckInvariants(); err != nil {
-					return nil, nil, fmt.Errorf("exp: e18 policy=%s shape=%dx%d mtbf=%v: %w",
-						name, shape[0], shape[1], mtbf, err)
-				}
-				if err := o.auditCheck(p); err != nil {
+				if err := p.AuditErr(); err != nil {
 					return nil, nil, fmt.Errorf("exp: e18 policy=%s shape=%dx%d mtbf=%v: %w",
 						name, shape[0], shape[1], mtbf, err)
 				}

@@ -89,7 +89,7 @@ func runDrain(seed int64, ttl, violatorFrac, arrivalRate, meanSession, horizon f
 			if vip == otherVIP {
 				target, addr = other, "other"
 			}
-			if id, _, err := target.OpenConn(addr, eng.Rand()); err == nil {
+			if id, _, _, err := target.OpenConn(addr, eng.Rand()); err == nil {
 				row.SessionsServed++
 				dur := eng.Rand().ExpFloat64() * meanSession
 				eng.After(dur, func() { target.CloseConn(id) })

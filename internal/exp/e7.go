@@ -113,10 +113,7 @@ func runPodRelief(o Options, name string, cfg core.Config) (*E7Row, error) {
 	row.FinalSatisfaction = p.TotalSatisfaction()
 	row.ServerTransfers = p.Global.ServerTransfers
 	row.Deployments = p.Global.Deployments + sumLocalDeploys(p)
-	if err := p.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("exp: e7 %s: %w", name, err)
-	}
-	if err := o.auditCheck(p); err != nil {
+	if err := p.AuditErr(); err != nil {
 		return nil, fmt.Errorf("exp: e7 %s: %w", name, err)
 	}
 	return row, nil

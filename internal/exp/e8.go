@@ -91,10 +91,7 @@ func runAgility(o Options, name string, knobs []core.Knob) (*E8Row, error) {
 	})
 	p.Eng.RunUntil(horizon)
 	row.FinalSatisfaction = p.AppSatisfaction(app.ID)
-	if err := p.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("exp: e8 %s: %w", name, err)
-	}
-	if err := o.auditCheck(p); err != nil {
+	if err := p.AuditErr(); err != nil {
 		return nil, fmt.Errorf("exp: e8 %s: %w", name, err)
 	}
 	return row, nil

@@ -68,10 +68,7 @@ func RunX1(o Options) (*metrics.Table, *X1Result, error) {
 			return p.Eng.Now() < day
 		})
 		p.Eng.RunUntil(day)
-		if err := p.CheckInvariants(); err != nil {
-			return X1Row{}, fmt.Errorf("exp: x1 %s: %w", row.Config, err)
-		}
-		if err := o.auditCheck(p); err != nil {
+		if err := p.AuditErr(); err != nil {
 			return X1Row{}, fmt.Errorf("exp: x1 %s: %w", row.Config, err)
 		}
 		row.EnergyKWh = meter.EnergyWh(day) / 1000

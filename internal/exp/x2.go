@@ -71,11 +71,6 @@ func RunX2(o Options) (*metrics.Table, *X2Result, error) {
 	if err := fed.CheckInvariants(); err != nil {
 		return nil, nil, fmt.Errorf("exp: x2: %w", err)
 	}
-	for _, dc := range []*multidc.DC{big, small} {
-		if err := o.auditCheck(dc.P); err != nil {
-			return nil, nil, fmt.Errorf("exp: x2 %s: %w", dc.Name, err)
-		}
-	}
 	res.Shifts = fed.Shifts
 	tb := metrics.NewTable("X2 — multi-DC federation steering a surge (140 cores vs 64-core small DC)",
 		"t (s)", "share big", "share small", "util big", "util small", "satisfaction")

@@ -90,7 +90,7 @@ func RunX3(o Options) (*metrics.Table, *X3Result, error) {
 	if st.Started > 0 {
 		res.BrokenFrac = float64(st.Broken) / float64(st.Started)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		return nil, nil, fmt.Errorf("exp: x3: %w", err)
 	}
 	if o.AuditEvery > 0 {

@@ -70,10 +70,7 @@ func RunX4(o Options) (*metrics.Table, *X4Result, error) {
 		dip := p.TotalSatisfaction()
 		p.Eng.RunUntil(1500)
 		p.Close()
-		if err := p.CheckInvariants(); err != nil {
-			return nil, nil, fmt.Errorf("exp: x4 %s: %w", c.name, err)
-		}
-		if err := o.auditCheck(p); err != nil {
+		if err := p.AuditErr(); err != nil {
 			return nil, nil, fmt.Errorf("exp: x4 %s: %w", c.name, err)
 		}
 		res.Rows = append(res.Rows, X4Row{

@@ -61,7 +61,7 @@ func runChurn(t *testing.T, seed int64) runResult {
 	mon.Start(2000)
 	p.Eng.RunUntil(2000)
 	mon.Finish()
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatalf("invariants after churn: %v", err)
 	}
 	return runResult{
@@ -132,7 +132,7 @@ func TestChurnEndsFullyRepaired(t *testing.T) {
 	if inj.Faults() == 0 {
 		t.Fatal("injector produced no faults")
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatalf("invariants after repair tail: %v", err)
 	}
 	if sat := p.TotalSatisfaction(); sat < 0.99 {

@@ -1,73 +1,19 @@
 // Package ids provides the dense integer-ID machinery behind the
 // paper-scale data path (DESIGN.md §13): the Index type every dense
 // handle uses (VIP handles, which lbswitch.Fabric assigns, DESIGN.md
-// §22), an interning layer that assigns contiguous indices to
-// externally-keyed entities (RIPs) so hot-path state can live in flat
-// struct-of-arrays tables indexed by slice offset instead of
-// pointer-heavy maps, and a bitset used for dirty sets and membership
-// flags.
-//
-// Interned indices are assigned in first-seen order and are never
-// reused or compacted: an entity that disappears keeps its index, and
-// re-interning the same key always returns the same index. This makes
-// indices stable under add/remove churn — a table slot can be
-// invalidated and later revived without any other slot moving — which
-// is what lets per-entity ledgers be flat arrays. Assignment order is a
-// pure function of the call sequence, so seeded runs intern
-// identically; nothing observable may depend on the order itself
-// (core's determinism tests pin this).
+// §22), so hot-path state can live in flat struct-of-arrays tables
+// indexed by slice offset instead of pointer-heavy maps, and a bitset
+// used for dirty sets and membership flags.
 package ids
 
 import "math/bits"
 
-// Index is a dense interned index. The zero value is a valid index;
-// None marks "no entity".
+// Index is a dense index. The zero value is a valid index; None marks
+// "no entity".
 type Index = int32
 
-// None is the sentinel for an absent interned index.
+// None is the sentinel for an absent index.
 const None Index = -1
-
-// Interner bijectively maps keys to contiguous indices [0, Len).
-type Interner[K comparable] struct {
-	idx  map[K]Index
-	keys []K
-}
-
-// NewInterner returns an interner pre-sized for capacity keys.
-func NewInterner[K comparable](capacity int) *Interner[K] {
-	return &Interner[K]{
-		idx:  make(map[K]Index, capacity),
-		keys: make([]K, 0, capacity),
-	}
-}
-
-// Intern returns k's index, assigning the next contiguous one on first
-// sight.
-func (in *Interner[K]) Intern(k K) Index {
-	if in.idx == nil {
-		in.idx = make(map[K]Index)
-	}
-	if i, ok := in.idx[k]; ok {
-		return i
-	}
-	i := Index(len(in.keys))
-	in.idx[k] = i
-	in.keys = append(in.keys, k)
-	return i
-}
-
-// Lookup returns k's index without assigning one.
-func (in *Interner[K]) Lookup(k K) (Index, bool) {
-	i, ok := in.idx[k]
-	return i, ok
-}
-
-// Key returns the key interned at index i. It panics when i was never
-// assigned, exactly like an out-of-range slice index.
-func (in *Interner[K]) Key(i Index) K { return in.keys[i] }
-
-// Len returns the number of interned keys; valid indices are [0, Len).
-func (in *Interner[K]) Len() int { return len(in.keys) }
 
 // Bitset is a growable set of small non-negative integers. The zero
 // value is an empty set. All methods tolerate out-of-range reads

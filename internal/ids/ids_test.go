@@ -6,83 +6,6 @@ import (
 	"testing/quick"
 )
 
-// TestInternerRoundTrip is the exhaustive round-trip property: for any
-// key sequence, Intern assigns first-seen-order contiguous indices and
-// Key inverts them exactly.
-func TestInternerRoundTrip(t *testing.T) {
-	prop := func(keys []string) bool {
-		in := NewInterner[string](len(keys))
-		seen := make(map[string]Index)
-		order := 0
-		for _, k := range keys {
-			i := in.Intern(k)
-			if prev, ok := seen[k]; ok {
-				if i != prev {
-					return false // re-intern must be stable
-				}
-			} else {
-				if int(i) != order {
-					return false // indices must be contiguous, first-seen order
-				}
-				seen[k] = i
-				order++
-			}
-			if in.Key(i) != k {
-				return false
-			}
-			if got, ok := in.Lookup(k); !ok || got != i {
-				return false
-			}
-		}
-		return in.Len() == order
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestInternerChurnStability pins that indices survive add/remove churn
-// of the entities they name: deleting an entity and re-creating it with
-// the same key yields the same index, and no other index moves.
-func TestInternerChurnStability(t *testing.T) {
-	in := NewInterner[string](0)
-	rng := rand.New(rand.NewSource(7))
-	keys := make([]string, 200)
-	for i := range keys {
-		keys[i] = string(rune('A'+i%26)) + string(rune('0'+i/26))
-	}
-	assigned := make(map[string]Index)
-	live := make(map[string]bool)
-	for op := 0; op < 5000; op++ {
-		k := keys[rng.Intn(len(keys))]
-		if live[k] && rng.Intn(2) == 0 {
-			delete(live, k) // "remove" the entity; the index stays reserved
-			continue
-		}
-		i := in.Intern(k)
-		if prev, ok := assigned[k]; ok && prev != i {
-			t.Fatalf("index for %q moved: %d -> %d", k, prev, i)
-		}
-		assigned[k] = i
-		live[k] = true
-	}
-	for k, i := range assigned {
-		if in.Key(i) != k {
-			t.Fatalf("Key(%d) = %q, want %q", i, in.Key(i), k)
-		}
-	}
-}
-
-func TestInternerZeroValue(t *testing.T) {
-	var in Interner[int]
-	if _, ok := in.Lookup(5); ok {
-		t.Fatal("empty interner resolved a key")
-	}
-	if i := in.Intern(5); i != 0 {
-		t.Fatalf("first index = %d, want 0", i)
-	}
-}
-
 func TestBitsetBasics(t *testing.T) {
 	var b Bitset
 	if b.Get(100) {

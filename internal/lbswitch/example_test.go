@@ -39,7 +39,7 @@ func ExampleFabric_TransferVIP() {
 	fab.Switch(0).AddRIP("203.0.113.10", "10.0.0.1", 1)
 
 	rng := rand.New(rand.NewSource(1))
-	id, _, _ := fab.Switch(0).OpenConn("203.0.113.10", rng)
+	id, _, _, _ := fab.Switch(0).OpenConn("203.0.113.10", rng)
 	err := fab.TransferVIP("203.0.113.10", 1, false)
 	fmt.Println("transfer with active session:", err != nil)
 

@@ -551,26 +551,27 @@ func pickWeighted(rips []*ripEntry, rng *rand.Rand) (*ripEntry, error) {
 }
 
 // OpenConn admits a new client connection to vip, binding it to a RIP
-// chosen by weighted balancing. The binding is sticky: the connection
-// stays on that RIP for its lifetime (TCP session affinity).
-func (s *Switch) OpenConn(vip VIP, rng *rand.Rand) (ConnID, RIP, error) {
+// chosen by weighted balancing, and returns the RIP with its entry's tag
+// (-1 when unset). The binding is sticky: the connection stays on that
+// RIP for its lifetime (TCP session affinity).
+func (s *Switch) OpenConn(vip VIP, rng *rand.Rand) (id ConnID, rip RIP, tag int64, err error) {
 	e := s.entry(vip)
 	if e == nil {
-		return 0, "", s.noVIP(vip)
+		return 0, "", -1, s.noVIP(vip)
 	}
 	if len(s.conns) >= s.Limits.MaxConns {
-		return 0, "", fmt.Errorf("%w: switch %d at %d", ErrConnLimit, s.ID, s.Limits.MaxConns)
+		return 0, "", -1, fmt.Errorf("%w: switch %d at %d", ErrConnLimit, s.ID, s.Limits.MaxConns)
 	}
 	re, err := pickWeighted(e.rips, rng)
 	if err != nil {
-		return 0, "", fmt.Errorf("%s: %w", vip, err)
+		return 0, "", -1, fmt.Errorf("%s: %w", vip, err)
 	}
-	id := s.nextConn
+	id = s.nextConn
 	s.nextConn++
 	s.conns[id] = conn{h: e.h, rip: re.rip}
 	re.conns++
 	e.conns++
-	return id, re.rip, nil
+	return id, re.rip, re.tag, nil
 }
 
 // CloseConn ends a tracked connection. Closing an unknown connection

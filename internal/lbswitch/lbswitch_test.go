@@ -134,7 +134,7 @@ func TestConnLifecycleAndAffinity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var ids []ConnID
 	for i := 0; i < 10; i++ {
-		id, rip, err := s.OpenConn("v", rng)
+		id, rip, _, err := s.OpenConn("v", rng)
 		if err != nil {
 			t.Fatalf("OpenConn %d: %v", i, err)
 		}
@@ -147,7 +147,7 @@ func TestConnLifecycleAndAffinity(t *testing.T) {
 		t.Errorf("conns = %d/%d", s.NumConns(), s.VIPConns("v"))
 	}
 	// Limit reached.
-	if _, _, err := s.OpenConn("v", rng); !errors.Is(err, ErrConnLimit) {
+	if _, _, _, err := s.OpenConn("v", rng); !errors.Is(err, ErrConnLimit) {
 		t.Errorf("11th conn err = %v, want ErrConnLimit", err)
 	}
 	rips, counts := s.RIPConns("v")
@@ -415,7 +415,7 @@ func TestPropertySwitchInvariants(t *testing.T) {
 			case 1:
 				s.AddRIP(vip, rip, 1+rng.Float64())
 			case 2:
-				if id, _, err := s.OpenConn(vip, rng); err == nil {
+				if id, _, _, err := s.OpenConn(vip, rng); err == nil {
 					conns = append(conns, id)
 				}
 			case 3:
@@ -468,7 +468,7 @@ func TestBackendGen(t *testing.T) {
 	moves("SetWeight", false, func() error { return s.SetWeight("v", "r1", 3) })
 	moves("SetVIPLoad", false, func() error { return s.SetVIPLoad("v", 40) })
 	moves("OpenConn", false, func() error {
-		id, _, err := s.OpenConn("v", rand.New(rand.NewSource(1)))
+		id, _, _, err := s.OpenConn("v", rand.New(rand.NewSource(1)))
 		s.CloseConn(id)
 		return err
 	})

@@ -297,10 +297,11 @@ func (f *Federation) TotalSatisfaction() float64 {
 	return served / demand
 }
 
-// CheckInvariants validates every DC plus share conservation.
+// CheckInvariants audits every DC (core.Platform.AuditErr) and checks
+// share conservation.
 func (f *Federation) CheckInvariants() error {
 	for _, dc := range f.dcs {
-		if err := dc.P.CheckInvariants(); err != nil {
+		if err := dc.P.AuditErr(); err != nil {
 			return fmt.Errorf("multidc: %s: %w", dc.Name, err)
 		}
 	}

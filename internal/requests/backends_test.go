@@ -26,17 +26,12 @@ func fullScanCPU(p *core.Platform, id lbswitch.SwitchID) float64 {
 	}
 	var cpu float64
 	for _, vip := range sw.VIPs() {
-		rips, tags, _, err := sw.AppendWeightsTagged(vip, nil, nil, nil)
+		_, tags, _, err := sw.AppendWeightsTagged(vip, nil, nil, nil)
 		if err != nil {
 			continue
 		}
-		for i, tag := range tags {
-			var vm *cluster.VM
-			if tag >= 0 {
-				vm = p.Cluster.VM(cluster.VMID(tag))
-			} else if vmID, ok := p.VMForRIP(rips[i]); ok {
-				vm = p.Cluster.VM(vmID)
-			}
+		for _, tag := range tags {
+			vm := p.Cluster.VM(cluster.VMID(tag))
 			if vm == nil || vm.State != cluster.VMRunning {
 				continue
 			}

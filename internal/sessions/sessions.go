@@ -223,17 +223,19 @@ func (d *Driver) arrive(ad *appDriver) {
 		return
 	}
 	sw := d.p.Fabric.Switch(home)
-	connID, rip, err := sw.OpenConn(d.p.Fabric.Addr(vi), d.p.Rand())
+	connID, _, tag, err := sw.OpenConn(d.p.Fabric.Addr(vi), d.p.Rand())
 	if err != nil {
 		ad.stats.Rejected++
 		return
 	}
-	vmID, ok := d.p.VMForRIP(rip)
-	if !ok {
+	// The platform tags every RIP entry with its VM; an untagged entry
+	// backs no VM.
+	if tag < 0 {
 		sw.CloseConn(connID)
 		ad.stats.Rejected++
 		return
 	}
+	vmID := cluster.VMID(tag)
 	tpl := d.cfg.Template.Draw(d.p.Rand())
 	res := cluster.Resources{CPU: tpl.CPU, NetMbps: tpl.Mbps}
 	d.p.SessionOpened(vi, vmID, res)

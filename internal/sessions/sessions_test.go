@@ -113,7 +113,7 @@ func TestSessionsGenerateDemandAndComplete(t *testing.T) {
 	if got := p.Fabric.TotalThroughputMbps(); got > 1e-6 {
 		t.Errorf("fabric load after drain = %v", got)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -187,7 +187,7 @@ func TestForcedTransferBreaksSessions(t *testing.T) {
 	if st.Completed+st.Broken != st.Started {
 		t.Errorf("accounting: %+v", st)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -226,7 +226,7 @@ func TestSessionsWithManagersConverge(t *testing.T) {
 	if st.Started == 0 || st.Rejected > st.Started/10 {
 		t.Errorf("session stats degenerate: %+v", st)
 	}
-	if err := p.CheckInvariants(); err != nil {
+	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -201,9 +201,6 @@ func (m *Manager) Fabric() *lbswitch.Fabric { return m.fabric }
 // Policy returns the active switch-selection policy.
 func (m *Manager) Policy() Policy { return m.policy }
 
-// SetPolicy changes the switch-selection policy.
-func (m *Manager) SetPolicy(p Policy) { m.policy = p }
-
 // SetPlacement swaps the pluggable placement strategy; nil restores
 // the default greedy.
 func (m *Manager) SetPlacement(p policy.Placement) {
