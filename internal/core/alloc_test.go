@@ -1,10 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"megadc/internal/cluster"
+	"megadc/internal/dnsctl"
+	"megadc/internal/lbswitch"
 )
 
 // allocTestPlatform builds a platform with enough demand-carrying apps
@@ -82,5 +86,62 @@ func TestPropagateParallelAllocFree(t *testing.T) {
 	dirtyPass()
 	if n := testing.AllocsPerRun(100, dirtyPass); n != 0 {
 		t.Fatalf("parallel dirty recompute allocates %v times, want 0", n)
+	}
+}
+
+// TestExpectedMissSentinels pins the misses that callers probe for and
+// discard: a RIP not in a VIP's group, a query for an unregistered app
+// or one with nothing exposed, and a pod with no server with room. Each
+// returns its sentinel itself, so errors.Is matches and the miss costs
+// no allocation.
+func TestExpectedMissSentinels(t *testing.T) {
+	p := newTestPlatform(t, testConfig())
+	if _, err := p.OnboardApp("a", defaultSlice(), 2, Demand{CPU: 1, Mbps: 50}); err != nil {
+		t.Fatal(err)
+	}
+	// An app whose slice fits no server, with every VIP hidden.
+	big, err := p.OnboardApp("big", cluster.Resources{CPU: 1e6, MemMB: 1024, NetMbps: 100}, 0, Demand{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vip := range p.Fabric.VIPsOfApp(big.ID) {
+		if err := p.DNS.SetWeight(big.ID, string(vip), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vip := p.Fabric.VIPsOfApp(0)[0]
+	home, _ := p.Fabric.HomeOf(vip)
+	sw := p.Fabric.Switch(home)
+	pod := p.Cluster.PodIDs()[0]
+	rng := rand.New(rand.NewSource(1))
+	misses := []struct {
+		name string
+		want error
+		miss func() error
+	}{
+		{"Switch.RemoveRIP", lbswitch.ErrNoSuchRIP, func() error {
+			_, err := sw.RemoveRIP(vip, "192.0.2.1")
+			return err
+		}},
+		{"DNS.Resolve unregistered", dnsctl.ErrNoApp, func() error {
+			_, err := p.DNS.Resolve(big.ID+100, rng)
+			return err
+		}},
+		{"DNS.Resolve hidden", dnsctl.ErrNoExposed, func() error {
+			_, err := p.DNS.Resolve(big.ID, rng)
+			return err
+		}},
+		{"Platform.DeployInstanceFor", ErrNoRoom, func() error {
+			_, err := p.DeployInstanceFor(big.ID, pod, "")
+			return err
+		}},
+	}
+	for _, m := range misses {
+		if err := m.miss(); !errors.Is(err, m.want) {
+			t.Errorf("%s: err = %v, want %v", m.name, err, m.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { m.miss() }); n != 0 {
+			t.Errorf("%s: miss allocates %v times, want 0", m.name, n)
+		}
 	}
 }

@@ -291,20 +291,20 @@ func (p *Platform) FailSwitch(id lbswitch.SwitchID) (rehomed, dropped int, err e
 
 // healthiestSwitchFor picks the least-utilized serving switch (≠ dead)
 // that can hold the VIP and its RIP group. A nil switch with nil error
-// means "no capacity anywhere"; a non-nil error means the VIP could not
-// even be exported from the dead switch — callers must not treat that
-// as a capacity problem.
+// means "no capacity anywhere"; a non-nil error means the VIP is not
+// configured on the dead switch — callers must not treat that as a
+// capacity problem.
 func (p *Platform) healthiestSwitchFor(dead *lbswitch.Switch, vip lbswitch.VIP) (*lbswitch.Switch, error) {
-	_, rips, _, _, err := dead.ExportVIP(vip)
-	if err != nil {
-		return nil, err
+	if !dead.HasVIP(vip) {
+		return nil, fmt.Errorf("%w: %s on switch %d", lbswitch.ErrNoSuchVIP, vip, dead.ID)
 	}
+	nRIPs := dead.NumRIPsOf(vip)
 	var best *lbswitch.Switch
 	for _, sw := range p.Fabric.Switches() {
 		if sw.ID == dead.ID || !sw.Serving() {
 			continue
 		}
-		if sw.NumVIPs() >= sw.Limits.MaxVIPs || sw.NumRIPs()+len(rips) > sw.Limits.MaxRIPs {
+		if sw.NumVIPs() >= sw.Limits.MaxVIPs || sw.NumRIPs()+nRIPs > sw.Limits.MaxRIPs {
 			continue
 		}
 		if best == nil || sw.Utilization() < best.Utilization() {

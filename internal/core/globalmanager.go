@@ -400,17 +400,14 @@ func (g *GlobalManager) balanceSwitches() {
 // policy; the default greedy takes the least-utilized, exactly as the
 // historical inline scan did.
 func (g *GlobalManager) pickTransferTarget(from *lbswitch.Switch, vip lbswitch.VIP) *lbswitch.Switch {
-	_, rips, _, load, err := from.ExportVIP(vip)
-	if err != nil {
-		return nil
-	}
+	nRIPs, load := from.NumRIPsOf(vip), from.VIPLoad(vip)
 	cfg := &g.p.Cfg
 	g.swCand = g.swCand[:0]
 	for _, sw := range g.p.Fabric.Switches() {
 		if sw.ID == from.ID || !sw.Serving() {
 			continue
 		}
-		if sw.NumVIPs() >= sw.Limits.MaxVIPs || sw.NumRIPs()+len(rips) > sw.Limits.MaxRIPs {
+		if sw.NumVIPs() >= sw.Limits.MaxVIPs || sw.NumRIPs()+nRIPs > sw.Limits.MaxRIPs {
 			continue
 		}
 		if sw.Limits.ThroughputMbps > 0 &&

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -600,6 +601,12 @@ func (p *Platform) pickAdvertLink() netmodel.LinkID {
 	return links[best].ID
 }
 
+// ErrNoRoom is returned by DeployInstance and DeployInstanceFor, itself
+// and unwrapped, when no server in the pod has room for the app's slice.
+// The managers hit it routinely while probing pods and discard it, so
+// the miss allocates nothing.
+var ErrNoRoom = errors.New("core: pod has no server with room for the slice")
+
 // DeployInstance creates one VM instance of app in the given pod (on the
 // server with the most free capacity), allocates its RIP, and configures
 // the RIP under one of the app's VIPs. It returns the new VM. The caller
@@ -625,7 +632,7 @@ func (p *Platform) DeployInstanceFor(app cluster.AppID, pod cluster.PodID, prefe
 	}
 	server := p.emptiestServer(pod, noServer, slice)
 	if server == nil {
-		return nil, fmt.Errorf("core: pod %d has no server with room for %v", pod, slice)
+		return nil, ErrNoRoom
 	}
 	vm, err := p.Cluster.PlaceVM(app, server.ID, slice)
 	if err != nil {
@@ -740,9 +747,8 @@ func (p *Platform) emptiestServer(pod cluster.PodID, exclude cluster.ServerID, s
 		return nil
 	}
 	var best *cluster.Server
-	for _, id := range pd.ServerIDs() {
-		s := p.Cluster.Server(id)
-		if id == exclude || !s.Serving() || !s.Used().Add(slice).Fits(s.Capacity) {
+	for _, s := range pd.Servers() {
+		if s.ID == exclude || !s.Serving() || !s.Used().Add(slice).Fits(s.Capacity) {
 			continue
 		}
 		if best == nil || s.Free().CPU > best.Free().CPU {

@@ -276,18 +276,21 @@ func (d *DNS) VIPs(app cluster.AppID) []string {
 }
 
 // Resolve answers one query for app with a weighted choice among the
-// exposed (weight > 0) VIPs, returning the chosen VIP's handle.
+// exposed (weight > 0) VIPs, returning the chosen VIP's handle. Its
+// misses return ErrNoApp and ErrNoExposed themselves, unwrapped: every
+// request arrival for an app with nothing exposed takes that path, so
+// it allocates nothing.
 func (d *DNS) Resolve(app cluster.AppID, rng *rand.Rand) (ids.Index, error) {
 	r := d.record(app)
 	if r == nil {
-		return ids.None, fmt.Errorf("%w: %d", ErrNoApp, app)
+		return ids.None, ErrNoApp
 	}
 	var total float64
 	for _, e := range r.vips {
 		total += e.weight
 	}
 	if total <= 0 {
-		return ids.None, fmt.Errorf("%w: app %d", ErrNoExposed, app)
+		return ids.None, ErrNoExposed
 	}
 	d.Resolutions++
 	x := rng.Float64() * total
@@ -303,7 +306,7 @@ func (d *DNS) Resolve(app cluster.AppID, rng *rand.Rand) (ids.Index, error) {
 			return r.vips[i].h, nil
 		}
 	}
-	return ids.None, fmt.Errorf("%w: app %d", ErrNoExposed, app)
+	return ids.None, ErrNoExposed
 }
 
 // ExpectedShares returns the steady-state fraction of resolutions each

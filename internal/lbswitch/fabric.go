@@ -136,10 +136,12 @@ func (f *Fabric) Load(h ids.Index) float64 {
 	return 0
 }
 
-// AppendLoadShareTagged is Switch.AppendVIPLoadShare by handle, on the
-// VIP's home switch (ErrVIPUnknown when it has none), that also appends
-// each RIP's tag (-1 when unset) so the hot path resolves RIP → VM by
-// dense index instead of a string-keyed lookup per RIP.
+// AppendLoadShareTagged is Switch.VIPLoadShare by handle for an explicit
+// load (ErrVIPUnknown when the VIP is not homed), appended to caller
+// buffers with each RIP's tag (-1 when unset), so the hot path reuses
+// scratch space and resolves RIP → VM by dense index. Demand propagation
+// passes the fluid-only load; the stored one also carries the
+// discrete-session overlay.
 func (f *Fabric) AppendLoadShareTagged(h ids.Index, load float64, rips []RIP, tags []int64, mbps []float64) ([]RIP, []int64, []float64, error) {
 	e := f.tab.at(h)
 	if e == nil {
@@ -206,7 +208,7 @@ func (f *Fabric) TransferVIP(vip VIP, dst SwitchID, force bool) error {
 	if e == nil {
 		return fmt.Errorf("%w: %s", ErrVIPUnknown, vip)
 	}
-	home := e.sw.ID
+	from, home := e.sw, e.sw.ID
 	if home == dst {
 		return nil
 	}
@@ -214,28 +216,16 @@ func (f *Fabric) TransferVIP(vip VIP, dst SwitchID, force bool) error {
 	if to == nil {
 		return fmt.Errorf("lbswitch: no switch %d", dst)
 	}
-	from := f.Switch(home)
-	app, rips, weights, load, err := from.ExportVIP(vip)
-	if err != nil {
-		return err
-	}
-	// Carry the opaque RIP tags across the transfer so the platform's
-	// dense RIP → VM resolution survives VIP moves (same package, so the
-	// entry is reachable directly; this is bookkeeping, not reconfig).
-	tags := make([]int64, 0, len(rips))
-	for _, re := range e.rips {
-		tags = append(tags, re.tag)
-	}
-	if from.VIPConns(vip) > 0 && !force {
-		f.tracer.RecordErr(trace.EvTransferVIP, float64(from.VIPConns(vip)), 0,
+	if e.conns > 0 && !force {
+		f.tracer.RecordErr(trace.EvTransferVIP, float64(e.conns), 0,
 			trace.VIP(vip), trace.SwitchRef(home), trace.SwitchRef(dst))
-		return fmt.Errorf("%w: %s has %d", ErrActiveConns, vip, from.VIPConns(vip))
+		return fmt.Errorf("%w: %s has %d", ErrActiveConns, vip, e.conns)
 	}
 	// Admission check on the destination before mutating anything.
 	if to.NumVIPs() >= to.Limits.MaxVIPs {
 		return fmt.Errorf("%w: switch %d", ErrVIPLimit, dst)
 	}
-	if to.NumRIPs()+len(rips) > to.Limits.MaxRIPs {
+	if to.NumRIPs()+len(e.rips) > to.Limits.MaxRIPs {
 		return fmt.Errorf("%w: switch %d", ErrRIPLimit, dst)
 	}
 	broken, err := from.RemoveVIP(vip, force)
@@ -243,17 +233,21 @@ func (f *Fabric) TransferVIP(vip VIP, dst SwitchID, force bool) error {
 		return err
 	}
 	f.BrokenConns += int64(broken)
-	if err := to.AddVIP(vip, app); err != nil {
+	// The removed entry e still holds the group; rebuild it on the
+	// destination in order. Tags ride along so the platform's RIP → VM
+	// resolution survives the move (bookkeeping, not reconfiguration).
+	if err := to.AddVIP(vip, e.app); err != nil {
 		return fmt.Errorf("lbswitch: transfer re-add failed: %w", err)
 	}
-	for i, rip := range rips {
-		if err := to.AddRIP(vip, rip, weights[i]); err != nil {
+	moved := f.tab.entry[e.h]
+	for i, re := range e.rips {
+		if err := to.AddRIP(vip, re.rip, re.weight); err != nil {
 			return fmt.Errorf("lbswitch: transfer RIP re-add failed: %w", err)
 		}
-		to.setTag(to.entry(vip).ripIndex[rip], tags[i])
+		to.setTag(&moved.rips[i], re.tag)
 	}
-	if load > 0 {
-		if err := to.SetVIPLoad(vip, load); err != nil {
+	if e.loadMbps > 0 {
+		if err := moved.setLoad(e.loadMbps); err != nil {
 			return err
 		}
 	}

@@ -2,10 +2,14 @@ package lbswitch
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"megadc/internal/cluster"
+	"megadc/internal/ids"
 )
 
 func newTestFabric(nSwitches int) *Fabric {
@@ -237,8 +241,7 @@ func TestFabricHandles(t *testing.T) {
 		t.Errorf("Home/Load = %d,%v,%v", home, ok, f.Load(h))
 	}
 	rips, tags, mbps, err := f.AppendLoadShareTagged(h, 8, nil, nil, nil)
-	wantRIPs, wantMbps, _ := f.Switch(0).AppendVIPLoadShare("v", 8, nil, nil)
-	if err != nil || !slices.Equal(rips, wantRIPs) || !slices.Equal(mbps, wantMbps) || !slices.Equal(tags, []int64{-1, -1}) {
+	if err != nil || !slices.Equal(rips, []RIP{"r1", "r2"}) || !slices.Equal(mbps, []float64{2, 6}) || !slices.Equal(tags, []int64{-1, -1}) {
 		t.Errorf("AppendLoadShareTagged = %v %v %v %v", rips, tags, mbps, err)
 	}
 	if err := f.TransferVIP("v", 1, false); err != nil {
@@ -273,5 +276,51 @@ func TestFabricHandles(t *testing.T) {
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFabricTransferCarriesGroup: a forced transfer rebuilds the RIP
+// group on the destination in order, with its tags and weights, breaks
+// every open connection, and counts one reconfiguration for the VIP and
+// one per RIP.
+func TestFabricTransferCarriesGroup(t *testing.T) {
+	f := newTestFabric(2)
+	src, dst := f.Switch(0), f.Switch(1)
+	f.PlaceVIP("v", 3, 0)
+	for i, w := range []float64{1, 2.5, 4} {
+		rip := RIP(fmt.Sprintf("r%d", i))
+		src.AddRIP("v", rip, w)
+		if i != 1 { // the middle RIP stays untagged
+			src.SetRIPTag("v", rip, int64(10+i))
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	const open = 5
+	for i := 0; i < open; i++ {
+		if _, _, _, err := src.OpenConn("v", rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rips, tags, ws, _ := src.AppendWeightsTagged("v", nil, nil, nil)
+	reconfigs, calls := dst.Reconfigs, 0
+	dst.OnReconfig = func(ids.Index, cluster.AppID) { calls++ }
+	if err := f.TransferVIP("v", 1, true); err != nil {
+		t.Fatal(err)
+	}
+	gotRIPs, gotTags, gotWs, err := dst.AppendWeightsTagged("v", nil, nil, nil)
+	if err != nil || !slices.Equal(gotRIPs, rips) || !slices.Equal(gotTags, tags) || !slices.Equal(gotWs, ws) {
+		t.Errorf("destination group = %v %v %v (%v), want %v %v %v", gotRIPs, gotTags, gotWs, err, rips, tags, ws)
+	}
+	if _, counts := dst.RIPConns("v"); slices.ContainsFunc(counts, func(n int) bool { return n != 0 }) || dst.VIPConns("v") != 0 {
+		t.Errorf("destination RIPConns = %v, VIPConns = %d; want all zero", counts, dst.VIPConns("v"))
+	}
+	if f.BrokenConns != open {
+		t.Errorf("BrokenConns = %d, want %d", f.BrokenConns, open)
+	}
+	if want := int64(1 + len(rips)); dst.Reconfigs-reconfigs != want || calls != int(want) {
+		t.Errorf("destination Reconfigs +%d, OnReconfig calls %d; want %d each", dst.Reconfigs-reconfigs, calls, want)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }

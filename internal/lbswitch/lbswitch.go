@@ -7,6 +7,10 @@
 // connections, and 1.25M packets per second. All limits are enforced; the
 // VIP/RIP manager above must respect them.
 //
+// A VIP's RIP group is one flat value slice in insertion order, with no
+// index beside it: at the paper's parameters a group holds about seven
+// RIPs, so operations on one RIP find it by a scan (DESIGN.md §22).
+//
 // Traffic is modeled two ways, matching the two granularities the
 // experiments need: a fluid per-VIP offered load in Mbps (for
 // fabric-utilization and balancing experiments) and discrete tracked
@@ -113,14 +117,23 @@ type vipEntry struct {
 	h        ids.Index // the VIP's handle in its address table
 	sw       *Switch   // the switch the VIP is configured on
 	app      cluster.AppID
-	rips     []*ripEntry // kept in insertion order for determinism
-	ripIndex map[RIP]*ripEntry
+	rips     []ripEntry // the RIP group, in insertion order for determinism
 	conns    int
 	loadMbps float64 // fluid offered load
 	// seq is the VIP's insertion sequence on this switch. Switch.vips
 	// is append-only and removals keep the survivors' order, so
 	// ascending seq is exactly insertion order.
 	seq uint64
+}
+
+// find returns the index of rip in e's group, or -1.
+func (e *vipEntry) find(rip RIP) int {
+	for i := range e.rips {
+		if e.rips[i].rip == rip {
+			return i
+		}
+	}
+	return -1
 }
 
 type conn struct {
@@ -314,7 +327,7 @@ func (s *Switch) AddVIP(vip VIP, app cluster.AppID) error {
 		return fmt.Errorf("%w: switch %d at %d", ErrVIPLimit, s.ID, s.Limits.MaxVIPs)
 	}
 	h := s.tab.intern(vip)
-	e := &vipEntry{h: h, sw: s, app: app, ripIndex: make(map[RIP]*ripEntry), seq: s.nextSeq}
+	e := &vipEntry{h: h, sw: s, app: app, seq: s.nextSeq}
 	s.tab.entry[h] = e
 	s.tab.live++
 	s.nextSeq++
@@ -370,15 +383,13 @@ func (s *Switch) AddRIP(vip VIP, rip RIP, weight float64) error {
 	if !validWeight(weight) {
 		return fmt.Errorf("%w: %v", ErrBadWeight, weight)
 	}
-	if _, dup := e.ripIndex[rip]; dup {
+	if e.find(rip) >= 0 {
 		return fmt.Errorf("%w: %s in %s", ErrDupRIP, rip, vip)
 	}
 	if s.totalRIPs >= s.Limits.MaxRIPs {
 		return fmt.Errorf("%w: switch %d at %d", ErrRIPLimit, s.ID, s.Limits.MaxRIPs)
 	}
-	re := &ripEntry{rip: rip, weight: weight, tag: -1}
-	e.rips = append(e.rips, re)
-	e.ripIndex[rip] = re
+	e.rips = append(e.rips, ripEntry{rip: rip, weight: weight, tag: -1})
 	s.totalRIPs++
 	s.backendGen++
 	s.Reconfigs++
@@ -389,30 +400,26 @@ func (s *Switch) AddRIP(vip VIP, rip RIP, weight float64) error {
 }
 
 // RemoveRIP removes a RIP from vip's group. Connections bound to the RIP
-// are broken (a real switch would drop them); the count is returned.
+// are broken (a real switch would drop them); the count is returned. A
+// RIP not in the group returns ErrNoSuchRIP itself, unwrapped, so a
+// caller probing several VIPs for the RIP pays no allocation per miss.
 func (s *Switch) RemoveRIP(vip VIP, rip RIP) (broken int, err error) {
 	e := s.entry(vip)
 	if e == nil {
 		return 0, s.noVIP(vip)
 	}
-	re, ok := e.ripIndex[rip]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s in %s", ErrNoSuchRIP, rip, vip)
+	i := e.find(rip)
+	if i < 0 {
+		return 0, ErrNoSuchRIP
 	}
-	broken = re.conns
+	broken = e.rips[i].conns
 	for id, c := range s.conns {
 		if c.h == e.h && c.rip == rip {
 			delete(s.conns, id)
 		}
 	}
 	e.conns -= broken
-	delete(e.ripIndex, rip)
-	for i, r := range e.rips {
-		if r.rip == rip {
-			e.rips = append(e.rips[:i], e.rips[i+1:]...)
-			break
-		}
-	}
+	e.rips = slices.Delete(e.rips, i, i+1)
 	s.totalRIPs--
 	s.backendGen++
 	s.Reconfigs++
@@ -429,14 +436,14 @@ func (s *Switch) SetWeight(vip VIP, rip RIP, weight float64) error {
 	if e == nil {
 		return s.noVIP(vip)
 	}
-	re, ok := e.ripIndex[rip]
-	if !ok {
+	i := e.find(rip)
+	if i < 0 {
 		return fmt.Errorf("%w: %s in %s", ErrNoSuchRIP, rip, vip)
 	}
 	if !validWeight(weight) {
 		return fmt.Errorf("%w: %v", ErrBadWeight, weight)
 	}
-	re.weight = weight
+	e.rips[i].weight = weight
 	s.Reconfigs++
 	if s.OnReconfig != nil {
 		s.OnReconfig(e.h, e.app)
@@ -453,11 +460,11 @@ func (s *Switch) SetRIPTag(vip VIP, rip RIP, tag int64) error {
 	if e == nil {
 		return s.noVIP(vip)
 	}
-	re, ok := e.ripIndex[rip]
-	if !ok {
+	i := e.find(rip)
+	if i < 0 {
 		return fmt.Errorf("%w: %s in %s", ErrNoSuchRIP, rip, vip)
 	}
-	s.setTag(re, tag)
+	s.setTag(&e.rips[i], tag)
 	return nil
 }
 
@@ -506,48 +513,36 @@ func (s *Switch) NumRIPsOf(vip VIP) int {
 	return 0
 }
 
-// TotalWeight returns the sum of RIP weights for vip.
-func (s *Switch) TotalWeight(vip VIP) (float64, error) {
-	e := s.entry(vip)
-	if e == nil {
-		return 0, s.noVIP(vip)
-	}
-	var sum float64
-	for _, re := range e.rips {
-		sum += re.weight
-	}
-	return sum, nil
-}
-
 // PickRIP performs one weighted load-balancing decision for vip.
 func (s *Switch) PickRIP(vip VIP, rng *rand.Rand) (RIP, error) {
 	e := s.entry(vip)
 	if e == nil {
 		return "", s.noVIP(vip)
 	}
-	re, err := pickWeighted(e.rips, rng)
+	i, err := pickWeighted(e.rips, rng)
 	if err != nil {
 		return "", fmt.Errorf("%s: %w", vip, err)
 	}
-	return re.rip, nil
+	return e.rips[i].rip, nil
 }
 
-func pickWeighted(rips []*ripEntry, rng *rand.Rand) (*ripEntry, error) {
+// pickWeighted returns the index of one weighted choice among rips.
+func pickWeighted(rips []ripEntry, rng *rand.Rand) (int, error) {
 	if len(rips) == 0 {
-		return nil, ErrNoRIPs
+		return -1, ErrNoRIPs
 	}
 	var total float64
-	for _, re := range rips {
-		total += re.weight
+	for i := range rips {
+		total += rips[i].weight
 	}
 	x := rng.Float64() * total
-	for _, re := range rips {
-		x -= re.weight
+	for i := range rips {
+		x -= rips[i].weight
 		if x < 0 {
-			return re, nil
+			return i, nil
 		}
 	}
-	return rips[len(rips)-1], nil
+	return len(rips) - 1, nil
 }
 
 // OpenConn admits a new client connection to vip, binding it to a RIP
@@ -562,10 +557,11 @@ func (s *Switch) OpenConn(vip VIP, rng *rand.Rand) (id ConnID, rip RIP, tag int6
 	if len(s.conns) >= s.Limits.MaxConns {
 		return 0, "", -1, fmt.Errorf("%w: switch %d at %d", ErrConnLimit, s.ID, s.Limits.MaxConns)
 	}
-	re, err := pickWeighted(e.rips, rng)
+	i, err := pickWeighted(e.rips, rng)
 	if err != nil {
 		return 0, "", -1, fmt.Errorf("%s: %w", vip, err)
 	}
+	re := &e.rips[i]
 	id = s.nextConn
 	s.nextConn++
 	s.conns[id] = conn{h: e.h, rip: re.rip}
@@ -585,8 +581,8 @@ func (s *Switch) CloseConn(id ConnID) bool {
 	delete(s.conns, id)
 	if e := s.tab.at(c.h); e != nil && e.sw == s {
 		e.conns--
-		if re := e.ripIndex[c.rip]; re != nil {
-			re.conns--
+		if i := e.find(c.rip); i >= 0 {
+			e.rips[i].conns--
 		}
 	}
 	return true
@@ -701,23 +697,13 @@ func (s *Switch) VIPLoadShare(vip VIP) (rips []RIP, mbps []float64, err error) {
 	if e == nil {
 		return nil, nil, s.noVIP(vip)
 	}
-	return s.appendLoadShare(e, e.loadMbps, nil, nil)
+	rips, _, mbps = e.appendLoadShareTagged(e.loadMbps, nil, nil, nil)
+	return rips, mbps, nil
 }
 
-// AppendVIPLoadShare is VIPLoadShare with an explicit load to distribute
-// and caller-provided buffers the results are appended to, so hot paths
-// can reuse scratch space and split a load other than the stored one
-// (demand propagation distributes the fluid-only load while the stored
-// load also carries the discrete-session overlay).
-func (s *Switch) AppendVIPLoadShare(vip VIP, load float64, rips []RIP, mbps []float64) ([]RIP, []float64, error) {
-	e := s.entry(vip)
-	if e == nil {
-		return rips, mbps, s.noVIP(vip)
-	}
-	return s.appendLoadShare(e, load, rips, mbps)
-}
-
-// appendLoadShareTagged backs Fabric.AppendLoadShareTagged.
+// appendLoadShareTagged splits load over e's RIPs by weight, appending
+// each RIP with its tag and share. It backs both VIPLoadShare and
+// Fabric.AppendLoadShareTagged.
 func (e *vipEntry) appendLoadShareTagged(load float64, rips []RIP, tags []int64, mbps []float64) ([]RIP, []int64, []float64) {
 	var total float64
 	for _, re := range e.rips {
@@ -733,36 +719,6 @@ func (e *vipEntry) appendLoadShareTagged(load float64, rips []RIP, tags []int64,
 		mbps = append(mbps, share)
 	}
 	return rips, tags, mbps
-}
-
-func (s *Switch) appendLoadShare(e *vipEntry, load float64, rips []RIP, mbps []float64) ([]RIP, []float64, error) {
-	var total float64
-	for _, re := range e.rips {
-		total += re.weight
-	}
-	for _, re := range e.rips {
-		rips = append(rips, re.rip)
-		share := 0.0
-		if total > 0 {
-			share = load * re.weight / total
-		}
-		mbps = append(mbps, share)
-	}
-	return rips, mbps, nil
-}
-
-// ExportVIP captures vip's full configuration (app, RIP group, weights,
-// fluid load) for transfer to another switch.
-func (s *Switch) ExportVIP(vip VIP) (app cluster.AppID, rips []RIP, weights []float64, loadMbps float64, err error) {
-	e := s.entry(vip)
-	if e == nil {
-		return 0, nil, nil, 0, s.noVIP(vip)
-	}
-	for _, re := range e.rips {
-		rips = append(rips, re.rip)
-		weights = append(weights, re.weight)
-	}
-	return e.app, rips, weights, e.loadMbps, nil
 }
 
 // CheckInvariants validates internal consistency and limit compliance.
@@ -786,27 +742,21 @@ func (s *Switch) CheckInvariants() error {
 	}
 	nRIPs := 0
 	perVIP := make(map[ids.Index]int)
-	perRIP := make(map[ids.Index]map[RIP]int)
+	perRIP := make(map[conn]int)
 	for id, c := range s.conns {
 		e := s.tab.at(c.h)
 		if e == nil || e.sw != s {
 			return fmt.Errorf("switch %d: conn %d references unknown VIP handle %d", s.ID, id, c.h)
 		}
-		if _, ok := e.ripIndex[c.rip]; !ok {
+		if e.find(c.rip) < 0 {
 			return fmt.Errorf("switch %d: conn %d references unknown RIP %s", s.ID, id, c.rip)
 		}
 		perVIP[c.h]++
-		if perRIP[c.h] == nil {
-			perRIP[c.h] = make(map[RIP]int)
-		}
-		perRIP[c.h][c.rip]++
+		perRIP[c]++
 	}
 	for _, e := range s.vips {
 		vip := s.tab.addrs[e.h]
 		nRIPs += len(e.rips)
-		if len(e.rips) != len(e.ripIndex) {
-			return fmt.Errorf("switch %d: VIP %s rips/index mismatch", s.ID, vip)
-		}
 		if e.conns != perVIP[e.h] {
 			return fmt.Errorf("switch %d: VIP %s conns %d != tracked %d", s.ID, vip, e.conns, perVIP[e.h])
 		}
@@ -814,9 +764,9 @@ func (s *Switch) CheckInvariants() error {
 			if re.weight <= 0 {
 				return fmt.Errorf("switch %d: VIP %s RIP %s non-positive weight", s.ID, vip, re.rip)
 			}
-			if re.conns != perRIP[e.h][re.rip] {
+			if n := perRIP[conn{e.h, re.rip}]; re.conns != n {
 				return fmt.Errorf("switch %d: VIP %s RIP %s conns %d != tracked %d",
-					s.ID, vip, re.rip, re.conns, perRIP[e.h][re.rip])
+					s.ID, vip, re.rip, re.conns, n)
 			}
 		}
 	}

@@ -1,0 +1,119 @@
+package lbswitch
+
+import (
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// fillRIPGroup returns a CatalystCSM switch whose one VIP holds the
+// switch's whole RIP budget, and the last RIP added. Each AddRIP scans
+// the group for a duplicate, so the fill is the quadratic worst case of
+// the flat group.
+func fillRIPGroup(tb testing.TB) (*Switch, RIP) {
+	tb.Helper()
+	s := NewSwitch(0, CatalystCSM())
+	if err := s.AddVIP("v", 1); err != nil {
+		tb.Fatal(err)
+	}
+	var rip RIP
+	for i := 0; i < s.Limits.MaxRIPs; i++ {
+		rip = RIP(fmt.Sprintf("10.%d.%d.%d", i>>16, i>>8&0xff, i&0xff))
+		if err := s.AddRIP("v", rip, 1); err != nil {
+			tb.Fatalf("AddRIP %d: %v", i, err)
+		}
+	}
+	return s, rip
+}
+
+// TestFullRIPGroup: a VIP at the per-switch RIP limit keeps every input
+// check, and every operation on its last entry still works.
+func TestFullRIPGroup(t *testing.T) {
+	s, last := fillRIPGroup(t)
+	limit := s.Limits.MaxRIPs
+	if s.NumRIPs() != limit || s.NumRIPsOf("v") != limit {
+		t.Fatalf("NumRIPs = %d, NumRIPsOf = %d, want %d", s.NumRIPs(), s.NumRIPsOf("v"), limit)
+	}
+	if err := s.AddRIP("v", "192.0.2.1", 1); !errors.Is(err, ErrRIPLimit) {
+		t.Errorf("AddRIP past the limit: %v, want ErrRIPLimit", err)
+	}
+	if err := s.AddRIP("v", last, 1); !errors.Is(err, ErrDupRIP) {
+		t.Errorf("re-adding the last RIP: %v, want ErrDupRIP", err)
+	}
+	if err := s.SetWeight("v", last, 3); err != nil {
+		t.Errorf("SetWeight: %v", err)
+	}
+	if err := s.SetRIPTag("v", last, 7); err != nil {
+		t.Errorf("SetRIPTag: %v", err)
+	}
+	rips, tags, ws, _ := s.AppendWeightsTagged("v", nil, nil, nil)
+	if n := len(rips); n != limit || rips[n-1] != last || tags[n-1] != 7 || ws[n-1] != 3 {
+		t.Errorf("last entry = %s tag %d weight %v, want %s tag 7 weight 3", rips[n-1], tags[n-1], ws[n-1], last)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+	if broken, err := s.RemoveRIP("v", last); err != nil || broken != 0 {
+		t.Errorf("RemoveRIP = %d, %v", broken, err)
+	}
+	if s.NumRIPs() != limit-1 || s.NumRIPsOf("v") != limit-1 {
+		t.Errorf("after RemoveRIP: NumRIPs = %d, NumRIPsOf = %d", s.NumRIPs(), s.NumRIPsOf("v"))
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// BenchmarkFullRIPGroup times filling one VIP to the CatalystCSM RIP
+// limit (16,000 RIPs).
+func BenchmarkFullRIPGroup(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		fillRIPGroup(b)
+	}
+}
+
+// TestRIPGroupsFlat is the source guard of the flat RIP group
+// (DESIGN.md §22): non-test lbswitch code keeps a VIP's RIPs in one
+// []ripEntry value slice and nothing else. It keys no map by a RIP,
+// holds no slice of *ripEntry, and declares neither the old per-VIP
+// index (ripIndex) nor the group copy ExportVIP.
+func TestRIPGroupsFlat(t *testing.T) {
+	names, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.MapType:
+				if key, ok := n.Key.(*ast.Ident); ok && key.Name == "RIP" {
+					t.Errorf("%s: map keyed by a RIP; find RIPs by scanning the VIP's group", fset.Position(n.Pos()))
+				}
+			case *ast.ArrayType:
+				if star, ok := n.Elt.(*ast.StarExpr); ok {
+					if elt, ok := star.X.(*ast.Ident); ok && elt.Name == "ripEntry" {
+						t.Errorf("%s: slice of *ripEntry; keep the group as a []ripEntry value slice", fset.Position(n.Pos()))
+					}
+				}
+			case *ast.Ident:
+				if n.Name == "ripIndex" || n.Name == "ExportVIP" {
+					t.Errorf("%s: %s copies or indexes the RIP group beside the group itself", fset.Position(n.Pos()), n.Name)
+				}
+			}
+			return true
+		})
+	}
+}
