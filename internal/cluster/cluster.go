@@ -219,6 +219,12 @@ type Cluster struct {
 
 	numVMs int // live (non-nil) entries in vms
 
+	// spareVMs is room set aside by Reserve for the VM lists of
+	// applications not yet created: AddApp hands each new application
+	// the next spareCap slots as an empty list of that capacity.
+	spareVMs []*VM
+	spareCap int
+
 	// OnVMChange, when set, is called after every change to a VM that
 	// can move the serving capacity behind it: Start, RemoveVM, ResizeVM
 	// and MigrateVM (the VM's state, slice or host server). The platform
@@ -267,8 +273,28 @@ func (c *Cluster) AddServer(pod PodID, capacity Resources) (*Server, error) {
 // AddApp registers an application with a default per-instance slice.
 func (c *Cluster) AddApp(name string, defaultSlice Resources) *Application {
 	a := &Application{ID: AppID(len(c.apps)), Name: name, DefaultSlice: defaultSlice}
+	if n := c.spareCap; n > 0 && len(c.spareVMs) >= n {
+		a.vms, c.spareVMs = c.spareVMs[:0:n], c.spareVMs[n:]
+	}
 	c.apps = append(c.apps, a)
 	return a
+}
+
+// Reserve readies the registries for a bulk build of apps applications
+// with perApp instances each, spread perServer to a server: the app and
+// VM registries get room for them, every server's VM list room for
+// perServer more, and each of the next apps applications AddApp creates
+// a VM list with room for perApp (carved from one shared allocation).
+// Lists that outgrow their reservation regrow as usual. Reserve changes
+// no membership or order, only capacity: it spares the fills that follow
+// from regrowing every list 0→1→2→4→… on the way to its final length.
+func (c *Cluster) Reserve(apps, perApp, perServer int) {
+	c.apps = slices.Grow(c.apps, apps)
+	c.vms = slices.Grow(c.vms, apps*perApp)
+	for _, s := range c.servers {
+		s.vms = slices.Grow(s.vms, perServer)
+	}
+	c.spareVMs, c.spareCap = make([]*VM, apps*perApp), perApp
 }
 
 // Pod returns the pod with the given ID, or nil.

@@ -624,3 +624,40 @@ func TestOnVMChange(t *testing.T) {
 		t.Errorf("hook saw states %v, want %v (fired after each change)", fired, want)
 	}
 }
+
+// TestReservedPlaceVMAllocs: after Reserve, PlaceVM allocates exactly
+// once per call (the *VM itself); the registry, the server's list and
+// the application's list all fill reserved room.
+func TestReservedPlaceVMAllocs(t *testing.T) {
+	const n = 64
+	c := New()
+	pod := c.AddPod()
+	srv, err := c.AddServer(pod.ID, testSlice().Scale(2*n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun calls f once more than runs; each call fills its own
+	// application.
+	c.Reserve(2, n, 2*n)
+	apps := []*Application{c.AddApp("a", testSlice()), c.AddApp("b", testSlice())}
+	run := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		app := apps[run]
+		run++
+		for i := 0; i < n; i++ {
+			if _, err := c.PlaceVM(app.ID, srv.ID, testSlice()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != n {
+		t.Fatalf("%d PlaceVMs after Reserve allocate %v times, want %d", n, allocs, n)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// Reserved room is invisible: the lists hold exactly what was placed.
+	if got := apps[0].NumInstances() + apps[1].NumInstances(); got != 2*n || srv.NumVMs() != 2*n {
+		t.Fatalf("apps hold %d VMs, server %d, want %d", got, srv.NumVMs(), 2*n)
+	}
+}

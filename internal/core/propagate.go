@@ -469,6 +469,9 @@ func (p *Platform) computeApp(app cluster.AppID, demand Demand, rec *appApplied,
 		for _, m := range mbpsShares {
 			totalMbps += m
 		}
+		// Room for the whole group up front; appended one by one, a new
+		// ledger regrows 0→1→2→…→32 to hold 20 RIPs.
+		rec.vms = slices.Grow(rec.vms, len(rips))
 		for j := range rips {
 			frac := 0.0
 			if totalMbps > 0 {

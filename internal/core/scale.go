@@ -15,6 +15,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"megadc/internal/cluster"
@@ -198,12 +199,30 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 		return fmt.Errorf("core: bulk rip claim: %w", err)
 	}
 
+	// Every count the build fills is known from the spec, so reserve
+	// final capacity before anything is filled: the VM lists, the RIP
+	// bindings and the demand tables below (and each VIP's RIP group in
+	// stage 3) would otherwise regrow 0→1→2→4→… on the way to their
+	// final lengths, and at paper scale that copying and its garbage
+	// dominate the build.
+	nvms := spec.NumVMs()
+	p.Cluster.Reserve(spec.Apps, spec.InstancesPerApp, (nvms+len(servers)-1)/len(servers))
+	p.vmRIP = slices.Grow(p.vmRIP, nvms)
+	p.vmHome = slices.Grow(p.vmHome, nvms)
+	p.fluidVM.reserve(nvms)
+	p.appSlice = slices.Grow(p.appSlice, spec.Apps)
+	p.appDemand = slices.Grow(p.appDemand, spec.Apps)
+	ripsPerVIP := (spec.InstancesPerApp + spec.VIPsPerApp - 1) / spec.VIPsPerApp
+
 	// Stage 2 — apply, in app order. RIP→switch configuration is only
 	// recorded into per-switch work lists here; stage 3 plays them out.
+	// first marks a VIP's first planned RIP, where stage 3 reserves the
+	// VIP's group.
 	type ripCfg struct {
-		vip lbswitch.VIP
-		rip lbswitch.RIP
-		tag int64
+		vip   lbswitch.VIP
+		rip   lbswitch.RIP
+		tag   int64
+		first bool
 	}
 	nsw := p.Fabric.NumSwitches()
 	perSwitch := make([][]ripCfg, nsw)
@@ -250,7 +269,7 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 			vip := vips[j%len(vips)]
 			home := vipSw[j%len(vips)]
 			p.bindRIP(rip, vm.ID, vip, home)
-			perSwitch[home] = append(perSwitch[home], ripCfg{vip: vip, rip: rip, tag: int64(vm.ID)})
+			perSwitch[home] = append(perSwitch[home], ripCfg{vip: vip, rip: rip, tag: int64(vm.ID), first: j < len(vips)})
 		}
 		p.appDemand = growSlice(p.appDemand, int(app.ID)+1)
 		p.appDemand[app.ID] = spec.Demand
@@ -279,6 +298,12 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 			for s := range next {
 				sw := p.Fabric.Switch(lbswitch.SwitchID(s))
 				for _, c := range perSwitch[s] {
+					if c.first {
+						if err := sw.ReserveRIPs(c.vip, ripsPerVIP); err != nil {
+							errs[s] = err
+							break
+						}
+					}
 					if err := sw.AddRIP(c.vip, c.rip, 1); err != nil {
 						errs[s] = fmt.Errorf("core: bulk rip %s on switch %d: %w", c.rip, s, err)
 						break

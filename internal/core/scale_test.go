@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -53,6 +54,32 @@ func TestScaleBulkOnboarding(t *testing.T) {
 	}
 	if n := steadyAllocs(p); n != 0 {
 		t.Fatalf("steady tick allocates %v times, want 0", n)
+	}
+}
+
+// TestBulkLedgerCapacity: the bulk build reserves final capacity instead
+// of regrowing lists 0→1→2→4→… Allocator size classes round a
+// reservation up by at most 1/8, while doubling leaves 32 slots for a
+// list of 20, so a capacity within 1.25× of the length tells the two
+// apart. Checked on every app's Propagate ledger and every server's VM
+// list.
+func TestBulkLedgerCapacity(t *testing.T) {
+	spec := ScaleSpecFor(500)
+	p := buildScale(t, spec)
+	tight := func(n, c int) bool { return n > 0 && 4*c <= 5*n }
+	if len(p.applied) != spec.Apps {
+		t.Fatalf("%d ledgers, want %d", len(p.applied), spec.Apps)
+	}
+	for app, rec := range p.applied {
+		if n, c := len(rec.vms), cap(rec.vms); !tight(n, c) {
+			t.Fatalf("app %d ledger holds %d VMs in capacity %d", app, n, c)
+		}
+	}
+	for _, id := range p.Cluster.ServerIDs() {
+		vms := p.Cluster.Server(id).VMs()
+		if n, c := len(vms), cap(vms); !tight(n, c) {
+			t.Fatalf("server %d lists %d VMs in capacity %d", id, n, c)
+		}
 	}
 }
 
@@ -136,8 +163,10 @@ func TestPaperScale300K(t *testing.T) {
 	spec := PaperScaleSpec()
 	start := time.Now()
 	p := buildScale(t, spec)
-	t.Logf("constructed %d servers / %d apps / %d VMs in %v",
-		spec.Servers, spec.Apps, spec.NumVMs(), time.Since(start))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	t.Logf("constructed %d servers / %d apps / %d VMs in %v, heap %d MB",
+		spec.Servers, spec.Apps, spec.NumVMs(), time.Since(start), ms.HeapSys>>20)
 	if s := p.TotalSatisfaction(); s != 1 {
 		t.Fatalf("satisfaction %v, want 1", s)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"megadc/internal/cluster"
 	"megadc/internal/ids"
 )
@@ -89,6 +91,12 @@ func (e *epochRes) grow(n int) {
 	}
 	e.vals = growSlice(e.vals, n)
 	e.ep = growSlice(e.ep, n)
+}
+
+// reserve makes room for n more slots without changing the length.
+func (e *epochRes) reserve(n int) {
+	e.vals = slices.Grow(e.vals, n)
+	e.ep = slices.Grow(e.ep, n)
 }
 
 func (e *epochRes) get(i ids.Index) cluster.Resources {

@@ -30,9 +30,12 @@ type ClientPopulation struct {
 	clients []clientCache
 }
 
+// clientCache is one client's cached answer. Every arrival touches one
+// random entry, so the fields are ordered widest first: 16 bytes, not
+// the 24 that padding costs with the handle ahead of the float.
 type clientCache struct {
-	vip      ids.Index // handle of the cached answer
 	expiry   float64
+	vip      ids.Index // handle of the cached answer
 	violator bool
 }
 

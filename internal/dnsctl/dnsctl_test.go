@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"megadc/internal/ids"
 )
@@ -261,6 +262,15 @@ func TestClientPopulationViolators(t *testing.T) {
 	}
 	if p.ViolatorFraction() != 0.3 || p.Size() != 2000 {
 		t.Error("accessors wrong")
+	}
+}
+
+// TestClientCacheSize pins the arrival path's per-client entry at 16
+// bytes: each arrival touches one random entry, so its width sets how
+// many clients share a cache line.
+func TestClientCacheSize(t *testing.T) {
+	if n := unsafe.Sizeof(clientCache{}); n != 16 {
+		t.Fatalf("clientCache is %d bytes, want 16", n)
 	}
 }
 

@@ -399,6 +399,18 @@ func (s *Switch) AddRIP(vip VIP, rip RIP, weight float64) error {
 	return nil
 }
 
+// ReserveRIPs makes room for n more RIPs in vip's group, so the next n
+// AddRIP calls on it do not regrow the group. It changes no
+// configuration and counts as no reconfiguration.
+func (s *Switch) ReserveRIPs(vip VIP, n int) error {
+	e := s.entry(vip)
+	if e == nil {
+		return s.noVIP(vip)
+	}
+	e.rips = slices.Grow(e.rips, n)
+	return nil
+}
+
 // RemoveRIP removes a RIP from vip's group. Connections bound to the RIP
 // are broken (a real switch would drop them); the count is returned. A
 // RIP not in the group returns ErrNoSuchRIP itself, unwrapped, so a

@@ -31,6 +31,47 @@ func fillRIPGroup(tb testing.TB) (*Switch, RIP) {
 	return s, rip
 }
 
+// TestReservedRIPGroupAllocs: AddRIP into a group reserved for n RIPs
+// allocates nothing for the n adds; the bulk loader relies on it.
+func TestReservedRIPGroupAllocs(t *testing.T) {
+	const n = 20
+	s := NewSwitch(0, CatalystCSM())
+	rips := make([]RIP, n)
+	for i := range rips {
+		rips[i] = RIP(fmt.Sprintf("10.0.0.%d", i))
+	}
+	// AllocsPerRun calls f once more than runs; each call fills its own
+	// freshly reserved VIP.
+	vips := []VIP{"a", "b"}
+	for _, vip := range vips {
+		if err := s.AddVIP(vip, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ReserveRIPs(vip, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		vip := vips[run]
+		run++
+		for _, rip := range rips {
+			if err := s.AddRIP(vip, rip, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d AddRIPs into a reserved group allocate %v times, want 0", n, allocs)
+	}
+	if err := s.ReserveRIPs("missing", n); !errors.Is(err, ErrNoSuchVIP) {
+		t.Errorf("ReserveRIPs on an unknown VIP: %v, want ErrNoSuchVIP", err)
+	}
+	if s.Reconfigs != int64(len(vips)*(n+1)) {
+		t.Errorf("Reconfigs = %d, want %d (reserving is no reconfiguration)", s.Reconfigs, len(vips)*(n+1))
+	}
+}
+
 // TestFullRIPGroup: a VIP at the per-switch RIP limit keeps every input
 // check, and every operation on its last entry still works.
 func TestFullRIPGroup(t *testing.T) {
