@@ -232,8 +232,12 @@ func main() {
 		if *churnFlap {
 			fc.Flap = faults.FlapConfig{MTBF: 3 * *churnMTBF, Cycles: 3, Down: 2, Up: 8}
 		}
-		if run.CtrlPartitionMTBF > 0 {
+		if run.CtrlPartitionMTBF != 0 { // NaN and negatives reach Validate
 			fc.Partition = faults.Class{MTBF: run.CtrlPartitionMTBF, MTTR: run.CtrlPartitionMTTR}
+		}
+		if err := fc.Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, "megadcsim:", err)
+			os.Exit(1)
 		}
 		inj = faults.New(p, fc)
 		mon = faults.NewMonitor(p, 0.95, 10)

@@ -50,8 +50,7 @@ type Action struct {
 
 	// Apply is the effect, run under the decision's cause where the
 	// message lands. OnDead, when set, runs if the message exhausts its
-	// retries (see ctrlplane.Bus.CallWithDeadLetter for the
-	// at-least-once caveat).
+	// retries (see ctrlplane.Bus.Call for the at-least-once caveat).
 	Apply  func()
 	OnDead func()
 
@@ -76,7 +75,7 @@ func (p *Platform) actuate(a Action) uint64 {
 		if a.Dispatch != nil {
 			a.Dispatch()
 		}
-		p.withCause(cid, func() {
+		p.Cfg.Trace.WithCause(cid, func() {
 			apply := a.Apply
 			if r := a.Request; r != nil {
 				apply = func() { p.configure(r) }
@@ -180,31 +179,20 @@ func (p *Platform) decide(k Knob, prio viprip.Priority, refs ...trace.Ref) uint6
 	if cid == 0 {
 		return 0
 	}
-	prev := rec.SetCause(cid)
-	rec.Record(trace.EvDecision, float64(k), float64(prio), refs...)
-	rec.SetCause(prev)
+	rec.WithCause(cid, func() { rec.Record(trace.EvDecision, float64(k), float64(prio), refs...) })
 	return cid
-}
-
-// withCause runs f with the recorder's current-cause scope set to cid,
-// restoring the previous scope after. The bus and the serialized
-// pipeline do their own equivalent for the continuations they run.
-func (p *Platform) withCause(cid uint64, f func()) {
-	prev := p.Cfg.Trace.SetCause(cid)
-	f()
-	p.Cfg.Trace.SetCause(prev)
 }
 
 // later runs f under cause cid after d simulated seconds: the next step
 // of a multi-step actuation.
 func (p *Platform) later(cid uint64, d float64, f func()) {
-	p.Eng.After(d, func() { p.withCause(cid, f) })
+	p.Eng.After(d, func() { p.Cfg.Trace.WithCause(cid, f) })
 }
 
 // send carries apply from one control endpoint to another as an
 // at-least-once RPC; onDead (may be nil) runs if it dead-letters.
 func (p *Platform) send(from, to ctrlplane.Endpoint, name string, apply, onDead func()) {
-	p.ctrl.CallWithDeadLetter(from, to, name, apply, onDead)
+	p.ctrl.Call(from, to, name, apply, onDead)
 }
 
 // configure sends a switch-configuration request down the CSM pipeline:

@@ -20,8 +20,8 @@ import (
 // Action's Dispatch deletes from one.
 func TestOneActuationPath(t *testing.T) {
 	forbidden := map[string]bool{
-		"decide": true, "withCause": true, "After": true, "At": true, "Every": true,
-		"Call": true, "CallWithDeadLetter": true, "Cast": true,
+		"decide": true, "WithCause": true, "After": true, "At": true, "Every": true,
+		"Call": true, "Cast": true,
 		"Submit": true, "Serialized": true, "Do": true,
 	}
 	actuations := 0

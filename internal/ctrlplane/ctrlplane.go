@@ -3,7 +3,7 @@
 // managers, and the viprip/dnsctl configuration pipeline. Every control
 // RPC routed through the bus becomes an at-least-once message with a
 // per-attempt deadline, exponential backoff with seeded jitter, a retry
-// cap, and an idempotency key (the message ID) so duplicated or
+// cap, and an idempotency flag on the message so duplicated or
 // reordered retries can never double-apply an effect. When the retry
 // cap is exhausted the message becomes a typed dead letter and the
 // caller's compensation hook runs instead of the effect.
@@ -140,29 +140,41 @@ func DefaultConfig() Config {
 }
 
 // Validate checks configuration sanity (only when enabled; a disabled
-// zero-value config is always valid).
+// zero-value config is always valid). A NaN or infinite delay would
+// schedule an engine event outside the event order, and a NaN
+// probability would silently never fire, so both are rejected.
 func (c *Config) Validate() error {
 	if !c.Enable {
 		return nil
 	}
-	if c.RetryTimeout <= 0 {
-		return fmt.Errorf("ctrlplane: RetryTimeout must be positive, got %v", c.RetryTimeout)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"RetryTimeout", c.RetryTimeout},
+		{"BackoffFactor", c.BackoffFactor},
+		{"RetryJitter", c.RetryJitter},
+		{"SnapshotEvery", c.SnapshotEvery},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("ctrlplane: %s must be finite and >= 0, got %v", f.name, f.v)
+		}
+	}
+	if c.RetryTimeout == 0 {
+		return fmt.Errorf("ctrlplane: RetryTimeout must be positive, got 0")
 	}
 	if c.BackoffFactor < 1 {
 		return fmt.Errorf("ctrlplane: BackoffFactor must be >= 1, got %v", c.BackoffFactor)
-	}
-	if c.RetryJitter < 0 {
-		return fmt.Errorf("ctrlplane: RetryJitter must be >= 0, got %v", c.RetryJitter)
 	}
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("ctrlplane: MaxRetries must be >= 0, got %d", c.MaxRetries)
 	}
 	check := func(where string, l LinkConfig) error {
-		if l.Delay < 0 || l.Jitter < 0 {
-			return fmt.Errorf("ctrlplane: %s delay/jitter must be >= 0", where)
+		if !(l.Delay >= 0) || math.IsInf(l.Delay, 0) || !(l.Jitter >= 0) || math.IsInf(l.Jitter, 0) {
+			return fmt.Errorf("ctrlplane: %s delay/jitter must be finite and >= 0, got %v/%v", where, l.Delay, l.Jitter)
 		}
-		if l.LossProb < 0 || l.LossProb > 1 || l.DupProb < 0 || l.DupProb > 1 {
-			return fmt.Errorf("ctrlplane: %s loss/dup probability outside [0,1]", where)
+		if !(l.LossProb >= 0 && l.LossProb <= 1) || !(l.DupProb >= 0 && l.DupProb <= 1) {
+			return fmt.Errorf("ctrlplane: %s loss/dup probability outside [0,1], got %v/%v", where, l.LossProb, l.DupProb)
 		}
 		return nil
 	}
@@ -173,9 +185,6 @@ func (c *Config) Validate() error {
 		if err := check("link "+k, l); err != nil {
 			return err
 		}
-	}
-	if c.SnapshotEvery < 0 {
-		return fmt.Errorf("ctrlplane: SnapshotEvery must be >= 0, got %v", c.SnapshotEvery)
 	}
 	return nil
 }
@@ -189,19 +198,26 @@ type DeadLetter struct {
 	T        float64 // simulated time the cap was declared exhausted
 }
 
-// message is one in-flight at-least-once Call.
+// message is one Call or Cast in flight. Its engine callbacks are bound
+// once, when it is sent, and every attempt and copy reuses them; each
+// runs under the cause captured at send time (DESIGN.md §16).
 type message struct {
+	b        *Bus
 	id       uint64
 	from, to Endpoint
 	name     string
 	apply    func()
 	onDead   func()
+	cast     bool // best effort: no ack, no retry, every copy applies
 
 	sentAt   float64 // first attempt's send time
-	attempts int
-	cause    uint64 // decision CauseID captured at Call time (DESIGN.md §16)
+	attempts int     // a Call's attempts so far; a Cast's stays 0
+	cause    uint64
 	timer    sim.Event
+	applied  bool // idempotency flag: later copies of a Call dedup
 	done     bool // acked or dead-lettered; straggler deliveries are inert
+
+	onArrive, onExpire, onAck func()
 }
 
 // Bus is the control-plane message bus. All methods are nil-safe; a nil
@@ -214,19 +230,17 @@ type Bus struct {
 	tracer *trace.Recorder
 
 	nextID      uint64
-	applied     map[uint64]bool // idempotency keys of applied messages
 	partitioned map[Endpoint]bool
 
-	// OnPartition/OnHeal observe partition edges; the platform wires
-	// OnHeal to the pod managers' reconciliation.
-	OnPartition func(Endpoint)
-	OnHeal      func(Endpoint)
+	// OnHeal observes heals; the platform wires it to the pod managers'
+	// reconciliation.
+	OnHeal func(Endpoint)
 
 	// Counters (published as rpc.* metrics).
 	Sent        int64 // Calls issued
 	Casts       int64 // Casts issued
 	Delivered   int64 // first deliveries that applied an effect
-	Deduped     int64 // duplicate deliveries suppressed by the idempotency key
+	Deduped     int64 // duplicate deliveries suppressed by the idempotency flag
 	Dropped     int64 // attempts lost to link loss or partitions (incl. lost acks)
 	Duplicates  int64 // attempts the link duplicated in flight
 	Retries     int64 // resends after a timeout
@@ -253,17 +267,10 @@ func New(eng *sim.Engine, cfg Config) *Bus {
 	if eng == nil {
 		panic("ctrlplane: New(nil engine)")
 	}
-	if cfg.RetryTimeout <= 0 {
-		cfg.RetryTimeout = 10
-	}
-	if cfg.BackoffFactor < 1 {
-		cfg.BackoffFactor = 2
-	}
 	return &Bus{
 		eng:         eng,
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		applied:     make(map[uint64]bool),
 		partitioned: make(map[Endpoint]bool),
 	}
 }
@@ -273,18 +280,6 @@ func (b *Bus) SetTracer(r *trace.Recorder) {
 	if b != nil {
 		b.tracer = r
 	}
-}
-
-// withCause runs f with cause installed as the recorder's current cause
-// scope. Asynchronous continuations (delivery, ack, retry timers) run
-// long after the decision that issued the Call returned, so they
-// restore the message's captured CauseID around their own recording —
-// this is how retries, duplicates, dead letters, and the applied
-// effects themselves all inherit one CauseID.
-func (b *Bus) withCause(cause uint64, f func()) {
-	prev := b.tracer.SetCause(cause)
-	f()
-	b.tracer.SetCause(prev)
 }
 
 // Enabled reports whether messages actually traverse the bus.
@@ -323,9 +318,6 @@ func (b *Bus) Partition(ep Endpoint) {
 	b.partitioned[ep] = true
 	b.Partitions++
 	b.tracer.Record(trace.EvPartition, 0, 0, epRef(ep))
-	if b.OnPartition != nil {
-		b.OnPartition(ep)
-	}
 }
 
 // Heal lifts ep's partition and fires OnHeal (reconciliation).
@@ -349,174 +341,210 @@ func (b *Bus) link(from, to Endpoint) LinkConfig {
 	return b.cfg.Default
 }
 
-// idealRoundTrip reports whether a Call from→to can take the inline
-// fast path: both directions ideal, neither endpoint partitioned, no
-// single-shot fault armed. The fast path schedules zero engine events
-// and draws zero randomness.
-func (b *Bus) idealRoundTrip(from, to Endpoint) bool {
-	return b.link(from, to).ideal() && b.link(to, from).ideal() &&
-		!b.partitioned[from] && !b.partitioned[to] &&
-		b.DropNext == 0 && b.DupNext == 0 && b.DelayNext == 0
-}
-
 // Call sends an at-least-once message whose effect is apply. On a nil
 // or disabled bus, apply runs inline. Duplicates and retried deliveries
-// apply at most once (idempotency key = message ID); if every attempt
-// times out the message dead-letters and the effect never runs.
-func (b *Bus) Call(from, to Endpoint, name string, apply func()) {
-	b.CallWithDeadLetter(from, to, name, apply, nil)
-}
-
-// CallWithDeadLetter is Call with a compensation hook that runs (once)
-// if the retry cap is exhausted. Note the at-least-once caveat: the
-// effect may have applied even when onDead runs — a delivered message
-// whose acknowledgments were all lost still dead-letters. Callers that
-// cannot tolerate both running guard with their own instance token.
-func (b *Bus) CallWithDeadLetter(from, to Endpoint, name string, apply func(), onDead func()) {
+// apply at most once; if every attempt times out the message
+// dead-letters and onDead, when non-nil, runs (once) instead. Note the
+// at-least-once caveat: the effect may have applied even when onDead
+// runs — a delivered message whose acknowledgments were all lost still
+// dead-letters. Callers that cannot tolerate both running guard with
+// their own instance token.
+func (b *Bus) Call(from, to Endpoint, name string, apply, onDead func()) {
 	if !b.Enabled() {
 		apply()
 		return
 	}
-	b.nextID++
 	b.Sent++
-	m := &message{id: b.nextID, from: from, to: to, name: name, apply: apply, onDead: onDead,
-		sentAt: b.eng.Now(), cause: b.tracer.CurrentCause()}
-	if b.idealRoundTrip(from, to) {
-		// Inline: delivered, applied, and acked in the same instant.
-		m.attempts, m.done = 1, true
+	b.send(from, to, name, apply, onDead, false)
+}
+
+// Cast sends a best-effort one-way message (no ack, no retries, no dead
+// letter) — the snapshot/gossip primitive. A lost cast is simply gone;
+// the next periodic cast supersedes it.
+func (b *Bus) Cast(from, to Endpoint, name string, apply func()) {
+	if !b.Enabled() {
+		apply()
+		return
+	}
+	b.Casts++
+	b.send(from, to, name, apply, nil, true)
+}
+
+// send issues one Call or Cast on an enabled bus. When the route is
+// ideal — the forward link and, for a Call, the ack's reverse link
+// fault-free, neither endpoint partitioned, no single-shot fault armed
+// — the message is delivered (and a Call acked) inline, with no engine
+// event and no random draw. Otherwise its first attempt leaves now.
+func (b *Bus) send(from, to Endpoint, name string, apply, onDead func(), cast bool) {
+	b.nextID++
+	id := b.nextID
+	if b.link(from, to).ideal() && (cast || b.link(to, from).ideal()) &&
+		!b.partitioned[from] && !b.partitioned[to] &&
+		b.DropNext == 0 && b.DupNext == 0 && b.DelayNext == 0 {
 		b.Delivered++
+		if cast {
+			b.tracer.Record(trace.EvRPCSend, float64(id), 0, epRef(from), epRef(to))
+			apply()
+			return
+		}
 		b.Acks++
-		b.tracer.Record(trace.EvRPCSend, float64(m.id), 1, epRef(from), epRef(to))
-		b.tracer.Record(trace.EvRPCAck, float64(m.id), 0, epRef(from), epRef(to))
+		b.tracer.Record(trace.EvRPCSend, float64(id), 1, epRef(from), epRef(to))
+		b.tracer.Record(trace.EvRPCAck, float64(id), 0, epRef(from), epRef(to))
 		apply()
 		b.observeDelivery(0)
 		return
 	}
-	b.send(m)
+	m := &message{b: b, id: id, from: from, to: to, name: name, apply: apply, onDead: onDead,
+		cast: cast, sentAt: b.eng.Now(), cause: b.tracer.CurrentCause()}
+	m.onArrive = func() { b.tracer.WithCause(m.cause, m.deliver) }
+	if !cast {
+		m.onExpire = func() { b.tracer.WithCause(m.cause, m.expire) }
+		m.onAck = func() { b.tracer.WithCause(m.cause, m.ack) }
+	}
+	m.attempt()
 }
 
-// send runs one attempt of m: loss/partition draws, delivery and
-// possible duplicate delivery scheduling, and the attempt's retry timer.
-func (b *Bus) send(m *message) {
-	m.attempts++
+// fate draws one attempt's outcome over link l in a fixed order — loss,
+// jitter, duplication, duplicate jitter — consuming the single-shot
+// knobs: whether the attempt is lost (a partitioned sender loses it
+// without a draw), its delay d, and whether a duplicate follows after
+// d2.
+func (b *Bus) fate(l LinkConfig, partitioned bool) (lost bool, d float64, dup bool, d2 float64) {
+	if b.DropNext > 0 && !partitioned {
+		b.DropNext--
+		return true, 0, false, 0
+	}
+	if partitioned || l.LossProb > 0 && b.rng.Float64() < l.LossProb {
+		return true, 0, false, 0
+	}
+	d = b.delay(l, b.DelayNext)
+	b.DelayNext = 0
+	if dup = b.DupNext > 0; dup {
+		b.DupNext--
+	} else if l.DupProb > 0 {
+		dup = b.rng.Float64() < l.DupProb
+	}
+	if dup {
+		d2 = b.delay(l, 0)
+	}
+	return false, d, dup, d2
+}
+
+// delay draws a one-way delay over link l: its fixed delay plus extra,
+// plus Uniform(0, Jitter).
+func (b *Bus) delay(l LinkConfig, extra float64) float64 {
+	d := l.Delay + extra
+	if l.Jitter > 0 {
+		d += l.Jitter * b.rng.Float64()
+	}
+	return d
+}
+
+// attempt sends one copy of m over its forward link, schedules its
+// delivery and any duplicate, and, for a Call, arms the attempt's retry
+// timer.
+func (m *message) attempt() {
+	b := m.b
+	from, to := epRef(m.from), epRef(m.to)
+	if !m.cast {
+		m.attempts++
+	}
 	if m.attempts > 1 {
 		b.Retries++
-		b.tracer.Record(trace.EvRPCRetry, float64(m.id), float64(m.attempts), epRef(m.from), epRef(m.to))
+		b.tracer.Record(trace.EvRPCRetry, float64(m.id), float64(m.attempts), from, to)
 	} else {
-		b.tracer.Record(trace.EvRPCSend, float64(m.id), float64(m.attempts), epRef(m.from), epRef(m.to))
+		b.tracer.Record(trace.EvRPCSend, float64(m.id), float64(m.attempts), from, to)
 	}
-	link := b.link(m.from, m.to)
-
-	lost := b.partitioned[m.from]
-	if !lost && b.DropNext > 0 {
-		b.DropNext--
-		lost = true
-	}
-	if !lost && link.LossProb > 0 && b.rng.Float64() < link.LossProb {
-		lost = true
-	}
+	lost, d, dup, d2 := b.fate(b.link(m.from, m.to), b.partitioned[m.from])
 	if lost {
 		b.Dropped++
-		b.tracer.RecordErr(trace.EvRPCDrop, float64(m.id), float64(m.attempts), epRef(m.from), epRef(m.to))
+		b.tracer.RecordErr(trace.EvRPCDrop, float64(m.id), float64(m.attempts), from, to)
 	} else {
-		d := link.Delay
-		if b.DelayNext > 0 {
-			d += b.DelayNext
-			b.DelayNext = 0
-		}
-		if link.Jitter > 0 {
-			d += link.Jitter * b.rng.Float64()
-		}
-		b.eng.After(d, func() { b.withCause(m.cause, func() { b.deliver(m) }) })
-		dup := false
-		if b.DupNext > 0 {
-			b.DupNext--
-			dup = true
-		}
-		if !dup && link.DupProb > 0 && b.rng.Float64() < link.DupProb {
-			dup = true
-		}
+		b.eng.After(d, m.onArrive)
 		if dup {
 			b.Duplicates++
-			d2 := link.Delay
-			if link.Jitter > 0 {
-				d2 += link.Jitter * b.rng.Float64()
-			}
-			b.eng.After(d2, func() { b.withCause(m.cause, func() { b.deliver(m) }) })
+			b.eng.After(d2, m.onArrive)
 		}
 	}
-
+	if m.cast {
+		return
+	}
 	timeout := b.cfg.RetryTimeout * math.Pow(b.cfg.BackoffFactor, float64(m.attempts-1))
 	if b.cfg.RetryJitter > 0 {
 		timeout *= 1 + b.cfg.RetryJitter*b.rng.Float64()
 	}
-	m.timer = b.eng.After(timeout, func() { b.withCause(m.cause, func() { b.timeout(m) }) })
+	m.timer = b.eng.After(timeout, m.onExpire)
 }
 
 // deliver lands one copy of m at its receiver. Receiver partitions are
-// checked at arrival time; the idempotency key makes re-deliveries
-// (duplicates, retries racing a lost ack) inert.
-func (b *Bus) deliver(m *message) {
+// checked at arrival time. Every copy of a Cast applies (snapshot
+// payloads are last-write-wins); a Call applies its first copy and acks
+// each, and its idempotency flag makes later copies (duplicates,
+// retries racing a lost ack) inert.
+func (m *message) deliver() {
+	b := m.b
 	if b.partitioned[m.to] {
 		b.Dropped++
 		b.tracer.RecordErr(trace.EvRPCDrop, float64(m.id), float64(m.attempts), epRef(m.from), epRef(m.to))
 		return
 	}
-	if m.done {
+	switch {
+	case m.cast:
+		b.Delivered++
+		b.tracer.Record(trace.EvRPCDeliver, float64(m.id), 0, epRef(m.from), epRef(m.to))
+		m.apply()
+		return
+	case m.done:
 		// The Call already settled (acked, or dead-lettered with its
 		// compensation run); a straggler copy must neither apply nor ack.
 		return
-	}
-	if !b.applied[m.id] {
-		b.applied[m.id] = true
-		b.Delivered++
-		b.tracer.Record(trace.EvRPCDeliver, float64(m.id), b.eng.Now()-m.sentAt, epRef(m.from), epRef(m.to))
-		b.observeDelivery(b.eng.Now() - m.sentAt)
-		m.apply()
-	} else {
+	case m.applied:
 		b.Deduped++
+	default:
+		m.applied = true
+		b.Delivered++
+		latency := b.eng.Now() - m.sentAt
+		b.tracer.Record(trace.EvRPCDeliver, float64(m.id), latency, epRef(m.from), epRef(m.to))
+		b.observeDelivery(latency)
+		m.apply()
 	}
-	b.sendAck(m)
-}
-
-// sendAck returns the acknowledgment over the reverse link. A lost ack
-// leaves the sender retrying; the retry re-delivers, dedups, and acks
-// again.
-func (b *Bus) sendAck(m *message) {
-	link := b.link(m.to, m.from)
-	if link.LossProb > 0 && b.rng.Float64() < link.LossProb {
+	// The acknowledgment returns over the reverse link. A lost ack
+	// leaves the sender retrying; the retry re-delivers, dedups, and
+	// acks again.
+	l := b.link(m.to, m.from)
+	if l.LossProb > 0 && b.rng.Float64() < l.LossProb {
 		b.Dropped++
 		return
 	}
-	d := link.Delay
-	if link.Jitter > 0 {
-		d += link.Jitter * b.rng.Float64()
-	}
-	b.eng.After(d, func() {
-		if m.done {
-			return
-		}
-		if b.partitioned[m.from] {
-			b.Dropped++
-			return
-		}
-		m.done = true
-		b.Acks++
-		b.eng.Cancel(m.timer)
-		b.withCause(m.cause, func() {
-			b.tracer.Record(trace.EvRPCAck, float64(m.id), b.eng.Now()-m.sentAt, epRef(m.from), epRef(m.to))
-		})
-	})
+	b.eng.After(b.delay(l, 0), m.onAck)
 }
 
-// timeout fires when an attempt's deadline passes unacknowledged:
-// resend with backoff, or declare a dead letter past the cap.
-func (b *Bus) timeout(m *message) {
+// ack settles m when an acknowledgment reaches its (unpartitioned)
+// sender.
+func (m *message) ack() {
+	b := m.b
+	if m.done {
+		return
+	}
+	if b.partitioned[m.from] {
+		b.Dropped++
+		return
+	}
+	m.done = true
+	b.Acks++
+	b.eng.Cancel(m.timer)
+	b.tracer.Record(trace.EvRPCAck, float64(m.id), b.eng.Now()-m.sentAt, epRef(m.from), epRef(m.to))
+}
+
+// expire fires when an attempt's deadline passes unacknowledged: resend
+// with backoff, or declare a dead letter past the cap.
+func (m *message) expire() {
+	b := m.b
 	if m.done {
 		return
 	}
 	if m.attempts <= b.cfg.MaxRetries {
-		b.send(m)
+		m.attempt()
 		return
 	}
 	m.done = true
@@ -528,81 +556,6 @@ func (b *Bus) timeout(m *message) {
 	b.tracer.RecordErr(trace.EvRPCDeadLetter, float64(m.id), float64(m.attempts), epRef(m.from), epRef(m.to))
 	if m.onDead != nil {
 		m.onDead()
-	}
-}
-
-// Cast sends a best-effort one-way message (no ack, no retries, no dead
-// letter) — the snapshot/gossip primitive. A lost cast is simply gone;
-// the next periodic cast supersedes it.
-func (b *Bus) Cast(from, to Endpoint, name string, apply func()) {
-	if !b.Enabled() {
-		apply()
-		return
-	}
-	b.nextID++
-	b.Casts++
-	id := b.nextID
-	link := b.link(from, to)
-	if link.ideal() && !b.partitioned[from] && !b.partitioned[to] &&
-		b.DropNext == 0 && b.DupNext == 0 && b.DelayNext == 0 {
-		b.Delivered++
-		b.tracer.Record(trace.EvRPCSend, float64(id), 0, epRef(from), epRef(to))
-		apply()
-		return
-	}
-	b.tracer.Record(trace.EvRPCSend, float64(id), 0, epRef(from), epRef(to))
-	lost := b.partitioned[from]
-	if !lost && b.DropNext > 0 {
-		b.DropNext--
-		lost = true
-	}
-	if !lost && link.LossProb > 0 && b.rng.Float64() < link.LossProb {
-		lost = true
-	}
-	if lost {
-		b.Dropped++
-		b.tracer.RecordErr(trace.EvRPCDrop, float64(id), 0, epRef(from), epRef(to))
-		return
-	}
-	d := link.Delay
-	if b.DelayNext > 0 {
-		d += b.DelayNext
-		b.DelayNext = 0
-	}
-	if link.Jitter > 0 {
-		d += link.Jitter * b.rng.Float64()
-	}
-	cause := b.tracer.CurrentCause()
-	deliver := func() {
-		b.withCause(cause, func() {
-			if b.partitioned[to] {
-				b.Dropped++
-				b.tracer.RecordErr(trace.EvRPCDrop, float64(id), 0, epRef(from), epRef(to))
-				return
-			}
-			b.Delivered++
-			b.tracer.Record(trace.EvRPCDeliver, float64(id), 0, epRef(from), epRef(to))
-			apply()
-		})
-	}
-	b.eng.After(d, deliver)
-	dup := false
-	if b.DupNext > 0 {
-		b.DupNext--
-		dup = true
-	}
-	if !dup && link.DupProb > 0 && b.rng.Float64() < link.DupProb {
-		dup = true
-	}
-	if dup {
-		// Snapshot payloads are idempotent by design (last write wins),
-		// so a duplicated cast applies twice on purpose.
-		b.Duplicates++
-		d2 := link.Delay
-		if link.Jitter > 0 {
-			d2 += link.Jitter * b.rng.Float64()
-		}
-		b.eng.After(d2, deliver)
 	}
 }
 

@@ -2,9 +2,13 @@ package ctrlplane
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math"
+	"strings"
 	"testing"
 
 	"megadc/internal/sim"
+	"megadc/internal/trace"
 )
 
 func enabledCfg() Config {
@@ -19,7 +23,7 @@ func enabledCfg() Config {
 func TestDisabledAppliesInline(t *testing.T) {
 	var nilBus *Bus
 	ran := 0
-	nilBus.Call(Global, CSM, "x", func() { ran++ })
+	nilBus.Call(Global, CSM, "x", func() { ran++ }, nil)
 	nilBus.Cast(Global, CSM, "x", func() { ran++ })
 	if ran != 2 {
 		t.Fatalf("nil bus ran %d effects inline, want 2", ran)
@@ -30,7 +34,7 @@ func TestDisabledAppliesInline(t *testing.T) {
 
 	eng := sim.New(1)
 	b := New(eng, Config{}) // Enable false
-	b.Call(Global, CSM, "x", func() { ran++ })
+	b.Call(Global, CSM, "x", func() { ran++ }, nil)
 	if ran != 3 || b.Sent != 0 {
 		t.Fatalf("disabled bus: ran=%d sent=%d", ran, b.Sent)
 	}
@@ -45,7 +49,7 @@ func TestIdealFastPathIsInert(t *testing.T) {
 
 	applied := 0
 	for i := 0; i < 5; i++ {
-		b.Call(Global, Pod(i), "knob", func() { applied++ })
+		b.Call(Global, Pod(i), "knob", func() { applied++ }, nil)
 		b.Cast(Pod(i), Global, "snap", func() { applied++ })
 	}
 	if applied != 10 {
@@ -76,7 +80,7 @@ func TestDelayedCallDeliversAndAcks(t *testing.T) {
 
 	var appliedAt float64 = -1
 	eng.At(0, func() {
-		b.Call(Global, CSM, "knob", func() { appliedAt = eng.Now() })
+		b.Call(Global, CSM, "knob", func() { appliedAt = eng.Now() }, nil)
 	})
 	eng.RunUntil(1000)
 	if appliedAt != 4 {
@@ -98,7 +102,7 @@ func TestTotalLossDeadLetters(t *testing.T) {
 
 	applied, dead := 0, 0
 	eng.At(0, func() {
-		b.CallWithDeadLetter(Global, CSM, "knob", func() { applied++ }, func() { dead++ })
+		b.Call(Global, CSM, "knob", func() { applied++ }, func() { dead++ })
 	})
 	eng.RunUntil(100000)
 	if applied != 0 || dead != 1 {
@@ -129,7 +133,7 @@ func TestLostAcksDedupRetries(t *testing.T) {
 	b := New(eng, cfg)
 
 	applied := 0
-	eng.At(0, func() { b.Call(Global, CSM, "knob", func() { applied++ }) })
+	eng.At(0, func() { b.Call(Global, CSM, "knob", func() { applied++ }, nil) })
 	eng.RunUntil(100000)
 	if applied != 1 {
 		t.Fatalf("applied %d times, want exactly 1 (idempotency)", applied)
@@ -151,7 +155,7 @@ func TestDuplicateAppliesOnce(t *testing.T) {
 	b.DupNext = 1
 
 	applied := 0
-	eng.At(0, func() { b.Call(Global, CSM, "knob", func() { applied++ }) })
+	eng.At(0, func() { b.Call(Global, CSM, "knob", func() { applied++ }, nil) })
 	eng.RunUntil(1000)
 	if applied != 1 || b.Duplicates != 1 || b.Deduped != 1 {
 		t.Fatalf("applied=%d dups=%d deduped=%d", applied, b.Duplicates, b.Deduped)
@@ -174,7 +178,7 @@ func TestPartitionHealCompletesCall(t *testing.T) {
 
 	applied := 0
 	eng.At(0, func() { b.Partition(Pod(3)) })
-	eng.At(5, func() { b.Call(Global, Pod(3), "deploy", func() { applied++ }) })
+	eng.At(5, func() { b.Call(Global, Pod(3), "deploy", func() { applied++ }, nil) })
 	eng.At(100, func() { b.Heal(Pod(3)) })
 	eng.RunUntil(100000)
 
@@ -226,33 +230,127 @@ func TestCastIsBestEffort(t *testing.T) {
 
 // Same seed, same traffic → byte-identical outcome; different bus seed
 // → (with these loss rates) a different trajectory. The bus's RNG is
-// its own, so engine randomness stays untouched either way.
+// its own, so engine randomness stays untouched either way. The seed-11
+// trajectory is also pinned to constants, so a refactor of the bus that
+// reorders a random draw, an engine event or a trace record fails here
+// even when it stays self-consistent.
 func TestSeededReproducibility(t *testing.T) {
-	run := func(busSeed int64) string {
+	type outcome struct{ order, counters, events string }
+	run := func(busSeed int64) outcome {
 		eng := sim.New(7)
 		cfg := enabledCfg()
 		cfg.Seed = busSeed
 		cfg.RetryJitter = 0.1
 		cfg.Default = LinkConfig{Delay: 2, Jitter: 1, LossProb: 0.3, DupProb: 0.1}
+		cfg.Links = map[string]LinkConfig{
+			LinkKey(CSM, Global): {Delay: 1, Jitter: 0.5, LossProb: 0.5},  // acks
+			LinkKey(Global, DNS): {Delay: 3, LossProb: 0.8, DupProb: 0.3}, // dead letters
+		}
 		b := New(eng, cfg)
-		order := ""
+		rec := trace.NewRecorder(1 << 14)
+		rec.Now = eng.Now
+		b.SetTracer(rec)
+		var order strings.Builder
+		note := func(tag string, i int) func() {
+			return func() { fmt.Fprintf(&order, "%s%d@%g ", tag, i, eng.Now()) }
+		}
+		eng.At(50, func() { b.Partition(CSM) })
+		eng.At(90, func() { b.Heal(CSM) })
+		eng.At(30, func() { b.Partition(Pod(1)) })
+		eng.At(60, func() { b.Heal(Pod(1)) })
 		for i := 0; i < 40; i++ {
 			i := i
 			eng.At(float64(i*3), func() {
-				b.Call(Global, CSM, "knob", func() { order += fmt.Sprintf("%d@%g ", i, eng.Now()) })
+				switch i {
+				case 5:
+					b.DropNext = 2
+				case 10:
+					b.DupNext = 1
+				case 15:
+					b.DelayNext = 7.5
+				}
+				rec.WithCause(rec.NewCause(), func() {
+					b.Call(Global, CSM, "knob", note("c", i), nil)
+					if i%8 == 0 {
+						b.Call(Global, DNS, "dns", note("d", i), note("x", i))
+					}
+					if i%5 == 0 {
+						if i == 20 {
+							b.DupNext = 1
+						}
+						b.Cast(Pod(i%3), Global, "snap", note("s", i))
+					}
+				})
 			})
 		}
 		eng.RunUntil(1e6)
-		return fmt.Sprintf("%s|d=%d drop=%d dup=%d retry=%d ack=%d dead=%d|eng=%d",
-			order, b.Delivered, b.Dropped, b.Duplicates, b.Retries, b.Acks, b.DeadLetters,
-			eng.Rand().Int63())
+		var events strings.Builder
+		if err := rec.WriteEvents(&events); err != nil {
+			t.Fatal(err)
+		}
+		return outcome{
+			order: order.String(),
+			counters: fmt.Sprintf("sent=%d casts=%d d=%d dedup=%d drop=%d dup=%d retry=%d ack=%d dead=%d|eng=%d",
+				b.Sent, b.Casts, b.Delivered, b.Deduped, b.Dropped, b.Duplicates, b.Retries, b.Acks,
+				b.DeadLetters, eng.Rand().Int63()),
+			events: events.String(),
+		}
 	}
 	a, b2 := run(11), run(11)
 	if a != b2 {
-		t.Fatalf("same seed diverged:\n%s\n%s", a, b2)
+		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b2)
 	}
 	if run(12) == a {
 		t.Fatal("different bus seed produced an identical faulty trajectory (suspicious)")
+	}
+	fnv64 := func(s string) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		return h.Sum64()
+	}
+	const (
+		wantOrder    = 0x98d6904ac95723c8
+		wantCounters = "sent=45 casts=8 d=51 dedup=41 drop=123 dup=16 retry=105 ack=43 dead=2|eng=8475284246537043955"
+		wantEvents   = 0xbd430b17df6487f5
+	)
+	if got := fnv64(a.order); got != wantOrder {
+		t.Errorf("apply order hash %#x, want %#x; order:\n%s", got, uint64(wantOrder), a.order)
+	}
+	if a.counters != wantCounters {
+		t.Errorf("counters:\n got %s\nwant %s", a.counters, wantCounters)
+	}
+	if got := fnv64(a.events); got != wantEvents {
+		t.Errorf("event log hash %#x, want %#x; log:\n%s", got, uint64(wantEvents), a.events)
+	}
+}
+
+// Binding a message's callbacks once makes a Call's allocations
+// independent of how many attempts it takes: a retry reuses the bound
+// delivery and timeout callbacks instead of allocating fresh ones.
+func TestCallAllocsIndependentOfAttempts(t *testing.T) {
+	eng := sim.New(1)
+	cfg := enabledCfg()
+	cfg.Default = LinkConfig{Delay: 1}
+	b := New(eng, cfg)
+	apply := func() {}
+	call := func(k int) func() {
+		return func() {
+			b.DropNext = k
+			b.Call(Global, CSM, "knob", apply, nil)
+			eng.Run()
+		}
+	}
+	call(4)() // warm the engine's heap and slot table
+	var allocs [3]float64
+	for i, k := range []int{0, 1, 4} {
+		allocs[i] = testing.AllocsPerRun(50, call(k))
+	}
+	if allocs[1] != allocs[0] || allocs[2] != allocs[0] {
+		t.Fatalf("allocations per Call with 0, 1 and 4 dropped attempts = %v, want all equal", allocs)
+	}
+	t.Logf("allocations per Call: %v", allocs[0])
+	if b.DeadLetters != 0 {
+		t.Fatalf("dead letters: %d", b.DeadLetters)
 	}
 }
 
@@ -274,6 +372,40 @@ func TestValidate(t *testing.T) {
 	off := Config{}
 	if err := off.Validate(); err != nil {
 		t.Fatalf("disabled zero config must validate: %v", err)
+	}
+	// NaN and ±Inf: a NaN delay panics the engine mid-run, a NaN
+	// probability never fires, a NaN snapshot period turns snapshots off.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"delay NaN", func(c *Config) { c.Default.Delay = nan }},
+		{"delay +Inf", func(c *Config) { c.Default.Delay = inf }},
+		{"jitter NaN", func(c *Config) { c.Default.Jitter = nan }},
+		{"jitter -Inf", func(c *Config) { c.Default.Jitter = -inf }},
+		{"loss NaN", func(c *Config) { c.Default.LossProb = nan }},
+		{"dup NaN", func(c *Config) { c.Default.DupProb = nan }},
+		{"dup -0.1", func(c *Config) { c.Default.DupProb = -0.1 }},
+		{"link override delay NaN", func(c *Config) { c.Links = map[string]LinkConfig{LinkKey(CSM, Global): {Delay: nan}} }},
+		{"link override loss +Inf", func(c *Config) { c.Links = map[string]LinkConfig{LinkKey(CSM, Global): {LossProb: inf}} }},
+		{"retry timeout NaN", func(c *Config) { c.RetryTimeout = nan }},
+		{"retry timeout +Inf", func(c *Config) { c.RetryTimeout = inf }},
+		{"backoff NaN", func(c *Config) { c.BackoffFactor = nan }},
+		{"backoff +Inf", func(c *Config) { c.BackoffFactor = inf }},
+		{"backoff 0.5", func(c *Config) { c.BackoffFactor = 0.5 }},
+		{"retry jitter NaN", func(c *Config) { c.RetryJitter = nan }},
+		{"retry jitter +Inf", func(c *Config) { c.RetryJitter = inf }},
+		{"snapshot NaN", func(c *Config) { c.SnapshotEvery = nan }},
+		{"snapshot +Inf", func(c *Config) { c.SnapshotEvery = inf }},
+		{"snapshot -1", func(c *Config) { c.SnapshotEvery = -1 }},
+		{"max retries -1", func(c *Config) { c.MaxRetries = -1 }},
+	} {
+		cfg := enabledCfg()
+		tc.edit(&cfg)
+		if cfg.Validate() == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+		}
 	}
 }
 

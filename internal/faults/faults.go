@@ -14,6 +14,9 @@
 package faults
 
 import (
+	"fmt"
+	"math"
+
 	"megadc/internal/cluster"
 	"megadc/internal/core"
 	"megadc/internal/ctrlplane"
@@ -99,6 +102,46 @@ func DefaultConfig() Config {
 		MinHealthyLinks:    1,
 		MinConnectedPods:   1,
 	}
+}
+
+// Validate checks that every class's MTBF, MTTR and DetectDelay and
+// the flap timings are finite and >= 0 (0 still disables a class), and
+// that the flap cycle count and the serving floors are >= 0. A negative
+// or NaN time would schedule an engine event in the past mid-run; an
+// infinite one would never fire.
+func (c *Config) Validate() error {
+	type field struct {
+		name string
+		v    float64
+	}
+	times := []field{{"Flap.MTBF", c.Flap.MTBF}, {"Flap.Down", c.Flap.Down}, {"Flap.Up", c.Flap.Up}}
+	for _, cl := range []struct {
+		name string
+		c    Class
+	}{{"Server", c.Server}, {"Switch", c.Switch}, {"Link", c.Link}, {"Partition", c.Partition}} {
+		times = append(times, field{cl.name + ".MTBF", cl.c.MTBF}, field{cl.name + ".MTTR", cl.c.MTTR},
+			field{cl.name + ".DetectDelay", cl.c.DetectDelay})
+	}
+	for _, f := range times {
+		if !(f.v >= 0) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("faults: %s must be finite and >= 0, got %v", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"Flap.Cycles", c.Flap.Cycles},
+		{"MinHealthyServers", c.MinHealthyServers},
+		{"MinHealthySwitches", c.MinHealthySwitches},
+		{"MinHealthyLinks", c.MinHealthyLinks},
+		{"MinConnectedPods", c.MinConnectedPods},
+	} {
+		if f.n < 0 {
+			return fmt.Errorf("faults: %s must be >= 0, got %d", f.name, f.n)
+		}
+	}
+	return nil
 }
 
 // Injector drives fault/detect/repair lifecycles on a platform's

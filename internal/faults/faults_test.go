@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"megadc/internal/cluster"
@@ -266,5 +267,46 @@ func TestMonitorSeesInjectedOutage(t *testing.T) {
 	}
 	if mon.Avail.AllRecoveries().N() == 0 {
 		t.Fatal("monitor recorded no recoveries despite repair")
+	}
+}
+
+// Validate rejects every time that would schedule an engine event in
+// the past (negative, NaN) or never (infinite), and negative counts.
+func TestConfigValidate(t *testing.T) {
+	if cfg := DefaultConfig(); cfg.Validate() != nil {
+		t.Fatalf("default config invalid: %v", cfg.Validate())
+	}
+	off := DefaultConfig()
+	off.Server.MTBF, off.Switch.MTBF, off.Link.MTBF = 0, 0, 0
+	if err := off.Validate(); err != nil {
+		t.Fatalf("MTBF 0 (class disabled) must validate: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"server detect -5", func(c *Config) { c.Server.DetectDelay = -5 }},
+		{"server mttr -100", func(c *Config) { c.Server.MTTR = -100 }},
+		{"server mttr NaN", func(c *Config) { c.Server.MTTR = nan }},
+		{"server mtbf -1", func(c *Config) { c.Server.MTBF = -1 }},
+		{"switch mttr +Inf", func(c *Config) { c.Switch.MTTR = inf }},
+		{"link detect NaN", func(c *Config) { c.Link.DetectDelay = nan }},
+		{"partition mtbf -Inf", func(c *Config) { c.Partition.MTBF = -inf }},
+		{"partition mttr NaN", func(c *Config) { c.Partition.MTTR = nan }},
+		{"flap mtbf NaN", func(c *Config) { c.Flap.MTBF = nan }},
+		{"flap down -2", func(c *Config) { c.Flap.Down = -2 }},
+		{"flap up +Inf", func(c *Config) { c.Flap.Up = inf }},
+		{"flap cycles -1", func(c *Config) { c.Flap.Cycles = -1 }},
+		{"min servers -1", func(c *Config) { c.MinHealthyServers = -1 }},
+		{"min switches -1", func(c *Config) { c.MinHealthySwitches = -1 }},
+		{"min links -1", func(c *Config) { c.MinHealthyLinks = -1 }},
+		{"min pods -1", func(c *Config) { c.MinConnectedPods = -1 }},
+	} {
+		cfg := DefaultConfig()
+		tc.edit(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+		}
 	}
 }

@@ -395,23 +395,21 @@ func (r *Recorder) NewCause() uint64 {
 	return r.lastCause
 }
 
-// SetCause installs id as the current cause scope and returns the
-// previous scope so callers can restore it:
-//
-//	prev := rec.SetCause(cid)
-//	defer rec.SetCause(prev)
-//
-// Every event recorded while the scope is active carries id in its
-// Cause field. Asynchronous continuations (bus callbacks, engine
-// timers) capture the id when the decision is made and re-install it
-// around their own recording. Nil-safe no-op returning 0.
-func (r *Recorder) SetCause(id uint64) (prev uint64) {
+// WithCause runs f with id installed as the current cause scope and
+// restores the previous scope afterwards. Every event recorded while
+// the scope is active carries id in its Cause field. Asynchronous
+// continuations (bus callbacks, engine timers) capture the id when the
+// decision is made and run under it here. Nil-safe: with tracing off
+// it just runs f.
+func (r *Recorder) WithCause(id uint64, f func()) {
 	if r == nil {
-		return 0
+		f()
+		return
 	}
-	prev = r.cause
+	prev := r.cause
 	r.cause = id
-	return prev
+	f()
+	r.cause = prev
 }
 
 // CurrentCause returns the CauseID in scope (0 when none, or nil).

@@ -119,6 +119,7 @@ type Manager struct {
 	eng         *sim.Engine
 	serviceTime float64
 	inflight    *Request
+	finish      func() // completes inflight; bound once by StartSerialized
 
 	tracer *trace.Recorder
 }
@@ -238,18 +239,10 @@ func (m *Manager) Submit(r *Request) {
 		r.Cause = m.tracer.CurrentCause()
 	}
 	m.queue = append(m.queue, r)
-	m.withCause(r.Cause, func() { m.traceReq(trace.EvReqSubmit, r) })
+	m.tracer.WithCause(r.Cause, func() { m.traceReq(trace.EvReqSubmit, r) })
 	if m.eng != nil {
 		m.pump()
 	}
-}
-
-// withCause runs f with cause installed as the recorder's current cause
-// scope, restoring the previous scope afterwards. Nil-tracer safe.
-func (m *Manager) withCause(cause uint64, f func()) {
-	prev := m.tracer.SetCause(cause)
-	f()
-	m.tracer.SetCause(prev)
 }
 
 // Pending returns the number of queued, unprocessed requests (including
@@ -277,7 +270,7 @@ func (m *Manager) StartSerialized(eng *sim.Engine, serviceTime float64) {
 	if serviceTime < 0 {
 		panic(fmt.Sprintf("viprip: negative service time %v", serviceTime))
 	}
-	m.eng, m.serviceTime = eng, serviceTime
+	m.eng, m.serviceTime, m.finish = eng, serviceTime, m.finishInflight
 	m.pump()
 }
 
@@ -301,15 +294,20 @@ func (m *Manager) pump() {
 	r := m.queue[best]
 	m.queue = append(m.queue[:best], m.queue[best+1:]...)
 	m.inflight = r
-	m.withCause(r.Cause, func() { m.traceReq(trace.EvReqProcess, r) })
-	m.eng.After(m.serviceTime, func() {
-		m.inflight = nil
-		// Completion runs serviceTime after the decision that submitted
-		// the request returned; restore its CauseID so apply-time events
-		// (fabric effects, OnDone continuations) inherit it.
-		m.withCause(r.Cause, func() { m.complete(r) })
-		m.pump()
-	})
+	m.tracer.WithCause(r.Cause, func() { m.traceReq(trace.EvReqProcess, r) })
+	m.eng.After(m.serviceTime, m.finish)
+}
+
+// finishInflight runs when the in-service request's service time has
+// elapsed: it frees the pipeline, completes the request, and re-pumps.
+// Completion runs serviceTime after the decision that submitted the
+// request returned, so it restores the request's CauseID for its
+// apply-time events (fabric effects, OnDone continuations).
+func (m *Manager) finishInflight() {
+	r := m.inflight
+	m.inflight = nil
+	m.tracer.WithCause(r.Cause, func() { m.complete(r) })
+	m.pump()
 }
 
 // complete applies the in-service request when the pipeline's service
