@@ -99,6 +99,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "megadcsim:", err)
 		os.Exit(2)
 	}
+	if !*churn && run.CtrlPartitionMTBF != 0 {
+		// Partitions are a churn fault class: without -churn no injector
+		// runs, and the flag would be ignored without a word.
+		fmt.Fprintln(os.Stderr, "megadcsim: -ctrl-partition-mtbf must be used with -churn")
+		os.Exit(1)
+	}
 	if !*useReqs && (*reqRate != 0 || *reqQueue != 1000 || *reqCPU != 0.005 || *reqService != "exponential") {
 		fmt.Fprintln(os.Stderr, "megadcsim: -req-* flags require -requests")
 		os.Exit(2)

@@ -335,6 +335,9 @@ func (b *Bus) Heal(ep Endpoint) {
 
 // link returns the config of the from→to direction.
 func (b *Bus) link(from, to Endpoint) LinkConfig {
+	if len(b.cfg.Links) == 0 {
+		return b.cfg.Default // no overrides: skip building the key
+	}
 	if l, ok := b.cfg.Links[LinkKey(from, to)]; ok {
 		return l
 	}

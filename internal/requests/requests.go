@@ -150,18 +150,32 @@ type request struct {
 
 // swQueue is one switch's bounded FIFO plus its single aggregate
 // service slot: requests drain at the switch-wide derived rate µ in
-// arrival order. buf is a fixed ring allocated at attach time.
+// arrival order. buf is a ring that starts empty and doubles, from
+// minRing up to Config.QueueCap, when an admitted arrival finds it
+// full, so a queue's memory follows its high-water depth rather than
+// its bound.
 type swQueue struct {
-	sw   *lbswitch.Switch
-	buf  []*request // ring, len == cap == Config.QueueCap
-	head int        // index of the request in service
-	n    int        // occupied slots (including the one in service)
-	mu   float64    // derived service rate, requests/sec
-	busy bool       // a completion event is scheduled
+	sw   *lbswitch.Switch // nil until the queue is attached
+	buf  []*request       // ring, len ≤ Config.QueueCap
+	head int              // index of the request in service
+	n    int              // occupied slots (including the one in service)
+	mu   float64          // derived service rate, requests/sec
+	busy bool             // a completion event is scheduled
+}
+
+// minRing is the ring size a queue's first admitted request allocates.
+const minRing = 4
+
+// grow doubles the full ring, capped at limit, and copies the live
+// requests to its front in FIFO order.
+func (q *swQueue) grow(limit int) {
+	buf := make([]*request, min(max(minRing, 2*len(q.buf)), limit))
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
 
 type appState struct {
-	app  cluster.AppID
 	pop  *dnsctl.ClientPopulation
 	hist *metrics.Histogram
 }
@@ -174,10 +188,11 @@ type Engine struct {
 	rng  *rand.Rand
 	scan *core.BackendScan
 
-	apps    []*appState
+	apps    []appState
+	driven  map[cluster.AppID]bool // apps already added, for AddApp's duplicate check
 	weights []float64
 	sampler *workload.Sampler   // built once at Start; weights are frozen after
-	queues  []*swQueue          // by SwitchID; nil = not attached yet
+	queues  []swQueue           // by SwitchID, sized once in New; sw == nil = not attached yet
 	qOrder  []lbswitch.SwitchID // attach order, for deterministic refresh
 	pool    sim.Pool[request]
 	arrival func() // pre-bound per-arrival callback: arrive, then schedule the next
@@ -225,7 +240,8 @@ func New(p *core.Platform, cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(seed)),
 		scan:     p.NewBackendScan(),
-		queues:   make([]*swQueue, p.Fabric.NumSwitches()),
+		driven:   make(map[cluster.AppID]bool),
+		queues:   make([]swQueue, p.Fabric.NumSwitches()),
 		latAll:   cfg.Registry.Histogram("requests.latency.all"),
 		waitAll:  cfg.Registry.Histogram("requests.wait.all"),
 		cServed:  cfg.Registry.Counter("requests.served"),
@@ -249,18 +265,16 @@ func (e *Engine) AddApp(app cluster.AppID, weight float64) error {
 	if e.started {
 		return fmt.Errorf("requests: AddApp after Start")
 	}
-	for _, as := range e.apps {
-		if as.app == app {
-			return fmt.Errorf("requests: app %d already driven", app)
-		}
+	if e.driven[app] {
+		return fmt.Errorf("requests: app %d already driven", app)
 	}
 	pop, err := dnsctl.NewClientPopulation(e.p.DNS, app, e.cfg.Population,
 		e.cfg.ViolatorFraction, e.cfg.ViolationHoldSec, e.rng)
 	if err != nil {
 		return err
 	}
-	e.apps = append(e.apps, &appState{
-		app:  app,
+	e.driven[app] = true
+	e.apps = append(e.apps, appState{
 		pop:  pop,
 		hist: e.cfg.Registry.Histogram(fmt.Sprintf("requests.latency.app-%02d", app)),
 	})
@@ -331,17 +345,14 @@ func (e *Engine) Pending() int {
 }
 
 // queueFor returns (attaching on first sight) the queue of switch id.
+// The pointer is stable: e.queues is never reallocated.
 func (e *Engine) queueFor(id lbswitch.SwitchID) *swQueue {
-	if q := e.queues[id]; q != nil {
-		return q
+	q := &e.queues[id]
+	if q.sw == nil {
+		q.sw = e.p.Fabric.Switch(id)
+		q.mu = e.scan.SwitchCPU(id) / e.cfg.CPUPerRequest
+		e.qOrder = append(e.qOrder, id)
 	}
-	q := &swQueue{
-		sw:  e.p.Fabric.Switch(id),
-		buf: make([]*request, e.cfg.QueueCap),
-		mu:  e.scan.SwitchCPU(id) / e.cfg.CPUPerRequest,
-	}
-	e.queues[id] = q
-	e.qOrder = append(e.qOrder, id)
 	return q
 }
 
@@ -353,7 +364,7 @@ func (e *Engine) queueFor(id lbswitch.SwitchID) *swQueue {
 // return their memoized capacity.
 func (e *Engine) refresh() {
 	for _, id := range e.qOrder {
-		q := e.queues[id]
+		q := &e.queues[id]
 		q.mu = e.scan.SwitchCPU(id) / e.cfg.CPUPerRequest
 		if !q.busy && q.n > 0 && q.mu > 0 {
 			e.startService(q)
@@ -377,7 +388,7 @@ func (e *Engine) scheduleNext() {
 func (e *Engine) arrive() {
 	e.stats.Generated++
 	now := e.p.Eng.Now()
-	as := e.apps[e.sampler.Pick(e.rng)]
+	as := &e.apps[e.sampler.Pick(e.rng)]
 	vi, err := as.pop.Arrive(now, e.rng)
 	if err != nil {
 		e.stats.NoExposure++
@@ -391,11 +402,14 @@ func (e *Engine) arrive() {
 		return
 	}
 	q := e.queueFor(home)
-	if !q.sw.Serving() || q.n >= len(q.buf) {
+	if !q.sw.Serving() || q.n >= e.cfg.QueueCap {
 		e.stats.Dropped++
 		e.cDropped.Inc()
 		q.sw.NoteReqDropped()
 		return
+	}
+	if q.n == len(q.buf) {
+		q.grow(e.cfg.QueueCap)
 	}
 	r := e.pool.Get()
 	r.q, r.hist, r.arrived = q, as.hist, now

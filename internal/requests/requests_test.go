@@ -70,6 +70,40 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestAddAppRejectsDuplicate: an app may be driven once; a second
+// AddApp for it, alone or inside AddAppsZipf, fails and registers
+// nothing.
+func TestAddAppRejectsDuplicate(t *testing.T) {
+	p := newPlatform(t, 1)
+	var apps []cluster.AppID
+	for i := 0; i < 2; i++ {
+		a, err := p.OnboardApp(fmt.Sprintf("app-%d", i), slice(), 2, core.Demand{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps = append(apps, a.ID)
+	}
+	cfg := DefaultConfig()
+	cfg.Profile = workload.Constant(10)
+	cfg.Registry = metrics.NewRegistry()
+	e, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddApp(apps[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddApp(apps[0], 2); err == nil || !strings.Contains(err.Error(), "already driven") {
+		t.Fatalf("second AddApp of app %d: err = %v, want \"already driven\"", apps[0], err)
+	}
+	if err := e.AddAppsZipf([]cluster.AppID{apps[1], apps[1]}, 1.0); err == nil {
+		t.Fatal("AddAppsZipf with a repeated app accepted")
+	}
+	if len(e.apps) != 2 || len(e.weights) != 2 {
+		t.Fatalf("%d apps, %d weights registered, want 2 and 2", len(e.apps), len(e.weights))
+	}
+}
+
 func TestRequestsServeAndRecordLatency(t *testing.T) {
 	p := newPlatform(t, 1)
 	apps := make([]cluster.AppID, 0, 4)
@@ -195,6 +229,143 @@ func TestBoundedQueueDrops(t *testing.T) {
 	if reg.Counter("requests.dropped").Value() != st.Dropped {
 		t.Error("dropped counter disagrees with stats")
 	}
+}
+
+// ringOrder returns q's live requests in FIFO order, head first.
+func ringOrder(q *swQueue) []*request {
+	out := make([]*request, q.n)
+	for i := range out {
+		out[i] = q.buf[(q.head+i)%len(q.buf)]
+	}
+	return out
+}
+
+// TestQueueRingSizeAndOrder pins the on-demand ring. A switch served
+// far below its arrival rate grows its ring while the head has moved,
+// must still serve in arrival order, and must drop (and count) the
+// arrival that would take its depth past QueueCap. After a steady run,
+// no ring is larger than twice its switch's high-water depth.
+func TestQueueRingSizeAndOrder(t *testing.T) {
+	t.Run("stalled", func(t *testing.T) {
+		p := newPlatform(t, 4)
+		a, err := p.OnboardApp("hot", slice(), 2, core.Demand{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.Profile = workload.Constant(40)
+		cfg.QueueCap = 50        // not a power of two: the last doubling is clamped
+		cfg.CPUPerRequest = 0.25 // each switch serves ~4 of its ~20 req/s
+		cfg.Registry = metrics.NewRegistry()
+		e, err := New(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddApp(a.ID, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		grewMidRing := 0
+		for p.Eng.Now() < 10 {
+			before := make(map[lbswitch.SwitchID][]*request)
+			heads := make(map[lbswitch.SwitchID]int)
+			sizes := make(map[lbswitch.SwitchID]int)
+			drops := make(map[lbswitch.SwitchID]int64)
+			for _, id := range e.qOrder {
+				q := &e.queues[id]
+				before[id], heads[id], sizes[id], drops[id] = ringOrder(q), q.head, len(q.buf), q.sw.Req.Dropped
+			}
+			served, enqueued := e.Stats().Served, e.Stats().Enqueued
+			if !p.Eng.Step() {
+				t.Fatal("event queue drained")
+			}
+			// One event serves or admits at most one request.
+			k := int(e.Stats().Served - served)
+			added := int(e.Stats().Enqueued - enqueued)
+			for _, id := range e.qOrder {
+				q := &e.queues[id]
+				if q.n > cfg.QueueCap || len(q.buf) > cfg.QueueCap {
+					t.Fatalf("switch %d: depth %d, ring %d, cap %d", id, q.n, len(q.buf), cfg.QueueCap)
+				}
+				old, now := before[id], ringOrder(q)
+				if len(now) < len(old) {
+					old = old[1:] // this queue's head was served
+					k--
+				}
+				if len(now) > len(old) {
+					now = now[:len(old)] // this queue admitted one
+					added--
+				}
+				for i := range old {
+					if now[i] != old[i] {
+						t.Fatalf("switch %d at t=%v: FIFO position %d changed", id, p.Eng.Now(), i)
+					}
+				}
+				if len(q.buf) > sizes[id] && heads[id] != 0 {
+					grewMidRing++
+				}
+				if q.sw.Req.Dropped > drops[id] && len(before[id]) != cfg.QueueCap {
+					t.Fatalf("switch %d dropped an arrival at depth %d < cap %d", id, len(before[id]), cfg.QueueCap)
+				}
+			}
+			if k != 0 || added != 0 {
+				t.Fatalf("t=%v: %d served and %d admitted requests not found in any queue", p.Eng.Now(), k, added)
+			}
+		}
+		if grewMidRing == 0 {
+			t.Fatal("no ring grew while its head was away from index 0")
+		}
+		st := e.Stats()
+		if st.Dropped == 0 {
+			t.Fatal("no drops: no queue reached its cap")
+		}
+		var swDropped int64
+		for _, id := range e.qOrder {
+			swDropped += e.queues[id].sw.Req.Dropped
+		}
+		if swDropped != st.Dropped || st.NoExposure != 0 {
+			t.Fatalf("switches counted %d drops, engine %d (no exposure %d)", swDropped, st.Dropped, st.NoExposure)
+		}
+	})
+
+	t.Run("steady", func(t *testing.T) {
+		p := newPlatform(t, 1)
+		apps := make([]cluster.AppID, 0, 4)
+		for i := 0; i < 4; i++ {
+			a, err := p.OnboardApp(fmt.Sprintf("app-%d", i), slice(), 4, core.Demand{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			apps = append(apps, a.ID)
+		}
+		cfg := DefaultConfig()
+		cfg.Profile = workload.Constant(200)
+		cfg.Registry = metrics.NewRegistry()
+		cfg.StopAt = 30
+		e, err := New(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddAppsZipf(apps, 1.0); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		p.Eng.RunUntil(40)
+		if e.AttachedQueues() == 0 || e.Stats().Served == 0 {
+			t.Fatal("no queue attached or no request served")
+		}
+		for _, id := range e.qOrder {
+			q := &e.queues[id]
+			if bound := max(minRing, 2*q.sw.Req.MaxDepth); len(q.buf) > bound {
+				t.Errorf("switch %d: ring of %d for high-water depth %d, want ≤ %d",
+					id, len(q.buf), q.sw.Req.MaxDepth, bound)
+			}
+		}
+	})
 }
 
 // TestDeterministicStreams: identical seeds must reproduce the run
