@@ -8,7 +8,7 @@ package core
 //	I2.* DNS share sums and generation monotonicity (dnsctl)
 //	I3.* capacity accounting, fault-snapshot discipline (cluster) and
 //	     the memoized per-switch backend CPU (core)
-//	I4.* fluid+session demand conservation (core, sessions)
+//	I4.* ledger+session demand conservation (core, sessions)
 //	I5.* link/switch load decomposition and limits (netmodel, lbswitch)
 //	I6.* request-counter conservation per switch (lbswitch, requests)
 //
@@ -373,7 +373,7 @@ func (p *Platform) auditBackendCPU(rep *audit.Report) {
 }
 
 // auditConservation checks I4: every observable equals its canonical
-// fluid+session sum, bit for bit — per-VIP network traffic, per-VIP
+// ledger+session sum, bit for bit — per-VIP network traffic, per-VIP
 // switch load, and per-VM demand. Session overlays are non-negative.
 // (The per-driver session-outcome conservation lives in
 // sessions.Driver.Audit, which sees the outcome counters.)
@@ -387,12 +387,13 @@ func (p *Platform) auditConservation(rep *audit.Report) {
 	p.sortByAddr(vis)
 	for _, vi := range vis {
 		vip := p.Fabric.Addr(vi)
-		sess := p.sessVIP.get(vi)
+		sess := at(p.sessVIP, vi)
 		if sess < 0 {
 			rep.Addf("core", "I4.SESS_NONNEG",
 				"session overlay >= 0", fmt.Sprintf("%v", sess), "vip %s", vip)
 		}
-		want := p.fluidTraffic.get(vi) + sess
+		traffic, swLoad := p.appliedVIPLoad(vi)
+		want := traffic + sess
 		got := p.Net.VIPTraffic(vi)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			rep.Addf("core", "I4.VIP_TRAFFIC_SUM",
@@ -400,12 +401,22 @@ func (p *Platform) auditConservation(rep *audit.Report) {
 				fmt.Sprintf("%v", got), "vip %s", vip)
 		}
 		if home, ok := p.Fabric.Home(vi); ok {
-			wantSw := p.fluidSwLoad.get(vi) + sess
+			wantSw := swLoad + sess
 			gotSw := p.Fabric.Load(vi)
 			if math.Float64bits(gotSw) != math.Float64bits(wantSw) {
 				rep.Addf("core", "I4.SWITCH_LOAD_SUM",
 					fmt.Sprintf("switch load == fluid+session == %v", wantSw),
 					fmt.Sprintf("%v", gotSw), "vip %s on switch %d", vip, home)
+			}
+		}
+	}
+	// Every VM's fluid demand in one pass over the ledgers, summed in
+	// apply order (ascending app, then ledger order), as applyRec adds it.
+	fluid := make([]cluster.Resources, len(p.vmHome))
+	for i := range p.applied {
+		for _, avm := range p.applied[i].vms {
+			if int(avm.vm) < len(fluid) {
+				fluid[avm.vm] = fluid[avm.vm].Add(avm.res)
 			}
 		}
 	}
@@ -418,12 +429,12 @@ func (p *Platform) auditConservation(rep *audit.Report) {
 		if vm == nil {
 			continue // I1.RIP_LIVE_VM already flagged it
 		}
-		sess := p.sessVM.get(ids.Index(vmi))
+		sess := at(p.sessVM, ids.Index(vmi))
 		if !sess.NonNegative() {
 			rep.Addf("core", "I4.SESS_NONNEG",
 				"session overlay >= 0", sess.String(), "vm %d", vmID)
 		}
-		want := sess.Add(p.fluidVM.get(ids.Index(vmi)))
+		want := sess.Add(fluid[vmi])
 		if !sameBits(vm.Demand, want) {
 			rep.Addf("core", "I4.VM_DEMAND_SUM",
 				fmt.Sprintf("VM demand == session+fluid == %v", want),

@@ -192,7 +192,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 		p, app := auditTestPlatform(t)
 		vip := p.Fabric.VIPsOfApp(app)[0]
 		vi := p.handleOf(vip)
-		p.fluidTraffic.set(vi, p.fluidTraffic.get(vi)+1) // ledger no longer matches the network
+		ledgerVIP(t, p, vi).traffic++ // ledger no longer matches the network
 		if rep := p.Audit(); !rep.Has("I4.VIP_TRAFFIC_SUM") {
 			t.Fatalf("missing I4.VIP_TRAFFIC_SUM, got:\n%s", rep)
 		}
@@ -256,7 +256,7 @@ func TestAuditHookAccumulates(t *testing.T) {
 	}
 	vip := p.Fabric.VIPsOfApp(a.ID)[0]
 	vi := p.handleOf(vip)
-	p.fluidTraffic.set(vi, p.fluidTraffic.get(vi)+3)
+	ledgerVIP(t, p, vi).traffic += 3
 	p.Propagate() // no dirty apps: the corruption survives and the hook sees it
 	vs := p.AuditViolations()
 	if len(vs) == 0 {
@@ -335,4 +335,18 @@ func TestDrainDropMidwayKeepsVIPUnexposed(t *testing.T) {
 	if err := p.AuditErr(); err != nil {
 		t.Fatalf("audit (I1.EXPOSED_HOMED regression): %v", err)
 	}
+}
+
+// ledgerVIP returns the VIP's entry in its owner's Propagate ledger, the
+// record the I4 sums are checked against.
+func ledgerVIP(t *testing.T, p *Platform, vi ids.Index) *appliedVIP {
+	t.Helper()
+	rec := &p.applied[p.vipOwner[vi]]
+	for i := range rec.vips {
+		if rec.vips[i].vip == vi {
+			return &rec.vips[i]
+		}
+	}
+	t.Fatalf("vip %d has no ledger entry", vi)
+	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"megadc/internal/cluster"
+	"megadc/internal/health"
+	"megadc/internal/ids"
 	"megadc/internal/lbswitch"
 	"megadc/internal/netmodel"
 )
@@ -292,5 +294,107 @@ func TestPropagateDirtyWorkerCountInvariance(t *testing.T) {
 		if d := base.captureState().diff(p.captureState()); d != "" {
 			t.Fatalf("workers=%d state diverged from workers=1: %s", w, d)
 		}
+	}
+}
+
+// TestSessionOverlayCanonicalUnderChurn pins the session overlay's
+// bit-exactness: after every step of a seeded mix of session opens and
+// closes, demand changes, deploys and removals, forced VIP transfers and
+// server fault/detect/repair, the platform's propagated state must equal
+// a full recompute's bit for bit. Session updates rewrite the same
+// ledger+session sums Propagate writes, so a full recompute, which
+// rebuilds every ledger and re-adds every overlay, changes nothing.
+func TestSessionOverlayCanonicalUnderChurn(t *testing.T) {
+	topo := SmallTopology()
+	topo.Seed = 11
+	cfg := DefaultConfig()
+	cfg.VIPsPerApp = 2
+	p, err := NewPlatform(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	var apps []cluster.AppID
+	for i := 0; i < 4; i++ {
+		a, err := p.OnboardApp("overlay", cluster.Resources{CPU: 1, MemMB: 1024, NetMbps: 100},
+			3, Demand{CPU: 2, Mbps: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps = append(apps, a.ID)
+	}
+	type session struct {
+		vi  ids.Index
+		vm  cluster.VMID
+		res cluster.Resources
+	}
+	var open []session
+	var before, after propState
+	opened, closed := 0, 0
+	rng := rand.New(rand.NewSource(11))
+	for step := 0; step < 2000; step++ {
+		app := apps[rng.Intn(len(apps))]
+		switch rng.Intn(12) {
+		case 0, 1, 2, 3: // open a session on a random VIP and VM of app
+			vips := p.Fabric.VIPsOfApp(app)
+			a := p.Cluster.App(app)
+			if len(vips) > 0 && a != nil && a.NumInstances() > 0 {
+				vms := a.VMIDs()
+				s := session{
+					vi:  p.handleOf(vips[rng.Intn(len(vips))]),
+					vm:  vms[rng.Intn(len(vms))],
+					res: cluster.Resources{CPU: rng.Float64(), NetMbps: rng.Float64() * 20},
+				}
+				p.SessionOpened(s.vi, s.vm, s.res)
+				open = append(open, s)
+				opened++
+			}
+		case 4, 5, 6: // close a random open session
+			if len(open) > 0 {
+				i := rng.Intn(len(open))
+				s := open[i]
+				open = append(open[:i], open[i+1:]...)
+				p.SessionClosed(s.vi, s.vm, s.res)
+				closed++
+			}
+		case 7:
+			p.SetAppDemand(app, Demand{CPU: rng.Float64() * 20, Mbps: rng.Float64() * 300})
+		case 8: // remove an instance (keeping one) or deploy one, as a manager would
+			if a := p.Cluster.App(app); a != nil && a.NumInstances() > 1 && rng.Intn(2) == 0 {
+				vms := a.VMIDs()
+				p.RemoveInstance(vms[rng.Intn(len(vms))])
+			} else {
+				pods := p.Cluster.PodIDs()
+				p.DeployInstance(app, pods[rng.Intn(len(pods))])
+			}
+			p.Propagate()
+		case 9: // forced VIP transfer
+			if vips := p.Fabric.VIPsOfApp(app); len(vips) > 0 {
+				dst := lbswitch.SwitchID(rng.Intn(topo.Switches))
+				p.Fabric.TransferVIP(vips[rng.Intn(len(vips))], dst, true)
+				p.Propagate()
+			}
+		default: // advance a random server through fault, detect, repair
+			srvs := p.Cluster.ServerIDs()
+			id := srvs[rng.Intn(len(srvs))]
+			switch p.Cluster.Server(id).Health {
+			case health.Healthy:
+				p.FaultServer(id)
+			case health.FailedUndetected:
+				p.DetectServer(id)
+			default:
+				p.RepairServer(id)
+			}
+		}
+		before.capture(p)
+		p.PropagateFull()
+		after.capture(p)
+		if d := before.diff(&after); d != "" {
+			t.Fatalf("step %d: state differs from a full recompute: %s", step, d)
+		}
+	}
+	t.Logf("%d sessions opened, %d closed", opened, closed)
+	if err := p.AuditErr(); err != nil {
+		t.Fatal(err)
 	}
 }

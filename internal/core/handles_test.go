@@ -153,3 +153,35 @@ func TestRIPBindingsKeyedByVM(t *testing.T) {
 		})
 	}
 }
+
+// TestFluidStateOnlyInLedgers is the source guard of the single record
+// of applied demand (DESIGN.md §13): non-test core code declares no
+// epoch-invalidated table type (epoch*), and Platform has no fluid*
+// field. The fluid part of traffic, switch load and VM demand lives
+// only in Propagate's per-app ledgers.
+func TestFluidStateOnlyInLedgers(t *testing.T) {
+	fset, files := parseNonTest(t, ".")
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			if strings.HasPrefix(ts.Name.Name, "epoch") {
+				t.Errorf("%s: type %s is an epoch table; read fluid values from the ledgers",
+					fset.Position(ts.Pos()), ts.Name.Name)
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok && ts.Name.Name == "Platform" {
+				for _, field := range st.Fields.List {
+					for _, name := range field.Names {
+						if strings.HasPrefix(name.Name, "fluid") {
+							t.Errorf("%s: Platform.%s is a second record of applied demand; read it from the ledgers",
+								fset.Position(name.Pos()), name.Name)
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+}

@@ -53,8 +53,10 @@ type Topology struct {
 
 	// SwitchPods > 1 enables the Section V-A hierarchy: the switches are
 	// partitioned into that many logical switch pods and new VIPs are
-	// allocated two-level (least-pressured pod, then the pod's switches)
-	// instead of by a scan of every switch.
+	// allocated two-level (the hierarchy picks the least-pressured pod,
+	// then the VIP/RIP manager picks the switch among that pod's
+	// switches under the configured policy) instead of by a scan of
+	// every switch.
 	SwitchPods int
 }
 
@@ -178,12 +180,11 @@ type Platform struct {
 	activeVIPs ids.Bitset
 
 	// Incremental propagation state (see propagate.go): dirty bitset
-	// with scratch, VIP→owner table for resolving route changes to
-	// apps, per-app ledgers of applied contributions, cached DNS
-	// shares, and the fluid part of every observable (traffic, switch
-	// load, VM demand) so session updates can rewrite canonical
-	// fluid+session sums. The epoch tables clear in O(1) on a full
-	// recompute instead of a memset over the whole table.
+	// with scratch, VIP→owner table for resolving route changes and
+	// ledger reads to apps, per-app ledgers of applied contributions
+	// (the only record of the fluid part of every observable: traffic,
+	// switch load, VM demand, which session updates read back to
+	// rewrite canonical ledger+session sums), and cached DNS shares.
 	dirtyApps      ids.Bitset
 	dirtyScratch   []int32
 	computeScratch []int32
@@ -191,9 +192,6 @@ type Platform struct {
 	vipOwner       []cluster.AppID // by VIP handle; -1 = unowned
 	applied        []appApplied    // by AppID
 	shareCache     []sharesCache   // by AppID
-	fluidTraffic   epochF64        // by VIP handle
-	fluidSwLoad    epochF64        // by VIP handle
-	fluidVM        epochRes        // by VMID
 	propagateTicks int64
 	scratch        propScratch
 	activeScratch  []int32
@@ -214,8 +212,10 @@ type Platform struct {
 
 	// Session-level demand overlay (see SessionOpened/SessionClosed):
 	// discrete sessions contribute demand on top of the fluid model.
-	sessVM  epochRes // by VMID
-	sessVIP epochF64 // by VIP handle
+	// Dense tables grown on first touch; a slot past the end reads
+	// zero (at). Never cleared wholesale.
+	sessVM  []cluster.Resources // by VMID
+	sessVIP []float64           // by VIP handle
 
 	// Pre-failure snapshots, taken at fault time and consumed by the
 	// Repair* paths so components come back with their exact original
@@ -274,12 +274,6 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 
 		seed: topo.Seed,
 	}
-	p.fluidTraffic.init()
-	p.fluidSwLoad.init()
-	p.fluidVM.init()
-	p.sessVIP.init()
-	p.sessVM.init()
-
 	// Access network: each ISP gets one AR; each AR gets LinksPerISP
 	// links to distinct border routers.
 	for b := 0; b < topo.BorderRouters; b++ {
@@ -324,7 +318,7 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 	p.pol = pol
 	p.VIPRIP.SetPlacement(pol.Placement)
 	if topo.SwitchPods > 1 {
-		h, err := viprip.NewHierarchy(p.Fabric, vipPool, topo.SwitchPods, viprip.Blend)
+		h, err := viprip.NewHierarchy(p.VIPRIP, topo.SwitchPods)
 		if err != nil {
 			return nil, err
 		}
@@ -777,41 +771,45 @@ func (p *Platform) AppDemand(app cluster.AppID) Demand { return p.appDemandOf(ap
 // SessionOpened records a discrete session's demand: res pinned to the
 // VM it connected to (TCP affinity) and its bandwidth on the VIP (by
 // fabric handle) it arrived through. Every write below re-evaluates the
-// same canonical fluid+session expression Propagate uses, so session
+// same canonical ledger+session expression Propagate uses, so session
 // churn leaves the platform in exactly the state a full recompute would
 // build and needs no dirty marking.
 func (p *Platform) SessionOpened(vi ids.Index, vm cluster.VMID, res cluster.Resources) {
 	vmi := ids.Index(vm)
-	p.sessVIP.set(vi, p.sessVIP.get(vi)+res.NetMbps)
-	p.sessVM.add(vmi, res)
-	if v := p.Cluster.VM(vm); v != nil {
-		v.Demand = p.sessVM.get(vmi).Add(p.fluidVM.get(vmi))
-	}
-	p.Net.SetVIPTraffic(vi, p.fluidTraffic.get(vi)+p.sessVIP.get(vi))
-	p.Fabric.SetLoad(vi, p.fluidSwLoad.get(vi)+p.sessVIP.get(vi))
+	p.sessVIP = growSlice(p.sessVIP, int(vi)+1)
+	p.sessVIP[vi] += res.NetMbps
+	p.sessVM = growSlice(p.sessVM, int(vmi)+1)
+	p.sessVM[vmi] = p.sessVM[vmi].Add(res)
+	p.writeSessionSums(vi, vm)
 	p.markVIPActive(vi)
 }
 
 // SessionClosed reverses SessionOpened when the session ends, writing
-// the same canonical fluid+session sums.
+// the same canonical ledger+session sums.
 func (p *Platform) SessionClosed(vi ids.Index, vm cluster.VMID, res cluster.Resources) {
 	vmi := ids.Index(vm)
-	if left := p.sessVIP.get(vi) - res.NetMbps; left <= 1e-12 {
-		p.sessVIP.del(vi)
-	} else {
-		p.sessVIP.set(vi, left)
+	p.sessVIP = growSlice(p.sessVIP, int(vi)+1)
+	if p.sessVIP[vi] -= res.NetMbps; p.sessVIP[vi] <= 1e-12 {
+		p.sessVIP[vi] = 0
 	}
-	left := p.sessVM.get(vmi).Sub(res)
-	if left.IsZero() || !left.NonNegative() {
-		p.sessVM.del(vmi)
+	p.sessVM = growSlice(p.sessVM, int(vmi)+1)
+	if left := p.sessVM[vmi].Sub(res); left.IsZero() || !left.NonNegative() {
+		p.sessVM[vmi] = cluster.Resources{}
 	} else {
-		p.sessVM.set(vmi, left)
+		p.sessVM[vmi] = left
 	}
+	p.writeSessionSums(vi, vm)
+}
+
+// writeSessionSums rewrites the VM's demand and the VIP's traffic and
+// switch load as ledger+session sums after a session update.
+func (p *Platform) writeSessionSums(vi ids.Index, vm cluster.VMID) {
 	if v := p.Cluster.VM(vm); v != nil {
-		v.Demand = p.sessVM.get(vmi).Add(p.fluidVM.get(vmi))
+		v.Demand = p.sessVM[vm].Add(p.appliedVMDemand(v))
 	}
-	p.Net.SetVIPTraffic(vi, p.fluidTraffic.get(vi)+p.sessVIP.get(vi))
-	p.Fabric.SetLoad(vi, p.fluidSwLoad.get(vi)+p.sessVIP.get(vi))
+	traffic, swLoad := p.appliedVIPLoad(vi)
+	p.Net.SetVIPTraffic(vi, traffic+p.sessVIP[vi])
+	p.Fabric.SetLoad(vi, swLoad+p.sessVIP[vi])
 }
 
 // DriveDemand schedules periodic demand updates for app following the

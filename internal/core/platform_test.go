@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"megadc/internal/cluster"
 	"megadc/internal/lbswitch"
+	"megadc/internal/trace"
 	"megadc/internal/workload"
 )
 
@@ -233,22 +235,32 @@ func TestOnboardApp(t *testing.T) {
 }
 
 func TestSwitchPodHierarchyOnPlatform(t *testing.T) {
-	topo := SmallTopology()
-	topo.SwitchPods = 2
-	cfg := testConfig()
-	p, err := NewPlatform(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.SwitchHier == nil || p.SwitchHier.NumPods() != 2 {
-		t.Fatal("switch hierarchy not enabled")
-	}
-	// Onboarding works through the hierarchy and still spreads VIPs.
-	for i := 0; i < 4; i++ {
-		if _, err := p.OnboardApp("a", defaultSlice(), 2, Demand{CPU: 1, Mbps: 50}); err != nil {
+	// onboard builds a two-switch-pod platform under the named policy,
+	// with a recorder attached, and onboards four apps through the
+	// hierarchy.
+	onboard := func(pol string) (*Platform, *trace.Recorder) {
+		topo := SmallTopology()
+		topo.SwitchPods = 2
+		cfg, rec := tracedConfig()
+		cfg.VIPsPerApp = 2
+		cfg.Policy = pol
+		p, err := NewPlatform(topo, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(p.Close)
+		if p.SwitchHier == nil || p.SwitchHier.NumPods() != 2 {
+			t.Fatal("switch hierarchy not enabled")
+		}
+		for i := 0; i < 4; i++ {
+			if _, err := p.OnboardApp("a", defaultSlice(), 2, Demand{CPU: 1, Mbps: 50}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p, rec
 	}
+	p, rec := onboard("")
+	// Onboarding works through the hierarchy and still spreads VIPs.
 	total, maxVIPs := 0, 0
 	for _, sw := range p.Fabric.Switches() {
 		total += sw.NumVIPs()
@@ -271,10 +283,41 @@ func TestSwitchPodHierarchyOnPlatform(t *testing.T) {
 	if err := p.AuditErr(); err != nil {
 		t.Error(err)
 	}
+	// Every VIP placed through the hierarchy is traced exactly once, as
+	// the flat manager traces its placements.
+	events := rec.Events()
+	for _, sw := range p.Fabric.Switches() {
+		for _, vip := range sw.VIPs() {
+			n := 0
+			for i := range events {
+				if events[i].Type == trace.EvAddVIP && events[i].Touches(trace.VIP(vip)) {
+					n++
+				}
+			}
+			if n != 1 {
+				t.Errorf("vip %s: %d add-vip events, want 1", vip, n)
+			}
+		}
+	}
+	// The switch inside a pod is chosen by the configured policy: a
+	// round-robin platform places the same VIPs differently from greedy.
+	homes := func(p *Platform) map[lbswitch.VIP]lbswitch.SwitchID {
+		out := make(map[lbswitch.VIP]lbswitch.SwitchID)
+		for _, sw := range p.Fabric.Switches() {
+			for _, vip := range sw.VIPs() {
+				out[vip] = sw.ID
+			}
+		}
+		return out
+	}
+	rr, _ := onboard("round-robin")
+	if maps.Equal(homes(p), homes(rr)) {
+		t.Errorf("round-robin placed every VIP where greedy did: %v", homes(rr))
+	}
 	// Invalid pod counts surface at construction.
 	bad := SmallTopology()
 	bad.SwitchPods = 99
-	if _, err := NewPlatform(bad, cfg); err == nil {
+	if _, err := NewPlatform(bad, testConfig()); err == nil {
 		t.Error("more switch pods than switches accepted")
 	}
 }

@@ -54,12 +54,15 @@ import (
 // determinism comes from the sorted sequential apply, the same contract
 // placement.ParallelPlace meets.
 //
-// The invariant between Propagate calls: for every VIP,
-// net traffic = fluidTraffic[vip] + sessVIP[vip] and
-// switch load  = fluidSwLoad[vip] + sessVIP[vip]; for every VM,
-// demand = fluidVM[vm] + sessVM[vm]. SessionOpened/SessionClosed keep
-// the invariant by rewriting these same expressions, so discrete
-// session churn needs no dirty marking at all.
+// The ledgers are the only record of the fluid part of each
+// observable. The invariant between Propagate calls: for every VIP,
+// net traffic = ledger traffic + sessVIP[vip] and
+// switch load  = ledger swLoad + sessVIP[vip], read from the VIP's
+// entry in its owner's ledger (appliedVIPLoad); for every VM,
+// demand = sessVM[vm] + its entries in its app's ledger
+// (appliedVMDemand). SessionOpened/SessionClosed keep the invariant by
+// rewriting these same expressions, so discrete session churn needs no
+// dirty marking at all.
 
 // defaultFullEvery is the period of the full-recompute safety net when
 // Config.PropagateFullEvery is 0.
@@ -311,10 +314,10 @@ func (p *Platform) propagateDirty() {
 	}
 }
 
-// propagateFull recomputes every application from scratch: clear all
-// fluid state (O(1) epoch bumps for the big tables), refresh every
-// demand-carrying app's shares, then the same compute/apply phases as
-// the dirty path over the full app set.
+// propagateFull recomputes every application from scratch: reset
+// every observable to its session-overlay base and every ledger to
+// empty, refresh every demand-carrying app's shares, then the same
+// compute/apply phases as the dirty path over the full app set.
 func (p *Platform) propagateFull() {
 	// Reset every VM carrying a RIP to its session-overlay base.
 	for vm, home := range p.vmHome {
@@ -322,25 +325,22 @@ func (p *Platform) propagateFull() {
 			continue
 		}
 		if v := p.Cluster.VM(cluster.VMID(vm)); v != nil {
-			v.Demand = p.sessVM.get(ids.Index(vm))
+			v.Demand = at(p.sessVM, ids.Index(vm))
 		}
 	}
-	p.fluidVM.clearAll()
 	// Clear previously active VIPs down to their session-only load; the
 	// apply phase re-marks the ones still carrying demand.
 	act := p.activeVIPs.AppendMembers(p.activeScratch[:0])
 	p.activeScratch = act
 	for _, a := range act {
 		vi := ids.Index(a)
-		sess := p.sessVIP.get(vi)
+		sess := at(p.sessVIP, vi)
 		p.Net.SetVIPTraffic(vi, sess)
 		p.Fabric.SetLoad(vi, sess) // a no-op when the VIP lost its home
 		if sess == 0 {
 			p.activeVIPs.Clear(int(vi))
 		}
 	}
-	p.fluidTraffic.clearAll()
-	p.fluidSwLoad.clearAll()
 	for i := range p.applied {
 		p.applied[i].reset()
 	}
@@ -502,24 +502,20 @@ func vmOfTag(tag int64) cluster.VMID { return cluster.VMID(tag) }
 func (p *Platform) undoApp(rec *appApplied) {
 	for i := range rec.vips {
 		av := &rec.vips[i]
-		sess := p.sessVIP.get(av.vip)
+		sess := at(p.sessVIP, av.vip)
 		p.Net.SetVIPTraffic(av.vip, sess)
-		p.fluidTraffic.del(av.vip)
 		// The VIP may have moved switches (or lost its home) since the
 		// ledger was written; SetLoad writes its current home, if any.
 		p.Fabric.SetLoad(av.vip, sess)
-		p.fluidSwLoad.del(av.vip)
 		if sess == 0 {
 			p.unmarkVIPActive(av.vip)
 		}
 	}
 	for i := range rec.vms {
 		avm := &rec.vms[i]
-		vmi := ids.Index(avm.vm)
 		if vm := p.Cluster.VM(avm.vm); vm != nil {
-			vm.Demand = p.sessVM.get(vmi)
+			vm.Demand = at(p.sessVM, ids.Index(avm.vm))
 		}
-		p.fluidVM.del(vmi)
 	}
 }
 
@@ -529,12 +525,10 @@ func (p *Platform) undoApp(rec *appApplied) {
 func (p *Platform) applyRec(rec *appApplied) {
 	for i := range rec.vips {
 		av := &rec.vips[i]
-		sess := p.sessVIP.get(av.vip)
+		sess := at(p.sessVIP, av.vip)
 		p.Net.SetVIPTraffic(av.vip, av.traffic+sess)
-		p.fluidTraffic.set(av.vip, av.traffic)
 		if av.hasHome {
 			p.Fabric.SetLoad(av.vip, av.swLoad+sess)
-			p.fluidSwLoad.set(av.vip, av.swLoad)
 		}
 		if av.act || sess > 0 {
 			p.markVIPActive(av.vip)
@@ -542,12 +536,50 @@ func (p *Platform) applyRec(rec *appApplied) {
 	}
 	for i := range rec.vms {
 		avm := &rec.vms[i]
-		vmi := ids.Index(avm.vm)
 		if vm := p.Cluster.VM(avm.vm); vm != nil {
 			vm.Demand = vm.Demand.Add(avm.res)
 		}
-		p.fluidVM.add(vmi, avm.res)
 	}
+}
+
+// appliedVIPLoad returns the fluid traffic and home-switch load
+// Propagate last applied to the VIP with handle vi, read from its entry
+// in its owner's ledger; a VIP without an entry, or whose entry had no
+// home, reads zero for the missing part.
+func (p *Platform) appliedVIPLoad(vi ids.Index) (traffic, swLoad float64) {
+	if int(vi) >= len(p.vipOwner) {
+		return 0, 0
+	}
+	owner := p.vipOwner[vi]
+	if owner < 0 || int(owner) >= len(p.applied) {
+		return 0, 0
+	}
+	for i := range p.applied[owner].vips {
+		av := &p.applied[owner].vips[i]
+		if av.vip != vi {
+			continue
+		}
+		if av.hasHome {
+			swLoad = av.swLoad
+		}
+		return av.traffic, swLoad
+	}
+	return 0, 0
+}
+
+// appliedVMDemand returns the fluid demand Propagate last applied to
+// vm: its entries in its app's ledger, added in ledger order onto zero,
+// exactly as applyRec added them.
+func (p *Platform) appliedVMDemand(vm *cluster.VM) cluster.Resources {
+	var sum cluster.Resources
+	if int(vm.App) < len(p.applied) {
+		for _, avm := range p.applied[vm.App].vms {
+			if avm.vm == vm.ID {
+				sum = sum.Add(avm.res)
+			}
+		}
+	}
+	return sum
 }
 
 // propState is a bitwise snapshot of everything Propagate writes, used

@@ -209,7 +209,6 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 	p.Cluster.Reserve(spec.Apps, spec.InstancesPerApp, (nvms+len(servers)-1)/len(servers))
 	p.vmRIP = slices.Grow(p.vmRIP, nvms)
 	p.vmHome = slices.Grow(p.vmHome, nvms)
-	p.fluidVM.reserve(nvms)
 	p.appSlice = slices.Grow(p.appSlice, spec.Apps)
 	p.appDemand = slices.Grow(p.appDemand, spec.Apps)
 	ripsPerVIP := (spec.InstancesPerApp + spec.VIPsPerApp - 1) / spec.VIPsPerApp

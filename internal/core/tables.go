@@ -1,11 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"megadc/internal/cluster"
-	"megadc/internal/ids"
-)
+import "megadc/internal/ids"
 
 // Struct-of-arrays hot-path tables (DESIGN.md §13).
 //
@@ -20,114 +15,16 @@ import (
 // bitsets, whose ascending iteration is inherently sorted — replacing
 // the O(n)-per-insert sorted mirrors the map design needed for
 // deterministic traversal.
-//
-// Wholesale invalidation (a full recompute clears every fluid value)
-// uses epochs instead of memset: each slot carries the epoch it was
-// written in, and bumping the current epoch makes every slot read as
-// zero in O(1). At 300K servers the fluid VM table alone is >100 MB;
-// clearing it per full recompute would dominate the pass.
 
-// epochF64 is a dense float64 table with O(1) clear-all via epoch
-// invalidation. The zero value is unusable; call init first.
-type epochF64 struct {
-	vals []float64
-	ep   []uint32
-	cur  uint32
-}
-
-func (e *epochF64) init() { e.cur = 1 }
-
-func (e *epochF64) grow(n int) {
-	if n <= len(e.vals) {
-		return
+// at returns s[i], or the zero value past the end of s: the session
+// overlay tables grow only as far as the highest VM or VIP a session
+// touched.
+func at[T any](s []T, i ids.Index) T {
+	if int(i) < len(s) {
+		return s[i]
 	}
-	e.vals = growSlice(e.vals, n)
-	e.ep = growSlice(e.ep, n)
-}
-
-// get returns the value at i, or 0 when unset or out of range.
-func (e *epochF64) get(i ids.Index) float64 {
-	if int(i) >= len(e.vals) || e.ep[i] != e.cur {
-		return 0
-	}
-	return e.vals[i]
-}
-
-func (e *epochF64) set(i ids.Index, v float64) {
-	e.grow(int(i) + 1)
-	e.vals[i] = v
-	e.ep[i] = e.cur
-}
-
-// del marks slot i unset.
-func (e *epochF64) del(i ids.Index) {
-	if int(i) < len(e.ep) {
-		e.ep[i] = 0
-	}
-}
-
-// clearAll invalidates every slot in O(1) by advancing the epoch. On
-// the (practically unreachable) uint32 wrap it falls back to a memset.
-func (e *epochF64) clearAll() {
-	e.cur++
-	if e.cur == 0 {
-		clear(e.ep)
-		e.cur = 1
-	}
-}
-
-// epochRes is epochF64 for cluster.Resources values.
-type epochRes struct {
-	vals []cluster.Resources
-	ep   []uint32
-	cur  uint32
-}
-
-func (e *epochRes) init() { e.cur = 1 }
-
-func (e *epochRes) grow(n int) {
-	if n <= len(e.vals) {
-		return
-	}
-	e.vals = growSlice(e.vals, n)
-	e.ep = growSlice(e.ep, n)
-}
-
-// reserve makes room for n more slots without changing the length.
-func (e *epochRes) reserve(n int) {
-	e.vals = slices.Grow(e.vals, n)
-	e.ep = slices.Grow(e.ep, n)
-}
-
-func (e *epochRes) get(i ids.Index) cluster.Resources {
-	if int(i) >= len(e.vals) || e.ep[i] != e.cur {
-		return cluster.Resources{}
-	}
-	return e.vals[i]
-}
-
-func (e *epochRes) set(i ids.Index, v cluster.Resources) {
-	e.grow(int(i) + 1)
-	e.vals[i] = v
-	e.ep[i] = e.cur
-}
-
-func (e *epochRes) add(i ids.Index, v cluster.Resources) {
-	e.set(i, e.get(i).Add(v))
-}
-
-func (e *epochRes) del(i ids.Index) {
-	if int(i) < len(e.ep) {
-		e.ep[i] = 0
-	}
-}
-
-func (e *epochRes) clearAll() {
-	e.cur++
-	if e.cur == 0 {
-		clear(e.ep)
-		e.cur = 1
-	}
+	var zero T
+	return zero
 }
 
 // growSlice extends s to length n (zero-filled), amortizing

@@ -100,7 +100,7 @@ func allocateHierarchical(nApps, nSwitches, pods int, weights []float64, totalMb
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	h, err := viprip.NewHierarchy(fab, vp, pods, viprip.Blend)
+	h, err := viprip.NewHierarchy(viprip.NewManager(fab, vp, nil, viprip.Blend), pods)
 	if err != nil {
 		return 0, 0, 0, err
 	}

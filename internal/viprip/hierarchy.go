@@ -16,13 +16,12 @@ import (
 // and hence the work of the switch pod managers."
 //
 // The hierarchy makes each allocation a two-level decision: O(pods) to
-// pick a switch pod (by aggregate pressure), then O(pod size) inside it
-// — instead of scanning every switch. Scans counts switch examinations
-// so experiments can report the work saved.
+// pick a switch pod (by aggregate pressure), then the manager's own
+// switch choice (its policy and placement strategy) over that pod's
+// switches alone — instead of scanning every switch. Scans counts
+// switch examinations so experiments can report the work saved.
 type Hierarchy struct {
-	fabric  *lbswitch.Fabric
-	vipPool *IPPool
-	policy  Policy
+	m *Manager
 
 	pods  [][]lbswitch.SwitchID
 	podOf map[lbswitch.SwitchID]int
@@ -33,23 +32,22 @@ type Hierarchy struct {
 	Rebalances int64
 }
 
-// NewHierarchy partitions the fabric's switches into nPods switch pods
-// (round-robin) under the given intra-pod selection policy.
-func NewHierarchy(fabric *lbswitch.Fabric, vipPool *IPPool, nPods int, policy Policy) (*Hierarchy, error) {
+// NewHierarchy partitions the manager's switches into nPods switch pods
+// (round-robin). Allocations choose the pod here and the switch within
+// it through m.
+func NewHierarchy(m *Manager, nPods int) (*Hierarchy, error) {
 	if nPods <= 0 {
 		return nil, fmt.Errorf("viprip: need at least one switch pod")
 	}
-	if fabric.NumSwitches() < nPods {
-		return nil, fmt.Errorf("viprip: %d pods for %d switches", nPods, fabric.NumSwitches())
+	if m.fabric.NumSwitches() < nPods {
+		return nil, fmt.Errorf("viprip: %d pods for %d switches", nPods, m.fabric.NumSwitches())
 	}
 	h := &Hierarchy{
-		fabric:  fabric,
-		vipPool: vipPool,
-		policy:  policy,
-		pods:    make([][]lbswitch.SwitchID, nPods),
-		podOf:   make(map[lbswitch.SwitchID]int),
+		m:     m,
+		pods:  make([][]lbswitch.SwitchID, nPods),
+		podOf: make(map[lbswitch.SwitchID]int),
 	}
-	for i, sw := range fabric.Switches() {
+	for i, sw := range m.fabric.Switches() {
 		pod := i % nPods
 		h.pods[pod] = append(h.pods[pod], sw.ID)
 		h.podOf[sw.ID] = pod
@@ -83,18 +81,14 @@ func (h *Hierarchy) podPressure(pod int) float64 {
 	}
 	var sum float64
 	for _, id := range h.pods[pod] {
-		sw := h.fabric.Switch(id)
-		s := vipPressure(sw)
-		if u := sw.Utilization(); u > s {
-			s = u
-		}
-		sum += s
+		sum += blendScore(h.m.fabric.Switch(id))
 	}
 	return sum / float64(len(h.pods[pod]))
 }
 
 // AddVIP allocates a VIP two-level: least-pressured switch pod first,
-// then the policy inside that pod. Only the chosen pod's switches are
+// then the manager's switch choice inside that pod, configured (and
+// traced) through Manager.AddVIPOn. Only the chosen pod's switches are
 // scanned.
 func (h *Hierarchy) AddVIP(app cluster.AppID) (lbswitch.VIP, lbswitch.SwitchID, error) {
 	// Level 1: pick the pod (O(pods), not counted as switch scans —
@@ -113,18 +107,14 @@ func (h *Hierarchy) AddVIP(app cluster.AppID) (lbswitch.VIP, lbswitch.SwitchID, 
 	if best < 0 {
 		return "", 0, ErrNoSwitch
 	}
-	// Level 2: policy scan inside the pod.
-	sw := h.pickWithin(best)
+	// Level 2: the manager's choice among the pod's switches.
+	h.Scans += int64(len(h.pods[best]))
+	sw := h.m.pickSwitchForVIP(app, h.pods[best])
 	if sw == nil {
 		return "", 0, ErrNoSwitch
 	}
-	addr, err := h.vipPool.Alloc()
+	vip, err := h.m.AddVIPOn(app, sw.ID)
 	if err != nil {
-		return "", 0, err
-	}
-	vip := lbswitch.VIP(addr)
-	if err := h.fabric.PlaceVIP(vip, app, sw.ID); err != nil {
-		h.vipPool.Free(addr)
 		return "", 0, err
 	}
 	return vip, sw.ID, nil
@@ -132,42 +122,12 @@ func (h *Hierarchy) AddVIP(app cluster.AppID) (lbswitch.VIP, lbswitch.SwitchID, 
 
 func (h *Hierarchy) podHasRoom(pod int) bool {
 	for _, id := range h.pods[pod] {
-		sw := h.fabric.Switch(id)
+		sw := h.m.fabric.Switch(id)
 		if sw.NumVIPs() < sw.Limits.MaxVIPs {
 			return true
 		}
 	}
 	return false
-}
-
-func (h *Hierarchy) pickWithin(pod int) *lbswitch.Switch {
-	var best *lbswitch.Switch
-	bestScore := 0.0
-	for _, id := range h.pods[pod] {
-		h.Scans++
-		sw := h.fabric.Switch(id)
-		if sw.NumVIPs() >= sw.Limits.MaxVIPs {
-			continue
-		}
-		var score float64
-		switch h.policy {
-		case LeastVIPs:
-			score = vipPressure(sw)
-		case LeastLoad:
-			score = sw.Utilization()
-		case Blend:
-			score = vipPressure(sw)
-			if u := sw.Utilization(); u > score {
-				score = u
-			}
-		case FirstFitPolicy:
-			return sw
-		}
-		if best == nil || score < bestScore {
-			best, bestScore = sw, score
-		}
-	}
-	return best
 }
 
 // Rebalance performs the paper's switch redistribution: while some pod
@@ -193,7 +153,7 @@ func (h *Hierarchy) Rebalance() int {
 		// pod membership is management state, not data-plane state).
 		idx := 0
 		for i, id := range h.pods[big] {
-			if h.fabric.Switch(id).Utilization() < h.fabric.Switch(h.pods[big][idx]).Utilization() {
+			if h.m.fabric.Switch(id).Utilization() < h.m.fabric.Switch(h.pods[big][idx]).Utilization() {
 				idx = i
 			}
 		}
@@ -222,8 +182,8 @@ func (h *Hierarchy) CheckInvariants() error {
 			}
 		}
 	}
-	if len(seen) != h.fabric.NumSwitches() {
-		return fmt.Errorf("viprip: %d switches partitioned, fabric has %d", len(seen), h.fabric.NumSwitches())
+	if len(seen) != h.m.fabric.NumSwitches() {
+		return fmt.Errorf("viprip: %d switches partitioned, fabric has %d", len(seen), h.m.fabric.NumSwitches())
 	}
 	return nil
 }

@@ -6,7 +6,9 @@ import (
 	"megadc/internal/lbswitch"
 )
 
-func newHierFabric(t *testing.T, nSwitches int) (*lbswitch.Fabric, *IPPool) {
+// newHierManager builds a manager over nSwitches small switches for the
+// hierarchy to place through.
+func newHierManager(t *testing.T, nSwitches int, pol Policy) *Manager {
 	t.Helper()
 	fab := lbswitch.NewFabric()
 	for i := 0; i < nSwitches; i++ {
@@ -16,18 +18,18 @@ func newHierFabric(t *testing.T, nSwitches int) (*lbswitch.Fabric, *IPPool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fab, vp
+	return NewManager(fab, vp, nil, pol)
 }
 
 func TestHierarchyValidation(t *testing.T) {
-	fab, vp := newHierFabric(t, 4)
-	if _, err := NewHierarchy(fab, vp, 0, Blend); err == nil {
+	m := newHierManager(t, 4, Blend)
+	if _, err := NewHierarchy(m, 0); err == nil {
 		t.Error("zero pods accepted")
 	}
-	if _, err := NewHierarchy(fab, vp, 5, Blend); err == nil {
+	if _, err := NewHierarchy(m, 5); err == nil {
 		t.Error("more pods than switches accepted")
 	}
-	h, err := NewHierarchy(fab, vp, 2, Blend)
+	h, err := NewHierarchy(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +46,8 @@ func TestHierarchyValidation(t *testing.T) {
 }
 
 func TestHierarchyAllocatesAndBalances(t *testing.T) {
-	fab, vp := newHierFabric(t, 8)
-	h, err := NewHierarchy(fab, vp, 4, LeastVIPs)
+	m := newHierManager(t, 8, LeastVIPs)
+	h, err := NewHierarchy(m, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestHierarchyAllocatesAndBalances(t *testing.T) {
 			t.Errorf("switch %d got %d VIPs (counts %v)", id, n, counts)
 		}
 	}
-	if err := fab.CheckInvariants(); err != nil {
+	if err := m.Fabric().CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 }
@@ -71,8 +73,8 @@ func TestHierarchyAllocatesAndBalances(t *testing.T) {
 func TestHierarchyScansFewerSwitches(t *testing.T) {
 	// Flat scan would touch nSwitches per allocation; the hierarchy only
 	// the chosen pod's size.
-	fab, vp := newHierFabric(t, 16)
-	h, err := NewHierarchy(fab, vp, 4, Blend)
+	m := newHierManager(t, 16, Blend)
+	h, err := NewHierarchy(m, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +94,8 @@ func TestHierarchyScansFewerSwitches(t *testing.T) {
 }
 
 func TestHierarchyExhaustion(t *testing.T) {
-	fab, vp := newHierFabric(t, 2)
-	h, err := NewHierarchy(fab, vp, 2, LeastVIPs)
+	m := newHierManager(t, 2, LeastVIPs)
+	h, err := NewHierarchy(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +110,8 @@ func TestHierarchyExhaustion(t *testing.T) {
 }
 
 func TestHierarchyRebalance(t *testing.T) {
-	fab, vp := newHierFabric(t, 9)
-	h, err := NewHierarchy(fab, vp, 3, Blend)
+	m := newHierManager(t, 9, Blend)
+	h, err := NewHierarchy(m, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +156,8 @@ func TestHierarchyRebalance(t *testing.T) {
 }
 
 func TestHierarchyPodOf(t *testing.T) {
-	fab, vp := newHierFabric(t, 4)
-	h, _ := NewHierarchy(fab, vp, 2, Blend)
+	m := newHierManager(t, 4, Blend)
+	h, _ := NewHierarchy(m, 2)
 	if pod, ok := h.PodOf(0); !ok || pod != 0 {
 		t.Errorf("PodOf(0) = %d,%v", pod, ok)
 	}

@@ -445,28 +445,23 @@ func (m *Manager) traceReq(t trace.Type, r *Request) {
 // the policy, and configures the VIP there. It returns the new VIP and
 // its home switch.
 func (m *Manager) AddVIP(app cluster.AppID) (lbswitch.VIP, lbswitch.SwitchID, error) {
-	sw := m.pickSwitchForVIP(app)
+	sw := m.pickSwitchForVIP(app, nil)
 	if sw == nil {
 		return "", 0, ErrNoSwitch
 	}
-	addr, err := m.vipPool.Alloc()
+	vip, err := m.AddVIPOn(app, sw.ID)
 	if err != nil {
 		return "", 0, err
 	}
-	vip := lbswitch.VIP(addr)
-	if err := m.fabric.PlaceVIP(vip, app, sw.ID); err != nil {
-		m.vipPool.Free(addr)
-		return "", 0, err
-	}
-	m.tracer.Record(trace.EvAddVIP, 0, 0, trace.App(app), trace.VIP(vip), trace.SwitchRef(sw.ID))
 	return vip, sw.ID, nil
 }
 
 // AddVIPOn allocates an address and configures the VIP on the given
-// switch, bypassing the policy scan. The bulk onboarding path uses it
-// with a round-robin switch cursor: placement there is balanced by
-// construction, so the O(switches) pressure scan per VIP would buy
-// nothing at paper scale.
+// switch, bypassing the policy scan. AddVIP and the switch-pod
+// hierarchy call it once they have chosen; the bulk onboarding path
+// uses it with a round-robin switch cursor: placement there is
+// balanced by construction, so the O(switches) pressure scan per VIP
+// would buy nothing at paper scale.
 func (m *Manager) AddVIPOn(app cluster.AppID, sw lbswitch.SwitchID) (lbswitch.VIP, error) {
 	addr, err := m.vipPool.Alloc()
 	if err != nil {
@@ -638,14 +633,23 @@ func (m *Manager) AdjustWeights(vip lbswitch.VIP, weights []float64) error {
 }
 
 // pickSwitchForVIP selects among the switches with a spare VIP slot
-// (in ID order) via the pluggable placement. The legacy Policy enum
-// chooses the score function (vipScore); the default greedy placement
-// then runs the historical strict-< argmin over it, so every enum
-// value behaves exactly as the pre-framework inline scan did.
-func (m *Manager) pickSwitchForVIP(app cluster.AppID) *lbswitch.Switch {
+// via the pluggable placement: those listed in within, in that order,
+// or every switch in ID order when within is nil. The legacy Policy
+// enum chooses the score function (vipScore); the default greedy
+// placement then runs the historical strict-< argmin over it, so every
+// enum value behaves exactly as the pre-framework inline scan did.
+func (m *Manager) pickSwitchForVIP(app cluster.AppID, within []lbswitch.SwitchID) *lbswitch.Switch {
 	m.swCand = m.swCand[:0]
-	for i, n := 0, m.fabric.NumSwitches(); i < n; i++ {
-		sw := m.fabric.Switch(lbswitch.SwitchID(i))
+	n := len(within)
+	if within == nil {
+		n = m.fabric.NumSwitches()
+	}
+	for i := 0; i < n; i++ {
+		id := lbswitch.SwitchID(i)
+		if within != nil {
+			id = within[i]
+		}
+		sw := m.fabric.Switch(id)
 		if sw.NumVIPs() >= sw.Limits.MaxVIPs {
 			continue
 		}
@@ -682,12 +686,18 @@ func (m *Manager) vipScore(sw *lbswitch.Switch) float64 {
 	case LeastLoad:
 		return sw.Utilization()
 	default: // Blend
-		score := vipPressure(sw)
-		if u := sw.Utilization(); u > score {
-			score = u
-		}
-		return score
+		return blendScore(sw)
 	}
+}
+
+// blendScore is the Blend policy's switch score: the max of VIP-count
+// fraction and throughput utilization.
+func blendScore(sw *lbswitch.Switch) float64 {
+	score := vipPressure(sw)
+	if u := sw.Utilization(); u > score {
+		score = u
+	}
+	return score
 }
 
 func vipPressure(sw *lbswitch.Switch) float64 {
