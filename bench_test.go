@@ -18,6 +18,7 @@ import (
 	"megadc/internal/core"
 	"megadc/internal/dnsctl"
 	"megadc/internal/ids"
+	"megadc/internal/ipv4"
 	"megadc/internal/lbswitch"
 	"megadc/internal/placement"
 	"megadc/internal/sim"
@@ -34,30 +35,32 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 }
 
 func BenchmarkSwitchPickRIP(b *testing.B) {
+	vip := ipv4.MustParse("203.0.113.1")
 	sw := lbswitch.NewSwitch(0, lbswitch.CatalystCSM())
-	sw.AddVIP("v", 1)
+	sw.AddVIP(vip, 1)
 	for i := 0; i < 20; i++ {
-		sw.AddRIP("v", lbswitch.RIP(rune('a'+i)), 1+float64(i%3))
+		sw.AddRIP(vip, ipv4.MustParse("10.0.0.1")+lbswitch.RIP(i), 1+float64(i%3))
 	}
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sw.PickRIP("v", rng); err != nil {
+		if _, err := sw.PickRIP(vip, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkSwitchOpenCloseConn(b *testing.B) {
+	vip := ipv4.MustParse("203.0.113.1")
 	sw := lbswitch.NewSwitch(0, lbswitch.CatalystCSM())
-	sw.AddVIP("v", 1)
+	sw.AddVIP(vip, 1)
 	for i := 0; i < 20; i++ {
-		sw.AddRIP("v", lbswitch.RIP(rune('a'+i)), 1)
+		sw.AddRIP(vip, ipv4.MustParse("10.0.0.1")+lbswitch.RIP(i), 1)
 	}
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id, _, _, err := sw.OpenConn("v", rng)
+		id, _, _, err := sw.OpenConn(vip, rng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +71,7 @@ func BenchmarkSwitchOpenCloseConn(b *testing.B) {
 func BenchmarkDNSResolve(b *testing.B) {
 	d := dnsctl.New(60)
 	for i := 0; i < 3; i++ {
-		d.Register(1, string(rune('a'+i)), ids.Index(i), float64(i+1))
+		d.Register(1, ipv4.MustParse("203.0.113.1")+ipv4.Addr(i), ids.Index(i), float64(i+1))
 	}
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()

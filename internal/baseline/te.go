@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"megadc/internal/dnsctl"
+	"megadc/internal/ipv4"
 	"megadc/internal/metrics"
 	"megadc/internal/sim"
 )
@@ -88,8 +89,9 @@ func RunSelectiveExposureTE(cfg TEConfig) TEResult {
 	dns := dnsctl.New(cfg.DNSTTLSeconds)
 	const app = 1
 	const hot, cold = 0, 1 // VIP handles
-	dns.Register(app, "hot", hot, 1)
-	dns.Register(app, "cold", cold, 0)
+	hotVIP, coldVIP := ipv4.MustParse("203.0.113.1"), ipv4.MustParse("203.0.113.2")
+	dns.Register(app, hotVIP, hot, 1)
+	dns.Register(app, coldVIP, cold, 0)
 	pop, err := dnsctl.NewClientPopulation(dns, app, 2000, cfg.ViolatorFraction, cfg.ViolationHoldSec, eng.Rand())
 	if err != nil {
 		panic(fmt.Sprintf("baseline: %v", err))
@@ -98,8 +100,8 @@ func RunSelectiveExposureTE(cfg TEConfig) TEResult {
 	res := TEResult{Strategy: "selective-exposure", ReliefTime: -1, HotTimeline: &metrics.Series{}}
 	// Intervention: flip DNS exposure.
 	eng.At(cfg.WarmupSec, func() {
-		dns.SetWeight(app, "hot", 0)
-		dns.SetWeight(app, "cold", 1)
+		dns.SetWeight(app, hotVIP, 0)
+		dns.SetWeight(app, coldVIP, 1)
 	})
 	scheduleArrivals(st, func() string {
 		vip, err := pop.Arrive(eng.Now(), eng.Rand())

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"megadc/internal/ipv4"
 	"megadc/internal/trace"
 )
 
@@ -52,7 +53,7 @@ func sameTypes(t *testing.T, what string, got []trace.Type, want ...trace.Type) 
 // and that everything else hangs off the decision root.
 func TestGroupingAndNesting(t *testing.T) {
 	f := &feed{a: New(nil)}
-	f.ev(0, trace.EvDecision, 1, 1, 2, trace.VIP("v1"))
+	f.ev(0, trace.EvDecision, 1, 1, 2, trace.VIP(ipv4.MustParse("203.0.113.1")))
 	f.ev(1, trace.EvDecision, 2, 4, 0, trace.VM(7))
 	f.ev(1, trace.EvRPCSend, 1, 10, 1)
 	f.ev(2, trace.EvResizeVM, 2, 1, 2, trace.VM(7))
@@ -209,10 +210,10 @@ func TestAbandonedAndBroken(t *testing.T) {
 func TestWriteTreeStable(t *testing.T) {
 	build := func() *Assembler {
 		f := &feed{a: New(nil)}
-		f.ev(1, trace.EvDecision, 4, 1, 2, trace.VIP("198.51.0.1"), trace.SwitchRef(0), trace.SwitchRef(1))
+		f.ev(1, trace.EvDecision, 4, 1, 2, trace.VIP(ipv4.MustParse("198.51.0.1")), trace.SwitchRef(0), trace.SwitchRef(1))
 		f.ev(2, trace.EvRPCSend, 4, 3, 1)
 		f.ev(2.5, trace.EvRPCDeliver, 4, 3, 0.5)
-		f.ev(2.5, trace.EvDNSWrite, 4, 0, 2, trace.App(1), trace.VIP("198.51.0.1"))
+		f.ev(2.5, trace.EvDNSWrite, 4, 0, 2, trace.App(1), trace.VIP(ipv4.MustParse("198.51.0.1")))
 		f.ev(3, trace.EvRPCDeadLetter, 4, 3, 7)
 		f.a.AddBroken(4, 2)
 		f.ev(0, trace.EvDecision, 5, 4, 0)

@@ -8,6 +8,7 @@ import (
 
 	"megadc/internal/cluster"
 	"megadc/internal/dnsctl"
+	"megadc/internal/ipv4"
 	"megadc/internal/lbswitch"
 )
 
@@ -105,7 +106,7 @@ func TestExpectedMissSentinels(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, vip := range p.Fabric.VIPsOfApp(big.ID) {
-		if err := p.DNS.SetWeight(big.ID, string(vip), 0); err != nil {
+		if err := p.DNS.SetWeight(big.ID, vip, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,7 +121,7 @@ func TestExpectedMissSentinels(t *testing.T) {
 		miss func() error
 	}{
 		{"Switch.RemoveRIP", lbswitch.ErrNoSuchRIP, func() error {
-			_, err := sw.RemoveRIP(vip, "192.0.2.1")
+			_, err := sw.RemoveRIP(vip, ipv4.MustParse("192.0.2.1"))
 			return err
 		}},
 		{"DNS.Resolve unregistered", dnsctl.ErrNoApp, func() error {
@@ -132,7 +133,7 @@ func TestExpectedMissSentinels(t *testing.T) {
 			return err
 		}},
 		{"Platform.DeployInstanceFor", ErrNoRoom, func() error {
-			_, err := p.DeployInstanceFor(big.ID, pod, "")
+			_, err := p.DeployInstanceFor(big.ID, pod, 0)
 			return err
 		}},
 	}

@@ -119,16 +119,16 @@ func (p *Platform) auditVIPRIP(rep *audit.Report) {
 			rep.Add("viprip", "I1.SWITCH_POD_PARTITION", "every switch in exactly one switch pod", err.Error(), "")
 		}
 	}
-	// Bound VMs in RIP order: reports sort by RIP string, and two VMs
-	// holding one RIP land next to each other.
+	// Bound VMs in RIP order: reports sort by RIP in lexical address
+	// order, and two VMs holding one RIP land next to each other.
 	var bound []cluster.VMID
 	for vm, rip := range p.vmRIP {
-		if rip != "" {
+		if rip != 0 {
 			bound = append(bound, cluster.VMID(vm))
 		}
 	}
 	slices.SortFunc(bound, func(a, b cluster.VMID) int {
-		return cmp.Or(cmp.Compare(p.vmRIP[a], p.vmRIP[b]), cmp.Compare(a, b))
+		return cmp.Or(p.vmRIP[a].Compare(p.vmRIP[b]), cmp.Compare(a, b))
 	})
 	for i, vm := range bound {
 		rip := p.vmRIP[vm]
@@ -180,14 +180,14 @@ func (p *Platform) auditVIPRIP(rep *audit.Report) {
 				}
 				if held != rip {
 					rep.Addf("viprip", "I1.RIP_VM_BIJECTION",
-						fmt.Sprintf("vmRIP[%d] == %s", vm, rip), string(held),
+						fmt.Sprintf("vmRIP[%d] == %s", vm, rip), held.String(),
 						"switch %d vip %s", sw.ID, vip)
 				}
 				if hi := p.vmHome[vm]; hi != ids.None {
 					if home := p.Fabric.Addr(hi); home != vip {
 						rep.Addf("viprip", "I1.RIP_HOME_MATCH",
 							fmt.Sprintf("rip %s configured under its home VIP %s", rip, home),
-							string(vip), "switch %d", sw.ID)
+							vip.String(), "switch %d", sw.ID)
 					}
 				}
 			}
@@ -200,14 +200,14 @@ func (p *Platform) auditVIPRIP(rep *audit.Report) {
 		if err != nil {
 			continue
 		}
-		for i, vipStr := range vips {
+		for i, vip := range vips {
 			if weights[i] <= 0 {
 				continue
 			}
-			if _, ok := p.Fabric.HomeOf(lbswitch.VIP(vipStr)); !ok {
+			if _, ok := p.Fabric.HomeOf(vip); !ok {
 				rep.Addf("viprip", "I1.EXPOSED_HOMED",
 					"every DNS-exposed VIP is homed on a switch", "no fabric home",
-					"app %d vip %s", app, vipStr)
+					"app %d vip %s", app, vip)
 			}
 		}
 	}

@@ -113,7 +113,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	t.Run("I1.VM_HAS_RIP", func(t *testing.T) {
 		p, app := auditTestPlatform(t)
 		vm, _, _, _ := auditBoundVM(p, app)
-		p.vmRIP[vm], p.vmHome[vm] = "", ids.None
+		p.vmRIP[vm], p.vmHome[vm] = 0, ids.None
 		if rep := p.Audit(); !rep.Has("I1.VM_HAS_RIP") {
 			t.Fatalf("missing I1.VM_HAS_RIP, got:\n%s", rep)
 		}
@@ -200,7 +200,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	t.Run("I4.VM_DEMAND_SUM", func(t *testing.T) {
 		p, _ := auditTestPlatform(t)
 		for vmi, rip := range p.vmRIP {
-			if rip == "" {
+			if rip == 0 {
 				continue
 			}
 			if vm := p.Cluster.VM(cluster.VMID(vmi)); vm != nil {
@@ -313,7 +313,7 @@ func TestDrainDropMidwayKeepsVIPUnexposed(t *testing.T) {
 		if err := p.Fabric.DropVIP(vip, true); err != nil {
 			t.Errorf("drop: %v", err)
 		}
-		if err := p.DNS.SetWeight(a.ID, string(vip), 0); err != nil {
+		if err := p.DNS.SetWeight(a.ID, vip, 0); err != nil {
 			t.Errorf("zero weight: %v", err)
 		}
 		p.Propagate()
@@ -328,7 +328,7 @@ func TestDrainDropMidwayKeepsVIPUnexposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range vips {
-		if v == string(vip) && ws[i] != 0 {
+		if v == vip && ws[i] != 0 {
 			t.Fatalf("drain finish restored weight %v for the dropped VIP %s (I1.EXPOSED_HOMED)", ws[i], vip)
 		}
 	}

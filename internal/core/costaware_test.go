@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"megadc/internal/lbswitch"
+	"megadc/internal/ipv4"
 	"megadc/internal/netmodel"
 )
 
@@ -90,7 +90,7 @@ func TestRecycleUnusedVIPs(t *testing.T) {
 	vips := p.DNS.VIPs(app.ID)
 	p.DNS.SetWeight(app.ID, vips[0], 0)
 	p.Propagate()
-	oldLinks := p.Net.ActiveLinks(p.handleOf(lbswitchVIP(vips[0])))
+	oldLinks := p.Net.ActiveLinks(p.handleOf(vips[0]))
 	if len(oldLinks) != 1 {
 		t.Fatal("setup: VIP not advertised once")
 	}
@@ -101,11 +101,11 @@ func TestRecycleUnusedVIPs(t *testing.T) {
 	sw := p.Fabric.Switch(0)
 	hook := sw.OnReconfig
 	sw.OnReconfig = nil
-	if err := p.Fabric.PlaceVIP("192.0.2.99", 999, sw.ID); err != nil {
+	if err := p.Fabric.PlaceVIP(ipv4.MustParse("192.0.2.99"), 999, sw.ID); err != nil {
 		t.Fatal(err)
 	}
 	sw.OnReconfig = hook
-	synth := p.handleOf("192.0.2.99")
+	synth := p.handleOf(ipv4.MustParse("192.0.2.99"))
 	if err := p.Net.Advertise(synth, oldLinks[0], false); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRecycleUnusedVIPs(t *testing.T) {
 	if p.Global.VIPRecycles == 0 {
 		t.Fatal("unused VIP not recycled")
 	}
-	newLinks := p.Net.ActiveLinks(p.handleOf(lbswitchVIP(vips[0])))
+	newLinks := p.Net.ActiveLinks(p.handleOf(vips[0]))
 	if len(newLinks) != 1 {
 		t.Fatalf("recycled VIP advertised %d times", len(newLinks))
 	}
@@ -138,21 +138,18 @@ func TestRecycleSkipsSuppressedAndUsed(t *testing.T) {
 	vips := p.DNS.VIPs(app.ID)
 	// VIPs under a drain claim are left alone even at weight 0.
 	p.DNS.SetWeight(app.ID, vips[0], 0)
-	p.claims.claim(drainClaim(p.handleOf(lbswitchVIP(vips[0]))))
+	p.claims.claim(drainClaim(p.handleOf(vips[0])))
 	p.Propagate()
-	before := p.Net.ActiveLinks(p.handleOf(lbswitchVIP(vips[0])))
+	before := p.Net.ActiveLinks(p.handleOf(vips[0]))
 	recycles := p.Global.VIPRecycles
 	p.Global.Step()
 	p.Eng.RunFor(5)
 	if p.Global.VIPRecycles != recycles {
 		t.Error("suppressed VIP recycled")
 	}
-	after := p.Net.ActiveLinks(p.handleOf(lbswitchVIP(vips[0])))
+	after := p.Net.ActiveLinks(p.handleOf(vips[0]))
 	if len(before) != len(after) || before[0] != after[0] {
 		t.Error("suppressed VIP moved")
 	}
 	_ = netmodel.LinkID(0)
 }
-
-// lbswitchVIP converts a DNS VIP string to the switch VIP type.
-func lbswitchVIP(s string) (v lbswitch.VIP) { return lbswitch.VIP(s) }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"megadc/internal/cluster"
-	"megadc/internal/lbswitch"
 )
 
 // TestKnobCVacatesLoadedDonorServer covers the vacate-then-transfer path
@@ -134,7 +133,7 @@ func TestSuppressBlocksReconcile(t *testing.T) {
 	p := newTestPlatform(t, testConfig())
 	app, _ := p.OnboardApp("a", defaultSlice(), 2, Demand{CPU: 1, Mbps: 10})
 	vips := p.DNS.VIPs(app.ID)
-	vip := lbswitch.VIP(vips[0])
+	vip := vips[0]
 	// Drain-style: claim and hide.
 	tok := p.claims.claim(drainClaim(p.handleOf(vip)))
 	p.DNS.SetWeight(app.ID, vips[0], 0)

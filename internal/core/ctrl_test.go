@@ -147,12 +147,12 @@ func TestDrainRetryTimeoutAccounting(t *testing.T) {
 		t.Errorf("VIP home = %v (ok=%v), want %v", h, ok, dstID)
 	}
 	// Exposure restored exactly once, drain state fully released.
-	vipStrs, ws, err := p.DNS.Weights(app.ID)
+	vips, ws, err := p.DNS.Weights(app.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range vipStrs {
-		if v == string(vip) && ws[i] != 1 {
+	for i, v := range vips {
+		if v == vip && ws[i] != 1 {
 			t.Errorf("drained VIP weight = %v, want 1 (restored once)", ws[i])
 		}
 	}

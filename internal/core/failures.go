@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -193,7 +192,7 @@ func (p *Platform) DetectSwitch(id lbswitch.SwitchID) (rehomed, dropped int, err
 			if err := p.Fabric.DropVIP(vip, true); err != nil {
 				return rehomed, dropped, err
 			}
-			p.DNS.SetWeight(app, string(vip), 0)
+			p.DNS.SetWeight(app, vip, 0)
 			dropped++
 			continue
 		}
@@ -249,8 +248,7 @@ func (p *Platform) RepairSwitch(id lbswitch.SwitchID) error {
 // more capacity repairs. Returns the number placed.
 func (p *Platform) rehomeOrphanVIPs(sw *lbswitch.Switch) (placed int) {
 	for _, app := range p.DNS.Apps() {
-		for _, vipStr := range p.DNS.VIPs(app) {
-			vip := lbswitch.VIP(vipStr)
+		for _, vip := range p.DNS.VIPs(app) {
 			if _, homed := p.Fabric.HomeOf(vip); homed {
 				continue
 			}
@@ -264,14 +262,12 @@ func (p *Platform) rehomeOrphanVIPs(sw *lbswitch.Switch) (placed int) {
 					vms = append(vms, cluster.VMID(vm))
 				}
 			}
-			slices.SortFunc(vms, func(a, b cluster.VMID) int { return cmp.Compare(p.vmRIP[a], p.vmRIP[b]) })
+			slices.SortFunc(vms, func(a, b cluster.VMID) int { return p.vmRIP[a].Compare(p.vmRIP[b]) })
 			for _, vm := range vms {
-				rip := p.vmRIP[vm]
-				if err := sw.AddRIP(vip, rip, 1); err != nil {
+				// Restore the RIP→VM tag the dropped switch carried.
+				if err := sw.AddRIPTagged(vip, p.vmRIP[vm], 1, int64(vm)); err != nil {
 					break
 				}
-				// Restore the RIP→VM tag the dropped switch carried.
-				sw.SetRIPTag(vip, rip, int64(vm))
 			}
 			placed++
 			p.reconcileExposure(app)
@@ -403,8 +399,8 @@ func (p *Platform) RepairLink(id netmodel.LinkID) error {
 		p.markVIPDirty(vi)
 	}
 	for _, app := range p.DNS.Apps() {
-		for _, vipStr := range p.DNS.VIPs(app) {
-			vi := p.handleOf(lbswitch.VIP(vipStr))
+		for _, vip := range p.DNS.VIPs(app) {
+			vi := p.handleOf(vip)
 			if len(p.Net.ActiveLinks(vi)) > 0 {
 				continue
 			}

@@ -147,7 +147,6 @@ func (g *GlobalManager) balanceAccessLinks() {
 // off the hot link.
 func (g *GlobalManager) shiftExposureOffLink(vi ids.Index, hot netmodel.LinkID) float64 {
 	vip := g.p.Fabric.Addr(vi)
-	vipStr := string(vip)
 	home, ok := g.p.Fabric.Home(vi)
 	if !ok {
 		return 0
@@ -165,12 +164,12 @@ func (g *GlobalManager) shiftExposureOffLink(vi ids.Index, hot netmodel.LinkID) 
 	var hotIdx = -1
 	var coldIdx []int
 	for i, v := range dnsVIPs {
-		if v == vipStr {
+		if v == vip {
 			hotIdx = i
 			continue
 		}
 		cold := true
-		active := g.p.Net.ActiveLinks(g.p.handleOf(lbswitch.VIP(v)))
+		active := g.p.Net.ActiveLinks(g.p.handleOf(v))
 		for _, l := range active {
 			lk := g.p.Net.Link(l)
 			if !lk.Serving() || lk.Utilization() > cfg.LinkOverloadUtil {
@@ -204,7 +203,7 @@ func (g *GlobalManager) shiftExposureOffLink(vi ids.Index, hot netmodel.LinkID) 
 		Dispatch: func() { gen = g.p.DNS.Gen(app) },
 		From:     ctrlplane.Global, To: ctrlplane.DNS, Name: "exposure-shift",
 		Apply: func() {
-			if err := g.p.DNS.SetWeightIfGen(app, vipStr, newHot, gen); err != nil {
+			if err := g.p.DNS.SetWeightIfGen(app, vip, newHot, gen); err != nil {
 				return
 			}
 			g.p.Cfg.Trace.Record(trace.EvUnexpose, newHot, delta,
@@ -246,7 +245,6 @@ func (g *GlobalManager) costAwareExposure() {
 	}
 	for _, vi := range g.p.Net.VIPsOnLink(hot.ID) {
 		vip := g.p.Fabric.Addr(vi)
-		vipStr := string(vip)
 		home, ok := g.p.Fabric.Home(vi)
 		if !ok {
 			continue
@@ -261,11 +259,11 @@ func (g *GlobalManager) costAwareExposure() {
 		}
 		hotIdx, cheapIdx := -1, -1
 		for i, v := range dnsVIPs {
-			if v == vipStr {
+			if v == vip {
 				hotIdx = i
 				continue
 			}
-			for _, l := range g.p.Net.ActiveLinks(g.p.handleOf(lbswitch.VIP(v))) {
+			for _, l := range g.p.Net.ActiveLinks(g.p.handleOf(v)) {
 				link := g.p.Net.Link(l)
 				if link.Serving() && link.CostPerMbps < hot.CostPerMbps && link.Utilization() < cfg.CostShiftCeiling {
 					cheapIdx = i
@@ -340,8 +338,8 @@ func (g *GlobalManager) recycleUnusedVIPs() {
 		if err != nil {
 			continue
 		}
-		for i, vipStr := range vips {
-			vi := g.p.handleOf(lbswitch.VIP(vipStr))
+		for i, vip := range vips {
+			vi := g.p.handleOf(vip)
 			if weights[i] != 0 || g.p.Net.VIPTraffic(vi) > 0 {
 				continue
 			}
@@ -433,11 +431,15 @@ func (g *GlobalManager) pickTransferTarget(from *lbswitch.Switch, vip lbswitch.V
 }
 
 // hashVIP folds a VIP address into the stable actor key hash policies
-// expect (FNV-1a; addresses are unique for a VIP's lifetime).
+// expect (FNV-1a; addresses are unique for a VIP's lifetime). It hashes
+// the dotted quad, so every hash-keyed policy decision is the one it
+// was when addresses were strings.
 func hashVIP(vip lbswitch.VIP) uint64 {
+	var buf [15]byte
+	text, _ := vip.AppendText(buf[:0])
 	h := uint64(14695981039346656037)
-	for i := 0; i < len(vip); i++ {
-		h ^= uint64(vip[i])
+	for _, c := range text {
+		h ^= uint64(c)
 		h *= 1099511628211
 	}
 	return h
@@ -478,7 +480,7 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 	}
 	restoreWeight := 1.0
 	for i, v := range vips {
-		if v == string(vip) {
+		if v == vip {
 			restoreWeight = ws[i]
 		}
 	}
@@ -501,7 +503,7 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 			if _, homed := g.p.Fabric.HomeOf(vip); homed {
 				restored = restoreWeight
 			}
-			g.p.DNS.SetWeight(app, string(vip), restored)
+			g.p.DNS.SetWeight(app, vip, restored)
 			g.p.Cfg.Trace.Record(trace.EvDrainFinish, restored, 0,
 				trace.VIP(vip), trace.App(app))
 			release()
@@ -556,7 +558,7 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 			if !mine() {
 				return
 			}
-			if err := g.p.DNS.SetWeight(app, string(vip), 0); err != nil {
+			if err := g.p.DNS.SetWeight(app, vip, 0); err != nil {
 				release()
 				return
 			}

@@ -38,8 +38,9 @@ func parseNonTest(t *testing.T, dir string) (*token.FileSet, []*ast.File) {
 
 // TestVIPTablesKeyedByHandle is the source guard of the VIP handle
 // design (DESIGN.md §22): non-test code in lbswitch, netmodel, dnsctl
-// and core keys no map by a VIP address — a VIP, a VIPAddr, a string,
-// or a struct of this package holding one of those — except the one
+// and core keys no map by a VIP address — a VIP, a VIPAddr, an
+// ipv4.Addr, a string, or a struct of this package holding one of
+// those — except the one
 // address → handle table the fabric owns (lbswitch's vipTable.ix, made
 // by newVIPTable).
 // Per-VIP state lives in slices indexed by the fabric's handles, and
@@ -50,7 +51,7 @@ func TestVIPTablesKeyedByHandle(t *testing.T) {
 		case *ast.Ident:
 			return e.Name == "VIP" || e.Name == "VIPAddr" || e.Name == "string"
 		case *ast.SelectorExpr:
-			return e.Sel.Name == "VIP" || e.Sel.Name == "VIPAddr"
+			return e.Sel.Name == "VIP" || e.Sel.Name == "VIPAddr" || e.Sel.Name == "Addr"
 		}
 		return false
 	}

@@ -8,6 +8,7 @@ import (
 
 	"megadc/internal/cluster"
 	"megadc/internal/core"
+	"megadc/internal/ipv4"
 	"megadc/internal/lbswitch"
 	"megadc/internal/metrics"
 	"megadc/internal/requests"
@@ -80,9 +81,9 @@ func TestInterningOrderInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				vips = append(vips, lbswitch.VIP(addr), lbswitch.VIP(fmt.Sprintf("padvip-%d", i)))
+				vips = append(vips, addr, ipv4.MustParse("192.0.2.0")+lbswitch.VIP(i))
 			}
-			slices.Sort(vips)
+			slices.SortFunc(vips, lbswitch.VIP.Compare)
 			slices.Reverse(vips)
 			padHandles(t, p, vips)
 		}
@@ -129,7 +130,7 @@ func TestInterningOrderInvariance(t *testing.T) {
 			for _, app := range apps {
 				real = append(real, p.Fabric.VIPsOfApp(app)...)
 			}
-			slices.Sort(real)
+			slices.SortFunc(real, lbswitch.VIP.Compare)
 			for i := 1; i < len(real); i++ {
 				a, _ := p.Fabric.Handle(real[i-1])
 				b, _ := p.Fabric.Handle(real[i])

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -154,7 +153,7 @@ type Platform struct {
 	appSliceSet ids.Bitset
 
 	// RIP bindings, indexed by VMID (VMIDs are never reused): vmRIP is
-	// the VM's RIP ("" = none) and vmHome the handle of the VIP it is
+	// the VM's RIP (0 = none) and vmHome the handle of the VIP it is
 	// configured under (ids.None = none); both are set and cleared
 	// together. The RIP → VM direction is the tag on the RIP's switch
 	// entry, which names the VM (DESIGN.md §13).
@@ -266,7 +265,7 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 		Cfg:      cfg,
 		Cluster:  cluster.New(),
 		Fabric:   fab,
-		Net:      netmodel.New(func(h ids.Index) netmodel.VIPAddr { return string(fab.Addr(h)) }),
+		Net:      netmodel.New(fab.Addr),
 		DNS:      dnsctl.New(topo.DNSTTLSeconds),
 		srvSnap:  make(map[cluster.ServerID]cluster.Resources),
 		swSnap:   make(map[lbswitch.SwitchID]lbswitch.Limits),
@@ -487,7 +486,7 @@ func (p *Platform) handleOf(vip lbswitch.VIP) ids.Index {
 // sortByAddr sorts VIP handles into lexical address order, the only VIP
 // order the platform lets reach an output (DESIGN.md §22).
 func (p *Platform) sortByAddr(vis []ids.Index) {
-	slices.SortFunc(vis, func(a, b ids.Index) int { return cmp.Compare(p.Fabric.Addr(a), p.Fabric.Addr(b)) })
+	slices.SortFunc(vis, func(a, b ids.Index) int { return p.Fabric.Addr(a).Compare(p.Fabric.Addr(b)) })
 }
 
 // appDemandOf returns app's offered demand (zero when none registered).
@@ -508,8 +507,8 @@ func (p *Platform) appSliceOf(app cluster.AppID) (cluster.Resources, bool) {
 
 // RIPForVM resolves a VM to its RIP.
 func (p *Platform) RIPForVM(vm cluster.VMID) (lbswitch.RIP, bool) {
-	if vm < 0 || int(vm) >= len(p.vmRIP) || p.vmRIP[vm] == "" {
-		return "", false
+	if vm < 0 || int(vm) >= len(p.vmRIP) || p.vmRIP[vm] == 0 {
+		return 0, false
 	}
 	return p.vmRIP[vm], true
 }
@@ -540,7 +539,7 @@ func (p *Platform) OnboardApp(name string, slice cluster.Resources, instances in
 			return nil, fmt.Errorf("core: onboarding %s: %w", name, err)
 		}
 		h := p.handleOf(vip)
-		if err := p.DNS.Register(app.ID, string(vip), h, 1); err != nil {
+		if err := p.DNS.Register(app.ID, vip, h, 1); err != nil {
 			return nil, err
 		}
 		link := p.pickAdvertLink()
@@ -607,14 +606,14 @@ var ErrNoRoom = errors.New("core: pod has no server with room for the slice")
 // is responsible for modeling deployment latency (knob D's cost); the
 // state change itself is atomic.
 func (p *Platform) DeployInstance(app cluster.AppID, pod cluster.PodID) (*cluster.VM, error) {
-	return p.DeployInstanceFor(app, pod, "")
+	return p.DeployInstanceFor(app, pod, 0)
 }
 
 // DeployInstanceFor is DeployInstance with an explicit target VIP: the
 // new instance's RIP is configured under that VIP, so the deployment
 // adds serving capacity exactly where an overloaded VIP needs it (the
 // pod manager "needs to be aware of which VIPs its RIPs are mapped to",
-// Section IV-F). An empty VIP lets the VIP/RIP manager choose.
+// Section IV-F). A zero VIP lets the VIP/RIP manager choose.
 func (p *Platform) DeployInstanceFor(app cluster.AppID, pod cluster.PodID, preferred lbswitch.VIP) (*cluster.VM, error) {
 	slice, ok := p.appSliceOf(app)
 	if !ok {
@@ -641,9 +640,9 @@ func (p *Platform) DeployInstanceFor(app cluster.AppID, pod cluster.PodID, prefe
 		return nil, err
 	}
 	vip, sw, err := p.VIPRIP.AddRIP(app, rip, 1, preferred)
-	if err != nil && preferred != "" {
+	if err != nil && preferred != 0 {
 		// The preferred VIP's switch may be RIP-full; fall back to any.
-		vip, sw, err = p.VIPRIP.AddRIP(app, rip, 1, "")
+		vip, sw, err = p.VIPRIP.AddRIP(app, rip, 1, 0)
 	}
 	if err != nil {
 		p.VIPRIP.FreeRIP(rip)
@@ -675,7 +674,7 @@ func (p *Platform) bindRIP(rip lbswitch.RIP, vm cluster.VMID, vip lbswitch.VIP, 
 func (p *Platform) vipOfVM(vm cluster.VMID) (lbswitch.VIP, bool) {
 	vi := p.vmHomeOf(vm)
 	if vi == ids.None {
-		return "", false
+		return 0, false
 	}
 	return p.Fabric.Addr(vi), true
 }
@@ -689,8 +688,7 @@ func (p *Platform) reconcileExposure(app cluster.AppID) {
 	if err != nil {
 		return
 	}
-	for i, vipStr := range vips {
-		vip := lbswitch.VIP(vipStr)
+	for i, vip := range vips {
 		vi := p.handleOf(vip)
 		if p.claims.held(drainClaim(vi)) {
 			continue
@@ -701,9 +699,9 @@ func (p *Platform) reconcileExposure(app cluster.AppID) {
 		}
 		hasRIPs := p.Fabric.Switch(home).NumRIPsOf(vip) > 0
 		if !hasRIPs && ws[i] != 0 {
-			p.DNS.SetWeight(app, vipStr, 0)
+			p.DNS.SetWeight(app, vip, 0)
 		} else if hasRIPs && ws[i] == 0 {
-			p.DNS.SetWeight(app, vipStr, 1)
+			p.DNS.SetWeight(app, vip, 1)
 		}
 	}
 }
@@ -720,7 +718,7 @@ func (p *Platform) RemoveInstance(vm cluster.VMID) error {
 			return err
 		}
 		p.VIPRIP.FreeRIP(rip)
-		p.vmRIP[vm] = ""
+		p.vmRIP[vm] = 0
 		p.vmHome[vm] = ids.None
 	}
 	if err := p.Cluster.RemoveVM(vm); err != nil {

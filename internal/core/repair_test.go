@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"megadc/internal/health"
+	"megadc/internal/ipv4"
 	"megadc/internal/lbswitch"
 	"megadc/internal/netmodel"
 )
@@ -240,7 +241,7 @@ func TestHealthiestSwitchForReportsExportError(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw := p.Fabric.Switch(0)
-	if _, err := p.healthiestSwitchFor(sw, lbswitch.VIP("203.0.113.99")); err == nil {
+	if _, err := p.healthiestSwitchFor(sw, ipv4.MustParse("203.0.113.99")); err == nil {
 		t.Error("export error swallowed for a VIP the switch does not carry")
 	}
 }
@@ -279,9 +280,9 @@ func TestRepairSwitchRehomesOrphanedVIPs(t *testing.T) {
 	if sw.NumVIPs() != nVIPs {
 		t.Errorf("repaired switch homes %d VIPs, want %d", sw.NumVIPs(), nVIPs)
 	}
-	for _, vipStr := range p.DNS.VIPs(app.ID) {
-		if _, ok := p.Fabric.HomeOf(lbswitch.VIP(vipStr)); !ok {
-			t.Errorf("VIP %s still orphaned after repair", vipStr)
+	for _, vip := range p.DNS.VIPs(app.ID) {
+		if _, ok := p.Fabric.HomeOf(vip); !ok {
+			t.Errorf("VIP %s still orphaned after repair", vip)
 		}
 	}
 	vips, weights, err := p.DNS.Weights(app.ID)
@@ -327,9 +328,9 @@ func TestRepairLinkReadvertisesDarkVIPs(t *testing.T) {
 	if readv != 0 {
 		t.Errorf("re-advertised %d VIPs with no other link", readv)
 	}
-	for _, vipStr := range p.DNS.VIPs(app.ID) {
-		if n := len(p.Net.ActiveLinks(p.handleOf(lbswitch.VIP(vipStr)))); n != 0 {
-			t.Errorf("VIP %s kept %d active links", vipStr, n)
+	for _, vip := range p.DNS.VIPs(app.ID) {
+		if n := len(p.Net.ActiveLinks(p.handleOf(vip))); n != 0 {
+			t.Errorf("VIP %s kept %d active links", vip, n)
 		}
 	}
 	if sat := p.AppSatisfaction(app.ID); sat > 0.01 {
@@ -339,10 +340,10 @@ func TestRepairLinkReadvertisesDarkVIPs(t *testing.T) {
 	if err := p.RepairLink(0); err != nil {
 		t.Fatal(err)
 	}
-	for _, vipStr := range p.DNS.VIPs(app.ID) {
-		links := p.Net.ActiveLinks(p.handleOf(lbswitch.VIP(vipStr)))
+	for _, vip := range p.DNS.VIPs(app.ID) {
+		links := p.Net.ActiveLinks(p.handleOf(vip))
 		if len(links) != 1 || links[0] != netmodel.LinkID(0) {
-			t.Errorf("VIP %s active links after repair = %v", vipStr, links)
+			t.Errorf("VIP %s active links after repair = %v", vip, links)
 		}
 	}
 	if sat := p.AppSatisfaction(app.ID); sat < 0.99 {

@@ -138,20 +138,22 @@ func BuildScalePlatform(spec ScaleSpec) (*Platform, error) {
 // The loader is sharded into three stages (spec.Workers wide,
 // bit-identical for any worker count):
 //
-//  1. plan (parallel): app names and all RIP address strings are pure
-//     functions of the app index, so workers format them into disjoint
-//     slots — at paper scale that is 6M string allocations off the
-//     sequential path.
+//  1. plan (parallel): app names are pure functions of the app index,
+//     so workers format them into disjoint slots. RIPs need no plan:
+//     the loader takes all of them from the pool in one range, and
+//     instance k of the build gets the range's first address plus k.
 //  2. apply (sequential): app/VIP/VM registration and the dense-table
 //     bindings, all of which allocate shared contiguous IDs whose order
 //     defines the state.
 //  3. fabric (parallel): RIP configuration mutates only the home
 //     switch, so workers take whole switches and apply each switch's
-//     planned RIPs in order. The OnReconfig hook is parked during the
-//     stage: stage 2's AddVIPOn already recorded every VIP owner and
-//     dirtied every app, and the closing PropagateFull recomputes all
-//     routing anyway. Per-RIP trace events are not emitted on this
-//     path (the synthetic build-out is not control-plane activity).
+//     planned RIPs in order, each inserted with its VM tag (one VIP
+//     lookup and one group scan per RIP). The OnReconfig hook is
+//     parked during the stage: stage 2's AddVIPOn already recorded
+//     every VIP owner and dirtied every app, and the closing
+//     PropagateFull recomputes all routing anyway. Per-RIP trace
+//     events are not emitted on this path (the synthetic build-out is
+//     not control-plane activity).
 func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 	if spec.Apps <= 0 || spec.InstancesPerApp <= 0 || spec.VIPsPerApp <= 0 {
 		return fmt.Errorf("core: scale spec needs apps, instances, and VIPs")
@@ -165,15 +167,17 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
+	// Every RIP of the build, in instance order: instance k's is
+	// firstRIP+k, as nvms sequential Alloc calls would have returned.
+	nvms := spec.NumVMs()
+	firstRIP, err := p.VIPRIP.AllocRIPs(nvms)
+	if err != nil {
+		return fmt.Errorf("core: bulk rip range: %w", err)
+	}
+
 	// Stage 1 — plan. Shard the pure-function work over contiguous app
 	// ranges into disjoint slices.
-	_, ripPool := p.VIPRIP.BulkPools()
-	ripStart, ripAddr, err := ripPool.PlanSequential()
-	if err != nil {
-		return fmt.Errorf("core: bulk rip plan: %w", err)
-	}
 	names := make([]string, spec.Apps)
-	rips := make([]lbswitch.RIP, spec.Apps*spec.InstancesPerApp)
 	var wg sync.WaitGroup
 	chunk := (spec.Apps + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -187,17 +191,10 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
 				names[i] = fmt.Sprintf("app-%d", i)
-				for j := 0; j < spec.InstancesPerApp; j++ {
-					k := i*spec.InstancesPerApp + j
-					rips[k] = lbswitch.RIP(ripAddr(ripStart + uint32(k)))
-				}
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
-	if err := ripPool.ClaimRange(ripStart, uint32(len(rips))); err != nil {
-		return fmt.Errorf("core: bulk rip claim: %w", err)
-	}
 
 	// Every count the build fills is known from the spec, so reserve
 	// final capacity before anything is filled: the VM lists, the RIP
@@ -205,7 +202,6 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 	// stage 3) would otherwise regrow 0→1→2→4→… on the way to their
 	// final lengths, and at paper scale that copying and its garbage
 	// dominate the build.
-	nvms := spec.NumVMs()
 	p.Cluster.Reserve(spec.Apps, spec.InstancesPerApp, (nvms+len(servers)-1)/len(servers))
 	p.vmRIP = slices.Grow(p.vmRIP, nvms)
 	p.vmHome = slices.Grow(p.vmHome, nvms)
@@ -226,7 +222,7 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 	nsw := p.Fabric.NumSwitches()
 	perSwitch := make([][]ripCfg, nsw)
 	for s := range perSwitch {
-		perSwitch[s] = make([]ripCfg, 0, len(rips)/nsw+spec.InstancesPerApp)
+		perSwitch[s] = make([]ripCfg, 0, nvms/nsw+spec.InstancesPerApp)
 	}
 	vips := make([]lbswitch.VIP, 0, spec.VIPsPerApp)
 	vipSw := make([]lbswitch.SwitchID, 0, spec.VIPsPerApp)
@@ -245,7 +241,7 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 				return fmt.Errorf("core: bulk app %d vip: %w", i, err)
 			}
 			h := p.handleOf(vip)
-			if err := p.DNS.Register(app.ID, string(vip), h, 1); err != nil {
+			if err := p.DNS.Register(app.ID, vip, h, 1); err != nil {
 				return err
 			}
 			if err := p.Net.Advertise(h, p.pickAdvertLink(), false); err != nil {
@@ -264,7 +260,7 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 			if err := p.Cluster.Start(vm.ID); err != nil {
 				return err
 			}
-			rip := rips[i*spec.InstancesPerApp+j]
+			rip := firstRIP + lbswitch.RIP(i*spec.InstancesPerApp+j)
 			vip := vips[j%len(vips)]
 			home := vipSw[j%len(vips)]
 			p.bindRIP(rip, vm.ID, vip, home)
@@ -303,12 +299,8 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 							break
 						}
 					}
-					if err := sw.AddRIP(c.vip, c.rip, 1); err != nil {
+					if err := sw.AddRIPTagged(c.vip, c.rip, 1, c.tag); err != nil {
 						errs[s] = fmt.Errorf("core: bulk rip %s on switch %d: %w", c.rip, s, err)
-						break
-					}
-					if err := sw.SetRIPTag(c.vip, c.rip, c.tag); err != nil {
-						errs[s] = err
 						break
 					}
 				}

@@ -83,6 +83,44 @@ func TestBulkLedgerCapacity(t *testing.T) {
 	}
 }
 
+// TestBulkBuildNoPerRIPAllocs is the allocation gate of the numeric
+// addresses: a RIP in the bulk build is its pool offset plus a value in
+// its switch entry, so an added instance costs exactly one heap object,
+// its *cluster.VM, and its RIP none. Two builds on one topology differ
+// only in instances per app; their allocation counts may differ by at
+// most one per added instance (a string per RIP would make it two).
+func TestBulkBuildNoPerRIPAllocs(t *testing.T) {
+	big := ScaleSpecFor(1000)
+	big.InstancesPerApp = 40
+	topo := big.Topology()
+	mallocs := func(instances int) (allocs uint64, rips int) {
+		spec := ScaleSpecFor(1000)
+		spec.InstancesPerApp = instances
+		spec.Workers = 1
+		cfg := DefaultConfig()
+		cfg.PropagateFullEvery = -1
+		p, err := NewPlatform(topo, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := p.OnboardAppsBulk(spec); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, spec.NumVMs()
+	}
+	small, smallRIPs := mallocs(20)
+	large, largeRIPs := mallocs(40)
+	added := largeRIPs - smallRIPs
+	if perInstance := float64(large-small) / float64(added); perInstance > 1.01 {
+		t.Errorf("bulk build: %d allocations for %d RIPs, %d for %d: %.3f per added instance, want 1 (its VM)",
+			small, smallRIPs, large, largeRIPs, perInstance)
+	}
+}
+
 // fabricDigest renders the complete VIP/RIP configuration of every
 // switch — membership, order, weights, tags, reconfig counts — as one
 // comparable string.

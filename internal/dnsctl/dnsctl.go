@@ -26,6 +26,7 @@ import (
 
 	"megadc/internal/cluster"
 	"megadc/internal/ids"
+	"megadc/internal/ipv4"
 	"megadc/internal/trace"
 )
 
@@ -39,7 +40,7 @@ var (
 )
 
 type exposure struct {
-	vip    string
+	vip    ipv4.Addr
 	h      ids.Index
 	weight float64
 }
@@ -120,7 +121,7 @@ func (d *DNS) TTL() float64 { return d.ttl }
 // Register adds the VIP with address vip and handle h for app with the
 // given exposure weight (0 hides the VIP from resolution while keeping
 // it registered).
-func (d *DNS) Register(app cluster.AppID, vip string, h ids.Index, weight float64) error {
+func (d *DNS) Register(app cluster.AppID, vip ipv4.Addr, h ids.Index, weight float64) error {
 	if weight < 0 {
 		return fmt.Errorf("dnsctl: negative weight %v", weight)
 	}
@@ -146,7 +147,7 @@ func (d *DNS) Register(app cluster.AppID, vip string, h ids.Index, weight float6
 }
 
 // Unregister removes a VIP from app's record.
-func (d *DNS) Unregister(app cluster.AppID, vip string) error {
+func (d *DNS) Unregister(app cluster.AppID, vip ipv4.Addr) error {
 	r := d.record(app)
 	if r == nil {
 		return fmt.Errorf("%w: %d", ErrNoApp, app)
@@ -163,7 +164,7 @@ func (d *DNS) Unregister(app cluster.AppID, vip string) error {
 
 // SetWeight changes the exposure weight of one VIP. Weight 0 stops
 // exposing the VIP to new resolutions (the drain step of knob B).
-func (d *DNS) SetWeight(app cluster.AppID, vip string, weight float64) error {
+func (d *DNS) SetWeight(app cluster.AppID, vip ipv4.Addr, weight float64) error {
 	if weight < 0 {
 		return fmt.Errorf("dnsctl: negative weight %v", weight)
 	}
@@ -191,7 +192,7 @@ func (d *DNS) SetWeight(app cluster.AppID, vip string, weight float64) error {
 // delayed or reordered past another change returns ErrStaleGen instead
 // of clobbering the newer decision (optimistic concurrency for the
 // asynchronous control plane).
-func (d *DNS) SetWeightIfGen(app cluster.AppID, vip string, weight float64, gen int64) error {
+func (d *DNS) SetWeightIfGen(app cluster.AppID, vip ipv4.Addr, weight float64, gen int64) error {
 	if d.Gen(app) != gen {
 		d.StaleWrites++
 		d.tracer.RecordErr(trace.EvDNSWrite, weight, float64(gen), trace.App(app), trace.VIP(vip))
@@ -202,7 +203,7 @@ func (d *DNS) SetWeightIfGen(app cluster.AppID, vip string, weight float64, gen 
 
 // ExposeOnly sets weight 1 on the listed VIPs and 0 on all of app's
 // other VIPs.
-func (d *DNS) ExposeOnly(app cluster.AppID, vips ...string) error {
+func (d *DNS) ExposeOnly(app cluster.AppID, vips ...ipv4.Addr) error {
 	r := d.record(app)
 	if r == nil {
 		return fmt.Errorf("%w: %d", ErrNoApp, app)
@@ -238,7 +239,7 @@ func (d *DNS) ExposeOnly(app cluster.AppID, vips ...string) error {
 }
 
 // Weights returns app's VIPs and exposure weights in registration order.
-func (d *DNS) Weights(app cluster.AppID) (vips []string, weights []float64, err error) {
+func (d *DNS) Weights(app cluster.AppID) (vips []ipv4.Addr, weights []float64, err error) {
 	r := d.record(app)
 	if r == nil {
 		return nil, nil, fmt.Errorf("%w: %d", ErrNoApp, app)
@@ -261,17 +262,18 @@ func (d *DNS) Apps() []cluster.AppID {
 	return out
 }
 
-// VIPs returns app's registered VIPs sorted.
-func (d *DNS) VIPs(app cluster.AppID) []string {
+// VIPs returns app's registered VIPs in lexical address order
+// (ipv4.Addr.Compare).
+func (d *DNS) VIPs(app cluster.AppID) []ipv4.Addr {
 	r := d.record(app)
 	if r == nil {
 		return nil
 	}
-	out := make([]string, 0, len(r.vips))
+	out := make([]ipv4.Addr, 0, len(r.vips))
 	for _, e := range r.vips {
 		out = append(out, e.vip)
 	}
-	slices.Sort(out)
+	slices.SortFunc(out, ipv4.Addr.Compare)
 	return out
 }
 

@@ -10,12 +10,25 @@ import (
 	"unsafe"
 
 	"megadc/internal/ids"
+	"megadc/internal/ipv4"
 )
 
 // testVIPs names the tests' VIPs: a VIP's handle is its index here.
 var testVIPs = []string{"v1", "v2", "a", "b", "c", "old", "new"}
 
 func hOf(vip string) ids.Index { return ids.Index(slices.Index(testVIPs, vip)) }
+
+// TestVIPsLexicalOrder: VIPs lists an app's addresses in the lexical
+// order of their dotted quads, not numeric order.
+func TestVIPsLexicalOrder(t *testing.T) {
+	d := New(30)
+	nine, ten := ipv4.MustParse("10.0.0.9"), ipv4.MustParse("10.0.0.10")
+	d.Register(1, nine, 0, 1)
+	d.Register(1, ten, 1, 1)
+	if got, want := d.VIPs(1), []ipv4.Addr{ten, nine}; !slices.Equal(got, want) {
+		t.Errorf("VIPs = %v, want %v", got, want)
+	}
+}
 
 func TestNewTTLValidation(t *testing.T) {
 	for _, ttl := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -35,13 +48,13 @@ func TestRegisterResolve(t *testing.T) {
 	if d.TTL() != 60 {
 		t.Errorf("TTL = %v", d.TTL())
 	}
-	if err := d.Register(1, "v1", hOf("v1"), 1); err != nil {
+	if err := d.Register(1, ipV1, hOf("v1"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Register(1, "v1", hOf("v1"), 1); !errors.Is(err, ErrDupVIP) {
+	if err := d.Register(1, ipV1, hOf("v1"), 1); !errors.Is(err, ErrDupVIP) {
 		t.Errorf("dup err = %v", err)
 	}
-	if err := d.Register(1, "v2", hOf("v2"), -1); err == nil {
+	if err := d.Register(1, ipV2, hOf("v2"), -1); err == nil {
 		t.Error("negative weight accepted")
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -59,8 +72,8 @@ func TestRegisterResolve(t *testing.T) {
 
 func TestResolveWeighted(t *testing.T) {
 	d := New(60)
-	d.Register(1, "a", hOf("a"), 1)
-	d.Register(1, "b", hOf("b"), 3)
+	d.Register(1, ipA, hOf("a"), 1)
+	d.Register(1, ipB, hOf("b"), 3)
 	rng := rand.New(rand.NewSource(2))
 	counts := map[ids.Index]int{}
 	const n = 40000
@@ -78,8 +91,8 @@ func TestResolveWeighted(t *testing.T) {
 
 func TestZeroWeightHidden(t *testing.T) {
 	d := New(60)
-	d.Register(1, "a", hOf("a"), 1)
-	d.Register(1, "b", hOf("b"), 0)
+	d.Register(1, ipA, hOf("a"), 1)
+	d.Register(1, ipB, hOf("b"), 0)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {
 		vip, err := d.Resolve(1, rng)
@@ -91,7 +104,7 @@ func TestZeroWeightHidden(t *testing.T) {
 		}
 	}
 	// Hiding everything yields ErrNoExposed.
-	d.SetWeight(1, "a", 0)
+	d.SetWeight(1, ipA, 0)
 	if _, err := d.Resolve(1, rng); !errors.Is(err, ErrNoExposed) {
 		t.Errorf("all-hidden err = %v", err)
 	}
@@ -99,59 +112,59 @@ func TestZeroWeightHidden(t *testing.T) {
 
 func TestSetWeightAndChanges(t *testing.T) {
 	d := New(60)
-	d.Register(1, "a", hOf("a"), 1)
-	if err := d.SetWeight(1, "a", 2); err != nil {
+	d.Register(1, ipA, hOf("a"), 1)
+	if err := d.SetWeight(1, ipA, 2); err != nil {
 		t.Fatal(err)
 	}
 	if d.WeightChanges != 1 {
 		t.Errorf("WeightChanges = %d", d.WeightChanges)
 	}
 	// No-op change is not counted.
-	d.SetWeight(1, "a", 2)
+	d.SetWeight(1, ipA, 2)
 	if d.WeightChanges != 1 {
 		t.Errorf("no-op counted: %d", d.WeightChanges)
 	}
-	if err := d.SetWeight(1, "zzz", 1); !errors.Is(err, ErrNoVIP) {
+	if err := d.SetWeight(1, ipZzz, 1); !errors.Is(err, ErrNoVIP) {
 		t.Errorf("missing vip err = %v", err)
 	}
-	if err := d.SetWeight(9, "a", 1); !errors.Is(err, ErrNoApp) {
+	if err := d.SetWeight(9, ipA, 1); !errors.Is(err, ErrNoApp) {
 		t.Errorf("missing app err = %v", err)
 	}
-	if err := d.SetWeight(1, "a", -1); err == nil {
+	if err := d.SetWeight(1, ipA, -1); err == nil {
 		t.Error("negative weight accepted")
 	}
 }
 
 func TestExposeOnly(t *testing.T) {
 	d := New(60)
-	d.Register(1, "a", hOf("a"), 1)
-	d.Register(1, "b", hOf("b"), 1)
-	d.Register(1, "c", hOf("c"), 0)
-	if err := d.ExposeOnly(1, "c"); err != nil {
+	d.Register(1, ipA, hOf("a"), 1)
+	d.Register(1, ipB, hOf("b"), 1)
+	d.Register(1, ipC, hOf("c"), 0)
+	if err := d.ExposeOnly(1, ipC); err != nil {
 		t.Fatal(err)
 	}
 	_, ws, _ := d.Weights(1)
 	if ws[0] != 0 || ws[1] != 0 || ws[2] != 1 {
 		t.Errorf("weights = %v", ws)
 	}
-	if err := d.ExposeOnly(1, "nope"); !errors.Is(err, ErrNoVIP) {
+	if err := d.ExposeOnly(1, ipNope); !errors.Is(err, ErrNoVIP) {
 		t.Errorf("unknown vip err = %v", err)
 	}
-	if err := d.ExposeOnly(42, "a"); !errors.Is(err, ErrNoApp) {
+	if err := d.ExposeOnly(42, ipA); !errors.Is(err, ErrNoApp) {
 		t.Errorf("unknown app err = %v", err)
 	}
 }
 
 func TestUnregister(t *testing.T) {
 	d := New(60)
-	d.Register(1, "a", hOf("a"), 1)
-	if err := d.Unregister(1, "a"); err != nil {
+	d.Register(1, ipA, hOf("a"), 1)
+	if err := d.Unregister(1, ipA); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Unregister(1, "a"); !errors.Is(err, ErrNoVIP) {
+	if err := d.Unregister(1, ipA); !errors.Is(err, ErrNoVIP) {
 		t.Errorf("double unregister err = %v", err)
 	}
-	if err := d.Unregister(9, "a"); !errors.Is(err, ErrNoApp) {
+	if err := d.Unregister(9, ipA); !errors.Is(err, ErrNoApp) {
 		t.Errorf("missing app err = %v", err)
 	}
 	if got := d.VIPs(1); len(got) != 0 {
@@ -167,9 +180,9 @@ func TestApps(t *testing.T) {
 	if got := d.Apps(); len(got) != 0 {
 		t.Errorf("empty Apps = %v", got)
 	}
-	d.Register(3, "a", hOf("a"), 1)
-	d.Register(1, "b", hOf("b"), 1)
-	d.Register(2, "c", hOf("c"), 1)
+	d.Register(3, ipA, hOf("a"), 1)
+	d.Register(1, ipB, hOf("b"), 1)
+	d.Register(2, ipC, hOf("c"), 1)
 	got := d.Apps()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("Apps = %v, want sorted [1 2 3]", got)
@@ -178,8 +191,8 @@ func TestApps(t *testing.T) {
 
 func TestExpectedShares(t *testing.T) {
 	d := New(60)
-	d.Register(1, "a", hOf("a"), 1)
-	d.Register(1, "b", hOf("b"), 3)
+	d.Register(1, ipA, hOf("a"), 1)
+	d.Register(1, ipB, hOf("b"), 3)
 	vips, shares, err := d.ExpectedShares(1)
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +200,8 @@ func TestExpectedShares(t *testing.T) {
 	if vips[0] != hOf("a") || shares[0] != 0.25 || shares[1] != 0.75 {
 		t.Errorf("shares = %v %v", vips, shares)
 	}
-	d.SetWeight(1, "a", 0)
-	d.SetWeight(1, "b", 0)
+	d.SetWeight(1, ipA, 0)
+	d.SetWeight(1, ipB, 0)
 	_, shares, _ = d.ExpectedShares(1)
 	if shares[0] != 0 || shares[1] != 0 {
 		t.Errorf("all-zero shares = %v", shares)
@@ -200,7 +213,7 @@ func TestExpectedShares(t *testing.T) {
 
 func TestClientPopulationCaching(t *testing.T) {
 	d := New(10)
-	d.Register(1, "old", hOf("old"), 1)
+	d.Register(1, ipOld, hOf("old"), 1)
 	rng := rand.New(rand.NewSource(4))
 	p, err := NewClientPopulation(d, 1, 500, 0, 0, rng)
 	if err != nil {
@@ -216,8 +229,8 @@ func TestClientPopulationCaching(t *testing.T) {
 		t.Fatalf("warm fraction = %v", got)
 	}
 	// Switch exposure to a new VIP.
-	d.Register(1, "new", hOf("new"), 1)
-	d.ExposeOnly(1, "new")
+	d.Register(1, ipNew, hOf("new"), 1)
+	d.ExposeOnly(1, ipNew)
 	// Before TTL expiry, cached clients still go to old.
 	for i := 0; i < 2000; i++ {
 		vip, _ := p.Arrive(5, rng)
@@ -236,7 +249,7 @@ func TestClientPopulationCaching(t *testing.T) {
 
 func TestClientPopulationViolators(t *testing.T) {
 	d := New(10)
-	d.Register(1, "old", hOf("old"), 1)
+	d.Register(1, ipOld, hOf("old"), 1)
 	rng := rand.New(rand.NewSource(5))
 	p, err := NewClientPopulation(d, 1, 2000, 0.3, 100, rng)
 	if err != nil {
@@ -245,8 +258,8 @@ func TestClientPopulationViolators(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		p.Arrive(0, rng)
 	}
-	d.Register(1, "new", hOf("new"), 1)
-	d.ExposeOnly(1, "new")
+	d.Register(1, ipNew, hOf("new"), 1)
+	d.ExposeOnly(1, ipNew)
 	// At t=15 (past TTL=10, within violation hold), only violators
 	// should still hit old.
 	oldCount, n := 0, 20000
@@ -306,7 +319,7 @@ func TestPropertyResolveRespectsWeights(t *testing.T) {
 		d := New(30)
 		exposed := make(map[ids.Index]bool)
 		for i, w := range weights {
-			d.Register(1, string(rune('a'+i)), ids.Index(i), float64(w))
+			d.Register(1, ipv4.MustParse("203.0.113.1")+ipv4.Addr(i), ids.Index(i), float64(w))
 			if w > 0 {
 				exposed[ids.Index(i)] = true
 			}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"megadc/internal/dnsctl"
+	"megadc/internal/ipv4"
 )
 
 // Selective VIP exposure (the paper's knob A): shifting DNS weights
@@ -13,12 +14,13 @@ import (
 func Example() {
 	dns := dnsctl.New(60) // 60-second TTL
 	const app = 1
-	const hotVIP, coldVIP = 0, 1 // handles, as the platform's fabric assigns them
-	dns.Register(app, "vip-on-hot-link", hotVIP, 1)
-	dns.Register(app, "vip-on-cold-link", coldVIP, 1)
+	const hotVIP, coldVIP = 0, 1             // handles, as the platform's fabric assigns them
+	hotAddr := ipv4.MustParse("203.0.113.1") // advertised on the hot link
+	dns.Register(app, hotAddr, hotVIP, 1)
+	dns.Register(app, ipv4.MustParse("203.0.113.2"), coldVIP, 1)
 
 	// The hot link overloads: stop exposing its VIP.
-	dns.SetWeight(app, "vip-on-hot-link", 0)
+	dns.SetWeight(app, hotAddr, 0)
 
 	rng := rand.New(rand.NewSource(1))
 	hot := 0

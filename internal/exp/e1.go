@@ -112,11 +112,10 @@ func packSwitches(apps, vipsPerApp, ripsPerApp int, limits lbswitch.Limits) (int
 		sw := switches[cursor]
 		vips := make([]lbswitch.VIP, 0, vipsPerApp)
 		for v := 0; v < vipsPerApp; v++ {
-			addr, err := vipPool.Alloc()
+			vip, err := vipPool.Alloc()
 			if err != nil {
 				return 0, err
 			}
-			vip := lbswitch.VIP(addr)
 			if err := fab.PlaceVIP(vip, app, sw.ID); err != nil {
 				return 0, fmt.Errorf("exp: e1 pack app %d vip %d: %w", a, v, err)
 			}

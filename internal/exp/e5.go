@@ -149,8 +149,8 @@ func RunE5(o Options) (*metrics.Table, *E5Result, error) {
 }
 
 // readvertise moves a VIP's single advertisement to the target link.
-func readvertise(p *core.Platform, addr string, target netmodel.LinkID) error {
-	vip, ok := p.Fabric.Handle(lbswitch.VIP(addr))
+func readvertise(p *core.Platform, addr lbswitch.VIP, target netmodel.LinkID) error {
+	vip, ok := p.Fabric.Handle(addr)
 	if !ok {
 		return fmt.Errorf("exp: e5: VIP %s was never placed", addr)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"megadc/internal/dnsctl"
+	"megadc/internal/ipv4"
 	"megadc/internal/lbswitch"
 	"megadc/internal/metrics"
 	"megadc/internal/sim"
@@ -59,23 +60,24 @@ func runDrain(seed int64, ttl, violatorFrac, arrivalRate, meanSession, horizon f
 	dns := dnsctl.New(ttl)
 	const app = 1
 	const hot, otherVIP = 0, 1 // VIP handles
-	dns.Register(app, "hot", hot, 1)
-	dns.Register(app, "other", otherVIP, 1)
+	hotAddr, otherAddr := ipv4.MustParse("203.0.113.1"), ipv4.MustParse("203.0.113.2")
+	dns.Register(app, hotAddr, hot, 1)
+	dns.Register(app, otherAddr, otherVIP, 1)
 	pop, err := dnsctl.NewClientPopulation(dns, app, 1000, violatorFrac, horizon*2, eng.Rand())
 	if err != nil {
 		return E6Row{}, err
 	}
 	sw := lbswitch.NewSwitch(0, lbswitch.CatalystCSM())
 	other := lbswitch.NewSwitch(1, lbswitch.CatalystCSM())
-	sw.AddVIP("hot", app)
-	sw.AddRIP("hot", "10.0.0.1", 1)
-	other.AddVIP("other", app)
-	other.AddRIP("other", "10.0.0.2", 1)
+	sw.AddVIP(hotAddr, app)
+	sw.AddRIP(hotAddr, ipv4.MustParse("10.0.0.1"), 1)
+	other.AddVIP(otherAddr, app)
+	other.AddRIP(otherAddr, ipv4.MustParse("10.0.0.2"), 1)
 
 	row := E6Row{ViolatorFrac: violatorFrac, DrainSeconds: -1}
 	stopAt := 300.0 // exposure stops here
 	eng.At(stopAt, func() {
-		dns.SetWeight(app, "hot", 0)
+		dns.SetWeight(app, hotAddr, 0)
 	})
 
 	var arrive func()
@@ -85,9 +87,9 @@ func runDrain(seed int64, ttl, violatorFrac, arrivalRate, meanSession, horizon f
 		}
 		vip, err := pop.Arrive(eng.Now(), eng.Rand())
 		if err == nil {
-			target, addr := sw, lbswitch.VIP("hot")
+			target, addr := sw, hotAddr
 			if vip == otherVIP {
-				target, addr = other, "other"
+				target, addr = other, otherAddr
 			}
 			if id, _, _, err := target.OpenConn(addr, eng.Rand()); err == nil {
 				row.SessionsServed++
@@ -101,13 +103,13 @@ func runDrain(seed int64, ttl, violatorFrac, arrivalRate, meanSession, horizon f
 
 	// Sample for the first pause after exposure stops.
 	eng.Every(stopAt+1, 1, func() bool {
-		if row.DrainSeconds < 0 && sw.VIPConns("hot") == 0 {
+		if row.DrainSeconds < 0 && sw.VIPConns(hotAddr) == 0 {
 			row.DrainSeconds = eng.Now() - stopAt
 		}
 		return eng.Now() < horizon
 	})
 	eng.At(horizon, func() {
-		row.ResidualConns = sw.VIPConns("hot")
+		row.ResidualConns = sw.VIPConns(hotAddr)
 	})
 	eng.RunUntil(horizon)
 	return row, nil

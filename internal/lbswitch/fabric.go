@@ -240,11 +240,10 @@ func (f *Fabric) TransferVIP(vip VIP, dst SwitchID, force bool) error {
 		return fmt.Errorf("lbswitch: transfer re-add failed: %w", err)
 	}
 	moved := f.tab.entry[e.h]
-	for i, re := range e.rips {
-		if err := to.AddRIP(vip, re.rip, re.weight); err != nil {
+	for _, re := range e.rips {
+		if err := to.AddRIPTagged(vip, re.rip, re.weight, re.tag); err != nil {
 			return fmt.Errorf("lbswitch: transfer RIP re-add failed: %w", err)
 		}
-		to.setTag(&moved.rips[i], re.tag)
 	}
 	if e.loadMbps > 0 {
 		if err := moved.setLoad(e.loadMbps); err != nil {
@@ -257,7 +256,8 @@ func (f *Fabric) TransferVIP(vip VIP, dst SwitchID, force bool) error {
 	return nil
 }
 
-// VIPsOfApp returns every VIP in the fabric owned by app, sorted. Served
+// VIPsOfApp returns every VIP in the fabric owned by app, in lexical
+// address order (ipv4.Addr.Compare). Served
 // from the per-app index, so cost scales with the app's own VIP count,
 // not the fabric-wide total.
 func (f *Fabric) VIPsOfApp(app cluster.AppID) []VIP {
@@ -268,7 +268,7 @@ func (f *Fabric) VIPsOfApp(app cluster.AppID) []VIP {
 	for _, h := range f.appVIPs[app] {
 		out = append(out, f.tab.addrs[h])
 	}
-	slices.Sort(out)
+	slices.SortFunc(out, VIP.Compare)
 	return out
 }
 

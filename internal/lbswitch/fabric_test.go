@@ -2,7 +2,6 @@ package lbswitch
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,6 +9,7 @@ import (
 
 	"megadc/internal/cluster"
 	"megadc/internal/ids"
+	"megadc/internal/ipv4"
 )
 
 func newTestFabric(nSwitches int) *Fabric {
@@ -20,21 +20,41 @@ func newTestFabric(nSwitches int) *Fabric {
 	return f
 }
 
+// TestAddressOrderIsLexical: the address-ordered outputs list VIPs in
+// the lexical order of their dotted quads, in which 10.0.0.10 precedes
+// 10.0.0.9 although it is numerically larger.
+func TestAddressOrderIsLexical(t *testing.T) {
+	f := newTestFabric(1)
+	nine, ten := ipv4.MustParse("10.0.0.9"), ipv4.MustParse("10.0.0.10")
+	for _, vip := range []VIP{nine, ten} {
+		if err := f.PlaceVIP(vip, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []VIP{ten, nine}
+	if got := f.VIPsOfApp(1); !slices.Equal(got, want) {
+		t.Errorf("VIPsOfApp = %v, want %v", got, want)
+	}
+	if got := f.Switch(0).SortVIPsByLoad(); !slices.Equal(got, want) { // equal loads: address order
+		t.Errorf("SortVIPsByLoad = %v, want %v", got, want)
+	}
+}
+
 func TestFabricPlaceAndHome(t *testing.T) {
 	f := newTestFabric(2)
-	if err := f.PlaceVIP("v", 1, 0); err != nil {
+	if err := f.PlaceVIP(ipV, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if home, ok := f.HomeOf("v"); !ok || home != 0 {
+	if home, ok := f.HomeOf(ipV); !ok || home != 0 {
 		t.Errorf("HomeOf = %v,%v", home, ok)
 	}
-	if err := f.PlaceVIP("v", 1, 1); !errors.Is(err, ErrVIPExists) {
+	if err := f.PlaceVIP(ipV, 1, 1); !errors.Is(err, ErrVIPExists) {
 		t.Errorf("dup place err = %v", err)
 	}
-	if err := f.PlaceVIP("w", 1, 99); err == nil {
+	if err := f.PlaceVIP(ipW, 1, 99); err == nil {
 		t.Error("place on missing switch accepted")
 	}
-	if got := f.VIPsOfApp(1); len(got) != 1 || got[0] != "v" {
+	if got := f.VIPsOfApp(1); len(got) != 1 || got[0] != ipV {
 		t.Errorf("VIPsOfApp = %v", got)
 	}
 	if f.NumSwitches() != 2 || len(f.Switches()) != 2 {
@@ -47,32 +67,32 @@ func TestFabricPlaceAndHome(t *testing.T) {
 
 func TestFabricTransferQuiescent(t *testing.T) {
 	f := newTestFabric(2)
-	f.PlaceVIP("v", 7, 0)
-	f.Switch(0).AddRIP("v", "r1", 2)
-	f.Switch(0).AddRIP("v", "r2", 3)
-	f.Switch(0).SetVIPLoad("v", 42)
-	if err := f.TransferVIP("v", 1, false); err != nil {
+	f.PlaceVIP(ipV, 7, 0)
+	f.Switch(0).AddRIP(ipV, ipR1, 2)
+	f.Switch(0).AddRIP(ipV, ipR2, 3)
+	f.Switch(0).SetVIPLoad(ipV, 42)
+	if err := f.TransferVIP(ipV, 1, false); err != nil {
 		t.Fatalf("TransferVIP: %v", err)
 	}
-	if home, _ := f.HomeOf("v"); home != 1 {
+	if home, _ := f.HomeOf(ipV); home != 1 {
 		t.Errorf("home = %d, want 1", home)
 	}
-	if f.Switch(0).HasVIP("v") {
+	if f.Switch(0).HasVIP(ipV) {
 		t.Error("source still has VIP")
 	}
 	dst := f.Switch(1)
-	if !dst.HasVIP("v") {
+	if !dst.HasVIP(ipV) {
 		t.Fatal("dest lacks VIP")
 	}
-	if app, _ := dst.AppOf("v"); app != 7 {
+	if app, _ := dst.AppOf(ipV); app != 7 {
 		t.Errorf("app = %d", app)
 	}
-	rips, ws, _ := dst.Weights("v")
+	rips, ws, _ := dst.Weights(ipV)
 	if len(rips) != 2 || ws[0] != 2 || ws[1] != 3 {
 		t.Errorf("weights after transfer = %v %v", rips, ws)
 	}
-	if dst.VIPLoad("v") != 42 {
-		t.Errorf("load after transfer = %v", dst.VIPLoad("v"))
+	if dst.VIPLoad(ipV) != 42 {
+		t.Errorf("load after transfer = %v", dst.VIPLoad(ipV))
 	}
 	if f.Transfers != 1 {
 		t.Errorf("Transfers = %d", f.Transfers)
@@ -84,15 +104,15 @@ func TestFabricTransferQuiescent(t *testing.T) {
 
 func TestFabricTransferBlockedByActiveConns(t *testing.T) {
 	f := newTestFabric(2)
-	f.PlaceVIP("v", 1, 0)
-	f.Switch(0).AddRIP("v", "r", 1)
+	f.PlaceVIP(ipV, 1, 0)
+	f.Switch(0).AddRIP(ipV, ipR, 1)
 	rng := rand.New(rand.NewSource(1))
-	f.Switch(0).OpenConn("v", rng)
-	if err := f.TransferVIP("v", 1, false); !errors.Is(err, ErrActiveConns) {
+	f.Switch(0).OpenConn(ipV, rng)
+	if err := f.TransferVIP(ipV, 1, false); !errors.Is(err, ErrActiveConns) {
 		t.Errorf("err = %v, want ErrActiveConns", err)
 	}
 	// Forced transfer breaks the session and counts it.
-	if err := f.TransferVIP("v", 1, true); err != nil {
+	if err := f.TransferVIP(ipV, 1, true); err != nil {
 		t.Fatalf("forced transfer: %v", err)
 	}
 	if f.BrokenConns != 1 {
@@ -107,16 +127,16 @@ func TestFabricTransferDestinationFull(t *testing.T) {
 	f := newTestFabric(2)
 	// Fill switch 1's VIP table.
 	for i := 0; i < 4; i++ {
-		if err := f.PlaceVIP(VIP(rune('a'+i)), 1, 1); err != nil {
+		if err := f.PlaceVIP(ipv4.MustParse("203.0.113.1")+VIP(i), 1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	f.PlaceVIP("v", 1, 0)
-	if err := f.TransferVIP("v", 1, false); !errors.Is(err, ErrVIPLimit) {
+	f.PlaceVIP(ipV, 1, 0)
+	if err := f.TransferVIP(ipV, 1, false); !errors.Is(err, ErrVIPLimit) {
 		t.Errorf("err = %v, want ErrVIPLimit", err)
 	}
 	// VIP must still be intact on the source.
-	if !f.Switch(0).HasVIP("v") {
+	if !f.Switch(0).HasVIP(ipV) {
 		t.Error("failed transfer lost the VIP")
 	}
 	if err := f.CheckInvariants(); err != nil {
@@ -126,15 +146,15 @@ func TestFabricTransferDestinationFull(t *testing.T) {
 
 func TestFabricTransferDestinationRIPFull(t *testing.T) {
 	f := newTestFabric(2)
-	f.PlaceVIP("big", 1, 1)
+	f.PlaceVIP(ipBig, 1, 1)
 	for i := 0; i < 8; i++ {
-		if err := f.Switch(1).AddRIP("big", RIP(rune('0'+i)), 1); err != nil {
+		if err := f.Switch(1).AddRIP(ipBig, ipv4.MustParse("10.0.0.1")+RIP(i), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	f.PlaceVIP("v", 1, 0)
-	f.Switch(0).AddRIP("v", "r", 1)
-	if err := f.TransferVIP("v", 1, false); !errors.Is(err, ErrRIPLimit) {
+	f.PlaceVIP(ipV, 1, 0)
+	f.Switch(0).AddRIP(ipV, ipR, 1)
+	if err := f.TransferVIP(ipV, 1, false); !errors.Is(err, ErrRIPLimit) {
 		t.Errorf("err = %v, want ErrRIPLimit", err)
 	}
 	if err := f.CheckInvariants(); err != nil {
@@ -144,38 +164,38 @@ func TestFabricTransferDestinationRIPFull(t *testing.T) {
 
 func TestFabricTransferSelfNoop(t *testing.T) {
 	f := newTestFabric(1)
-	f.PlaceVIP("v", 1, 0)
-	if err := f.TransferVIP("v", 0, false); err != nil {
+	f.PlaceVIP(ipV, 1, 0)
+	if err := f.TransferVIP(ipV, 0, false); err != nil {
 		t.Errorf("self transfer: %v", err)
 	}
 	if f.Transfers != 0 {
 		t.Errorf("self transfer counted: %d", f.Transfers)
 	}
-	if err := f.TransferVIP("missing", 0, false); !errors.Is(err, ErrVIPUnknown) {
+	if err := f.TransferVIP(ipMissing, 0, false); !errors.Is(err, ErrVIPUnknown) {
 		t.Errorf("missing vip err = %v", err)
 	}
 }
 
 func TestFabricDropVIP(t *testing.T) {
 	f := newTestFabric(1)
-	f.PlaceVIP("v", 1, 0)
-	if err := f.DropVIP("v", false); err != nil {
+	f.PlaceVIP(ipV, 1, 0)
+	if err := f.DropVIP(ipV, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := f.HomeOf("v"); ok {
+	if _, ok := f.HomeOf(ipV); ok {
 		t.Error("dropped VIP still homed")
 	}
-	if err := f.DropVIP("v", false); !errors.Is(err, ErrVIPUnknown) {
+	if err := f.DropVIP(ipV, false); !errors.Is(err, ErrVIPUnknown) {
 		t.Errorf("double drop err = %v", err)
 	}
 }
 
 func TestFabricAggregates(t *testing.T) {
 	f := newTestFabric(3)
-	f.PlaceVIP("a", 1, 0)
-	f.PlaceVIP("b", 1, 1)
-	f.Switch(0).SetVIPLoad("a", 50)
-	f.Switch(1).SetVIPLoad("b", 100)
+	f.PlaceVIP(ipA, 1, 0)
+	f.PlaceVIP(ipB, 1, 1)
+	f.Switch(0).SetVIPLoad(ipA, 50)
+	f.Switch(1).SetVIPLoad(ipB, 100)
 	if got := f.TotalThroughputMbps(); got != 150 {
 		t.Errorf("TotalThroughputMbps = %v", got)
 	}
@@ -194,7 +214,7 @@ func TestPropertyFabricTransfers(t *testing.T) {
 	f := func(ops []uint8, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		fab := newTestFabric(3)
-		vips := []VIP{"a", "b", "c", "d", "e", "f"}
+		vips := []VIP{ipA, ipB, ipC, ipD, ipE, ipF}
 		for _, op := range ops {
 			vip := vips[rng.Intn(len(vips))]
 			sw := SwitchID(rng.Intn(3))
@@ -223,34 +243,34 @@ func TestPropertyFabricTransfers(t *testing.T) {
 // handle-taking methods reach the same entry as the address-taking ones.
 func TestFabricHandles(t *testing.T) {
 	f := newTestFabric(2)
-	if _, ok := f.Handle("v"); ok {
+	if _, ok := f.Handle(ipV); ok {
 		t.Fatal("unplaced VIP has a handle")
 	}
-	f.PlaceVIP("w", 1, 1)
-	f.PlaceVIP("v", 1, 0)
-	h, ok := f.Handle("v")
-	if !ok || h != 1 || f.Addr(h) != "v" {
+	f.PlaceVIP(ipW, 1, 1)
+	f.PlaceVIP(ipV, 1, 0)
+	h, ok := f.Handle(ipV)
+	if !ok || h != 1 || f.Addr(h) != ipV {
 		t.Fatalf("Handle(v) = %d,%v, Addr = %q", h, ok, f.Addr(h))
 	}
-	f.Switch(0).AddRIP("v", "r1", 1)
-	f.Switch(0).AddRIP("v", "r2", 3)
+	f.Switch(0).AddRIP(ipV, ipR1, 1)
+	f.Switch(0).AddRIP(ipV, ipR2, 3)
 	if err := f.SetLoad(h, 40); err != nil {
 		t.Fatal(err)
 	}
-	if home, ok := f.Home(h); !ok || home != 0 || f.Load(h) != 40 || f.Switch(0).VIPLoad("v") != 40 {
+	if home, ok := f.Home(h); !ok || home != 0 || f.Load(h) != 40 || f.Switch(0).VIPLoad(ipV) != 40 {
 		t.Errorf("Home/Load = %d,%v,%v", home, ok, f.Load(h))
 	}
 	rips, tags, mbps, err := f.AppendLoadShareTagged(h, 8, nil, nil, nil)
-	if err != nil || !slices.Equal(rips, []RIP{"r1", "r2"}) || !slices.Equal(mbps, []float64{2, 6}) || !slices.Equal(tags, []int64{-1, -1}) {
+	if err != nil || !slices.Equal(rips, []RIP{ipR1, ipR2}) || !slices.Equal(mbps, []float64{2, 6}) || !slices.Equal(tags, []int64{-1, -1}) {
 		t.Errorf("AppendLoadShareTagged = %v %v %v %v", rips, tags, mbps, err)
 	}
-	if err := f.TransferVIP("v", 1, false); err != nil {
+	if err := f.TransferVIP(ipV, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	if home, _ := f.Home(h); home != 1 || f.Load(h) != 40 {
 		t.Errorf("after transfer: home %d load %v", home, f.Load(h))
 	}
-	if err := f.DropVIP("v", false); err != nil {
+	if err := f.DropVIP(ipV, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := f.Home(h); ok || f.Load(h) != 0 {
@@ -262,16 +282,16 @@ func TestFabricHandles(t *testing.T) {
 	if _, _, _, err := f.AppendLoadShareTagged(h, 1, nil, nil, nil); !errors.Is(err, ErrVIPUnknown) {
 		t.Errorf("AppendLoadShareTagged on a dropped VIP: %v", err)
 	}
-	if err := f.PlaceVIP("v", 2, 0); err != nil {
+	if err := f.PlaceVIP(ipV, 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	if again, _ := f.Handle("v"); again != h {
+	if again, _ := f.Handle(ipV); again != h {
 		t.Errorf("re-placed VIP got handle %d, want %d", again, h)
 	}
-	if err := f.PlaceVIP("x", -1, 0); err == nil {
+	if err := f.PlaceVIP(ipX, -1, 0); err == nil {
 		t.Error("negative app accepted")
 	}
-	if err := f.Switch(1).AddVIP("v", 2); !errors.Is(err, ErrDupVIP) {
+	if err := f.Switch(1).AddVIP(ipV, 2); !errors.Is(err, ErrDupVIP) {
 		t.Errorf("VIP configured on a second switch of the fabric: %v", err)
 	}
 	if err := f.CheckInvariants(); err != nil {
@@ -286,33 +306,33 @@ func TestFabricHandles(t *testing.T) {
 func TestFabricTransferCarriesGroup(t *testing.T) {
 	f := newTestFabric(2)
 	src, dst := f.Switch(0), f.Switch(1)
-	f.PlaceVIP("v", 3, 0)
+	f.PlaceVIP(ipV, 3, 0)
 	for i, w := range []float64{1, 2.5, 4} {
-		rip := RIP(fmt.Sprintf("r%d", i))
-		src.AddRIP("v", rip, w)
+		rip := ipv4.MustParse("10.1.0.1") + RIP(i)
+		src.AddRIP(ipV, rip, w)
 		if i != 1 { // the middle RIP stays untagged
-			src.SetRIPTag("v", rip, int64(10+i))
+			src.SetRIPTag(ipV, rip, int64(10+i))
 		}
 	}
 	rng := rand.New(rand.NewSource(3))
 	const open = 5
 	for i := 0; i < open; i++ {
-		if _, _, _, err := src.OpenConn("v", rng); err != nil {
+		if _, _, _, err := src.OpenConn(ipV, rng); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rips, tags, ws, _ := src.AppendWeightsTagged("v", nil, nil, nil)
+	rips, tags, ws, _ := src.AppendWeightsTagged(ipV, nil, nil, nil)
 	reconfigs, calls := dst.Reconfigs, 0
 	dst.OnReconfig = func(ids.Index, cluster.AppID) { calls++ }
-	if err := f.TransferVIP("v", 1, true); err != nil {
+	if err := f.TransferVIP(ipV, 1, true); err != nil {
 		t.Fatal(err)
 	}
-	gotRIPs, gotTags, gotWs, err := dst.AppendWeightsTagged("v", nil, nil, nil)
+	gotRIPs, gotTags, gotWs, err := dst.AppendWeightsTagged(ipV, nil, nil, nil)
 	if err != nil || !slices.Equal(gotRIPs, rips) || !slices.Equal(gotTags, tags) || !slices.Equal(gotWs, ws) {
 		t.Errorf("destination group = %v %v %v (%v), want %v %v %v", gotRIPs, gotTags, gotWs, err, rips, tags, ws)
 	}
-	if _, counts := dst.RIPConns("v"); slices.ContainsFunc(counts, func(n int) bool { return n != 0 }) || dst.VIPConns("v") != 0 {
-		t.Errorf("destination RIPConns = %v, VIPConns = %d; want all zero", counts, dst.VIPConns("v"))
+	if _, counts := dst.RIPConns(ipV); slices.ContainsFunc(counts, func(n int) bool { return n != 0 }) || dst.VIPConns(ipV) != 0 {
+		t.Errorf("destination RIPConns = %v, VIPConns = %d; want all zero", counts, dst.VIPConns(ipV))
 	}
 	if f.BrokenConns != open {
 		t.Errorf("BrokenConns = %d, want %d", f.BrokenConns, open)

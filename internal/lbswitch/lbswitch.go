@@ -10,6 +10,8 @@
 // A VIP's RIP group is one flat value slice in insertion order, with no
 // index beside it: at the paper's parameters a group holds about seven
 // RIPs, so operations on one RIP find it by a scan (DESIGN.md §22).
+// Addresses are IPv4 values (ipv4.Addr), so the scan compares integers
+// and a group holds no pointer.
 //
 // Traffic is modeled two ways, matching the two granularities the
 // experiments need: a fluid per-VIP offered load in Mbps (for
@@ -29,13 +31,14 @@ import (
 	"megadc/internal/cluster"
 	"megadc/internal/health"
 	"megadc/internal/ids"
+	"megadc/internal/ipv4"
 )
 
 // VIP is a virtual IP address (externally routable).
-type VIP string
+type VIP = ipv4.Addr
 
 // RIP is a real IP address of one VM instance (private, e.g. from 10/8).
-type RIP string
+type RIP = ipv4.Addr
 
 // SwitchID identifies one LB switch.
 type SwitchID int
@@ -103,8 +106,8 @@ func validWeight(w float64) bool {
 
 type ripEntry struct {
 	rip    RIP
+	conns  int32 // at most Limits.MaxConns
 	weight float64
-	conns  int
 	// tag is an opaque caller-attached value (-1 when unset). The
 	// platform stores the dense VM index of the instance behind the RIP
 	// so demand propagation can fan out to flat tables without a string
@@ -376,6 +379,14 @@ func (s *Switch) RemoveVIP(vip VIP, force bool) (broken int, err error) {
 
 // AddRIP adds a RIP with the given positive weight to vip's group.
 func (s *Switch) AddRIP(vip VIP, rip RIP, weight float64) error {
+	return s.AddRIPTagged(vip, rip, weight, -1)
+}
+
+// AddRIPTagged is AddRIP with the RIP's tag (see ripEntry) set in the
+// insert itself, so a caller that knows the instance behind the RIP
+// pays one VIP lookup and one group scan, not a second pair for
+// SetRIPTag.
+func (s *Switch) AddRIPTagged(vip VIP, rip RIP, weight float64, tag int64) error {
 	e := s.entry(vip)
 	if e == nil {
 		return s.noVIP(vip)
@@ -389,7 +400,7 @@ func (s *Switch) AddRIP(vip VIP, rip RIP, weight float64) error {
 	if s.totalRIPs >= s.Limits.MaxRIPs {
 		return fmt.Errorf("%w: switch %d at %d", ErrRIPLimit, s.ID, s.Limits.MaxRIPs)
 	}
-	e.rips = append(e.rips, ripEntry{rip: rip, weight: weight, tag: -1})
+	e.rips = append(e.rips, ripEntry{rip: rip, weight: weight, tag: tag})
 	s.totalRIPs++
 	s.backendGen++
 	s.Reconfigs++
@@ -424,7 +435,7 @@ func (s *Switch) RemoveRIP(vip VIP, rip RIP) (broken int, err error) {
 	if i < 0 {
 		return 0, ErrNoSuchRIP
 	}
-	broken = e.rips[i].conns
+	broken = int(e.rips[i].conns)
 	for id, c := range s.conns {
 		if c.h == e.h && c.rip == rip {
 			delete(s.conns, id)
@@ -463,7 +474,8 @@ func (s *Switch) SetWeight(vip VIP, rip RIP, weight float64) error {
 	return nil
 }
 
-// SetRIPTag attaches an opaque tag to a configured RIP (see ripEntry).
+// SetRIPTag attaches an opaque tag to a configured RIP (see ripEntry):
+// the platform tags a RIP after the VIP/RIP manager chose its VIP.
 // Unlike weight changes this is not a reconfiguration: no counter bump,
 // no OnReconfig callback. It does move the backend generation, since
 // the tag names the instance behind the RIP.
@@ -476,15 +488,9 @@ func (s *Switch) SetRIPTag(vip VIP, rip RIP, tag int64) error {
 	if i < 0 {
 		return fmt.Errorf("%w: %s in %s", ErrNoSuchRIP, rip, vip)
 	}
-	s.setTag(&e.rips[i], tag)
-	return nil
-}
-
-// setTag is the only writer of a RIP entry's tag, so no path can change
-// which instance a RIP resolves to without moving the backend generation.
-func (s *Switch) setTag(re *ripEntry, tag int64) {
-	re.tag = tag
+	e.rips[i].tag = tag
 	s.backendGen++
+	return nil
 }
 
 // Weights returns the RIPs and weights of vip's group in insertion order.
@@ -529,11 +535,11 @@ func (s *Switch) NumRIPsOf(vip VIP) int {
 func (s *Switch) PickRIP(vip VIP, rng *rand.Rand) (RIP, error) {
 	e := s.entry(vip)
 	if e == nil {
-		return "", s.noVIP(vip)
+		return 0, s.noVIP(vip)
 	}
 	i, err := pickWeighted(e.rips, rng)
 	if err != nil {
-		return "", fmt.Errorf("%s: %w", vip, err)
+		return 0, fmt.Errorf("%s: %w", vip, err)
 	}
 	return e.rips[i].rip, nil
 }
@@ -564,14 +570,14 @@ func pickWeighted(rips []ripEntry, rng *rand.Rand) (int, error) {
 func (s *Switch) OpenConn(vip VIP, rng *rand.Rand) (id ConnID, rip RIP, tag int64, err error) {
 	e := s.entry(vip)
 	if e == nil {
-		return 0, "", -1, s.noVIP(vip)
+		return 0, 0, -1, s.noVIP(vip)
 	}
 	if len(s.conns) >= s.Limits.MaxConns {
-		return 0, "", -1, fmt.Errorf("%w: switch %d at %d", ErrConnLimit, s.ID, s.Limits.MaxConns)
+		return 0, 0, -1, fmt.Errorf("%w: switch %d at %d", ErrConnLimit, s.ID, s.Limits.MaxConns)
 	}
 	i, err := pickWeighted(e.rips, rng)
 	if err != nil {
-		return 0, "", -1, fmt.Errorf("%s: %w", vip, err)
+		return 0, 0, -1, fmt.Errorf("%s: %w", vip, err)
 	}
 	re := &e.rips[i]
 	id = s.nextConn
@@ -617,7 +623,7 @@ func (s *Switch) RIPConns(vip VIP) (rips []RIP, counts []int) {
 	}
 	for _, re := range e.rips {
 		rips = append(rips, re.rip)
-		counts = append(counts, re.conns)
+		counts = append(counts, int(re.conns))
 	}
 	return rips, counts
 }
@@ -776,7 +782,7 @@ func (s *Switch) CheckInvariants() error {
 			if re.weight <= 0 {
 				return fmt.Errorf("switch %d: VIP %s RIP %s non-positive weight", s.ID, vip, re.rip)
 			}
-			if n := perRIP[conn{e.h, re.rip}]; re.conns != n {
+			if n := perRIP[conn{e.h, re.rip}]; int(re.conns) != n {
 				return fmt.Errorf("switch %d: VIP %s RIP %s conns %d != tracked %d",
 					s.ID, vip, re.rip, re.conns, n)
 			}
@@ -789,14 +795,14 @@ func (s *Switch) CheckInvariants() error {
 }
 
 // SortVIPsByLoad returns the switch's VIPs sorted by descending fluid
-// load, breaking ties by VIP address for determinism.
+// load, breaking ties by VIP address (lexical order) for determinism.
 func (s *Switch) SortVIPsByLoad() []VIP {
 	es := slices.Clone(s.vips)
 	slices.SortFunc(es, func(a, b *vipEntry) int {
 		if c := cmp.Compare(b.loadMbps, a.loadMbps); c != 0 {
 			return c
 		}
-		return cmp.Compare(s.tab.addrs[a.h], s.tab.addrs[b.h])
+		return s.tab.addrs[a.h].Compare(s.tab.addrs[b.h])
 	})
 	vips := make([]VIP, len(es))
 	for i, e := range es {

@@ -2,13 +2,14 @@ package lbswitch
 
 import (
 	"errors"
-	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"megadc/internal/ipv4"
 )
 
 // fillRIPGroup returns a CatalystCSM switch whose one VIP holds the
@@ -18,13 +19,13 @@ import (
 func fillRIPGroup(tb testing.TB) (*Switch, RIP) {
 	tb.Helper()
 	s := NewSwitch(0, CatalystCSM())
-	if err := s.AddVIP("v", 1); err != nil {
+	if err := s.AddVIP(ipV, 1); err != nil {
 		tb.Fatal(err)
 	}
 	var rip RIP
 	for i := 0; i < s.Limits.MaxRIPs; i++ {
-		rip = RIP(fmt.Sprintf("10.%d.%d.%d", i>>16, i>>8&0xff, i&0xff))
-		if err := s.AddRIP("v", rip, 1); err != nil {
+		rip = ipv4.MustParse("10.0.0.0") + RIP(i)
+		if err := s.AddRIP(ipV, rip, 1); err != nil {
 			tb.Fatalf("AddRIP %d: %v", i, err)
 		}
 	}
@@ -38,11 +39,11 @@ func TestReservedRIPGroupAllocs(t *testing.T) {
 	s := NewSwitch(0, CatalystCSM())
 	rips := make([]RIP, n)
 	for i := range rips {
-		rips[i] = RIP(fmt.Sprintf("10.0.0.%d", i))
+		rips[i] = ipv4.MustParse("10.0.0.0") + RIP(i)
 	}
 	// AllocsPerRun calls f once more than runs; each call fills its own
 	// freshly reserved VIP.
-	vips := []VIP{"a", "b"}
+	vips := []VIP{ipA, ipB}
 	for _, vip := range vips {
 		if err := s.AddVIP(vip, 1); err != nil {
 			t.Fatal(err)
@@ -64,7 +65,7 @@ func TestReservedRIPGroupAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("%d AddRIPs into a reserved group allocate %v times, want 0", n, allocs)
 	}
-	if err := s.ReserveRIPs("missing", n); !errors.Is(err, ErrNoSuchVIP) {
+	if err := s.ReserveRIPs(ipMissing, n); !errors.Is(err, ErrNoSuchVIP) {
 		t.Errorf("ReserveRIPs on an unknown VIP: %v, want ErrNoSuchVIP", err)
 	}
 	if s.Reconfigs != int64(len(vips)*(n+1)) {
@@ -77,33 +78,33 @@ func TestReservedRIPGroupAllocs(t *testing.T) {
 func TestFullRIPGroup(t *testing.T) {
 	s, last := fillRIPGroup(t)
 	limit := s.Limits.MaxRIPs
-	if s.NumRIPs() != limit || s.NumRIPsOf("v") != limit {
-		t.Fatalf("NumRIPs = %d, NumRIPsOf = %d, want %d", s.NumRIPs(), s.NumRIPsOf("v"), limit)
+	if s.NumRIPs() != limit || s.NumRIPsOf(ipV) != limit {
+		t.Fatalf("NumRIPs = %d, NumRIPsOf = %d, want %d", s.NumRIPs(), s.NumRIPsOf(ipV), limit)
 	}
-	if err := s.AddRIP("v", "192.0.2.1", 1); !errors.Is(err, ErrRIPLimit) {
+	if err := s.AddRIP(ipV, ipv4.MustParse("192.0.2.1"), 1); !errors.Is(err, ErrRIPLimit) {
 		t.Errorf("AddRIP past the limit: %v, want ErrRIPLimit", err)
 	}
-	if err := s.AddRIP("v", last, 1); !errors.Is(err, ErrDupRIP) {
+	if err := s.AddRIP(ipV, last, 1); !errors.Is(err, ErrDupRIP) {
 		t.Errorf("re-adding the last RIP: %v, want ErrDupRIP", err)
 	}
-	if err := s.SetWeight("v", last, 3); err != nil {
+	if err := s.SetWeight(ipV, last, 3); err != nil {
 		t.Errorf("SetWeight: %v", err)
 	}
-	if err := s.SetRIPTag("v", last, 7); err != nil {
+	if err := s.SetRIPTag(ipV, last, 7); err != nil {
 		t.Errorf("SetRIPTag: %v", err)
 	}
-	rips, tags, ws, _ := s.AppendWeightsTagged("v", nil, nil, nil)
+	rips, tags, ws, _ := s.AppendWeightsTagged(ipV, nil, nil, nil)
 	if n := len(rips); n != limit || rips[n-1] != last || tags[n-1] != 7 || ws[n-1] != 3 {
 		t.Errorf("last entry = %s tag %d weight %v, want %s tag 7 weight 3", rips[n-1], tags[n-1], ws[n-1], last)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
-	if broken, err := s.RemoveRIP("v", last); err != nil || broken != 0 {
+	if broken, err := s.RemoveRIP(ipV, last); err != nil || broken != 0 {
 		t.Errorf("RemoveRIP = %d, %v", broken, err)
 	}
-	if s.NumRIPs() != limit-1 || s.NumRIPsOf("v") != limit-1 {
-		t.Errorf("after RemoveRIP: NumRIPs = %d, NumRIPsOf = %d", s.NumRIPs(), s.NumRIPsOf("v"))
+	if s.NumRIPs() != limit-1 || s.NumRIPsOf(ipV) != limit-1 {
+		t.Errorf("after RemoveRIP: NumRIPs = %d, NumRIPsOf = %d", s.NumRIPs(), s.NumRIPsOf(ipV))
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Error(err)

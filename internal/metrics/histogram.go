@@ -19,6 +19,7 @@ import (
 type Histogram struct {
 	bounds []float64 // ascending bucket upper bounds, never written (may be shared); one extra overflow bucket follows
 	counts []uint64  // len(bounds)+1; counts[len(bounds)] is the overflow bucket
+	pow2   bool      // bounds are the default scheme: bucketPow2 finds the bucket
 	count  uint64
 	sum    float64
 	comp   float64 // Neumaier compensation term
@@ -33,12 +34,18 @@ type Histogram struct {
 // "tick buckets" at power-of-two spacing give ~1 significant figure of
 // resolution at every scale with 31 buckets.
 func DefaultLatencyBounds() []float64 {
-	bounds := make([]float64, 0, 31)
-	for e := -10; e <= 20; e++ {
+	bounds := make([]float64, 0, defaultMaxExp-defaultMinExp+1)
+	for e := defaultMinExp; e <= defaultMaxExp; e++ {
 		bounds = append(bounds, math.Ldexp(1, e))
 	}
 	return bounds
 }
+
+// The default scheme's bounds run from 2^defaultMinExp to 2^defaultMaxExp.
+const (
+	defaultMinExp = -10
+	defaultMaxExp = 20
+)
 
 // defaultBounds is built once and shared by every histogram on the
 // default scheme, so thousands of per-app histograms do not each pull
@@ -66,6 +73,7 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		bounds: bounds,
 		counts: make([]uint64, len(bounds)+1),
+		pow2:   slices.Equal(bounds, defaultBounds),
 		min:    math.Inf(1),
 		max:    math.Inf(-1),
 	}
@@ -79,7 +87,11 @@ func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 		panic(fmt.Sprintf("metrics: Histogram.Observe(%v): duration must be finite and non-negative", v))
 	}
-	h.counts[h.bucket(v)]++
+	if h.pow2 {
+		h.counts[bucketPow2(v)]++
+	} else {
+		h.counts[h.bucket(v)]++
+	}
 	h.count++
 	h.add(v)
 	if v < h.min {
@@ -105,6 +117,20 @@ func (h *Histogram) bucket(v float64) int {
 		}
 	}
 	return lo
+}
+
+// bucketPow2 is bucket for the default scheme, whose bound i is
+// 2^(defaultMinExp+i): the first bound ≥ v is 2^⌈log2 v⌉, read from v's
+// exponent bits and rounded up when any mantissa bit is set. Zero and
+// subnormals clamp to the first bucket, values above the last bound to
+// the overflow bucket. v must be finite and non-negative.
+func bucketPow2(v float64) int {
+	b := math.Float64bits(v)
+	e := int(b>>52) - 1023 // v is in [2^e, 2^(e+1))
+	if b&(1<<52-1) != 0 {
+		e++
+	}
+	return min(max(e-defaultMinExp, 0), defaultMaxExp-defaultMinExp+1)
 }
 
 // add accumulates v into the compensated sum (Neumaier's variant of

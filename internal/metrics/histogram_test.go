@@ -91,6 +91,42 @@ func TestHistogramBucketMatchesBinarySearch(t *testing.T) {
 	}
 }
 
+// TestHistogramPow2BucketMatchesSearch checks the default scheme's
+// exponent-indexed bucket against the binary search, bit for bit: on
+// every power of two in the float64 range and both its neighbours, on 0
+// and subnormals, and on 1M random non-negative finite values (random
+// bit patterns, which cover every exponent, and values spread over the
+// scheme's own range).
+func TestHistogramPow2BucketMatchesSearch(t *testing.T) {
+	h := NewHistogram(nil)
+	if !h.pow2 || !NewHistogram(DefaultLatencyBounds()).pow2 || NewHistogram([]float64{1, 2, 4}).pow2 {
+		t.Fatal("pow2 must be set exactly for the default scheme")
+	}
+	check := func(v float64) {
+		if v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+			return
+		}
+		if got, want := bucketPow2(v), h.bucket(v); got != want {
+			t.Fatalf("bucketPow2(%v) = %d, binary search = %d", v, got, want)
+		}
+	}
+	for e := -1074; e <= 1023; e++ {
+		x := math.Ldexp(1, e)
+		check(x)
+		check(math.Nextafter(x, 0))
+		check(math.Nextafter(x, math.Inf(1)))
+	}
+	check(0)
+	check(math.SmallestNonzeroFloat64)
+	check(math.Float64frombits(1<<52 - 1)) // largest subnormal
+	check(math.MaxFloat64)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		check(math.Float64frombits(rng.Uint64() &^ (1 << 63)))
+		check(math.Ldexp(rng.Float64(), rng.Intn(40)-15))
+	}
+}
+
 func TestHistogramRejectsBadValues(t *testing.T) {
 	for _, v := range []float64{-1, math.NaN(), math.Inf(1)} {
 		func() {

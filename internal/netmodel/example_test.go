@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"megadc/internal/ids"
+	"megadc/internal/ipv4"
 	"megadc/internal/netmodel"
 )
 
@@ -12,7 +13,7 @@ import (
 // VIPs are named by handle; the platform takes handles and addresses
 // from its lbswitch.Fabric, here a one-entry table stands in.
 func Example() {
-	addrs := []netmodel.VIPAddr{"vip-1"}
+	addrs := []netmodel.VIPAddr{ipv4.MustParse("203.0.113.1")}
 	n := netmodel.New(func(h ids.Index) netmodel.VIPAddr { return addrs[h] })
 	const vip1 ids.Index = 0
 	ar := n.AddAccessRouter("isp-a")

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"megadc/internal/ipv4"
 )
 
 // loadModel is a from-scratch reference for the access network: the
@@ -83,11 +85,11 @@ func checkLoadSums(t *testing.T, seed int64) {
 	}
 	vips := make([]VIPAddr, 12)
 	for i := range vips {
-		vips[i] = fmt.Sprintf("10.0.%d.%d", i%3, i)
+		vips[i] = ipv4.MustParse(fmt.Sprintf("10.0.%d.%d", i%3, i))
 	}
 	// Hand out handles in reverse address order, so handle order and
 	// the canonical address order disagree everywhere.
-	slices.Sort(vips)
+	slices.SortFunc(vips, VIPAddr.Compare)
 	for i := len(vips) - 1; i >= 0; i-- {
 		n.h(vips[i])
 	}
@@ -185,26 +187,26 @@ func TestVIPRecordLifetime(t *testing.T) {
 		st := n.vips[n.h(vip)]
 		return len(st.ads) == 0 && st.traffic == 0 && st.share == 0 && len(st.applied) == 0
 	}
-	n.SetVIPTraffic("v", 0)
+	n.SetVIPTraffic(ipV, 0)
 	if len(n.vips) != 0 {
 		t.Fatal("zero traffic on an unknown VIP grew the record table")
 	}
-	n.SetVIPTraffic("v", 100) // traffic before any route
-	n.Advertise("v", links[0].ID, false)
-	n.Withdraw("v", links[0].ID)
-	if empty("v") || n.VIPTraffic("v") != 100 {
+	n.SetVIPTraffic(ipV, 100) // traffic before any route
+	n.Advertise(ipV, links[0].ID, false)
+	n.Withdraw(ipV, links[0].ID)
+	if empty(ipV) || n.VIPTraffic(ipV) != 100 {
 		t.Fatal("record with traffic but no route was dropped")
 	}
-	n.SetVIPTraffic("v", math.Copysign(0, -1))
-	if !empty("v") {
+	n.SetVIPTraffic(ipV, math.Copysign(0, -1))
+	if !empty(ipV) {
 		t.Fatal("record with no route and no traffic kept state")
 	}
-	if bits := math.Float64bits(n.VIPTraffic("v")); bits != 0 {
+	if bits := math.Float64bits(n.VIPTraffic(ipV)); bits != 0 {
 		t.Fatalf("VIPTraffic after -0 = %#x, want +0", bits)
 	}
-	n.Advertise("v", links[1].ID, true)
-	n.Withdraw("v", links[1].ID)
-	if !empty("v") {
+	n.Advertise(ipV, links[1].ID, true)
+	n.Withdraw(ipV, links[1].ID)
+	if !empty(ipV) {
 		t.Fatal("withdrawing the last route of an idle VIP kept state")
 	}
 	if n.Link(-1) != nil || n.Link(LinkID(len(links))) != nil {

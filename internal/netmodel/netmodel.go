@@ -15,6 +15,7 @@ import (
 
 	"megadc/internal/health"
 	"megadc/internal/ids"
+	"megadc/internal/ipv4"
 )
 
 // Identifier types for access-network elements.
@@ -27,15 +28,15 @@ type (
 	LinkID int
 )
 
-// VIPAddr is a virtual IP address as seen by the routing system. It is
-// deliberately a separate type from lbswitch.VIP only in name — both are
-// strings — so that this package does not depend on lbswitch.
+// VIPAddr is a virtual IP address as seen by the routing system: the
+// same ipv4.Addr as lbswitch.VIP, named here so that this package does
+// not depend on lbswitch.
 //
 // The network keys every per-VIP record by the VIP's dense handle (an
 // ids.Index the platform's lbswitch.Fabric assigns, DESIGN.md §22) and
-// renders an address only for errors and for the lexical order its
-// canonical sums and sorted outputs follow.
-type VIPAddr = string
+// reads an address only for errors and for the lexical order
+// (ipv4.Addr.Compare) its canonical sums and sorted outputs follow.
+type VIPAddr = ipv4.Addr
 
 // AccessRouter belongs to one ISP from which the DC buys connectivity.
 type AccessRouter struct {
@@ -125,7 +126,7 @@ func (l *Link) LoadMbps() float64 {
 func (l *Link) addKey(h ids.Index, st *vipState) {
 	addr := l.net.addr(h)
 	i, _ := slices.BinarySearchFunc(l.shareKeys, addr, func(k ids.Index, a VIPAddr) int {
-		return cmp.Compare(l.net.addr(k), a)
+		return l.net.addr(k).Compare(a)
 	})
 	l.shareKeys = slices.Insert(l.shareKeys, i, h)
 	st.keyed = append(st.keyed, l.ID)
@@ -516,7 +517,7 @@ func (n *Network) VIPsOnLink(link LinkID) []ids.Index {
 // sortByAddr sorts handles into lexical address order: the one order
 // the network lets reach an output or a float sum.
 func (n *Network) sortByAddr(hs []ids.Index) {
-	slices.SortFunc(hs, func(a, b ids.Index) int { return cmp.Compare(n.addr(a), n.addr(b)) })
+	slices.SortFunc(hs, func(a, b ids.Index) int { return n.addr(a).Compare(n.addr(b)) })
 }
 
 // CheckInvariants verifies that link loads equal the per-VIP traffic
@@ -551,7 +552,7 @@ func (n *Network) CheckInvariants() error {
 	}
 	for _, l := range n.links {
 		for i, h := range l.shareKeys {
-			if i > 0 && n.addr(l.shareKeys[i-1]) >= n.addr(h) {
+			if i > 0 && n.addr(l.shareKeys[i-1]).Compare(n.addr(h)) >= 0 {
 				return fmt.Errorf("link %d share keys out of address order at %s", l.ID, n.addr(h))
 			}
 			if !slices.Contains(n.vips[h].keyed, l.ID) {

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"megadc/internal/ipv4"
 )
 
 // buildNet makes 2 ISPs × 1 AR each, 2 border routers, 4 links
@@ -55,22 +57,22 @@ func TestAddLinkValidation(t *testing.T) {
 
 func TestAdvertiseWithdraw(t *testing.T) {
 	n, links := buildNet(t)
-	if err := n.Advertise("10.0.0.1", links[0].ID, false); err != nil {
+	if err := n.Advertise(ipv4.MustParse("10.0.0.1"), links[0].ID, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Advertise("10.0.0.1", links[0].ID, false); !errors.Is(err, ErrDupAd) {
+	if err := n.Advertise(ipv4.MustParse("10.0.0.1"), links[0].ID, false); !errors.Is(err, ErrDupAd) {
 		t.Errorf("dup err = %v", err)
 	}
-	if err := n.Advertise("10.0.0.1", 99, false); !errors.Is(err, ErrUnknownLink) {
+	if err := n.Advertise(ipv4.MustParse("10.0.0.1"), 99, false); !errors.Is(err, ErrUnknownLink) {
 		t.Errorf("unknown link err = %v", err)
 	}
-	if got := n.ActiveLinks("10.0.0.1"); len(got) != 1 || got[0] != links[0].ID {
+	if got := n.ActiveLinks(ipv4.MustParse("10.0.0.1")); len(got) != 1 || got[0] != links[0].ID {
 		t.Errorf("ActiveLinks = %v", got)
 	}
-	if err := n.Withdraw("10.0.0.1", links[0].ID); err != nil {
+	if err := n.Withdraw(ipv4.MustParse("10.0.0.1"), links[0].ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Withdraw("10.0.0.1", links[0].ID); !errors.Is(err, ErrNoRoute) {
+	if err := n.Withdraw(ipv4.MustParse("10.0.0.1"), links[0].ID); !errors.Is(err, ErrNoRoute) {
 		t.Errorf("withdraw missing err = %v", err)
 	}
 	if n.RouteUpdates != 2 {
@@ -80,20 +82,20 @@ func TestAdvertiseWithdraw(t *testing.T) {
 
 func TestPaddedAdvertisementCarriesNoTraffic(t *testing.T) {
 	n, links := buildNet(t)
-	n.Advertise("v1", links[0].ID, false)
-	n.Advertise("v1", links[1].ID, true) // padded backup
-	n.SetVIPTraffic("v1", 600)
+	n.Advertise(ipV1, links[0].ID, false)
+	n.Advertise(ipV1, links[1].ID, true) // padded backup
+	n.SetVIPTraffic(ipV1, 600)
 	if got := links[0].LoadMbps(); got != 600 {
 		t.Errorf("active link load = %v, want 600", got)
 	}
 	if got := links[1].LoadMbps(); got != 0 {
 		t.Errorf("padded link load = %v, want 0", got)
 	}
-	if got := n.AllLinks("v1"); len(got) != 2 {
+	if got := n.AllLinks(ipV1); len(got) != 2 {
 		t.Errorf("AllLinks = %v", got)
 	}
 	// Unpadding shifts half the traffic.
-	if err := n.SetPadded("v1", links[1].ID, false); err != nil {
+	if err := n.SetPadded(ipV1, links[1].ID, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := links[0].LoadMbps(); got != 300 {
@@ -101,11 +103,11 @@ func TestPaddedAdvertisementCarriesNoTraffic(t *testing.T) {
 	}
 	// SetPadded to same value is a no-op (no route update).
 	ru := n.RouteUpdates
-	n.SetPadded("v1", links[1].ID, false)
+	n.SetPadded(ipV1, links[1].ID, false)
 	if n.RouteUpdates != ru {
 		t.Error("no-op SetPadded counted a route update")
 	}
-	if err := n.SetPadded("v2", links[0].ID, true); !errors.Is(err, ErrNoRoute) {
+	if err := n.SetPadded(ipV2, links[0].ID, true); !errors.Is(err, ErrNoRoute) {
 		t.Errorf("SetPadded missing err = %v", err)
 	}
 	if err := n.CheckInvariants(); err != nil {
@@ -115,32 +117,32 @@ func TestPaddedAdvertisementCarriesNoTraffic(t *testing.T) {
 
 func TestTrafficSplitAcrossLinks(t *testing.T) {
 	n, links := buildNet(t)
-	n.Advertise("v", links[0].ID, false)
-	n.Advertise("v", links[2].ID, false)
-	n.SetVIPTraffic("v", 800)
+	n.Advertise(ipV, links[0].ID, false)
+	n.Advertise(ipV, links[2].ID, false)
+	n.SetVIPTraffic(ipV, 800)
 	if links[0].LoadMbps() != 400 || links[2].LoadMbps() != 400 {
 		t.Errorf("loads = %v", n.LinkLoads())
 	}
 	if got := links[0].Utilization(); got != 0.4 {
 		t.Errorf("utilization = %v", got)
 	}
-	n.SetVIPTraffic("v", 0)
+	n.SetVIPTraffic(ipV, 0)
 	for _, l := range n.Links() {
 		if l.LoadMbps() != 0 {
 			t.Errorf("link %d load = %v after zeroing", l.ID, l.LoadMbps())
 		}
 	}
-	if err := n.SetVIPTraffic("v", -1); err == nil {
+	if err := n.SetVIPTraffic(ipV, -1); err == nil {
 		t.Error("negative traffic accepted")
 	}
 }
 
 func TestOverloadedLinks(t *testing.T) {
 	n, links := buildNet(t)
-	n.Advertise("a", links[0].ID, false)
-	n.Advertise("b", links[1].ID, false)
-	n.SetVIPTraffic("a", 1200) // 120%
-	n.SetVIPTraffic("b", 500)  // 50%
+	n.Advertise(ipA, links[0].ID, false)
+	n.Advertise(ipB, links[1].ID, false)
+	n.SetVIPTraffic(ipA, 1200) // 120%
+	n.SetVIPTraffic(ipB, 500)  // 50%
 	over := n.OverloadedLinks(1.0)
 	if len(over) != 1 || over[0] != links[0].ID {
 		t.Errorf("OverloadedLinks = %v", over)
@@ -156,17 +158,17 @@ func TestTotalCostAndVIPsOnLink(t *testing.T) {
 	br := n.AddBorderRouter()
 	cheap, _ := n.AddLink(ar.ID, br.ID, 1000, 1)
 	dear, _ := n.AddLink(ar.ID, br.ID, 1000, 3)
-	n.Advertise("a", cheap.ID, false)
-	n.Advertise("b", dear.ID, false)
-	n.SetVIPTraffic("a", 100)
-	n.SetVIPTraffic("b", 100)
+	n.Advertise(ipA, cheap.ID, false)
+	n.Advertise(ipB, dear.ID, false)
+	n.SetVIPTraffic(ipA, 100)
+	n.SetVIPTraffic(ipB, 100)
 	if got := n.TotalCost(); got != 400 {
 		t.Errorf("TotalCost = %v, want 400", got)
 	}
-	if got := n.VIPsOnLink(cheap.ID); len(got) != 1 || got[0] != "a" {
+	if got := n.VIPsOnLink(cheap.ID); len(got) != 1 || got[0] != ipA {
 		t.Errorf("VIPsOnLink = %v", got)
 	}
-	if got := n.VIPTraffic("a"); got != 100 {
+	if got := n.VIPTraffic(ipA); got != 100 {
 		t.Errorf("VIPTraffic = %v", got)
 	}
 }
@@ -239,7 +241,7 @@ func TestPropertyTrafficConservation(t *testing.T) {
 			}
 			linkIDs = append(linkIDs, l.ID)
 		}
-		vips := []VIPAddr{"v1", "v2", "v3"}
+		vips := []VIPAddr{ipV1, ipV2, ipV3}
 		for _, op := range ops {
 			vip := vips[rng.Intn(len(vips))]
 			link := linkIDs[rng.Intn(len(linkIDs))]

@@ -30,13 +30,6 @@ import (
 	"megadc/internal/viprip"
 )
 
-// compKey identifies a failure-domain component across events.
-type compKey struct {
-	kind trace.Kind
-	id   int64
-	addr string
-}
-
 type faultOpen struct {
 	injectT  float64
 	detectT  float64
@@ -53,8 +46,8 @@ type Tracker struct {
 	// identity); the maps are never iterated, so map order is moot.
 	reqSubmitT map[int64]float64
 	reqProcT   map[int64]float64
-	drainT     map[string]float64
-	faults     map[compKey]faultOpen
+	drainT     map[int64]float64 // drain start time by VIP address (trace.Ref.ID)
+	faults     map[trace.Ref]faultOpen
 	rpcT       map[int64]float64
 
 	// DNS convergence window: a burst of DNS changes converges when the
@@ -73,8 +66,8 @@ func New(reg *metrics.Registry) *Tracker {
 		reg:        reg,
 		reqSubmitT: make(map[int64]float64),
 		reqProcT:   make(map[int64]float64),
-		drainT:     make(map[string]float64),
-		faults:     make(map[compKey]faultOpen),
+		drainT:     make(map[int64]float64),
+		faults:     make(map[trace.Ref]faultOpen),
 		rpcT:       make(map[int64]float64),
 	}
 }
@@ -160,12 +153,12 @@ func (s *Tracker) Handle(e *trace.Event) {
 
 	case trace.EvDrainStart:
 		if vip := e.Refs[0]; vip.Kind == trace.KindVIP {
-			s.drainT[vip.Addr] = e.T
+			s.drainT[vip.ID] = e.T
 		}
 
 	case trace.EvDrainForce:
 		if vip := e.Refs[0]; vip.Kind == trace.KindVIP {
-			if t0, ok := s.drainT[vip.Addr]; ok {
+			if t0, ok := s.drainT[vip.ID]; ok {
 				// Forced: the pause never came. The drain stays open —
 				// EvDrainFinish still follows and closes start_to_finish.
 				s.hist("drain.start_to_force").Observe(e.T - t0)
@@ -174,8 +167,8 @@ func (s *Tracker) Handle(e *trace.Event) {
 
 	case trace.EvDrainFinish:
 		if vip := e.Refs[0]; vip.Kind == trace.KindVIP {
-			if t0, ok := s.drainT[vip.Addr]; ok {
-				delete(s.drainT, vip.Addr)
+			if t0, ok := s.drainT[vip.ID]; ok {
+				delete(s.drainT, vip.ID)
 				s.hist("drain.start_to_finish").Observe(e.T - t0)
 			}
 		}
@@ -185,7 +178,7 @@ func (s *Tracker) Handle(e *trace.Event) {
 		if class == "" {
 			return
 		}
-		key := compKey{e.Refs[0].Kind, e.Refs[0].ID, e.Refs[0].Addr}
+		key := e.Refs[0]
 		inject, detect, repair := health.PhaseEdges(health.State(e.A), health.State(e.B))
 		switch {
 		case inject:

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"megadc/internal/health"
+	"megadc/internal/ipv4"
 	"megadc/internal/trace"
 	"megadc/internal/viprip"
 )
@@ -44,7 +45,7 @@ func TestRequestSpans(t *testing.T) {
 
 func TestDrainSpans(t *testing.T) {
 	rec, tr, now := feedRecorder(t)
-	vip := trace.VIP("10.0.0.1")
+	vip := trace.VIP(ipv4.MustParse("10.0.0.1"))
 	*now = 100
 	rec.Record(trace.EvDrainStart, 1, 65, vip)
 	*now = 170

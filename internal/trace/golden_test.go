@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"megadc/internal/ipv4"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -32,11 +34,11 @@ func goldenEvents() *Recorder {
 	rec := NewRecorder(16)
 	now := 0.0
 	rec.Now = func() float64 { return now }
-	rec.Record(EvAddVIP, 0, 0, VIP("203.0.113.1"), App(4), SwitchRef(2))
+	rec.Record(EvAddVIP, 0, 0, VIP(ipv4.MustParse("203.0.113.1")), App(4), SwitchRef(2))
 	now = 3
 	rec.Record(EvReqSubmit, 1, 0, App(4))
 	now = 3.5
-	rec.RecordErr(EvTransferVIP, 7, 0, VIP("203.0.113.1"), SwitchRef(2), SwitchRef(5))
+	rec.RecordErr(EvTransferVIP, 7, 0, VIP(ipv4.MustParse("203.0.113.1")), SwitchRef(2), SwitchRef(5))
 	now = 12.25
 	rec.Record(EvHealth, 0, 1, Server(31))
 	now = 30

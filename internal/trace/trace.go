@@ -20,6 +20,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"megadc/internal/ipv4"
 )
 
 // Kind classifies the entity a Ref points at. The kinds mirror the
@@ -59,23 +61,17 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Ref identifies one entity touched by an event. Address-named entities
-// (VIPs, RIPs) use Addr; everything else uses the numeric ID.
+// Ref identifies one entity touched by an event by its numeric ID.
+// Address-named entities (VIPs, RIPs) keep their IPv4 address there,
+// so a Ref, and with it every recorded event, holds no pointer.
 type Ref struct {
 	Kind Kind
 	ID   int64
-	Addr string
 }
 
 // Matches reports whether two refs identify the same entity.
 func (r Ref) Matches(o Ref) bool {
-	if r.Kind != o.Kind || r.Kind == KindNone {
-		return false
-	}
-	if r.Kind == KindVIP || r.Kind == KindRIP {
-		return r.Addr == o.Addr
-	}
-	return r.ID == o.ID
+	return r.Kind == o.Kind && r.Kind != KindNone && r.ID == o.ID
 }
 
 func (r Ref) String() string {
@@ -83,7 +79,7 @@ func (r Ref) String() string {
 		return "-"
 	}
 	if r.Kind == KindVIP || r.Kind == KindRIP {
-		return r.Kind.String() + ":" + r.Addr
+		return r.Kind.String() + ":" + ipv4.Addr(r.ID).String()
 	}
 	return r.Kind.String() + ":" + strconv.FormatInt(r.ID, 10)
 }
@@ -94,10 +90,10 @@ func (r Ref) String() string {
 func App[T ~int | ~int64](id T) Ref { return Ref{Kind: KindApp, ID: int64(id)} }
 
 // VIP makes a VIP ref.
-func VIP[T ~string](addr T) Ref { return Ref{Kind: KindVIP, Addr: string(addr)} }
+func VIP(addr ipv4.Addr) Ref { return Ref{Kind: KindVIP, ID: int64(addr)} }
 
 // RIP makes a RIP ref.
-func RIP[T ~string](addr T) Ref { return Ref{Kind: KindRIP, Addr: string(addr)} }
+func RIP(addr ipv4.Addr) Ref { return Ref{Kind: KindRIP, ID: int64(addr)} }
 
 // Server makes a server ref.
 func Server[T ~int | ~int64](id T) Ref { return Ref{Kind: KindServer, ID: int64(id)} }
@@ -244,9 +240,9 @@ func (t Type) String() string {
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
 
-// Event is one recorded occurrence. It is a small flat value — no
-// pointers, no heap references beyond the (shared, immutable) VIP/RIP
-// address strings — so the ring can hold events without allocating.
+// Event is one recorded occurrence. It is a small flat value with no
+// pointers (VIP and RIP refs carry their IPv4 address as a number), so
+// the ring holds events without allocating and GC never scans it.
 // A and B are a per-type payload (a weight, a state pair, a count);
 // Err is 1 when the traced operation failed. Cause, when nonzero, is
 // the CauseID of the control decision this event descends from
@@ -549,13 +545,16 @@ func ParseRefs(detail string) []Ref {
 			continue
 		}
 		val := fields[i+1]
+		var id int64
 		if k == KindVIP || k == KindRIP {
-			out = append(out, Ref{Kind: k, Addr: val})
-			i++
-			continue
-		}
-		id, err := strconv.ParseInt(val, 10, 64)
-		if err != nil {
+			a, err := ipv4.Parse(val)
+			if err != nil {
+				continue
+			}
+			id = int64(a)
+		} else if n, err := strconv.ParseInt(val, 10, 64); err == nil {
+			id = n
+		} else {
 			continue
 		}
 		out = append(out, Ref{Kind: k, ID: id})

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"megadc/internal/ipv4"
 )
 
 func TestNilRecorderIsSafe(t *testing.T) {
@@ -11,15 +13,15 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
-	r.Record(EvAddVIP, 0, 0, VIP("10.0.0.1"))
-	r.RecordErr(EvDelVIP, 0, 0, VIP("10.0.0.1"))
+	r.Record(EvAddVIP, 0, 0, VIP(ipv4.MustParse("10.0.0.1")))
+	r.RecordErr(EvDelVIP, 0, 0, VIP(ipv4.MustParse("10.0.0.1")))
 	if r.Len() != 0 || r.Total() != 0 {
 		t.Fatalf("nil recorder holds events: len=%d total=%d", r.Len(), r.Total())
 	}
 	if got := r.Events(); got != nil {
 		t.Fatalf("nil recorder Events() = %v", got)
 	}
-	if got := r.TailTouching([]Ref{VIP("10.0.0.1")}, 5); got != nil {
+	if got := r.TailTouching([]Ref{VIP(ipv4.MustParse("10.0.0.1"))}, 5); got != nil {
 		t.Fatalf("nil recorder TailTouching() = %v", got)
 	}
 	if err := r.WriteEvents(&strings.Builder{}); err != nil {
@@ -29,7 +31,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 
 func TestRecordAllocsZero(t *testing.T) {
 	r := NewRecorder(64)
-	ref := VIP("10.0.0.1")
+	ref := VIP(ipv4.MustParse("10.0.0.1"))
 	allocs := testing.AllocsPerRun(200, func() {
 		r.Record(EvAddVIP, 1, 2, ref, App(3))
 	})
@@ -70,13 +72,13 @@ func TestRingOverwrite(t *testing.T) {
 
 func TestTailTouching(t *testing.T) {
 	r := NewRecorder(32)
-	r.Record(EvAddVIP, 0, 0, VIP("a"), SwitchRef(1))
-	r.Record(EvAddVIP, 0, 0, VIP("b"), SwitchRef(2))
-	r.Record(EvAddRIP, 0, 0, VIP("a"), RIP("r1"))
-	r.Record(EvDropVIP, 0, 0, VIP("b"))
-	r.Record(EvTransferVIP, 0, 0, VIP("a"), SwitchRef(1), SwitchRef(3))
+	r.Record(EvAddVIP, 0, 0, VIP(ipA), SwitchRef(1))
+	r.Record(EvAddVIP, 0, 0, VIP(ipB), SwitchRef(2))
+	r.Record(EvAddRIP, 0, 0, VIP(ipA), RIP(ipR1))
+	r.Record(EvDropVIP, 0, 0, VIP(ipB))
+	r.Record(EvTransferVIP, 0, 0, VIP(ipA), SwitchRef(1), SwitchRef(3))
 
-	got := r.TailTouching([]Ref{VIP("a")}, 10)
+	got := r.TailTouching([]Ref{VIP(ipA)}, 10)
 	if len(got) != 3 {
 		t.Fatalf("TailTouching(vip a) returned %d events; want 3", len(got))
 	}
@@ -85,14 +87,14 @@ func TestTailTouching(t *testing.T) {
 			t.Fatalf("timeline out of order: %d after %d", got[i].Seq, got[i-1].Seq)
 		}
 	}
-	if got := r.TailTouching([]Ref{VIP("a")}, 2); len(got) != 2 || got[1].Type != EvTransferVIP {
+	if got := r.TailTouching([]Ref{VIP(ipA)}, 2); len(got) != 2 || got[1].Type != EvTransferVIP {
 		t.Fatalf("TailTouching limit: got %v", got)
 	}
 	// Switch ref matches by ID, not address.
 	if got := r.TailTouching([]Ref{SwitchRef(3)}, 10); len(got) != 1 || got[0].Type != EvTransferVIP {
 		t.Fatalf("TailTouching(switch 3): got %v", got)
 	}
-	if got := r.TailTouching([]Ref{VIP("zzz")}, 10); got != nil {
+	if got := r.TailTouching([]Ref{VIP(ipZzz)}, 10); got != nil {
 		t.Fatalf("TailTouching(unknown) = %v; want nil", got)
 	}
 }
@@ -102,8 +104,8 @@ func TestParseRefs(t *testing.T) {
 		in   string
 		want []Ref
 	}{
-		{"vip 10.0.0.9", []Ref{VIP("10.0.0.9")}},
-		{"switch 3 vip 10.0.0.9 rip 10.1.0.4", []Ref{SwitchRef(3), VIP("10.0.0.9"), RIP("10.1.0.4")}},
+		{"vip 10.0.0.9", []Ref{VIP(ipv4.MustParse("10.0.0.9"))}},
+		{"switch 3 vip 10.0.0.9 rip 10.1.0.4", []Ref{SwitchRef(3), VIP(ipv4.MustParse("10.0.0.9")), RIP(ipv4.MustParse("10.1.0.4"))}},
 		{"app 12", []Ref{App(12)}},
 		{"server 7 (pod 2)", []Ref{Server(7), Pod(2)}},
 		{"link 5", []Ref{Link(5)}},
@@ -127,7 +129,7 @@ func TestParseRefs(t *testing.T) {
 }
 
 func TestEventString(t *testing.T) {
-	e := Event{Seq: 7, T: 12.5, Type: EvTransferVIP, Refs: [3]Ref{VIP("10.0.0.1"), SwitchRef(2)}, A: 1, B: 3}
+	e := Event{Seq: 7, T: 12.5, Type: EvTransferVIP, Refs: [3]Ref{VIP(ipv4.MustParse("10.0.0.1")), SwitchRef(2)}, A: 1, B: 3}
 	s := e.String()
 	for _, want := range []string{"7 ", "t=12.5", "transfer-vip", "vip:10.0.0.1", "switch:2", "a=1", "b=3"} {
 		if !strings.Contains(s, want) {
@@ -201,10 +203,10 @@ func TestTimeseriesNilSafe(t *testing.T) {
 func TestTailTouchingAllocs(t *testing.T) {
 	r := NewRecorder(1024)
 	for i := 0; i < 2048; i++ {
-		r.Record(EvPlaceVIP, float64(i), 0, VIP("hot"), SwitchRef(i%8))
-		r.Record(EvAdjustWeights, float64(i), 0, VIP("cold"), Pod(i%4))
+		r.Record(EvPlaceVIP, float64(i), 0, VIP(ipHot), SwitchRef(i%8))
+		r.Record(EvAdjustWeights, float64(i), 0, VIP(ipCold), Pod(i%4))
 	}
-	refs := []Ref{VIP("hot")}
+	refs := []Ref{VIP(ipHot)}
 	if got := r.TailTouching(refs, 64); len(got) != 64 {
 		t.Fatalf("setup: got %d events, want 64", len(got))
 	}
@@ -214,7 +216,7 @@ func TestTailTouchingAllocs(t *testing.T) {
 		t.Fatalf("TailTouching allocates %v times, want exactly 1 (the result slice)", n)
 	}
 	// No matches means no result slice: zero allocations.
-	miss := []Ref{VIP("absent")}
+	miss := []Ref{VIP(ipAbsent)}
 	if n := testing.AllocsPerRun(100, func() {
 		r.TailTouching(miss, 64)
 	}); n != 0 {
@@ -225,10 +227,10 @@ func TestTailTouchingAllocs(t *testing.T) {
 func BenchmarkTailTouching(b *testing.B) {
 	r := NewRecorder(4096)
 	for i := 0; i < 8192; i++ {
-		r.Record(EvPlaceVIP, float64(i), 0, VIP("hot"), SwitchRef(i%8))
-		r.Record(EvAdjustWeights, float64(i), 0, VIP("cold"), Pod(i%4))
+		r.Record(EvPlaceVIP, float64(i), 0, VIP(ipHot), SwitchRef(i%8))
+		r.Record(EvAdjustWeights, float64(i), 0, VIP(ipCold), Pod(i%4))
 	}
-	refs := []Ref{VIP("hot")}
+	refs := []Ref{VIP(ipHot)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -97,11 +97,10 @@ func (a *Arch) OnboardApp(app cluster.AppID, nExt, nM int) (ext, mvips []lbswitc
 		return nil, nil, fmt.Errorf("twolayer: need at least one external VIP and one m-VIP")
 	}
 	for i := 0; i < nM; i++ {
-		addr, err := a.mPool.Alloc()
+		mvip, err := a.mPool.Alloc()
 		if err != nil {
 			return nil, nil, err
 		}
-		mvip := lbswitch.VIP(addr)
 		sw := leastVIPs(a.LB)
 		if sw == nil {
 			return nil, nil, fmt.Errorf("twolayer: LB layer full")
@@ -112,11 +111,10 @@ func (a *Arch) OnboardApp(app cluster.AppID, nExt, nM int) (ext, mvips []lbswitc
 		mvips = append(mvips, mvip)
 	}
 	for i := 0; i < nExt; i++ {
-		addr, err := a.extPool.Alloc()
+		evip, err := a.extPool.Alloc()
 		if err != nil {
 			return nil, nil, err
 		}
-		evip := lbswitch.VIP(addr)
 		sw := leastVIPs(a.DD)
 		if sw == nil {
 			return nil, nil, fmt.Errorf("twolayer: DD layer full")
@@ -153,13 +151,13 @@ func (a *Arch) ExternalVIPs(app cluster.AppID) []lbswitch.VIP {
 func (a *Arch) AddRIP(app cluster.AppID, rip lbswitch.RIP, weight float64) (lbswitch.VIP, error) {
 	mvips, ok := a.mvipsOf[app]
 	if !ok {
-		return "", fmt.Errorf("%w: %d", ErrUnknownApp, app)
+		return 0, fmt.Errorf("%w: %d", ErrUnknownApp, app)
 	}
 	// Reject bad weights before scanning for a target m-VIP, so the
 	// caller gets the typed error rather than a switch-level failure
 	// after the placement decision was already made.
 	if !validWeight(weight) {
-		return "", fmt.Errorf("%w: %v for rip %s", ErrBadWeight, weight, rip)
+		return 0, fmt.Errorf("%w: %v for rip %s", ErrBadWeight, weight, rip)
 	}
 	var best lbswitch.VIP
 	bestN := -1
@@ -181,11 +179,11 @@ func (a *Arch) AddRIP(app cluster.AppID, rip lbswitch.RIP, weight float64) (lbsw
 		}
 	}
 	if bestN < 0 {
-		return "", fmt.Errorf("twolayer: no m-VIP with spare RIP capacity for app %d", app)
+		return 0, fmt.Errorf("twolayer: no m-VIP with spare RIP capacity for app %d", app)
 	}
 	home, _ := a.LB.HomeOf(best)
 	if err := a.LB.Switch(home).AddRIP(best, rip, weight); err != nil {
-		return "", err
+		return 0, err
 	}
 	return best, nil
 }

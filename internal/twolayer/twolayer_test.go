@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"megadc/internal/ipv4"
 	"megadc/internal/lbswitch"
 )
 
@@ -82,7 +83,7 @@ func TestLoadPropagationThroughLayers(t *testing.T) {
 			t.Errorf("m-VIP %s load = %v, want 200", m, got)
 		}
 	}
-	if err := a.SetExternalLoad("203.0.113.9", 5); err == nil {
+	if err := a.SetExternalLoad(ipv4.MustParse("203.0.113.9"), 5); err == nil {
 		t.Error("unknown external VIP accepted")
 	}
 }
@@ -142,7 +143,7 @@ func TestAddRIPSpreadsAcrossMVIPs(t *testing.T) {
 	if homes[mvips[0]] != 3 || homes[mvips[1]] != 3 {
 		t.Errorf("RIP spread = %v, want 3/3", homes)
 	}
-	if _, err := a.AddRIP(9, "r", 1); err == nil {
+	if _, err := a.AddRIP(9, ipv4.MustParse("10.0.0.1"), 1); err == nil {
 		t.Error("unknown app accepted")
 	}
 	if err := a.CheckInvariants(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"megadc/internal/ipv4"
 	"megadc/internal/lbswitch"
 )
 
@@ -91,12 +92,12 @@ func TestAddRIPRejectsBadWeight(t *testing.T) {
 	if _, _, err := a.OnboardApp(1, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.AddRIP(1, "10.0.0.1", 2); err != nil {
+	if _, err := a.AddRIP(1, ipv4.MustParse("10.0.0.1"), 2); err != nil {
 		t.Fatal(err)
 	}
 	ripsBefore := a.LB.NumRIPs()
 	for _, bad := range []float64{0, -3, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		_, err := a.AddRIP(1, "10.0.0.2", bad)
+		_, err := a.AddRIP(1, ipv4.MustParse("10.0.0.2"), bad)
 		if err == nil {
 			t.Fatalf("weight %v accepted", bad)
 		}
@@ -108,7 +109,7 @@ func TestAddRIPRejectsBadWeight(t *testing.T) {
 		t.Errorf("LB layer gained RIPs from rejected adds: %d -> %d", ripsBefore, got)
 	}
 	// Unknown app still reports ErrUnknownApp, not ErrBadWeight.
-	if _, err := a.AddRIP(9, "10.0.0.3", 1); !errors.Is(err, ErrUnknownApp) {
+	if _, err := a.AddRIP(9, ipv4.MustParse("10.0.0.3"), 1); !errors.Is(err, ErrUnknownApp) {
 		t.Errorf("unknown app: err = %v, want ErrUnknownApp", err)
 	}
 }

@@ -2,7 +2,6 @@ package viprip
 
 import (
 	"fmt"
-	"slices"
 
 	"megadc/internal/cluster"
 	"megadc/internal/lbswitch"
@@ -19,17 +18,17 @@ import (
 // pick a switch pod (by aggregate pressure), then the manager's own
 // switch choice (its policy and placement strategy) over that pod's
 // switches alone — instead of scanning every switch. Scans counts
-// switch examinations so experiments can report the work saved.
+// switch examinations so experiments can report the work saved. The
+// partition is fixed at construction; the switch redistribution the
+// paper mentions is not modeled, since no experiment exercises it.
 type Hierarchy struct {
 	m *Manager
 
 	pods  [][]lbswitch.SwitchID
 	podOf map[lbswitch.SwitchID]int
 
-	// Scans counts switches examined across all allocations;
-	// Rebalances counts switch moves between switch pods.
-	Scans      int64
-	Rebalances int64
+	// Scans counts switches examined across all allocations.
+	Scans int64
 }
 
 // NewHierarchy partitions the manager's switches into nPods switch pods
@@ -105,17 +104,17 @@ func (h *Hierarchy) AddVIP(app cluster.AppID) (lbswitch.VIP, lbswitch.SwitchID, 
 		}
 	}
 	if best < 0 {
-		return "", 0, ErrNoSwitch
+		return 0, 0, ErrNoSwitch
 	}
 	// Level 2: the manager's choice among the pod's switches.
 	h.Scans += int64(len(h.pods[best]))
 	sw := h.m.pickSwitchForVIP(app, h.pods[best])
 	if sw == nil {
-		return "", 0, ErrNoSwitch
+		return 0, 0, ErrNoSwitch
 	}
 	vip, err := h.m.AddVIPOn(app, sw.ID)
 	if err != nil {
-		return "", 0, err
+		return 0, 0, err
 	}
 	return vip, sw.ID, nil
 }
@@ -128,43 +127,6 @@ func (h *Hierarchy) podHasRoom(pod int) bool {
 		}
 	}
 	return false
-}
-
-// Rebalance performs the paper's switch redistribution: while some pod
-// has at least two more switches than another, the least-pressured
-// switch of the biggest pod moves to the smallest pod. It returns the
-// number of moves.
-func (h *Hierarchy) Rebalance() int {
-	moves := 0
-	for {
-		big, small := -1, -1
-		for pod := range h.pods {
-			if big < 0 || len(h.pods[pod]) > len(h.pods[big]) {
-				big = pod
-			}
-			if small < 0 || len(h.pods[pod]) < len(h.pods[small]) {
-				small = pod
-			}
-		}
-		if big < 0 || len(h.pods[big])-len(h.pods[small]) < 2 {
-			return moves
-		}
-		// Move the least-loaded switch (its VIPs move with it — switch
-		// pod membership is management state, not data-plane state).
-		idx := 0
-		for i, id := range h.pods[big] {
-			if h.m.fabric.Switch(id).Utilization() < h.m.fabric.Switch(h.pods[big][idx]).Utilization() {
-				idx = i
-			}
-		}
-		sw := h.pods[big][idx]
-		h.pods[big] = append(h.pods[big][:idx], h.pods[big][idx+1:]...)
-		h.pods[small] = append(h.pods[small], sw)
-		slices.Sort(h.pods[small])
-		h.podOf[sw] = small
-		h.Rebalances++
-		moves++
-	}
 }
 
 // CheckInvariants verifies the pod partition: every switch in exactly

@@ -109,52 +109,6 @@ func TestHierarchyExhaustion(t *testing.T) {
 	}
 }
 
-func TestHierarchyRebalance(t *testing.T) {
-	m := newHierManager(t, 9, Blend)
-	h, err := NewHierarchy(m, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Skew the partition by hand: move everything into pod 0's list.
-	var all []lbswitch.SwitchID
-	for pod := range h.pods {
-		all = append(all, h.pods[pod]...)
-	}
-	h.pods[0] = all
-	h.pods[1] = nil
-	h.pods[2] = nil
-	for _, id := range all {
-		h.podOf[id] = 0
-	}
-	moves := h.Rebalance()
-	if moves == 0 {
-		t.Fatal("no rebalance moves")
-	}
-	sizes := h.PodSizes()
-	max, min := sizes[0], sizes[0]
-	for _, s := range sizes {
-		if s > max {
-			max = s
-		}
-		if s < min {
-			min = s
-		}
-	}
-	if max-min >= 2 {
-		t.Errorf("pods still skewed: %v", sizes)
-	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-	if h.Rebalances != int64(moves) {
-		t.Errorf("Rebalances = %d, moves = %d", h.Rebalances, moves)
-	}
-	// A balanced partition rebalances no further.
-	if h.Rebalance() != 0 {
-		t.Error("second Rebalance moved switches")
-	}
-}
-
 func TestHierarchyPodOf(t *testing.T) {
 	m := newHierManager(t, 4, Blend)
 	h, _ := NewHierarchy(m, 2)

@@ -10,9 +10,9 @@ package viprip
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"megadc/internal/ids"
+	"megadc/internal/ipv4"
 )
 
 // IPPool allocates unique IPv4 addresses from a base address. Freed
@@ -42,11 +42,16 @@ var ErrPoolExhausted = errors.New("viprip: IP pool exhausted")
 
 // NewIPPool returns a pool of size addresses starting at the dotted-quad
 // base (e.g. "10.0.0.0"). The range must fit the IPv4 address space:
-// base + size may not wrap past 255.255.255.255.
+// base + size may not wrap past 255.255.255.255. The base may not be
+// 0.0.0.0, which callers use as "no address".
 func NewIPPool(base string, size uint32) (*IPPool, error) {
-	b, err := parseIPv4(base)
+	a, err := ipv4.Parse(base)
 	if err != nil {
 		return nil, err
+	}
+	b := uint32(a)
+	if b == 0 {
+		return nil, errors.New("viprip: pool base 0.0.0.0 is the no-address value")
 	}
 	if size == 0 {
 		return nil, errors.New("viprip: pool size must be positive")
@@ -62,29 +67,26 @@ func NewIPPool(base string, size uint32) (*IPPool, error) {
 // Alloc returns an unused address from the pool: the lowest freed
 // address when any exist (all freed addresses precede the never-used
 // range), otherwise the next never-used one.
-func (p *IPPool) Alloc() (string, error) {
+func (p *IPPool) Alloc() (ipv4.Addr, error) {
 	var off uint32
 	if len(p.freed) > 0 {
 		off = p.popMin()
 	} else {
 		if p.next >= p.size {
-			return "", ErrPoolExhausted
+			return 0, ErrPoolExhausted
 		}
 		off = p.next
 		p.next++
 	}
 	p.inUse.Set(int(off))
 	p.used++
-	return formatIPv4(p.base + off), nil
+	return ipv4.Addr(p.base + off), nil
 }
 
 // Free returns an address to the pool. Freeing an address that is not
 // allocated is an error.
-func (p *IPPool) Free(ip string) error {
-	a, err := parseIPv4(ip)
-	if err != nil {
-		return err
-	}
+func (p *IPPool) Free(ip ipv4.Addr) error {
+	a := uint32(ip)
 	if a < p.base || a-p.base >= p.size || !p.inUse.Get(int(a-p.base)) {
 		return fmt.Errorf("viprip: %s not allocated from this pool", ip)
 	}
@@ -137,41 +139,27 @@ func (p *IPPool) pushMin(off uint32) {
 	}
 }
 
-// PlanSequential exposes the pool's deterministic never-used address
-// sequence for the parallel bulk-onboarding planner (core's
-// OnboardAppsBulk): next is the offset Alloc would hand out next, and
-// addrAt formats the address at any offset without touching pool
-// state, so workers can precompute address strings concurrently. It
-// fails when freed addresses exist — Alloc recycles those lowest-first,
-// so a sequential plan would diverge from what Alloc returns.
-func (p *IPPool) PlanSequential() (next uint32, addrAt func(uint32) string, err error) {
+// AllocRange allocates the n never-used addresses that n sequential
+// Alloc calls would return, and returns the first: the k-th is first+k.
+// The paper-scale bulk loader (core's OnboardAppsBulk) takes all its
+// RIPs this way. It fails when freed addresses exist, since Alloc would
+// recycle those lowest-first and the range would not be what Alloc
+// returns.
+func (p *IPPool) AllocRange(n uint32) (first ipv4.Addr, err error) {
 	if len(p.freed) > 0 {
-		return 0, nil, fmt.Errorf("viprip: pool has %d recycled addresses; sequential plan invalid", len(p.freed))
+		return 0, fmt.Errorf("viprip: pool has %d recycled addresses; a sequential range is invalid", len(p.freed))
 	}
-	base := p.base
-	return p.next, func(off uint32) string { return formatIPv4(base + off) }, nil
-}
-
-// ClaimRange marks the n offsets starting at start as allocated —
-// equivalent to n sequential Alloc calls whose address strings the
-// planner already formatted. start must still be the never-used cursor
-// of the PlanSequential that produced the plan, with no interleaved
-// Alloc or Free.
-func (p *IPPool) ClaimRange(start, n uint32) error {
-	if len(p.freed) > 0 || start != p.next {
-		return fmt.Errorf("viprip: claim [%d,%d) does not match pool cursor %d (%d freed)",
-			start, start+n, p.next, len(p.freed))
+	if uint64(p.next)+uint64(n) > uint64(p.size) {
+		return 0, ErrPoolExhausted
 	}
-	if uint64(start)+uint64(n) > uint64(p.size) {
-		return ErrPoolExhausted
-	}
+	start := p.next
 	p.inUse.Grow(int(start + n))
 	for off := start; off < start+n; off++ {
 		p.inUse.Set(int(off))
 	}
 	p.next += n
 	p.used += int(n)
-	return nil
+	return ipv4.Addr(p.base + start), nil
 }
 
 // Allocated returns the number of addresses currently in use.
@@ -179,45 +167,3 @@ func (p *IPPool) Allocated() int { return p.used }
 
 // Capacity returns the pool size.
 func (p *IPPool) Capacity() uint32 { return p.size }
-
-// parseIPv4 parses a dotted-quad address without fmt's reflection
-// overhead; at 6M RIPs every Free goes through here.
-func parseIPv4(s string) (uint32, error) {
-	var v uint32
-	part, digits, dots := uint32(0), 0, 0
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c >= '0' && c <= '9':
-			part = part*10 + uint32(c-'0')
-			digits++
-			if digits > 3 || part > 255 {
-				return 0, fmt.Errorf("viprip: bad IPv4 %q", s)
-			}
-		case c == '.':
-			if digits == 0 || dots == 3 {
-				return 0, fmt.Errorf("viprip: bad IPv4 %q", s)
-			}
-			v = v<<8 | part
-			part, digits = 0, 0
-			dots++
-		default:
-			return 0, fmt.Errorf("viprip: bad IPv4 %q", s)
-		}
-	}
-	if dots != 3 || digits == 0 {
-		return 0, fmt.Errorf("viprip: bad IPv4 %q", s)
-	}
-	return v<<8 | part, nil
-}
-
-func formatIPv4(v uint32) string {
-	var buf [15]byte
-	b := strconv.AppendUint(buf[:0], uint64(v>>24&255), 10)
-	b = append(b, '.')
-	b = strconv.AppendUint(b, uint64(v>>16&255), 10)
-	b = append(b, '.')
-	b = strconv.AppendUint(b, uint64(v>>8&255), 10)
-	b = append(b, '.')
-	b = strconv.AppendUint(b, uint64(v&255), 10)
-	return string(b)
-}

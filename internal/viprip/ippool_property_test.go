@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"megadc/internal/ipv4"
 )
 
 // TestIPPoolProperties drives a pool through random seeded alloc/free
@@ -23,9 +25,9 @@ func TestIPPoolProperties(t *testing.T) {
 			return false
 		}
 		rng := rand.New(rand.NewSource(seed))
-		inUse := map[uint32]bool{} // model: addresses currently allocated
-		freed := map[uint32]bool{} // model: addresses freed and reusable
-		var handedOut []string     // live addresses, for picking a free target
+		inUse := map[ipv4.Addr]bool{} // model: addresses currently allocated
+		freed := map[ipv4.Addr]bool{} // model: addresses freed and reusable
+		var handedOut []ipv4.Addr     // live addresses, for picking a free target
 		for _, op := range ops {
 			if op%3 != 0 && len(handedOut) > 0 { // free a random live address
 				i := rng.Intn(len(handedOut))
@@ -36,9 +38,8 @@ func TestIPPoolProperties(t *testing.T) {
 					t.Logf("free %s: %v", ip, err)
 					return false
 				}
-				a, _ := parseIPv4(ip)
-				delete(inUse, a)
-				freed[a] = true
+				delete(inUse, ip)
+				freed[ip] = true
 				continue
 			}
 			ip, err := p.Alloc()
@@ -53,30 +54,25 @@ func TestIPPoolProperties(t *testing.T) {
 				t.Logf("alloc: %v", err)
 				return false
 			}
-			a, perr := parseIPv4(ip)
-			if perr != nil {
-				t.Logf("alloc returned bad address %q", ip)
-				return false
-			}
-			if inUse[a] {
+			if inUse[ip] {
 				t.Logf("alloc returned %s while it is still registered", ip)
 				return false
 			}
 			if len(freed) > 0 { // must be the lowest freed address
-				low := uint32(0)
+				var low ipv4.Addr
 				first := true
 				for fa := range freed {
-					if first || fa < low {
+					if first || fa < low { // numeric: the pool's order
 						low, first = fa, false
 					}
 				}
-				if a != low {
-					t.Logf("alloc returned %s, want lowest freed %s", ip, formatIPv4(low))
+				if ip != low {
+					t.Logf("alloc returned %s, want lowest freed %s", ip, low)
 					return false
 				}
-				delete(freed, a)
+				delete(freed, ip)
 			}
-			inUse[a] = true
+			inUse[ip] = true
 			handedOut = append(handedOut, ip)
 			if p.Allocated() != len(inUse) {
 				t.Logf("Allocated() = %d, model has %d", p.Allocated(), len(inUse))
@@ -98,7 +94,7 @@ func TestIPPoolExhaustionIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ips []string
+	var ips []ipv4.Addr
 	for i := 0; i < 3; i++ {
 		ip, err := p.Alloc()
 		if err != nil {
@@ -131,7 +127,7 @@ func TestIPPoolRecyclesLowestFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ips []string
+	var ips []ipv4.Addr
 	for i := 0; i < 8; i++ {
 		ip, err := p.Alloc()
 		if err != nil {
@@ -145,7 +141,8 @@ func TestIPPoolRecyclesLowestFirst(t *testing.T) {
 		}
 	}
 	// Lowest-first recycling: .1, then .3, then .5, then the fresh .8.
-	for _, want := range []string{"10.0.0.1", "10.0.0.3", "10.0.0.5", "10.0.0.8"} {
+	for _, w := range []string{"10.0.0.1", "10.0.0.3", "10.0.0.5", "10.0.0.8"} {
+		want := ipv4.MustParse(w)
 		got, err := p.Alloc()
 		if err != nil {
 			t.Fatal(err)
@@ -167,7 +164,7 @@ func TestIPPoolLargeScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 1 << 20 // allocate 1M
-	ips := make([]string, 0, n)
+	ips := make([]ipv4.Addr, 0, n)
 	for i := 0; i < n; i++ {
 		ip, err := p.Alloc()
 		if err != nil {
@@ -180,9 +177,8 @@ func TestIPPoolLargeScale(t *testing.T) {
 	}
 	// Free a scattered seeded subset, tracking the minimum freed.
 	rng := rand.New(rand.NewSource(11))
-	freed := map[string]bool{}
-	low := ""
-	lowA := uint32(0)
+	freed := map[ipv4.Addr]bool{}
+	var low ipv4.Addr // 0: none freed yet; the pool never hands out 0.0.0.0 here
 	for i := 0; i < 100_000; i++ {
 		ip := ips[rng.Intn(n)]
 		if freed[ip] {
@@ -192,9 +188,8 @@ func TestIPPoolLargeScale(t *testing.T) {
 			t.Fatalf("free %s: %v", ip, err)
 		}
 		freed[ip] = true
-		a, _ := parseIPv4(ip)
-		if low == "" || a < lowA {
-			low, lowA = ip, a
+		if low == 0 || ip < low {
+			low = ip
 		}
 	}
 	got, err := p.Alloc()
@@ -205,17 +200,16 @@ func TestIPPoolLargeScale(t *testing.T) {
 		t.Fatalf("alloc after scattered frees = %s, want lowest freed %s", got, low)
 	}
 	// Drain the rest of the freed set: must come back ascending.
-	prev := lowA
+	prev := low
 	for i := 1; i < len(freed); i++ {
 		ip, err := p.Alloc()
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, _ := parseIPv4(ip)
-		if a <= prev {
-			t.Fatalf("recycled addresses out of order: %s after %s", ip, formatIPv4(prev))
+		if ip <= prev {
+			t.Fatalf("recycled addresses out of order: %s after %s", ip, prev)
 		}
-		prev = a
+		prev = ip
 	}
 }
 
@@ -233,7 +227,8 @@ func TestIPPoolOverflowRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"255.255.255.254", "255.255.255.255"} {
+	for _, w := range []string{"255.255.255.254", "255.255.255.255"} {
+		want := ipv4.MustParse(w)
 		got, err := p.Alloc()
 		if err != nil {
 			t.Fatal(err)
@@ -244,25 +239,5 @@ func TestIPPoolOverflowRejected(t *testing.T) {
 	}
 	if _, err := p.Alloc(); !errors.Is(err, ErrPoolExhausted) {
 		t.Fatalf("err = %v, want ErrPoolExhausted", err)
-	}
-}
-
-// TestIPv4ParseFormatRoundTrip checks the hand-rolled parser against the
-// formatter over random addresses and pins rejection of malformed input.
-func TestIPv4ParseFormatRoundTrip(t *testing.T) {
-	f := func(v uint32) bool {
-		got, err := parseIPv4(formatIPv4(v))
-		return err == nil && got == v
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-	for _, bad := range []string{
-		"", ".", "1.2.3", "1.2.3.4.5", "256.0.0.1", "1.2.3.1000",
-		"1..2.3", "a.b.c.d", "1.2.3.4 ", " 1.2.3.4", "-1.2.3.4", "1.2.3.",
-	} {
-		if _, err := parseIPv4(bad); err == nil {
-			t.Errorf("parseIPv4(%q) accepted malformed input", bad)
-		}
 	}
 }

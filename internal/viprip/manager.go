@@ -214,20 +214,21 @@ func (m *Manager) SetPlacement(p policy.Placement) {
 // Placement returns the active placement strategy.
 func (m *Manager) Placement() policy.Placement { return m.placement }
 
-// BulkPools returns the VIP and RIP address pools for the parallel
-// bulk-onboarding planner (core's OnboardAppsBulk), which precomputes
-// address strings concurrently via IPPool.PlanSequential and then
-// claims them in order with IPPool.ClaimRange.
-func (m *Manager) BulkPools() (vipPool, ripPool *IPPool) { return m.vipPool, m.ripPool }
-
 // AllocRIP hands out a fresh RIP address for a new VM instance.
-func (m *Manager) AllocRIP() (lbswitch.RIP, error) {
-	s, err := m.ripPool.Alloc()
-	return lbswitch.RIP(s), err
+func (m *Manager) AllocRIP() (lbswitch.RIP, error) { return m.ripPool.Alloc() }
+
+// AllocRIPs hands out n fresh RIP addresses at once, first to first+n-1,
+// for the paper-scale bulk loader (core's OnboardAppsBulk; see
+// IPPool.AllocRange).
+func (m *Manager) AllocRIPs(n int) (first lbswitch.RIP, err error) {
+	if n < 0 || uint64(n) > math.MaxUint32 {
+		return 0, fmt.Errorf("%w: %d addresses requested", ErrPoolExhausted, n)
+	}
+	return m.ripPool.AllocRange(uint32(n))
 }
 
 // FreeRIP returns a RIP address to the pool.
-func (m *Manager) FreeRIP(rip lbswitch.RIP) error { return m.ripPool.Free(string(rip)) }
+func (m *Manager) FreeRIP(rip lbswitch.RIP) error { return m.ripPool.Free(rip) }
 
 // Submit enqueues a request for serialized processing. In serialized
 // mode (StartSerialized) the pump starts immediately if the pipeline is
@@ -362,7 +363,7 @@ func (m *Manager) switchFailedMidFlight(r *Request) bool {
 		dst := m.fabric.Switch(r.Dst)
 		return dst != nil && !dst.Serving()
 	case OpAddRIP:
-		return r.VIP != "" && down(r.VIP)
+		return r.VIP != 0 && down(r.VIP)
 	}
 	return false
 }
@@ -424,14 +425,14 @@ func (m *Manager) traceReq(t trace.Type, r *Request) {
 		return
 	}
 	vip := r.VIP
-	if vip == "" {
+	if vip == 0 {
 		vip = r.Result.VIP
 	}
 	var vipRef, ripRef trace.Ref
-	if vip != "" {
+	if vip != 0 {
 		vipRef = trace.VIP(vip)
 	}
-	if r.RIP != "" {
+	if r.RIP != 0 {
 		ripRef = trace.RIP(r.RIP)
 	}
 	if r.Err != nil {
@@ -447,11 +448,11 @@ func (m *Manager) traceReq(t trace.Type, r *Request) {
 func (m *Manager) AddVIP(app cluster.AppID) (lbswitch.VIP, lbswitch.SwitchID, error) {
 	sw := m.pickSwitchForVIP(app, nil)
 	if sw == nil {
-		return "", 0, ErrNoSwitch
+		return 0, 0, ErrNoSwitch
 	}
 	vip, err := m.AddVIPOn(app, sw.ID)
 	if err != nil {
-		return "", 0, err
+		return 0, 0, err
 	}
 	return vip, sw.ID, nil
 }
@@ -463,14 +464,13 @@ func (m *Manager) AddVIP(app cluster.AppID) (lbswitch.VIP, lbswitch.SwitchID, er
 // balanced by construction, so the O(switches) pressure scan per VIP
 // would buy nothing at paper scale.
 func (m *Manager) AddVIPOn(app cluster.AppID, sw lbswitch.SwitchID) (lbswitch.VIP, error) {
-	addr, err := m.vipPool.Alloc()
+	vip, err := m.vipPool.Alloc()
 	if err != nil {
-		return "", err
+		return 0, err
 	}
-	vip := lbswitch.VIP(addr)
 	if err := m.fabric.PlaceVIP(vip, app, sw); err != nil {
-		m.vipPool.Free(addr)
-		return "", err
+		m.vipPool.Free(vip)
+		return 0, err
 	}
 	m.tracer.Record(trace.EvAddVIP, 0, 0, trace.App(app), trace.VIP(vip), trace.SwitchRef(sw))
 	return vip, nil
@@ -484,35 +484,35 @@ func (m *Manager) DelVIP(vip lbswitch.VIP) error {
 		return err
 	}
 	m.tracer.Record(trace.EvDelVIP, 0, 0, trace.VIP(vip))
-	return m.vipPool.Free(string(vip))
+	return m.vipPool.Free(vip)
 }
 
 // AddRIP configures rip with the given weight on a switch hosting one of
 // app's VIPs — per the paper, "the manager considers the switches that
 // host one of the VIPs of the corresponding application [and] selects
 // the most appropriate switch with spare RIP capacity". If preferred is
-// non-empty, that VIP is used (needed when a pod manager asks for a RIP
+// non-zero, that VIP is used (needed when a pod manager asks for a RIP
 // under a specific VIP); otherwise the VIP on the least-utilized
 // eligible switch is chosen.
 func (m *Manager) AddRIP(app cluster.AppID, rip lbswitch.RIP, weight float64, preferred lbswitch.VIP) (lbswitch.VIP, lbswitch.SwitchID, error) {
 	if !validWeight(weight) {
-		return "", 0, fmt.Errorf("%w: %v for rip %s", ErrBadWeight, weight, rip)
+		return 0, 0, fmt.Errorf("%w: %v for rip %s", ErrBadWeight, weight, rip)
 	}
-	if preferred != "" {
+	if preferred != 0 {
 		home, ok := m.fabric.HomeOf(preferred)
 		if !ok {
-			return "", 0, fmt.Errorf("%w: %s", lbswitch.ErrVIPUnknown, preferred)
+			return 0, 0, fmt.Errorf("%w: %s", lbswitch.ErrVIPUnknown, preferred)
 		}
 		sw := m.fabric.Switch(home)
 		if err := sw.AddRIP(preferred, rip, weight); err != nil {
-			return "", 0, err
+			return 0, 0, err
 		}
 		m.tracer.Record(trace.EvAddRIP, weight, 0, trace.App(app), trace.VIP(preferred), trace.RIP(rip))
 		return preferred, home, nil
 	}
 	vips := m.fabric.VIPsOfApp(app)
 	if len(vips) == 0 {
-		return "", 0, fmt.Errorf("%w: app %d", ErrNoVIPForApp, app)
+		return 0, 0, fmt.Errorf("%w: app %d", ErrNoVIPForApp, app)
 	}
 	// Offer the VIPs whose switches have spare RIP capacity (in the
 	// app's VIP order) to the placement policy. The default greedy
@@ -530,7 +530,7 @@ func (m *Manager) AddRIP(app cluster.AppID, rip lbswitch.RIP, weight float64, pr
 		m.vipCand = append(m.vipCand, i)
 	}
 	if len(m.vipCand) == 0 {
-		return "", 0, fmt.Errorf("%w: app %d (all switches at RIP limit)", ErrNoSwitch, app)
+		return 0, 0, fmt.Errorf("%w: app %d (all switches at RIP limit)", ErrNoSwitch, app)
 	}
 	cands := m.vipCand
 	swOf := func(i int) *lbswitch.Switch {
@@ -550,12 +550,12 @@ func (m *Manager) AddRIP(app cluster.AppID, rip lbswitch.RIP, weight float64, pr
 		},
 	})
 	if idx < 0 || idx >= len(cands) {
-		return "", 0, fmt.Errorf("%w: app %d (all switches at RIP limit)", ErrNoSwitch, app)
+		return 0, 0, fmt.Errorf("%w: app %d (all switches at RIP limit)", ErrNoSwitch, app)
 	}
 	vip := vips[cands[idx]]
 	home, _ := m.fabric.HomeOf(vip)
 	if err := m.fabric.Switch(home).AddRIP(vip, rip, weight); err != nil {
-		return "", 0, err
+		return 0, 0, err
 	}
 	m.tracer.Record(trace.EvAddRIP, weight, 0, trace.App(app), trace.VIP(vip), trace.RIP(rip))
 	return vip, home, nil

@@ -3,6 +3,7 @@ package viprip
 import (
 	"testing"
 
+	"megadc/internal/ipv4"
 	"megadc/internal/lbswitch"
 	"megadc/internal/sim"
 )
@@ -100,7 +101,7 @@ func TestSerializedOnDoneResubmit(t *testing.T) {
 	var finished float64
 	eng.At(0, func() {
 		m.Submit(&Request{Op: OpAddVIP, App: 3, Priority: PriorityNormal, OnDone: func(r *Request) {
-			m.Submit(&Request{Op: OpAddRIP, App: 3, RIP: "10.9.9.9", Weight: 1, VIP: r.Result.VIP,
+			m.Submit(&Request{Op: OpAddRIP, App: 3, RIP: ipv4.MustParse("10.9.9.9"), Weight: 1, VIP: r.Result.VIP,
 				OnDone: func(r2 *Request) {
 					if r2.Err != nil {
 						t.Errorf("follow-up failed: %v", r2.Err)
@@ -139,7 +140,7 @@ func TestBatchAdjustWeightsAndTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.AddRIP(7, "10.0.0.1", 2, vip); err != nil {
+	if _, _, err := m.AddRIP(7, ipv4.MustParse("10.0.0.1"), 2, vip); err != nil {
 		t.Fatal(err)
 	}
 	m.Submit(&Request{Op: OpAdjustWeights, App: 7, Priority: PriorityNormal, VIP: vip, Weights: []float64{2}})

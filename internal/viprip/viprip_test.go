@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"megadc/internal/ipv4"
 	"megadc/internal/lbswitch"
 	"megadc/internal/sim"
 	"megadc/internal/trace"
@@ -20,7 +21,7 @@ func TestIPPoolAllocFree(t *testing.T) {
 	a, _ := p.Alloc()
 	b, _ := p.Alloc()
 	c, _ := p.Alloc()
-	if a != "10.0.0.0" || b != "10.0.0.1" || c != "10.0.0.2" {
+	if a != ipv4.MustParse("10.0.0.0") || b != ipv4.MustParse("10.0.0.1") || c != ipv4.MustParse("10.0.0.2") {
 		t.Errorf("allocs = %s %s %s", a, b, c)
 	}
 	if _, err := p.Alloc(); !errors.Is(err, ErrPoolExhausted) {
@@ -43,7 +44,7 @@ func TestIPPoolAllocFree(t *testing.T) {
 
 func TestIPPoolCrossOctet(t *testing.T) {
 	p, _ := NewIPPool("10.0.0.254", 4)
-	var got []string
+	var got []ipv4.Addr
 	for i := 0; i < 4; i++ {
 		s, err := p.Alloc()
 		if err != nil {
@@ -53,7 +54,7 @@ func TestIPPoolCrossOctet(t *testing.T) {
 	}
 	want := []string{"10.0.0.254", "10.0.0.255", "10.0.1.0", "10.0.1.1"}
 	for i := range want {
-		if got[i] != want[i] {
+		if got[i].String() != want[i] {
 			t.Errorf("alloc %d = %s, want %s", i, got[i], want[i])
 		}
 	}
@@ -70,10 +71,10 @@ func TestIPPoolValidation(t *testing.T) {
 		t.Error("zero size accepted")
 	}
 	p, _ := NewIPPool("10.0.0.0", 5)
-	if err := p.Free("junk"); err == nil {
-		t.Error("freeing junk accepted")
+	if err := p.Free(ipv4.MustParse("192.0.2.1")); err == nil {
+		t.Error("freeing an address outside the pool accepted")
 	}
-	if err := p.Free("10.0.0.4"); err == nil {
+	if err := p.Free(ipv4.MustParse("10.0.0.4")); err == nil {
 		t.Error("freeing never-allocated accepted")
 	}
 }
@@ -87,8 +88,8 @@ func TestPropertyIPPoolUnique(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		live := make(map[string]bool)
-		var addrs []string
+		live := make(map[ipv4.Addr]bool)
+		var addrs []ipv4.Addr
 		for _, alloc := range ops {
 			if alloc {
 				a, err := p.Alloc()
@@ -224,7 +225,7 @@ func TestDelVIPRecyclesAddress(t *testing.T) {
 	if vip2 != vip {
 		t.Errorf("address not recycled: %s vs %s", vip2, vip)
 	}
-	if err := m.DelVIP("203.0.113.9"); err == nil {
+	if err := m.DelVIP(ipv4.MustParse("203.0.113.9")); err == nil {
 		t.Error("deleting unknown VIP accepted")
 	}
 }
@@ -239,7 +240,7 @@ func TestAddRIPPrefersLeastPressuredVIPSwitch(t *testing.T) {
 	// Pressure switch s1 with load.
 	m.Fabric().Switch(s1).SetVIPLoad(v1, 90)
 	rip, _ := m.AllocRIP()
-	vip, sw, err := m.AddRIP(1, rip, 1, "")
+	vip, sw, err := m.AddRIP(1, rip, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestAddRIPPreferredVIP(t *testing.T) {
 	if vip != v1 || sw != s1 {
 		t.Errorf("preferred ignored: %s on %d", vip, sw)
 	}
-	if _, _, err := m.AddRIP(1, rip, 1, "203.0.113.77"); err == nil {
+	if _, _, err := m.AddRIP(1, rip, 1, ipv4.MustParse("203.0.113.77")); err == nil {
 		t.Error("unknown preferred VIP accepted")
 	}
 }
@@ -268,7 +269,7 @@ func TestAddRIPPreferredVIP(t *testing.T) {
 func TestAddRIPNoVIPs(t *testing.T) {
 	m := newTestManager(t, 1, LeastVIPs)
 	rip, _ := m.AllocRIP()
-	if _, _, err := m.AddRIP(5, rip, 1, ""); !errors.Is(err, ErrNoVIPForApp) {
+	if _, _, err := m.AddRIP(5, rip, 1, 0); !errors.Is(err, ErrNoVIPForApp) {
 		t.Errorf("err = %v, want ErrNoVIPForApp", err)
 	}
 }
@@ -277,7 +278,7 @@ func TestDelRIP(t *testing.T) {
 	m := newTestManager(t, 1, LeastVIPs)
 	m.AddVIP(1)
 	rip, _ := m.AllocRIP()
-	if _, _, err := m.AddRIP(1, rip, 1, ""); err != nil {
+	if _, _, err := m.AddRIP(1, rip, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.DelRIP(1, rip); err != nil {
@@ -314,7 +315,7 @@ func TestAdjustWeightsPreservesTotal(t *testing.T) {
 	if err := m.AdjustWeights(vip, []float64{4}); err == nil {
 		t.Error("wrong arity accepted")
 	}
-	if err := m.AdjustWeights("203.0.113.88", []float64{1}); err == nil {
+	if err := m.AdjustWeights(ipv4.MustParse("203.0.113.88"), []float64{1}); err == nil {
 		t.Error("unknown VIP accepted")
 	}
 }
@@ -369,7 +370,7 @@ func TestQueuePriorityOrder(t *testing.T) {
 		if !r.Done || r.Err != nil {
 			t.Errorf("request %+v not done cleanly", r)
 		}
-		if r.Result.VIP == "" {
+		if r.Result.VIP == 0 {
 			t.Error("no VIP in result")
 		}
 	}
@@ -465,7 +466,7 @@ func TestPropertyManagerRespectsLimits(t *testing.T) {
 			if err != nil {
 				break
 			}
-			m.AddRIP(1, rip, 1, "")
+			m.AddRIP(1, rip, 1, 0)
 		}
 		return fab.CheckInvariants() == nil
 	}
