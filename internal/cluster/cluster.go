@@ -62,7 +62,7 @@ type Server struct {
 	Health health.State
 
 	used Resources
-	vms  []*VM // ascending by ID
+	vms  []VMID // ascending
 }
 
 // Serving reports whether the server is healthy enough to host work.
@@ -80,16 +80,20 @@ func (s *Server) Utilization() float64 { return s.used.MaxFraction(s.Capacity) }
 // NumVMs returns the number of VMs placed on the server.
 func (s *Server) NumVMs() int { return len(s.vms) }
 
-// VMIDs returns the IDs of VMs on the server in ascending order.
-func (s *Server) VMIDs() []VMID { return vmIDsOf(s.vms) }
+// VMIDs returns a copy of the IDs of VMs on the server in ascending
+// order, safe to range over while the loop places, migrates or removes
+// VMs.
+func (s *Server) VMIDs() []VMID { return slices.Clone(s.vms) }
 
-// VMs returns the server's VMs in ascending ID order as a read-only
-// view of the membership slice — no copy, for allocation-free scans.
-// The caller must not mutate it or hold it across membership changes.
-func (s *Server) VMs() []*VM { return s.vms }
+// VMIDsView returns the IDs of VMs on the server in ascending order as
+// a read-only view of the membership slice — no copy, for
+// allocation-free scans. The caller must not mutate it or hold it
+// across membership changes; Cluster.VM resolves each ID.
+func (s *Server) VMIDsView() []VMID { return s.vms }
 
 // VM is a virtual machine instance of one application, holding a hard
-// resource slice on one server.
+// resource slice on one server. The cluster stores VMs by value in its
+// VM table, so VM holds no pointer (TestVMTablePointerFree).
 type VM struct {
 	ID     VMID
 	App    AppID
@@ -117,14 +121,14 @@ type Application struct {
 	ID           AppID
 	Name         string
 	DefaultSlice Resources // slice given to a new instance
-	vms          []*VM     // ascending by ID
+	vms          []VMID    // ascending
 }
 
 // NumInstances returns the number of live (non-stopped) VM instances.
 func (a *Application) NumInstances() int { return len(a.vms) }
 
 // VMIDs returns the application's instance IDs in ascending order.
-func (a *Application) VMIDs() []VMID { return vmIDsOf(a.vms) }
+func (a *Application) VMIDs() []VMID { return slices.Clone(a.vms) }
 
 // Pod is a logical group of servers managed by one pod manager. Pods are
 // formed by configuration, not physical adjacency, so servers can be
@@ -154,23 +158,16 @@ func (p *Pod) Servers() []*Server { return p.servers }
 // Membership lists (Pod.servers, Server.vms, Application.vms) are
 // slices kept ascending by ID rather than maps: ID-ordered iteration —
 // which every float aggregate needs for run-to-run determinism — then
-// needs no sort, and a list costs one pointer per member. IDs are
-// assigned in increasing order, so creation appends; moves and removals
-// binary-search their position.
-
-func vmIDsOf(vms []*VM) []VMID {
-	ids := make([]VMID, len(vms))
-	for i, v := range vms {
-		ids[i] = v.ID
-	}
-	return ids
-}
+// needs no sort. A VM list holds IDs, one integer per member and
+// nothing for GC to scan; Cluster.VM resolves an ID in the VM table.
+// IDs are assigned in increasing order, so creation appends; moves and
+// removals binary-search their position.
 
 // member is an entry of a membership list, ordered by key (its ID).
 type member interface{ key() int }
 
 func (s *Server) key() int { return int(s.ID) }
-func (v *VM) key() int     { return int(v.ID) }
+func (id VMID) key() int   { return int(id) }
 
 // search finds key in the ascending list.
 func search[T member](list []T, key int) (int, bool) {
@@ -208,21 +205,33 @@ var (
 // global manager) sequence these primitives and attach latencies.
 //
 // IDs are assigned densely in creation order and never reused, so the
-// registries are flat slices indexed by ID (nil = removed) instead of
-// maps: every lookup on the demand-propagation hot path is a slice
-// index, and ID-ordered iteration needs no sort (DESIGN.md §13).
+// registries are flat tables indexed by ID instead of maps: every
+// lookup on the demand-propagation hot path is an index, and ID-ordered
+// iteration needs no sort (DESIGN.md §13).
+//
+// VMs are stored by value in fixed-size chunks: VM id is record
+// id%vmChunk of chunk id/vmChunk. A chunk never moves once allocated,
+// so the *VM that VM returns stays valid for the cluster's lifetime,
+// across later placements too, and records hold no pointer, so GC has
+// nothing to scan in the table. A removed VM leaves its record as a
+// tombstone in VMStopped state. Whether an ID is live is kept apart, in
+// the dense live table, so a liveness check does not touch the record.
+// Chunks are slices of length vmChunk rather than pointers to arrays:
+// indexing through a nil-checkable array pointer would touch the
+// chunk's first page on every lookup.
 type Cluster struct {
 	pods    []*Pod
 	servers []*Server
 	apps    []*Application
-	vms     []*VM
 
-	numVMs int // live (non-nil) entries in vms
+	vmChunks [][]VM
+	live     []bool // indexed by VMID, one entry per ID assigned: placed and not removed
+	numVMs   int    // true entries in live
 
 	// spareVMs is room set aside by Reserve for the VM lists of
 	// applications not yet created: AddApp hands each new application
 	// the next spareCap slots as an empty list of that capacity.
-	spareVMs []*VM
+	spareVMs []VMID
 	spareCap int
 
 	// OnVMChange, when set, is called after every change to a VM that
@@ -230,6 +239,16 @@ type Cluster struct {
 	// and MigrateVM (the VM's state, slice or host server). The platform
 	// uses it to invalidate its memoized per-switch backend capacity.
 	OnVMChange func(vm *VM)
+}
+
+// vmChunk is the number of VM records in one chunk of the VM table.
+const vmChunk = 1024
+
+// vmAt returns the record of VM id, live or a tombstone. id must have
+// been assigned.
+func (c *Cluster) vmAt(id VMID) *VM {
+	u := uint(id)
+	return &c.vmChunks[u/vmChunk][u%vmChunk]
 }
 
 // vmChanged fires the OnVMChange hook.
@@ -281,20 +300,32 @@ func (c *Cluster) AddApp(name string, defaultSlice Resources) *Application {
 }
 
 // Reserve readies the registries for a bulk build of apps applications
-// with perApp instances each, spread perServer to a server: the app and
-// VM registries get room for them, every server's VM list room for
-// perServer more, and each of the next apps applications AddApp creates
-// a VM list with room for perApp (carved from one shared allocation).
-// Lists that outgrow their reservation regrow as usual. Reserve changes
-// no membership or order, only capacity: it spares the fills that follow
-// from regrowing every list 0→1→2→4→… on the way to its final length.
+// with perApp instances each, spread perServer to a server: the app
+// registry gets room for them, the VM table the chunks that hold them,
+// every server's VM list room for perServer more, and each of the next
+// apps applications AddApp creates a VM list with room for perApp. The
+// server lists and the application lists are each carved from one
+// shared allocation. Lists that outgrow their reservation regrow as
+// usual. Reserve changes no membership or order, only capacity: it
+// spares the fills that follow from regrowing every list 0→1→2→4→… on
+// the way to its final length.
 func (c *Cluster) Reserve(apps, perApp, perServer int) {
 	c.apps = slices.Grow(c.apps, apps)
-	c.vms = slices.Grow(c.vms, apps*perApp)
-	for _, s := range c.servers {
-		s.vms = slices.Grow(s.vms, perServer)
+	n := len(c.live) + apps*perApp
+	c.live = slices.Grow(c.live, apps*perApp)
+	for len(c.vmChunks)*vmChunk < n {
+		c.vmChunks = append(c.vmChunks, make([]VM, vmChunk))
 	}
-	c.spareVMs, c.spareCap = make([]*VM, apps*perApp), perApp
+	total := 0
+	for _, s := range c.servers {
+		total += len(s.vms) + perServer
+	}
+	room := make([]VMID, total)
+	for _, s := range c.servers {
+		k := len(s.vms) + perServer
+		s.vms, room = append(room[:0:k], s.vms...), room[k:]
+	}
+	c.spareVMs, c.spareCap = make([]VMID, apps*perApp), perApp
 }
 
 // Pod returns the pod with the given ID, or nil.
@@ -321,12 +352,14 @@ func (c *Cluster) App(id AppID) *Application {
 	return c.apps[id]
 }
 
-// VM returns the VM with the given ID, or nil.
+// VM returns the VM with the given ID, or nil if it was never placed or
+// has been removed. The pointer stays valid for the cluster's lifetime;
+// after a RemoveVM it reads the VM's final state, VMStopped.
 func (c *Cluster) VM(id VMID) *VM {
-	if id < 0 || int(id) >= len(c.vms) {
+	if uint(id) >= uint(len(c.live)) || !c.live[id] {
 		return nil
 	}
-	return c.vms[id]
+	return c.vmAt(id)
 }
 
 // NumApps returns the number of registered applications.
@@ -368,12 +401,12 @@ func (c *Cluster) ServerIDs() []ServerID {
 	return ids
 }
 
-// VMIDs returns all VM IDs in ascending order.
+// VMIDs returns all live VM IDs in ascending order.
 func (c *Cluster) VMIDs() []VMID {
 	ids := make([]VMID, 0, c.numVMs)
-	for _, v := range c.vms {
-		if v != nil {
-			ids = append(ids, v.ID)
+	for id, live := range c.live {
+		if live {
+			ids = append(ids, VMID(id))
 		}
 	}
 	return ids
@@ -399,11 +432,16 @@ func (c *Cluster) PlaceVM(app AppID, server ServerID, slice Resources) (*VM, err
 	if !s.used.Add(slice).Fits(s.Capacity) {
 		return nil, fmt.Errorf("%w: server %d free %v, slice %v", ErrInsufficient, server, s.Free(), slice)
 	}
-	v := &VM{ID: VMID(len(c.vms)), App: app, Server: server, Slice: slice, State: VMDeploying}
-	c.vms = append(c.vms, v)
+	id := VMID(len(c.live))
+	if len(c.live) == len(c.vmChunks)*vmChunk {
+		c.vmChunks = append(c.vmChunks, make([]VM, vmChunk))
+	}
+	c.live = append(c.live, true)
 	c.numVMs++
-	a.vms = append(a.vms, v) // newest ID: both lists stay ascending
-	s.vms = append(s.vms, v)
+	v := c.vmAt(id)
+	*v = VM{ID: id, App: app, Server: server, Slice: slice, State: VMDeploying}
+	a.vms = append(a.vms, id) // newest ID: both lists stay ascending
+	s.vms = append(s.vms, id)
 	s.used = s.used.Add(slice)
 	return v, nil
 }
@@ -423,7 +461,8 @@ func (c *Cluster) Start(vm VMID) error {
 }
 
 // RemoveVM stops and deletes a VM, releasing its slice. The VM's ID is
-// never reused.
+// never reused; its record stays behind as a tombstone in VMStopped
+// state.
 func (c *Cluster) RemoveVM(vm VMID) error {
 	v := c.VM(vm)
 	if v == nil {
@@ -434,7 +473,7 @@ func (c *Cluster) RemoveVM(vm VMID) error {
 	s.vms = removeMember(s.vms, int(vm))
 	a := c.apps[v.App]
 	a.vms = removeMember(a.vms, int(vm))
-	c.vms[vm] = nil
+	c.live[vm] = false
 	c.numVMs--
 	v.State = VMStopped
 	c.vmChanged(v)
@@ -484,7 +523,7 @@ func (c *Cluster) MigrateVM(vm VMID, to ServerID) error {
 	src.used = src.used.Sub(v.Slice)
 	src.vms = removeMember(src.vms, int(vm))
 	dst.used = dst.used.Add(v.Slice)
-	dst.vms = insertMember(dst.vms, v)
+	dst.vms = insertMember(dst.vms, vm)
 	v.Server = to
 	c.vmChanged(v)
 	return nil
@@ -555,8 +594,8 @@ func (c *Cluster) PodDemand(pod PodID) Resources {
 	}
 	var d Resources
 	for _, s := range p.servers {
-		for _, v := range s.vms {
-			d = d.Add(v.Demand)
+		for _, id := range s.vms {
+			d = d.Add(c.vmAt(id).Demand)
 		}
 	}
 	return d
@@ -583,9 +622,9 @@ func (c *Cluster) AppVMsInPod(app AppID, pod PodID) []VMID {
 		return nil
 	}
 	var ids []VMID
-	for _, v := range a.vms {
-		if c.servers[v.Server].Pod == pod {
-			ids = append(ids, v.ID)
+	for _, id := range a.vms {
+		if c.servers[c.vmAt(id).Server].Pod == pod {
+			ids = append(ids, id)
 		}
 	}
 	return ids
@@ -594,7 +633,7 @@ func (c *Cluster) AppVMsInPod(app AppID, pod PodID) []VMID {
 // Covers reports whether app has at least one instance in pod.
 func (c *Cluster) Covers(app AppID, pod PodID) bool {
 	a := c.App(app)
-	return a != nil && slices.ContainsFunc(a.vms, func(v *VM) bool { return c.servers[v.Server].Pod == pod })
+	return a != nil && slices.ContainsFunc(a.vms, func(id VMID) bool { return c.servers[c.vmAt(id).Server].Pod == pod })
 }
 
 // approxEqual compares resource vectors with a relative tolerance that
@@ -627,9 +666,10 @@ func absf(x float64) float64 {
 
 // CheckInvariants verifies internal consistency: per-server used equals
 // the sum of its VM slices and never exceeds capacity, every membership
-// list is strictly ascending by ID, and all indexes agree. It returns
-// the first violation found, or nil. Tests and the simulation harness
-// call this after mutation sequences.
+// list is strictly ascending by ID, all indexes agree, and the live
+// table marks exactly the listed VMs while every other assigned ID is a
+// VMStopped tombstone. It returns the first violation found, or nil.
+// Tests and the simulation harness call this after mutation sequences.
 func (c *Cluster) CheckInvariants() error {
 	for i, p := range c.pods {
 		pid := PodID(i)
@@ -645,15 +685,16 @@ func (c *Cluster) CheckInvariants() error {
 	for i, s := range c.servers {
 		id := ServerID(i)
 		var sum Resources
-		for j, v := range s.vms {
-			if j > 0 && s.vms[j-1].ID >= v.ID {
-				return fmt.Errorf("server %d VM list not strictly ascending at vm %d", id, v.ID)
+		for j, vid := range s.vms {
+			if j > 0 && s.vms[j-1] >= vid {
+				return fmt.Errorf("server %d VM list not strictly ascending at vm %d", id, vid)
 			}
-			if c.VM(v.ID) != v {
-				return fmt.Errorf("server %d lists vm %d which is not registered", id, v.ID)
+			v := c.VM(vid)
+			if v == nil {
+				return fmt.Errorf("server %d lists vm %d which is not live", id, vid)
 			}
 			if v.Server != id {
-				return fmt.Errorf("vm %d on server %d claims server %d", v.ID, id, v.Server)
+				return fmt.Errorf("vm %d on server %d claims server %d", vid, id, v.Server)
 			}
 			sum = sum.Add(v.Slice)
 		}
@@ -670,26 +711,41 @@ func (c *Cluster) CheckInvariants() error {
 		}
 	}
 	for _, a := range c.apps {
-		for j, v := range a.vms {
-			if j > 0 && a.vms[j-1].ID >= v.ID {
-				return fmt.Errorf("app %d VM list not strictly ascending at vm %d", a.ID, v.ID)
+		for j, vid := range a.vms {
+			if j > 0 && a.vms[j-1] >= vid {
+				return fmt.Errorf("app %d VM list not strictly ascending at vm %d", a.ID, vid)
 			}
-			if v.App != a.ID || c.VM(v.ID) != v {
-				return fmt.Errorf("app %d lists vm %d which does not belong to it", a.ID, v.ID)
+			if v := c.VM(vid); v == nil || v.App != a.ID {
+				return fmt.Errorf("app %d lists vm %d which does not belong to it", a.ID, vid)
 			}
 		}
 	}
-	for i, v := range c.vms {
-		if v == nil {
+	nLive := 0
+	for i, live := range c.live {
+		vid := VMID(i)
+		v := c.vmAt(vid)
+		if v.ID != vid {
+			return fmt.Errorf("vm table slot %d holds vm %d", i, v.ID)
+		}
+		if !live {
+			if v.State != VMStopped {
+				return fmt.Errorf("removed vm %d is %v, want %v", vid, v.State, VMStopped)
+			}
 			continue // removed VM; its ID is retired, never reused
 		}
-		vid := VMID(i)
+		nLive++
+		if v.State == VMStopped {
+			return fmt.Errorf("live vm %d is %v", vid, v.State)
+		}
 		if a := c.App(v.App); a == nil || !has(a.vms, i) {
 			return fmt.Errorf("vm %d claims app %d but app does not list it", vid, v.App)
 		}
 		if s := c.Server(v.Server); s == nil || !has(s.vms, i) {
 			return fmt.Errorf("vm %d claims server %d but server does not list it", vid, v.Server)
 		}
+	}
+	if c.numVMs != nLive {
+		return fmt.Errorf("cluster counts %d live VMs, live table marks %d", c.numVMs, nLive)
 	}
 	return nil
 }

@@ -625,11 +625,11 @@ func TestOnVMChange(t *testing.T) {
 	}
 }
 
-// TestReservedPlaceVMAllocs: after Reserve, PlaceVM allocates exactly
-// once per call (the *VM itself); the registry, the server's list and
-// the application's list all fill reserved room.
+// TestReservedPlaceVMAllocs: after Reserve, PlaceVM allocates nothing;
+// the VM table's chunks, the server's list and the application's list
+// all fill reserved room.
 func TestReservedPlaceVMAllocs(t *testing.T) {
-	const n = 64
+	const n = vmChunk // the measured run fills a table chunk of its own
 	c := New()
 	pod := c.AddPod()
 	srv, err := c.AddServer(pod.ID, testSlice().Scale(2*n))
@@ -650,8 +650,8 @@ func TestReservedPlaceVMAllocs(t *testing.T) {
 			}
 		}
 	})
-	if allocs != n {
-		t.Fatalf("%d PlaceVMs after Reserve allocate %v times, want %d", n, allocs, n)
+	if allocs != 0 {
+		t.Fatalf("%d PlaceVMs after Reserve allocate %v times, want 0", n, allocs)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -659,5 +659,13 @@ func TestReservedPlaceVMAllocs(t *testing.T) {
 	// Reserved room is invisible: the lists hold exactly what was placed.
 	if got := apps[0].NumInstances() + apps[1].NumInstances(); got != 2*n || srv.NumVMs() != 2*n {
 		t.Fatalf("apps hold %d VMs, server %d, want %d", got, srv.NumVMs(), 2*n)
+	}
+	// A later, smaller reservation keeps every list and chunk in place.
+	c.Reserve(1, 1, 1)
+	if srv.NumVMs() != 2*n || c.NumVMs() != 2*n {
+		t.Fatalf("after a second Reserve: server %d VMs, cluster %d, want %d", srv.NumVMs(), c.NumVMs(), 2*n)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,6 +37,27 @@ func auditBoundVM(p *Platform, app cluster.AppID) (cluster.VMID, lbswitch.RIP, *
 	vip, _ := p.vipOfVM(vm)
 	home, _ := p.Fabric.HomeOf(vip)
 	return vm, rip, p.Fabric.Switch(home), vip
+}
+
+// retagRIP rewrites the tag of rip's entry under vip behind the
+// platform's back, by removing the entry and inserting it again with
+// the same weight.
+func retagRIP(t *testing.T, sw *lbswitch.Switch, vip lbswitch.VIP, rip lbswitch.RIP, tag int64) {
+	t.Helper()
+	rips, ws, err := sw.Weights(vip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.Index(rips, rip)
+	if i < 0 {
+		t.Fatalf("rip %s not under %s", rip, vip)
+	}
+	if _, err := sw.RemoveRIP(vip, rip); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.AddRIPTagged(vip, rip, ws[i], tag); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestAuditCleanPlatform(t *testing.T) {
@@ -84,9 +106,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			p, app := auditTestPlatform(t)
 			_, rip, sw, vip := auditBoundVM(p, app)
 			other := p.Cluster.App(app).VMIDs()[1]
-			if err := sw.SetRIPTag(vip, rip, int64(other)); err != nil {
-				t.Fatal(err)
-			}
+			retagRIP(t, sw, vip, rip, int64(other))
 			if rep := p.Audit(); !rep.Has("I1.RIP_VM_BIJECTION") {
 				t.Fatalf("missing I1.RIP_VM_BIJECTION, got:\n%s", rep)
 			}
@@ -121,9 +141,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	t.Run("I1.NO_ORPHAN_RIP", func(t *testing.T) {
 		p, app := auditTestPlatform(t)
 		_, rip, sw, vip := auditBoundVM(p, app)
-		if err := sw.SetRIPTag(vip, rip, -1); err != nil {
-			t.Fatal(err)
-		}
+		retagRIP(t, sw, vip, rip, -1)
 		if rep := p.Audit(); !rep.Has("I1.NO_ORPHAN_RIP") {
 			t.Fatalf("missing I1.NO_ORPHAN_RIP, got:\n%s", rep)
 		}

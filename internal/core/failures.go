@@ -66,8 +66,8 @@ func (p *Platform) FaultServer(id cluster.ServerID) error {
 // switch a VM on srv backs: called when srv enters or leaves Healthy,
 // which decides whether its VMs count as serving capacity.
 func (p *Platform) bumpServerBackends(srv *cluster.Server) {
-	for _, vm := range srv.VMs() {
-		p.bumpVMBackend(vm.ID)
+	for _, vmID := range srv.VMIDsView() {
+		p.bumpVMBackend(vmID)
 	}
 }
 
@@ -90,6 +90,8 @@ func (p *Platform) DetectServer(id cluster.ServerID) (lostVMs int, err error) {
 		return 0, nil
 	}
 	srv.Health = health.FailedDetected
+	// A copy, not the view: each RemoveInstance removes the VM from the
+	// server's list.
 	for _, vmID := range srv.VMIDs() {
 		if err := p.RemoveInstance(vmID); err != nil {
 			return lostVMs, err

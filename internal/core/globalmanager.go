@@ -824,6 +824,8 @@ func (g *GlobalManager) vacateAndTransfer(srv cluster.ServerID, donor, recipient
 			if server == nil || server.Pod != donor {
 				return
 			}
+			// A copy, not the view: each MigrateVM removes the VM
+			// from the server's list.
 			for _, vmID := range server.VMIDs() {
 				vm := g.p.Cluster.VM(vmID)
 				dst := g.p.emptiestServer(donor, srv, vm.Slice)
@@ -953,9 +955,8 @@ func (g *GlobalManager) hottestApp(pod cluster.PodID) (cluster.AppID, bool) {
 		return 0, false
 	}
 	demand := make(map[cluster.AppID]float64)
-	for _, sid := range pd.ServerIDs() {
-		srv := g.p.Cluster.Server(sid)
-		for _, vmID := range srv.VMIDs() {
+	for _, srv := range pd.Servers() {
+		for _, vmID := range srv.VMIDsView() {
 			vm := g.p.Cluster.VM(vmID)
 			demand[vm.App] += vm.Demand.CPU
 		}

@@ -639,10 +639,13 @@ func (p *Platform) DeployInstanceFor(app cluster.AppID, pod cluster.PodID, prefe
 		p.Cluster.RemoveVM(vm.ID)
 		return nil, err
 	}
-	vip, sw, err := p.VIPRIP.AddRIP(app, rip, 1, preferred)
+	// Tag the switch entry with the VM: the tag is the only RIP → VM
+	// mapping, so an untagged entry would back no VM.
+	tag := int64(vm.ID)
+	vip, sw, err := p.VIPRIP.AddRIP(app, rip, 1, preferred, tag)
 	if err != nil && preferred != 0 {
 		// The preferred VIP's switch may be RIP-full; fall back to any.
-		vip, sw, err = p.VIPRIP.AddRIP(app, rip, 1, 0)
+		vip, sw, err = p.VIPRIP.AddRIP(app, rip, 1, 0, tag)
 	}
 	if err != nil {
 		p.VIPRIP.FreeRIP(rip)
@@ -650,11 +653,6 @@ func (p *Platform) DeployInstanceFor(app cluster.AppID, pod cluster.PodID, prefe
 		return nil, err
 	}
 	p.bindRIP(rip, vm.ID, vip, sw)
-	// Tag the switch entry with the VM: the tag is the only RIP → VM
-	// mapping, so an untagged entry would back no VM.
-	if s := p.Fabric.Switch(sw); s != nil {
-		s.SetRIPTag(vip, rip, int64(vm.ID))
-	}
 	p.reconcileExposure(app)
 	return vm, nil
 }

@@ -310,3 +310,32 @@ func TestCloseStopsPropagateWorkers(t *testing.T) {
 		t.Error("Propagate after Close respawned workers")
 	}
 }
+
+// TestResizeScanConvergedAllocFree pins the knob-E scan of a converged
+// pod at zero heap allocations: it walks the pod's server list and each
+// server's VM list as read-only views and schedules nothing.
+func TestResizeScanConvergedAllocFree(t *testing.T) {
+	cfg := testConfig().WithKnobs(KnobVMResize)
+	p, app := singlePodPlatform(t, cfg, 4, Demand{CPU: 6, Mbps: 200})
+	pm := p.PodManagers()[0]
+	for i := 0; i < 10; i++ {
+		pm.Step()
+		p.Eng.RunFor(cfg.VMMigrateLatency + cfg.VMResizeLatency + 1)
+	}
+	resizes := pm.Resizes
+	if resizes == 0 {
+		t.Fatal("no VM was resized; the scan has nothing to converge on")
+	}
+	for _, id := range app.VMIDs() {
+		if vm := p.Cluster.VM(id); vm.Slice == defaultSlice() {
+			t.Fatalf("vm %d kept the default slice; the pod did not converge", id)
+		}
+	}
+	if n := testing.AllocsPerRun(100, pm.resizeVMs); n != 0 {
+		t.Errorf("a converged pod's resize scan allocates %v times, want 0", n)
+	}
+	p.Eng.RunFor(cfg.VMResizeLatency + 1)
+	if pm.Resizes != resizes {
+		t.Errorf("the converged scan resized %d more VMs", pm.Resizes-resizes)
+	}
+}

@@ -172,12 +172,13 @@ func (pm *PodManager) resizeVMs() {
 		return
 	}
 	head := 1 + pm.p.Cfg.VMHeadroom
-	for _, sid := range pd.ServerIDs() {
-		srv := pm.p.Cluster.Server(sid)
+	// The scans read the membership views: every resize is scheduled
+	// with a delay, so no list changes while they run.
+	for _, srv := range pd.Servers() {
 		// Pass 1: shrink. A 5% deadband prevents the resize loop from
 		// chattering against the weight-adjustment loop (knob F), whose
 		// redistribution slightly shifts per-VM demand every step.
-		for _, vmID := range srv.VMIDs() {
+		for _, vmID := range srv.VMIDsView() {
 			vm := pm.p.Cluster.VM(vmID)
 			if vm.State != cluster.VMRunning || pm.p.claims.held(claimOf(int(pm.pod), claimVM, int(vmID))) {
 				continue
@@ -189,7 +190,7 @@ func (pm *PodManager) resizeVMs() {
 			}
 		}
 		// Pass 2: grow.
-		for _, vmID := range srv.VMIDs() {
+		for _, vmID := range srv.VMIDsView() {
 			vm := pm.p.Cluster.VM(vmID)
 			if vm.State != cluster.VMRunning || pm.p.claims.held(claimOf(int(pm.pod), claimVM, int(vmID))) {
 				continue
@@ -282,8 +283,10 @@ func (pm *PodManager) defragment() {
 		return
 	}
 	trigger := 1 + resizeDeadband
-	for _, sid := range pd.ServerIDs() {
-		srv := pm.p.Cluster.Server(sid)
+	// The scans read the membership views: the migration is scheduled
+	// with a delay, after the loop.
+	for _, srv := range pd.Servers() {
+		sid := srv.ID
 		// A grow-blocked VM: overloaded past the deadband with no free
 		// CPU left on the server. Non-serving servers are left alone —
 		// detection, not defragmentation, handles their VMs.
@@ -291,7 +294,7 @@ func (pm *PodManager) defragment() {
 			continue
 		}
 		blocked := false
-		for _, vmID := range srv.VMIDs() {
+		for _, vmID := range srv.VMIDsView() {
 			vm := pm.p.Cluster.VM(vmID)
 			if vm.State == cluster.VMRunning && !pm.p.claims.held(claimOf(int(pm.pod), claimVM, int(vmID))) && vm.Overload() > trigger {
 				blocked = true
@@ -305,7 +308,7 @@ func (pm *PodManager) defragment() {
 		victim := cluster.VMID(-1)
 		var victimCPU float64
 		var dst cluster.ServerID
-		for _, vmID := range srv.VMIDs() {
+		for _, vmID := range srv.VMIDsView() {
 			vm := pm.p.Cluster.VM(vmID)
 			if vm.State != cluster.VMRunning || pm.p.claims.held(claimOf(int(pm.pod), claimVM, int(vmID))) {
 				continue
@@ -375,8 +378,8 @@ func (pm *PodManager) weightCandidates() []weightCandidate {
 	// table indexed by VIP, keeps the scratch proportional to the pod.
 	vips := pm.podVIPs[:0]
 	for _, srv := range pd.Servers() {
-		for _, vm := range srv.VMs() {
-			if vi := p.vmHomeOf(vm.ID); vi != ids.None {
+		for _, vmID := range srv.VMIDsView() {
+			if vi := p.vmHomeOf(vmID); vi != ids.None {
 				vips = append(vips, vi)
 			}
 		}
@@ -529,7 +532,8 @@ func (pm *PodManager) localScaleOut() {
 	// app's winner first in its run, and Compact keeps just that one.
 	hots := pm.hots[:0]
 	for _, srv := range pd.Servers() {
-		for _, vm := range srv.VMs() {
+		for _, vmID := range srv.VMIDsView() {
+			vm := pm.p.Cluster.VM(vmID)
 			if vm.State != cluster.VMRunning {
 				continue
 			}
@@ -669,9 +673,8 @@ func (pm *PodManager) reissueScaleOut(app cluster.AppID, hint lbswitch.VIP) bool
 	}
 	worst := 0.0
 	vip := hint
-	for _, sid := range pd.ServerIDs() {
-		srv := pm.p.Cluster.Server(sid)
-		for _, vmID := range srv.VMIDs() {
+	for _, srv := range pd.Servers() {
+		for _, vmID := range srv.VMIDsView() {
 			vm := pm.p.Cluster.VM(vmID)
 			if vm.App != app || vm.State != cluster.VMRunning {
 				continue
@@ -718,7 +721,7 @@ func (pm *PodManager) BuildPlacementProblem() (*placement.Problem, []cluster.App
 	instances := make(map[cluster.AppID][]int)
 	for _, sid := range serverIDs {
 		srv := pm.p.Cluster.Server(sid)
-		for _, vmID := range srv.VMIDs() {
+		for _, vmID := range srv.VMIDsView() {
 			vm := pm.p.Cluster.VM(vmID)
 			demand[vm.App] += vm.Demand.CPU
 			instances[vm.App] = append(instances[vm.App], machIndex[sid])

@@ -193,14 +193,11 @@ func TestDefragmentUnblocksGrowth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vip, sw, err := p.VIPRIP.AddRIP(app, rip, 1, 0)
+		vip, sw, err := p.VIPRIP.AddRIP(app, rip, 1, 0, int64(vm))
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.bindRIP(rip, vm, vip, sw)
-		if err := p.Fabric.Switch(sw).SetRIPTag(vip, rip, int64(vm)); err != nil {
-			t.Fatal(err)
-		}
 		p.reconcileExposure(app)
 	}
 	bind(blockApp.ID, blocker.ID)

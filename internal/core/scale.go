@@ -146,9 +146,13 @@ func BuildScalePlatform(spec ScaleSpec) (*Platform, error) {
 //     bindings, all of which allocate shared contiguous IDs whose order
 //     defines the state.
 //  3. fabric (parallel): RIP configuration mutates only the home
-//     switch, so workers take whole switches and apply each switch's
-//     planned RIPs in order, each inserted with its VM tag (one VIP
-//     lookup and one group scan per RIP). The OnReconfig hook is
+//     switch, so workers take whole switches and fill each of the
+//     switch's VIPs in stage-2 order with its RIPs in instance order,
+//     each inserted with its VM tag (one VIP lookup and one group scan
+//     per RIP). The work list holds one entry per VIP, not per RIP, so
+//     the garbage it leaves does not grow with the instances. A VIP's group
+//     depends only on its own inserts, so the result is what inserting
+//     every RIP in stage-2 order would build. The OnReconfig hook is
 //     parked during the stage: stage 2's AddVIPOn already recorded
 //     every VIP owner and dirtied every app, and the closing
 //     PropagateFull recomputes all routing anyway. Per-RIP trace
@@ -210,19 +214,22 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 	ripsPerVIP := (spec.InstancesPerApp + spec.VIPsPerApp - 1) / spec.VIPsPerApp
 
 	// Stage 2 — apply, in app order. RIP→switch configuration is only
-	// recorded into per-switch work lists here; stage 3 plays them out.
-	// first marks a VIP's first planned RIP, where stage 3 reserves the
-	// VIP's group.
-	type ripCfg struct {
+	// recorded into per-switch work lists here, one entry per VIP;
+	// stage 3 plays them out. A VIP of an app takes every nth of the
+	// app's instances (n = VIPs per app) from instance first on, and an
+	// app's instances have consecutive RIPs and VM IDs, so the entry
+	// holds the first instance's RIP and VM and stage 3 counts on from
+	// them.
+	type vipCfg struct {
 		vip   lbswitch.VIP
 		rip   lbswitch.RIP
-		tag   int64
-		first bool
+		vm    cluster.VMID
+		first int // the app's first instance under vip
 	}
 	nsw := p.Fabric.NumSwitches()
-	perSwitch := make([][]ripCfg, nsw)
+	perSwitch := make([][]vipCfg, nsw)
 	for s := range perSwitch {
-		perSwitch[s] = make([]ripCfg, 0, nvms/nsw+spec.InstancesPerApp)
+		perSwitch[s] = make([]vipCfg, 0, spec.Apps*spec.VIPsPerApp/nsw+spec.VIPsPerApp)
 	}
 	vips := make([]lbswitch.VIP, 0, spec.VIPsPerApp)
 	vipSw := make([]lbswitch.SwitchID, 0, spec.VIPsPerApp)
@@ -264,7 +271,9 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 			vip := vips[j%len(vips)]
 			home := vipSw[j%len(vips)]
 			p.bindRIP(rip, vm.ID, vip, home)
-			perSwitch[home] = append(perSwitch[home], ripCfg{vip: vip, rip: rip, tag: int64(vm.ID), first: j < len(vips)})
+			if j < len(vips) {
+				perSwitch[home] = append(perSwitch[home], vipCfg{vip: vip, rip: rip, vm: vm.ID, first: j})
+			}
 		}
 		p.appDemand = growSlice(p.appDemand, int(app.ID)+1)
 		p.appDemand[app.ID] = spec.Demand
@@ -292,16 +301,18 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 			defer wg.Done()
 			for s := range next {
 				sw := p.Fabric.Switch(lbswitch.SwitchID(s))
+			vips:
 				for _, c := range perSwitch[s] {
-					if c.first {
-						if err := sw.ReserveRIPs(c.vip, ripsPerVIP); err != nil {
-							errs[s] = err
-							break
-						}
-					}
-					if err := sw.AddRIPTagged(c.vip, c.rip, 1, c.tag); err != nil {
-						errs[s] = fmt.Errorf("core: bulk rip %s on switch %d: %w", c.rip, s, err)
+					if err := sw.ReserveRIPs(c.vip, ripsPerVIP); err != nil {
+						errs[s] = err
 						break
+					}
+					for k := 0; c.first+k < spec.InstancesPerApp; k += spec.VIPsPerApp {
+						rip := c.rip + lbswitch.RIP(k)
+						if err := sw.AddRIPTagged(c.vip, rip, 1, int64(c.vm)+int64(k)); err != nil {
+							errs[s] = fmt.Errorf("core: bulk rip %s on switch %d: %w", rip, s, err)
+							break vips
+						}
 					}
 				}
 			}

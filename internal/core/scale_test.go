@@ -76,7 +76,7 @@ func TestBulkLedgerCapacity(t *testing.T) {
 		}
 	}
 	for _, id := range p.Cluster.ServerIDs() {
-		vms := p.Cluster.Server(id).VMs()
+		vms := p.Cluster.Server(id).VMIDsView()
 		if n, c := len(vms), cap(vms); !tight(n, c) {
 			t.Fatalf("server %d lists %d VMs in capacity %d", id, n, c)
 		}
@@ -84,11 +84,13 @@ func TestBulkLedgerCapacity(t *testing.T) {
 }
 
 // TestBulkBuildNoPerRIPAllocs is the allocation gate of the numeric
-// addresses: a RIP in the bulk build is its pool offset plus a value in
-// its switch entry, so an added instance costs exactly one heap object,
-// its *cluster.VM, and its RIP none. Two builds on one topology differ
-// only in instances per app; their allocation counts may differ by at
-// most one per added instance (a string per RIP would make it two).
+// addresses and of VMs by value: a RIP in the bulk build is its pool
+// offset plus a value in its switch entry, and a VM is a record in a
+// chunk of the cluster's VM table that Reserve allocated, so an added
+// instance costs no heap object of its own. Two builds on one topology
+// differ only in instances per app; their allocation counts may differ
+// by at most 0.01 per added instance (the table's chunks, 1024 VMs
+// each; a heap object per VM or a string per RIP would make it 1).
 func TestBulkBuildNoPerRIPAllocs(t *testing.T) {
 	big := ScaleSpecFor(1000)
 	big.InstancesPerApp = 40
@@ -115,9 +117,11 @@ func TestBulkBuildNoPerRIPAllocs(t *testing.T) {
 	small, smallRIPs := mallocs(20)
 	large, largeRIPs := mallocs(40)
 	added := largeRIPs - smallRIPs
-	if perInstance := float64(large-small) / float64(added); perInstance > 1.01 {
-		t.Errorf("bulk build: %d allocations for %d RIPs, %d for %d: %.3f per added instance, want 1 (its VM)",
-			small, smallRIPs, large, largeRIPs, perInstance)
+	perInstance := float64(large-small) / float64(added)
+	t.Logf("bulk build: %d allocations for %d RIPs, %d for %d: %.4f per added instance",
+		small, smallRIPs, large, largeRIPs, perInstance)
+	if perInstance > 0.01 {
+		t.Errorf("%.4f allocations per added instance, want at most 0.01", perInstance)
 	}
 }
 

@@ -201,6 +201,8 @@ func (c *Consolidator) powerOffOne(pod cluster.PodID) {
 // the same pod, respecting the pack ceiling.
 func (c *Consolidator) vacate(pod cluster.PodID, srv *cluster.Server) error {
 	pd := c.p.Cluster.Pod(pod)
+	// A copy, not the view: each migration removes the VM from the
+	// server's list.
 	for _, vmID := range srv.VMIDs() {
 		vm := c.p.Cluster.VM(vmID)
 		dst := cluster.ServerID(-1)

@@ -309,10 +309,11 @@ func TestFabricTransferCarriesGroup(t *testing.T) {
 	f.PlaceVIP(ipV, 3, 0)
 	for i, w := range []float64{1, 2.5, 4} {
 		rip := ipv4.MustParse("10.1.0.1") + RIP(i)
-		src.AddRIP(ipV, rip, w)
-		if i != 1 { // the middle RIP stays untagged
-			src.SetRIPTag(ipV, rip, int64(10+i))
+		tag := int64(10 + i)
+		if i == 1 { // the middle RIP stays untagged
+			tag = -1
 		}
+		src.AddRIPTagged(ipV, rip, w, tag)
 	}
 	rng := rand.New(rand.NewSource(3))
 	const open = 5

@@ -112,7 +112,7 @@ type ripEntry struct {
 	// platform stores the dense VM index of the instance behind the RIP
 	// so demand propagation can fan out to flat tables without a string
 	// lookup per RIP. Tags are simulator bookkeeping, not switch
-	// configuration: setting one does not count as a reconfiguration.
+	// configuration; a tag is set only by the insert (AddRIPTagged).
 	tag int64
 }
 
@@ -213,8 +213,8 @@ type Switch struct {
 	sumValid bool
 
 	// backendGen moves whenever the switch's backend set changes: a VIP
-	// or RIP is added or removed, or a RIP's tag (the VM it resolves to)
-	// is rewritten. Weight and load changes leave it alone. Callers
+	// or RIP (with its tag, the VM it resolves to) is added or removed.
+	// Weight and load changes leave it alone. Callers
 	// memoize per-switch derivations of the backend set behind it.
 	backendGen uint64
 
@@ -241,8 +241,8 @@ type Switch struct {
 func (s *Switch) Serving() bool { return s.Health.Serving() }
 
 // BackendGen returns the switch's backend generation: it changes on
-// every VIP/RIP membership change and every RIP tag write, and on
-// nothing else (not on weight, load, connection or health changes).
+// every VIP/RIP membership change, and on nothing else (not on weight,
+// load, connection or health changes).
 func (s *Switch) BackendGen() uint64 { return s.backendGen }
 
 // NewSwitch returns a switch with the given limits and its own VIP
@@ -384,8 +384,8 @@ func (s *Switch) AddRIP(vip VIP, rip RIP, weight float64) error {
 
 // AddRIPTagged is AddRIP with the RIP's tag (see ripEntry) set in the
 // insert itself, so a caller that knows the instance behind the RIP
-// pays one VIP lookup and one group scan, not a second pair for
-// SetRIPTag.
+// pays one VIP lookup and one group scan. A tag is written only here:
+// it names the instance behind the RIP for the entry's lifetime.
 func (s *Switch) AddRIPTagged(vip VIP, rip RIP, weight float64, tag int64) error {
 	e := s.entry(vip)
 	if e == nil {
@@ -471,25 +471,6 @@ func (s *Switch) SetWeight(vip VIP, rip RIP, weight float64) error {
 	if s.OnReconfig != nil {
 		s.OnReconfig(e.h, e.app)
 	}
-	return nil
-}
-
-// SetRIPTag attaches an opaque tag to a configured RIP (see ripEntry):
-// the platform tags a RIP after the VIP/RIP manager chose its VIP.
-// Unlike weight changes this is not a reconfiguration: no counter bump,
-// no OnReconfig callback. It does move the backend generation, since
-// the tag names the instance behind the RIP.
-func (s *Switch) SetRIPTag(vip VIP, rip RIP, tag int64) error {
-	e := s.entry(vip)
-	if e == nil {
-		return s.noVIP(vip)
-	}
-	i := e.find(rip)
-	if i < 0 {
-		return fmt.Errorf("%w: %s in %s", ErrNoSuchRIP, rip, vip)
-	}
-	e.rips[i].tag = tag
-	s.backendGen++
 	return nil
 }
 

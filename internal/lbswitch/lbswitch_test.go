@@ -281,8 +281,7 @@ func TestVIPSeqAndTaggedWeights(t *testing.T) {
 	}
 
 	s.AddRIP(ipC, ipR1, 1)
-	s.AddRIP(ipC, ipR2, 3)
-	s.SetRIPTag(ipC, ipR2, 7)
+	s.AddRIPTagged(ipC, ipR2, 3, 7)
 	rips, tags, ws, err := s.AppendWeightsTagged(ipC, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -443,9 +442,9 @@ func TestPropertySwitchInvariants(t *testing.T) {
 }
 
 // TestBackendGen: the backend generation moves on every VIP/RIP
-// membership change and every RIP tag write — including the tag a VIP
-// transfer carries to the destination switch — and on nothing else: not
-// on weight, load, connection or health changes.
+// membership change — tagged inserts included, such as the one that
+// carries a RIP's tag to a VIP transfer's destination switch — and on
+// nothing else: not on weight, load, connection or health changes.
 func TestBackendGen(t *testing.T) {
 	f := NewFabric()
 	s := f.AddSwitch(smallLimits())
@@ -462,8 +461,7 @@ func TestBackendGen(t *testing.T) {
 	}
 	moves("AddVIP", true, func() error { return s.AddVIP(ipV, 1) })
 	moves("AddRIP", true, func() error { return s.AddRIP(ipV, ipR1, 1) })
-	moves("AddRIP", true, func() error { return s.AddRIP(ipV, ipR2, 1) })
-	moves("SetRIPTag", true, func() error { return s.SetRIPTag(ipV, ipR1, 7) })
+	moves("AddRIPTagged", true, func() error { return s.AddRIPTagged(ipV, ipR2, 1, 7) })
 	moves("SetWeight", false, func() error { return s.SetWeight(ipV, ipR1, 3) })
 	moves("SetVIPLoad", false, func() error { return s.SetVIPLoad(ipV, 40) })
 	moves("OpenConn", false, func() error {
@@ -479,10 +477,7 @@ func TestBackendGen(t *testing.T) {
 	if err := f.PlaceVIP(ipT, 3, s.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddRIP(ipT, ipR4, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetRIPTag(ipT, ipR4, 11); err != nil {
+	if err := s.AddRIPTagged(ipT, ipR4, 1, 11); err != nil {
 		t.Fatal(err)
 	}
 	srcBefore, dstBefore := s.BackendGen(), dst.BackendGen()

@@ -74,7 +74,8 @@ func TestReservedRIPGroupAllocs(t *testing.T) {
 }
 
 // TestFullRIPGroup: a VIP at the per-switch RIP limit keeps every input
-// check, and every operation on its last entry still works.
+// check, and every operation on its last entry still works, including
+// refilling its slot with a tagged insert.
 func TestFullRIPGroup(t *testing.T) {
 	s, last := fillRIPGroup(t)
 	limit := s.Limits.MaxRIPs
@@ -87,11 +88,14 @@ func TestFullRIPGroup(t *testing.T) {
 	if err := s.AddRIP(ipV, last, 1); !errors.Is(err, ErrDupRIP) {
 		t.Errorf("re-adding the last RIP: %v, want ErrDupRIP", err)
 	}
+	if _, err := s.RemoveRIP(ipV, last); err != nil {
+		t.Errorf("RemoveRIP of the last entry: %v", err)
+	}
+	if err := s.AddRIPTagged(ipV, last, 1, 7); err != nil {
+		t.Errorf("AddRIPTagged into the freed slot: %v", err)
+	}
 	if err := s.SetWeight(ipV, last, 3); err != nil {
 		t.Errorf("SetWeight: %v", err)
-	}
-	if err := s.SetRIPTag(ipV, last, 7); err != nil {
-		t.Errorf("SetRIPTag: %v", err)
 	}
 	rips, tags, ws, _ := s.AppendWeightsTagged(ipV, nil, nil, nil)
 	if n := len(rips); n != limit || rips[n-1] != last || tags[n-1] != 7 || ws[n-1] != 3 {

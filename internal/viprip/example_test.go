@@ -29,7 +29,7 @@ func Example() {
 	fmt.Println("processed first:", done[0].App, "(high priority)")
 
 	rip, _ := mgr.AllocRIP()
-	vip, sw, _ := mgr.AddRIP(2, rip, 1, 0) // no preferred VIP: the manager picks
+	vip, sw, _ := mgr.AddRIP(2, rip, 1, 0, -1) // no preferred VIP: the manager picks
 	fmt.Printf("RIP %s configured under app 2's VIP %s on switch %d\n", rip, vip, sw)
 	// Output:
 	// processed first: 2 (high priority)

@@ -38,7 +38,7 @@ func setupTwoSwitchVIPs(t *testing.T) (m *Manager, eng *sim.Engine, vips [2]lbsw
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := m.AddRIP(1, rip, 1, vip); err != nil {
+		if _, _, err := m.AddRIP(1, rip, 1, vip, -1); err != nil {
 			t.Fatal(err)
 		}
 		vips[i] = vip

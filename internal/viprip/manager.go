@@ -399,7 +399,8 @@ func (m *Manager) exec(r *Request) {
 	case OpDelVIP:
 		r.Err = m.DelVIP(r.VIP)
 	case OpAddRIP:
-		r.Result.VIP, r.Result.Switch, r.Err = m.AddRIP(r.App, r.RIP, r.Weight, r.VIP)
+		// A queued AddRIP names no instance: its entry stays untagged.
+		r.Result.VIP, r.Result.Switch, r.Err = m.AddRIP(r.App, r.RIP, r.Weight, r.VIP, -1)
 	case OpDelRIP:
 		r.Err = m.DelRIP(r.App, r.RIP)
 	case OpAdjustWeights:
@@ -493,8 +494,11 @@ func (m *Manager) DelVIP(vip lbswitch.VIP) error {
 // the most appropriate switch with spare RIP capacity". If preferred is
 // non-zero, that VIP is used (needed when a pod manager asks for a RIP
 // under a specific VIP); otherwise the VIP on the least-utilized
-// eligible switch is chosen.
-func (m *Manager) AddRIP(app cluster.AppID, rip lbswitch.RIP, weight float64, preferred lbswitch.VIP) (lbswitch.VIP, lbswitch.SwitchID, error) {
+// eligible switch is chosen. The RIP's switch entry gets tag (see
+// lbswitch.Switch.AddRIPTagged; -1 for none) in the insert itself, so a
+// caller that knows the instance behind the RIP needs no second lookup
+// of the chosen VIP to record it.
+func (m *Manager) AddRIP(app cluster.AppID, rip lbswitch.RIP, weight float64, preferred lbswitch.VIP, tag int64) (lbswitch.VIP, lbswitch.SwitchID, error) {
 	if !validWeight(weight) {
 		return 0, 0, fmt.Errorf("%w: %v for rip %s", ErrBadWeight, weight, rip)
 	}
@@ -504,7 +508,7 @@ func (m *Manager) AddRIP(app cluster.AppID, rip lbswitch.RIP, weight float64, pr
 			return 0, 0, fmt.Errorf("%w: %s", lbswitch.ErrVIPUnknown, preferred)
 		}
 		sw := m.fabric.Switch(home)
-		if err := sw.AddRIP(preferred, rip, weight); err != nil {
+		if err := sw.AddRIPTagged(preferred, rip, weight, tag); err != nil {
 			return 0, 0, err
 		}
 		m.tracer.Record(trace.EvAddRIP, weight, 0, trace.App(app), trace.VIP(preferred), trace.RIP(rip))
@@ -554,7 +558,7 @@ func (m *Manager) AddRIP(app cluster.AppID, rip lbswitch.RIP, weight float64, pr
 	}
 	vip := vips[cands[idx]]
 	home, _ := m.fabric.HomeOf(vip)
-	if err := m.fabric.Switch(home).AddRIP(vip, rip, weight); err != nil {
+	if err := m.fabric.Switch(home).AddRIPTagged(vip, rip, weight, tag); err != nil {
 		return 0, 0, err
 	}
 	m.tracer.Record(trace.EvAddRIP, weight, 0, trace.App(app), trace.VIP(vip), trace.RIP(rip))

@@ -140,7 +140,7 @@ func TestBatchAdjustWeightsAndTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.AddRIP(7, ipv4.MustParse("10.0.0.1"), 2, vip); err != nil {
+	if _, _, err := m.AddRIP(7, ipv4.MustParse("10.0.0.1"), 2, vip, -1); err != nil {
 		t.Fatal(err)
 	}
 	m.Submit(&Request{Op: OpAdjustWeights, App: 7, Priority: PriorityNormal, VIP: vip, Weights: []float64{2}})

@@ -240,7 +240,7 @@ func TestAddRIPPrefersLeastPressuredVIPSwitch(t *testing.T) {
 	// Pressure switch s1 with load.
 	m.Fabric().Switch(s1).SetVIPLoad(v1, 90)
 	rip, _ := m.AllocRIP()
-	vip, sw, err := m.AddRIP(1, rip, 1, 0)
+	vip, sw, err := m.AddRIP(1, rip, 1, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,14 +254,14 @@ func TestAddRIPPreferredVIP(t *testing.T) {
 	v1, s1, _ := m.AddVIP(1)
 	m.AddVIP(1)
 	rip, _ := m.AllocRIP()
-	vip, sw, err := m.AddRIP(1, rip, 2, v1)
+	vip, sw, err := m.AddRIP(1, rip, 2, v1, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vip != v1 || sw != s1 {
 		t.Errorf("preferred ignored: %s on %d", vip, sw)
 	}
-	if _, _, err := m.AddRIP(1, rip, 1, ipv4.MustParse("203.0.113.77")); err == nil {
+	if _, _, err := m.AddRIP(1, rip, 1, ipv4.MustParse("203.0.113.77"), -1); err == nil {
 		t.Error("unknown preferred VIP accepted")
 	}
 }
@@ -269,7 +269,7 @@ func TestAddRIPPreferredVIP(t *testing.T) {
 func TestAddRIPNoVIPs(t *testing.T) {
 	m := newTestManager(t, 1, LeastVIPs)
 	rip, _ := m.AllocRIP()
-	if _, _, err := m.AddRIP(5, rip, 1, 0); !errors.Is(err, ErrNoVIPForApp) {
+	if _, _, err := m.AddRIP(5, rip, 1, 0, -1); !errors.Is(err, ErrNoVIPForApp) {
 		t.Errorf("err = %v, want ErrNoVIPForApp", err)
 	}
 }
@@ -278,7 +278,7 @@ func TestDelRIP(t *testing.T) {
 	m := newTestManager(t, 1, LeastVIPs)
 	m.AddVIP(1)
 	rip, _ := m.AllocRIP()
-	if _, _, err := m.AddRIP(1, rip, 1, 0); err != nil {
+	if _, _, err := m.AddRIP(1, rip, 1, 0, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.DelRIP(1, rip); err != nil {
@@ -297,8 +297,8 @@ func TestAdjustWeightsPreservesTotal(t *testing.T) {
 	vip, sw, _ := m.AddVIP(1)
 	r1, _ := m.AllocRIP()
 	r2, _ := m.AllocRIP()
-	m.AddRIP(1, r1, 1, vip)
-	m.AddRIP(1, r2, 3, vip)
+	m.AddRIP(1, r1, 1, vip, -1)
+	m.AddRIP(1, r2, 3, vip, -1)
 	// Valid: total stays 4.
 	if err := m.AdjustWeights(vip, []float64{2, 2}); err != nil {
 		t.Fatal(err)
@@ -328,8 +328,8 @@ func TestDoAppliesAtOnce(t *testing.T) {
 	vip, sw, _ := m.AddVIP(1)
 	r1, _ := m.AllocRIP()
 	r2, _ := m.AllocRIP()
-	m.AddRIP(1, r1, 1, vip)
-	m.AddRIP(1, r2, 3, vip)
+	m.AddRIP(1, r1, 1, vip, -1)
+	m.AddRIP(1, r2, 3, vip, -1)
 	var done *Request
 	r := &Request{Op: OpAdjustWeights, App: 1, VIP: vip, Weights: []float64{2, 2},
 		OnDone: func(r *Request) { done = r }}
@@ -466,7 +466,7 @@ func TestPropertyManagerRespectsLimits(t *testing.T) {
 			if err != nil {
 				break
 			}
-			m.AddRIP(1, rip, 1, 0)
+			m.AddRIP(1, rip, 1, 0, -1)
 		}
 		return fab.CheckInvariants() == nil
 	}
@@ -549,7 +549,7 @@ func TestAddRIPRejectsBadWeight(t *testing.T) {
 		m := newTestManager(t, 1, LeastVIPs)
 		vip, _, _ := m.AddVIP(1)
 		rip, _ := m.AllocRIP()
-		if _, _, err := m.AddRIP(1, rip, w, vip); !errors.Is(err, ErrBadWeight) {
+		if _, _, err := m.AddRIP(1, rip, w, vip, -1); !errors.Is(err, ErrBadWeight) {
 			t.Errorf("AddRIP weight %v: err = %v, want ErrBadWeight", w, err)
 		}
 	}
@@ -566,8 +566,8 @@ func TestAdjustWeightsRejectsBadWeight(t *testing.T) {
 		vip, sw, _ := m.AddVIP(1)
 		r1, _ := m.AllocRIP()
 		r2, _ := m.AllocRIP()
-		m.AddRIP(1, r1, 1, vip)
-		m.AddRIP(1, r2, 3, vip)
+		m.AddRIP(1, r1, 1, vip, -1)
+		m.AddRIP(1, r2, 3, vip, -1)
 		// The first element alone is valid and, under a partial
 		// application, would have been written before the bad second
 		// element was noticed.
