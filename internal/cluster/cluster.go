@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"megadc/internal/health"
 )
@@ -444,6 +445,127 @@ func (c *Cluster) PlaceVM(app AppID, server ServerID, slice Resources) (*VM, err
 	s.vms = append(s.vms, id)
 	s.used = s.used.Add(slice)
 	return v, nil
+}
+
+// PlaceRange places and starts apps×perApp VMs as one range fill, spread
+// over up to workers goroutines. Instance k (0 ≤ k < apps×perApp) becomes
+// VM base+k, base being the next VM ID, an instance of app
+// firstApp+k/perApp on servers[k%len(servers)] with the given slice,
+// running. servers must be distinct and ascending.
+//
+// The result is exactly the state the same sequence of PlaceVM and Start
+// calls builds: records, liveness, NumVMs, every list in ascending VM
+// order and every server's used, summed in that order. The fill is
+// bit-identical for any worker count: workers write disjoint records,
+// whole application lists and whole servers. Unlike Start it fires no
+// OnVMChange: a VM placed here has no RIP binding yet, so no switch's
+// backend capacity can count it.
+//
+// Every check runs before anything is written, so a failed fill changes
+// nothing. Apps and servers must exist and the slice must be
+// non-negative; when a server would run out of capacity, the error names
+// the lowest failing instance and wraps ErrInsufficient, as the PlaceVM
+// sequence would have failed there first.
+func (c *Cluster) PlaceRange(firstApp AppID, apps, perApp int, servers []ServerID, slice Resources, workers int) (base VMID, err error) {
+	base = VMID(len(c.live))
+	if apps <= 0 || perApp <= 0 {
+		return base, nil
+	}
+	if c.App(firstApp) == nil || c.App(firstApp+AppID(apps-1)) == nil {
+		return base, fmt.Errorf("%w: apps %d..%d", ErrNotFound, firstApp, int(firstApp)+apps-1)
+	}
+	if len(servers) == 0 {
+		return base, fmt.Errorf("%w: no servers to place on", ErrBadState)
+	}
+	for i, id := range servers {
+		if c.Server(id) == nil {
+			return base, fmt.Errorf("%w: server %d", ErrNotFound, id)
+		}
+		if i > 0 && servers[i-1] >= id {
+			return base, fmt.Errorf("%w: servers not ascending at %d", ErrBadState, id)
+		}
+	}
+	if !slice.NonNegative() {
+		return base, fmt.Errorf("%w: negative slice %v", ErrBadState, slice)
+	}
+	n := apps * perApp
+	stride := len(servers)
+
+	// Capacity, server by server in ascending VM order, as the PlaceVM
+	// sequence checks it. Each shard keeps its lowest failing instance.
+	failed := make([]int, max(workers, 1))
+	for w := range failed {
+		failed[w] = n
+	}
+	shardRange(len(servers), workers, func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s := c.servers[servers[i]]
+			used := s.used
+			for k := i; k < n && k < failed[w]; k += stride {
+				if used = used.Add(slice); !used.Fits(s.Capacity) {
+					failed[w] = k
+					break
+				}
+			}
+		}
+	})
+	if k := slices.Min(failed); k < n {
+		s := c.servers[servers[k%stride]]
+		used := s.used
+		for j := k % stride; j < k; j += stride {
+			used = used.Add(slice)
+		}
+		return base, fmt.Errorf("%w: instance %d (vm %d) on server %d free %v, slice %v",
+			ErrInsufficient, k, int(base)+k, s.ID, s.Capacity.Sub(used), slice)
+	}
+
+	for len(c.vmChunks)*vmChunk < int(base)+n {
+		c.vmChunks = append(c.vmChunks, make([]VM, vmChunk))
+	}
+	c.live = slices.Grow(c.live, n)[:int(base)+n]
+	c.numVMs += n
+
+	// Fill: workers take contiguous ranges of applications (their VMs'
+	// records and liveness, their lists), then of servers (their lists
+	// and used).
+	shardRange(apps, workers, func(_, lo, hi int) {
+		for ai := lo; ai < hi; ai++ {
+			a := c.apps[int(firstApp)+ai]
+			for k := ai * perApp; k < (ai+1)*perApp; k++ {
+				id := base + VMID(k)
+				*c.vmAt(id) = VM{ID: id, App: a.ID, Server: servers[k%stride], Slice: slice, State: VMRunning}
+				c.live[id] = true
+				a.vms = append(a.vms, id)
+			}
+		}
+	})
+	shardRange(len(servers), workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s := c.servers[servers[i]]
+			for k := i; k < n; k += stride {
+				s.vms = append(s.vms, base+VMID(k))
+				s.used = s.used.Add(slice)
+			}
+		}
+	})
+	return base, nil
+}
+
+// shardRange splits [0, n) into at most workers contiguous ranges, runs
+// fn on each in its own goroutine (w numbers the range) and waits for
+// all of them.
+func shardRange(n, workers int, fn func(w, lo, hi int)) {
+	workers = max(workers, 1)
+	chunk := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for w := 0; w < workers && w*chunk < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w, w*chunk, min((w+1)*chunk, n))
+		}()
+	}
+	wg.Wait()
 }
 
 // Start transitions a deploying VM to running.

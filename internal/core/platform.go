@@ -572,26 +572,25 @@ func (p *Platform) allocVIP(app cluster.AppID) (lbswitch.VIP, lbswitch.SwitchID,
 // pickAdvertLink chooses the access link with the lowest utilization,
 // breaking ties round-robin so onboarding spreads VIPs over ISPs.
 func (p *Platform) pickAdvertLink() netmodel.LinkID {
-	links := p.Net.Links()
+	n := p.Net.NumLinks()
 	best := -1
 	bestU := 0.0
-	for i := 0; i < len(links); i++ {
-		idx := (p.linkRR + i) % len(links)
-		if !links[idx].Serving() {
+	for i := 0; i < n; i++ {
+		l := p.Net.Link(netmodel.LinkID((p.linkRR + i) % n))
+		if !l.Serving() {
 			continue
 		}
-		u := links[idx].Utilization()
-		if best < 0 || u < bestU-1e-12 {
-			best, bestU = idx, u
+		if u := l.Utilization(); best < 0 || u < bestU-1e-12 {
+			best, bestU = int(l.ID), u
 		}
 	}
 	if best < 0 {
 		// Every link is down; advertise round-robin anyway so the VIP
 		// has a route once a link repairs.
-		best = p.linkRR % len(links)
+		best = p.linkRR % n
 	}
-	p.linkRR = (best + 1) % len(links)
-	return links[best].ID
+	p.linkRR = (best + 1) % n
+	return netmodel.LinkID(best)
 }
 
 // ErrNoRoom is returned by DeployInstance and DeployInstanceFor, itself

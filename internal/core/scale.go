@@ -135,29 +135,38 @@ func BuildScalePlatform(spec ScaleSpec) (*Platform, error) {
 // calls — VIPs homed and exposed, RIPs tagged, demand installed — just
 // placed by round-robin instead of pressure scans.
 //
-// The loader is sharded into three stages (spec.Workers wide,
-// bit-identical for any worker count):
+// Instance k of the build (app k/InstancesPerApp) is VM base+k on
+// servers[k%len(servers)] with RIP firstRIP+k, under the app's VIP
+// number k%VIPsPerApp. The loader runs in four stages; all but the
+// second are sharded spec.Workers wide, and the state is bit-identical
+// for any worker count, because every sharded stage writes disjoint
+// state in an order fixed by IDs:
 //
-//  1. plan (parallel): app names are pure functions of the app index,
-//     so workers format them into disjoint slots. RIPs need no plan:
-//     the loader takes all of them from the pool in one range, and
-//     instance k of the build gets the range's first address plus k.
-//  2. apply (sequential): app/VIP/VM registration and the dense-table
-//     bindings, all of which allocate shared contiguous IDs whose order
-//     defines the state.
-//  3. fabric (parallel): RIP configuration mutates only the home
-//     switch, so workers take whole switches and fill each of the
-//     switch's VIPs in stage-2 order with its RIPs in instance order,
-//     each inserted with its VM tag (one VIP lookup and one group scan
-//     per RIP). The work list holds one entry per VIP, not per RIP, so
-//     the garbage it leaves does not grow with the instances. A VIP's group
-//     depends only on its own inserts, so the result is what inserting
-//     every RIP in stage-2 order would build. The OnReconfig hook is
-//     parked during the stage: stage 2's AddVIPOn already recorded
-//     every VIP owner and dirtied every app, and the closing
-//     PropagateFull recomputes all routing anyway. Per-RIP trace
-//     events are not emitted on this path (the synthetic build-out is
-//     not control-plane activity).
+//  1. plan (parallel, by app range): app names are pure functions of
+//     the app index, formatted into disjoint slots. RIPs need no plan:
+//     the loader takes all of them from the pool in one range.
+//  2. apply (sequential, per app): AddApp, VIP registration (AddVIPOn,
+//     DNS, advertisement), demand tables and dirty bits, all of which
+//     allocate shared contiguous IDs or pick from shared cursors. Each
+//     VIP's handle and home switch are recorded here, and each VIP is
+//     queued on its home switch's work list.
+//  3. place (parallel): Cluster.PlaceRange writes the VMs, running, by
+//     app range and the server lists by server range; then, by app
+//     range, each VM's RIP and home VIP handle (vmRIP, vmHome). This is
+//     the state the per-instance PlaceVM, Start and bindRIP sequence
+//     built, without its OnVMChange calls: no VM had a RIP binding when
+//     it started, so they invalidated nothing.
+//  4. fabric (parallel, by switch): RIP configuration mutates only the
+//     home switch, so workers take whole switches and insert each of
+//     the switch's VIPs' RIPs, in stage-2 order, as one tagged range
+//     (Switch.AddRIPRange: one VIP lookup and one group allocation per
+//     VIP). The worker owning a switch also adds the platform's backend
+//     generation bumps for it, one per RIP homed there, as bindRIP does
+//     per RIP. The OnReconfig hook is parked during the stage: stage
+//     2's AddVIPOn already recorded every VIP owner and dirtied every
+//     app, and the closing PropagateFull recomputes all routing anyway.
+//     Per-RIP trace events are not emitted on this path (the synthetic
+//     build-out is not control-plane activity).
 func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 	if spec.Apps <= 0 || spec.InstancesPerApp <= 0 || spec.VIPsPerApp <= 0 {
 		return fmt.Errorf("core: scale spec needs apps, instances, and VIPs")
@@ -170,6 +179,7 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	perApp, perVIP := spec.InstancesPerApp, spec.VIPsPerApp
 
 	// Every RIP of the build, in instance order: instance k's is
 	// firstRIP+k, as nvms sequential Alloc calls would have returned.
@@ -179,68 +189,45 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 		return fmt.Errorf("core: bulk rip range: %w", err)
 	}
 
-	// Stage 1 — plan. Shard the pure-function work over contiguous app
-	// ranges into disjoint slices.
+	// Stage 1 — plan.
 	names := make([]string, spec.Apps)
-	var wg sync.WaitGroup
-	chunk := (spec.Apps + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, spec.Apps)
-		if lo >= hi {
-			break
+	shardRange(spec.Apps, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			names[i] = fmt.Sprintf("app-%d", i)
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				names[i] = fmt.Sprintf("app-%d", i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 
 	// Every count the build fills is known from the spec, so reserve
-	// final capacity before anything is filled: the VM lists, the RIP
-	// bindings and the demand tables below (and each VIP's RIP group in
-	// stage 3) would otherwise regrow 0→1→2→4→… on the way to their
-	// final lengths, and at paper scale that copying and its garbage
-	// dominate the build.
-	p.Cluster.Reserve(spec.Apps, spec.InstancesPerApp, (nvms+len(servers)-1)/len(servers))
-	p.vmRIP = slices.Grow(p.vmRIP, nvms)
-	p.vmHome = slices.Grow(p.vmHome, nvms)
-	p.appSlice = slices.Grow(p.appSlice, spec.Apps)
-	p.appDemand = slices.Grow(p.appDemand, spec.Apps)
-	ripsPerVIP := (spec.InstancesPerApp + spec.VIPsPerApp - 1) / spec.VIPsPerApp
+	// final capacity before anything is filled: the VM lists, the demand
+	// tables, the share cache and the network's per-VIP table below (and
+	// each VIP's RIP group in stage 4) would otherwise regrow 0→1→2→4→…
+	// on the way to their final lengths, and at paper scale that copying
+	// and its garbage dominate the build.
+	firstApp := cluster.AppID(p.Cluster.NumApps())
+	endApp := int(firstApp) + spec.Apps
+	nvips := spec.Apps * perVIP
+	p.Cluster.Reserve(spec.Apps, perApp, (nvms+len(servers)-1)/len(servers))
+	p.appSlice = slices.Grow(p.appSlice, endApp-len(p.appSlice))
+	p.appDemand = slices.Grow(p.appDemand, endApp-len(p.appDemand))
+	p.shareCache = slices.Grow(p.shareCache, endApp-len(p.shareCache))
+	p.Net.Reserve(nvips)
 
-	// Stage 2 — apply, in app order. RIP→switch configuration is only
-	// recorded into per-switch work lists here, one entry per VIP;
-	// stage 3 plays them out. A VIP of an app takes every nth of the
-	// app's instances (n = VIPs per app) from instance first on, and an
-	// app's instances have consecutive RIPs and VM IDs, so the entry
-	// holds the first instance's RIP and VM and stage 3 counts on from
-	// them.
-	type vipCfg struct {
-		vip   lbswitch.VIP
-		rip   lbswitch.RIP
-		vm    cluster.VMID
-		first int // the app's first instance under vip
-	}
+	// Stage 2 — apply, in app order. VIP v of app i is entry i·perVIP+v
+	// of vipH, its handle; its home switch's work list holds the entry
+	// number.
 	nsw := p.Fabric.NumSwitches()
-	perSwitch := make([][]vipCfg, nsw)
+	vipH := make([]ids.Index, nvips)
+	perSwitch := make([][]int32, nsw)
 	for s := range perSwitch {
-		perSwitch[s] = make([]vipCfg, 0, spec.Apps*spec.VIPsPerApp/nsw+spec.VIPsPerApp)
+		perSwitch[s] = make([]int32, 0, nvips/nsw+1)
 	}
-	vips := make([]lbswitch.VIP, 0, spec.VIPsPerApp)
-	vipSw := make([]lbswitch.SwitchID, 0, spec.VIPsPerApp)
-	srvCursor, vipCursor := 0, 0
+	vipCursor := 0
 	for i := 0; i < spec.Apps; i++ {
 		app := p.Cluster.AddApp(names[i], spec.Slice)
 		p.appSlice = growSlice(p.appSlice, int(app.ID)+1)
 		p.appSlice[app.ID] = spec.Slice
 		p.appSliceSet.Set(int(app.ID))
-		vips, vipSw = vips[:0], vipSw[:0]
-		for v := 0; v < spec.VIPsPerApp; v++ {
+		for v := 0; v < perVIP; v++ {
 			sw := lbswitch.SwitchID(vipCursor % nsw)
 			vipCursor++
 			vip, err := p.VIPRIP.AddVIPOn(app.ID, sw)
@@ -254,26 +241,9 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 			if err := p.Net.Advertise(h, p.pickAdvertLink(), false); err != nil {
 				return err
 			}
-			vips = append(vips, vip)
-			vipSw = append(vipSw, sw)
-		}
-		for j := 0; j < spec.InstancesPerApp; j++ {
-			srv := servers[srvCursor%len(servers)]
-			srvCursor++
-			vm, err := p.Cluster.PlaceVM(app.ID, srv, spec.Slice)
-			if err != nil {
-				return fmt.Errorf("core: bulk app %d instance %d: %w", i, j, err)
-			}
-			if err := p.Cluster.Start(vm.ID); err != nil {
-				return err
-			}
-			rip := firstRIP + lbswitch.RIP(i*spec.InstancesPerApp+j)
-			vip := vips[j%len(vips)]
-			home := vipSw[j%len(vips)]
-			p.bindRIP(rip, vm.ID, vip, home)
-			if j < len(vips) {
-				perSwitch[home] = append(perSwitch[home], vipCfg{vip: vip, rip: rip, vm: vm.ID, first: j})
-			}
+			e := i*perVIP + v
+			vipH[e] = h
+			perSwitch[sw] = append(perSwitch[sw], int32(e))
 		}
 		p.appDemand = growSlice(p.appDemand, int(app.ID)+1)
 		p.appDemand[app.ID] = spec.Demand
@@ -281,9 +251,25 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 		p.markAppDirty(app.ID)
 	}
 
-	// Stage 3 — fabric. Each worker owns whole switches; within one
-	// switch the planned RIPs apply in stage-2 order, so the final
-	// per-switch state is independent of how switches map to workers.
+	// Stage 3 — place, then bind each VM to its RIP and home VIP.
+	base, err := p.Cluster.PlaceRange(firstApp, spec.Apps, perApp, servers, spec.Slice, workers)
+	if err != nil {
+		return fmt.Errorf("core: bulk placement: %w", err)
+	}
+	end := int(base) + nvms
+	p.vmRIP = growSlice(slices.Grow(p.vmRIP, end-len(p.vmRIP)), end)
+	p.vmHome = growFill(slices.Grow(p.vmHome, end-len(p.vmHome)), int(base), ids.None)[:end]
+	shardRange(spec.Apps, workers, func(lo, hi int) {
+		for k := lo * perApp; k < hi*perApp; k++ {
+			vm := int(base) + k
+			p.vmRIP[vm] = firstRIP + lbswitch.RIP(k)
+			p.vmHome[vm] = vipH[k/perApp*perVIP+k%perApp%perVIP]
+		}
+	})
+
+	// Stage 4 — fabric. Each worker owns whole switches; within one
+	// switch the VIPs fill in stage-2 order, so the final per-switch
+	// state is independent of how switches map to workers.
 	hooks := make([]func(ids.Index, cluster.AppID), nsw)
 	for s := 0; s < nsw; s++ {
 		sw := p.Fabric.Switch(lbswitch.SwitchID(s))
@@ -295,25 +281,25 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 		next <- s
 	}
 	close(next)
+	var wg sync.WaitGroup
 	for w := 0; w < min(workers, nsw); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for s := range next {
 				sw := p.Fabric.Switch(lbswitch.SwitchID(s))
-			vips:
-				for _, c := range perSwitch[s] {
-					if err := sw.ReserveRIPs(c.vip, ripsPerVIP); err != nil {
-						errs[s] = err
+				for _, e := range perSwitch[s] {
+					// VIP v of app i takes the app's instances v,
+					// v+perVIP, … below perApp.
+					i, v := int(e)/perVIP, int(e)%perVIP
+					k := i*perApp + v
+					n := (perApp - v + perVIP - 1) / perVIP
+					vip := p.Fabric.Addr(vipH[e])
+					if err := sw.AddRIPRange(vip, firstRIP+lbswitch.RIP(k), int64(base)+int64(k), perVIP, n, 1); err != nil {
+						errs[s] = fmt.Errorf("core: bulk vip %s on switch %d: %w", vip, s, err)
 						break
 					}
-					for k := 0; c.first+k < spec.InstancesPerApp; k += spec.VIPsPerApp {
-						rip := c.rip + lbswitch.RIP(k)
-						if err := sw.AddRIPTagged(c.vip, rip, 1, int64(c.vm)+int64(k)); err != nil {
-							errs[s] = fmt.Errorf("core: bulk rip %s on switch %d: %w", rip, s, err)
-							break vips
-						}
-					}
+					p.backendGen[s] += uint64(n)
 				}
 			}
 		}()
@@ -327,6 +313,21 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 	}
 	p.PropagateFull()
 	return nil
+}
+
+// shardRange splits [0, n) into at most workers contiguous ranges, runs
+// fn on each in its own goroutine and waits for all of them.
+func shardRange(n, workers int, fn func(lo, hi int)) {
+	chunk := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += chunk {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(lo, min(lo+chunk, n))
+		}()
+	}
+	wg.Wait()
 }
 
 // SteadyTick is the scale harness's steady-state unit of work: one

@@ -81,6 +81,9 @@ func TestBulkLedgerCapacity(t *testing.T) {
 			t.Fatalf("server %d lists %d VMs in capacity %d", id, n, c)
 		}
 	}
+	if n, c := len(p.shareCache), cap(p.shareCache); n != spec.Apps || !tight(n, c) {
+		t.Fatalf("share cache holds %d apps in capacity %d, want %d", n, c, spec.Apps)
+	}
 }
 
 // TestBulkBuildNoPerRIPAllocs is the allocation gate of the numeric
@@ -145,19 +148,41 @@ func fabricDigest(p *Platform) string {
 	return b.String()
 }
 
+// bindingDigest renders the cluster and the platform's RIP bindings:
+// every VM record, every server's VM list and used resources, and the
+// vmRIP, vmHome and backendGen tables; %#v prints resources at full
+// precision, where their String rounds.
+func bindingDigest(p *Platform) string {
+	var b strings.Builder
+	for _, id := range p.Cluster.VMIDs() {
+		fmt.Fprintf(&b, "%#v\n", *p.Cluster.VM(id))
+	}
+	for _, id := range p.Cluster.ServerIDs() {
+		s := p.Cluster.Server(id)
+		fmt.Fprintf(&b, "server %d %v used=%#v\n", id, s.VMIDsView(), s.Used())
+	}
+	fmt.Fprintf(&b, "rip=%v\nhome=%v\ngen=%v\n", p.vmRIP, p.vmHome, p.backendGen)
+	return b.String()
+}
+
 // TestScaleOnboardWorkersIdentical pins the bulk loader's sharding
-// contract: any worker count builds bit-identical state — same fabric
-// configuration (down to tags and reconfig counters), same propagated
-// loads, same satisfaction.
+// contract: any worker count builds bit-identical state — same VMs,
+// server lists and RIP bindings, same fabric configuration (down to
+// tags and reconfig counters), same propagated loads, same
+// satisfaction.
 func TestScaleOnboardWorkersIdentical(t *testing.T) {
 	spec := ScaleSpecFor(500)
 	spec.Workers = 1
 	base := buildScale(t, spec)
+	baseBind := bindingDigest(base)
 	baseFab := fabricDigest(base)
 	baseState := base.captureState()
 	for _, w := range []int{2, 3, 8} {
 		spec.Workers = w
 		p := buildScale(t, spec)
+		if d := bindingDigest(p); d != baseBind {
+			t.Fatalf("workers=%d cluster or RIP bindings differ from workers=1", w)
+		}
 		if d := fabricDigest(p); d != baseFab {
 			t.Fatalf("workers=%d fabric differs from workers=1", w)
 		}

@@ -3,6 +3,7 @@ package faults
 import (
 	"fmt"
 
+	"megadc/internal/cluster"
 	"megadc/internal/core"
 	"megadc/internal/metrics"
 )
@@ -17,6 +18,10 @@ type Monitor struct {
 
 	// Avail is the tracker fed by the samples; read it after Finish.
 	Avail *metrics.Availability
+
+	// keys holds each app's availability key by AppID, formatted once
+	// when a sample first sees the app.
+	keys []string
 }
 
 // NewMonitor returns a monitor that marks an app down when it serves
@@ -44,8 +49,11 @@ func (m *Monitor) Finish() {
 
 func (m *Monitor) sample() {
 	t := m.p.Eng.Now()
-	for _, app := range m.p.Cluster.AppIDs() {
-		served, demand := m.p.AppServedDemand(app)
-		m.Avail.Observe(fmt.Sprintf("app-%d", app), t, served, demand)
+	for app := len(m.keys); app < m.p.Cluster.NumApps(); app++ {
+		m.keys = append(m.keys, fmt.Sprintf("app-%d", app))
+	}
+	for app, key := range m.keys {
+		served, demand := m.p.AppServedDemand(cluster.AppID(app))
+		m.Avail.Observe(key, t, served, demand)
 	}
 }

@@ -410,15 +410,53 @@ func (s *Switch) AddRIPTagged(vip VIP, rip RIP, weight float64, tag int64) error
 	return nil
 }
 
-// ReserveRIPs makes room for n more RIPs in vip's group, so the next n
-// AddRIP calls on it do not regrow the group. It changes no
-// configuration and counts as no reconfiguration.
-func (s *Switch) ReserveRIPs(vip VIP, n int) error {
+// AddRIPRange adds n RIPs to vip's group in one insert: for i in
+// [0, n), RIP first+i·stride tagged tag+i·stride, each with the given
+// weight. The group ends exactly as n AddRIPTagged calls in that order
+// would leave it, with the same reconfiguration count, backend
+// generation and OnReconfig calls (one per RIP), but the VIP is looked
+// up once and the group grows once. The insert is all or nothing: a
+// RIP already in the group or past the switch's RIP limit fails it
+// before anything is added.
+func (s *Switch) AddRIPRange(vip VIP, first RIP, tag int64, stride, n int, weight float64) error {
 	e := s.entry(vip)
 	if e == nil {
 		return s.noVIP(vip)
 	}
-	e.rips = slices.Grow(e.rips, n)
+	if !validWeight(weight) {
+		return fmt.Errorf("%w: %v", ErrBadWeight, weight)
+	}
+	if n <= 0 {
+		return nil
+	}
+	// Distinct addresses need a positive stride that does not wrap the
+	// 32-bit address space within the range.
+	if stride <= 0 || uint64(n-1)*uint64(stride) > math.MaxUint32 {
+		return fmt.Errorf("%w: %d RIPs from %s by %d in %s", ErrDupRIP, n, first, stride, vip)
+	}
+	for i := 0; i < n; i++ {
+		if rip := first + RIP(i*stride); e.find(rip) >= 0 {
+			return fmt.Errorf("%w: %s in %s", ErrDupRIP, rip, vip)
+		}
+	}
+	if s.totalRIPs+n > s.Limits.MaxRIPs {
+		return fmt.Errorf("%w: switch %d at %d", ErrRIPLimit, s.ID, s.Limits.MaxRIPs)
+	}
+	if cap(e.rips)-len(e.rips) < n {
+		e.rips = append(make([]ripEntry, 0, len(e.rips)+n), e.rips...)
+	}
+	for i := 0; i < n; i++ {
+		off := i * stride
+		e.rips = append(e.rips, ripEntry{rip: first + RIP(off), weight: weight, tag: tag + int64(off)})
+	}
+	s.totalRIPs += n
+	s.backendGen += uint64(n)
+	s.Reconfigs += int64(n)
+	if s.OnReconfig != nil {
+		for i := 0; i < n; i++ {
+			s.OnReconfig(e.h, e.app)
+		}
+	}
 	return nil
 }
 

@@ -6,9 +6,12 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"megadc/internal/cluster"
+	"megadc/internal/ids"
 	"megadc/internal/ipv4"
 )
 
@@ -32,23 +35,18 @@ func fillRIPGroup(tb testing.TB) (*Switch, RIP) {
 	return s, rip
 }
 
-// TestReservedRIPGroupAllocs: AddRIP into a group reserved for n RIPs
-// allocates nothing for the n adds; the bulk loader relies on it.
+// TestReservedRIPGroupAllocs: a range insert of n RIPs into an empty
+// group allocates the group once, at n entries, and nothing else; the
+// bulk loader relies on it.
 func TestReservedRIPGroupAllocs(t *testing.T) {
 	const n = 20
 	s := NewSwitch(0, CatalystCSM())
-	rips := make([]RIP, n)
-	for i := range rips {
-		rips[i] = ipv4.MustParse("10.0.0.0") + RIP(i)
-	}
+	first := ipv4.MustParse("10.0.0.0")
 	// AllocsPerRun calls f once more than runs; each call fills its own
-	// freshly reserved VIP.
+	// empty VIP.
 	vips := []VIP{ipA, ipB}
 	for _, vip := range vips {
 		if err := s.AddVIP(vip, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.ReserveRIPs(vip, n); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -56,20 +54,97 @@ func TestReservedRIPGroupAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, func() {
 		vip := vips[run]
 		run++
-		for _, rip := range rips {
-			if err := s.AddRIP(vip, rip, 1); err != nil {
+		if err := s.AddRIPRange(vip, first, 0, 1, n, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("a range insert of %d RIPs allocates %v times, want 1 (the group)", n, allocs)
+	}
+	for _, vip := range vips {
+		if e := s.entry(vip); len(e.rips) != n || cap(e.rips) != n {
+			t.Errorf("%s group holds %d RIPs in capacity %d, want %d in %d", vip, len(e.rips), cap(e.rips), n, n)
+		}
+	}
+	if err := s.AddRIPRange(ipMissing, first, 0, 1, n, 1); !errors.Is(err, ErrNoSuchVIP) {
+		t.Errorf("AddRIPRange on an unknown VIP: %v, want ErrNoSuchVIP", err)
+	}
+	if s.Reconfigs != int64(len(vips)*(n+1)) {
+		t.Errorf("Reconfigs = %d, want %d (one per VIP and per RIP)", s.Reconfigs, len(vips)*(n+1))
+	}
+}
+
+// TestAddRIPRangeMatchesAddRIPTagged: a range insert leaves the switch
+// exactly as the same AddRIPTagged calls in range order do — entries,
+// tags, weights, counters, backend generation and OnReconfig calls —
+// and a failing range insert changes nothing.
+func TestAddRIPRangeMatchesAddRIPTagged(t *testing.T) {
+	first := ipv4.MustParse("10.0.0.0")
+	const stride, n, tag = 3, 7, 40
+	build := func() (*Switch, *int) {
+		s := NewSwitch(0, CatalystCSM())
+		if err := s.AddVIP(ipV, 1); err != nil {
+			t.Fatal(err)
+		}
+		// Existing entries around and between the range's addresses.
+		for _, r := range []RIP{first + 1, first + 100} {
+			if err := s.AddRIPTagged(ipV, r, 1, 9); err != nil {
 				t.Fatal(err)
 			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("%d AddRIPs into a reserved group allocate %v times, want 0", n, allocs)
+		calls := new(int)
+		s.OnReconfig = func(h ids.Index, app cluster.AppID) { *calls++ }
+		return s, calls
 	}
-	if err := s.ReserveRIPs(ipMissing, n); !errors.Is(err, ErrNoSuchVIP) {
-		t.Errorf("ReserveRIPs on an unknown VIP: %v, want ErrNoSuchVIP", err)
+	want, wantCalls := build()
+	for i := 0; i < n; i++ {
+		if err := want.AddRIPTagged(ipV, first+RIP(i*stride), 2, tag+int64(i*stride)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if s.Reconfigs != int64(len(vips)*(n+1)) {
-		t.Errorf("Reconfigs = %d, want %d (reserving is no reconfiguration)", s.Reconfigs, len(vips)*(n+1))
+	got, gotCalls := build()
+	if err := got.AddRIPRange(ipV, first, tag, stride, n, 2); err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b *Switch) bool {
+		ar, at, aw, _ := a.AppendWeightsTagged(ipV, nil, nil, nil)
+		br, bt, bw, _ := b.AppendWeightsTagged(ipV, nil, nil, nil)
+		return slices.Equal(ar, br) && slices.Equal(at, bt) && slices.Equal(aw, bw) &&
+			a.NumRIPs() == b.NumRIPs() && a.Reconfigs == b.Reconfigs && a.BackendGen() == b.BackendGen()
+	}
+	if !same(got, want) || *gotCalls != *wantCalls {
+		t.Fatalf("range insert differs from %d AddRIPTagged calls (OnReconfig %d vs %d)", n, *gotCalls, *wantCalls)
+	}
+	if err := got.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Failures, each leaving the switch as it was.
+	small, _ := build()
+	small.Limits.MaxRIPs = 2 + n - 1
+	unchanged, _ := build()
+	for _, c := range []struct {
+		name string
+		s    *Switch
+		run  func(s *Switch) error
+		want error
+	}{
+		{"overlap", got, func(s *Switch) error { return s.AddRIPRange(ipV, first+100-2*stride, 0, stride, 5, 1) }, ErrDupRIP},
+		{"limit", small, func(s *Switch) error { return s.AddRIPRange(ipV, first+1000, 0, 1, n, 1) }, ErrRIPLimit},
+		{"weight", unchanged, func(s *Switch) error { return s.AddRIPRange(ipV, first+1000, 0, 1, n, 0) }, ErrBadWeight},
+		{"stride", unchanged, func(s *Switch) error { return s.AddRIPRange(ipV, first+1000, 0, 0, n, 1) }, ErrDupRIP},
+	} {
+		before := c.s.Reconfigs
+		rips := c.s.NumRIPs()
+		if err := c.run(c.s); !errors.Is(err, c.want) {
+			t.Errorf("%s: %v, want %v", c.name, err, c.want)
+		}
+		if c.s.Reconfigs != before || c.s.NumRIPs() != rips {
+			t.Errorf("%s: failed insert changed the switch", c.name)
+		}
+	}
+	if err := want.AddRIPRange(ipV, first+1000, 0, 1, 0, 1); err != nil || !same(got, want) {
+		t.Errorf("empty range insert: %v", err)
 	}
 }
 

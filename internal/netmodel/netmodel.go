@@ -252,6 +252,9 @@ func (n *Network) Link(id LinkID) *Link {
 // Links returns all links in creation order.
 func (n *Network) Links() []*Link { return slices.Clone(n.links) }
 
+// NumLinks returns the number of links; their IDs are 0..NumLinks()-1.
+func (n *Network) NumLinks() int { return len(n.links) }
+
 // Router returns the access router with the given ID, or nil.
 func (n *Network) Router(id AccessRouterID) *AccessRouter { return n.routers[id] }
 
@@ -268,6 +271,11 @@ func (n *Network) vip(h ids.Index) *vipState {
 	}
 	return &n.vips[h]
 }
+
+// Reserve makes room in the per-VIP table for vips more handles past
+// the highest one seen, so a build that advertises them in handle order
+// grows the table once instead of regrowing it on the way.
+func (n *Network) Reserve(vips int) { n.vips = slices.Grow(n.vips, vips) }
 
 // find returns handle h's record, or nil when the table never grew to it.
 func (n *Network) find(h ids.Index) *vipState {

@@ -279,3 +279,31 @@ func TestPropertyTrafficConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReserveVIPTable: a table reserved for n handles takes n
+// advertisements in handle order without regrowing, and its capacity
+// stays within 1.25× of its length (the bulk build's bound,
+// TestBulkLedgerCapacity).
+func TestReserveVIPTable(t *testing.T) {
+	const n = 1000
+	net, links := buildNet(t)
+	if net.NumLinks() != len(links) {
+		t.Fatalf("NumLinks = %d, want %d", net.NumLinks(), len(links))
+	}
+	net.Reserve(n)
+	var first *vipState
+	for i := 0; i < n; i++ {
+		if err := net.Advertise(ipv4.MustParse("10.0.0.0")+VIPAddr(i), links[i%len(links)].ID, false); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = &net.vips[0]
+		}
+	}
+	if &net.vips[0] != first {
+		t.Error("the reserved table regrew")
+	}
+	if l, c := len(net.vips), cap(net.vips); l != n || 4*c > 5*l {
+		t.Errorf("table holds %d VIPs in capacity %d, want %d within 1.25×", l, c, n)
+	}
+}
