@@ -276,77 +276,31 @@ func (p *Platform) auditCapacity(rep *audit.Report) {
 				"pod %d", pod)
 		}
 	}
-	for _, id := range p.Cluster.ServerIDs() {
-		srv := p.Cluster.Server(id)
-		snap, hasSnap := p.srvSnap[id]
-		if (srv.Health != health.Healthy) != hasSnap {
-			rep.Addf("cluster", "I3.SNAPSHOT_IFF_FAULTED",
-				"snapshot present iff server non-healthy",
-				fmt.Sprintf("health=%v snapshot=%v", srv.Health, hasSnap),
-				"server %d", id)
-			continue
-		}
-		switch srv.Health {
-		case health.FailedUndetected:
-			if srv.Capacity != snap {
-				rep.Addf("cluster", "I3.SNAPSHOT_EXACT",
-					fmt.Sprintf("undetected fault keeps capacity %v", snap),
-					srv.Capacity.String(), "server %d", id)
-			}
-		case health.Repairing, health.FailedDetected:
-			if !srv.Capacity.IsZero() {
-				rep.Addf("cluster", "I3.DETECTED_ZEROED",
-					"detected server holds zero capacity", srv.Capacity.String(),
-					"server %d", id)
-			}
-		}
-	}
-	for _, sw := range p.Fabric.Switches() {
-		snap, hasSnap := p.swSnap[sw.ID]
-		if (sw.Health != health.Healthy) != hasSnap {
-			rep.Addf("lbswitch", "I3.SNAPSHOT_IFF_FAULTED",
-				"snapshot present iff switch non-healthy",
-				fmt.Sprintf("health=%v snapshot=%v", sw.Health, hasSnap),
-				"switch %d", sw.ID)
-			continue
-		}
-		switch sw.Health {
-		case health.FailedUndetected:
-			if sw.Limits != snap {
-				rep.Addf("lbswitch", "I3.SNAPSHOT_EXACT",
-					fmt.Sprintf("undetected fault keeps limits %+v", snap),
-					fmt.Sprintf("%+v", sw.Limits), "switch %d", sw.ID)
-			}
-		case health.Repairing, health.FailedDetected:
-			if sw.Limits != (lbswitch.Limits{}) {
-				rep.Addf("lbswitch", "I3.DETECTED_ZEROED",
-					"detected switch holds zero limits",
-					fmt.Sprintf("%+v", sw.Limits), "switch %d", sw.ID)
-			}
-		}
-	}
-	for _, l := range p.Net.Links() {
-		snap, hasSnap := p.linkSnap[l.ID]
-		if (l.Health != health.Healthy) != hasSnap {
-			rep.Addf("netmodel", "I3.SNAPSHOT_IFF_FAULTED",
-				"snapshot present iff link non-healthy",
-				fmt.Sprintf("health=%v snapshot=%v", l.Health, hasSnap),
-				"link %d", l.ID)
-			continue
-		}
-		switch l.Health {
-		case health.FailedUndetected:
-			if l.CapacityMbps != snap {
-				rep.Addf("netmodel", "I3.SNAPSHOT_EXACT",
-					fmt.Sprintf("undetected fault keeps capacity %v", snap),
-					fmt.Sprintf("%v", l.CapacityMbps), "link %d", l.ID)
-			}
-		case health.Repairing, health.FailedDetected:
-			if l.CapacityMbps != 0 {
-				rep.Addf("netmodel", "I3.DETECTED_ZEROED",
-					"detected link holds zero capacity",
-					fmt.Sprintf("%v", l.CapacityMbps), "link %d", l.ID)
-			}
+	p.srvFaults.audit(rep)
+	p.swFaults.audit(rep)
+	p.linkFaults.audit(rep)
+}
+
+// audit checks I3's fault-snapshot discipline over one failure domain.
+func (d *faultDomain[ID, C]) audit(rep *audit.Report) {
+	var zero C
+	for i := 0; i < d.n(); i++ {
+		id := ID(i)
+		h, c := d.get(id)
+		snap, hasSnap := d.snap[id]
+		switch {
+		case (*h != health.Healthy) != hasSnap:
+			rep.Addf(d.layer, "I3.SNAPSHOT_IFF_FAULTED",
+				"snapshot present iff "+d.kind+" non-healthy",
+				fmt.Sprintf("health=%v snapshot=%v", *h, hasSnap), "%s %d", d.kind, id)
+		case *h == health.FailedUndetected && *c != snap:
+			rep.Addf(d.layer, "I3.SNAPSHOT_EXACT",
+				fmt.Sprintf("undetected fault keeps %s "+d.verb, d.unit, snap),
+				fmt.Sprintf(d.verb, *c), "%s %d", d.kind, id)
+		case h.Detected() && *c != zero:
+			rep.Addf(d.layer, "I3.DETECTED_ZEROED",
+				"detected "+d.kind+" holds zero "+d.unit,
+				fmt.Sprintf(d.verb, *c), "%s %d", d.kind, id)
 		}
 	}
 }

@@ -181,7 +181,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 		p, _ := auditTestPlatform(t)
 		// A snapshot for a healthy server means fault bookkeeping leaked
 		// (or a repair forgot to consume it — the double-count case).
-		p.srvSnap[p.Cluster.ServerIDs()[0]] = cluster.Resources{CPU: 8}
+		p.srvFaults.snap[p.Cluster.ServerIDs()[0]] = cluster.Resources{CPU: 8}
 		if rep := p.Audit(); !rep.Has("I3.SNAPSHOT_IFF_FAULTED") {
 			t.Fatalf("missing I3.SNAPSHOT_IFF_FAULTED, got:\n%s", rep)
 		}

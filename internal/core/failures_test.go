@@ -45,9 +45,6 @@ func TestFailServerRemovesVMsAndRecovers(t *testing.T) {
 	if p.Cluster.Server(victim).NumVMs() != 0 {
 		t.Error("replacement placed on the dead server")
 	}
-	if _, err := p.FailServer(9999); err == nil {
-		t.Error("failing unknown server accepted")
-	}
 }
 
 func TestFailSwitchRehomesVIPs(t *testing.T) {
@@ -84,9 +81,6 @@ func TestFailSwitchRehomesVIPs(t *testing.T) {
 	}
 	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
-	}
-	if _, _, err := p.FailSwitch(99); err == nil {
-		t.Error("failing unknown switch accepted")
 	}
 }
 
@@ -168,9 +162,6 @@ func TestFailLinkReadvertises(t *testing.T) {
 	}
 	if err := p.AuditErr(); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := p.FailLink(99); err == nil {
-		t.Error("failing unknown link accepted")
 	}
 }
 

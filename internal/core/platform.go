@@ -216,12 +216,11 @@ type Platform struct {
 	sessVM  []cluster.Resources // by VMID
 	sessVIP []float64           // by VIP handle
 
-	// Pre-failure snapshots, taken at fault time and consumed by the
-	// Repair* paths so components come back with their exact original
-	// capacity (see failures.go).
-	srvSnap  map[cluster.ServerID]cluster.Resources
-	swSnap   map[lbswitch.SwitchID]lbswitch.Limits
-	linkSnap map[netmodel.LinkID]float64
+	// The failure domains' health state machines, each holding its
+	// components' pre-failure snapshots (see failures.go).
+	srvFaults  faultDomain[cluster.ServerID, cluster.Resources]
+	swFaults   faultDomain[lbswitch.SwitchID, lbswitch.Limits]
+	linkFaults faultDomain[netmodel.LinkID, float64]
 
 	// Invariant auditor state (see audit.go): the topology seed stamped
 	// into violation reports, the last DNS generation seen per app for
@@ -261,18 +260,16 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 	}
 	fab := lbswitch.NewFabric()
 	p := &Platform{
-		Eng:      eng,
-		Cfg:      cfg,
-		Cluster:  cluster.New(),
-		Fabric:   fab,
-		Net:      netmodel.New(fab.Addr),
-		DNS:      dnsctl.New(topo.DNSTTLSeconds),
-		srvSnap:  make(map[cluster.ServerID]cluster.Resources),
-		swSnap:   make(map[lbswitch.SwitchID]lbswitch.Limits),
-		linkSnap: make(map[netmodel.LinkID]float64),
+		Eng:     eng,
+		Cfg:     cfg,
+		Cluster: cluster.New(),
+		Fabric:  fab,
+		Net:     netmodel.New(fab.Addr),
+		DNS:     dnsctl.New(topo.DNSTTLSeconds),
 
 		seed: topo.Seed,
 	}
+	p.initFaultDomains()
 	// Access network: each ISP gets one AR; each AR gets LinksPerISP
 	// links to distinct border routers.
 	for b := 0; b < topo.BorderRouters; b++ {

@@ -24,7 +24,7 @@ func (p *Platform) TraceSample() {
 		VIPs:         p.Fabric.NumVIPs(),
 		RIPs:         p.Fabric.NumRIPs(),
 		QueueDepth:   p.VIPRIP.Pending(),
-		FaultsActive: len(p.srvSnap) + len(p.swSnap) + len(p.linkSnap),
+		FaultsActive: len(p.srvFaults.snap) + len(p.swFaults.snap) + len(p.linkFaults.snap),
 		Violations:   p.lastAuditCount,
 	}
 	var n int

@@ -167,11 +167,62 @@ type Injector struct {
 	Repairs        int64
 	// Skipped counts faults suppressed by the min-healthy floors.
 	Skipped int64
+
+	// server, swtch and link describe the three component classes to
+	// inject.
+	server, swtch, link domain
+}
+
+// domain describes one component class to inject: its config and
+// floor, the counter of its faults, and the platform's component count,
+// serving check and lifecycle calls, by integer component ID. IDs run
+// 0..n()-1; components are never removed, so every ID below n() is
+// known.
+type domain struct {
+	cfg     Class
+	floor   int
+	faults  *int64
+	n       func() int
+	serving func(id int) bool
+	fault   func(id int) error
+	detect  func(id int) error
+	repair  func(id int) error
 }
 
 // New returns an injector for p. Nothing is scheduled until Start.
 func New(p *core.Platform, cfg Config) *Injector {
-	return &Injector{p: p, cfg: cfg}
+	in := &Injector{p: p, cfg: cfg}
+	in.server = domain{
+		cfg: cfg.Server, floor: cfg.MinHealthyServers, faults: &in.ServerFaults, n: p.Cluster.NumServers,
+		serving: func(id int) bool { return p.Cluster.Server(cluster.ServerID(id)).Serving() },
+		fault:   func(id int) error { return p.FaultServer(cluster.ServerID(id)) },
+		detect: func(id int) error {
+			_, err := p.DetectServer(cluster.ServerID(id))
+			return err
+		},
+		repair: func(id int) error { return p.RepairServer(cluster.ServerID(id)) },
+	}
+	in.swtch = domain{
+		cfg: cfg.Switch, floor: cfg.MinHealthySwitches, faults: &in.SwitchFaults, n: p.Fabric.NumSwitches,
+		serving: func(id int) bool { return p.Fabric.Switch(lbswitch.SwitchID(id)).Serving() },
+		fault:   func(id int) error { return p.FaultSwitch(lbswitch.SwitchID(id)) },
+		detect: func(id int) error {
+			_, _, err := p.DetectSwitch(lbswitch.SwitchID(id))
+			return err
+		},
+		repair: func(id int) error { return p.RepairSwitch(lbswitch.SwitchID(id)) },
+	}
+	in.link = domain{
+		cfg: cfg.Link, floor: cfg.MinHealthyLinks, faults: &in.LinkFaults, n: p.Net.NumLinks,
+		serving: func(id int) bool { return p.Net.Link(netmodel.LinkID(id)).Serving() },
+		fault:   func(id int) error { return p.FaultLink(netmodel.LinkID(id)) },
+		detect: func(id int) error {
+			_, err := p.DetectLink(netmodel.LinkID(id))
+			return err
+		},
+		repair: func(id int) error { return p.RepairLink(netmodel.LinkID(id)) },
+	}
+	return in
 }
 
 // Start schedules the first failure of every component. Faults stop
@@ -179,27 +230,15 @@ func New(p *core.Platform, cfg Config) *Injector {
 // in-flight detections and repairs complete normally.
 func (in *Injector) Start(stopAt float64) {
 	in.stopAt = stopAt
-	if in.cfg.Server.enabled() {
-		for _, id := range in.p.Cluster.ServerIDs() {
-			id := id
-			in.p.Eng.After(in.exp(in.cfg.Server.MTBF), func() { in.faultServer(id) })
-		}
-	}
-	if in.cfg.Switch.enabled() {
-		for _, sw := range in.p.Fabric.Switches() {
-			id := sw.ID
-			in.p.Eng.After(in.exp(in.cfg.Switch.MTBF), func() { in.faultSwitch(id) })
-		}
-	}
-	if in.cfg.Link.enabled() {
-		for _, l := range in.p.Net.Links() {
-			id := l.ID
-			in.p.Eng.After(in.exp(in.cfg.Link.MTBF), func() { in.faultLink(id) })
+	for _, c := range []*domain{&in.server, &in.swtch, &in.link} {
+		if c.cfg.enabled() {
+			for id := 0; id < c.n(); id++ {
+				in.p.Eng.After(in.exp(c.cfg.MTBF), func() { in.inject(c, id) })
+			}
 		}
 	}
 	if in.cfg.Flap.enabled() {
-		for _, l := range in.p.Net.Links() {
-			id := l.ID
+		for id := 0; id < in.link.n(); id++ {
 			in.p.Eng.After(in.exp(in.cfg.Flap.MTBF), func() { in.flapLink(id, in.cfg.Flap.Cycles) })
 		}
 	}
@@ -222,126 +261,47 @@ func (in *Injector) exp(mean float64) float64 {
 	return in.p.Eng.Rand().ExpFloat64() * mean
 }
 
-func (in *Injector) servingServers() int {
+// admit reports whether component id may fault now: it must be
+// serving, and faulting it must not leave fewer serving components than
+// the class floor.
+func (c *domain) admit(id int) bool {
+	if !c.serving(id) {
+		return false
+	}
 	n := 0
-	for _, id := range in.p.Cluster.ServerIDs() {
-		if s := in.p.Cluster.Server(id); s != nil && s.Serving() {
+	for i := 0; i < c.n(); i++ {
+		if c.serving(i) {
 			n++
 		}
 	}
-	return n
+	return n > c.floor
 }
 
-func (in *Injector) servingSwitches() int {
-	n := 0
-	for _, sw := range in.p.Fabric.Switches() {
-		if sw.Serving() {
-			n++
-		}
-	}
-	return n
-}
-
-func (in *Injector) servingLinks() int {
-	n := 0
-	for _, l := range in.p.Net.Links() {
-		if l.Serving() {
-			n++
-		}
-	}
-	return n
-}
-
-func (in *Injector) faultServer(id cluster.ServerID) {
+// inject faults component id of class c, unless the floor forbids it,
+// schedules its detection after the class's DetectDelay and its repair
+// Exponential(MTTR) after that, and reschedules its next failure once
+// it is repaired or skipped.
+func (in *Injector) inject(c *domain, id int) {
 	if in.p.Eng.Now() >= in.stopAt {
 		return
 	}
-	cl := in.cfg.Server
-	reschedule := func() { in.p.Eng.After(in.exp(cl.MTBF), func() { in.faultServer(id) }) }
-	srv := in.p.Cluster.Server(id)
-	if srv == nil {
-		return
-	}
-	if !srv.Serving() || in.servingServers() <= in.cfg.MinHealthyServers {
+	reschedule := func() { in.p.Eng.After(in.exp(c.cfg.MTBF), func() { in.inject(c, id) }) }
+	if !c.admit(id) {
 		in.Skipped++
 		reschedule()
 		return
 	}
-	if err := in.p.FaultServer(id); err != nil {
+	if err := c.fault(id); err != nil {
 		return
 	}
-	in.ServerFaults++
-	in.p.Eng.After(cl.DetectDelay, func() {
-		if _, err := in.p.DetectServer(id); err == nil {
+	*c.faults++
+	in.p.Eng.After(c.cfg.DetectDelay, func() {
+		if err := c.detect(id); err == nil {
 			in.Detections++
 		}
 	})
-	in.p.Eng.After(cl.DetectDelay+in.exp(cl.MTTR), func() {
-		if err := in.p.RepairServer(id); err == nil {
-			in.Repairs++
-		}
-		reschedule()
-	})
-}
-
-func (in *Injector) faultSwitch(id lbswitch.SwitchID) {
-	if in.p.Eng.Now() >= in.stopAt {
-		return
-	}
-	cl := in.cfg.Switch
-	reschedule := func() { in.p.Eng.After(in.exp(cl.MTBF), func() { in.faultSwitch(id) }) }
-	sw := in.p.Fabric.Switch(id)
-	if sw == nil {
-		return
-	}
-	if !sw.Serving() || in.servingSwitches() <= in.cfg.MinHealthySwitches {
-		in.Skipped++
-		reschedule()
-		return
-	}
-	if err := in.p.FaultSwitch(id); err != nil {
-		return
-	}
-	in.SwitchFaults++
-	in.p.Eng.After(cl.DetectDelay, func() {
-		if _, _, err := in.p.DetectSwitch(id); err == nil {
-			in.Detections++
-		}
-	})
-	in.p.Eng.After(cl.DetectDelay+in.exp(cl.MTTR), func() {
-		if err := in.p.RepairSwitch(id); err == nil {
-			in.Repairs++
-		}
-		reschedule()
-	})
-}
-
-func (in *Injector) faultLink(id netmodel.LinkID) {
-	if in.p.Eng.Now() >= in.stopAt {
-		return
-	}
-	cl := in.cfg.Link
-	reschedule := func() { in.p.Eng.After(in.exp(cl.MTBF), func() { in.faultLink(id) }) }
-	l := in.p.Net.Link(id)
-	if l == nil {
-		return
-	}
-	if !l.Serving() || in.servingLinks() <= in.cfg.MinHealthyLinks {
-		in.Skipped++
-		reschedule()
-		return
-	}
-	if err := in.p.FaultLink(id); err != nil {
-		return
-	}
-	in.LinkFaults++
-	in.p.Eng.After(cl.DetectDelay, func() {
-		if _, err := in.p.DetectLink(id); err == nil {
-			in.Detections++
-		}
-	})
-	in.p.Eng.After(cl.DetectDelay+in.exp(cl.MTTR), func() {
-		if err := in.p.RepairLink(id); err == nil {
+	in.p.Eng.After(c.cfg.DetectDelay+in.exp(c.cfg.MTTR), func() {
+		if err := c.repair(id); err == nil {
 			in.Repairs++
 		}
 		reschedule()
@@ -378,28 +338,24 @@ func (in *Injector) partitionPod(id int) {
 // faults the link, schedules the normal detection, and repairs after
 // the fixed Down time — cancelling the detection if the fault cleared
 // first (a fast flap the control plane never saw).
-func (in *Injector) flapLink(id netmodel.LinkID, cyclesLeft int) {
+func (in *Injector) flapLink(id int, cyclesLeft int) {
 	if in.p.Eng.Now() >= in.stopAt {
 		return
 	}
 	reschedule := func() {
 		in.p.Eng.After(in.exp(in.cfg.Flap.MTBF), func() { in.flapLink(id, in.cfg.Flap.Cycles) })
 	}
-	l := in.p.Net.Link(id)
-	if l == nil {
-		return
-	}
-	if !l.Serving() || in.servingLinks() <= in.cfg.MinHealthyLinks {
+	if !in.link.admit(id) {
 		in.Skipped++
 		reschedule()
 		return
 	}
-	if err := in.p.FaultLink(id); err != nil {
+	if err := in.link.fault(id); err != nil {
 		return
 	}
 	in.FlapCycles++
 	det := in.p.Eng.After(in.cfg.Link.DetectDelay, func() {
-		if _, err := in.p.DetectLink(id); err == nil {
+		if err := in.link.detect(id); err == nil {
 			in.Detections++
 		}
 	})
@@ -408,7 +364,7 @@ func (in *Injector) flapLink(id netmodel.LinkID, cyclesLeft int) {
 		// does not react to a fault that already cleared. Cancel is a
 		// no-op if the detection already fired (slow flap).
 		in.p.Eng.Cancel(det)
-		if err := in.p.RepairLink(id); err == nil {
+		if err := in.link.repair(id); err == nil {
 			in.Repairs++
 		}
 		if cyclesLeft > 1 {
