@@ -107,12 +107,14 @@ func (f *Fabric) HomeOf(vip VIP) (SwitchID, bool) {
 	return 0, false
 }
 
-// Home returns the switch currently hosting the VIP with handle h.
+// Home returns the switch currently hosting the VIP with handle h. It
+// reads only the table's home column: requests, sessions and the
+// managers call it per event.
 func (f *Fabric) Home(h ids.Index) (SwitchID, bool) {
-	if e := f.tab.at(h); e != nil {
-		return e.sw.ID, true
+	if h < 0 || int(h) >= len(f.tab.slot) || f.tab.slot[h].home == noSwitch {
+		return 0, false
 	}
-	return 0, false
+	return f.tab.slot[h].home, true
 }
 
 // SetLoad sets the fluid offered load of the VIP with handle h on its
@@ -239,7 +241,7 @@ func (f *Fabric) TransferVIP(vip VIP, dst SwitchID, force bool) error {
 	if err := to.AddVIP(vip, e.app); err != nil {
 		return fmt.Errorf("lbswitch: transfer re-add failed: %w", err)
 	}
-	moved := f.tab.entry[e.h]
+	moved := f.tab.slot[e.h].e
 	for _, re := range e.rips {
 		if err := to.AddRIPTagged(vip, re.rip, re.weight, re.tag); err != nil {
 			return fmt.Errorf("lbswitch: transfer RIP re-add failed: %w", err)
@@ -311,14 +313,21 @@ func (f *Fabric) CheckInvariants() error {
 			return err
 		}
 	}
-	if len(f.tab.ix) != len(f.tab.addrs) || len(f.tab.entry) != len(f.tab.addrs) {
-		return fmt.Errorf("fabric: address table sizes %d/%d/%d differ", len(f.tab.ix), len(f.tab.addrs), len(f.tab.entry))
+	if len(f.tab.ix) != len(f.tab.addrs) || len(f.tab.slot) != len(f.tab.addrs) {
+		return fmt.Errorf("fabric: address table sizes %d/%d/%d differ", len(f.tab.ix), len(f.tab.addrs), len(f.tab.slot))
 	}
 	live, indexed := 0, 0
-	for h, e := range f.tab.entry {
-		vip := f.tab.addrs[h]
+	for h, sl := range f.tab.slot {
+		vip, e := f.tab.addrs[h], sl.e
 		if f.tab.ix[vip] != ids.Index(h) {
 			return fmt.Errorf("fabric: VIP %s maps to handle %d, not %d", vip, f.tab.ix[vip], h)
+		}
+		want := noSwitch
+		if e != nil {
+			want = e.sw.ID
+		}
+		if sl.home != want {
+			return fmt.Errorf("fabric: VIP %s home column says %d, its entry %d", vip, sl.home, want)
 		}
 		if e == nil {
 			continue

@@ -345,3 +345,93 @@ func TestFabricTransferCarriesGroup(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// checkHomeColumn compares the table's home column with its entries:
+// each handle's home is its entry's switch, or noSwitch when the entry
+// is nil, and Fabric.Home (when f is given) answers the same.
+func checkHomeColumn(t *testing.T, step string, tab *vipTable, f *Fabric) {
+	t.Helper()
+	for h, sl := range tab.slot {
+		want, wantOK := noSwitch, sl.e != nil
+		if sl.e != nil {
+			want = sl.e.sw.ID
+		}
+		if sl.home != want {
+			t.Fatalf("%s: handle %d (%s) home %d, entry on %d", step, h, tab.addrs[h], sl.home, want)
+		}
+		if f == nil {
+			continue
+		}
+		if got, ok := f.Home(ids.Index(h)); ok != wantOK || (ok && got != want) {
+			t.Fatalf("%s: Home(%d) = %d,%v, want %d,%v", step, h, got, ok, want, wantOK)
+		}
+	}
+	if f == nil {
+		return
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+}
+
+// TestHomeTableTracksEntries: the home column Fabric.Home reads follows
+// every write of the entry column — placement, quiescent, blocked and
+// forced transfers, drops, re-placing a dropped address (which reuses
+// its handle) — and a lone switch keeps its own table's column too.
+func TestHomeTableTracksEntries(t *testing.T) {
+	f := newTestFabric(3)
+	step := func(name string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkHomeColumn(t, name, f.tab, f)
+	}
+	step("place v", f.PlaceVIP(ipV, 1, 0))
+	h, _ := f.Handle(ipV)
+	step("place w", f.PlaceVIP(ipW, 2, 1))
+	step("add RIP", f.Switch(0).AddRIP(ipV, ipR, 1))
+	step("transfer", f.TransferVIP(ipV, 2, false))
+	if _, _, _, err := f.Switch(2).OpenConn(ipV, rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.TransferVIP(ipV, 0, false); !errors.Is(err, ErrActiveConns) {
+		t.Fatalf("blocked transfer: err = %v, want ErrActiveConns", err)
+	}
+	step("blocked transfer", nil)
+	if home, _ := f.Home(h); home != 2 {
+		t.Fatalf("blocked transfer moved the home to %d", home)
+	}
+	step("forced transfer", f.TransferVIP(ipV, 0, true))
+	step("drop", f.DropVIP(ipV, false))
+	if _, ok := f.Home(h); ok {
+		t.Fatal("dropped VIP still has a home")
+	}
+	step("place again", f.PlaceVIP(ipV, 1, 1))
+	if again, _ := f.Handle(ipV); again != h {
+		t.Fatalf("re-placed VIP got handle %d, want %d", again, h)
+	}
+	if home, ok := f.Home(h); !ok || home != 1 {
+		t.Fatalf("Home after re-place = %d,%v, want 1,true", home, ok)
+	}
+	if _, ok := f.Home(ids.Index(len(f.tab.slot))); ok {
+		t.Fatal("a never-assigned handle has a home")
+	}
+
+	s := NewSwitch(7, smallLimits())
+	lone := func(name string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("lone %s: %v", name, err)
+		}
+		checkHomeColumn(t, "lone "+name, s.tab, nil)
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("lone %s: %v", name, err)
+		}
+	}
+	lone("add", s.AddVIP(ipV, 1))
+	lone("add w", s.AddVIP(ipW, 1))
+	_, err := s.RemoveVIP(ipV, false)
+	lone("remove", err)
+	lone("add again", s.AddVIP(ipV, 1))
+}

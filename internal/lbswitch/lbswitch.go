@@ -146,17 +146,30 @@ type conn struct {
 
 // vipTable is the VIP address book a fabric shares with its switches
 // (DESIGN.md §22): the one address → handle map, and per handle the
-// address and the VIP's entry on the switch it is configured on. A
-// handle is a dense int32 assigned the first time an address is placed
-// and never reused, so per-VIP state elsewhere can live in slices
-// indexed by it. Handles are assigned only by AddVIP, which runs in
-// sequential code; everything else only reads the table.
+// address and a slot holding the VIP's entry on the switch it is
+// configured on and that switch's ID. A handle is a dense int32
+// assigned the first time an address is placed and never reused, so
+// per-VIP state elsewhere can live in slices indexed by it. Handles are
+// assigned only by AddVIP, which runs in sequential code; everything
+// else only reads the table.
 type vipTable struct {
 	ix    map[VIP]ids.Index
 	addrs []VIP
-	entry []*vipEntry // nil while the VIP is on no switch
-	live  int         // non-nil entries
+	slot  []vipSlot
+	live  int // slots with a non-nil entry
 }
+
+// vipSlot is one handle's row of the table. The home column lets
+// Fabric.Home answer with one load instead of chasing entry → switch →
+// ID, which misses the cache at 10K switches; it shares the row with
+// the entry pointer because Propagate reads both for every VIP.
+type vipSlot struct {
+	e    *vipEntry // nil while the VIP is on no switch
+	home SwitchID  // e.sw.ID, or noSwitch while e is nil
+}
+
+// noSwitch is the home of a handle whose VIP is on no switch.
+const noSwitch SwitchID = -1
 
 func newVIPTable() *vipTable { return &vipTable{ix: make(map[VIP]ids.Index)} }
 
@@ -168,22 +181,22 @@ func (t *vipTable) intern(vip VIP) ids.Index {
 	h := ids.Index(len(t.addrs))
 	t.ix[vip] = h
 	t.addrs = append(t.addrs, vip)
-	t.entry = append(t.entry, nil)
+	t.slot = append(t.slot, vipSlot{home: noSwitch})
 	return h
 }
 
 // at returns the configured entry of handle h, or nil.
 func (t *vipTable) at(h ids.Index) *vipEntry {
-	if h < 0 || int(h) >= len(t.entry) {
+	if h < 0 || int(h) >= len(t.slot) {
 		return nil
 	}
-	return t.entry[h]
+	return t.slot[h].e
 }
 
 // lookup returns vip's configured entry, or nil.
 func (t *vipTable) lookup(vip VIP) *vipEntry {
 	if h, ok := t.ix[vip]; ok {
-		return t.entry[h]
+		return t.slot[h].e
 	}
 	return nil
 }
@@ -331,7 +344,7 @@ func (s *Switch) AddVIP(vip VIP, app cluster.AppID) error {
 	}
 	h := s.tab.intern(vip)
 	e := &vipEntry{h: h, sw: s, app: app, seq: s.nextSeq}
-	s.tab.entry[h] = e
+	s.tab.slot[h] = vipSlot{e: e, home: s.ID}
 	s.tab.live++
 	s.nextSeq++
 	s.vips = append(s.vips, e)
@@ -366,7 +379,7 @@ func (s *Switch) RemoveVIP(vip VIP, force bool) (broken int, err error) {
 	s.totalRIPs -= len(e.rips)
 	i, _ := slices.BinarySearchFunc(s.vips, e.seq, func(x *vipEntry, seq uint64) int { return cmp.Compare(x.seq, seq) })
 	s.vips = slices.Delete(s.vips, i, i+1)
-	s.tab.entry[e.h] = nil
+	s.tab.slot[e.h] = vipSlot{home: noSwitch}
 	s.tab.live--
 	s.sumValid = false
 	s.backendGen++
@@ -770,7 +783,7 @@ func (s *Switch) CheckInvariants() error {
 		return fmt.Errorf("switch %d: %d conns > limit %d", s.ID, len(s.conns), s.Limits.MaxConns)
 	}
 	for i, e := range s.vips {
-		if e.sw != s || s.tab.at(e.h) != e {
+		if e.sw != s || s.tab.at(e.h) != e || s.tab.slot[e.h].home != s.ID {
 			return fmt.Errorf("switch %d: VIP %s entry not in the address table", s.ID, s.tab.addrs[e.h])
 		}
 		if i > 0 && s.vips[i-1].seq >= e.seq {

@@ -17,14 +17,17 @@ import (
 //
 // The zero value is not ready to use; construct with NewHistogram.
 type Histogram struct {
-	bounds []float64 // ascending bucket upper bounds, never written (may be shared); one extra overflow bucket follows
-	counts []uint64  // len(bounds)+1; counts[len(bounds)] is the overflow bucket
-	pow2   bool      // bounds are the default scheme: bucketPow2 finds the bucket
-	count  uint64
-	sum    float64
-	comp   float64 // Neumaier compensation term
-	min    float64
-	max    float64
+	// Observe's scalars lead, so they share a cache line.
+	pow2  bool // bounds are the default scheme: bucketPow2 finds the bucket in pow2c
+	count uint64
+	sum   float64
+	comp  float64 // Neumaier compensation term
+	min   float64
+	max   float64
+
+	bounds []float64              // ascending bucket upper bounds, never written (may be shared); one extra overflow bucket follows
+	counts []uint64               // custom bounds only: len(bounds)+1; counts[len(bounds)] is the overflow bucket
+	pow2c  [defaultBuckets]uint64 // default scheme only: the counts, in the struct
 }
 
 // DefaultLatencyBounds returns the bucket scheme used for control-plane
@@ -41,10 +44,14 @@ func DefaultLatencyBounds() []float64 {
 	return bounds
 }
 
-// The default scheme's bounds run from 2^defaultMinExp to 2^defaultMaxExp.
+// The default scheme's bounds run from 2^defaultMinExp to 2^defaultMaxExp;
+// with the overflow bucket that is defaultBuckets counts. A histogram on
+// that scheme keeps them in the struct (pow2c), so Observe on one of
+// thousands of per-app histograms touches one allocation, not two.
 const (
-	defaultMinExp = -10
-	defaultMaxExp = 20
+	defaultMinExp  = -10
+	defaultMaxExp  = 20
+	defaultBuckets = defaultMaxExp - defaultMinExp + 2
 )
 
 // defaultBounds is built once and shared by every histogram on the
@@ -70,13 +77,25 @@ func NewHistogram(bounds []float64) *Histogram {
 			panic(fmt.Sprintf("metrics: histogram bounds not ascending: %v after %v", b, bounds[i-1]))
 		}
 	}
-	return &Histogram{
+	h := &Histogram{
 		bounds: bounds,
-		counts: make([]uint64, len(bounds)+1),
 		pow2:   slices.Equal(bounds, defaultBounds),
 		min:    math.Inf(1),
 		max:    math.Inf(-1),
 	}
+	if !h.pow2 {
+		h.counts = make([]uint64, len(bounds)+1)
+	}
+	return h
+}
+
+// buckets returns the bucket counts: the in-struct array on the default
+// scheme, the counts slice otherwise.
+func (h *Histogram) buckets() []uint64 {
+	if h.pow2 {
+		return h.pow2c[:]
+	}
+	return h.counts
 }
 
 // Observe records one duration. Negative, NaN, and infinite values are
@@ -88,7 +107,7 @@ func (h *Histogram) Observe(v float64) {
 		panic(fmt.Sprintf("metrics: Histogram.Observe(%v): duration must be finite and non-negative", v))
 	}
 	if h.pow2 {
-		h.counts[bucketPow2(v)]++
+		h.pow2c[bucketPow2(v)]++
 	} else {
 		h.counts[h.bucket(v)]++
 	}
@@ -192,7 +211,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		target = 1
 	}
 	var cum uint64
-	for i, c := range h.counts {
+	for i, c := range h.buckets() {
 		if c == 0 {
 			continue
 		}
@@ -219,7 +238,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 // Buckets returns copies of the bucket upper bounds and counts (the
 // final count is the overflow bucket, whose bound is +Inf).
 func (h *Histogram) Buckets() (bounds []float64, counts []uint64) {
-	return slices.Clone(h.bounds), slices.Clone(h.counts)
+	return slices.Clone(h.bounds), slices.Clone(h.buckets())
 }
 
 // Merge adds o's observations into h. Both histograms must share the
@@ -231,8 +250,9 @@ func (h *Histogram) Merge(o *Histogram) error {
 		return fmt.Errorf("metrics: merging histograms with different bucket schemes (%d vs %d bounds)",
 			len(h.bounds), len(o.bounds))
 	}
-	for i, c := range o.counts {
-		h.counts[i] += c
+	counts := h.buckets()
+	for i, c := range o.buckets() {
+		counts[i] += c
 	}
 	h.count += o.count
 	h.add(o.Sum())

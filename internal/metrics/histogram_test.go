@@ -270,6 +270,109 @@ func TestHistogramMergeDeterminism(t *testing.T) {
 	}
 }
 
+// TestHistogramCloneIndependent: a clone shares no counts with its
+// original. Observations into either one show in its own counts,
+// quantiles and Buckets only — on the default scheme, whose counts live
+// in the struct, and on custom bounds, whose counts are a slice.
+func TestHistogramCloneIndependent(t *testing.T) {
+	for _, bounds := range [][]float64{nil, {0.5, 1, 2, 4}} {
+		h := NewHistogram(bounds)
+		h.Observe(0.75)
+		c := h.Clone()
+		for i := 0; i < 9; i++ {
+			h.Observe(0.3)
+			c.Observe(3)
+		}
+		hb, hc := h.Buckets()
+		_, cc := c.Buckets()
+		bucketOf := func(v float64) int { i, _ := slices.BinarySearch(hb, v); return i }
+		want := func(obs map[float64]uint64) []uint64 {
+			w := make([]uint64, len(hb)+1)
+			for v, n := range obs {
+				w[bucketOf(v)] += n
+			}
+			return w
+		}
+		if w := want(map[float64]uint64{0.75: 1, 0.3: 9}); !slices.Equal(hc, w) {
+			t.Errorf("bounds %v: original counts %v, want %v", bounds, hc, w)
+		}
+		if w := want(map[float64]uint64{0.75: 1, 3: 9}); !slices.Equal(cc, w) {
+			t.Errorf("bounds %v: clone counts %v, want %v", bounds, cc, w)
+		}
+		if h.Count() != 10 || c.Count() != 10 {
+			t.Errorf("bounds %v: counts %d and %d, want 10 each", bounds, h.Count(), c.Count())
+		}
+		if h.Quantile(0.5) >= 0.5 || c.Quantile(0.5) <= 2 {
+			t.Errorf("bounds %v: p50 %v (original) and %v (clone) show the other's observations",
+				bounds, h.Quantile(0.5), c.Quantile(0.5))
+		}
+		if h.Max() != 0.75 || c.Min() != 0.75 || c.Max() != 3 {
+			t.Errorf("bounds %v: original max %v, clone min/max %v/%v", bounds, h.Max(), c.Min(), c.Max())
+		}
+	}
+}
+
+// TestHistogramMergeBuckets: merging adds bucket counts element-wise and
+// equals observing everything in one histogram, on the default scheme
+// (in-struct counts, also when one side was built from explicit
+// DefaultLatencyBounds) and on custom bounds.
+func TestHistogramMergeBuckets(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, pair := range [][2][]float64{
+		{nil, nil},
+		{nil, DefaultLatencyBounds()},
+		{{0.01, 0.1, 1, 10}, {0.01, 0.1, 1, 10}},
+	} {
+		a, b, all := NewHistogram(pair[0]), NewHistogram(pair[1]), NewHistogram(pair[0])
+		for i := 0; i < 1000; i++ {
+			v := math.Ldexp(rng.Float64(), rng.Intn(30)-12)
+			if i%3 == 0 {
+				a.Observe(v)
+			} else {
+				b.Observe(v)
+			}
+			all.Observe(v)
+		}
+		_, ac := a.Buckets()
+		_, bc := b.Buckets()
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		bounds, got := a.Buckets()
+		if _, want := all.Buckets(); !slices.Equal(got, want) {
+			t.Fatalf("bounds %v: merged counts %v, direct %v", pair[0], got, want)
+		}
+		for i := range got {
+			if got[i] != ac[i]+bc[i] {
+				t.Fatalf("bounds %v: merged bucket %d = %d, want %d+%d", pair[0], i, got[i], ac[i], bc[i])
+			}
+		}
+		if len(got) != len(bounds)+1 || a.Count() != all.Count() {
+			t.Fatalf("bounds %v: %d counts for %d bounds, count %d want %d",
+				pair[0], len(got), len(bounds), a.Count(), all.Count())
+		}
+		for q := 0.0; q <= 1; q += 0.1 {
+			if a.Quantile(q) != all.Quantile(q) {
+				t.Fatalf("bounds %v: merged quantile(%v) %v != direct %v", pair[0], q, a.Quantile(q), all.Quantile(q))
+			}
+		}
+	}
+}
+
+// TestHistogramDefaultAllocs: a default-scheme histogram is one
+// allocation (its counts are in the struct and its bounds shared), and
+// Observe allocates nothing on either scheme.
+func TestHistogramDefaultAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { NewHistogram(nil) }); n != 1 {
+		t.Errorf("NewHistogram(nil): %v allocations, want 1", n)
+	}
+	for _, h := range []*Histogram{NewHistogram(nil), NewHistogram([]float64{1, 2, 4})} {
+		if n := testing.AllocsPerRun(100, func() { h.Observe(1.5) }); n != 0 {
+			t.Errorf("Observe: %v allocations, want 0", n)
+		}
+	}
+}
+
 func TestHistogramMergeSchemeMismatch(t *testing.T) {
 	a := NewHistogram([]float64{1, 2, 4})
 	b := NewHistogram([]float64{1, 2, 4, 8})

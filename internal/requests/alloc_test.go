@@ -11,11 +11,12 @@ import (
 )
 
 // TestRequestChurnAllocFree pins a steady request stream at zero
-// allocations: once queues are attached, the record pool is warm and
+// allocations: once queues are attached, their rings have grown and
 // the event heap has grown to its standing size, arrivals, enqueues,
-// service starts and completions allocate nothing. The arrival callback
-// is bound once in New and each record's completion once in its pool
-// constructor, so no event carries a fresh closure.
+// service starts and completions allocate nothing. Requests are values
+// in the rings, the arrival callback is bound once in New and each
+// queue's completion once when it attaches, so no event carries a
+// fresh closure.
 func TestRequestChurnAllocFree(t *testing.T) {
 	p := newPlatform(t, 1)
 	apps := make([]cluster.AppID, 0, 4)
@@ -39,7 +40,7 @@ func TestRequestChurnAllocFree(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	p.Eng.RunFor(30) // attach every queue, warm the pool and the heap
+	p.Eng.RunFor(30) // attach every queue, grow the rings and the heap
 
 	before := e.Stats()
 	// One measured run of 20 simulated seconds, after one unmeasured

@@ -60,7 +60,7 @@ func BenchmarkRequestArrival(b *testing.B) {
 			if err := e.Start(); err != nil {
 				b.Fatal(err)
 			}
-			p.Eng.RunFor(10) // attach the queues, warm the pool and the heap
+			p.Eng.RunFor(10) // attach the queues, grow the rings and the heap
 
 			before := e.Stats().Generated
 			b.ResetTimer()

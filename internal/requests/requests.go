@@ -37,7 +37,6 @@ import (
 	"megadc/internal/dnsctl"
 	"megadc/internal/lbswitch"
 	"megadc/internal/metrics"
-	"megadc/internal/sim"
 	"megadc/internal/workload"
 )
 
@@ -137,15 +136,10 @@ type Stats struct {
 	NoExposure int64 // DNS had no exposed VIP at arrival
 }
 
-// request is one in-flight request record, recycled through a sim.Pool
-// with its completion callback bound once at first allocation (the
-// sessions idiom) so steady request churn allocates nothing.
+// request is one queued request, stored by value in its queue's ring.
 type request struct {
-	e       *Engine
-	q       *swQueue
-	hist    *metrics.Histogram // per-app latency histogram
-	arrived float64            // arrival (enqueue) time
-	done    func()             // pre-bound completion callback
+	arrived float64 // arrival (enqueue) time
+	app     int32   // index into Engine.apps
 }
 
 // swQueue is one switch's bounded FIFO plus its single aggregate
@@ -156,11 +150,12 @@ type request struct {
 // its bound.
 type swQueue struct {
 	sw   *lbswitch.Switch // nil until the queue is attached
-	buf  []*request       // ring, len ≤ Config.QueueCap
+	buf  []request        // ring, len ≤ Config.QueueCap
 	head int              // index of the request in service
 	n    int              // occupied slots (including the one in service)
 	mu   float64          // derived service rate, requests/sec
 	busy bool             // a completion event is scheduled
+	done func()           // completion callback, bound once when the queue attaches
 }
 
 // minRing is the ring size a queue's first admitted request allocates.
@@ -169,7 +164,7 @@ const minRing = 4
 // grow doubles the full ring, capped at limit, and copies the live
 // requests to its front in FIFO order.
 func (q *swQueue) grow(limit int) {
-	buf := make([]*request, min(max(minRing, 2*len(q.buf)), limit))
+	buf := make([]request, min(max(minRing, 2*len(q.buf)), limit))
 	k := copy(buf, q.buf[q.head:])
 	copy(buf[k:], q.buf[:q.head])
 	q.buf, q.head = buf, 0
@@ -194,8 +189,7 @@ type Engine struct {
 	sampler *workload.Sampler   // built once at Start; weights are frozen after
 	queues  []swQueue           // by SwitchID, sized once in New; sw == nil = not attached yet
 	qOrder  []lbswitch.SwitchID // attach order, for deterministic refresh
-	pool    sim.Pool[request]
-	arrival func() // pre-bound per-arrival callback: arrive, then schedule the next
+	arrival func()              // pre-bound per-arrival callback: arrive, then schedule the next
 	stats   Stats
 
 	latAll   *metrics.Histogram
@@ -251,10 +245,6 @@ func New(p *core.Platform, cfg Config) (*Engine, error) {
 	e.arrival = func() {
 		e.arrive()
 		e.scheduleNext()
-	}
-	e.pool.New = func(r *request) {
-		r.e = e
-		r.done = r.complete
 	}
 	return e, nil
 }
@@ -351,6 +341,7 @@ func (e *Engine) queueFor(id lbswitch.SwitchID) *swQueue {
 	if q.sw == nil {
 		q.sw = e.p.Fabric.Switch(id)
 		q.mu = e.scan.SwitchCPU(id) / e.cfg.CPUPerRequest
+		q.done = func() { e.complete(q) }
 		e.qOrder = append(e.qOrder, id)
 	}
 	return q
@@ -388,8 +379,8 @@ func (e *Engine) scheduleNext() {
 func (e *Engine) arrive() {
 	e.stats.Generated++
 	now := e.p.Eng.Now()
-	as := &e.apps[e.sampler.Pick(e.rng)]
-	vi, err := as.pop.Arrive(now, e.rng)
+	app := e.sampler.Pick(e.rng)
+	vi, err := e.apps[app].pop.Arrive(now, e.rng)
 	if err != nil {
 		e.stats.NoExposure++
 		e.cNoExpo.Inc()
@@ -411,9 +402,7 @@ func (e *Engine) arrive() {
 	if q.n == len(q.buf) {
 		q.grow(e.cfg.QueueCap)
 	}
-	r := e.pool.Get()
-	r.q, r.hist, r.arrived = q, as.hist, now
-	q.buf[(q.head+q.n)%len(q.buf)] = r
+	q.buf[(q.head+q.n)%len(q.buf)] = request{arrived: now, app: int32(app)}
 	q.n++
 	e.stats.Enqueued++
 	q.sw.NoteReqEnqueued()
@@ -426,9 +415,8 @@ func (e *Engine) arrive() {
 // time at the queue's current rate and schedule its completion. The
 // wait the request accrued so far is recorded here, where it ends.
 func (e *Engine) startService(q *swQueue) {
-	r := q.buf[q.head]
 	q.busy = true
-	e.waitAll.Observe(e.p.Eng.Now() - r.arrived)
+	e.waitAll.Observe(e.p.Eng.Now() - q.buf[q.head].arrived)
 	var svc float64
 	switch e.cfg.Service {
 	case ServiceDeterministic:
@@ -436,25 +424,22 @@ func (e *Engine) startService(q *swQueue) {
 	default:
 		svc = e.rng.ExpFloat64() / q.mu
 	}
-	e.p.Eng.After(svc, r.done)
+	e.p.Eng.After(svc, q.done)
 }
 
-// complete finishes the head-of-line request of its queue: record
-// end-to-end latency, advance the ring, start the next request.
-func (r *request) complete() {
-	e, q := r.e, r.q
+// complete finishes the head-of-line request of q: record end-to-end
+// latency, advance the ring, start the next request.
+func (e *Engine) complete(q *swQueue) {
+	r := q.buf[q.head]
 	lat := e.p.Eng.Now() - r.arrived
-	r.hist.Observe(lat)
+	e.apps[r.app].hist.Observe(lat)
 	e.latAll.Observe(lat)
 	e.stats.Served++
 	e.cServed.Inc()
 	q.sw.NoteReqServed()
-	q.buf[q.head] = nil
 	q.head = (q.head + 1) % len(q.buf)
 	q.n--
 	q.busy = false
-	r.q, r.hist = nil, nil
-	e.pool.Put(r)
 	if q.n > 0 && q.mu > 0 {
 		e.startService(q)
 	}

@@ -231,9 +231,11 @@ func TestBoundedQueueDrops(t *testing.T) {
 	}
 }
 
-// ringOrder returns q's live requests in FIFO order, head first.
-func ringOrder(q *swQueue) []*request {
-	out := make([]*request, q.n)
+// ringOrder returns q's live requests in FIFO order, head first. A
+// request is a value, (arrival time, app); arrival times are strictly
+// increasing, so no two live requests compare equal.
+func ringOrder(q *swQueue) []request {
+	out := make([]request, q.n)
 	for i := range out {
 		out[i] = q.buf[(q.head+i)%len(q.buf)]
 	}
@@ -269,7 +271,7 @@ func TestQueueRingSizeAndOrder(t *testing.T) {
 		}
 		grewMidRing := 0
 		for p.Eng.Now() < 10 {
-			before := make(map[lbswitch.SwitchID][]*request)
+			before := make(map[lbswitch.SwitchID][]request)
 			heads := make(map[lbswitch.SwitchID]int)
 			sizes := make(map[lbswitch.SwitchID]int)
 			drops := make(map[lbswitch.SwitchID]int64)
