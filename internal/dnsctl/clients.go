@@ -43,16 +43,27 @@ type clientCache struct {
 // violatorFraction in [0,1] of them hold entries for violationHold extra
 // seconds past the TTL.
 func NewClientPopulation(dns *DNS, app cluster.AppID, n int, violatorFraction, violationHold float64, rng *rand.Rand) (*ClientPopulation, error) {
+	p := new(ClientPopulation)
+	if err := p.Init(dns, app, n, violatorFraction, violationHold, rng); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Init sets p up in place as NewClientPopulation would, drawing the same
+// violator flags from rng, so a caller can keep populations inside its
+// own records. On error p is left unchanged and nothing is drawn.
+func (p *ClientPopulation) Init(dns *DNS, app cluster.AppID, n int, violatorFraction, violationHold float64, rng *rand.Rand) error {
 	if n <= 0 {
-		return nil, fmt.Errorf("dnsctl: population size %d", n)
+		return fmt.Errorf("dnsctl: population size %d", n)
 	}
 	if violatorFraction < 0 || violatorFraction > 1 {
-		return nil, fmt.Errorf("dnsctl: violator fraction %v out of [0,1]", violatorFraction)
+		return fmt.Errorf("dnsctl: violator fraction %v out of [0,1]", violatorFraction)
 	}
 	if violationHold < 0 {
-		return nil, fmt.Errorf("dnsctl: negative violation hold %v", violationHold)
+		return fmt.Errorf("dnsctl: negative violation hold %v", violationHold)
 	}
-	p := &ClientPopulation{
+	*p = ClientPopulation{
 		app:              app,
 		dns:              dns,
 		violatorFraction: violatorFraction,
@@ -64,7 +75,7 @@ func NewClientPopulation(dns *DNS, app cluster.AppID, n int, violatorFraction, v
 		p.clients[i].expiry = -1 // nothing cached
 		p.clients[i].violator = rng.Float64() < violatorFraction
 	}
-	return p, nil
+	return nil
 }
 
 // Arrive attributes one session arrival at time t to a random client and

@@ -202,20 +202,29 @@ func (t *vipTable) lookup(vip VIP) *vipEntry {
 }
 
 // Switch is one L4 load-balancing switch.
+//
+// Health and Req, which every request arrival and completion reads or
+// writes, lead the struct and share its first cache line; the struct is
+// padded to a whole number of lines, so the allocator's size class for
+// it starts every switch on a line boundary (TestRequestPathLayout).
 type Switch struct {
-	ID     SwitchID
-	Limits Limits
-
 	// Health tracks the failure/repair lifecycle; non-serving switches
 	// black-hole the traffic of every VIP still homed on them.
 	Health health.State
 
-	tab       *vipTable   // shared with the fabric; private to a lone switch
-	vips      []*vipEntry // configured VIPs in insertion order
-	nextSeq   uint64
+	// Req accumulates request-queue telemetry when a request engine is
+	// attached (see reqstats.go). Zero-valued and untouched otherwise.
+	Req ReqStats
+
+	ID        SwitchID
 	totalRIPs int
-	conns     map[ConnID]conn
-	nextConn  ConnID
+	Limits    Limits
+
+	tab      *vipTable   // shared with the fabric; private to a lone switch
+	vips     []*vipEntry // configured VIPs in insertion order
+	nextSeq  uint64
+	conns    map[ConnID]conn
+	nextConn ConnID
 
 	// Cached canonical throughput: the sum of per-VIP fluid loads in
 	// insertion order, recomputed lazily after a load or membership
@@ -244,9 +253,7 @@ type Switch struct {
 	// for incremental demand propagation.
 	OnReconfig func(h ids.Index, app cluster.AppID)
 
-	// Req accumulates request-queue telemetry when a request engine is
-	// attached (see reqstats.go). Zero-valued and untouched otherwise.
-	Req ReqStats
+	_ [56]byte // pads the struct from 200 to 256 bytes, four lines
 }
 
 // Serving reports whether the switch is healthy enough to forward

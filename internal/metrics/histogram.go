@@ -15,7 +15,8 @@ import (
 // compensation, so Mean stays accurate across the ~12 decades the
 // default bucket scheme spans.
 //
-// The zero value is not ready to use; construct with NewHistogram.
+// The zero value is not ready to use; construct with NewHistogram, or
+// Init one in place.
 type Histogram struct {
 	// Observe's scalars lead, so they share a cache line.
 	pow2  bool // bounds are the default scheme: bucketPow2 finds the bucket in pow2c
@@ -63,7 +64,22 @@ var defaultBounds = DefaultLatencyBounds()
 // upper bounds; values above the last bound land in an implicit
 // overflow bucket. A nil or empty bounds slice selects
 // DefaultLatencyBounds. Bounds must be finite and strictly ascending.
+//
+// It stays out of line, so its histogram is one heap allocation even
+// where a caller drops the result, which is what
+// TestHistogramDefaultAllocs counts.
+//
+//go:noinline
 func NewHistogram(bounds []float64) *Histogram {
+	h := new(Histogram)
+	h.Init(bounds)
+	return h
+}
+
+// Init sets h up in place as an empty histogram on bounds, as
+// NewHistogram does, so a caller can keep histograms inside its own
+// records (Registry.RegisterHistogram publishes one).
+func (h *Histogram) Init(bounds []float64) {
 	if len(bounds) == 0 {
 		bounds = defaultBounds
 	} else {
@@ -77,7 +93,7 @@ func NewHistogram(bounds []float64) *Histogram {
 			panic(fmt.Sprintf("metrics: histogram bounds not ascending: %v after %v", b, bounds[i-1]))
 		}
 	}
-	h := &Histogram{
+	*h = Histogram{
 		bounds: bounds,
 		pow2:   slices.Equal(bounds, defaultBounds),
 		min:    math.Inf(1),
@@ -86,7 +102,6 @@ func NewHistogram(bounds []float64) *Histogram {
 	if !h.pow2 {
 		h.counts = make([]uint64, len(bounds)+1)
 	}
-	return h
 }
 
 // buckets returns the bucket counts: the in-struct array on the default

@@ -92,6 +92,24 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// RegisterHistogram attaches an externally owned histogram under the
+// given name, so a subsystem can keep its histograms in its own records
+// (internal/requests holds one per application in place). The name must
+// be new: it panics if the name is already registered, whatever its
+// kind, since two histograms cannot share one series.
+func (r *Registry) RegisterHistogram(name string, h *Histogram) {
+	if h == nil {
+		panic("metrics: RegisterHistogram(nil)")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.kinds[name] == "histogram" {
+		panic(fmt.Sprintf("metrics: histogram %q already registered", name))
+	}
+	r.claim(name, "histogram")
+	r.hists[name] = h
+}
+
 // RegisterAvailability attaches an externally owned availability
 // tracker under the given name. Availability trackers are built by the
 // fault monitor, not the registry, so there is no lazy constructor.

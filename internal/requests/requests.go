@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"unsafe"
 
 	"megadc/internal/cluster"
 	"megadc/internal/core"
@@ -147,15 +148,16 @@ type request struct {
 // arrival order. buf is a ring that starts empty and doubles, from
 // minRing up to Config.QueueCap, when an admitted arrival finds it
 // full, so a queue's memory follows its high-water depth rather than
-// its bound.
+// its bound. The record is 64 bytes, so every queue of Engine.queues
+// is one cache line (TestRequestPathLayout).
 type swQueue struct {
-	sw   *lbswitch.Switch // nil until the queue is attached
 	buf  []request        // ring, len ≤ Config.QueueCap
-	head int              // index of the request in service
-	n    int              // occupied slots (including the one in service)
-	mu   float64          // derived service rate, requests/sec
-	busy bool             // a completion event is scheduled
+	sw   *lbswitch.Switch // nil until the queue is attached
 	done func()           // completion callback, bound once when the queue attaches
+	mu   float64          // derived service rate, requests/sec
+	head int32            // index of the request in service
+	n    int32            // occupied slots (including the one in service)
+	busy bool             // a completion event is scheduled
 }
 
 // minRing is the ring size a queue's first admitted request allocates.
@@ -170,10 +172,26 @@ func (q *swQueue) grow(limit int) {
 	q.buf, q.head = buf, 0
 }
 
-type appState struct {
-	pop  *dnsctl.ClientPopulation
-	hist *metrics.Histogram
+// cacheLine is the line size the request path's records are laid out for.
+const cacheLine = 64
+
+// appRec is one application's request-path state, held in place: its
+// DNS client population, which every arrival reads, and its
+// requests.latency.app-NN histogram, which every completion writes.
+// The population fills the record's first line and the histogram's
+// scalars start the second, so an arrival reads one line of the record
+// and a completion writes the scalar line and one bucket's line.
+type appRec struct {
+	pop  dnsctl.ClientPopulation
+	_    [(cacheLine - unsafe.Sizeof(dnsctl.ClientPopulation{})%cacheLine) % cacheLine]byte
+	hist metrics.Histogram
+	_    [(cacheLine - unsafe.Sizeof(metrics.Histogram{})%cacheLine) % cacheLine]byte
 }
+
+// appChunk is the number of records in one chunk of Engine.apps. A
+// chunk is larger than the allocator's largest size class, so it gets
+// pages of its own and every record starts a cache line.
+const appChunk = 128
 
 // Engine generates requests against one platform. Construct with New,
 // add applications, then Start.
@@ -183,13 +201,16 @@ type Engine struct {
 	rng  *rand.Rand
 	scan *core.BackendScan
 
-	apps    []appState
+	// apps holds the records in fixed-size chunks, record i at
+	// apps[i/appChunk][i%appChunk]: a chunk never moves once allocated,
+	// so the registry keeps a pointer to each record's histogram.
+	apps    [][]appRec
 	driven  map[cluster.AppID]bool // apps already added, for AddApp's duplicate check
-	weights []float64
-	sampler *workload.Sampler   // built once at Start; weights are frozen after
-	queues  []swQueue           // by SwitchID, sized once in New; sw == nil = not attached yet
-	qOrder  []lbswitch.SwitchID // attach order, for deterministic refresh
-	arrival func()              // pre-bound per-arrival callback: arrive, then schedule the next
+	weights []float64              // by record index; its length is the number of apps
+	sampler *workload.Sampler      // built once at Start; weights are frozen after
+	queues  []swQueue              // by SwitchID, sized once in New; sw == nil = not attached yet
+	qOrder  []lbswitch.SwitchID    // attach order, for deterministic refresh
+	arrival func()                 // pre-bound per-arrival callback: arrive, then schedule the next
 	stats   Stats
 
 	latAll   *metrics.Histogram
@@ -213,6 +234,9 @@ func New(p *core.Platform, cfg Config) (*Engine, error) {
 	}
 	if cfg.QueueCap <= 0 {
 		return nil, fmt.Errorf("requests: QueueCap %d must be > 0", cfg.QueueCap)
+	}
+	if cfg.QueueCap > math.MaxInt32 {
+		return nil, fmt.Errorf("requests: QueueCap %d must be ≤ %d", cfg.QueueCap, math.MaxInt32)
 	}
 	if !(cfg.CPUPerRequest > 0) || math.IsInf(cfg.CPUPerRequest, 0) {
 		return nil, fmt.Errorf("requests: CPUPerRequest %v must be finite and > 0", cfg.CPUPerRequest)
@@ -258,18 +282,25 @@ func (e *Engine) AddApp(app cluster.AppID, weight float64) error {
 	if e.driven[app] {
 		return fmt.Errorf("requests: app %d already driven", app)
 	}
-	pop, err := dnsctl.NewClientPopulation(e.p.DNS, app, e.cfg.Population,
-		e.cfg.ViolatorFraction, e.cfg.ViolationHoldSec, e.rng)
-	if err != nil {
+	i := len(e.weights)
+	if i == len(e.apps)*appChunk {
+		e.apps = append(e.apps, make([]appRec, appChunk))
+	}
+	r := e.app(i)
+	if err := r.pop.Init(e.p.DNS, app, e.cfg.Population,
+		e.cfg.ViolatorFraction, e.cfg.ViolationHoldSec, e.rng); err != nil {
 		return err
 	}
+	r.hist.Init(nil)
+	e.cfg.Registry.RegisterHistogram(fmt.Sprintf("requests.latency.app-%02d", app), &r.hist)
 	e.driven[app] = true
-	e.apps = append(e.apps, appState{
-		pop:  pop,
-		hist: e.cfg.Registry.Histogram(fmt.Sprintf("requests.latency.app-%02d", app)),
-	})
 	e.weights = append(e.weights, weight)
 	return nil
+}
+
+// app returns the record of the i-th added application.
+func (e *Engine) app(i int) *appRec {
+	return &e.apps[i/appChunk][i%appChunk]
 }
 
 // AddAppsZipf registers apps with Zipf(s) popularity: the first app in
@@ -289,7 +320,7 @@ func (e *Engine) Start() error {
 	if e.started {
 		return fmt.Errorf("requests: already started")
 	}
-	if len(e.apps) == 0 {
+	if len(e.weights) == 0 {
 		return fmt.Errorf("requests: no applications added")
 	}
 	e.started = true
@@ -325,14 +356,9 @@ func (e *Engine) RefreshCapacity() { e.refresh() }
 func (e *Engine) AttachedQueues() int { return len(e.qOrder) }
 
 // Pending returns the number of requests currently queued or in service
-// across all switches.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, id := range e.qOrder {
-		n += e.queues[id].n
-	}
-	return n
-}
+// across all switches. A request leaves its queue only by being served,
+// so this is the sum of the attached queues' depths.
+func (e *Engine) Pending() int { return int(e.stats.Enqueued - e.stats.Served) }
 
 // queueFor returns (attaching on first sight) the queue of switch id.
 // The pointer is stable: e.queues is never reallocated.
@@ -380,7 +406,7 @@ func (e *Engine) arrive() {
 	e.stats.Generated++
 	now := e.p.Eng.Now()
 	app := e.sampler.Pick(e.rng)
-	vi, err := e.apps[app].pop.Arrive(now, e.rng)
+	vi, err := e.app(app).pop.Arrive(now, e.rng)
 	if err != nil {
 		e.stats.NoExposure++
 		e.cNoExpo.Inc()
@@ -393,16 +419,16 @@ func (e *Engine) arrive() {
 		return
 	}
 	q := e.queueFor(home)
-	if !q.sw.Serving() || q.n >= e.cfg.QueueCap {
+	if !q.sw.Serving() || int(q.n) >= e.cfg.QueueCap {
 		e.stats.Dropped++
 		e.cDropped.Inc()
 		q.sw.NoteReqDropped()
 		return
 	}
-	if q.n == len(q.buf) {
+	if int(q.n) == len(q.buf) {
 		q.grow(e.cfg.QueueCap)
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = request{arrived: now, app: int32(app)}
+	q.buf[int(q.head+q.n)%len(q.buf)] = request{arrived: now, app: int32(app)}
 	q.n++
 	e.stats.Enqueued++
 	q.sw.NoteReqEnqueued()
@@ -432,12 +458,12 @@ func (e *Engine) startService(q *swQueue) {
 func (e *Engine) complete(q *swQueue) {
 	r := q.buf[q.head]
 	lat := e.p.Eng.Now() - r.arrived
-	e.apps[r.app].hist.Observe(lat)
+	e.app(int(r.app)).hist.Observe(lat)
 	e.latAll.Observe(lat)
 	e.stats.Served++
 	e.cServed.Inc()
 	q.sw.NoteReqServed()
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = int32(int(q.head+1) % len(q.buf))
 	q.n--
 	q.busy = false
 	if q.n > 0 && q.mu > 0 {

@@ -46,6 +46,7 @@ func TestConfigValidation(t *testing.T) {
 		{"nil profile", func(c *Config) { c.Profile = nil }},
 		{"invalid profile", func(c *Config) { c.Profile = workload.Diurnal{Base: 1, Amplitude: 1, Period: 0} }},
 		{"zero queue", func(c *Config) { c.QueueCap = 0 }},
+		{"queue past int32", func(c *Config) { c.QueueCap = math.MaxInt32 + 1 }},
 		{"zero cpu", func(c *Config) { c.CPUPerRequest = 0 }},
 		{"nan cpu", func(c *Config) { c.CPUPerRequest = math.NaN() }},
 		{"zero refresh", func(c *Config) { c.RefreshEvery = 0 }},
@@ -99,8 +100,8 @@ func TestAddAppRejectsDuplicate(t *testing.T) {
 	if err := e.AddAppsZipf([]cluster.AppID{apps[1], apps[1]}, 1.0); err == nil {
 		t.Fatal("AddAppsZipf with a repeated app accepted")
 	}
-	if len(e.apps) != 2 || len(e.weights) != 2 {
-		t.Fatalf("%d apps, %d weights registered, want 2 and 2", len(e.apps), len(e.weights))
+	if len(e.driven) != 2 || len(e.weights) != 2 {
+		t.Fatalf("%d apps, %d weights registered, want 2 and 2", len(e.driven), len(e.weights))
 	}
 }
 
@@ -237,7 +238,7 @@ func TestBoundedQueueDrops(t *testing.T) {
 func ringOrder(q *swQueue) []request {
 	out := make([]request, q.n)
 	for i := range out {
-		out[i] = q.buf[(q.head+i)%len(q.buf)]
+		out[i] = q.buf[(int(q.head)+i)%len(q.buf)]
 	}
 	return out
 }
@@ -277,7 +278,7 @@ func TestQueueRingSizeAndOrder(t *testing.T) {
 			drops := make(map[lbswitch.SwitchID]int64)
 			for _, id := range e.qOrder {
 				q := &e.queues[id]
-				before[id], heads[id], sizes[id], drops[id] = ringOrder(q), q.head, len(q.buf), q.sw.Req.Dropped
+				before[id], heads[id], sizes[id], drops[id] = ringOrder(q), int(q.head), len(q.buf), q.sw.Req.Dropped
 			}
 			served, enqueued := e.Stats().Served, e.Stats().Enqueued
 			if !p.Eng.Step() {
@@ -288,7 +289,7 @@ func TestQueueRingSizeAndOrder(t *testing.T) {
 			added := int(e.Stats().Enqueued - enqueued)
 			for _, id := range e.qOrder {
 				q := &e.queues[id]
-				if q.n > cfg.QueueCap || len(q.buf) > cfg.QueueCap {
+				if int(q.n) > cfg.QueueCap || len(q.buf) > cfg.QueueCap {
 					t.Fatalf("switch %d: depth %d, ring %d, cap %d", id, q.n, len(q.buf), cfg.QueueCap)
 				}
 				old, now := before[id], ringOrder(q)
@@ -464,6 +465,82 @@ func TestEnablingRequestsDoesNotPerturbPlatform(t *testing.T) {
 	}
 	if without, with := run(false), run(true); without != with {
 		t.Fatalf("request engine perturbed the platform:\nwithout: %s\nwith:    %s", without, with)
+	}
+}
+
+// TestPendingMatchesQueueDepths: Pending, kept as admitted minus served,
+// equals the sum of every attached queue's depth at each capacity
+// refresh of a run that drops arrivals at full queues and loses a
+// switch with requests queued on it, and reaches zero once the run
+// has drained.
+func TestPendingMatchesQueueDepths(t *testing.T) {
+	p := newPlatform(t, 2)
+	var apps []cluster.AppID
+	for i := 0; i < 4; i++ {
+		a, err := p.OnboardApp(fmt.Sprintf("app-%d", i), slice(), 2, core.Demand{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps = append(apps, a.ID)
+	}
+	cfg := DefaultConfig()
+	cfg.Profile = workload.Constant(100)
+	cfg.QueueCap = 20
+	cfg.CPUPerRequest = 0.05 // each switch serves well under its share
+	cfg.RefreshEvery = 0.5
+	cfg.StopAt = 20
+	cfg.Registry = metrics.NewRegistry()
+	e, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddAppsZipf(apps, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	depths := func() int {
+		n := 0
+		for _, id := range e.qOrder {
+			n += int(e.queues[id].n)
+		}
+		return n
+	}
+	checks := 0
+	// Scheduled after Start at the same times, so each check runs right
+	// after the engine's refresh.
+	p.Eng.Every(p.Eng.Now()+cfg.RefreshEvery, cfg.RefreshEvery, func() bool {
+		if got, want := e.Pending(), depths(); got != want {
+			t.Fatalf("t=%v: Pending %d, queue depths sum to %d", p.Eng.Now(), got, want)
+		}
+		checks++
+		return true
+	})
+
+	p.Eng.RunUntil(8)
+	deepest := e.qOrder[0]
+	for _, id := range e.qOrder {
+		if e.queues[id].n > e.queues[deepest].n {
+			deepest = id
+		}
+	}
+	if e.queues[deepest].n == 0 {
+		t.Fatal("no request queued when the switch fails")
+	}
+	if _, _, err := p.FailSwitch(deepest); err != nil {
+		t.Fatal(err)
+	}
+	p.Eng.RunUntil(14)
+	if err := p.RepairSwitch(deepest); err != nil {
+		t.Fatal(err)
+	}
+	p.Eng.RunUntil(80)
+	if st := e.Stats(); st.Dropped == 0 || checks < 100 {
+		t.Fatalf("dropped %d arrivals over %d checks, want drops and ≥ 100 checks", st.Dropped, checks)
+	}
+	if e.Pending() != 0 || depths() != 0 {
+		t.Fatalf("Pending %d, depths %d after the drain, want 0", e.Pending(), depths())
 	}
 }
 
