@@ -131,6 +131,12 @@ func (a *Application) NumInstances() int { return len(a.vms) }
 // VMIDs returns the application's instance IDs in ascending order.
 func (a *Application) VMIDs() []VMID { return slices.Clone(a.vms) }
 
+// VMIDsView returns the application's instance IDs in ascending order as
+// a read-only view of the membership slice — no copy, for
+// allocation-free scans. The caller must not mutate it or hold it
+// across membership changes; Cluster.VM resolves each ID.
+func (a *Application) VMIDsView() []VMID { return a.vms }
+
 // Pod is a logical group of servers managed by one pod manager. Pods are
 // formed by configuration, not physical adjacency, so servers can be
 // transferred between pods (paper Section IV-C).

@@ -509,7 +509,7 @@ func TestPropertyMembershipOrder(t *testing.T) {
 						want = append(want, id)
 					}
 				}
-				if !sameAscending(c.App(app).VMIDs(), want) {
+				if !sameAscending(c.App(app).VMIDs(), want) || !sameAscending(c.App(app).VMIDsView(), want) {
 					t.Logf("app %d VMs %v, model %v", app, c.App(app).VMIDs(), want)
 					return false
 				}

@@ -95,8 +95,9 @@ func (p *Platform) actuate(a Action) uint64 {
 	return cid
 }
 
-// claimKind is what a claim holds.
-type claimKind uint8
+// claimKind is what a claim holds. It is as wide as claimKey's owner,
+// so the key has no padding and the claim map hashes it in one call.
+type claimKind uint32
 
 const (
 	claimNone   claimKind = iota

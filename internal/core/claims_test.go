@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"megadc/internal/cluster"
 	"megadc/internal/ctrlplane"
@@ -182,5 +183,16 @@ func TestNoClaimOutlivesItsAction(t *testing.T) {
 	}
 	if err := p.AuditErr(); err != nil {
 		t.Errorf("audit: %v", err)
+	}
+}
+
+// TestClaimKeyPaddingFree pins claimKey's layout: with no padding
+// between or after its fields, the claim map hashes a key as one block
+// of memory instead of field by field.
+func TestClaimKeyPaddingFree(t *testing.T) {
+	var k claimKey
+	fields := unsafe.Sizeof(k.owner) + unsafe.Sizeof(k.kind) + unsafe.Sizeof(k.id)
+	if size := unsafe.Sizeof(k); size != fields {
+		t.Fatalf("claimKey is %d bytes, its fields %d: the key has padding", size, fields)
 	}
 }

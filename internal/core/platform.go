@@ -868,7 +868,7 @@ func (p *Platform) appServedDemand(app cluster.AppID) (served, demand float64) {
 		return 0, p.appDemandOf(app).CPU
 	}
 	var vmDemand float64
-	for _, vmID := range a.VMIDs() {
+	for _, vmID := range a.VMIDsView() {
 		vm := p.Cluster.VM(vmID)
 		vmDemand += vm.Demand.CPU
 		if srv := p.Cluster.Server(vm.Server); srv != nil && !srv.Serving() {

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -80,7 +82,11 @@ func (r *refEngine) step(t Time) int {
 // that schedule children while firing, cancels before and after firing,
 // double cancels, zero-handle cancels and stale-handle cancels after slot
 // reuse — and requires the same fire order, the same Cancel results and
-// the same Pending after every step.
+// the same Pending after every step. It also requires that the
+// earliest-event register orders strictly before the heap top after
+// every step, and that every seed exercises the register: events placed
+// in it, held entries displaced into the heap by an earlier At, held
+// entries cancelled, and held entries tied in time with the heap top.
 func TestPropertyHeapMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -98,10 +104,12 @@ func TestPropertyHeapMatchesReference(t *testing.T) {
 		// schedules its child while firing; the child reaches the
 		// reference at once, which is harmless: it sorts after its
 		// parent, which the reference pops next.
+		regHits, displaced, heldCancels, heldTies := 0, 0, 0, 0
 		var schedule func(at Time)
 		schedule = func(at Time) {
 			id := len(handles)
 			spawns[id] = rng.Intn(4) == 0
+			prev := e.held
 			ev := e.At(at, func() {
 				fired = append(fired, id)
 				if spawns[id] {
@@ -111,6 +119,12 @@ func TestPropertyHeapMatchesReference(t *testing.T) {
 				}
 			})
 			handles = append(handles, handle{ev, ref.at(at, id)})
+			if e.held.seq() == ev.seq {
+				regHits++
+				if prev.ks != 0 {
+					displaced++
+				}
+			}
 		}
 		staleReuse, zeroCancels, liveCancels := 0, 0, 0
 		for op := 0; op < 3000; op++ {
@@ -119,14 +133,24 @@ func TestPropertyHeapMatchesReference(t *testing.T) {
 				// Few distinct offsets, so equal timestamps are common.
 				schedule(e.Now() + Time(rng.Intn(4)))
 			case k < 6 && len(handles) > 0:
-				h := handles[rng.Intn(len(handles))]
+				// A third of the cancels aim at the newest events,
+				// which the register often holds.
+				i := rng.Intn(len(handles))
+				if rng.Intn(3) == 0 {
+					i = len(handles) - 1 - rng.Intn(min(3, len(handles)))
+				}
+				h := handles[i]
 				slotBusy := e.slots[h.ev.slot].seq != 0
+				wasHeld := e.held.ks != 0 && e.held.seq() == h.ev.seq
 				got, want := e.Cancel(h.ev), ref.cancel(h.ref)
 				if got != want {
 					t.Fatalf("seed %d op %d: Cancel = %v, reference %v", seed, op, got, want)
 				}
 				if got {
 					liveCancels++
+					if wasHeld {
+						heldCancels++
+					}
 				} else if slotBusy {
 					staleReuse++
 				}
@@ -173,10 +197,23 @@ func TestPropertyHeapMatchesReference(t *testing.T) {
 			if e.Now() != ref.now {
 				t.Fatalf("seed %d op %d: Now = %v, reference %v", seed, op, e.Now(), ref.now)
 			}
+			if e.held.ks != 0 && len(e.heap) > 0 {
+				if e.held.before(e.heap[0]) == 0 {
+					t.Fatalf("seed %d op %d: held entry %+v does not order before heap top %+v",
+						seed, op, e.held, e.heap[0])
+				}
+				if e.held.key == e.heap[0].key {
+					heldTies++
+				}
+			}
 		}
 		if staleReuse == 0 || zeroCancels == 0 || liveCancels == 0 {
 			t.Fatalf("seed %d: schedule too tame: %d stale-after-reuse, %d zero, %d live cancels",
 				seed, staleReuse, zeroCancels, liveCancels)
+		}
+		if regHits == 0 || displaced == 0 || heldCancels == 0 || heldTies == 0 {
+			t.Fatalf("seed %d: register too idle: %d hits, %d displaced, %d held cancels, %d ties with the heap top",
+				seed, regHits, displaced, heldCancels, heldTies)
 		}
 	}
 }
@@ -210,5 +247,61 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10_000, withCancel); n != 0 {
 		t.Fatalf("After+Cancel+After+Step allocates %v times, want 0", n)
+	}
+	// Always earliest: every new event orders before the standing
+	// population, so it goes to the register and fires from there.
+	for i := 0; i < 1000; i++ {
+		e.After(1e6+e.Rand().Float64()*10, fn)
+	}
+	earliest := func() {
+		e.After(0, fn)
+		e.Step()
+	}
+	for i := 0; i < 10_000; i++ {
+		earliest()
+	}
+	if n := testing.AllocsPerRun(10_000, earliest); n != 0 {
+		t.Fatalf("always-earliest After+Step allocates %v times, want 0", n)
+	}
+}
+
+// TestEventPackingBounds pins the packed entry's edges without
+// scheduling a mass of events: At panics with its documented message
+// once the sequence number would outgrow its bits, and a -0 time orders
+// as +0 (its raw bits would sort it after every positive time).
+func TestEventPackingBounds(t *testing.T) {
+	e := New(1)
+	e.seq = maxSeq - 1
+	last := e.At(1, func() {})
+	if last.seq != maxSeq {
+		t.Fatalf("event before the limit got seq %d, want %d", last.seq, uint64(maxSeq))
+	}
+	func() {
+		defer func() {
+			want := "sim: more than 1099511627775 events scheduled on one engine"
+			if r := recover(); r != want {
+				t.Errorf("At past the sequence limit panicked with %v, want %q", r, want)
+			}
+		}()
+		e.At(1, func() {})
+	}()
+	if e.Pending() != 1 || e.seq != maxSeq {
+		t.Errorf("rejected At left Pending = %d, seq = %d; want 1 and %d", e.Pending(), e.seq, uint64(maxSeq))
+	}
+
+	e = New(1)
+	var got []string
+	negZero := math.Copysign(0, -1)
+	e.At(1, func() { got = append(got, "one") })
+	e.At(negZero, func() {
+		got = append(got, "-0")
+		if math.Signbit(e.Now()) {
+			t.Error("Now() reads -0")
+		}
+	})
+	e.At(0, func() { got = append(got, "+0") })
+	e.Run()
+	if want := []string{"-0", "+0", "one"}; !slices.Equal(got, want) {
+		t.Errorf("fire order %v, want %v", got, want)
 	}
 }

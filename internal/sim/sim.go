@@ -5,15 +5,21 @@
 // scheduled, which — together with an explicitly seeded random source —
 // makes every simulation run exactly reproducible.
 //
-// The queue is a typed binary min-heap of plain values {at, seq, slot}
-// ordered by (at, seq); the callback of each scheduled event sits in a
-// slot of a reusable table with a free list. Scheduling therefore
-// allocates nothing once the heap and the table have grown to the run's
-// standing population, and no heap operation goes through an interface.
+// The queue is an earliest-event register in front of a typed binary
+// min-heap. Both hold 16-byte plain values: the event time's float bits
+// and the sequence number packed with a slot index, ordered by (at, seq)
+// through one branch-free 128-bit compare. An event scheduled ahead of
+// everything pending waits in the register and fires from there, without
+// a sift. The callback of each scheduled event sits in a slot of a
+// reusable table with a free list. Scheduling therefore allocates
+// nothing once the heap and the table have grown to the run's standing
+// population, and no queue operation goes through an interface.
 package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -33,25 +39,46 @@ type Event struct {
 	seq  uint64 // 0 only in the zero Event
 }
 
-// entry is one heap element. It holds no pointers, so the collector never
-// scans the heap array.
+// Packed widths of an entry's ks word: the low slotBits bits hold the
+// slot index and the rest the sequence number. 2^24 slots bound the
+// standing population: the largest in the tests is TestStressLargeHeap's
+// million, and the bench workloads stay under 8,192. 2^40 sequence
+// numbers bound the events one engine schedules in its lifetime, about
+// 30 hours at 10M events per wall second. At panics before either would
+// overflow.
+const (
+	slotBits = 24
+	maxSlots = 1 << slotBits
+	maxSeq   = 1<<(64-slotBits) - 1
+)
+
+// entry is one queued event, 16 bytes. key is math.Float64bits of the
+// event time, which orders like the time itself because times are never
+// negative (-0 is stored as +0); ks is seq<<slotBits | slot. Sequence
+// numbers are unique, so (key, ks) compared as one 128-bit unsigned
+// number is the (at, seq) order. Entries hold no pointers, so the
+// collector never scans the heap array.
 type entry struct {
-	at   Time
-	seq  uint64
-	slot uint32
+	key uint64
+	ks  uint64
 }
 
-func (a entry) less(b entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// before returns 1 if a orders before b and 0 otherwise. The compare is
+// the borrow out of a 128-bit subtraction, so it takes no branch.
+func (a entry) before(b entry) uint64 {
+	_, borrow := bits.Sub64(a.ks, b.ks, 0)
+	_, borrow = bits.Sub64(a.key, b.key, borrow)
+	return borrow
 }
+
+func (a entry) at() Time     { return math.Float64frombits(a.key) }
+func (a entry) seq() uint64  { return a.ks >> slotBits }
+func (a entry) slot() uint32 { return uint32(a.ks & (maxSlots - 1)) }
 
 // slot holds one scheduled callback. seq is the sequence number of the
-// event occupying it, or 0 while the slot is free: a heap entry whose seq
-// no longer matches its slot's was cancelled and is skipped when it
-// reaches the top.
+// event occupying it, or 0 while the slot is free: a queued entry whose
+// seq no longer matches its slot's was cancelled and is dropped when it
+// reaches the register.
 type slot struct {
 	fn  func()
 	seq uint64
@@ -60,8 +87,13 @@ type slot struct {
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct with New.
 type Engine struct {
-	now    Time
-	seq    uint64 // last sequence number handed out
+	now Time
+	seq uint64 // last sequence number handed out
+	// held is the earliest-event register: when held.ks != 0 it is an
+	// entry that orders strictly before every heap entry, kept out of
+	// the heap so that an event scheduled ahead of everything pending
+	// neither climbs to the root nor sifts back down when it fires.
+	held   entry
 	heap   []entry
 	slots  []slot
 	free   []uint32 // indices of free slots
@@ -85,28 +117,47 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) Steps() uint64 { return e.nSteps }
 
 // Pending returns the number of events still scheduled: cancelled events
-// do not count, even while their entries wait in the heap.
+// do not count, even while their entries wait in the queue.
 func (e *Engine) Pending() int { return e.live }
 
 // At schedules fn to run at absolute simulated time t.
 // Scheduling in the past panics: it indicates a logic error in the caller.
+// So does scheduling more than 2^40−1 events on one engine, or more than
+// 2^24 pending at once: neither fits an entry's packed widths.
 func (e *Engine) At(t Time, fn func()) Event {
 	if !(t >= e.now) { // also rejects NaN, which has no place in the order
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	if e.seq == maxSeq {
+		panic(fmt.Sprintf("sim: more than %d events scheduled on one engine", uint64(maxSeq)))
 	}
 	var s uint32
 	if n := len(e.free); n > 0 {
 		s = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
+		if len(e.slots) == maxSlots {
+			panic(fmt.Sprintf("sim: more than %d events pending at once", maxSlots))
+		}
 		s = uint32(len(e.slots))
 		e.slots = append(e.slots, slot{})
 	}
 	e.seq++
 	e.slots[s] = slot{fn: fn, seq: e.seq}
 	e.live++
-	e.heap = append(e.heap, entry{at: t, seq: e.seq, slot: s})
-	e.up(len(e.heap) - 1)
+	if t == 0 {
+		t = 0 // -0 would order after every positive time
+	}
+	x := entry{key: math.Float64bits(t), ks: e.seq<<slotBits | uint64(s)}
+	switch {
+	case e.held.ks == 0 && (len(e.heap) == 0 || x.before(e.heap[0]) == 1):
+		e.held = x
+	case e.held.ks != 0 && x.before(e.held) == 1:
+		e.push(e.held)
+		e.held = x
+	default:
+		e.push(x)
+	}
 	return Event{slot: s, seq: e.seq}
 }
 
@@ -134,8 +185,8 @@ func (e *Engine) Every(start, interval Time, fn func() bool) {
 // did. Cancelling the zero Event, an event that already fired or one
 // that was already cancelled is a no-op that reports false.
 //
-// The event's heap entry stays queued and is dropped when it reaches the
-// top; its slot is freed at once.
+// The event's entry stays queued and is dropped when it reaches the
+// register; its slot is freed at once.
 func (e *Engine) Cancel(ev Event) bool {
 	if ev.seq == 0 || int(ev.slot) >= len(e.slots) || e.slots[ev.slot].seq != ev.seq {
 		return false
@@ -170,7 +221,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with time ≤ t, then advances the clock to t.
 // Events scheduled for later remain queued.
 func (e *Engine) RunUntil(t Time) {
-	for e.peek() && e.heap[0].at <= t {
+	for e.peek() && e.held.at() <= t {
 		e.fire()
 	}
 	if t > e.now {
@@ -181,29 +232,42 @@ func (e *Engine) RunUntil(t Time) {
 // RunFor executes events for d seconds of simulated time from now.
 func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
-// peek drops cancelled entries from the top of the heap and reports
-// whether a live event remains there.
+// peek leaves the next live event in the register and reports whether
+// there is one. It drops a cancelled held entry, and while the register
+// is empty it moves the heap top into it, dropping cancelled tops.
 func (e *Engine) peek() bool {
-	for len(e.heap) > 0 {
-		top := e.heap[0]
-		if e.slots[top.slot].seq == top.seq {
-			return true
+	for {
+		if e.held.ks != 0 {
+			if e.slots[e.held.slot()].seq == e.held.seq() {
+				return true
+			}
+			e.held.ks = 0
 		}
+		if len(e.heap) == 0 {
+			return false
+		}
+		e.held = e.heap[0]
 		e.pop()
 	}
-	return false
 }
 
-// fire pops the live event at the top of the heap and runs it. The slot
-// is freed before the callback runs, so the callback may reuse it.
+// fire empties the register and runs the event it held. The slot is
+// freed before the callback runs, so the callback may reuse it.
 func (e *Engine) fire() {
-	top := e.heap[0]
-	e.pop()
-	fn := e.slots[top.slot].fn
-	e.release(top.slot)
-	e.now = top.at
+	x := e.held
+	e.held.ks = 0
+	s := x.slot()
+	fn := e.slots[s].fn
+	e.release(s)
+	e.now = x.at()
 	e.nSteps++
 	fn()
+}
+
+// push adds x to the heap.
+func (e *Engine) push(x entry) {
+	e.heap = append(e.heap, x)
+	e.up(len(e.heap) - 1)
 }
 
 // pop removes the top entry of the heap.
@@ -222,7 +286,7 @@ func (e *Engine) up(i int) {
 	x := h[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !x.less(h[p]) {
+		if x.before(h[p]) == 0 {
 			break
 		}
 		h[i] = h[p]
@@ -231,7 +295,9 @@ func (e *Engine) up(i int) {
 	h[i] = x
 }
 
-// down restores the heap order after the entry at i was replaced.
+// down restores the heap order after the entry at i was replaced. The
+// smaller child is picked by adding the compare's result to the left
+// child's index, not by a branch.
 func (e *Engine) down(i int) {
 	h := e.heap
 	n := len(h)
@@ -241,10 +307,10 @@ func (e *Engine) down(i int) {
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && h[r].less(h[c]) {
-			c = r
+		if r := c + 1; r < n {
+			c += int(h[r].before(h[c]))
 		}
-		if !h[c].less(x) {
+		if h[c].before(x) == 0 {
 			break
 		}
 		h[i] = h[c]

@@ -75,3 +75,20 @@ func BenchmarkHeapChurn(b *testing.B) {
 		e.Step()
 	}
 }
+
+func BenchmarkHoldEarliest(b *testing.B) {
+	e := New(3)
+	// The same standing population, but each fired event schedules the
+	// next one earlier than everything pending — the pattern of a
+	// request stream's next arrival or an After(0) dispatch.
+	for i := 0; i < 10_000; i++ {
+		e.After(1000+e.Rand().Float64()*100, func() {})
+	}
+	var next func()
+	next = func() { e.After(1e-9, next) }
+	e.After(1e-9, next)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
