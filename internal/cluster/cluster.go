@@ -246,7 +246,15 @@ type Cluster struct {
 	// and MigrateVM (the VM's state, slice or host server). The platform
 	// uses it to invalidate its memoized per-switch backend capacity.
 	OnVMChange func(vm *VM)
+
+	// podGen moves whenever a server changes pod (TransferServer), so a
+	// derivation of which pod each VM is in stays valid while it holds.
+	podGen uint64
 }
+
+// PodGen returns the pod-membership generation: it changes whenever a
+// server moves between pods, and on nothing else.
+func (c *Cluster) PodGen() uint64 { return c.podGen }
 
 // vmChunk is the number of VM records in one chunk of the VM table.
 const vmChunk = 1024
@@ -677,6 +685,7 @@ func (c *Cluster) TransferServer(server ServerID, to PodID) error {
 	}
 	dst.servers = insertMember(dst.servers, s)
 	s.Pod = to
+	c.podGen++
 	return nil
 }
 

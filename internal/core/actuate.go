@@ -134,8 +134,14 @@ func drainClaim(h ids.Index) claimKey {
 // claimTable holds the claims in flight, each with the token it was
 // taken with. Claiming a held key hands it to the new claimant: the old
 // token no longer holds it, so the old claimant's release is a no-op.
+//
+// Beside the map, n counts per kind and entity ID how many owners hold
+// a claim on the entity, so held answers "no" — nearly every answer the
+// managers' per-VM scans get — with one load instead of a map probe.
+// The count tables grow lazily, to the highest ID ever claimed.
 type claimTable struct {
 	m   map[claimKey]uint64
+	n   [claimDrain + 1][]int32
 	seq uint64
 }
 
@@ -144,6 +150,11 @@ func (c *claimTable) claim(k claimKey) uint64 {
 	if c.m == nil {
 		c.m = make(map[claimKey]uint64)
 	}
+	if _, ok := c.m[k]; !ok && k.id >= 0 {
+		n := &c.n[k.kind]
+		*n = growSlice(*n, int(k.id)+1)
+		(*n)[k.id]++
+	}
 	c.seq++
 	c.m[k] = c.seq
 	return c.seq
@@ -151,6 +162,11 @@ func (c *claimTable) claim(k claimKey) uint64 {
 
 // held reports whether anyone holds k.
 func (c *claimTable) held(k claimKey) bool {
+	if k.id >= 0 {
+		if n := c.n[k.kind]; k.id >= int64(len(n)) || n[k.id] == 0 {
+			return false
+		}
+	}
 	_, ok := c.m[k]
 	return ok
 }
@@ -164,6 +180,9 @@ func (c *claimTable) heldBy(k claimKey, tok uint64) bool {
 func (c *claimTable) release(k claimKey, tok uint64) {
 	if c.heldBy(k, tok) {
 		delete(c.m, k)
+		if k.id >= 0 {
+			c.n[k.kind][k.id]--
+		}
 	}
 }
 

@@ -6,8 +6,8 @@ package core
 //
 //	I1.* VIP/RIP bidirectional consistency (viprip ↔ lbswitch ↔ cluster)
 //	I2.* DNS share sums and generation monotonicity (dnsctl)
-//	I3.* capacity accounting, fault-snapshot discipline (cluster) and
-//	     the memoized per-switch backend CPU (core)
+//	I3.* capacity accounting, fault-snapshot discipline (cluster), the
+//	     memoized per-switch backend CPU and the knob-F skip memos (core)
 //	I4.* ledger+session demand conservation (core, sessions)
 //	I5.* link/switch load decomposition and limits (netmodel, lbswitch)
 //	I6.* request-counter conservation per switch (lbswitch, requests)
@@ -43,6 +43,7 @@ func (p *Platform) Audit() *audit.Report {
 	p.auditDNS(rep)
 	p.auditCapacity(rep)
 	p.auditBackendCPU(rep)
+	p.auditWeightSkips(rep)
 	p.auditConservation(rep)
 	p.auditNetwork(rep)
 	p.auditRequests(rep)
@@ -322,6 +323,27 @@ func (p *Platform) auditBackendCPU(rep *audit.Report) {
 			rep.Addf("core", "I3.BACKEND_CPU_CURRENT",
 				fmt.Sprintf("memoized backend CPU == full scan %v", fresh),
 				fmt.Sprintf("%v", e.cpu), "switch %d", id)
+		}
+	}
+}
+
+// auditWeightSkips checks I3.WEIGHT_NOOP_CURRENT: every knob-F
+// candidate a pod manager would skip — its last evaluation found nothing
+// to do and its weight key is still current — still finds nothing to do
+// when desiredWeights runs in full. A violation means some change
+// reached an input of desiredWeights without moving a generation in the
+// key, so the pod manager would sit out a redistribution it owes.
+func (p *Platform) auditWeightSkips(rep *audit.Report) {
+	for _, pm := range p.pods {
+		for i, c := range pm.candidates {
+			if m := pm.memos[i]; !m.noop || m.key != p.weightKeyOf(c.sw) {
+				continue
+			}
+			if _, ok := pm.desiredWeights(c.sw, c.vip); ok {
+				rep.Addf("core", "I3.WEIGHT_NOOP_CURRENT",
+					"a skipped knob-F candidate needs no redistribution", "desiredWeights would act",
+					"pod %d vip %s on switch %d", pm.pod, c.vip, c.sw.ID)
+			}
 		}
 	}
 }

@@ -47,6 +47,26 @@ type GlobalManager struct {
 	swCand  []*lbswitch.Switch
 	podCand []cluster.PodID
 	podLoad []float64
+
+	// utils caches podUtil for every pod, by PodID, within one Step:
+	// filled at the step's first podUtil call and dropped before the
+	// elephant guard, whose inline server transfers are the only thing
+	// in a step that can move a pod's demand or capacity. stepping and
+	// utilsOK say whether the cache is in use and filled.
+	utils    []float64
+	stepping bool
+	utilsOK  bool
+
+	// Step scratch, reused so a step that issues no action allocates
+	// nothing.
+	ripPods    []cluster.PodID   // inter-pod weights: each RIP's pod
+	coldIdx    []int             // inter-pod weights: the cold RIPs
+	appSums    []float64         // hottestApp: demand per app seen
+	appSeen    []cluster.AppID   // hottestApp: the apps, parallel to appSums
+	podVMs     []int             // elephant guard: VM count by PodID
+	links      []netmodel.LinkID // VIP recycling: serving links
+	dnsVIPs    []lbswitch.VIP    // VIP recycling: one app's DNS record
+	dnsWeights []float64
 }
 
 func newGlobalManager(p *Platform) *GlobalManager {
@@ -61,6 +81,21 @@ func newGlobalManager(p *Platform) *GlobalManager {
 // regime (live state until the first snapshot lands), live state
 // otherwise.
 func (g *GlobalManager) podUtil(id cluster.PodID) float64 {
+	if !g.stepping {
+		return g.readPodUtil(id)
+	}
+	if !g.utilsOK {
+		g.utils = g.utils[:0]
+		for _, pod := range g.p.podOrder {
+			g.utils = append(g.utils, g.readPodUtil(pod))
+		}
+		g.utilsOK = true
+	}
+	return g.utils[id]
+}
+
+// readPodUtil is podUtil without the step cache.
+func (g *GlobalManager) readPodUtil(id cluster.PodID) float64 {
 	if g.p.ctrl.Enabled() && g.p.Cfg.Ctrl.SnapshotEvery > 0 {
 		if u, ok := g.podSnap[id]; ok {
 			return u
@@ -76,6 +111,7 @@ func (g *GlobalManager) podUtil(id cluster.PodID) float64 {
 // machines.
 func (g *GlobalManager) Step() {
 	g.Steps++
+	g.stepping, g.utilsOK = true, false
 	cfg := &g.p.Cfg
 	if cfg.Enabled(KnobSelectiveExposure) {
 		g.balanceAccessLinks()
@@ -99,6 +135,7 @@ func (g *GlobalManager) Step() {
 	if cfg.Enabled(KnobServerTransfer) {
 		g.transferServersToRelievePods()
 	}
+	g.stepping, g.utilsOK = false, false
 	if cfg.ElephantGuard {
 		g.guardElephantPods()
 	}
@@ -307,12 +344,13 @@ func (g *GlobalManager) costAwareExposure() {
 // re-exposed).
 func (g *GlobalManager) recycleUnusedVIPs() {
 	// Serving links sorted by utilization; targets = the lighter half.
-	var healthy []netmodel.LinkID
-	for _, l := range g.p.Net.Links() {
-		if l.Serving() {
+	healthy := g.links[:0]
+	for i := 0; i < g.p.Net.NumLinks(); i++ {
+		if l := g.p.Net.Link(netmodel.LinkID(i)); l.Serving() {
 			healthy = append(healthy, l.ID)
 		}
 	}
+	g.links = healthy
 	if len(healthy) == 0 {
 		return
 	}
@@ -328,13 +366,14 @@ func (g *GlobalManager) recycleUnusedVIPs() {
 		return cmp.Compare(a, b)
 	})
 	targets := healthy[:(len(healthy)+1)/2]
-	isTarget := make(map[netmodel.LinkID]bool, len(targets))
-	for _, id := range targets {
-		isTarget[id] = true
-	}
 	rr := 0
-	for _, app := range g.p.Cluster.AppIDs() {
-		vips, weights, err := g.p.DNS.Weights(app)
+	for a := 0; a < g.p.Cluster.NumApps(); a++ {
+		app := cluster.AppID(a)
+		if g.p.Cluster.App(app) == nil {
+			continue
+		}
+		vips, weights, err := g.p.DNS.AppendWeights(app, g.dnsVIPs[:0], g.dnsWeights[:0])
+		g.dnsVIPs, g.dnsWeights = vips, weights
 		if err != nil {
 			continue
 		}
@@ -347,7 +386,7 @@ func (g *GlobalManager) recycleUnusedVIPs() {
 				continue // drains manage their own exposure
 			}
 			active := g.p.Net.ActiveLinks(vi)
-			if len(active) == 1 && isTarget[active[0]] {
+			if len(active) == 1 && slices.Contains(targets, active[0]) {
 				continue // already parked on a light link
 			}
 			target := targets[rr%len(targets)]
@@ -371,7 +410,8 @@ func (g *GlobalManager) recycleUnusedVIPs() {
 // access-router involvement.
 func (g *GlobalManager) balanceSwitches() {
 	cfg := &g.p.Cfg
-	for _, sw := range g.p.Fabric.Switches() {
+	for i := 0; i < g.p.Fabric.NumSwitches(); i++ {
+		sw := g.p.Fabric.Switch(lbswitch.SwitchID(i))
 		if !sw.Serving() || sw.Utilization() <= cfg.SwitchOverloadUtil {
 			continue
 		}
@@ -579,80 +619,96 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 // preserving the VIP's total weight (so only the split between pods
 // changes). This is the fastest inter-pod knob — just a switch
 // reconfiguration.
+//
+// A VIP is acted on only when its RIPs span an overloaded pod and an
+// underloaded one, so with no pod of either kind the scan would act on
+// nothing and is skipped. Otherwise it walks every serving switch's
+// groups by entry, in the switch-by-switch order every actuation's
+// CauseID depends on.
 func (g *GlobalManager) interPodWeights() {
 	cfg := &g.p.Cfg
-	podUtil := make(map[cluster.PodID]float64)
+	anyHot, anyCold := false, false
 	for _, id := range g.p.podOrder {
-		podUtil[id] = g.podUtil(id)
+		u := g.podUtil(id)
+		anyHot = anyHot || u > cfg.PodOverloadUtil
+		anyCold = anyCold || u < cfg.PodUnderloadUtil
 	}
-	for _, sw := range g.p.Fabric.Switches() {
+	if !anyHot || !anyCold {
+		return
+	}
+	for i := 0; i < g.p.Fabric.NumSwitches(); i++ {
+		sw := g.p.Fabric.Switch(lbswitch.SwitchID(i))
 		if !sw.Serving() {
 			continue
 		}
-		for _, vip := range sw.VIPs() {
-			_, tags, weights, err := sw.AppendWeightsTagged(vip, nil, nil, nil)
-			if err != nil || len(tags) < 2 {
+		for j := 0; j < sw.NumVIPs(); j++ {
+			grp := sw.GroupAt(j)
+			g.p.work.interPodVisits++
+			if grp.Len() < 2 {
 				continue
 			}
 			// Partition the VIP's RIPs by pod.
-			podOf := make([]cluster.PodID, len(tags))
+			podOf := g.ripPods[:0]
 			hasHot, hasCold := false, false
-			for i, tag := range tags {
-				podOf[i] = cluster.NoPod
-				if vm := g.p.Cluster.VM(vmOfTag(tag)); vm != nil {
+			for k := 0; k < grp.Len(); k++ {
+				pod := cluster.NoPod
+				if vm := g.p.Cluster.VM(vmOfTag(grp.Tag(k))); vm != nil {
 					if srv := g.p.Cluster.Server(vm.Server); srv != nil {
-						podOf[i] = srv.Pod
+						pod = srv.Pod
 					}
 				}
-				if podOf[i] == cluster.NoPod {
+				podOf = append(podOf, pod)
+				if pod == cluster.NoPod {
 					continue
 				}
-				if podUtil[podOf[i]] > cfg.PodOverloadUtil {
+				if g.podUtil(pod) > cfg.PodOverloadUtil {
 					hasHot = true
 				}
-				if podUtil[podOf[i]] < cfg.PodUnderloadUtil {
+				if g.podUtil(pod) < cfg.PodUnderloadUtil {
 					hasCold = true
 				}
 			}
+			g.ripPods = podOf
 			if !hasHot || !hasCold {
 				continue
 			}
-			newWeights := append([]float64(nil), weights...)
+			newWeights := grp.AppendWeights(make([]float64, 0, grp.Len()))
 			var moved float64
-			var coldIdx []int
-			for i := range tags {
-				if podOf[i] == cluster.NoPod {
+			coldIdx := g.coldIdx[:0]
+			for k, pod := range podOf {
+				if pod == cluster.NoPod {
 					continue
 				}
-				if podUtil[podOf[i]] > cfg.PodOverloadUtil {
-					d := weights[i] * 0.25
-					newWeights[i] -= d
+				if g.podUtil(pod) > cfg.PodOverloadUtil {
+					d := grp.Weight(k) * 0.25
+					newWeights[k] -= d
 					moved += d
-				} else if podUtil[podOf[i]] < cfg.PodUnderloadUtil {
-					coldIdx = append(coldIdx, i)
+				} else if g.podUtil(pod) < cfg.PodUnderloadUtil {
+					coldIdx = append(coldIdx, k)
 				}
 			}
+			g.coldIdx = coldIdx
 			if moved <= 0 || len(coldIdx) == 0 {
 				continue
 			}
 			per := moved / float64(len(coldIdx))
-			for _, i := range coldIdx {
-				newWeights[i] += per
+			for _, k := range coldIdx {
+				newWeights[k] += per
 			}
-			app, _ := sw.AppOf(vip)
+			vip, nCold := grp.VIP(), len(coldIdx)
 			g.p.actuate(Action{
 				Knob: KnobRIPWeights, Prio: viprip.PriorityNormal,
 				Refs:  []trace.Ref{trace.VIP(vip), trace.SwitchRef(sw.ID)},
 				Delay: cfg.SwitchReconfigLatency,
 				From:  ctrlplane.Global, To: ctrlplane.CSM, Name: "inter-pod-weights",
 				Request: &viprip.Request{
-					Op: viprip.OpAdjustWeights, App: app, Priority: viprip.PriorityNormal,
+					Op: viprip.OpAdjustWeights, App: grp.App(), Priority: viprip.PriorityNormal,
 					VIP: vip, Weights: newWeights,
 					OnDone: func(r *viprip.Request) {
 						if r.Err != nil {
 							return
 						}
-						g.p.Cfg.Trace.Record(trace.EvWeightShift, moved, float64(len(coldIdx)),
+						g.p.Cfg.Trace.Record(trace.EvWeightShift, moved, float64(nCold),
 							trace.VIP(vip), trace.SwitchRef(sw.ID))
 						g.InterPodAdjusts++
 						g.p.Propagate()
@@ -707,35 +763,40 @@ func (g *GlobalManager) deployToRelievePods() {
 // is fully satisfied is removed, freeing capacity and shrinking pod
 // managers' decision spaces.
 func (g *GlobalManager) removeIdleInstances() {
-	for _, app := range g.p.Cluster.AppIDs() {
+	for i := 0; i < g.p.Cluster.NumApps(); i++ {
+		app := cluster.AppID(i)
 		a := g.p.Cluster.App(app)
-		if a.NumInstances() <= g.p.Cfg.VIPsPerApp { // keep a floor of instances
+		if a == nil || a.NumInstances() <= g.p.Cfg.VIPsPerApp { // keep a floor of instances
 			continue
 		}
-		if g.p.AppSatisfaction(app) < 0.999 {
-			continue
-		}
-		for _, vmID := range a.VMIDs() {
-			vm := g.p.Cluster.VM(vmID)
-			if vm.State == cluster.VMRunning && vm.Demand.CPU < 1e-6 && a.NumInstances() > g.p.Cfg.VIPsPerApp {
-				g.p.actuate(Action{
-					Knob: KnobAppDeployment, Prio: viprip.PriorityLow,
-					Refs:  []trace.Ref{trace.App(app), trace.VM(vmID)},
-					Delay: g.p.Cfg.SwitchReconfigLatency,
-					From:  ctrlplane.Global, To: ctrlplane.CSM, Name: "remove-instance",
-					Apply: func() {
-						if g.p.Cluster.VM(vmID) == nil {
-							return
-						}
-						if err := g.p.RemoveInstance(vmID); err == nil {
-							g.Removals++
-							g.p.Propagate()
-						}
-					},
-				})
-				break // at most one removal per app per step
+		// The first idle running instance, if any, looked for before
+		// the satisfaction check: both are pure, and the search is the
+		// cheaper one.
+		idle := cluster.VMID(-1)
+		for _, vmID := range a.VMIDsView() {
+			if vm := g.p.Cluster.VM(vmID); vm.State == cluster.VMRunning && vm.Demand.CPU < 1e-6 {
+				idle = vmID
+				break
 			}
 		}
+		if idle < 0 || g.p.AppSatisfaction(app) < 0.999 {
+			continue
+		}
+		g.p.actuate(Action{ // at most one removal per app per step
+			Knob: KnobAppDeployment, Prio: viprip.PriorityLow,
+			Refs:  []trace.Ref{trace.App(app), trace.VM(idle)},
+			Delay: g.p.Cfg.SwitchReconfigLatency,
+			From:  ctrlplane.Global, To: ctrlplane.CSM, Name: "remove-instance",
+			Apply: func() {
+				if g.p.Cluster.VM(idle) == nil {
+					return
+				}
+				if err := g.p.RemoveInstance(idle); err == nil {
+					g.Removals++
+					g.p.Propagate()
+				}
+			},
+		})
 	}
 }
 
@@ -854,26 +915,32 @@ func (g *GlobalManager) vacateAndTransfer(srv cluster.ServerID, donor, recipient
 // that protects pod managers' decision time.
 func (g *GlobalManager) guardElephantPods() {
 	cfg := &g.p.Cfg
+	// VM counts by pod, kept current across the inline transfers below:
+	// a transfer moves its server's VMs with it.
+	counts := g.podVMs[:0]
+	for _, id := range g.p.podOrder {
+		counts = append(counts, g.p.Cluster.PodNumVMs(id))
+	}
+	g.podVMs = counts
 	for _, podID := range g.p.podOrder {
 		pd := g.p.Cluster.Pod(podID)
-		for pd.NumServers() > cfg.MaxPodServers || g.p.Cluster.PodNumVMs(podID) > cfg.MaxPodVMs {
-			srvIDs := pd.ServerIDs()
-			if len(srvIDs) <= 1 {
+		for pd.NumServers() > cfg.MaxPodServers || counts[podID] > cfg.MaxPodVMs {
+			srvs := pd.Servers()
+			if len(srvs) <= 1 {
 				break
 			}
 			// Move the server with the most VMs (shrinks the VM count
 			// fastest) — with its instances — but only to a pod that
 			// stays within its own limits after the move; otherwise the
 			// guard would just ping-pong the overflow.
-			best := srvIDs[0]
+			best := srvs[0].ID
 			bestVMs := -1
-			for _, sid := range srvIDs {
-				srv := g.p.Cluster.Server(sid)
+			for _, srv := range srvs {
 				if !srv.Serving() {
 					continue
 				}
 				if n := srv.NumVMs(); n > bestVMs {
-					best, bestVMs = sid, n
+					best, bestVMs = srv.ID, n
 				}
 			}
 			if bestVMs < 0 {
@@ -883,31 +950,42 @@ func (g *GlobalManager) guardElephantPods() {
 			if target == cluster.NoPod {
 				break
 			}
-			moved := false
-			g.p.actuate(Action{
-				Knob: KnobServerTransfer, Prio: viprip.PriorityHigh,
-				Refs:   []trace.Ref{trace.Server(best), trace.Pod(podID), trace.Pod(target)},
-				Inline: true,
-				Apply: func() {
-					if g.p.Cluster.TransferServer(best, target) != nil {
-						return
-					}
-					g.p.Cfg.Trace.Record(trace.EvServerTransfer, float64(bestVMs), 1,
-						trace.Server(best), trace.Pod(podID), trace.Pod(target))
-					moved = true
-				},
-			})
-			if !moved {
+			if !g.moveElephantServer(best, bestVMs, podID, target) {
 				break
 			}
+			counts[podID] -= bestVMs
+			counts[target] += bestVMs
 			g.ElephantMoves++
 		}
 	}
 	g.p.Propagate()
 }
 
+// moveElephantServer transfers server srv, carrying nVMs VMs, from pod
+// to target inline, and reports whether it moved. It is a method of its
+// own so that the guard's scan captures nothing in a closure: a
+// captured loop variable escapes to the heap on every iteration.
+func (g *GlobalManager) moveElephantServer(srv cluster.ServerID, nVMs int, pod, target cluster.PodID) bool {
+	moved := false
+	g.p.actuate(Action{
+		Knob: KnobServerTransfer, Prio: viprip.PriorityHigh,
+		Refs:   []trace.Ref{trace.Server(srv), trace.Pod(pod), trace.Pod(target)},
+		Inline: true,
+		Apply: func() {
+			if g.p.Cluster.TransferServer(srv, target) != nil {
+				return
+			}
+			g.p.Cfg.Trace.Record(trace.EvServerTransfer, float64(nVMs), 1,
+				trace.Server(srv), trace.Pod(pod), trace.Pod(target))
+			moved = true
+		},
+	})
+	return moved
+}
+
 // elephantTarget returns the smallest pod (by servers) that can accept
 // one more server carrying movedVMs VMs without itself exceeding limits.
+// It reads the guard's per-pod VM counts.
 func (g *GlobalManager) elephantTarget(exclude cluster.PodID, movedVMs int) cluster.PodID {
 	cfg := &g.p.Cfg
 	best := cluster.NoPod
@@ -920,7 +998,7 @@ func (g *GlobalManager) elephantTarget(exclude cluster.PodID, movedVMs int) clus
 		if pd.NumServers()+1 > cfg.MaxPodServers {
 			continue
 		}
-		if g.p.Cluster.PodNumVMs(id)+movedVMs > cfg.MaxPodVMs {
+		if g.podVMs[id]+movedVMs > cfg.MaxPodVMs {
 			continue
 		}
 		if n := pd.NumServers(); best == cluster.NoPod || n < bestN {
@@ -954,17 +1032,27 @@ func (g *GlobalManager) hottestApp(pod cluster.PodID) (cluster.AppID, bool) {
 	if pd == nil {
 		return 0, false
 	}
-	demand := make(map[cluster.AppID]float64)
+	// Demand per app, summed in server then VM order; the platform's
+	// app stamp table holds each app's position in the sums.
+	sums, apps := g.appSums[:0], g.appSeen[:0]
+	stamps := &g.p.appStamp
+	stamps.begin()
 	for _, srv := range pd.Servers() {
 		for _, vmID := range srv.VMIDsView() {
 			vm := g.p.Cluster.VM(vmID)
-			demand[vm.App] += vm.Demand.CPU
+			at, first := stamps.mark(int(vm.App))
+			if first {
+				*at = int32(len(sums))
+				sums, apps = append(sums, 0), append(apps, vm.App)
+			}
+			sums[*at] += vm.Demand.CPU
 		}
 	}
+	g.appSums, g.appSeen = sums, apps
 	best := cluster.AppID(-1)
 	var bestD float64
-	for app, d := range demand {
-		if best == cluster.AppID(-1) || d > bestD || (d == bestD && app < best) {
+	for i, app := range apps {
+		if d := sums[i]; best == cluster.AppID(-1) || d > bestD || (d == bestD && app < best) {
 			best, bestD = app, d
 		}
 	}

@@ -204,6 +204,15 @@ type Platform struct {
 	// nothing after warm-up.
 	pool propPool
 
+	// Stamp tables the managers' steps mark VIP handles and app IDs in
+	// (see stampTable), shared because steps run one at a time.
+	vipStamp stampTable
+	appStamp stampTable
+
+	// work counts the managers' per-item evaluations, so tests can check
+	// that a step with nothing changed re-evaluates nothing.
+	work managerWork
+
 	// claims holds the managers' in-flight claims (actuate.go). A VIP
 	// under a drain claim has its DNS exposure managed by the drain, so
 	// exposure reconciliation leaves it alone.

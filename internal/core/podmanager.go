@@ -51,11 +51,15 @@ type PodManager struct {
 	// knobs (resize, defrag) keep running on local state throughout.
 	deferred []deferredOp
 
-	// Knob-F scratch, reused across steps so that a converged pod's
-	// weight scan allocates nothing (see adjustIntraPodWeights and
-	// desiredWeights).
-	podVIPs    []ids.Index // the VIP index of each in-pod VM's RIP, sorted
+	// Knob-F state, reused across steps so that a converged pod's weight
+	// scan allocates nothing (see adjustIntraPodWeights and
+	// desiredWeights). candidates is the latest candidate list and memos
+	// each candidate's evaluation memo, index for index; the spares are
+	// the buffers weightCandidates builds the next lists in.
 	candidates []weightCandidate
+	memos      []weightMemo
+	spareCands []weightCandidate
+	spareMemos []weightMemo
 	wRIPs      []lbswitch.RIP
 	wTags      []int64
 	wWeights   []float64
@@ -81,6 +85,44 @@ type weightCandidate struct {
 	sw  *lbswitch.Switch
 	seq uint64 // the VIP's insertion sequence on sw
 	vip lbswitch.VIP
+}
+
+// weightMemo is the memo of a candidate's last evaluation: noop reports
+// that desiredWeights found nothing to do when every input it reads
+// was at key.
+type weightMemo struct {
+	key  weightKey
+	noop bool
+}
+
+// weightKey holds the generations that cover every input desiredWeights
+// reads for a VIP homed on one switch:
+//
+//   - the group's RIPs, tags and weights: the switch's BackendGen (VIP
+//     and RIP membership) and WeightGen (weight changes);
+//   - each RIP's VM, its existence, server and CPU slice: the platform's
+//     backend generation of the switch (cluster's OnVMChange hook,
+//     routed to the home switch of the VM's VIP, and bindRIP);
+//   - the pod of each VM's server: the cluster's PodGen.
+//
+// A VIP entry keeps its switch and seq for life, so (switch, seq) and an
+// equal key mean the inputs are unchanged; audit invariant
+// I3.WEIGHT_NOOP_CURRENT re-runs desiredWeights to check it.
+type weightKey struct {
+	swGen, weightGen, backendGen, podGen uint64
+}
+
+// weightKeyOf returns the current weight key of switch sw.
+func (p *Platform) weightKeyOf(sw *lbswitch.Switch) weightKey {
+	return weightKey{sw.BackendGen(), sw.WeightGen(), p.backendGen[sw.ID], p.Cluster.PodGen()}
+}
+
+// scanOrder orders candidates as the switch-by-switch scan reaches them.
+func scanOrder(a, b weightCandidate) int {
+	if c := cmp.Compare(a.sw.ID, b.sw.ID); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // deferredOp is one queued degraded-mode decision.
@@ -177,7 +219,12 @@ func (pm *PodManager) resizeVMs() {
 	for _, srv := range pd.Servers() {
 		// Pass 1: shrink. A 5% deadband prevents the resize loop from
 		// chattering against the weight-adjustment loop (knob F), whose
-		// redistribution slightly shifts per-VM demand every step.
+		// redistribution slightly shifts per-VM demand every step. The
+		// pass also notes whether pass 2 has a VM to grow: one it neither
+		// shrank (the shrink's claim makes pass 2 skip it) nor found
+		// claimed, whose target passes the grow deadband. Nothing pass 2
+		// reads changes in between, so a server with none skips it.
+		growable := false
 		for _, vmID := range srv.VMIDsView() {
 			vm := pm.p.Cluster.VM(vmID)
 			if vm.State != cluster.VMRunning || pm.p.claims.held(claimOf(int(pm.pod), claimVM, int(vmID))) {
@@ -187,7 +234,12 @@ func (pm *PodManager) resizeVMs() {
 			want := pm.targetSlice(vm, def, head)
 			if want.CPU < vm.Slice.CPU*(1-shrinkHysteresis) || want.NetMbps < vm.Slice.NetMbps*(1-shrinkHysteresis) {
 				pm.scheduleResize(vmID, want)
+			} else if want.CPU > vm.Slice.CPU*(1+resizeDeadband) || want.NetMbps > vm.Slice.NetMbps*(1+resizeDeadband) {
+				growable = true
 			}
+		}
+		if !growable {
+			continue
 		}
 		// Pass 2: grow.
 		for _, vmID := range srv.VMIDsView() {
@@ -305,15 +357,23 @@ func (pm *PodManager) defragment() {
 			continue
 		}
 		// Victim: the smallest co-located VM that fits elsewhere.
+		// Nothing changes during the search, so a VM whose slice equals
+		// the previous one's gets the same target.
 		victim := cluster.VMID(-1)
 		var victimCPU float64
 		var dst cluster.ServerID
+		var lastSlice cluster.Resources
+		var target *cluster.Server
+		searched := false
 		for _, vmID := range srv.VMIDsView() {
 			vm := pm.p.Cluster.VM(vmID)
 			if vm.State != cluster.VMRunning || pm.p.claims.held(claimOf(int(pm.pod), claimVM, int(vmID))) {
 				continue
 			}
-			target := pm.p.emptiestServer(pm.pod, sid, vm.Slice)
+			if !searched || vm.Slice != lastSlice {
+				lastSlice, searched = vm.Slice, true
+				target = pm.p.emptiestServer(pm.pod, sid, vm.Slice)
+			}
 			if target == nil {
 				continue
 			}
@@ -357,76 +417,100 @@ func (pm *PodManager) defragment() {
 // switch. They are visited in the order the switch-by-switch scan would
 // reach them — home switch ID, then insertion sequence on that switch —
 // because every issued adjustment allocates a CauseID and schedules its
-// message in issue order.
+// message in issue order. A candidate whose last evaluation found
+// nothing to do, with its weight key unchanged since, is skipped: its
+// evaluation would find nothing again.
 func (pm *PodManager) adjustIntraPodWeights() {
-	for _, c := range pm.weightCandidates() {
-		pm.adjustVIP(c.sw, c.vip)
+	cands := pm.weightCandidates()
+	for i, c := range cands {
+		m := &pm.memos[i]
+		key := pm.p.weightKeyOf(c.sw)
+		if m.noop && m.key == key {
+			continue
+		}
+		pm.p.work.weightEvals++
+		m.key, m.noop = key, !pm.adjustVIP(c.sw, c.vip)
 	}
 }
 
 // weightCandidates returns, in scan order, the VIPs homed on serving
 // switches under which two or more of the pod's VMs have their RIPs.
-// Every VIP desiredWeights can act on is among them. The returned
-// slice is scratch, valid until the next call.
+// Every VIP desiredWeights can act on is among them. Each gets the
+// evaluation memo it had in the previous list, when it was there, in
+// pm.memos. The returned slice is the pod manager's, valid until the
+// next call.
 func (pm *PodManager) weightCandidates() []weightCandidate {
 	p := pm.p
 	pd := p.Cluster.Pod(pm.pod)
 	if pd == nil {
 		return nil
 	}
-	// Sorting the pod's VIP indices, rather than counting them in a
-	// table indexed by VIP, keeps the scratch proportional to the pod.
-	vips := pm.podVIPs[:0]
+	// Count the pod's VMs under each VIP in the platform's stamp table,
+	// and take a VIP at its second VM: only the candidates are sorted.
+	next := pm.spareCands[:0]
+	p.vipStamp.begin()
 	for _, srv := range pd.Servers() {
 		for _, vmID := range srv.VMIDsView() {
-			if vi := p.vmHomeOf(vmID); vi != ids.None {
-				vips = append(vips, vi)
+			vi := p.vmHomeOf(vmID)
+			if vi == ids.None {
+				continue
 			}
+			n, first := p.vipStamp.mark(int(vi))
+			if first {
+				*n = 0
+			}
+			if *n++; *n != 2 {
+				continue
+			}
+			home, ok := p.Fabric.Home(vi)
+			if !ok {
+				continue
+			}
+			sw := p.Fabric.Switch(home)
+			if !sw.Serving() {
+				continue
+			}
+			seq, _ := p.Fabric.Seq(vi)
+			next = append(next, weightCandidate{sw: sw, seq: seq, vip: p.Fabric.Addr(vi)})
 		}
 	}
-	slices.Sort(vips)
-	pm.podVIPs = vips
-	cands := pm.candidates[:0]
-	for i, vi := range vips {
-		// Take each VIP once, at the second entry of its run.
-		if i == 0 || vips[i-1] != vi || (i >= 2 && vips[i-2] == vi) {
-			continue
+	slices.SortFunc(next, scanOrder)
+	// Carry the memos over: both lists are in scan order, and (switch,
+	// seq) names one VIP entry for as long as it lives.
+	prev, prevMemos := pm.candidates, pm.memos
+	memos := pm.spareMemos[:0]
+	j := 0
+	for i := range next {
+		for j < len(prev) && scanOrder(prev[j], next[i]) < 0 {
+			j++
 		}
-		home, ok := p.Fabric.Home(vi)
-		if !ok {
-			continue
+		var m weightMemo
+		if j < len(prev) && prev[j] == next[i] {
+			m = prevMemos[j]
 		}
-		vip := p.Fabric.Addr(vi)
-		sw := p.Fabric.Switch(home)
-		if !sw.Serving() {
-			continue
-		}
-		seq, _ := sw.VIPSeq(vip)
-		cands = append(cands, weightCandidate{sw: sw, seq: seq, vip: vip})
+		memos = append(memos, m)
 	}
-	slices.SortFunc(cands, func(a, b weightCandidate) int {
-		if c := cmp.Compare(a.sw.ID, b.sw.ID); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	pm.candidates = cands
-	return cands
+	pm.candidates, pm.spareCands = next, prev
+	pm.memos, pm.spareMemos = memos, prevMemos
+	return next
 }
 
-func (pm *PodManager) adjustVIP(sw *lbswitch.Switch, vip lbswitch.VIP) {
+// adjustVIP runs knob F on one VIP and reports whether desiredWeights
+// found a redistribution to make (issued, or queued while degraded).
+func (pm *PodManager) adjustVIP(sw *lbswitch.Switch, vip lbswitch.VIP) bool {
 	newWeights, ok := pm.desiredWeights(sw, vip)
 	if !ok {
-		return
+		return false
 	}
 	if pm.degraded() {
 		// Partitioned from the CSM pipeline: queue the intent (not the
 		// weights — they are recomputed against fresh state at
 		// reconciliation) and keep serving on the current configuration.
 		pm.deferOp(deferredOp{kind: opWeights, vip: vip})
-		return
+		return true
 	}
 	pm.issueWeights(vip, newWeights)
+	return true
 }
 
 // desiredWeights computes the knob-F intra-pod weight redistribution for
@@ -528,27 +612,30 @@ func (pm *PodManager) localScaleOut() {
 	// in server then VM order, on ties) and the VIP its RIP serves: that
 	// VIP is where the new instance must add capacity. Only VMs past the
 	// trigger are collected; an app whose worst VM is past it has that
-	// VM among them. A stable sort by (app, overload desc) puts each
-	// app's winner first in its run, and Compact keeps just that one.
+	// VM among them. The platform's app stamp table holds each app's
+	// position in hots.
 	hots := pm.hots[:0]
+	stamps := &pm.p.appStamp
+	stamps.begin()
 	for _, srv := range pd.Servers() {
 		for _, vmID := range srv.VMIDsView() {
 			vm := pm.p.Cluster.VM(vmID)
 			if vm.State != cluster.VMRunning {
 				continue
 			}
-			if ov := vm.Overload(); ov > trigger {
+			ov := vm.Overload()
+			if !(ov > trigger) {
+				continue
+			}
+			at, first := stamps.mark(int(vm.App))
+			if first {
+				*at = int32(len(hots))
 				hots = append(hots, hotApp{app: vm.App, overload: ov, vm: vm.ID})
+			} else if h := &hots[*at]; ov > h.overload {
+				h.overload, h.vm = ov, vm.ID
 			}
 		}
 	}
-	slices.SortStableFunc(hots, func(a, b hotApp) int {
-		if c := cmp.Compare(a.app, b.app); c != 0 {
-			return c
-		}
-		return cmp.Compare(b.overload, a.overload)
-	})
-	hots = slices.CompactFunc(hots, func(a, b hotApp) bool { return a.app == b.app })
 	// Deterministic order: worst first, then app ID.
 	slices.SortFunc(hots, func(a, b hotApp) int {
 		if c := cmp.Compare(b.overload, a.overload); c != 0 {
@@ -560,6 +647,11 @@ func (pm *PodManager) localScaleOut() {
 		hots[i].vip, _ = pm.p.vipOfVM(hots[i].vm)
 	}
 	pm.hots = hots
+	// Whether the pod has room for a slice is asked per hot app, mostly
+	// for one default slice; the answer cannot change within the loop
+	// (deployments are delayed), so the last one is reused.
+	var roomSlice cluster.Resources
+	room, asked := false, false
 	for _, h := range hots {
 		if pm.degraded() {
 			// Degraded mode refuses new placements: existing VIPs keep
@@ -567,7 +659,16 @@ func (pm *PodManager) localScaleOut() {
 			pm.deferOp(deferredOp{kind: opScaleOut, app: h.app, hint: h.vip})
 			continue
 		}
-		pm.tryScaleOut(h.app, h.vip, h.overload)
+		if pm.p.claims.held(claimOf(int(pm.pod), claimDeploy, int(h.app))) {
+			continue // a deployment for this app is already in flight
+		}
+		if slice := pm.defaultSlice(h.app); !asked || slice != roomSlice {
+			roomSlice, asked = slice, true
+			room = pm.p.emptiestServer(pm.pod, noServer, slice) != nil
+		}
+		if room {
+			pm.scaleOut(h.app, h.vip, h.overload)
+		}
 	}
 }
 
@@ -577,10 +678,15 @@ func (pm *PodManager) tryScaleOut(app cluster.AppID, vip lbswitch.VIP, overload 
 	if pm.p.claims.held(claimOf(int(pm.pod), claimDeploy, int(app))) {
 		return false // a deployment for this app is already in flight
 	}
-	slice := pm.defaultSlice(app)
-	if pm.p.emptiestServer(pm.pod, noServer, slice) == nil {
+	if pm.p.emptiestServer(pm.pod, noServer, pm.defaultSlice(app)) == nil {
 		return false // no room locally; the global manager's problem
 	}
+	pm.scaleOut(app, vip, overload)
+	return true
+}
+
+// scaleOut issues one local scale-out deployment for app.
+func (pm *PodManager) scaleOut(app cluster.AppID, vip lbswitch.VIP, overload float64) {
 	pm.p.actuate(Action{
 		Knob: KnobAppDeployment, Prio: viprip.PriorityNormal,
 		Refs:  []trace.Ref{trace.App(app), trace.Pod(pm.pod), trace.VIP(vip)},
@@ -596,7 +702,6 @@ func (pm *PodManager) tryScaleOut(app cluster.AppID, vip lbswitch.VIP, overload 
 			}
 		},
 	})
-	return true
 }
 
 // degraded reports whether this pod manager is partitioned from the
@@ -751,4 +856,10 @@ func (pm *PodManager) RunPlacement() (elapsed time.Duration, satisfied float64, 
 	start := time.Now()
 	sol := ctl.Place(prob)
 	return time.Since(start), sol.SatisfiedFraction(prob), sol.Changes(prob)
+}
+
+// managerWork counts the per-item evaluations of the managers' steps.
+type managerWork struct {
+	weightEvals    int64 // knob-F candidates run through desiredWeights
+	interPodVisits int64 // RIP groups inter-pod weights examined
 }

@@ -364,9 +364,13 @@ func (p *Platform) propagateFull() {
 // warrant it. Callers must have grown p.applied past the last app and
 // refreshed every app's share cache.
 func (p *Platform) computeApps(apps []int32) {
-	if nw := p.workers(); nw > 1 && !p.pool.closed && len(apps) >= parallelThreshold {
-		p.computeAppsParallel(apps, nw)
-		return
+	// The app count is checked first: a small incremental pass then
+	// skips workers(), whose GOMAXPROCS call takes a runtime lock.
+	if len(apps) >= parallelThreshold && !p.pool.closed {
+		if nw := p.workers(); nw > 1 {
+			p.computeAppsParallel(apps, nw)
+			return
+		}
 	}
 	for _, ai := range apps {
 		p.computeApp(cluster.AppID(ai), p.appDemand[ai], &p.applied[ai], &p.scratch)

@@ -57,3 +57,37 @@ func growFill[T any](s []T, n int, fill T) []T {
 	}
 	return s
 }
+
+// stampTable marks dense IDs (VIP handles, app IDs) as seen in the
+// current pass and holds one int32 per marked ID, without a clear per
+// pass: a slot is live only while its stamp equals the pass's. The
+// managers use it in place of a per-step map or a sort of every ID
+// they visit. It grows lazily, to the highest ID a pass marks, so a
+// platform whose managers never run pays nothing for it.
+type stampTable struct {
+	stamp []uint32
+	val   []int32
+	cur   uint32
+}
+
+// begin starts a pass: every slot reads unmarked.
+func (t *stampTable) begin() {
+	t.cur++
+	if t.cur == 0 { // wrapped: old stamps could read as current
+		clear(t.stamp)
+		t.cur = 1
+	}
+}
+
+// mark marks id in the current pass and returns its value slot, and
+// whether this is id's first mark of the pass (the slot then holds a
+// stale value the caller must overwrite).
+func (t *stampTable) mark(id int) (v *int32, first bool) {
+	if id >= len(t.stamp) {
+		t.stamp = growSlice(t.stamp, id+1)
+		t.val = growSlice(t.val, id+1)
+	}
+	first = t.stamp[id] != t.cur
+	t.stamp[id] = t.cur
+	return &t.val[id], first
+}

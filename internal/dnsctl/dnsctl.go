@@ -240,9 +240,15 @@ func (d *DNS) ExposeOnly(app cluster.AppID, vips ...ipv4.Addr) error {
 
 // Weights returns app's VIPs and exposure weights in registration order.
 func (d *DNS) Weights(app cluster.AppID) (vips []ipv4.Addr, weights []float64, err error) {
+	return d.AppendWeights(app, nil, nil)
+}
+
+// AppendWeights is Weights appending to caller-provided buffers, so a
+// scan over every application can reuse one pair.
+func (d *DNS) AppendWeights(app cluster.AppID, vips []ipv4.Addr, weights []float64) ([]ipv4.Addr, []float64, error) {
 	r := d.record(app)
 	if r == nil {
-		return nil, nil, fmt.Errorf("%w: %d", ErrNoApp, app)
+		return vips, weights, fmt.Errorf("%w: %d", ErrNoApp, app)
 	}
 	for _, e := range r.vips {
 		vips = append(vips, e.vip)

@@ -117,6 +117,15 @@ func (f *Fabric) Home(h ids.Index) (SwitchID, bool) {
 	return f.tab.slot[h].home, true
 }
 
+// Seq returns the insertion sequence of the VIP with handle h on its
+// home switch (Switch.VIPSeq by handle), with no address lookup.
+func (f *Fabric) Seq(h ids.Index) (uint64, bool) {
+	if e := f.tab.at(h); e != nil {
+		return e.seq, true
+	}
+	return 0, false
+}
+
 // SetLoad sets the fluid offered load of the VIP with handle h on its
 // home switch (Switch.SetVIPLoad by handle). An unhomed VIP returns
 // ErrVIPUnknown itself, unwrapped, so callers that skip unhomed VIPs

@@ -240,6 +240,11 @@ type Switch struct {
 	// memoize per-switch derivations of the backend set behind it.
 	backendGen uint64
 
+	// weightGen moves on every RIP weight change (SetWeight). Together
+	// with backendGen it keys any derivation of the switch's weighted
+	// groups: a key that holds both has seen every configuration change.
+	weightGen uint64
+
 	// Reconfigs counts programmatic reconfiguration operations applied to
 	// the switch (VIP/RIP add/remove, weight changes). The paper notes
 	// these take "only several seconds"; the latency itself is applied by
@@ -253,7 +258,7 @@ type Switch struct {
 	// for incremental demand propagation.
 	OnReconfig func(h ids.Index, app cluster.AppID)
 
-	_ [56]byte // pads the struct from 200 to 256 bytes, four lines
+	_ [48]byte // pads the struct from 208 to 256 bytes, four lines
 }
 
 // Serving reports whether the switch is healthy enough to forward
@@ -264,6 +269,12 @@ func (s *Switch) Serving() bool { return s.Health.Serving() }
 // every VIP/RIP membership change, and on nothing else (not on weight,
 // load, connection or health changes).
 func (s *Switch) BackendGen() uint64 { return s.backendGen }
+
+// WeightGen returns the switch's weight generation: it changes on every
+// RIP weight change and on nothing else. A group's weights can change
+// only through SetWeight or a membership change, so (BackendGen,
+// WeightGen) unchanged means every group on the switch is unchanged.
+func (s *Switch) WeightGen() uint64 { return s.weightGen }
 
 // NewSwitch returns a switch with the given limits and its own VIP
 // address table. Switches of a fabric share the fabric's table instead
@@ -328,6 +339,39 @@ func (s *Switch) VIPs() []VIP {
 // order, i in [0, NumVIPs). Allocation-free scans over a switch's VIPs
 // (the platform's backend capacity scan) index with it.
 func (s *Switch) HandleAt(i int) ids.Index { return s.vips[i].h }
+
+// Group is a read-only view of one VIP's RIP group on a switch, for
+// allocation-free scans that walk a switch's groups by entry instead of
+// looking each address up again. It is valid until the next change to
+// the switch's configuration.
+type Group struct{ e *vipEntry }
+
+// GroupAt returns the group of the i-th configured VIP in insertion
+// order, i in [0, NumVIPs).
+func (s *Switch) GroupAt(i int) Group { return Group{s.vips[i]} }
+
+// VIP returns the group's VIP address.
+func (g Group) VIP() VIP { return g.e.sw.tab.addrs[g.e.h] }
+
+// App returns the application owning the group's VIP.
+func (g Group) App() cluster.AppID { return g.e.app }
+
+// Len returns the number of RIPs in the group.
+func (g Group) Len() int { return len(g.e.rips) }
+
+// Tag returns the j-th RIP's tag (-1 when unset), in insertion order.
+func (g Group) Tag(j int) int64 { return g.e.rips[j].tag }
+
+// Weight returns the j-th RIP's weight, in insertion order.
+func (g Group) Weight(j int) float64 { return g.e.rips[j].weight }
+
+// AppendWeights appends the group's weights in insertion order.
+func (g Group) AppendWeights(w []float64) []float64 {
+	for _, re := range g.e.rips {
+		w = append(w, re.weight)
+	}
+	return w
+}
 
 // VIPSeq returns vip's insertion sequence on the switch: VIPs in
 // ascending VIPSeq are in VIPs order, so a caller holding a subset of
@@ -525,6 +569,7 @@ func (s *Switch) SetWeight(vip VIP, rip RIP, weight float64) error {
 		return fmt.Errorf("%w: %v", ErrBadWeight, weight)
 	}
 	e.rips[i].weight = weight
+	s.weightGen++
 	s.Reconfigs++
 	if s.OnReconfig != nil {
 		s.OnReconfig(e.h, e.app)

@@ -255,8 +255,9 @@ func TestSetWeightAndTotal(t *testing.T) {
 }
 
 // TestVIPSeqAndTaggedWeights checks that sorting VIPs by VIPSeq
-// reproduces VIPs order across removals and re-adds, and that the
-// allocation-free accessors agree with Weights.
+// reproduces VIPs order across removals and re-adds, that the
+// allocation-free accessors (AppendWeightsTagged, GroupAt) agree with
+// Weights, and that only a weight change moves WeightGen.
 func TestVIPSeqAndTaggedWeights(t *testing.T) {
 	s := NewSwitch(0, smallLimits())
 	for _, v := range []VIP{ipA, ipB, ipC, ipD} {
@@ -298,6 +299,32 @@ func TestVIPSeqAndTaggedWeights(t *testing.T) {
 	}
 	if n := s.NumRIPsOf(ipMissing); n != 0 {
 		t.Errorf("NumRIPsOf(missing) = %d, want 0", n)
+	}
+	i := slices.Index(s.VIPs(), ipC)
+	g := s.GroupAt(i)
+	var gTags []int64
+	for j := 0; j < g.Len(); j++ {
+		gTags = append(gTags, g.Tag(j))
+		if g.Weight(j) != ws[j] {
+			t.Errorf("GroupAt(%d).Weight(%d) = %v, want %v", i, j, g.Weight(j), ws[j])
+		}
+	}
+	if g.VIP() != ipC || g.App() != 1 || !slices.Equal(gTags, tags) || !slices.Equal(g.AppendWeights(nil), ws) {
+		t.Errorf("GroupAt(%d) = %s app %d tags %v weights %v, want %s app 1 %v %v",
+			i, g.VIP(), g.App(), gTags, g.AppendWeights(nil), ipC, tags, ws)
+	}
+	// Only a weight change moves the weight generation.
+	wg, bg := s.WeightGen(), s.BackendGen()
+	if err := s.SetWeight(ipC, ipR1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if s.WeightGen() == wg || s.BackendGen() != bg {
+		t.Errorf("SetWeight moved (WeightGen, BackendGen) from (%d, %d) to (%d, %d), want only WeightGen", wg, bg, s.WeightGen(), s.BackendGen())
+	}
+	wg = s.WeightGen()
+	s.AddRIP(ipC, ipR3, 1)
+	if s.WeightGen() != wg {
+		t.Errorf("AddRIP moved WeightGen from %d to %d", wg, s.WeightGen())
 	}
 }
 

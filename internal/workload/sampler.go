@@ -20,10 +20,14 @@ import (
 // methods map uniforms to indices differently — so switching a caller
 // re-pins any golden output derived from the draw sequence.
 type Sampler struct {
-	// prob[i] is the acceptance threshold of column i in [0,1]; alias[i]
-	// is the index that receives the rejected mass.
-	prob  []float64
-	alias []int32
+	cols []column
+}
+
+// column is one alias-table column, 16 bytes, so a Pick reads its
+// threshold and its alias from one cache line.
+type column struct {
+	prob  float64 // acceptance threshold in [0,1]
+	alias int32   // the index that receives the rejected mass
 }
 
 // NewSampler builds the alias table for the (not necessarily
@@ -46,11 +50,10 @@ func NewSampler(weights []float64) *Sampler {
 		total += w
 	}
 	n := len(weights)
-	s := &Sampler{prob: make([]float64, n), alias: make([]int32, n)}
+	s := &Sampler{cols: make([]column, n)}
 	if total <= 0 {
-		for i := range s.prob {
-			s.prob[i] = 1
-			s.alias[i] = int32(i)
+		for i := range s.cols {
+			s.cols[i] = column{prob: 1, alias: int32(i)}
 		}
 		return s
 	}
@@ -75,8 +78,7 @@ func NewSampler(weights []float64) *Sampler {
 		small = small[:len(small)-1]
 		g := large[len(large)-1]
 		large = large[:len(large)-1]
-		s.prob[l] = scaled[l]
-		s.alias[l] = g
+		s.cols[l] = column{prob: scaled[l], alias: g}
 		scaled[g] = (scaled[g] + scaled[l]) - 1
 		if scaled[g] < 1 {
 			small = append(small, g)
@@ -86,27 +88,26 @@ func NewSampler(weights []float64) *Sampler {
 	}
 	// Leftovers in either list hold (up to rounding) exactly mass 1.
 	for _, i := range large {
-		s.prob[i] = 1
-		s.alias[i] = i
+		s.cols[i] = column{prob: 1, alias: i}
 	}
 	for _, i := range small {
-		s.prob[i] = 1
-		s.alias[i] = i
+		s.cols[i] = column{prob: 1, alias: i}
 	}
 	return s
 }
 
 // N returns the number of indices the sampler draws from.
-func (s *Sampler) N() int { return len(s.prob) }
+func (s *Sampler) N() int { return len(s.cols) }
 
 // Pick draws one index, consuming exactly one rng.Float64(). The single
 // uniform supplies both the column (integer part) and the accept test
 // (fractional part) — the standard one-draw alias formulation.
 func (s *Sampler) Pick(rng *rand.Rand) int {
-	u := rng.Float64() * float64(len(s.prob))
+	u := rng.Float64() * float64(len(s.cols))
 	i := int(u)
-	if u-float64(i) < s.prob[i] {
+	c := &s.cols[i]
+	if u-float64(i) < c.prob {
 		return i
 	}
-	return int(s.alias[i])
+	return int(c.alias)
 }

@@ -111,9 +111,9 @@ func TestPropertySamplerMassConservation(t *testing.T) {
 		}
 		s := NewSampler(w)
 		mass := make([]float64, n)
-		for i := range s.prob {
-			mass[i] += s.prob[i]
-			mass[s.alias[i]] += 1 - s.prob[i]
+		for i, c := range s.cols {
+			mass[i] += c.prob
+			mass[c.alias] += 1 - c.prob
 		}
 		for i := range w {
 			if math.Abs(mass[i]/float64(n)-w[i]/total) > 1e-9 {
@@ -147,6 +147,89 @@ func TestPropertySamplerInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(13))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refAliasTable is the two-array alias table the sampler kept before
+// its columns became 16-byte entries, built the same way.
+func refAliasTable(weights []float64) (prob []float64, alias []int32) {
+	n := len(weights)
+	prob, alias = make([]float64, n), make([]int32, n)
+	var total float64
+	for _, w := range weights {
+		total += w
+	}
+	if total <= 0 {
+		for i := range prob {
+			prob[i], alias[i] = 1, int32(i)
+		}
+		return prob, alias
+	}
+	scaled := make([]float64, n)
+	var small, large []int32
+	for i, w := range weights {
+		scaled[i] = w * float64(n) / total
+		if scaled[i] < 1 {
+			small = append(small, int32(i))
+		} else {
+			large = append(large, int32(i))
+		}
+	}
+	for len(small) > 0 && len(large) > 0 {
+		l, g := small[len(small)-1], large[len(large)-1]
+		small, large = small[:len(small)-1], large[:len(large)-1]
+		prob[l], alias[l] = scaled[l], g
+		scaled[g] = (scaled[g] + scaled[l]) - 1
+		if scaled[g] < 1 {
+			small = append(small, g)
+		} else {
+			large = append(large, g)
+		}
+	}
+	for _, i := range append(large, small...) {
+		prob[i], alias[i] = 1, i
+	}
+	return prob, alias
+}
+
+// TestSamplerMatchesTwoArrayFormula checks that Pick maps every draw to
+// the index the two-array formula gives, over several seeds and weight
+// vectors, the all-zero vector among them.
+func TestSamplerMatchesTwoArrayFormula(t *testing.T) {
+	vectors := [][]float64{
+		{1},
+		{0, 0, 0},
+		{1, 0, 3},
+		{2, 1, 5, 0.5},
+		ZipfWeights(1000, 1.0),
+	}
+	rng := rand.New(rand.NewSource(21))
+	for n := 0; n < 8; n++ {
+		w := make([]float64, 1+rng.Intn(50))
+		for i := range w {
+			if rng.Intn(3) > 0 {
+				w[i] = rng.Float64() * 100
+			}
+		}
+		vectors = append(vectors, w)
+	}
+	for vi, w := range vectors {
+		s := NewSampler(w)
+		prob, alias := refAliasTable(w)
+		for seed := int64(1); seed <= 4; seed++ {
+			a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			for k := 0; k < 2000; k++ {
+				got := s.Pick(a)
+				u := b.Float64() * float64(len(prob))
+				want := int(u)
+				if u-float64(want) >= prob[want] {
+					want = int(alias[want])
+				}
+				if got != want {
+					t.Fatalf("vector %d seed %d draw %d: Pick %d, two-array formula %d", vi, seed, k, got, want)
+				}
+			}
+		}
 	}
 }
 
