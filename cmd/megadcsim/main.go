@@ -99,12 +99,28 @@ func main() {
 		fmt.Fprintln(os.Stderr, "megadcsim:", err)
 		os.Exit(2)
 	}
-	if !*churn && run.CtrlPartitionMTBF != 0 {
-		// Partitions are a churn fault class: without -churn no injector
-		// runs, and the flag would be ignored without a word.
-		fmt.Fprintln(os.Stderr, "megadcsim: -ctrl-partition-mtbf must be used with -churn")
-		os.Exit(1)
-	}
+	// These flags configure the churn injector (partitions are a churn
+	// fault class): without -churn none runs, and without a partition
+	// MTBF no partition heals, so they would be ignored without a word.
+	flag.Visit(func(f *flag.Flag) {
+		need := ""
+		switch f.Name {
+		case "churn-server-mtbf", "churn-mttr", "churn-detect", "churn-flap", "ctrl-partition-mtbf":
+			if !*churn {
+				need = "-churn"
+			}
+		case "ctrl-partition-mttr":
+			if !*churn {
+				need = "-churn"
+			} else if run.CtrlPartitionMTBF == 0 {
+				need = "-ctrl-partition-mtbf"
+			}
+		}
+		if need != "" {
+			fmt.Fprintf(os.Stderr, "megadcsim: -%s must be used with %s\n", f.Name, need)
+			os.Exit(1)
+		}
+	})
 	if !*useReqs && (*reqRate != 0 || *reqQueue != 1000 || *reqCPU != 0.005 || *reqService != "exponential") {
 		fmt.Fprintln(os.Stderr, "megadcsim: -req-* flags require -requests")
 		os.Exit(2)

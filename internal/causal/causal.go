@@ -115,12 +115,12 @@ type Assembler struct {
 	trees map[uint64]*Tree
 	order []uint64 // CauseIDs in first-seen (= allocation) order
 
-	// MaxTrees bounds retained trees: when exceeded, the oldest tree is
-	// evicted (counters keep counting). DefaultMaxTrees when zero.
-	MaxTrees int
+	// maxTrees bounds retained trees: when exceeded, the oldest tree is
+	// evicted (counters keep counting). New sets DefaultMaxTrees.
+	maxTrees int
 }
 
-// DefaultMaxTrees is the retained-tree cap used when MaxTrees is 0.
+// DefaultMaxTrees is the retained-tree cap.
 const DefaultMaxTrees = 4096
 
 // New creates an assembler recording metrics into reg (a fresh registry
@@ -129,7 +129,7 @@ func New(reg *metrics.Registry) *Assembler {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	return &Assembler{reg: reg, trees: make(map[uint64]*Tree)}
+	return &Assembler{reg: reg, trees: make(map[uint64]*Tree), maxTrees: DefaultMaxTrees}
 }
 
 // Registry returns the registry the assembler records into.
@@ -228,11 +228,7 @@ func (a *Assembler) open(e *trace.Event) {
 	a.trees[e.Cause] = t
 	a.order = append(a.order, e.Cause)
 	a.reg.Counter("causal.decisions").Add(1)
-	max := a.MaxTrees
-	if max <= 0 {
-		max = DefaultMaxTrees
-	}
-	if len(a.order) > max {
+	if len(a.order) > a.maxTrees {
 		delete(a.trees, a.order[0])
 		a.order = a.order[1:]
 		a.reg.Counter("causal.evicted").Add(1)

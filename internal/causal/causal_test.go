@@ -135,11 +135,11 @@ func TestEffectLatency(t *testing.T) {
 	}
 }
 
-// TestEvictionKeepsCounters checks that MaxTrees evicts the oldest tree
+// TestEvictionKeepsCounters checks that the tree cap evicts the oldest tree
 // while the counters keep counting every decision.
 func TestEvictionKeepsCounters(t *testing.T) {
 	f := &feed{a: New(nil)}
-	f.a.MaxTrees = 2
+	f.a.maxTrees = 2
 	for c := uint64(1); c <= 3; c++ {
 		f.ev(float64(c), trace.EvDecision, c, 0, 1)
 	}

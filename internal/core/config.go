@@ -64,11 +64,6 @@ type Config struct {
 	// Knob enables, indexed by Knob. All on by default.
 	Knobs [numKnobs]bool
 
-	// ElephantGuard enables the Section IV-C/D mitigation that moves
-	// servers (with their instances) out of pods whose size would
-	// overwhelm the pod manager.
-	ElephantGuard bool
-
 	// Pod sizing targets (Section III-A: ~5,000 servers / ~10,000 VMs).
 	MaxPodServers int
 	MaxPodVMs     int
@@ -217,7 +212,6 @@ type Config struct {
 // experiments, matching the paper's stated targets.
 func DefaultConfig() Config {
 	c := Config{
-		ElephantGuard:         true,
 		MaxPodServers:         5000,
 		MaxPodVMs:             10000,
 		PodOverloadUtil:       0.85,

@@ -136,9 +136,7 @@ func (g *GlobalManager) Step() {
 		g.transferServersToRelievePods()
 	}
 	g.stepping, g.utilsOK = false, false
-	if cfg.ElephantGuard {
-		g.guardElephantPods()
-	}
+	g.guardElephantPods()
 }
 
 // ---- Knob A: selective VIP exposure -------------------------------------

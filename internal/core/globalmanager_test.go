@@ -266,8 +266,7 @@ func TestKnobFInterPodWeights(t *testing.T) {
 // TestElephantGuard verifies oversized pods shed servers (with their
 // instances) to the smallest pod.
 func TestElephantGuard(t *testing.T) {
-	cfg := testConfig().WithKnobs() // knobs off; guard on
-	cfg.ElephantGuard = true
+	cfg := testConfig().WithKnobs() // knobs off; the guard always runs
 	cfg.MaxPodServers = 3
 	topo := SmallTopology()
 	topo.Pods = 2
@@ -307,7 +306,6 @@ func TestElephantGuard(t *testing.T) {
 // TestElephantGuardVMLimit verifies the VM-count limit also triggers.
 func TestElephantGuardVMLimit(t *testing.T) {
 	cfg := testConfig().WithKnobs()
-	cfg.ElephantGuard = true
 	cfg.MaxPodVMs = 4
 	topo := SmallTopology()
 	topo.Pods = 2

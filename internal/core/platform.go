@@ -310,7 +310,7 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 	if err != nil {
 		return nil, err
 	}
-	p.VIPRIP = viprip.NewManager(p.Fabric, vipPool, ripPool, viprip.Blend)
+	p.VIPRIP = viprip.NewManager(p.Fabric, vipPool, ripPool)
 	// Pluggable control policy: resolve the configured name (empty →
 	// greedy, the extracted historical strategy) and hand its placement
 	// half to the VIP/RIP manager. The policy's private randomness, if

@@ -91,7 +91,6 @@ func packSwitches(apps, vipsPerApp, ripsPerApp int, limits lbswitch.Limits) (int
 	if err != nil {
 		return 0, err
 	}
-	mgr := viprip.NewManager(fab, vipPool, ripPool, viprip.FirstFitPolicy)
 	switches := fab.Switches()
 	cursor := 0
 	for a := 0; a < apps; a++ {
@@ -122,7 +121,7 @@ func packSwitches(apps, vipsPerApp, ripsPerApp int, limits lbswitch.Limits) (int
 			vips = append(vips, vip)
 		}
 		for r := 0; r < ripsPerApp; r++ {
-			rip, err := mgr.AllocRIP()
+			rip, err := ripPool.Alloc()
 			if err != nil {
 				return 0, err
 			}

@@ -60,7 +60,7 @@ func RunE10(o Options) (*metrics.Table, *E10Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	mgr := viprip.NewManager(fab, vipPool, ripPool, viprip.Blend)
+	mgr := viprip.NewManager(fab, vipPool, ripPool)
 
 	// Hose fabric: servers are hosts 1..N with 1 Gbps; switches are
 	// hosts -1..-nSwitches attached with their full throughput.

@@ -7,6 +7,7 @@ import (
 	"megadc/internal/cluster"
 	"megadc/internal/lbswitch"
 	"megadc/internal/metrics"
+	"megadc/internal/policy"
 	"megadc/internal/viprip"
 	"megadc/internal/workload"
 )
@@ -62,15 +63,32 @@ func RunE12(o Options) (*metrics.Table, *E12Result, error) {
 	tb.AddRow("state space (log10, 300K apps, 400 sw, k=3)",
 		fmt.Sprintf("10^%.3g", res.Log10States), "-", "-", "-", "-")
 
-	for _, pol := range []viprip.Policy{viprip.FirstFitPolicy, viprip.LeastVIPs, viprip.LeastLoad, viprip.Blend} {
-		vipCoV, tputCoV, maxU, err := allocateWithPolicy(nApps, nSwitches, 1, pol, weights, totalMbps, limits)
+	// The manager scores switches by the blend of VIP count and
+	// throughput; least-vips and least-load ablate it to one half each.
+	vipFraction := func(sw *lbswitch.Switch) float64 {
+		return float64(sw.NumVIPs()) / float64(sw.Limits.MaxVIPs)
+	}
+	for _, pol := range []struct {
+		name  string
+		place func(*lbswitch.Fabric) policy.Placement
+	}{
+		{"first-fit", func(*lbswitch.Fabric) policy.Placement { return policy.FirstFit{} }},
+		{"least-vips", func(f *lbswitch.Fabric) policy.Placement {
+			return scoredPlacement{policy.NewGreedy(nil), f, vipFraction}
+		}},
+		{"least-load", func(f *lbswitch.Fabric) policy.Placement {
+			return scoredPlacement{policy.NewGreedy(nil), f, (*lbswitch.Switch).Utilization}
+		}},
+		{"blend", func(*lbswitch.Fabric) policy.Placement { return nil }}, // the manager's default greedy
+	} {
+		vipCoV, tputCoV, maxU, err := allocateWithPolicy(nApps, nSwitches, pol.place, weights, totalMbps, limits)
 		if err != nil {
 			return nil, nil, err
 		}
 		res.Policies = append(res.Policies, E12PolicyRow{
-			Policy: pol.String(), VIPCountCoV: vipCoV, ThroughputCoV: tputCoV, MaxSwitchUtil: maxU,
+			Policy: pol.name, VIPCountCoV: vipCoV, ThroughputCoV: tputCoV, MaxSwitchUtil: maxU,
 		})
-		tb.AddRow("policy "+pol.String(), "-", vipCoV, tputCoV, maxU, nSwitches)
+		tb.AddRow("policy "+pol.name, "-", vipCoV, tputCoV, maxU, nSwitches)
 	}
 	for _, pods := range []int{1, 4, 16} {
 		if pods > nSwitches {
@@ -100,7 +118,7 @@ func allocateHierarchical(nApps, nSwitches, pods int, weights []float64, totalMb
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	h, err := viprip.NewHierarchy(viprip.NewManager(fab, vp, nil, viprip.Blend), pods)
+	h, err := viprip.NewHierarchy(viprip.NewManager(fab, vp, nil), pods)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -132,55 +150,54 @@ func allocateHierarchical(nApps, nSwitches, pods int, weights []float64, totalMb
 	return metrics.CoefficientOfVariation(utils), maxUtil, int(h.Scans) / allocs, nil
 }
 
-// allocateWithPolicy places nApps×3 VIPs using the policy. With
-// switchPods > 1 the switches are split into that many pods, each with
-// its own manager; apps are assigned to switch pods round-robin and the
-// policy scans only the pod's switches (the Section V-A hierarchy).
-func allocateWithPolicy(nApps, nSwitches, switchPods int, pol viprip.Policy,
+// scoredPlacement is the default greedy placement with the VIP-switch
+// score replaced by score, read from the candidate switch itself.
+type scoredPlacement struct {
+	*policy.Greedy
+	fab   *lbswitch.Fabric
+	score func(*lbswitch.Switch) float64
+}
+
+func (p scoredPlacement) VIPSwitch(d policy.Decision) int {
+	key := d.Key
+	d.Load = func(i int) float64 { return p.score(p.fab.Switch(lbswitch.SwitchID(key(i)))) }
+	return p.Greedy.VIPSwitch(d)
+}
+
+// allocateWithPolicy places nApps×3 VIPs on nSwitches switches through
+// a manager whose placement is place(fabric); a nil placement keeps the
+// default greedy.
+func allocateWithPolicy(nApps, nSwitches int, place func(*lbswitch.Fabric) policy.Placement,
 	weights []float64, totalMbps float64, limits lbswitch.Limits) (vipCoV, tputCoV, maxUtil float64, err error) {
-	if nSwitches%switchPods != 0 {
-		return 0, 0, 0, fmt.Errorf("exp: e12 switches %d not divisible by pods %d", nSwitches, switchPods)
+	fab := lbswitch.NewFabric()
+	for i := 0; i < nSwitches; i++ {
+		fab.AddSwitch(limits)
 	}
-	perPod := nSwitches / switchPods
-	fabrics := make([]*lbswitch.Fabric, switchPods)
-	mgrs := make([]*viprip.Manager, switchPods)
-	for g := 0; g < switchPods; g++ {
-		fabrics[g] = lbswitch.NewFabric()
-		for i := 0; i < perPod; i++ {
-			fabrics[g].AddSwitch(limits)
-		}
-		vp, err := viprip.NewIPPool(fmt.Sprintf("100.%d.0.0", 64+g), uint32(3*nApps+16))
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		rp, err := viprip.NewIPPool(fmt.Sprintf("10.%d.0.0", g), 16)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		mgrs[g] = viprip.NewManager(fabrics[g], vp, rp, pol)
+	vp, err := viprip.NewIPPool("100.64.0.0", uint32(3*nApps+16))
+	if err != nil {
+		return 0, 0, 0, err
 	}
+	mgr := viprip.NewManager(fab, vp, nil)
+	mgr.SetPlacement(place(fab))
 	for a := 0; a < nApps; a++ {
-		g := a % switchPods
 		mbps := totalMbps * weights[a]
 		for v := 0; v < 3; v++ {
-			vip, sw, err := mgrs[g].AddVIP(cluster.AppID(a))
+			vip, sw, err := mgr.AddVIP(cluster.AppID(a))
 			if err != nil {
 				return 0, 0, 0, fmt.Errorf("exp: e12 app %d: %w", a, err)
 			}
-			if err := fabrics[g].Switch(sw).SetVIPLoad(vip, mbps/3); err != nil {
+			if err := fab.Switch(sw).SetVIPLoad(vip, mbps/3); err != nil {
 				return 0, 0, 0, err
 			}
 		}
 	}
 	var vipCounts, utils []float64
-	for g := 0; g < switchPods; g++ {
-		for _, sw := range fabrics[g].Switches() {
-			vipCounts = append(vipCounts, float64(sw.NumVIPs()))
-			u := sw.Utilization()
-			utils = append(utils, u)
-			if u > maxUtil {
-				maxUtil = u
-			}
+	for _, sw := range fab.Switches() {
+		vipCounts = append(vipCounts, float64(sw.NumVIPs()))
+		u := sw.Utilization()
+		utils = append(utils, u)
+		if u > maxUtil {
+			maxUtil = u
 		}
 	}
 	return metrics.CoefficientOfVariation(vipCounts), metrics.CoefficientOfVariation(utils), maxUtil, nil

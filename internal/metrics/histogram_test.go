@@ -8,7 +8,7 @@ import (
 )
 
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 {
 		t.Fatalf("empty histogram: count=%d sum=%v mean=%v", h.Count(), h.Sum(), h.Mean())
 	}
@@ -23,7 +23,7 @@ func TestHistogramEmpty(t *testing.T) {
 }
 
 func TestHistogramSingleSample(t *testing.T) {
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	h.Observe(3.5)
 	if h.Count() != 1 || h.Sum() != 3.5 {
 		t.Fatalf("count=%d sum=%v", h.Count(), h.Sum())
@@ -39,7 +39,7 @@ func TestHistogramSingleSample(t *testing.T) {
 }
 
 func TestHistogramAllEqual(t *testing.T) {
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	for i := 0; i < 1000; i++ {
 		h.Observe(7)
 	}
@@ -55,7 +55,7 @@ func TestHistogramAllEqual(t *testing.T) {
 
 func TestHistogramZeroDuration(t *testing.T) {
 	// Same-tick lifecycles produce zero-length spans; they must count.
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	h.Observe(0)
 	h.Observe(0)
 	if h.Count() != 2 || h.Max() != 0 || h.Quantile(0.5) != 0 {
@@ -63,50 +63,38 @@ func TestHistogramZeroDuration(t *testing.T) {
 	}
 }
 
-// TestHistogramBucketMatchesBinarySearch pins the bucket search to
-// slices.BinarySearch for values below, on, between and above every
-// bound, on the default bounds and on custom ones.
-func TestHistogramBucketMatchesBinarySearch(t *testing.T) {
-	for _, bounds := range [][]float64{
-		nil, // DefaultLatencyBounds
-		{1},
-		{0, 0.5, 1, 2.5, 10},
-		{-3, -1, 0, 1e-9, 7, 1e6},
-	} {
-		h := NewHistogram(bounds)
-		b := h.bounds
-		vs := []float64{b[0] - 1, math.Nextafter(b[0], math.Inf(-1)), b[len(b)-1] * 2, b[len(b)-1] + 1}
-		for i, x := range b {
-			vs = append(vs, x, math.Nextafter(x, math.Inf(1)))
-			if i > 0 {
-				vs = append(vs, (b[i-1]+x)/2, math.Nextafter(x, math.Inf(-1)))
-			}
-		}
-		for _, v := range vs {
-			want, _ := slices.BinarySearch(b, v)
-			if got := h.bucket(v); got != want {
-				t.Errorf("bounds %v: bucket(%v) = %d, slices.BinarySearch = %d", bounds, v, got, want)
-			}
+// bucket is the reference for bucketPow2: a lower-bound binary search
+// for the first bound ≥ v, or len(latencyBounds) for the overflow
+// bucket.
+func bucket(v float64) int {
+	lo, hi := 0, len(latencyBounds)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if latencyBounds[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
+	return lo
 }
 
-// TestHistogramPow2BucketMatchesSearch checks the default scheme's
-// exponent-indexed bucket against the binary search, bit for bit: on
-// every power of two in the float64 range and both its neighbours, on 0
-// and subnormals, and on 1M random non-negative finite values (random
-// bit patterns, which cover every exponent, and values spread over the
-// scheme's own range).
+// TestHistogramPow2BucketMatchesSearch checks the exponent-indexed
+// bucket against the binary search, bit for bit, and the search against
+// slices.BinarySearch: on every power of two in the float64 range and
+// both its neighbours, on 0 and subnormals, and on 1M random
+// non-negative finite values (random bit patterns, which cover every
+// exponent, and values spread over the bounds' own range).
 func TestHistogramPow2BucketMatchesSearch(t *testing.T) {
-	h := NewHistogram(nil)
-	if !h.pow2 || !NewHistogram(DefaultLatencyBounds()).pow2 || NewHistogram([]float64{1, 2, 4}).pow2 {
-		t.Fatal("pow2 must be set exactly for the default scheme")
-	}
 	check := func(v float64) {
 		if v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
 			return
 		}
-		if got, want := bucketPow2(v), h.bucket(v); got != want {
+		want := bucket(v)
+		if ref, _ := slices.BinarySearch(latencyBounds, v); want != ref {
+			t.Fatalf("bucket(%v) = %d, slices.BinarySearch = %d", v, want, ref)
+		}
+		if got := bucketPow2(v); got != want {
 			t.Fatalf("bucketPow2(%v) = %d, binary search = %d", v, got, want)
 		}
 	}
@@ -135,13 +123,13 @@ func TestHistogramRejectsBadValues(t *testing.T) {
 					t.Errorf("Observe(%v) did not panic", v)
 				}
 			}()
-			NewHistogram(nil).Observe(v)
+			NewHistogram().Observe(v)
 		}()
 	}
 }
 
 func TestHistogramQuantilesMonotone(t *testing.T) {
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 5000; i++ {
 		h.Observe(rng.ExpFloat64() * 100)
@@ -162,7 +150,7 @@ func TestHistogramQuantilesMonotone(t *testing.T) {
 func TestHistogramQuantileAccuracy(t *testing.T) {
 	// With power-of-two buckets the interpolated estimate must stay
 	// within one bucket width (a factor of 2) of the exact quantile.
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	var exact []float64
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20000; i++ {
@@ -194,7 +182,7 @@ func TestHistogramPermutationInvariant(t *testing.T) {
 		base = append(base, float64(rng.Intn(1<<14))*0.25)
 	}
 	build := func(vals []float64) *Histogram {
-		h := NewHistogram(nil)
+		h := NewHistogram()
 		for _, v := range vals {
 			h.Observe(v)
 		}
@@ -232,9 +220,9 @@ func TestHistogramPermutationInvariant(t *testing.T) {
 func TestHistogramMergeDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shards := make([]*Histogram, 8)
-	all := NewHistogram(nil)
+	all := NewHistogram()
 	for i := range shards {
-		shards[i] = NewHistogram(nil)
+		shards[i] = NewHistogram()
 		for j := 0; j < 500; j++ {
 			v := float64(rng.Intn(1<<12)) * 0.25
 			shards[i].Observe(v)
@@ -242,7 +230,7 @@ func TestHistogramMergeDeterminism(t *testing.T) {
 		}
 	}
 	mergeIn := func(order []int) *Histogram {
-		m := NewHistogram(nil)
+		m := NewHistogram()
 		for _, i := range order {
 			if err := m.Merge(shards[i]); err != nil {
 				t.Fatal(err)
@@ -272,112 +260,91 @@ func TestHistogramMergeDeterminism(t *testing.T) {
 
 // TestHistogramCloneIndependent: a clone shares no counts with its
 // original. Observations into either one show in its own counts,
-// quantiles and Buckets only — on the default scheme, whose counts live
-// in the struct, and on custom bounds, whose counts are a slice.
+// quantiles and Buckets only.
 func TestHistogramCloneIndependent(t *testing.T) {
-	for _, bounds := range [][]float64{nil, {0.5, 1, 2, 4}} {
-		h := NewHistogram(bounds)
-		h.Observe(0.75)
-		c := h.Clone()
-		for i := 0; i < 9; i++ {
-			h.Observe(0.3)
-			c.Observe(3)
+	h := NewHistogram()
+	h.Observe(0.75)
+	c := h.Clone()
+	for i := 0; i < 9; i++ {
+		h.Observe(0.3)
+		c.Observe(3)
+	}
+	hb, hc := h.Buckets()
+	_, cc := c.Buckets()
+	bucketOf := func(v float64) int { i, _ := slices.BinarySearch(hb, v); return i }
+	want := func(obs map[float64]uint64) []uint64 {
+		w := make([]uint64, len(hb)+1)
+		for v, n := range obs {
+			w[bucketOf(v)] += n
 		}
-		hb, hc := h.Buckets()
-		_, cc := c.Buckets()
-		bucketOf := func(v float64) int { i, _ := slices.BinarySearch(hb, v); return i }
-		want := func(obs map[float64]uint64) []uint64 {
-			w := make([]uint64, len(hb)+1)
-			for v, n := range obs {
-				w[bucketOf(v)] += n
-			}
-			return w
-		}
-		if w := want(map[float64]uint64{0.75: 1, 0.3: 9}); !slices.Equal(hc, w) {
-			t.Errorf("bounds %v: original counts %v, want %v", bounds, hc, w)
-		}
-		if w := want(map[float64]uint64{0.75: 1, 3: 9}); !slices.Equal(cc, w) {
-			t.Errorf("bounds %v: clone counts %v, want %v", bounds, cc, w)
-		}
-		if h.Count() != 10 || c.Count() != 10 {
-			t.Errorf("bounds %v: counts %d and %d, want 10 each", bounds, h.Count(), c.Count())
-		}
-		if h.Quantile(0.5) >= 0.5 || c.Quantile(0.5) <= 2 {
-			t.Errorf("bounds %v: p50 %v (original) and %v (clone) show the other's observations",
-				bounds, h.Quantile(0.5), c.Quantile(0.5))
-		}
-		if h.Max() != 0.75 || c.Min() != 0.75 || c.Max() != 3 {
-			t.Errorf("bounds %v: original max %v, clone min/max %v/%v", bounds, h.Max(), c.Min(), c.Max())
-		}
+		return w
+	}
+	if w := want(map[float64]uint64{0.75: 1, 0.3: 9}); !slices.Equal(hc, w) {
+		t.Errorf("original counts %v, want %v", hc, w)
+	}
+	if w := want(map[float64]uint64{0.75: 1, 3: 9}); !slices.Equal(cc, w) {
+		t.Errorf("clone counts %v, want %v", cc, w)
+	}
+	if h.Count() != 10 || c.Count() != 10 {
+		t.Errorf("counts %d and %d, want 10 each", h.Count(), c.Count())
+	}
+	if h.Quantile(0.5) >= 0.5 || c.Quantile(0.5) <= 2 {
+		t.Errorf("p50 %v (original) and %v (clone) show the other's observations",
+			h.Quantile(0.5), c.Quantile(0.5))
+	}
+	if h.Max() != 0.75 || c.Min() != 0.75 || c.Max() != 3 {
+		t.Errorf("original max %v, clone min/max %v/%v", h.Max(), c.Min(), c.Max())
 	}
 }
 
 // TestHistogramMergeBuckets: merging adds bucket counts element-wise and
-// equals observing everything in one histogram, on the default scheme
-// (in-struct counts, also when one side was built from explicit
-// DefaultLatencyBounds) and on custom bounds.
+// equals observing everything in one histogram.
 func TestHistogramMergeBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, pair := range [][2][]float64{
-		{nil, nil},
-		{nil, DefaultLatencyBounds()},
-		{{0.01, 0.1, 1, 10}, {0.01, 0.1, 1, 10}},
-	} {
-		a, b, all := NewHistogram(pair[0]), NewHistogram(pair[1]), NewHistogram(pair[0])
-		for i := 0; i < 1000; i++ {
-			v := math.Ldexp(rng.Float64(), rng.Intn(30)-12)
-			if i%3 == 0 {
-				a.Observe(v)
-			} else {
-				b.Observe(v)
-			}
-			all.Observe(v)
+	a, b, all := NewHistogram(), NewHistogram(), NewHistogram()
+	for i := 0; i < 1000; i++ {
+		v := math.Ldexp(rng.Float64(), rng.Intn(30)-12)
+		if i%3 == 0 {
+			a.Observe(v)
+		} else {
+			b.Observe(v)
 		}
-		_, ac := a.Buckets()
-		_, bc := b.Buckets()
-		if err := a.Merge(b); err != nil {
-			t.Fatal(err)
+		all.Observe(v)
+	}
+	_, ac := a.Buckets()
+	_, bc := b.Buckets()
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	bounds, got := a.Buckets()
+	if _, want := all.Buckets(); !slices.Equal(got, want) {
+		t.Fatalf("merged counts %v, direct %v", got, want)
+	}
+	for i := range got {
+		if got[i] != ac[i]+bc[i] {
+			t.Fatalf("merged bucket %d = %d, want %d+%d", i, got[i], ac[i], bc[i])
 		}
-		bounds, got := a.Buckets()
-		if _, want := all.Buckets(); !slices.Equal(got, want) {
-			t.Fatalf("bounds %v: merged counts %v, direct %v", pair[0], got, want)
-		}
-		for i := range got {
-			if got[i] != ac[i]+bc[i] {
-				t.Fatalf("bounds %v: merged bucket %d = %d, want %d+%d", pair[0], i, got[i], ac[i], bc[i])
-			}
-		}
-		if len(got) != len(bounds)+1 || a.Count() != all.Count() {
-			t.Fatalf("bounds %v: %d counts for %d bounds, count %d want %d",
-				pair[0], len(got), len(bounds), a.Count(), all.Count())
-		}
-		for q := 0.0; q <= 1; q += 0.1 {
-			if a.Quantile(q) != all.Quantile(q) {
-				t.Fatalf("bounds %v: merged quantile(%v) %v != direct %v", pair[0], q, a.Quantile(q), all.Quantile(q))
-			}
+	}
+	if len(got) != len(bounds)+1 || a.Count() != all.Count() {
+		t.Fatalf("%d counts for %d bounds, count %d want %d", len(got), len(bounds), a.Count(), all.Count())
+	}
+	for q := 0.0; q <= 1; q += 0.1 {
+		if a.Quantile(q) != all.Quantile(q) {
+			t.Fatalf("merged quantile(%v) %v != direct %v", q, a.Quantile(q), all.Quantile(q))
 		}
 	}
 }
 
-// TestHistogramDefaultAllocs: a default-scheme histogram is one
-// allocation (its counts are in the struct and its bounds shared), and
-// Observe allocates nothing on either scheme.
+// TestHistogramDefaultAllocs: a histogram is one allocation (its counts
+// are in the struct and its bounds shared), and Observe allocates
+// nothing.
 func TestHistogramDefaultAllocs(t *testing.T) {
-	if n := testing.AllocsPerRun(100, func() { NewHistogram(nil) }); n != 1 {
-		t.Errorf("NewHistogram(nil): %v allocations, want 1", n)
+	if n := testing.AllocsPerRun(100, func() { NewHistogram() }); n != 1 {
+		t.Errorf("NewHistogram: %v allocations, want 1", n)
 	}
-	for _, h := range []*Histogram{NewHistogram(nil), NewHistogram([]float64{1, 2, 4})} {
-		if n := testing.AllocsPerRun(100, func() { h.Observe(1.5) }); n != 0 {
-			t.Errorf("Observe: %v allocations, want 0", n)
-		}
-	}
-}
-
-func TestHistogramMergeSchemeMismatch(t *testing.T) {
-	a := NewHistogram([]float64{1, 2, 4})
-	b := NewHistogram([]float64{1, 2, 4, 8})
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merging mismatched bucket schemes must error")
+	h := NewHistogram()
+	if n := testing.AllocsPerRun(100, func() { h.Observe(1.5) }); n != 0 {
+		t.Errorf("Observe: %v allocations, want 0", n)
 	}
 }
 

@@ -78,7 +78,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram (default latency bounds),
+// Histogram returns the named histogram,
 // creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
@@ -86,7 +86,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	r.claim(name, "histogram")
 	h, ok := r.hists[name]
 	if !ok {
-		h = NewHistogram(nil)
+		h = NewHistogram()
 		r.hists[name] = h
 	}
 	return h

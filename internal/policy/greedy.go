@@ -27,8 +27,7 @@ func init() {
 func (g *Greedy) Name() string { return DefaultName }
 
 // VIPSwitch: least pressure, strict-< first-wins — the historical
-// pickSwitchForVIP scan (the enum-selected score function lives with
-// the caller).
+// pickSwitchForVIP scan (the score function lives with the caller).
 func (g *Greedy) VIPSwitch(d Decision) int { return argmin(d, g.stats) }
 
 // VIPForRIP: lowest combined pressure with the historical near-tie

@@ -34,11 +34,11 @@ func (r *RoundRobin) TransferTarget(d Decision) int { return r.pick(KindTransfer
 func (r *RoundRobin) DeployPod(d Decision) int      { return r.pick(KindDeployPod, d) }
 func (r *RoundRobin) DonorPod(d Decision) int       { return r.pick(KindDonorPod, d) }
 
-// FirstFit always takes the first feasible candidate — the packing
-// strategy behind the viprip FirstFitPolicy enum value and the E1
-// minimum-switch-count arithmetic. Exported for the enum mapping; not
-// registered as a tournament competitor (it optimizes switch count,
-// not balance, so racing it on satisfaction is uninteresting).
+// FirstFit always takes the first feasible candidate: packing, not
+// balancing. E12's first-fit row sets it as the VIP/RIP manager's
+// placement. It is not registered as a tournament competitor (it
+// optimizes switch count, not balance, so racing it on satisfaction is
+// uninteresting).
 type FirstFit struct{}
 
 // Name implements Placement and Steering.

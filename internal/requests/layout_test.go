@@ -15,10 +15,14 @@ import (
 // cache lines: a switch queue is exactly one line of its slice, and an
 // application's record keeps its client population in its first line
 // and starts its histogram's scalars on the next, with every record of
-// a chunk starting a line.
+// a chunk starting a line. A histogram is its 40 bytes of scalars and
+// its 32 bucket counts, nothing else.
 func TestRequestPathLayout(t *testing.T) {
 	if size := unsafe.Sizeof(swQueue{}); size != cacheLine {
 		t.Errorf("swQueue is %d bytes, want %d", size, cacheLine)
+	}
+	if size := unsafe.Sizeof(metrics.Histogram{}); size != 296 {
+		t.Errorf("metrics.Histogram is %d bytes, want 296", size)
 	}
 	var r appRec
 	if end := unsafe.Offsetof(r.pop) + unsafe.Sizeof(r.pop); end > cacheLine {
@@ -117,6 +121,6 @@ func TestAppRecordsStableAndAllocFree(t *testing.T) {
 	reg.Histogram(fmt.Sprintf("requests.latency.app-%02d", apps+1))
 	mustPanic("AddApp onto a name taken by a histogram", func() { e.AddApp(apps+1, 1) })
 	mustPanic("RegisterHistogram of a taken name", func() {
-		reg.RegisterHistogram("requests.latency.app-00", metrics.NewHistogram(nil))
+		reg.RegisterHistogram("requests.latency.app-00", metrics.NewHistogram())
 	})
 }

@@ -211,13 +211,16 @@ type Engine struct {
 	queues  []swQueue              // by SwitchID, sized once in New; sw == nil = not attached yet
 	qOrder  []lbswitch.SwitchID    // attach order, for deterministic refresh
 	arrival func()                 // pre-bound per-arrival callback: arrive, then schedule the next
-	stats   Stats
 
-	latAll   *metrics.Histogram
-	waitAll  *metrics.Histogram
-	cServed  *metrics.Counter
-	cDropped *metrics.Counter
-	cNoExpo  *metrics.Counter
+	latAll  *metrics.Histogram
+	waitAll *metrics.Histogram
+	// Outcome counts: served, dropped and no-exposure requests are
+	// counted only in their registry counters, which Stats reads.
+	generated int64
+	enqueued  int64
+	cServed   *metrics.Counter
+	cDropped  *metrics.Counter
+	cNoExpo   *metrics.Counter
 
 	started bool
 }
@@ -291,7 +294,7 @@ func (e *Engine) AddApp(app cluster.AppID, weight float64) error {
 		e.cfg.ViolatorFraction, e.cfg.ViolationHoldSec, e.rng); err != nil {
 		return err
 	}
-	r.hist.Init(nil)
+	r.hist.Init()
 	e.cfg.Registry.RegisterHistogram(fmt.Sprintf("requests.latency.app-%02d", app), &r.hist)
 	e.driven[app] = true
 	e.weights = append(e.weights, weight)
@@ -343,7 +346,15 @@ func (e *Engine) Start() error {
 }
 
 // Stats returns the outcome counters.
-func (e *Engine) Stats() Stats { return e.stats }
+func (e *Engine) Stats() Stats {
+	return Stats{
+		Generated:  e.generated,
+		Enqueued:   e.enqueued,
+		Served:     e.cServed.Value(),
+		Dropped:    e.cDropped.Value(),
+		NoExposure: e.cNoExpo.Value(),
+	}
+}
 
 // RefreshCapacity forces one capacity-refresh pass outside the periodic
 // schedule — re-deriving every attached queue's service rate from
@@ -358,7 +369,7 @@ func (e *Engine) AttachedQueues() int { return len(e.qOrder) }
 // Pending returns the number of requests currently queued or in service
 // across all switches. A request leaves its queue only by being served,
 // so this is the sum of the attached queues' depths.
-func (e *Engine) Pending() int { return int(e.stats.Enqueued - e.stats.Served) }
+func (e *Engine) Pending() int { return int(e.enqueued - e.cServed.Value()) }
 
 // queueFor returns (attaching on first sight) the queue of switch id.
 // The pointer is stable: e.queues is never reallocated.
@@ -403,24 +414,21 @@ func (e *Engine) scheduleNext() {
 // arrive handles one request: pick app → resolve VIP → home switch →
 // enqueue (or drop).
 func (e *Engine) arrive() {
-	e.stats.Generated++
+	e.generated++
 	now := e.p.Eng.Now()
 	app := e.sampler.Pick(e.rng)
 	vi, err := e.app(app).pop.Arrive(now, e.rng)
 	if err != nil {
-		e.stats.NoExposure++
 		e.cNoExpo.Inc()
 		return
 	}
 	home, ok := e.p.Fabric.Home(vi)
 	if !ok {
-		e.stats.NoExposure++
 		e.cNoExpo.Inc()
 		return
 	}
 	q := e.queueFor(home)
 	if !q.sw.Serving() || int(q.n) >= e.cfg.QueueCap {
-		e.stats.Dropped++
 		e.cDropped.Inc()
 		q.sw.NoteReqDropped()
 		return
@@ -430,7 +438,7 @@ func (e *Engine) arrive() {
 	}
 	q.buf[int(q.head+q.n)%len(q.buf)] = request{arrived: now, app: int32(app)}
 	q.n++
-	e.stats.Enqueued++
+	e.enqueued++
 	q.sw.NoteReqEnqueued()
 	if !q.busy && q.mu > 0 {
 		e.startService(q)
@@ -460,7 +468,6 @@ func (e *Engine) complete(q *swQueue) {
 	lat := e.p.Eng.Now() - r.arrived
 	e.app(int(r.app)).hist.Observe(lat)
 	e.latAll.Observe(lat)
-	e.stats.Served++
 	e.cServed.Inc()
 	q.sw.NoteReqServed()
 	q.head = int32(int(q.head+1) % len(q.buf))

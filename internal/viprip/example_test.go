@@ -17,7 +17,7 @@ func Example() {
 	}
 	vips, _ := viprip.NewIPPool("100.64.0.0", 1024)
 	rips, _ := viprip.NewIPPool("10.0.0.0", 1024)
-	mgr := viprip.NewManager(fab, vips, rips, viprip.Blend)
+	mgr := viprip.NewManager(fab, vips, rips)
 
 	var done []*viprip.Request
 	record := func(r *viprip.Request) { done = append(done, r) }

@@ -25,14 +25,14 @@ func setupTwoSwitchVIPs(t *testing.T) (m *Manager, eng *sim.Engine, vips [2]lbsw
 	if err != nil {
 		t.Fatal(err)
 	}
-	m = NewManager(f, vp, rp, LeastVIPs)
+	m = NewManager(f, vp, rp)
 	for i := 0; i < 2; i++ {
 		vip, home, err := m.AddVIP(1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if home != lbswitch.SwitchID(i) {
-			t.Fatalf("vip %d homed on switch %d, want %d (LeastVIPs alternates)", i, home, i)
+			t.Fatalf("vip %d homed on switch %d, want %d (blend alternates on unloaded switches)", i, home, i)
 		}
 		rip, err := m.AllocRIP()
 		if err != nil {

@@ -16,7 +16,7 @@ import (
 //
 // The hierarchy makes each allocation a two-level decision: O(pods) to
 // pick a switch pod (by aggregate pressure), then the manager's own
-// switch choice (its policy and placement strategy) over that pod's
+// switch choice (its placement strategy) over that pod's
 // switches alone — instead of scanning every switch. Scans counts
 // switch examinations so experiments can report the work saved. The
 // partition is fixed at construction; the switch redistribution the

@@ -8,7 +8,7 @@ import (
 
 // newHierManager builds a manager over nSwitches small switches for the
 // hierarchy to place through.
-func newHierManager(t *testing.T, nSwitches int, pol Policy) *Manager {
+func newHierManager(t *testing.T, nSwitches int) *Manager {
 	t.Helper()
 	fab := lbswitch.NewFabric()
 	for i := 0; i < nSwitches; i++ {
@@ -18,11 +18,11 @@ func newHierManager(t *testing.T, nSwitches int, pol Policy) *Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewManager(fab, vp, nil, pol)
+	return NewManager(fab, vp, nil)
 }
 
 func TestHierarchyValidation(t *testing.T) {
-	m := newHierManager(t, 4, Blend)
+	m := newHierManager(t, 4)
 	if _, err := NewHierarchy(m, 0); err == nil {
 		t.Error("zero pods accepted")
 	}
@@ -46,7 +46,7 @@ func TestHierarchyValidation(t *testing.T) {
 }
 
 func TestHierarchyAllocatesAndBalances(t *testing.T) {
-	m := newHierManager(t, 8, LeastVIPs)
+	m := newHierManager(t, 8)
 	h, err := NewHierarchy(m, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestHierarchyAllocatesAndBalances(t *testing.T) {
 func TestHierarchyScansFewerSwitches(t *testing.T) {
 	// Flat scan would touch nSwitches per allocation; the hierarchy only
 	// the chosen pod's size.
-	m := newHierManager(t, 16, Blend)
+	m := newHierManager(t, 16)
 	h, err := NewHierarchy(m, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestHierarchyScansFewerSwitches(t *testing.T) {
 }
 
 func TestHierarchyExhaustion(t *testing.T) {
-	m := newHierManager(t, 2, LeastVIPs)
+	m := newHierManager(t, 2)
 	h, err := NewHierarchy(m, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestHierarchyExhaustion(t *testing.T) {
 }
 
 func TestHierarchyPodOf(t *testing.T) {
-	m := newHierManager(t, 4, Blend)
+	m := newHierManager(t, 4)
 	h, _ := NewHierarchy(m, 2)
 	if pod, ok := h.PodOf(0); !ok || pod != 0 {
 		t.Errorf("PodOf(0) = %d,%v", pod, ok)

@@ -5,6 +5,12 @@
 // and the manager processes them sequentially by priority — allocating
 // each new VIP on an underloaded switch and each new RIP on a switch
 // that already hosts one of the application's VIPs.
+//
+// Every switch choice goes through the manager's policy.Placement
+// (DESIGN.md §15). A new VIP's candidates are the switches with a spare
+// VIP slot, each scored by the max of its VIP-count fraction and its
+// throughput utilization ("few already-configured VIPs and a low data
+// throughput"); the default greedy placement takes the least score.
 package viprip
 
 import (

@@ -13,42 +13,6 @@ import (
 	"megadc/internal/trace"
 )
 
-// Policy selects the switch for a new VIP. The paper leaves the policy
-// open ("identifies an underloaded switch, i.e., one with few already-
-// configured VIPs and a low data throughput"); the manager implements
-// the obvious candidates, ablated in experiment E12.
-type Policy int
-
-// Switch-selection policies.
-const (
-	// LeastVIPs picks the switch with the fewest configured VIPs.
-	LeastVIPs Policy = iota
-	// LeastLoad picks the switch with the lowest throughput utilization.
-	LeastLoad
-	// Blend picks the switch minimizing the max of VIP-count fraction
-	// and throughput utilization — the paper's "few already-configured
-	// VIPs AND a low data throughput" reading.
-	Blend
-	// FirstFitPolicy packs VIPs onto the lowest-numbered switch with
-	// room; used by the E1 packing experiment to realize the paper's
-	// minimum-switch-count arithmetic.
-	FirstFitPolicy
-)
-
-func (p Policy) String() string {
-	switch p {
-	case LeastVIPs:
-		return "least-vips"
-	case LeastLoad:
-		return "least-load"
-	case Blend:
-		return "blend"
-	case FirstFitPolicy:
-		return "first-fit"
-	}
-	return fmt.Sprintf("Policy(%d)", int(p))
-}
-
 // Priority orders requests in the serialized queue.
 type Priority int
 
@@ -93,13 +57,10 @@ type Manager struct {
 	fabric  *lbswitch.Fabric
 	vipPool *IPPool
 	ripPool *IPPool
-	policy  Policy
 
 	// placement is the pluggable strategy behind every switch/VIP
 	// choice (DESIGN.md §15). The default is the extracted greedy,
-	// byte-identical to the historical inline scans; the legacy Policy
-	// enum keeps selecting the VIP-placement score function, so the two
-	// axes compose (E12 sweeps the enum under greedy placement).
+	// byte-identical to the historical inline scans.
 	placement policy.Placement
 	// swCand/vipCand are scratch buffers for per-decision candidate
 	// lists, reused so policy decisions stay allocation-light.
@@ -185,22 +146,18 @@ type Result struct {
 }
 
 // NewManager creates a manager over the fabric with the given IP pools
-// and switch-selection policy.
-func NewManager(fabric *lbswitch.Fabric, vipPool, ripPool *IPPool, pol Policy) *Manager {
+// and the default greedy placement.
+func NewManager(fabric *lbswitch.Fabric, vipPool, ripPool *IPPool) *Manager {
 	return &Manager{
 		fabric:    fabric,
 		vipPool:   vipPool,
 		ripPool:   ripPool,
-		policy:    pol,
 		placement: policy.NewGreedy(nil),
 	}
 }
 
 // Fabric returns the managed switch fabric.
 func (m *Manager) Fabric() *lbswitch.Fabric { return m.fabric }
-
-// Policy returns the active switch-selection policy.
-func (m *Manager) Policy() Policy { return m.policy }
 
 // SetPlacement swaps the pluggable placement strategy; nil restores
 // the default greedy.
@@ -638,10 +595,10 @@ func (m *Manager) AdjustWeights(vip lbswitch.VIP, weights []float64) error {
 
 // pickSwitchForVIP selects among the switches with a spare VIP slot
 // via the pluggable placement: those listed in within, in that order,
-// or every switch in ID order when within is nil. The legacy Policy
-// enum chooses the score function (vipScore); the default greedy
-// placement then runs the historical strict-< argmin over it, so every
-// enum value behaves exactly as the pre-framework inline scan did.
+// or every switch in ID order when within is nil. Each candidate's
+// Load is its blendScore ("an underloaded switch, i.e., one with few
+// already-configured VIPs and a low data throughput"); the default
+// greedy placement takes the strict-< argmin over it.
 func (m *Manager) pickSwitchForVIP(app cluster.AppID, within []lbswitch.SwitchID) *lbswitch.Switch {
 	m.swCand = m.swCand[:0]
 	n := len(within)
@@ -662,18 +619,12 @@ func (m *Manager) pickSwitchForVIP(app cluster.AppID, within []lbswitch.SwitchID
 	if len(m.swCand) == 0 {
 		return nil
 	}
-	if m.policy == FirstFitPolicy {
-		// Packing, not balancing: the lowest-ID switch with room,
-		// regardless of placement strategy (E1's arithmetic depends on
-		// it).
-		return m.swCand[0]
-	}
 	cands := m.swCand
 	idx := m.placement.VIPSwitch(policy.Decision{
 		Actor: uint64(app),
 		N:     len(cands),
 		Key:   func(i int) uint64 { return uint64(cands[i].ID) },
-		Load:  func(i int) float64 { return m.vipScore(cands[i]) },
+		Load:  func(i int) float64 { return blendScore(cands[i]) },
 	})
 	if idx < 0 || idx >= len(cands) {
 		return nil
@@ -681,21 +632,8 @@ func (m *Manager) pickSwitchForVIP(app cluster.AppID, within []lbswitch.SwitchID
 	return cands[idx]
 }
 
-// vipScore is the enum-selected VIP-placement score ("identifies an
-// underloaded switch": few VIPs, low throughput, or the blend).
-func (m *Manager) vipScore(sw *lbswitch.Switch) float64 {
-	switch m.policy {
-	case LeastVIPs:
-		return vipPressure(sw)
-	case LeastLoad:
-		return sw.Utilization()
-	default: // Blend
-		return blendScore(sw)
-	}
-}
-
-// blendScore is the Blend policy's switch score: the max of VIP-count
-// fraction and throughput utilization.
+// blendScore is a switch's VIP-placement score: the max of its VIP-count
+// fraction and its throughput utilization.
 func blendScore(sw *lbswitch.Switch) float64 {
 	score := vipPressure(sw)
 	if u := sw.Utilization(); u > score {

@@ -22,7 +22,7 @@ func newSerializedManager(t *testing.T) (*Manager, *sim.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(f, vp, rp, LeastVIPs)
+	m := NewManager(f, vp, rp)
 	eng := sim.New(1)
 	m.StartSerialized(eng, 3)
 	return m, eng
@@ -135,7 +135,7 @@ func TestBatchAdjustWeightsAndTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(f, vp, rp, LeastVIPs)
+	m := NewManager(f, vp, rp)
 	vip, home, err := m.AddVIP(7)
 	if err != nil {
 		t.Fatal(err)

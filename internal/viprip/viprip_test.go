@@ -9,6 +9,7 @@ import (
 
 	"megadc/internal/ipv4"
 	"megadc/internal/lbswitch"
+	"megadc/internal/policy"
 	"megadc/internal/sim"
 	"megadc/internal/trace"
 )
@@ -117,7 +118,7 @@ func TestPropertyIPPoolUnique(t *testing.T) {
 	}
 }
 
-func newTestManager(t *testing.T, nSwitches int, policy Policy) *Manager {
+func newTestManager(t *testing.T, nSwitches int) *Manager {
 	t.Helper()
 	fab := lbswitch.NewFabric()
 	for i := 0; i < nSwitches; i++ {
@@ -131,7 +132,7 @@ func newTestManager(t *testing.T, nSwitches int, policy Policy) *Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewManager(fab, vp, rp, policy)
+	return NewManager(fab, vp, rp)
 }
 
 // runQueued runs m's serialized pipeline until its queue is empty,
@@ -160,7 +161,7 @@ func runQueued(m *Manager) []*Request {
 }
 
 func TestAddVIPLeastVIPs(t *testing.T) {
-	m := newTestManager(t, 3, LeastVIPs)
+	m := newTestManager(t, 3)
 	homes := make(map[lbswitch.SwitchID]int)
 	for i := 0; i < 6; i++ {
 		_, sw, err := m.AddVIP(1)
@@ -169,7 +170,8 @@ func TestAddVIPLeastVIPs(t *testing.T) {
 		}
 		homes[sw]++
 	}
-	// Least-VIPs policy spreads 6 VIPs as 2/2/2.
+	// With no load the blend score is the VIP-count fraction, so 6 VIPs
+	// spread as 2/2/2.
 	for id, n := range homes {
 		if n != 2 {
 			t.Errorf("switch %d got %d VIPs, want 2 (homes=%v)", id, n, homes)
@@ -180,25 +182,8 @@ func TestAddVIPLeastVIPs(t *testing.T) {
 	}
 }
 
-func TestAddVIPLeastLoad(t *testing.T) {
-	m := newTestManager(t, 2, LeastLoad)
-	v0, sw0, err := m.AddVIP(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Load up switch sw0; the next VIP must land elsewhere.
-	m.Fabric().Switch(sw0).SetVIPLoad(v0, 90)
-	_, sw1, err := m.AddVIP(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw1 == sw0 {
-		t.Error("least-load placed VIP on the loaded switch")
-	}
-}
-
 func TestAddVIPExhaustion(t *testing.T) {
-	m := newTestManager(t, 1, LeastVIPs)
+	m := newTestManager(t, 1)
 	for i := 0; i < 4; i++ {
 		if _, _, err := m.AddVIP(1); err != nil {
 			t.Fatal(err)
@@ -210,7 +195,7 @@ func TestAddVIPExhaustion(t *testing.T) {
 }
 
 func TestDelVIPRecyclesAddress(t *testing.T) {
-	m := newTestManager(t, 1, LeastVIPs)
+	m := newTestManager(t, 1)
 	vip, _, err := m.AddVIP(1)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +216,7 @@ func TestDelVIPRecyclesAddress(t *testing.T) {
 }
 
 func TestAddRIPPrefersLeastPressuredVIPSwitch(t *testing.T) {
-	m := newTestManager(t, 2, LeastVIPs)
+	m := newTestManager(t, 2)
 	v1, s1, _ := m.AddVIP(1)
 	v2, s2, _ := m.AddVIP(1)
 	if s1 == s2 {
@@ -250,7 +235,7 @@ func TestAddRIPPrefersLeastPressuredVIPSwitch(t *testing.T) {
 }
 
 func TestAddRIPPreferredVIP(t *testing.T) {
-	m := newTestManager(t, 2, LeastVIPs)
+	m := newTestManager(t, 2)
 	v1, s1, _ := m.AddVIP(1)
 	m.AddVIP(1)
 	rip, _ := m.AllocRIP()
@@ -267,7 +252,7 @@ func TestAddRIPPreferredVIP(t *testing.T) {
 }
 
 func TestAddRIPNoVIPs(t *testing.T) {
-	m := newTestManager(t, 1, LeastVIPs)
+	m := newTestManager(t, 1)
 	rip, _ := m.AllocRIP()
 	if _, _, err := m.AddRIP(5, rip, 1, 0, -1); !errors.Is(err, ErrNoVIPForApp) {
 		t.Errorf("err = %v, want ErrNoVIPForApp", err)
@@ -275,7 +260,7 @@ func TestAddRIPNoVIPs(t *testing.T) {
 }
 
 func TestDelRIP(t *testing.T) {
-	m := newTestManager(t, 1, LeastVIPs)
+	m := newTestManager(t, 1)
 	m.AddVIP(1)
 	rip, _ := m.AllocRIP()
 	if _, _, err := m.AddRIP(1, rip, 1, 0, -1); err != nil {
@@ -293,7 +278,7 @@ func TestDelRIP(t *testing.T) {
 }
 
 func TestAdjustWeightsPreservesTotal(t *testing.T) {
-	m := newTestManager(t, 1, LeastVIPs)
+	m := newTestManager(t, 1)
 	vip, sw, _ := m.AddVIP(1)
 	r1, _ := m.AllocRIP()
 	r2, _ := m.AllocRIP()
@@ -324,7 +309,7 @@ func TestAdjustWeightsPreservesTotal(t *testing.T) {
 // lands at once, bypasses the queue and its counters, and still runs
 // OnDone with the result.
 func TestDoAppliesAtOnce(t *testing.T) {
-	m := newTestManager(t, 2, LeastVIPs)
+	m := newTestManager(t, 2)
 	vip, sw, _ := m.AddVIP(1)
 	r1, _ := m.AllocRIP()
 	r2, _ := m.AllocRIP()
@@ -352,7 +337,7 @@ func TestDoAppliesAtOnce(t *testing.T) {
 }
 
 func TestQueuePriorityOrder(t *testing.T) {
-	m := newTestManager(t, 3, LeastVIPs)
+	m := newTestManager(t, 3)
 	low := &Request{Op: OpAddVIP, App: 1, Priority: PriorityLow}
 	high := &Request{Op: OpAddVIP, App: 2, Priority: PriorityHigh}
 	norm := &Request{Op: OpAddVIP, App: 3, Priority: PriorityNormal}
@@ -380,7 +365,7 @@ func TestQueuePriorityOrder(t *testing.T) {
 }
 
 func TestQueueFIFOWithinPriority(t *testing.T) {
-	m := newTestManager(t, 3, LeastVIPs)
+	m := newTestManager(t, 3)
 	var reqs []*Request
 	for i := 0; i < 5; i++ {
 		r := &Request{Op: OpAddVIP, App: 1, Priority: PriorityNormal}
@@ -396,7 +381,7 @@ func TestQueueFIFOWithinPriority(t *testing.T) {
 }
 
 func TestQueueOps(t *testing.T) {
-	m := newTestManager(t, 1, LeastVIPs)
+	m := newTestManager(t, 1)
 	add := &Request{Op: OpAddVIP, App: 1}
 	m.Submit(add)
 	runQueued(m)
@@ -435,29 +420,24 @@ func TestMinSwitchCountPaperNumbers(t *testing.T) {
 	}
 }
 
-func TestPolicyStrings(t *testing.T) {
-	for p, want := range map[Policy]string{
-		LeastVIPs: "least-vips", LeastLoad: "least-load",
-		Blend: "blend", FirstFitPolicy: "first-fit", Policy(9): "Policy(9)",
-	} {
-		if p.String() != want {
-			t.Errorf("%d.String() = %q", int(p), p.String())
-		}
-	}
-}
-
 // Property: however many AddVIP/AddRIP requests are submitted, no switch
-// ever exceeds its limits, under every policy.
+// ever exceeds its limits, under every registered placement and
+// first-fit.
 func TestPropertyManagerRespectsLimits(t *testing.T) {
+	names := policy.Names()
 	f := func(nVIPs, nRIPs uint8, policyRaw uint8) bool {
-		policy := Policy(policyRaw % 4)
 		fab := lbswitch.NewFabric()
 		for i := 0; i < 3; i++ {
 			fab.AddSwitch(lbswitch.Limits{MaxVIPs: 3, MaxRIPs: 6, ThroughputMbps: 100, MaxConns: 10, MaxPPS: 100})
 		}
 		vp, _ := NewIPPool("198.51.100.0", 256)
 		rp, _ := NewIPPool("10.0.0.0", 256)
-		m := NewManager(fab, vp, rp, policy)
+		m := NewManager(fab, vp, rp)
+		if i := int(policyRaw) % (len(names) + 1); i < len(names) {
+			m.SetPlacement(policy.MustNew(names[i], 1).Placement)
+		} else {
+			m.SetPlacement(policy.FirstFit{})
+		}
 		for i := 0; i < int(nVIPs%24); i++ {
 			m.AddVIP(1)
 		}
@@ -482,7 +462,7 @@ func TestPropertyManagerRespectsLimits(t *testing.T) {
 // equal-priority requests once the queue grew past the small-slice
 // threshold; requestOrder's seq tiebreak makes the order total.)
 func TestQueueInterleavedExactOrder(t *testing.T) {
-	m := newTestManager(t, 8, LeastVIPs)
+	m := newTestManager(t, 8)
 	prios := []Priority{
 		PriorityNormal, PriorityHigh, PriorityLow, PriorityNormal,
 		PriorityHigh, PriorityLow, PriorityNormal, PriorityHigh,
@@ -517,7 +497,7 @@ func TestQueueInterleavedExactOrder(t *testing.T) {
 // TestQueueTraceTransitions asserts a traced request leaves the
 // queue→process→done event sequence in the flight recorder.
 func TestQueueTraceTransitions(t *testing.T) {
-	m := newTestManager(t, 2, LeastVIPs)
+	m := newTestManager(t, 2)
 	rec := trace.NewRecorder(64)
 	m.SetTracer(rec)
 	r := &Request{Op: OpAddVIP, App: 7, Priority: PriorityHigh}
@@ -546,7 +526,7 @@ func TestQueueTraceTransitions(t *testing.T) {
 // sail through into the switch tables.
 func TestAddRIPRejectsBadWeight(t *testing.T) {
 	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0} {
-		m := newTestManager(t, 1, LeastVIPs)
+		m := newTestManager(t, 1)
 		vip, _, _ := m.AddVIP(1)
 		rip, _ := m.AllocRIP()
 		if _, _, err := m.AddRIP(1, rip, w, vip, -1); !errors.Is(err, ErrBadWeight) {
@@ -562,7 +542,7 @@ func TestAddRIPRejectsBadWeight(t *testing.T) {
 // that silently changed the VIP's total weight).
 func TestAdjustWeightsRejectsBadWeight(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), -2, 0} {
-		m := newTestManager(t, 1, LeastVIPs)
+		m := newTestManager(t, 1)
 		vip, sw, _ := m.AddVIP(1)
 		r1, _ := m.AllocRIP()
 		r2, _ := m.AllocRIP()
