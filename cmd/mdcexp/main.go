@@ -42,6 +42,10 @@ func main() {
 		obsFlags = profiling.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
+	if err := runconfig.CheckPairs(flag.CommandLine); err != nil {
+		fmt.Fprintln(os.Stderr, "mdcexp:", err)
+		os.Exit(1)
+	}
 
 	obsSession, err := obsFlags.Start()
 	if err != nil {
@@ -100,7 +104,8 @@ func main() {
 			continue
 		}
 		tb.Render(os.Stdout)
-		fmt.Printf("(%s in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Println()
+		fmt.Fprintf(os.Stderr, "(%s in %v)\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	if opts.Trace != nil {
 		if err := run.Export(opts.Trace); err != nil {

@@ -79,6 +79,19 @@ func main() {
 		obsFlags    = profiling.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
+	// The churn flags configure the fault injector (partitions are a
+	// churn fault class): without -churn none runs, and without a
+	// partition MTBF no partition heals. The request flags shape the
+	// request engine -requests attaches.
+	if err := runconfig.CheckPairs(flag.CommandLine,
+		runconfig.Pair{Needs: "churn", Flags: []string{"churn-server-mtbf", "churn-mttr", "churn-detect", "churn-flap",
+			"ctrl-partition-mtbf", "ctrl-partition-mttr"}},
+		runconfig.Pair{Needs: "ctrl-partition-mtbf", Flags: []string{"ctrl-partition-mttr"}},
+		runconfig.Pair{Needs: "requests", Flags: []string{"req-rate", "req-queue", "req-cpu", "req-service"}},
+	); err != nil {
+		fmt.Fprintln(os.Stderr, "megadcsim:", err)
+		os.Exit(1)
+	}
 
 	obsSession, err := obsFlags.Start()
 	if err != nil {
@@ -97,32 +110,6 @@ func main() {
 	topo, cfg, err := run.Platform(reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "megadcsim:", err)
-		os.Exit(2)
-	}
-	// These flags configure the churn injector (partitions are a churn
-	// fault class): without -churn none runs, and without a partition
-	// MTBF no partition heals, so they would be ignored without a word.
-	flag.Visit(func(f *flag.Flag) {
-		need := ""
-		switch f.Name {
-		case "churn-server-mtbf", "churn-mttr", "churn-detect", "churn-flap", "ctrl-partition-mtbf":
-			if !*churn {
-				need = "-churn"
-			}
-		case "ctrl-partition-mttr":
-			if !*churn {
-				need = "-churn"
-			} else if run.CtrlPartitionMTBF == 0 {
-				need = "-ctrl-partition-mtbf"
-			}
-		}
-		if need != "" {
-			fmt.Fprintf(os.Stderr, "megadcsim: -%s must be used with %s\n", f.Name, need)
-			os.Exit(1)
-		}
-	})
-	if !*useReqs && (*reqRate != 0 || *reqQueue != 1000 || *reqCPU != 0.005 || *reqService != "exponential") {
-		fmt.Fprintln(os.Stderr, "megadcsim: -req-* flags require -requests")
 		os.Exit(2)
 	}
 	rec := cfg.Trace

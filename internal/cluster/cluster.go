@@ -13,20 +13,20 @@ import (
 // Identifier types. Distinct types prevent accidentally mixing ID spaces.
 type (
 	// ServerID identifies a physical server.
-	ServerID int
+	ServerID int32
 	// VMID identifies a virtual machine instance.
-	VMID int
+	VMID int32
 	// AppID identifies a hosted application (roughly, a website).
-	AppID int
+	AppID int32
 	// PodID identifies a logical server pod.
-	PodID int
+	PodID int32
 )
 
 // NoPod is the PodID of a server not assigned to any pod.
 const NoPod PodID = -1
 
 // VMState is the lifecycle state of a VM instance.
-type VMState int
+type VMState uint8
 
 // VM lifecycle states.
 const (
@@ -94,14 +94,17 @@ func (s *Server) VMIDsView() []VMID { return s.vms }
 
 // VM is a virtual machine instance of one application, holding a hard
 // resource slice on one server. The cluster stores VMs by value in its
-// VM table, so VM holds no pointer (TestVMTablePointerFree).
+// VM table, so VM holds no pointer (TestVMTablePointerFree). The three
+// 32-bit IDs and the one-byte state pack into the first 16 bytes, so a
+// record is exactly 64 bytes and, in its 64-byte-aligned chunk, one
+// cache line (TestVMRecordLayout).
 type VM struct {
 	ID     VMID
 	App    AppID
 	Server ServerID
+	State  VMState
 	Slice  Resources // hard allocation; can be hot-resized
 	Demand Resources // current client demand routed to this VM
-	State  VMState
 }
 
 // Served returns the demand actually satisfied: the component-wise minimum

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // pointerFree reports whether values of t hold no pointer for GC to
@@ -61,6 +62,47 @@ func TestVMTablePointerFree(t *testing.T) {
 		}
 		if strings.Contains(string(src), "[]*VM") {
 			t.Errorf("%s declares a []*VM; list VMs by VMID", name)
+		}
+	}
+}
+
+// TestVMRecordLayout pins the compact VM record (DESIGN.md §13): the
+// entity IDs are 32-bit, the state one byte, and a record exactly one
+// 64-byte cache line; every chunk of the VM table, whether Reserve or
+// PlaceVM allocated it, starts on a line boundary, so no record
+// straddles two lines.
+func TestVMRecordLayout(t *testing.T) {
+	for _, v := range []any{VMID(0), AppID(0), ServerID(0), PodID(0)} {
+		if k := reflect.TypeOf(v).Kind(); k != reflect.Int32 {
+			t.Errorf("%T is a %v, want int32", v, k)
+		}
+	}
+	if n := unsafe.Sizeof(VMState(0)); n != 1 {
+		t.Errorf("VMState is %d bytes, want 1", n)
+	}
+	const line = 64
+	if n := unsafe.Sizeof(VM{}); n != line {
+		t.Errorf("VM is %d bytes, want %d", n, line)
+	}
+	c := New()
+	p := c.AddPod()
+	s, err := c.AddServer(p.ID, Resources{CPU: 1e6, MemMB: 1e6, NetMbps: 1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := c.AddApp("a", Resources{})
+	c.Reserve(1, 2*vmChunk, 2*vmChunk)
+	for i := 0; i < 3*vmChunk; i++ { // the third chunk comes from PlaceVM
+		if _, err := c.PlaceVM(a.ID, s.ID, Resources{CPU: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(c.vmChunks) != 3 {
+		t.Fatalf("%d chunks, want 3", len(c.vmChunks))
+	}
+	for i, chunk := range c.vmChunks {
+		if base := uintptr(unsafe.Pointer(&chunk[0])); base%line != 0 {
+			t.Errorf("chunk %d at %#x is not line-aligned", i, base)
 		}
 	}
 }

@@ -161,7 +161,7 @@ func (p *Platform) auditVIPRIP(rep *audit.Report) {
 	// holding it and configured under that VM's home VIP (no orphan
 	// RIPs receiving traffic).
 	var rips []lbswitch.RIP
-	var tags []int64
+	var tags []int32
 	var ws []float64
 	for _, sw := range p.Fabric.Switches() {
 		for _, vip := range sw.VIPs() {
@@ -392,7 +392,7 @@ func (p *Platform) auditConservation(rep *audit.Report) {
 	for i := range p.applied {
 		for _, avm := range p.applied[i].vms {
 			if int(avm.vm) < len(fluid) {
-				fluid[avm.vm] = fluid[avm.vm].Add(avm.res)
+				fluid[avm.vm] = fluid[avm.vm].Add(avm.res())
 			}
 		}
 	}

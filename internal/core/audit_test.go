@@ -42,7 +42,7 @@ func auditBoundVM(p *Platform, app cluster.AppID) (cluster.VMID, lbswitch.RIP, *
 // retagRIP rewrites the tag of rip's entry under vip behind the
 // platform's back, by removing the entry and inserting it again with
 // the same weight.
-func retagRIP(t *testing.T, sw *lbswitch.Switch, vip lbswitch.VIP, rip lbswitch.RIP, tag int64) {
+func retagRIP(t *testing.T, sw *lbswitch.Switch, vip lbswitch.VIP, rip lbswitch.RIP, tag int32) {
 	t.Helper()
 	rips, ws, err := sw.Weights(vip)
 	if err != nil {
@@ -106,7 +106,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			p, app := auditTestPlatform(t)
 			_, rip, sw, vip := auditBoundVM(p, app)
 			other := p.Cluster.App(app).VMIDs()[1]
-			retagRIP(t, sw, vip, rip, int64(other))
+			retagRIP(t, sw, vip, rip, int32(other))
 			if rep := p.Audit(); !rep.Has("I1.RIP_VM_BIJECTION") {
 				t.Fatalf("missing I1.RIP_VM_BIJECTION, got:\n%s", rep)
 			}

@@ -36,7 +36,7 @@ import (
 type BackendScan struct {
 	p    *Platform
 	rips []lbswitch.RIP
-	tags []int64
+	tags []int32
 	mbps []float64
 }
 

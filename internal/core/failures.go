@@ -43,7 +43,7 @@ import (
 // idempotent no-ops, the fault-time snapshot, the zeroing at detection
 // and the exact restore at repair, the EvHealth record and the closing
 // Propagate. The audit's I3 snapshot check walks it too (audit.go).
-type faultDomain[ID ~int, C comparable] struct {
+type faultDomain[ID ~int | ~int32, C comparable] struct {
 	kind  string // "server", "switch" or "link", as errors and audits name it
 	layer string // substrate its I3 violations are filed under
 	unit  string // what audits call its capacity: "capacity" or "limits"
@@ -331,7 +331,7 @@ func (p *Platform) rehomeOrphanVIPs(sw *lbswitch.Switch) (placed int) {
 			slices.SortFunc(vms, func(a, b cluster.VMID) int { return p.vmRIP[a].Compare(p.vmRIP[b]) })
 			for _, vm := range vms {
 				// Restore the RIP→VM tag the dropped switch carried.
-				if err := sw.AddRIPTagged(vip, p.vmRIP[vm], 1, int64(vm)); err != nil {
+				if err := sw.AddRIPTagged(vip, p.vmRIP[vm], 1, int32(vm)); err != nil {
 					break
 				}
 			}

@@ -646,7 +646,7 @@ func (p *Platform) DeployInstanceFor(app cluster.AppID, pod cluster.PodID, prefe
 	}
 	// Tag the switch entry with the VM: the tag is the only RIP → VM
 	// mapping, so an untagged entry would back no VM.
-	tag := int64(vm.ID)
+	tag := int32(vm.ID)
 	vip, sw, err := p.VIPRIP.AddRIP(app, rip, 1, preferred, tag)
 	if err != nil && preferred != 0 {
 		// The preferred VIP's switch may be RIP-full; fall back to any.

@@ -61,7 +61,7 @@ type PodManager struct {
 	spareCands []weightCandidate
 	spareMemos []weightMemo
 	wRIPs      []lbswitch.RIP
-	wTags      []int64
+	wTags      []int32
 	wWeights   []float64
 	wInPod     []int     // positions in the group of the in-pod RIPs
 	wCaps      []float64 // their VMs' CPU slices, parallel to wInPod

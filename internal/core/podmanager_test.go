@@ -193,7 +193,7 @@ func TestDefragmentUnblocksGrowth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vip, sw, err := p.VIPRIP.AddRIP(app, rip, 1, 0, int64(vm))
+		vip, sw, err := p.VIPRIP.AddRIP(app, rip, 1, 0, int32(vm))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,9 +83,18 @@ type appliedVIP struct {
 }
 
 // appliedVM records the fluid demand one Propagate added to one VM.
+// Fluid demand has no memory part, so the entry holds the CPU and
+// network parts alone: 24 bytes, not the 32 of a VM ID and a full
+// Resources.
 type appliedVM struct {
 	vm  cluster.VMID
-	res cluster.Resources
+	cpu float64
+	net float64
+}
+
+// res returns the entry's demand as Resources, its memory zero.
+func (a appliedVM) res() cluster.Resources {
+	return cluster.Resources{CPU: a.cpu, NetMbps: a.net}
 }
 
 // appApplied is the per-application ledger of applied contributions;
@@ -114,7 +123,7 @@ type sharesCache struct {
 // worker owns one.
 type propScratch struct {
 	rips []lbswitch.RIP
-	tags []int64
+	tags []int32
 	mbps []float64
 }
 
@@ -487,10 +496,7 @@ func (p *Platform) computeApp(app cluster.AppID, demand Demand, rec *appApplied,
 			if p.Cluster.VM(vmID) == nil {
 				continue
 			}
-			rec.vms = append(rec.vms, appliedVM{vm: vmID, res: cluster.Resources{
-				CPU:     vipCPU * frac,
-				NetMbps: mbpsShares[j],
-			}})
+			rec.vms = append(rec.vms, appliedVM{vm: vmID, cpu: vipCPU * frac, net: mbpsShares[j]})
 		}
 	}
 }
@@ -499,7 +505,7 @@ func (p *Platform) computeApp(app cluster.AppID, demand Demand, rec *appApplied,
 // platform tags every entry it configures with the VM's ID, and the tag
 // is the only RIP → VM mapping; an untagged entry (-1) names no VM, so
 // it backs none.
-func vmOfTag(tag int64) cluster.VMID { return cluster.VMID(tag) }
+func vmOfTag(tag int32) cluster.VMID { return cluster.VMID(tag) }
 
 // undoApp removes an app's previously applied contributions, leaving
 // each touched VIP and VM at its session-overlay base.
@@ -541,7 +547,7 @@ func (p *Platform) applyRec(rec *appApplied) {
 	for i := range rec.vms {
 		avm := &rec.vms[i]
 		if vm := p.Cluster.VM(avm.vm); vm != nil {
-			vm.Demand = vm.Demand.Add(avm.res)
+			vm.Demand = vm.Demand.Add(avm.res())
 		}
 	}
 }
@@ -579,7 +585,7 @@ func (p *Platform) appliedVMDemand(vm *cluster.VM) cluster.Resources {
 	if int(vm.App) < len(p.applied) {
 		for _, avm := range p.applied[vm.App].vms {
 			if avm.vm == vm.ID {
-				sum = sum.Add(avm.res)
+				sum = sum.Add(avm.res())
 			}
 		}
 	}

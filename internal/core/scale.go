@@ -299,7 +299,7 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 					k := i*perApp + v
 					n := (perApp - v + perVIP - 1) / perVIP
 					vip := p.Fabric.Addr(vipH[e])
-					if err := sw.AddRIPRange(vip, firstRIP+lbswitch.RIP(k), int64(base)+int64(k), perVIP, n, 1); err != nil {
+					if err := sw.AddRIPRange(vip, firstRIP+lbswitch.RIP(k), int32(base)+int32(k), perVIP, n, 1); err != nil {
 						errs[s] = fmt.Errorf("core: bulk vip %s on switch %d: %w", vip, s, err)
 						break
 					}

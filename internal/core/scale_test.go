@@ -162,7 +162,7 @@ func TestBulkBuildNoPerRIPAllocs(t *testing.T) {
 func fabricDigest(p *Platform) string {
 	var b strings.Builder
 	var rips []lbswitch.RIP
-	var tags []int64
+	var tags []int32
 	var weights []float64
 	for i := 0; i < p.Fabric.NumSwitches(); i++ {
 		sw := p.Fabric.Switch(lbswitch.SwitchID(i))

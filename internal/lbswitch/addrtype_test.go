@@ -36,7 +36,7 @@ func pointerFree(t reflect.Type) bool {
 
 // TestAddressesArePointerFree pins the layout the paper-scale build
 // depends on (DESIGN.md §13): addresses are 32-bit values, a RIP group
-// entry is at most 32 bytes with nothing for GC to scan, and trace refs
+// entry is 16 bytes with nothing for GC to scan, and trace refs
 // and events, which the recorder's ring holds by the thousand, carry no
 // pointer either.
 func TestAddressesArePointerFree(t *testing.T) {
@@ -45,8 +45,8 @@ func TestAddressesArePointerFree(t *testing.T) {
 			t.Errorf("%T is a %v, want a uint32 IPv4 value", v, k)
 		}
 	}
-	if n := unsafe.Sizeof(ripEntry{}); n > 32 {
-		t.Errorf("ripEntry is %d bytes, want at most 32", n)
+	if n := unsafe.Sizeof(ripEntry{}); n != 16 {
+		t.Errorf("ripEntry is %d bytes, want 16", n)
 	}
 	for _, v := range []any{ripEntry{}, conn{}, trace.Ref{}, trace.Event{}} {
 		if !pointerFree(reflect.TypeOf(v)) {

@@ -153,7 +153,7 @@ func (f *Fabric) Load(h ids.Index) float64 {
 // scratch space and resolves RIP → VM by dense index. Demand propagation
 // passes the fluid-only load; the stored one also carries the
 // discrete-session overlay.
-func (f *Fabric) AppendLoadShareTagged(h ids.Index, load float64, rips []RIP, tags []int64, mbps []float64) ([]RIP, []int64, []float64, error) {
+func (f *Fabric) AppendLoadShareTagged(h ids.Index, load float64, rips []RIP, tags []int32, mbps []float64) ([]RIP, []int32, []float64, error) {
 	e := f.tab.at(h)
 	if e == nil {
 		return rips, tags, mbps, ErrVIPUnknown

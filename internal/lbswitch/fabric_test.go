@@ -261,7 +261,7 @@ func TestFabricHandles(t *testing.T) {
 		t.Errorf("Home/Load = %d,%v,%v", home, ok, f.Load(h))
 	}
 	rips, tags, mbps, err := f.AppendLoadShareTagged(h, 8, nil, nil, nil)
-	if err != nil || !slices.Equal(rips, []RIP{ipR1, ipR2}) || !slices.Equal(mbps, []float64{2, 6}) || !slices.Equal(tags, []int64{-1, -1}) {
+	if err != nil || !slices.Equal(rips, []RIP{ipR1, ipR2}) || !slices.Equal(mbps, []float64{2, 6}) || !slices.Equal(tags, []int32{-1, -1}) {
 		t.Errorf("AppendLoadShareTagged = %v %v %v %v", rips, tags, mbps, err)
 	}
 	if err := f.TransferVIP(ipV, 1, false); err != nil {
@@ -309,7 +309,7 @@ func TestFabricTransferCarriesGroup(t *testing.T) {
 	f.PlaceVIP(ipV, 3, 0)
 	for i, w := range []float64{1, 2.5, 4} {
 		rip := ipv4.MustParse("10.1.0.1") + RIP(i)
-		tag := int64(10 + i)
+		tag := int32(10 + i)
 		if i == 1 { // the middle RIP stays untagged
 			tag = -1
 		}

@@ -104,16 +104,19 @@ func validWeight(w float64) bool {
 	return w > 0 && !math.IsInf(w, 0) && !math.IsNaN(w)
 }
 
+// ripEntry is one RIP of a group: 16 bytes, so a 20-RIP group spans
+// five cache lines (TestAddressesArePointerFree). The entry holds
+// configuration only; a RIP's connection count, which only tracked
+// sessions need, is counted from the switch's connection table.
 type ripEntry struct {
-	rip    RIP
-	conns  int32 // at most Limits.MaxConns
-	weight float64
+	rip RIP
 	// tag is an opaque caller-attached value (-1 when unset). The
 	// platform stores the dense VM index of the instance behind the RIP
 	// so demand propagation can fan out to flat tables without a string
 	// lookup per RIP. Tags are simulator bookkeeping, not switch
 	// configuration; a tag is set only by the insert (AddRIPTagged).
-	tag int64
+	tag    int32
+	weight float64
 }
 
 type vipEntry struct {
@@ -360,7 +363,7 @@ func (g Group) App() cluster.AppID { return g.e.app }
 func (g Group) Len() int { return len(g.e.rips) }
 
 // Tag returns the j-th RIP's tag (-1 when unset), in insertion order.
-func (g Group) Tag(j int) int64 { return g.e.rips[j].tag }
+func (g Group) Tag(j int) int32 { return g.e.rips[j].tag }
 
 // Weight returns the j-th RIP's weight, in insertion order.
 func (g Group) Weight(j int) float64 { return g.e.rips[j].weight }
@@ -450,7 +453,7 @@ func (s *Switch) AddRIP(vip VIP, rip RIP, weight float64) error {
 // insert itself, so a caller that knows the instance behind the RIP
 // pays one VIP lookup and one group scan. A tag is written only here:
 // it names the instance behind the RIP for the entry's lifetime.
-func (s *Switch) AddRIPTagged(vip VIP, rip RIP, weight float64, tag int64) error {
+func (s *Switch) AddRIPTagged(vip VIP, rip RIP, weight float64, tag int32) error {
 	e := s.entry(vip)
 	if e == nil {
 		return s.noVIP(vip)
@@ -480,9 +483,9 @@ func (s *Switch) AddRIPTagged(vip VIP, rip RIP, weight float64, tag int64) error
 // would leave it, with the same reconfiguration count, backend
 // generation and OnReconfig calls (one per RIP), but the VIP is looked
 // up once and the group grows once. The insert is all or nothing: a
-// RIP already in the group or past the switch's RIP limit fails it
-// before anything is added.
-func (s *Switch) AddRIPRange(vip VIP, first RIP, tag int64, stride, n int, weight float64) error {
+// RIP already in the group, a tag past the 32-bit range or a RIP past
+// the switch's RIP limit fails it before anything is added.
+func (s *Switch) AddRIPRange(vip VIP, first RIP, tag int32, stride, n int, weight float64) error {
 	e := s.entry(vip)
 	if e == nil {
 		return s.noVIP(vip)
@@ -498,6 +501,9 @@ func (s *Switch) AddRIPRange(vip VIP, first RIP, tag int64, stride, n int, weigh
 	if stride <= 0 || uint64(n-1)*uint64(stride) > math.MaxUint32 {
 		return fmt.Errorf("%w: %d RIPs from %s by %d in %s", ErrDupRIP, n, first, stride, vip)
 	}
+	if int64(tag)+int64(n-1)*int64(stride) > math.MaxInt32 {
+		return fmt.Errorf("lbswitch: tags from %d by %d overflow 32 bits in %s", tag, stride, vip)
+	}
 	for i := 0; i < n; i++ {
 		if rip := first + RIP(i*stride); e.find(rip) >= 0 {
 			return fmt.Errorf("%w: %s in %s", ErrDupRIP, rip, vip)
@@ -511,7 +517,7 @@ func (s *Switch) AddRIPRange(vip VIP, first RIP, tag int64, stride, n int, weigh
 	}
 	for i := 0; i < n; i++ {
 		off := i * stride
-		e.rips = append(e.rips, ripEntry{rip: first + RIP(off), weight: weight, tag: tag + int64(off)})
+		e.rips = append(e.rips, ripEntry{rip: first + RIP(off), weight: weight, tag: tag + int32(off)})
 	}
 	s.totalRIPs += n
 	s.backendGen += uint64(n)
@@ -537,13 +543,18 @@ func (s *Switch) RemoveRIP(vip VIP, rip RIP) (broken int, err error) {
 	if i < 0 {
 		return 0, ErrNoSuchRIP
 	}
-	broken = int(e.rips[i].conns)
-	for id, c := range s.conns {
-		if c.h == e.h && c.rip == rip {
-			delete(s.conns, id)
+	// Only a VIP with connections can have some on this RIP, so a
+	// sessionless workload never scans the connection table.
+	if e.conns > 0 {
+		key := conn{e.h, rip}
+		for id, c := range s.conns {
+			if c == key {
+				delete(s.conns, id)
+				broken++
+			}
 		}
+		e.conns -= broken
 	}
-	e.conns -= broken
 	e.rips = slices.Delete(e.rips, i, i+1)
 	s.totalRIPs--
 	s.backendGen++
@@ -593,7 +604,7 @@ func (s *Switch) Weights(vip VIP) (rips []RIP, weights []float64, err error) {
 // AppendWeightsTagged is Weights with each RIP's tag (-1 when unset),
 // appended to caller-provided buffers so hot paths can reuse scratch
 // space instead of allocating both vectors per call.
-func (s *Switch) AppendWeightsTagged(vip VIP, rips []RIP, tags []int64, weights []float64) ([]RIP, []int64, []float64, error) {
+func (s *Switch) AppendWeightsTagged(vip VIP, rips []RIP, tags []int32, weights []float64) ([]RIP, []int32, []float64, error) {
 	e := s.entry(vip)
 	if e == nil {
 		return rips, tags, weights, s.noVIP(vip)
@@ -651,7 +662,7 @@ func pickWeighted(rips []ripEntry, rng *rand.Rand) (int, error) {
 // chosen by weighted balancing, and returns the RIP with its entry's tag
 // (-1 when unset). The binding is sticky: the connection stays on that
 // RIP for its lifetime (TCP session affinity).
-func (s *Switch) OpenConn(vip VIP, rng *rand.Rand) (id ConnID, rip RIP, tag int64, err error) {
+func (s *Switch) OpenConn(vip VIP, rng *rand.Rand) (id ConnID, rip RIP, tag int32, err error) {
 	e := s.entry(vip)
 	if e == nil {
 		return 0, 0, -1, s.noVIP(vip)
@@ -667,7 +678,6 @@ func (s *Switch) OpenConn(vip VIP, rng *rand.Rand) (id ConnID, rip RIP, tag int6
 	id = s.nextConn
 	s.nextConn++
 	s.conns[id] = conn{h: e.h, rip: re.rip}
-	re.conns++
 	e.conns++
 	return id, re.rip, re.tag, nil
 }
@@ -683,9 +693,6 @@ func (s *Switch) CloseConn(id ConnID) bool {
 	delete(s.conns, id)
 	if e := s.tab.at(c.h); e != nil && e.sw == s {
 		e.conns--
-		if i := e.find(c.rip); i >= 0 {
-			e.rips[i].conns--
-		}
 	}
 	return true
 }
@@ -699,7 +706,8 @@ func (s *Switch) VIPConns(vip VIP) int {
 }
 
 // RIPConns returns per-RIP active connection counts for vip, in the RIP
-// group's insertion order.
+// group's insertion order. The counts come from one scan of the
+// switch's connection table, skipped when vip has none.
 func (s *Switch) RIPConns(vip VIP) (rips []RIP, counts []int) {
 	e := s.entry(vip)
 	if e == nil {
@@ -707,7 +715,14 @@ func (s *Switch) RIPConns(vip VIP) (rips []RIP, counts []int) {
 	}
 	for _, re := range e.rips {
 		rips = append(rips, re.rip)
-		counts = append(counts, int(re.conns))
+	}
+	counts = make([]int, len(rips))
+	if e.conns > 0 {
+		for _, c := range s.conns {
+			if c.h == e.h {
+				counts[e.find(c.rip)]++
+			}
+		}
 	}
 	return rips, counts
 }
@@ -806,7 +821,7 @@ func (s *Switch) VIPLoadShare(vip VIP) (rips []RIP, mbps []float64, err error) {
 // appendLoadShareTagged splits load over e's RIPs by weight, appending
 // each RIP with its tag and share. It backs both VIPLoadShare and
 // Fabric.AppendLoadShareTagged.
-func (e *vipEntry) appendLoadShareTagged(load float64, rips []RIP, tags []int64, mbps []float64) ([]RIP, []int64, []float64) {
+func (e *vipEntry) appendLoadShareTagged(load float64, rips []RIP, tags []int32, mbps []float64) ([]RIP, []int32, []float64) {
 	var total float64
 	for _, re := range e.rips {
 		total += re.weight
@@ -844,7 +859,6 @@ func (s *Switch) CheckInvariants() error {
 	}
 	nRIPs := 0
 	perVIP := make(map[ids.Index]int)
-	perRIP := make(map[conn]int)
 	for id, c := range s.conns {
 		e := s.tab.at(c.h)
 		if e == nil || e.sw != s {
@@ -854,7 +868,6 @@ func (s *Switch) CheckInvariants() error {
 			return fmt.Errorf("switch %d: conn %d references unknown RIP %s", s.ID, id, c.rip)
 		}
 		perVIP[c.h]++
-		perRIP[c]++
 	}
 	for _, e := range s.vips {
 		vip := s.tab.addrs[e.h]
@@ -865,10 +878,6 @@ func (s *Switch) CheckInvariants() error {
 		for _, re := range e.rips {
 			if re.weight <= 0 {
 				return fmt.Errorf("switch %d: VIP %s RIP %s non-positive weight", s.ID, vip, re.rip)
-			}
-			if n := perRIP[conn{e.h, re.rip}]; int(re.conns) != n {
-				return fmt.Errorf("switch %d: VIP %s RIP %s conns %d != tracked %d",
-					s.ID, vip, re.rip, re.conns, n)
 			}
 		}
 	}

@@ -288,7 +288,7 @@ func TestVIPSeqAndTaggedWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantRIPs, wantWs, _ := s.Weights(ipC)
-	if !slices.Equal(rips, wantRIPs) || !slices.Equal(ws, wantWs) || !slices.Equal(tags, []int64{-1, 7}) {
+	if !slices.Equal(rips, wantRIPs) || !slices.Equal(ws, wantWs) || !slices.Equal(tags, []int32{-1, 7}) {
 		t.Errorf("AppendWeightsTagged = %v %v %v, want %v %v [-1 7]", rips, tags, ws, wantRIPs, wantWs)
 	}
 	if _, _, _, err := s.AppendWeightsTagged(ipMissing, nil, nil, nil); !errors.Is(err, ErrNoSuchVIP) {
@@ -302,7 +302,7 @@ func TestVIPSeqAndTaggedWeights(t *testing.T) {
 	}
 	i := slices.Index(s.VIPs(), ipC)
 	g := s.GroupAt(i)
-	var gTags []int64
+	var gTags []int32
 	for j := 0; j < g.Len(); j++ {
 		gTags = append(gTags, g.Tag(j))
 		if g.Weight(j) != ws[j] {
@@ -518,7 +518,7 @@ func TestBackendGen(t *testing.T) {
 	if got := dst.BackendGen() - dstBefore; got != 2 {
 		t.Errorf("TransferVIP: destination generation moved %d times, want 2 (AddVIP, tagged AddRIP)", got)
 	}
-	if _, tags, _, _ := dst.AppendWeightsTagged(ipT, nil, nil, nil); !slices.Equal(tags, []int64{11}) {
+	if _, tags, _, _ := dst.AppendWeightsTagged(ipT, nil, nil, nil); !slices.Equal(tags, []int32{11}) {
 		t.Errorf("transferred tags = %v, want [11]", tags)
 	}
 }

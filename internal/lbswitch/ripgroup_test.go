@@ -98,7 +98,7 @@ func TestAddRIPRangeMatchesAddRIPTagged(t *testing.T) {
 	}
 	want, wantCalls := build()
 	for i := 0; i < n; i++ {
-		if err := want.AddRIPTagged(ipV, first+RIP(i*stride), 2, tag+int64(i*stride)); err != nil {
+		if err := want.AddRIPTagged(ipV, first+RIP(i*stride), 2, tag+int32(i*stride)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,14 +3,16 @@
 // the seed, the audit period, and tracing with its exports — and
 // RegisterPlatform adds the scenario runner's topology, knob, policy and
 // control-plane flags, with the same names and help text everywhere.
-// Recorder and Platform then turn the parsed values into a flight
-// recorder and a core.Topology/core.Config, rejecting inconsistent
-// combinations in one place.
+// CheckPairs rejects a flag given without the flag it takes effect
+// with, and Recorder and Platform then turn the parsed values into a
+// flight recorder and a core.Topology/core.Config.
 package runconfig
 
 import (
-	"errors"
 	"flag"
+	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"megadc/internal/core"
@@ -81,15 +83,56 @@ func (f *Flags) RegisterPlatform(fs *flag.FlagSet) {
 	fs.Float64Var(&f.CtrlPartitionMTTR, "ctrl-partition-mttr", 120, "with -ctrl and -churn: mean partition duration before heal (s)")
 }
 
+// Pair is a flag-pairing rule: each of Flags takes effect only with
+// Needs.
+type Pair struct {
+	Needs string
+	Flags []string
+}
+
+// pairs are the rules of the flags Register and RegisterPlatform
+// install.
+var pairs = []Pair{
+	{"trace", []string{"trace-events", "trace-ts", "trace-perfetto", "trace-ring"}},
+	{"ctrl", []string{"ctrl-delay", "ctrl-jitter", "ctrl-loss", "ctrl-dup", "ctrl-snapshot",
+		"ctrl-partition-mtbf", "ctrl-partition-mttr"}},
+}
+
+// CheckPairs applies the package's pairing rules, then extra, to the
+// parsed fs. A flag given on the command line, whatever its value,
+// needs the flag of each rule that lists it switched on: true, or
+// non-zero (a zero MTBF disables what it times). The error names the
+// first unmet rule of the first such flag in lexical order: "-X must
+// be used with -Y". Nothing is ignored without a word, and a flag
+// given at its default is no exception.
+func CheckPairs(fs *flag.FlagSet, extra ...Pair) error {
+	on := func(name string) bool {
+		switch v := fs.Lookup(name).Value.String(); v {
+		case "", "false":
+			return false
+		default:
+			x, err := strconv.ParseFloat(v, 64)
+			return err != nil || x != 0
+		}
+	}
+	rules := append(slices.Clip(pairs), extra...)
+	var err error
+	fs.Visit(func(fl *flag.Flag) {
+		for _, r := range rules {
+			if err == nil && slices.Contains(r.Flags, fl.Name) && !on(r.Needs) {
+				err = fmt.Errorf("-%s must be used with -%s", fl.Name, r.Needs)
+			}
+		}
+	})
+	return err
+}
+
 // Recorder returns the flight recorder -trace asks for (nil without
-// it), with the time-series sampler attached. It rejects export flags
-// given without -trace and unwritable export paths, before a run burns
-// time on an export that would fail at the end.
+// it), with the time-series sampler attached. It rejects unwritable
+// export paths before a run burns time on an export that would fail at
+// the end.
 func (f *Flags) Recorder() (*trace.Recorder, error) {
 	if !f.Trace {
-		if f.TraceEvents != "" || f.TraceTS != "" || f.TracePerfetto != "" {
-			return nil, errors.New("-trace-events/-trace-ts/-trace-perfetto require -trace")
-		}
 		return nil, nil
 	}
 	if err := trace.EnsureWritable(f.TraceEvents, f.TraceTS, f.TracePerfetto); err != nil {
@@ -131,9 +174,6 @@ func (f *Flags) Platform(reg *metrics.Registry) (core.Topology, core.Config, err
 		}
 		cfg.Ctrl.SnapshotEvery = f.CtrlSnapshot
 		cfg.Ctrl.Registry = reg
-	} else if f.CtrlDelay != 0 || f.CtrlJitter != 0 || f.CtrlLoss != 0 || f.CtrlDup != 0 ||
-		f.CtrlSnapshot != 0 || f.CtrlPartitionMTBF != 0 {
-		return topo, cfg, errors.New("-ctrl-* flags require -ctrl")
 	}
 	if f.Knobs != "" {
 		ks, err := core.ParseKnobs(f.Knobs)

@@ -86,8 +86,11 @@ func (r Ref) String() string {
 
 // Ref constructors, so call sites read as trace.App(id), trace.VIP(v).
 
+// entityID is any integer ID type of the simulator's entities.
+type entityID interface{ ~int | ~int32 | ~int64 }
+
 // App makes an application ref.
-func App[T ~int | ~int64](id T) Ref { return Ref{Kind: KindApp, ID: int64(id)} }
+func App[T entityID](id T) Ref { return Ref{Kind: KindApp, ID: int64(id)} }
 
 // VIP makes a VIP ref.
 func VIP(addr ipv4.Addr) Ref { return Ref{Kind: KindVIP, ID: int64(addr)} }
@@ -96,19 +99,19 @@ func VIP(addr ipv4.Addr) Ref { return Ref{Kind: KindVIP, ID: int64(addr)} }
 func RIP(addr ipv4.Addr) Ref { return Ref{Kind: KindRIP, ID: int64(addr)} }
 
 // Server makes a server ref.
-func Server[T ~int | ~int64](id T) Ref { return Ref{Kind: KindServer, ID: int64(id)} }
+func Server[T entityID](id T) Ref { return Ref{Kind: KindServer, ID: int64(id)} }
 
 // SwitchRef makes an LB-switch ref.
-func SwitchRef[T ~int | ~int64](id T) Ref { return Ref{Kind: KindSwitch, ID: int64(id)} }
+func SwitchRef[T entityID](id T) Ref { return Ref{Kind: KindSwitch, ID: int64(id)} }
 
 // Link makes an access-link ref.
-func Link[T ~int | ~int64](id T) Ref { return Ref{Kind: KindLink, ID: int64(id)} }
+func Link[T entityID](id T) Ref { return Ref{Kind: KindLink, ID: int64(id)} }
 
 // VM makes a VM ref.
-func VM[T ~int | ~int64](id T) Ref { return Ref{Kind: KindVM, ID: int64(id)} }
+func VM[T entityID](id T) Ref { return Ref{Kind: KindVM, ID: int64(id)} }
 
 // Pod makes a pod ref.
-func Pod[T ~int | ~int64](id T) Ref { return Ref{Kind: KindPod, ID: int64(id)} }
+func Pod[T entityID](id T) Ref { return Ref{Kind: KindPod, ID: int64(id)} }
 
 // Type is the event type. Events are grouped by the protocol that emits
 // them; the numeric values are stable only within a build, so exports

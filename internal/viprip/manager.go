@@ -455,7 +455,7 @@ func (m *Manager) DelVIP(vip lbswitch.VIP) error {
 // lbswitch.Switch.AddRIPTagged; -1 for none) in the insert itself, so a
 // caller that knows the instance behind the RIP needs no second lookup
 // of the chosen VIP to record it.
-func (m *Manager) AddRIP(app cluster.AppID, rip lbswitch.RIP, weight float64, preferred lbswitch.VIP, tag int64) (lbswitch.VIP, lbswitch.SwitchID, error) {
+func (m *Manager) AddRIP(app cluster.AppID, rip lbswitch.RIP, weight float64, preferred lbswitch.VIP, tag int32) (lbswitch.VIP, lbswitch.SwitchID, error) {
 	if !validWeight(weight) {
 		return 0, 0, fmt.Errorf("%w: %v for rip %s", ErrBadWeight, weight, rip)
 	}
