@@ -158,13 +158,15 @@ func (p *Platform) auditVIPRIP(rep *audit.Report) {
 		}
 	}
 	// Every RIP a switch load-balances to is tagged with the bound VM
-	// holding it and configured under that VM's home VIP (no orphan
-	// RIPs receiving traffic).
+	// holding it, a VM of the VIP's own app (a full Propagate's workers
+	// write each app's VMs from its ledger alone), and configured under
+	// that VM's home VIP (no orphan RIPs receiving traffic).
 	var rips []lbswitch.RIP
 	var tags []int32
 	var ws []float64
 	for _, sw := range p.Fabric.Switches() {
-		for _, vip := range sw.VIPs() {
+		for i, vip := range sw.VIPs() {
+			owner := sw.GroupAt(i).App()
 			var err error
 			rips, tags, ws, err = sw.AppendWeightsTagged(vip, rips[:0], tags[:0], ws[:0])
 			if err != nil {
@@ -183,6 +185,11 @@ func (p *Platform) auditVIPRIP(rep *audit.Report) {
 					rep.Addf("viprip", "I1.RIP_VM_BIJECTION",
 						fmt.Sprintf("vmRIP[%d] == %s", vm, rip), held.String(),
 						"switch %d vip %s", sw.ID, vip)
+				}
+				if v := p.Cluster.VM(vm); v != nil && v.App != owner {
+					rep.Addf("viprip", "I1.RIP_TAG_APP",
+						fmt.Sprintf("rip %s tagged with a VM of app %d", rip, owner),
+						fmt.Sprintf("vm %d of app %d", vm, v.App), "switch %d vip %s", sw.ID, vip)
 				}
 				if hi := p.vmHome[vm]; hi != ids.None {
 					if home := p.Fabric.Addr(hi); home != vip {

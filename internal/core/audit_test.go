@@ -146,6 +146,19 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			t.Fatalf("missing I1.NO_ORPHAN_RIP, got:\n%s", rep)
 		}
 	})
+	t.Run("I1.RIP_TAG_APP", func(t *testing.T) {
+		p, app := auditTestPlatform(t)
+		other, err := p.OnboardApp("other", cluster.Resources{CPU: 1, MemMB: 1024, NetMbps: 100},
+			1, Demand{CPU: 1, Mbps: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rip, sw, vip := auditBoundVM(p, app)
+		retagRIP(t, sw, vip, rip, int32(p.Cluster.App(other.ID).VMIDs()[0]))
+		if rep := p.Audit(); !rep.Has("I1.RIP_TAG_APP") {
+			t.Fatalf("missing I1.RIP_TAG_APP, got:\n%s", rep)
+		}
+	})
 	t.Run("I1.RIP_HOME_MATCH", func(t *testing.T) {
 		p, app := auditTestPlatform(t)
 		vm, _, _, vip := auditBoundVM(p, app)

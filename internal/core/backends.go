@@ -30,14 +30,11 @@ import (
 // value is bit-identical to a fresh scan; audit invariant
 // I3.BACKEND_CPU_CURRENT checks exactly that for every current entry.
 //
-// The scan owns reusable scratch buffers: refreshing capacity for every
-// switch each control interval is allocation-free after warm-up, which
-// keeps the request engine off the allocator even at 10K switches.
+// The scan reads each RIP group in place: refreshing capacity for every
+// switch each control interval allocates nothing, which keeps the
+// request engine off the allocator even at 10K switches.
 type BackendScan struct {
-	p    *Platform
-	rips []lbswitch.RIP
-	tags []int32
-	mbps []float64
+	p *Platform
 }
 
 // backendEntry is one switch's memoized backend CPU and the two
@@ -83,14 +80,9 @@ func (bs *BackendScan) scan(sw *lbswitch.Switch) float64 {
 	p := bs.p
 	var cpu float64
 	for i := 0; i < sw.NumVIPs(); i++ {
-		bs.rips, bs.tags, bs.mbps = bs.rips[:0], bs.tags[:0], bs.mbps[:0]
-		var err error
-		bs.rips, bs.tags, bs.mbps, err = p.Fabric.AppendLoadShareTagged(sw.HandleAt(i), 0, bs.rips, bs.tags, bs.mbps)
-		if err != nil {
-			continue
-		}
-		for _, tag := range bs.tags {
-			vm := p.Cluster.VM(vmOfTag(tag))
+		g := sw.GroupAt(i)
+		for j := 0; j < g.Len(); j++ {
+			vm := p.Cluster.VM(vmOfTag(g.Tag(j)))
 			if vm == nil || vm.State != cluster.VMRunning {
 				continue
 			}

@@ -219,32 +219,66 @@ func TestPropagateDebugCheck(t *testing.T) {
 }
 
 // TestPropagateWorkerCountInvariance verifies the deterministic
-// parallel fan-out contract: a full recompute with 1, 2, and 8 workers
-// leaves bit-identical state. The platform carries enough demand apps
+// parallel fan-out contract: a full recompute with 1, 2, 3 and 8
+// workers leaves bit-identical state. The platform carries enough apps
 // to clear parallelThreshold, so the multi-worker builds genuinely fan
-// out.
+// out, and the state covers what a full pass's workers write: apps of
+// one to four instances, apps without demand (one of them had demand
+// applied before), a session overlay on VMs and VIPs, and a homed VIP
+// whose routes were all withdrawn after its demand was applied, so its
+// VMs hold no ledger entry and must fall to their session base.
 func TestPropagateWorkerCountInvariance(t *testing.T) {
+	sess := cluster.Resources{CPU: 0.05, NetMbps: 1.5}
 	build := func(workers int) *Platform {
 		topo := SmallTopology()
 		cfg := DefaultConfig()
 		cfg.VIPsPerApp = 2
 		cfg.PropagateWorkers = workers
+		cfg.PropagateFullEvery = -1
 		p, err := NewPlatform(topo, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(p.Close)
+		var apps []cluster.AppID
 		for i := 0; i < 2*parallelThreshold; i++ {
 			d := Demand{CPU: 0.5 + float64(i%7)*0.31, Mbps: 10 + float64(i%11)*3.7}
-			if _, err := p.OnboardApp("wk", cluster.Resources{CPU: 0.25, MemMB: 128, NetMbps: 10}, 1, d); err != nil {
+			if i%9 == 4 {
+				d = Demand{}
+			}
+			a, err := p.OnboardApp("wk", cluster.Resources{CPU: 0.25, MemMB: 128, NetMbps: 10}, 1+i%4, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			apps = append(apps, a.ID)
+		}
+		p.PropagateFull()
+		// Sessions on the first VM of every fifth app.
+		for i := 0; i < len(apps); i += 5 {
+			vm := p.Cluster.App(apps[i]).VMIDs()[0]
+			p.SessionOpened(p.vmHomeOf(vm), vm, sess)
+		}
+		// Withdraw every route of app 2's VIP that homes its first VM.
+		vm := p.Cluster.App(apps[2]).VMIDs()[0]
+		vi := p.vmHomeOf(vm)
+		for _, l := range p.Net.ActiveLinks(vi) {
+			if err := p.Net.Withdraw(vi, l); err != nil {
 				t.Fatal(err)
 			}
 		}
+		p.SessionOpened(vi, vm, sess)
+		if d := p.Cluster.VM(vm).Demand; d == sess {
+			t.Fatalf("vm %d carries only its session before the withdrawal propagates", vm)
+		}
+		p.SetAppDemand(apps[7], Demand{})
 		p.PropagateFull()
+		if d := p.Cluster.VM(vm).Demand; d != sess {
+			t.Fatalf("vm %d under an unreachable VIP has demand %+v, want its session base %+v", vm, d, sess)
+		}
 		return p
 	}
 	base := build(1)
-	for _, w := range []int{2, 8} {
+	for _, w := range []int{2, 3, 8} {
 		p := build(w)
 		if d := base.captureState().diff(p.captureState()); d != "" {
 			t.Fatalf("workers=%d state diverged from workers=1: %s", w, d)

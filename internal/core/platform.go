@@ -183,16 +183,16 @@ type Platform struct {
 	// ledger reads to apps, per-app ledgers of applied contributions
 	// (the only record of the fluid part of every observable: traffic,
 	// switch load, VM demand, which session updates read back to
-	// rewrite canonical ledger+session sums), and cached DNS shares.
+	// rewrite canonical ledger+session sums), and the apps whose ledger
+	// inputs a demand-only recompute may reuse.
 	dirtyApps      ids.Bitset
+	inputsOK       ids.Bitset
 	dirtyScratch   []int32
 	computeScratch []int32
 	appScratch     []int32
 	vipOwner       []cluster.AppID // by VIP handle; -1 = unowned
 	applied        []appApplied    // by AppID
-	shareCache     []sharesCache   // by AppID
 	propagateTicks int64
-	scratch        propScratch
 	activeScratch  []int32
 
 	// checkBefore and checkAfter are the reusable captures of
@@ -762,7 +762,7 @@ func (p *Platform) SetAppDemand(app cluster.AppID, d Demand) {
 		p.appDemand[app] = d
 		p.demandApps.Set(int(app))
 	}
-	p.markAppDirty(app)
+	p.markDemandDirty(app)
 	p.Propagate()
 }
 

@@ -29,6 +29,11 @@ import (
 //     lbswitch's OnReconfig hook; route advertisements via netmodel's
 //     OnRouteChange hook (resolved to an owner through vipOwner); and
 //     switch/link fault-repair transitions explicitly (failures.go).
+//   - Every marking but SetAppDemand's is structural: it also drops the
+//     app from inputsOK, the set of apps whose ledger still holds the
+//     DNS share, reachability and home each VIP was last computed with.
+//     An app dirty only through its demand recomputes from those
+//     recorded inputs, reading neither DNS nor routes nor homes.
 //   - Propagate recomputes only the dirty applications. For each one it
 //     first undoes the app's previously applied contributions (recorded
 //     in an appApplied ledger) and then applies freshly computed ones.
@@ -42,17 +47,19 @@ import (
 //     coexist with the incremental path without changing any result,
 //     and it is checked exactly by Config.PropagateDebugCheck.
 //
-// Both the dirty path and the full path are phase-separated: a
-// sequential mutation phase (undo previous contributions, refresh share
-// caches, grow tables), a compute phase that only reads shared state
-// and fills disjoint per-app ledgers, and a sequential apply phase in
-// ascending app order. Nothing the compute phase reads is written by
-// the undo or apply phases of *other* apps (each VIP and VM belongs to
-// exactly one app, and compute reads exposure/placement/weights, not
-// loads), so the compute phase can fan out across the worker pool on
-// either path and the result stays bit-identical for any worker count —
-// determinism comes from the sorted sequential apply, the same contract
-// placement.ParallelPlace meets.
+// The dirty path is phase-separated: a sequential undo phase (and table
+// growth), a compute phase that only reads shared state and fills
+// disjoint per-app ledgers, and a sequential apply phase in ascending
+// app order. Nothing the compute phase reads is written by the undo or
+// apply phases of *other* apps (each VIP and VM belongs to exactly one
+// app, and compute reads exposure/placement/weights, not loads), so the
+// compute phase can fan out across the worker pool and the result stays
+// bit-identical for any worker count — determinism comes from the
+// sorted sequential apply, the same contract placement.ParallelPlace
+// meets. The full path goes further: each pool worker also resets its
+// apps' VMs and writes their demand, since a VM's demand sums only its
+// own app's ledger (the audit's I1.RIP_TAG_APP); only the VIP writes,
+// which reach netmodel and lbswitch, stay sequential.
 //
 // The ledgers are the only record of the fluid part of each
 // observable. The invariant between Propagate calls: for every VIP,
@@ -73,14 +80,21 @@ const defaultFullEvery = 256
 // outweighs the compute.
 const parallelThreshold = 64
 
-// appliedVIP records what one Propagate wrote for one VIP of an app.
+// appliedVIP records what one Propagate wrote for one VIP of an app,
+// and the inputs it was computed from: a demand-only recompute reuses
+// share, hasHome and reach while the app is in inputsOK.
 type appliedVIP struct {
 	vip     ids.Index // VIP handle
-	traffic float64   // fluid Mbps set on the access network (pre-reachability)
-	swLoad  float64   // fluid Mbps set on the home switch (post-reachability)
 	hasHome bool
-	act     bool // carried demand: counts toward the active-VIP set
+	act     bool    // carried demand: counts toward the active-VIP set
+	share   float64 // the VIP's DNS share of the app's demand
+	reach   float64 // reachability on the home switch (0 when not serving or no home)
+	traffic float64 // fluid Mbps set on the access network (pre-reachability)
 }
+
+// swLoad returns the fluid Mbps set on the home switch: the traffic
+// that reaches it, by the expression computeVIP applied.
+func (av *appliedVIP) swLoad() float64 { return av.traffic * av.reach }
 
 // appliedVM records the fluid demand one Propagate added to one VM.
 // Fluid demand has no memory part, so the entry holds the CPU and
@@ -110,34 +124,23 @@ func (r *appApplied) reset() {
 	r.vms = r.vms[:0]
 }
 
-// sharesCache holds an app's DNS expected shares by VIP handle,
-// invalidated by the DNS record generation (gen 0 = no valid cache).
-// Refreshed only in sequential phases; the compute phase reads it.
-type sharesCache struct {
-	gen    int64
-	vips   []ids.Index
-	shares []float64
-}
-
-// propScratch is reusable buffer space for the RIP fan-out; each pool
-// worker owns one.
-type propScratch struct {
-	rips []lbswitch.RIP
-	tags []int32
-	mbps []float64
-}
-
-// propPool is the persistent compute-phase worker pool. Workers are
+// propPool is the persistent Propagate worker pool. Workers are
 // spawned once (growing to the configured width on first parallel
 // pass) and parked on their start channels between passes, so a
 // steady-state parallel Propagate allocates nothing.
 type propPool struct {
-	start  []chan struct{} // one slot per worker; send = run one pass
-	wg     sync.WaitGroup
-	apps   []int32 // the pass's work list, read-only during the pass
-	cursor atomic.Int64
-	live   sync.WaitGroup // running workers, for Platform.Close to wait on
-	closed bool           // Platform.Close ran: compute sequentially from now on
+	start []chan struct{} // one slot per worker; send = run one pass
+	wg    sync.WaitGroup
+	// The pass, read-only while it runs: n work items handed out chunk
+	// at a time from cursor; a full pass's items are the app IDs [0, n),
+	// a dirty pass's are apps[0:n].
+	full     bool
+	apps     []int32
+	n, chunk int64
+	cursor   atomic.Int64
+	foreign  atomic.Bool    // a full pass met a ledger VM it may not write
+	live     sync.WaitGroup // running workers, for Platform.Close to wait on
+	closed   bool           // Platform.Close ran: compute sequentially from now on
 }
 
 // insertSorted inserts v into sorted s if absent, keeping s sorted.
@@ -161,8 +164,16 @@ func removeSorted[T cmp.Ordered](s []T, v T) []T {
 	return s
 }
 
-// markAppDirty queues app for recomputation on the next Propagate.
+// markAppDirty queues app for a structural recomputation on the next
+// Propagate: its DNS shares, VIP homes and reachability are read anew.
 func (p *Platform) markAppDirty(app cluster.AppID) {
+	p.dirtyApps.Set(int(app))
+	p.inputsOK.Clear(int(app))
+}
+
+// markDemandDirty queues app for recomputation after a change to its
+// demand alone, which leaves its ledger's recorded VIP inputs current.
+func (p *Platform) markDemandDirty(app cluster.AppID) {
 	p.dirtyApps.Set(int(app))
 }
 
@@ -195,46 +206,6 @@ func (p *Platform) markVIPActive(vi ids.Index) {
 // unmarkVIPActive removes the VIP index from the active set.
 func (p *Platform) unmarkVIPActive(vi ids.Index) {
 	p.activeVIPs.Clear(int(vi))
-}
-
-// refreshShares revalidates app's DNS share cache against the current
-// record generation. Sequential phases only: it grows the cache table,
-// unsafe under the concurrent compute phase.
-func (p *Platform) refreshShares(app cluster.AppID) {
-	gen := p.DNS.Gen(app)
-	if gen == 0 {
-		if int(app) < len(p.shareCache) {
-			p.shareCache[app].gen = 0
-		}
-		return
-	}
-	p.shareCache = growSlice(p.shareCache, int(app)+1)
-	c := &p.shareCache[app]
-	if c.gen == gen {
-		return
-	}
-	vips, shares, err := p.DNS.ExpectedShares(app)
-	if err != nil {
-		c.gen = 0
-		return
-	}
-	c.gen = gen
-	c.vips = append(c.vips[:0], vips...)
-	c.shares = append(c.shares[:0], shares...)
-}
-
-// sharesRO returns app's share cache if it is current, else nil (no DNS
-// record, or not refreshed this pass). Read-only: safe from the
-// concurrent compute phase, whose apps were all refreshed beforehand.
-func (p *Platform) sharesRO(app cluster.AppID) *sharesCache {
-	if int(app) >= len(p.shareCache) {
-		return nil
-	}
-	c := &p.shareCache[app]
-	if c.gen == 0 || c.gen != p.DNS.Gen(app) {
-		return nil
-	}
-	return c
 }
 
 // workers returns the compute-phase fan-out width.
@@ -295,8 +266,8 @@ func (p *Platform) appliedFor(app cluster.AppID) *appApplied {
 }
 
 // propagateDirty recomputes only the dirty applications: a sequential
-// undo/refresh phase, a (possibly parallel) compute phase, and a
-// sequential apply phase in ascending app order.
+// undo phase, a (possibly parallel) compute phase, and a sequential
+// apply phase in ascending app order.
 func (p *Platform) propagateDirty() {
 	apps := p.dirtyApps.AppendMembers(p.dirtyScratch[:0])
 	p.dirtyScratch = apps
@@ -305,38 +276,61 @@ func (p *Platform) propagateDirty() {
 	}
 	comp := p.computeScratch[:0]
 	for _, ai := range apps {
-		p.dirtyApps.Clear(int(ai)) // O(dirty), not O(table)
-		app := cluster.AppID(ai)
-		rec := p.appliedFor(app) // grown here, before compute takes pointers
-		p.undoApp(rec)
-		rec.reset()
-		if !p.demandApps.Get(int(ai)) {
+		p.dirtyApps.Clear(int(ai))             // O(dirty), not O(table)
+		rec := p.appliedFor(cluster.AppID(ai)) // grown here, before compute takes pointers
+		switch {
+		case !p.demandApps.Get(int(ai)):
+			p.undoApp(rec)
+			rec.reset()
+			p.inputsOK.Clear(int(ai))
 			continue
+		case p.inputsOK.Get(int(ai)):
+			// Only the demand changed: each VIP keeps its recorded
+			// inputs, so its new traffic needs no RIP group and is
+			// written now, in place of the undo.
+			for i := range rec.vips {
+				rec.vips[i].spread(p.appDemand[ai])
+			}
+			p.applyVIPs(rec)
+			p.undoVMs(rec)
+		default:
+			p.undoApp(rec)
 		}
-		p.refreshShares(app)
+		rec.vms = rec.vms[:0]
 		comp = append(comp, ai)
 	}
 	p.computeScratch = comp
-	p.computeApps(comp)
+	p.runPass(false, comp, int64(len(comp)))
 	for _, ai := range comp {
-		p.applyRec(&p.applied[ai])
+		if !p.inputsOK.Get(int(ai)) {
+			p.applyVIPs(&p.applied[ai])
+		}
+		p.applyVMs(&p.applied[ai])
+		p.inputsOK.Set(int(ai))
 	}
 }
 
-// propagateFull recomputes every application from scratch: reset
-// every observable to its session-overlay base and every ledger to
-// empty, refresh every demand-carrying app's shares, then the same
-// compute/apply phases as the dirty path over the full app set.
-func (p *Platform) propagateFull() {
-	// Reset every VM carrying a RIP to its session-overlay base.
-	for vm, home := range p.vmHome {
-		if home == ids.None {
-			continue
+// computeDirty fills the ledger of dirty app ai: from its recorded VIP
+// inputs when a change to its demand alone dirtied it, else from
+// scratch.
+func (p *Platform) computeDirty(ai int32) {
+	app, rec := cluster.AppID(ai), &p.applied[ai]
+	if p.inputsOK.Get(int(ai)) {
+		for i := range rec.vips {
+			p.computeVIP(app, p.appDemand[ai], &rec.vips[i], rec)
 		}
-		if v := p.Cluster.VM(cluster.VMID(vm)); v != nil {
-			v.Demand = at(p.sessVM, ids.Index(vm))
-		}
+		return
 	}
+	rec.vips = rec.vips[:0]
+	p.computeApp(app, p.appDemand[ai], rec)
+}
+
+// propagateFull recomputes every application from scratch: every
+// previously active VIP falls to its session-overlay base, then one
+// pass over every app resets the app's VMs to their session base,
+// computes its ledger and writes its VM demand, and a sequential pass
+// in ascending app order writes the VIPs.
+func (p *Platform) propagateFull() {
 	// Clear previously active VIPs down to their session-only load; the
 	// apply phase re-marks the ones still carrying demand.
 	act := p.activeVIPs.AppendMembers(p.activeScratch[:0])
@@ -350,44 +344,102 @@ func (p *Platform) propagateFull() {
 			p.activeVIPs.Clear(int(vi))
 		}
 	}
-	for i := range p.applied {
-		p.applied[i].reset()
-	}
 	apps := p.demandApps.AppendMembers(p.appScratch[:0])
 	p.appScratch = apps
-	if len(apps) == 0 {
-		return
+	// Every app with a ledger, a VM or demand takes part: the VMs of an
+	// app without demand still fall to their base.
+	n := max(len(p.applied), p.Cluster.NumApps())
+	if len(apps) > 0 {
+		n = max(n, int(apps[len(apps)-1])+1)
 	}
-	p.applied = growSlice(p.applied, int(apps[len(apps)-1])+1)
-	for _, ai := range apps {
-		p.refreshShares(cluster.AppID(ai))
+	p.applied = growSlice(p.applied, n)
+	if !p.runPass(true, nil, int64(n)) {
+		// Some ledger names a VM of another app, or one without a home,
+		// so the pass left those apps' VMs unwritten: rebuild every VM
+		// the sequential way, resets first and then every ledger in
+		// ascending app order.
+		for vm, home := range p.vmHome {
+			if home == ids.None {
+				continue
+			}
+			if v := p.Cluster.VM(cluster.VMID(vm)); v != nil {
+				v.Demand = at(p.sessVM, ids.Index(vm))
+			}
+		}
+		for _, ai := range apps {
+			p.applyVMs(&p.applied[ai])
+		}
 	}
-	p.computeApps(apps)
+	p.inputsOK.Reset()
 	for _, ai := range apps {
-		p.applyRec(&p.applied[ai])
+		p.applyVIPs(&p.applied[ai])
+		p.inputsOK.Set(int(ai))
 	}
 }
 
-// computeApps runs the compute phase over apps (ascending app indices),
-// fanning out across the worker pool when the width and app count
-// warrant it. Callers must have grown p.applied past the last app and
-// refreshed every app's share cache.
-func (p *Platform) computeApps(apps []int32) {
-	// The app count is checked first: a small incremental pass then
-	// skips workers(), whose GOMAXPROCS call takes a runtime lock.
-	if len(apps) >= parallelThreshold && !p.pool.closed {
-		if nw := p.workers(); nw > 1 {
-			p.computeAppsParallel(apps, nw)
-			return
+// fullApp is one app's share of a full pass: it resets the app's homed
+// VMs to their session base, computes its ledger when it carries demand
+// and writes its VM demand. It writes only VMs of app, so full passes
+// run it concurrently for distinct apps; when the ledger names a VM it
+// may not write — another app's, or one without a home, which the
+// reset skipped — it leaves the VMs and reports false.
+func (p *Platform) fullApp(ai int32) bool {
+	app, rec := cluster.AppID(ai), &p.applied[ai]
+	rec.reset()
+	if a := p.Cluster.App(app); a != nil {
+		for _, id := range a.VMIDsView() {
+			if v := p.Cluster.VM(id); v != nil && p.vmHomeOf(id) != ids.None {
+				v.Demand = at(p.sessVM, ids.Index(id))
+			}
 		}
 	}
-	for _, ai := range apps {
-		p.computeApp(cluster.AppID(ai), p.appDemand[ai], &p.applied[ai], &p.scratch)
+	if !p.demandApps.Get(int(ai)) {
+		return true
 	}
+	p.computeApp(app, p.appDemand[ai], rec)
+	for i := range rec.vms {
+		id := rec.vms[i].vm
+		if p.Cluster.VM(id).App != app || p.vmHomeOf(id) == ids.None {
+			return false
+		}
+	}
+	p.applyVMs(rec)
+	return true
+}
+
+// poolChunk is the most work items a pool worker takes per cursor step.
+const poolChunk = 256
+
+// runPass runs one pass over n work items — a full pass's fullApp over
+// app IDs [0, n), or a dirty pass's computeDirty over apps[0:n] —
+// fanning out across the worker pool when the width and item count
+// warrant it. It reports whether every fullApp succeeded.
+func (p *Platform) runPass(full bool, apps []int32, n int64) bool {
+	// The item count is checked first: a small incremental pass then
+	// skips workers(), whose GOMAXPROCS call takes a runtime lock.
+	if n >= parallelThreshold && !p.pool.closed {
+		if nw := p.workers(); nw > 1 {
+			return p.runPassParallel(full, apps, n, nw)
+		}
+	}
+	return p.runItems(full, apps, 0, n)
+}
+
+// runItems runs work items [lo, hi) of a pass.
+func (p *Platform) runItems(full bool, apps []int32, lo, hi int64) bool {
+	ok := true
+	for i := lo; i < hi; i++ {
+		if full {
+			ok = p.fullApp(int32(i)) && ok
+		} else {
+			p.computeDirty(apps[i])
+		}
+	}
+	return ok
 }
 
 // ensurePool grows the persistent worker pool to nw workers. Workers
-// park on their start channel between passes; each owns its scratch.
+// park on their start channel between passes.
 func (p *Platform) ensurePool(nw int) {
 	for len(p.pool.start) < nw {
 		ch := make(chan struct{}, 1)
@@ -395,109 +447,127 @@ func (p *Platform) ensurePool(nw int) {
 		p.pool.live.Add(1)
 		go func() {
 			defer p.pool.live.Done()
-			sc := &propScratch{}
+			pl := &p.pool
 			for range ch {
 				for {
-					i := p.pool.cursor.Add(1) - 1
-					if i >= int64(len(p.pool.apps)) {
+					lo := pl.cursor.Add(pl.chunk) - pl.chunk
+					if lo >= pl.n {
 						break
 					}
-					ai := p.pool.apps[i]
-					p.computeApp(cluster.AppID(ai), p.appDemand[ai], &p.applied[ai], sc)
+					if !p.runItems(pl.full, pl.apps, lo, min(lo+pl.chunk, pl.n)) {
+						pl.foreign.Store(true)
+					}
 				}
-				p.pool.wg.Done()
+				pl.wg.Done()
 			}
 		}()
 	}
 }
 
-// computeAppsParallel fills each app's ledger concurrently on the
-// persistent pool. The compute phase only reads platform state (share
-// caches were refreshed by the caller) and writes disjoint ledgers, so
-// any scheduling order yields the same ledgers; determinism comes from
-// the sequential sorted apply. The channel send publishes the pass
-// state to each worker; wg.Wait orders their writes before return.
-func (p *Platform) computeAppsParallel(apps []int32, nw int) {
-	if nw > len(apps) {
-		nw = len(apps)
-	}
+// runPassParallel runs a pass on the persistent pool, each worker
+// taking chunks of items from a shared cursor. The items of a pass
+// write disjoint state (ledgers, and on a full pass the VMs of distinct
+// apps) and read nothing another item writes, so any scheduling yields
+// the same state. The channel send publishes the pass to each worker;
+// wg.Wait orders their writes before return.
+func (p *Platform) runPassParallel(full bool, apps []int32, n int64, nw int) bool {
+	nw = min(nw, int(n))
 	p.ensurePool(nw)
-	p.pool.apps = apps
-	p.pool.cursor.Store(0)
-	p.pool.wg.Add(nw)
+	pl := &p.pool
+	pl.full, pl.apps, pl.n = full, apps, n
+	pl.chunk = max(1, min(poolChunk, n/int64(4*nw)))
+	pl.cursor.Store(0)
+	pl.foreign.Store(false)
+	pl.wg.Add(nw)
 	for w := 0; w < nw; w++ {
-		p.pool.start[w] <- struct{}{}
+		pl.start[w] <- struct{}{}
 	}
-	p.pool.wg.Wait()
-	p.pool.apps = nil
+	pl.wg.Wait()
+	pl.apps = nil
+	return !pl.foreign.Load()
 }
 
 // computeApp fills rec with app's fluid contributions under the current
-// DNS shares, VIP homes, reachability, and RIP weights. It reads
-// platform state but writes only rec and scratch, so it is safe to run
-// concurrently for distinct apps.
-func (p *Platform) computeApp(app cluster.AppID, demand Demand, rec *appApplied, scratch *propScratch) {
-	sc := p.sharesRO(app)
-	if sc == nil {
-		return // app has no DNS record: demand is unroutable
-	}
-	for i, vi := range sc.vips {
-		share := sc.shares[i]
-		vipMbps := demand.Mbps * share
-		vipCPU := demand.CPU * share
-		av := appliedVIP{vip: vi, traffic: vipMbps, act: vipMbps > 0 || vipCPU > 0}
-		home, ok := p.Fabric.Home(vi)
-		if !ok {
-			rec.vips = append(rec.vips, av)
-			continue
+// DNS shares, VIP homes, reachability, and RIP weights, recording each
+// VIP's inputs for later demand-only recomputes. It reads platform
+// state but writes only rec, so it is safe to run concurrently for
+// distinct apps. An app without a DNS record has no VIPs: its demand is
+// unroutable.
+func (p *Platform) computeApp(app cluster.AppID, demand Demand, rec *appApplied) {
+	x := p.DNS.Exposures(app)
+	total := x.Total()
+	for i := 0; i < x.Len(); i++ {
+		av := appliedVIP{vip: x.Handle(i), share: x.Share(i, total)}
+		if home, ok := p.Fabric.Home(av.vip); ok {
+			// Black-holing: an undetected link failure drops the share of
+			// the VIP's traffic routed over the dead link, and an
+			// undetected switch failure drops the whole VIP. The clients
+			// still send the demand (traffic keeps the full value — the
+			// packets do cross the access links), it just never reaches
+			// a VM, which is exactly the gap the availability accounting
+			// measures.
+			av.hasHome = true
+			if p.Fabric.Switch(home).Serving() {
+				av.reach = p.vipReachability(av.vip)
+			}
 		}
-		sw := p.Fabric.Switch(home)
-		// Black-holing: an undetected link failure drops the share of
-		// the VIP's traffic routed over the dead link, and an undetected
-		// switch failure drops the whole VIP. The clients still send the
-		// demand (av.traffic keeps the full value — the packets do cross
-		// the access links), it just never reaches a VM, which is
-		// exactly the gap the availability accounting measures.
-		reach := p.vipReachability(vi)
-		if !sw.Serving() {
-			reach = 0
-		}
-		vipMbps *= reach
-		vipCPU *= reach
-		av.hasHome = true
-		av.swLoad = vipMbps
 		rec.vips = append(rec.vips, av)
-		if reach == 0 {
+		p.computeVIP(app, demand, &rec.vips[len(rec.vips)-1], rec)
+	}
+}
+
+// spread sets av's traffic and activity from the app's demand and the
+// VIP's recorded share, and returns the VIP's part of the demand.
+func (av *appliedVIP) spread(demand Demand) (vipMbps, vipCPU float64) {
+	vipMbps = demand.Mbps * av.share
+	vipCPU = demand.CPU * av.share
+	av.traffic = vipMbps
+	av.act = vipMbps > 0 || vipCPU > 0
+	return vipMbps, vipCPU
+}
+
+// computeVIP spreads demand onto av and appends to rec the VM demand
+// its RIP group receives when its home switch is reached.
+func (p *Platform) computeVIP(app cluster.AppID, demand Demand, av *appliedVIP, rec *appApplied) {
+	vipMbps, vipCPU := av.spread(demand)
+	if !av.hasHome || av.reach == 0 {
+		return
+	}
+	vipMbps *= av.reach
+	vipCPU *= av.reach
+	g, ok := p.Fabric.GroupOf(av.vip)
+	if !ok {
+		return
+	}
+	// The switch splits the load by weight, load*w/Σw; CPU follows the
+	// same proportions, each RIP's part of the summed split.
+	n := g.Len()
+	var totalW, totalMbps float64
+	for j := 0; j < n; j++ {
+		totalW += g.Weight(j)
+	}
+	if totalW > 0 {
+		for j := 0; j < n; j++ {
+			totalMbps += vipMbps * g.Weight(j) / totalW
+		}
+	}
+	even := 1 / float64(n) // an all-zero split spreads the CPU evenly
+	// Room for the whole group up front; appended one by one, a new
+	// ledger regrows 0→1→2→…→32 to hold 20 RIPs.
+	rec.vms = slices.Grow(rec.vms, n)
+	for j := 0; j < n; j++ {
+		m, frac := 0.0, even
+		if totalW > 0 {
+			m = vipMbps * g.Weight(j) / totalW
+		}
+		if totalMbps > 0 {
+			frac = m / totalMbps
+		}
+		vmID := vmOfTag(g.Tag(j))
+		if p.Cluster.VM(vmID) == nil {
 			continue
 		}
-		rips, tags, mbpsShares, err := p.Fabric.AppendLoadShareTagged(vi, vipMbps,
-			scratch.rips[:0], scratch.tags[:0], scratch.mbps[:0])
-		scratch.rips, scratch.tags, scratch.mbps = rips, tags, mbpsShares
-		if err != nil {
-			continue
-		}
-		// The load split distributes the fluid Mbps; CPU follows the
-		// same weight proportions.
-		var totalMbps float64
-		for _, m := range mbpsShares {
-			totalMbps += m
-		}
-		// Room for the whole group up front; appended one by one, a new
-		// ledger regrows 0→1→2→…→32 to hold 20 RIPs.
-		rec.vms = slices.Grow(rec.vms, len(rips))
-		for j := range rips {
-			frac := 0.0
-			if totalMbps > 0 {
-				frac = mbpsShares[j] / totalMbps
-			} else if len(rips) > 0 {
-				frac = 1 / float64(len(rips))
-			}
-			vmID := vmOfTag(tags[j])
-			if p.Cluster.VM(vmID) == nil {
-				continue
-			}
-			rec.vms = append(rec.vms, appliedVM{vm: vmID, cpu: vipCPU * frac, net: mbpsShares[j]})
-		}
+		rec.vms = append(rec.vms, appliedVM{vm: vmID, cpu: vipCPU * frac, net: m})
 	}
 }
 
@@ -508,7 +578,8 @@ func (p *Platform) computeApp(app cluster.AppID, demand Demand, rec *appApplied,
 func vmOfTag(tag int32) cluster.VMID { return cluster.VMID(tag) }
 
 // undoApp removes an app's previously applied contributions, leaving
-// each touched VIP and VM at its session-overlay base.
+// each touched VIP and VM at its session-overlay base; undoVMs does the
+// VMs alone.
 func (p *Platform) undoApp(rec *appApplied) {
 	for i := range rec.vips {
 		av := &rec.vips[i]
@@ -521,6 +592,10 @@ func (p *Platform) undoApp(rec *appApplied) {
 			p.unmarkVIPActive(av.vip)
 		}
 	}
+	p.undoVMs(rec)
+}
+
+func (p *Platform) undoVMs(rec *appApplied) {
 	for i := range rec.vms {
 		avm := &rec.vms[i]
 		if vm := p.Cluster.VM(avm.vm); vm != nil {
@@ -529,21 +604,29 @@ func (p *Platform) undoApp(rec *appApplied) {
 	}
 }
 
-// applyRec writes an app's freshly computed contributions. Every write
-// is canonical — base plus fluid in one expression — so applying after
-// undoApp reproduces exactly the state a full recompute would build.
-func (p *Platform) applyRec(rec *appApplied) {
+// applyVIPs writes an app's freshly computed VIP contributions, and
+// applyVMs its VM contributions. Every write is canonical — base plus
+// fluid in one expression, and the VIP's active bit exactly whether it
+// carries either — so applying after undoApp reproduces exactly the
+// state a full recompute builds, and applyVIPs over a VIP list whose
+// inputs did not change needs no undo before it.
+func (p *Platform) applyVIPs(rec *appApplied) {
 	for i := range rec.vips {
 		av := &rec.vips[i]
 		sess := at(p.sessVIP, av.vip)
 		p.Net.SetVIPTraffic(av.vip, av.traffic+sess)
 		if av.hasHome {
-			p.Fabric.SetLoad(av.vip, av.swLoad+sess)
+			p.Fabric.SetLoad(av.vip, av.swLoad()+sess)
 		}
 		if av.act || sess > 0 {
 			p.markVIPActive(av.vip)
+		} else {
+			p.unmarkVIPActive(av.vip)
 		}
 	}
+}
+
+func (p *Platform) applyVMs(rec *appApplied) {
 	for i := range rec.vms {
 		avm := &rec.vms[i]
 		if vm := p.Cluster.VM(avm.vm); vm != nil {
@@ -570,7 +653,7 @@ func (p *Platform) appliedVIPLoad(vi ids.Index) (traffic, swLoad float64) {
 			continue
 		}
 		if av.hasHome {
-			swLoad = av.swLoad
+			swLoad = av.swLoad()
 		}
 		return av.traffic, swLoad
 	}

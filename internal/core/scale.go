@@ -199,19 +199,18 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 
 	// Every count the build fills is known from the spec, so reserve
 	// final capacity before anything is filled: the VM lists, the demand
-	// tables, the share cache, Propagate's per-app ledgers, the VIP
-	// owner table and the network's per-VIP table below (and each VIP's
-	// RIP group in stage 4) would otherwise regrow 0→1→2→4→… or with
-	// 1.5× headroom on the way to their final lengths, and at paper
-	// scale that copying and its garbage dominate the build. The owner
-	// table grows by one handle per new VIP.
+	// tables, Propagate's per-app ledgers, the VIP owner table and the
+	// network's per-VIP table below (and each VIP's RIP group in stage
+	// 4) would otherwise regrow 0→1→2→4→… or with 1.5× headroom on the
+	// way to their final lengths, and at paper scale that copying and
+	// its garbage dominate the build. The owner table grows by one
+	// handle per new VIP.
 	firstApp := cluster.AppID(p.Cluster.NumApps())
 	endApp := int(firstApp) + spec.Apps
 	nvips := spec.Apps * perVIP
 	p.Cluster.Reserve(spec.Apps, perApp, (nvms+len(servers)-1)/len(servers))
 	p.appSlice = slices.Grow(p.appSlice, endApp-len(p.appSlice))
 	p.appDemand = slices.Grow(p.appDemand, endApp-len(p.appDemand))
-	p.shareCache = slices.Grow(p.shareCache, endApp-len(p.shareCache))
 	p.applied = slices.Grow(p.applied, endApp-len(p.applied))
 	p.vipOwner = slices.Grow(p.vipOwner, nvips)
 	p.Net.Reserve(nvips)

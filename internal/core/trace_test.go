@@ -37,7 +37,7 @@ func TestViolationCarriesTimeline(t *testing.T) {
 	}
 	vip := p.Fabric.VIPsOfApp(a.ID)[0]
 	vi := p.handleOf(vip)
-	ledgerVIP(t, p, vi).swLoad++ // ledger no longer matches the switch table
+	ledgerVIP(t, p, vi).reach++ // ledger's switch load no longer matches the switch table
 	rep := p.Audit()
 	if rep.OK() {
 		t.Fatal("corruption not detected")

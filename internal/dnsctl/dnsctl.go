@@ -45,15 +45,17 @@ type exposure struct {
 	weight float64
 }
 
+// record is an application's record, held by value in DNS.records so
+// a read reaches its exposures in one load less than through a pointer.
 type record struct {
 	vips []exposure // insertion order, deterministic
-	gen  int64      // bumped on every membership or weight change
+	gen  int64      // bumped on every membership or weight change; 0 = no record
 }
 
 // DNS is the authoritative DNS of the platform.
 type DNS struct {
-	ttl     float64   // seconds
-	records []*record // indexed by AppID; nil = no record
+	ttl     float64  // seconds
+	records []record // indexed by AppID
 
 	// Resolutions counts queries answered; WeightChanges counts exposure
 	// reconfigurations (an agility/complexity output for E4/E5).
@@ -90,12 +92,13 @@ func (d *DNS) Gen(app cluster.AppID) int64 {
 	return 0
 }
 
-// record returns app's record, or nil.
+// record returns app's record, or nil. The pointer is valid until the
+// next Register of a new application grows the table.
 func (d *DNS) record(app cluster.AppID) *record {
-	if app < 0 || int(app) >= len(d.records) {
+	if app < 0 || int(app) >= len(d.records) || d.records[app].gen == 0 {
 		return nil
 	}
-	return d.records[app]
+	return &d.records[app]
 }
 
 func (d *DNS) changed(app cluster.AppID, r *record) {
@@ -128,14 +131,10 @@ func (d *DNS) Register(app cluster.AppID, vip ipv4.Addr, h ids.Index, weight flo
 	if app < 0 {
 		return fmt.Errorf("%w: %d", ErrNoApp, app)
 	}
-	r := d.record(app)
-	if r == nil {
-		if int(app) >= len(d.records) {
-			d.records = append(d.records, make([]*record, int(app)+1-len(d.records))...)
-		}
-		r = &record{}
-		d.records[app] = r
+	if int(app) >= len(d.records) {
+		d.records = append(d.records, make([]record, int(app)+1-len(d.records))...)
 	}
+	r := &d.records[app] // a new record has gen 0 until changed below
 	for _, e := range r.vips {
 		if e.vip == vip {
 			return fmt.Errorf("%w: %s", ErrDupVIP, vip)
@@ -260,8 +259,8 @@ func (d *DNS) AppendWeights(app cluster.AppID, vips []ipv4.Addr, weights []float
 // Apps returns every application with a DNS record, sorted.
 func (d *DNS) Apps() []cluster.AppID {
 	var out []cluster.AppID
-	for app, r := range d.records {
-		if r != nil {
+	for app := range d.records {
+		if d.records[app].gen != 0 {
 			out = append(out, cluster.AppID(app))
 		}
 	}
@@ -293,10 +292,7 @@ func (d *DNS) Resolve(app cluster.AppID, rng *rand.Rand) (ids.Index, error) {
 	if r == nil {
 		return ids.None, ErrNoApp
 	}
-	var total float64
-	for _, e := range r.vips {
-		total += e.weight
-	}
+	total := Exposures{r.vips}.Total()
 	if total <= 0 {
 		return ids.None, ErrNoExposed
 	}
@@ -320,21 +316,54 @@ func (d *DNS) Resolve(app cluster.AppID, rng *rand.Rand) (ids.Index, error) {
 // ExpectedShares returns the steady-state fraction of resolutions each
 // registered VIP receives, with the VIPs' handles, in registration order.
 func (d *DNS) ExpectedShares(app cluster.AppID) (vips []ids.Index, shares []float64, err error) {
-	r := d.record(app)
-	if r == nil {
+	if d.record(app) == nil {
 		return nil, nil, fmt.Errorf("%w: %d", ErrNoApp, app)
 	}
-	var total float64
-	for _, e := range r.vips {
-		total += e.weight
-	}
-	for _, e := range r.vips {
-		vips = append(vips, e.h)
-		if total > 0 {
-			shares = append(shares, e.weight/total)
-		} else {
-			shares = append(shares, 0)
-		}
+	x := d.Exposures(app)
+	total := x.Total()
+	for i := 0; i < x.Len(); i++ {
+		vips = append(vips, x.Handle(i))
+		shares = append(shares, x.Share(i, total))
 	}
 	return vips, shares, nil
+}
+
+// Exposures is a read-only view of an application's record: its VIPs'
+// handles and exposure weights in registration order. It aliases the
+// record, so taking one allocates nothing; it is valid until the next
+// change to the DNS.
+type Exposures struct{ e []exposure }
+
+// Exposures returns app's record as a view; an app without a record
+// reads as one with no VIPs.
+func (d *DNS) Exposures(app cluster.AppID) Exposures {
+	if app < 0 || int(app) >= len(d.records) {
+		return Exposures{}
+	}
+	return Exposures{d.records[app].vips}
+}
+
+// Len returns the number of registered VIPs.
+func (x Exposures) Len() int { return len(x.e) }
+
+// Handle returns the i-th VIP's handle.
+func (x Exposures) Handle(i int) ids.Index { return x.e[i].h }
+
+// Total returns the sum of the exposure weights, added in registration
+// order.
+func (x Exposures) Total() float64 {
+	var total float64
+	for _, e := range x.e {
+		total += e.weight
+	}
+	return total
+}
+
+// Share returns the i-th VIP's expected fraction of resolutions given
+// the view's Total: weight/total, or 0 when nothing is exposed.
+func (x Exposures) Share(i int, total float64) float64 {
+	if total > 0 {
+		return x.e[i].weight / total
+	}
+	return 0
 }

@@ -209,6 +209,19 @@ func TestExpectedShares(t *testing.T) {
 	if _, _, err := d.ExpectedShares(5); !errors.Is(err, ErrNoApp) {
 		t.Errorf("missing app err = %v", err)
 	}
+	// The in-place view reads the same shares and allocates nothing; an
+	// app without a record reads as one with no VIPs.
+	d.SetWeight(1, ipB, 2)
+	x := d.Exposures(1)
+	if x.Len() != 2 || x.Handle(1) != hOf("b") || x.Share(0, x.Total()) != 0 || x.Share(1, x.Total()) != 1 {
+		t.Errorf("Exposures = len %d, shares %v %v", x.Len(), x.Share(0, x.Total()), x.Share(1, x.Total()))
+	}
+	if d.Exposures(5).Len() != 0 || d.Exposures(-1).Len() != 0 {
+		t.Error("an app without a record has exposures")
+	}
+	if n := testing.AllocsPerRun(100, func() { x := d.Exposures(1); _ = x.Share(1, x.Total()) }); n != 0 {
+		t.Errorf("Exposures allocates %v times", n)
+	}
 }
 
 func TestClientPopulationCaching(t *testing.T) {

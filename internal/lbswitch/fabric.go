@@ -21,7 +21,7 @@ import (
 // VIP a dense handle the first time the address is placed, and it is
 // the only place that maps address ↔ handle. A VIP's home is the switch
 // its table entry sits on, so the handle-taking methods (Home, SetLoad,
-// Load, AppendLoadShareTagged) reach it without hashing the address.
+// Load, GroupOf) reach it without hashing the address.
 type Fabric struct {
 	switches []*Switch // indexed by SwitchID (dense, assigned by AddSwitch)
 	tab      *vipTable
@@ -147,19 +147,12 @@ func (f *Fabric) Load(h ids.Index) float64 {
 	return 0
 }
 
-// AppendLoadShareTagged is Switch.VIPLoadShare by handle for an explicit
-// load (ErrVIPUnknown when the VIP is not homed), appended to caller
-// buffers with each RIP's tag (-1 when unset), so the hot path reuses
-// scratch space and resolves RIP → VM by dense index. Demand propagation
-// passes the fluid-only load; the stored one also carries the
-// discrete-session overlay.
-func (f *Fabric) AppendLoadShareTagged(h ids.Index, load float64, rips []RIP, tags []int32, mbps []float64) ([]RIP, []int32, []float64, error) {
+// GroupOf returns the RIP group of the VIP with handle h on its home
+// switch, or false when the VIP is not homed. Demand propagation reads
+// each RIP's weight and tag through it in place, with no copy.
+func (f *Fabric) GroupOf(h ids.Index) (Group, bool) {
 	e := f.tab.at(h)
-	if e == nil {
-		return rips, tags, mbps, ErrVIPUnknown
-	}
-	rips, tags, mbps = e.appendLoadShareTagged(load, rips, tags, mbps)
-	return rips, tags, mbps, nil
+	return Group{e}, e != nil
 }
 
 // PlaceVIP configures vip for app on the given switch, assigning vip's

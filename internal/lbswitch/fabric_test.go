@@ -260,15 +260,21 @@ func TestFabricHandles(t *testing.T) {
 	if home, ok := f.Home(h); !ok || home != 0 || f.Load(h) != 40 || f.Switch(0).VIPLoad(ipV) != 40 {
 		t.Errorf("Home/Load = %d,%v,%v", home, ok, f.Load(h))
 	}
-	rips, tags, mbps, err := f.AppendLoadShareTagged(h, 8, nil, nil, nil)
-	if err != nil || !slices.Equal(rips, []RIP{ipR1, ipR2}) || !slices.Equal(mbps, []float64{2, 6}) || !slices.Equal(tags, []int32{-1, -1}) {
-		t.Errorf("AppendLoadShareTagged = %v %v %v %v", rips, tags, mbps, err)
+	g, ok := f.GroupOf(h)
+	if !ok || g.VIP() != ipV || g.App() != 1 || g.Len() != 2 {
+		t.Fatalf("GroupOf = %v, VIP %q, app %d, len %d", ok, g.VIP(), g.App(), g.Len())
+	}
+	if ws := g.AppendWeights(nil); !slices.Equal(ws, []float64{1, 3}) || g.Tag(0) != -1 || g.Tag(1) != -1 {
+		t.Errorf("GroupOf weights %v, tags %d %d", ws, g.Tag(0), g.Tag(1))
 	}
 	if err := f.TransferVIP(ipV, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	if home, _ := f.Home(h); home != 1 || f.Load(h) != 40 {
 		t.Errorf("after transfer: home %d load %v", home, f.Load(h))
+	}
+	if g, ok := f.GroupOf(h); !ok || g.Len() != 2 || g.Weight(1) != 3 {
+		t.Errorf("after transfer: GroupOf = %v, len %d", ok, g.Len())
 	}
 	if err := f.DropVIP(ipV, false); err != nil {
 		t.Fatal(err)
@@ -279,8 +285,11 @@ func TestFabricHandles(t *testing.T) {
 	if err := f.SetLoad(h, 1); !errors.Is(err, ErrVIPUnknown) {
 		t.Errorf("SetLoad on a dropped VIP: %v", err)
 	}
-	if _, _, _, err := f.AppendLoadShareTagged(h, 1, nil, nil, nil); !errors.Is(err, ErrVIPUnknown) {
-		t.Errorf("AppendLoadShareTagged on a dropped VIP: %v", err)
+	if _, ok := f.GroupOf(h); ok {
+		t.Error("GroupOf found a dropped VIP")
+	}
+	if _, ok := f.GroupOf(h + 100); ok {
+		t.Error("GroupOf found a handle never assigned")
 	}
 	if err := f.PlaceVIP(ipV, 2, 0); err != nil {
 		t.Fatal(err)

@@ -814,28 +814,19 @@ func (s *Switch) VIPLoadShare(vip VIP) (rips []RIP, mbps []float64, err error) {
 	if e == nil {
 		return nil, nil, s.noVIP(vip)
 	}
-	rips, _, mbps = e.appendLoadShareTagged(e.loadMbps, nil, nil, nil)
-	return rips, mbps, nil
-}
-
-// appendLoadShareTagged splits load over e's RIPs by weight, appending
-// each RIP with its tag and share. It backs both VIPLoadShare and
-// Fabric.AppendLoadShareTagged.
-func (e *vipEntry) appendLoadShareTagged(load float64, rips []RIP, tags []int32, mbps []float64) ([]RIP, []int32, []float64) {
 	var total float64
 	for _, re := range e.rips {
 		total += re.weight
 	}
 	for _, re := range e.rips {
 		rips = append(rips, re.rip)
-		tags = append(tags, re.tag)
 		share := 0.0
 		if total > 0 {
-			share = load * re.weight / total
+			share = e.loadMbps * re.weight / total
 		}
 		mbps = append(mbps, share)
 	}
-	return rips, tags, mbps
+	return rips, mbps, nil
 }
 
 // CheckInvariants validates internal consistency and limit compliance.

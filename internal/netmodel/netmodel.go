@@ -289,7 +289,7 @@ func (n *Network) find(h ids.Index) *vipState {
 // and notifies the route-change hook.
 func (n *Network) routeChanged(h ids.Index, st *vipState) {
 	n.RouteUpdates++
-	n.redistribute(h, st)
+	n.redistribute(h, st, true)
 	if n.OnRouteChange != nil {
 		n.OnRouteChange(h)
 	}
@@ -410,7 +410,7 @@ func (n *Network) SetVIPTraffic(h ids.Index, mbps float64) error {
 		st = n.vip(h)
 	}
 	st.traffic = mbps
-	n.redistribute(h, st)
+	n.redistribute(h, st, false)
 	return nil
 }
 
@@ -427,22 +427,26 @@ func (n *Network) VIPTraffic(h ids.Index) float64 {
 // current traffic over the current active-link set, keying the VIP on
 // any link that does not hold it yet. Incremental updates keep
 // SetVIPTraffic O(links-per-VIP) so experiments can carry tens of
-// thousands of VIPs. The previous link slice is reused so steady-state
-// traffic updates do not allocate.
-func (n *Network) redistribute(h ids.Index, st *vipState) {
+// thousands of VIPs. The active-link set is rebuilt, into the previous
+// slice, only when routes changed: every change to the advertisements
+// goes through routeChanged, so between route changes applied is
+// current and a traffic update spreads over it as it stands.
+func (n *Network) redistribute(h ids.Index, st *vipState, routes bool) {
 	if st.share != 0 {
 		for _, id := range st.applied {
 			n.links[id].sumValid = false
 		}
 	}
-	links := st.applied[:0]
-	for _, ad := range st.ads {
-		if !ad.padded {
-			links = append(links, ad.link)
+	if routes {
+		st.applied = st.applied[:0]
+		for _, ad := range st.ads {
+			if !ad.padded {
+				st.applied = append(st.applied, ad.link)
+			}
 		}
+		slices.Sort(st.applied)
 	}
-	slices.Sort(links)
-	st.applied = links
+	links := st.applied
 	st.share = 0
 	if st.traffic == 0 || len(links) == 0 {
 		return
