@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"megadc/internal/health"
+	"megadc/internal/ids"
 )
 
 // Identifier types. Distinct types prevent accidentally mixing ID spaces.
@@ -238,11 +239,12 @@ type Cluster struct {
 	live     []bool // indexed by VMID, one entry per ID assigned: placed and not removed
 	numVMs   int    // true entries in live
 
-	// spareVMs is room set aside by Reserve for the VM lists of
-	// applications not yet created: AddApp hands each new application
-	// the next spareCap slots as an empty list of that capacity.
-	spareVMs []VMID
-	spareCap int
+	// Room set aside for records and lists not yet created:
+	// ReserveServers sets aside server records, which AddServer takes,
+	// and Reserve application records and VM lists, which AddApp takes.
+	spareServers ids.Spare[Server]
+	spareApps    ids.Spare[Application]
+	spareVMs     ids.Spare[VMID]
 
 	// OnVMChange, when set, is called after every change to a VM that
 	// can move the serving capacity behind it: Start, RemoveVM, ResizeVM
@@ -294,7 +296,8 @@ func (c *Cluster) AddServer(pod PodID, capacity Resources) (*Server, error) {
 	if !capacity.NonNegative() {
 		return nil, fmt.Errorf("%w: negative capacity %v", ErrBadState, capacity)
 	}
-	s := &Server{ID: ServerID(len(c.servers)), Pod: NoPod, Capacity: capacity}
+	s := c.spareServers.Next()
+	*s = Server{ID: ServerID(len(c.servers)), Pod: NoPod, Capacity: capacity}
 	if pod != NoPod {
 		p := c.Pod(pod)
 		if p == nil {
@@ -309,24 +312,31 @@ func (c *Cluster) AddServer(pod PodID, capacity Resources) (*Server, error) {
 
 // AddApp registers an application with a default per-instance slice.
 func (c *Cluster) AddApp(name string, defaultSlice Resources) *Application {
-	a := &Application{ID: AppID(len(c.apps)), Name: name, DefaultSlice: defaultSlice}
-	if n := c.spareCap; n > 0 && len(c.spareVMs) >= n {
-		a.vms, c.spareVMs = c.spareVMs[:0:n], c.spareVMs[n:]
-	}
+	a := c.spareApps.Next()
+	*a = Application{ID: AppID(len(c.apps)), Name: name, DefaultSlice: defaultSlice, vms: c.spareVMs.Take()}
 	c.apps = append(c.apps, a)
 	return a
+}
+
+// ReserveServers readies the registry for n more servers: the next n
+// AddServer calls fill room in the server table and take their records
+// from one shared allocation instead of one each.
+func (c *Cluster) ReserveServers(n int) {
+	c.servers = slices.Grow(c.servers, n)
+	c.spareServers = ids.NewSpare[Server](n, 1)
 }
 
 // Reserve readies the registries for a bulk build of apps applications
 // with perApp instances each, spread perServer to a server: the app
 // registry gets room for them, the VM table the chunks that hold them,
 // every server's VM list room for perServer more, and each of the next
-// apps applications AddApp creates a VM list with room for perApp. The
-// server lists and the application lists are each carved from one
-// shared allocation. Lists that outgrow their reservation regrow as
-// usual. Reserve changes no membership or order, only capacity: it
-// spares the fills that follow from regrowing every list 0→1→2→4→… on
-// the way to its final length.
+// apps applications AddApp creates its record and a VM list with room
+// for perApp. The server lists, the application records and the
+// application lists are each carved from one shared allocation, every
+// list capacity-limited. Lists that outgrow their reservation regrow
+// as usual, into an allocation of their own. Reserve changes no
+// membership or order, only capacity: it spares the fills that follow
+// from regrowing every list 0→1→2→4→… on the way to its final length.
 func (c *Cluster) Reserve(apps, perApp, perServer int) {
 	c.apps = slices.Grow(c.apps, apps)
 	n := len(c.live) + apps*perApp
@@ -343,7 +353,8 @@ func (c *Cluster) Reserve(apps, perApp, perServer int) {
 		k := len(s.vms) + perServer
 		s.vms, room = append(room[:0:k], s.vms...), room[k:]
 	}
-	c.spareVMs, c.spareCap = make([]VMID, apps*perApp), perApp
+	c.spareApps = ids.NewSpare[Application](apps, 1)
+	c.spareVMs = ids.NewSpare[VMID](apps, perApp)
 }
 
 // Pod returns the pod with the given ID, or nil.

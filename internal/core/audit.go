@@ -396,10 +396,13 @@ func (p *Platform) auditConservation(rep *audit.Report) {
 	// Every VM's fluid demand in one pass over the ledgers, summed in
 	// apply order (ascending app, then ledger order), as applyRec adds it.
 	fluid := make([]cluster.Resources, len(p.vmHome))
-	for i := range p.applied {
-		for _, avm := range p.applied[i].vms {
-			if int(avm.vm) < len(fluid) {
-				fluid[avm.vm] = fluid[avm.vm].Add(avm.res())
+	for ai := range p.applied {
+		rec := &p.applied[ai]
+		for i := range rec.vips {
+			for _, e := range rec.vmsOf(i) {
+				if int(e.vm) < len(fluid) {
+					fluid[e.vm] = fluid[e.vm].Add(rec.vips[i].vmRes(e))
+				}
 			}
 		}
 	}

@@ -286,6 +286,77 @@ func TestPropagateWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestFullPassClearsUnappliedVIPs pins the clear step of a full pass,
+// which writes only the previously active VIPs no ledger re-applies.
+// Between two full passes app 1 loses all its demand, and so does app
+// 2, one of whose VIPs keeps a session. The second pass sees both only
+// through the demand table; it must leave app 1's VIPs idle, app 2's
+// session VIP active with its session load alone, and the whole state
+// bit for bit what the incremental path builds when SetAppDemand
+// applies the same changes to the same platform.
+func TestFullPassClearsUnappliedVIPs(t *testing.T) {
+	sess := cluster.Resources{CPU: 0.05, NetMbps: 1.5}
+	build := func(viaFull bool) (p *Platform, apps []cluster.AppID, vi ids.Index) {
+		cfg := DefaultConfig()
+		cfg.VIPsPerApp = 2
+		cfg.PropagateFullEvery = -1
+		p, err := NewPlatform(SmallTopology(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+		for i := 0; i < 4; i++ {
+			a, err := p.OnboardApp("clear", cluster.Resources{CPU: 0.5, MemMB: 128, NetMbps: 20}, 2,
+				Demand{CPU: 1 + float64(i), Mbps: 20 + 5*float64(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			apps = append(apps, a.ID)
+		}
+		p.PropagateFull()
+		vm := p.Cluster.App(apps[2]).VMIDs()[0]
+		vi = p.vmHomeOf(vm)
+		p.SessionOpened(vi, vm, sess)
+		for _, app := range apps[1:3] {
+			if !p.activeVIPs.Get(int(p.handleOf(p.Fabric.VIPsOfApp(app)[0]))) {
+				t.Fatalf("app %d's VIP idle before its demand went", app)
+			}
+			if viaFull {
+				p.demandApps.Clear(int(app)) // as SetAppDemand, without its Propagate
+				p.markDemandDirty(app)
+			} else {
+				p.SetAppDemand(app, Demand{})
+			}
+		}
+		if viaFull {
+			p.PropagateFull()
+		}
+		return p, apps, vi
+	}
+	p, apps, vi := build(true)
+	inc, _, _ := build(false)
+	if d := p.captureState().diff(inc.captureState()); d != "" {
+		t.Fatalf("full pass after the demand went diverged from the incremental path: %s", d)
+	}
+	for _, app := range apps[1:3] {
+		for _, vip := range p.Fabric.VIPsOfApp(app) {
+			h, want := p.handleOf(vip), 0.0
+			if h == vi {
+				want = sess.NetMbps
+			}
+			if got := p.Net.VIPTraffic(h); got != want || p.Fabric.Load(h) != want {
+				t.Errorf("app %d VIP %d traffic %v, switch load %v, want %v", app, h, got, p.Fabric.Load(h), want)
+			}
+			if p.activeVIPs.Get(int(h)) != (want > 0) {
+				t.Errorf("app %d VIP %d active = %v, want %v", app, h, !(want > 0), want > 0)
+			}
+		}
+	}
+	if err := p.AuditErr(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPropagateDirtyWorkerCountInvariance pins the same contract on the
 // incremental path: a dirty-set recompute wide enough to fan out must
 // leave bit-identical state for any worker count. The dirty set is kept

@@ -193,7 +193,10 @@ type Platform struct {
 	vipOwner       []cluster.AppID // by VIP handle; -1 = unowned
 	applied        []appApplied    // by AppID
 	propagateTicks int64
-	activeScratch  []int32
+	// activeScratch snapshots activeVIPs at the start of a full pass,
+	// and written marks the VIPs the pass re-applied (propagateFull).
+	activeScratch []int32
+	written       ids.Bitset
 
 	// checkBefore and checkAfter are the reusable captures of
 	// Config.PropagateDebugCheck (debugCheckAgainstFull).
@@ -330,7 +333,8 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 		p.SwitchHier = h
 	}
 
-	// Pods and servers.
+	// Pods and servers, the servers' records carved from one allocation.
+	p.Cluster.ReserveServers(topo.Pods * topo.ServersPerPod)
 	for i := 0; i < topo.Pods; i++ {
 		pod := p.Cluster.AddPod()
 		for j := 0; j < topo.ServersPerPod; j++ {

@@ -82,33 +82,49 @@ const parallelThreshold = 64
 
 // appliedVIP records what one Propagate wrote for one VIP of an app,
 // and the inputs it was computed from: a demand-only recompute reuses
-// share, hasHome and reach while the app is in inputsOK.
+// share, hasHome and reach while the app is in inputsOK. Its VM
+// entries are the ledger's vms[first:] up to the next VIP's first, and
+// vipCPU and totalMbps are what their CPU parts derive from (vmRes).
 type appliedVIP struct {
 	vip     ids.Index // VIP handle
+	first   int32     // index of the VIP's first VM entry in the ledger
+	n       int32     // RIP group length, entries skipped for a missing VM included
 	hasHome bool
 	act     bool    // carried demand: counts toward the active-VIP set
 	share   float64 // the VIP's DNS share of the app's demand
 	reach   float64 // reachability on the home switch (0 when not serving or no home)
 	traffic float64 // fluid Mbps set on the access network (pre-reachability)
+	// vipCPU is the CPU demand that reached the home switch, and
+	// totalMbps the sum of the group's network split.
+	vipCPU    float64
+	totalMbps float64
 }
 
 // swLoad returns the fluid Mbps set on the home switch: the traffic
 // that reaches it, by the expression computeVIP applied.
 func (av *appliedVIP) swLoad() float64 { return av.traffic * av.reach }
 
-// appliedVM records the fluid demand one Propagate added to one VM.
-// Fluid demand has no memory part, so the entry holds the CPU and
-// network parts alone: 24 bytes, not the 32 of a VM ID and a full
-// Resources.
+// appliedVM records the fluid demand one Propagate added to one VM: 16
+// bytes, a VM ID and the network part. Fluid demand has no memory part,
+// and the CPU part is a function of the network part and its VIP's
+// record (appliedVIP.vmRes), so the entry stores neither.
 type appliedVM struct {
 	vm  cluster.VMID
-	cpu float64
 	net float64
 }
 
-// res returns the entry's demand as Resources, its memory zero.
-func (a appliedVM) res() cluster.Resources {
-	return cluster.Resources{CPU: a.cpu, NetMbps: a.net}
+// vmRes returns the demand of VM entry e of av's group as Resources,
+// its memory zero. The CPU part is computeVIP's split, in its own
+// expressions: the entry's part of the group's network split, or an
+// even part of the group when that split is all zero.
+func (av *appliedVIP) vmRes(e appliedVM) cluster.Resources {
+	var cpu float64
+	if av.totalMbps > 0 {
+		cpu = av.vipCPU * (e.net / av.totalMbps)
+	} else {
+		cpu = av.vipCPU * (1 / float64(av.n))
+	}
+	return cluster.Resources{CPU: cpu, NetMbps: e.net}
 }
 
 // appApplied is the per-application ledger of applied contributions;
@@ -122,6 +138,15 @@ type appApplied struct {
 func (r *appApplied) reset() {
 	r.vips = r.vips[:0]
 	r.vms = r.vms[:0]
+}
+
+// vmsOf returns the VM entries of the ledger's i-th VIP.
+func (r *appApplied) vmsOf(i int) []appliedVM {
+	end := len(r.vms)
+	if i+1 < len(r.vips) {
+		end = int(r.vips[i+1].first)
+	}
+	return r.vms[r.vips[i].first:end]
 }
 
 // propPool is the persistent Propagate worker pool. Workers are
@@ -325,25 +350,16 @@ func (p *Platform) computeDirty(ai int32) {
 	p.computeApp(app, p.appDemand[ai], rec)
 }
 
-// propagateFull recomputes every application from scratch: every
-// previously active VIP falls to its session-overlay base, then one
-// pass over every app resets the app's VMs to their session base,
-// computes its ledger and writes its VM demand, and a sequential pass
-// in ascending app order writes the VIPs.
+// propagateFull recomputes every application from scratch: one pass
+// over every app resets the app's VMs to their session base, computes
+// its ledger and writes its VM demand, a sequential pass in ascending
+// app order writes the VIPs, and every previously active VIP no ledger
+// wrote falls to its session-overlay base. Each VIP is written once:
+// the pass reads no VIP load, so the VIPs it re-applies need no clear
+// before.
 func (p *Platform) propagateFull() {
-	// Clear previously active VIPs down to their session-only load; the
-	// apply phase re-marks the ones still carrying demand.
 	act := p.activeVIPs.AppendMembers(p.activeScratch[:0])
 	p.activeScratch = act
-	for _, a := range act {
-		vi := ids.Index(a)
-		sess := at(p.sessVIP, vi)
-		p.Net.SetVIPTraffic(vi, sess)
-		p.Fabric.SetLoad(vi, sess) // a no-op when the VIP lost its home
-		if sess == 0 {
-			p.activeVIPs.Clear(int(vi))
-		}
-	}
 	apps := p.demandApps.AppendMembers(p.appScratch[:0])
 	p.appScratch = apps
 	// Every app with a ledger, a VM or demand takes part: the VMs of an
@@ -371,9 +387,26 @@ func (p *Platform) propagateFull() {
 		}
 	}
 	p.inputsOK.Reset()
+	p.written.Reset()
 	for _, ai := range apps {
-		p.applyVIPs(&p.applied[ai])
+		rec := &p.applied[ai]
+		p.applyVIPs(rec)
+		for i := range rec.vips {
+			p.written.Set(int(rec.vips[i].vip))
+		}
 		p.inputsOK.Set(int(ai))
+	}
+	for _, a := range act {
+		if p.written.Get(int(a)) {
+			continue
+		}
+		vi := ids.Index(a)
+		sess := at(p.sessVIP, vi)
+		p.Net.SetVIPTraffic(vi, sess)
+		p.Fabric.SetLoad(vi, sess) // a no-op when the VIP lost its home
+		if sess == 0 {
+			p.activeVIPs.Clear(int(vi))
+		}
 	}
 }
 
@@ -527,9 +560,12 @@ func (av *appliedVIP) spread(demand Demand) (vipMbps, vipCPU float64) {
 }
 
 // computeVIP spreads demand onto av and appends to rec the VM demand
-// its RIP group receives when its home switch is reached.
+// its RIP group receives when its home switch is reached. av must be
+// the ledger's last VIP to compute: its entries start at the end of
+// rec.vms.
 func (p *Platform) computeVIP(app cluster.AppID, demand Demand, av *appliedVIP, rec *appApplied) {
 	vipMbps, vipCPU := av.spread(demand)
+	av.first, av.n, av.vipCPU, av.totalMbps = int32(len(rec.vms)), 0, 0, 0
 	if !av.hasHome || av.reach == 0 {
 		return
 	}
@@ -551,23 +587,22 @@ func (p *Platform) computeVIP(app cluster.AppID, demand Demand, av *appliedVIP, 
 			totalMbps += vipMbps * g.Weight(j) / totalW
 		}
 	}
-	even := 1 / float64(n) // an all-zero split spreads the CPU evenly
+	// Each entry's CPU follows from these (vmRes): an all-zero split
+	// spreads it evenly over the group.
+	av.n, av.vipCPU, av.totalMbps = int32(n), vipCPU, totalMbps
 	// Room for the whole group up front; appended one by one, a new
 	// ledger regrows 0→1→2→…→32 to hold 20 RIPs.
 	rec.vms = slices.Grow(rec.vms, n)
 	for j := 0; j < n; j++ {
-		m, frac := 0.0, even
+		m := 0.0
 		if totalW > 0 {
 			m = vipMbps * g.Weight(j) / totalW
-		}
-		if totalMbps > 0 {
-			frac = m / totalMbps
 		}
 		vmID := vmOfTag(g.Tag(j))
 		if p.Cluster.VM(vmID) == nil {
 			continue
 		}
-		rec.vms = append(rec.vms, appliedVM{vm: vmID, cpu: vipCPU * frac, net: m})
+		rec.vms = append(rec.vms, appliedVM{vm: vmID, net: m})
 	}
 }
 
@@ -627,10 +662,12 @@ func (p *Platform) applyVIPs(rec *appApplied) {
 }
 
 func (p *Platform) applyVMs(rec *appApplied) {
-	for i := range rec.vms {
-		avm := &rec.vms[i]
-		if vm := p.Cluster.VM(avm.vm); vm != nil {
-			vm.Demand = vm.Demand.Add(avm.res())
+	for i := range rec.vips {
+		av := &rec.vips[i]
+		for _, e := range rec.vmsOf(i) {
+			if vm := p.Cluster.VM(e.vm); vm != nil {
+				vm.Demand = vm.Demand.Add(av.vmRes(e))
+			}
 		}
 	}
 }
@@ -666,9 +703,12 @@ func (p *Platform) appliedVIPLoad(vi ids.Index) (traffic, swLoad float64) {
 func (p *Platform) appliedVMDemand(vm *cluster.VM) cluster.Resources {
 	var sum cluster.Resources
 	if int(vm.App) < len(p.applied) {
-		for _, avm := range p.applied[vm.App].vms {
-			if avm.vm == vm.ID {
-				sum = sum.Add(avm.res())
+		rec := &p.applied[vm.App]
+		for i := range rec.vips {
+			for _, e := range rec.vmsOf(i) {
+				if e.vm == vm.ID {
+					sum = sum.Add(rec.vips[i].vmRes(e))
+				}
 			}
 		}
 	}

@@ -268,8 +268,11 @@ func TestFullPassForeignLedgerVMFallsBack(t *testing.T) {
 		}
 	}
 	for _, ai := range base.demandApps.AppendMembers(nil) {
-		for _, avm := range base.applied[ai].vms {
-			want[avm.vm] = want[avm.vm].Add(avm.res())
+		rec := &base.applied[ai]
+		for i := range rec.vips {
+			for _, e := range rec.vmsOf(i) {
+				want[e.vm] = want[e.vm].Add(rec.vips[i].vmRes(e))
+			}
 		}
 	}
 	for vm, d := range want {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 
 	"megadc/internal/cluster"
@@ -159,8 +160,8 @@ func BuildScalePlatform(spec ScaleSpec) (*Platform, error) {
 //  4. fabric (parallel, by switch): RIP configuration mutates only the
 //     home switch, so workers take whole switches and insert each of
 //     the switch's VIPs' RIPs, in stage-2 order, as one tagged range
-//     (Switch.AddRIPRange: one VIP lookup and one group allocation per
-//     VIP). The worker owning a switch also adds the platform's backend
+//     (Switch.AddRIPRange: one VIP lookup per VIP, into the group room
+//     Fabric.Reserve set aside). The worker owning a switch also adds the platform's backend
 //     generation bumps for it, one per RIP homed there, as bindRIP does
 //     per RIP. The OnReconfig hook is parked during the stage: stage
 //     2's AddVIPOn already recorded every VIP owner and dirtied every
@@ -192,28 +193,50 @@ func (p *Platform) OnboardAppsBulk(spec ScaleSpec) error {
 	// Stage 1 — plan.
 	names := make([]string, spec.Apps)
 	shardRange(spec.Apps, workers, func(lo, hi int) {
+		// The shard's names share one string: "app-%d" for each index,
+		// written back to back and sliced apart.
+		var buf []byte
+		ends := make([]int, 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			names[i] = fmt.Sprintf("app-%d", i)
+			buf = strconv.AppendInt(append(buf, "app-"...), int64(i), 10)
+			ends = append(ends, len(buf))
+		}
+		all, start := string(buf), 0
+		for k, end := range ends {
+			names[lo+k], start = all[start:end], end
 		}
 	})
 
 	// Every count the build fills is known from the spec, so reserve
-	// final capacity before anything is filled: the VM lists, the demand
-	// tables, Propagate's per-app ledgers, the VIP owner table and the
-	// network's per-VIP table below (and each VIP's RIP group in stage
-	// 4) would otherwise regrow 0→1→2→4→… or with 1.5× headroom on the
-	// way to their final lengths, and at paper scale that copying and
-	// its garbage dominate the build. The owner table grows by one
-	// handle per new VIP.
+	// final capacity before anything is filled, for the records as for
+	// the lists: the application records and VM lists, the VIP entries,
+	// RIP groups, address table and per-app VIP lists of the fabric, the
+	// DNS exposure lists, the network's per-VIP table and link lists,
+	// the demand tables, Propagate's per-app ledgers and the VIP owner
+	// table would otherwise take one allocation per entity, or regrow
+	// 0→1→2→4→… or with 1.5× headroom on the way to their final lengths,
+	// and at paper scale those objects, their size-class waste and the
+	// garbage of the copying dominate the build. Each kind is carved
+	// from one allocation, every list capacity-limited, so a list that
+	// later outgrows its room reallocates instead of running into the
+	// next app's. The owner table grows by one handle per new VIP.
 	firstApp := cluster.AppID(p.Cluster.NumApps())
 	endApp := int(firstApp) + spec.Apps
 	nvips := spec.Apps * perVIP
 	p.Cluster.Reserve(spec.Apps, perApp, (nvms+len(servers)-1)/len(servers))
+	p.Fabric.Reserve(spec.Apps, perVIP, (perApp+perVIP-1)/perVIP)
+	p.DNS.Reserve(spec.Apps, perVIP)
+	p.Net.Reserve(nvips)
 	p.appSlice = slices.Grow(p.appSlice, endApp-len(p.appSlice))
 	p.appDemand = slices.Grow(p.appDemand, endApp-len(p.appDemand))
-	p.applied = slices.Grow(p.applied, endApp-len(p.applied))
 	p.vipOwner = slices.Grow(p.vipOwner, nvips)
-	p.Net.Reserve(nvips)
+	p.applied = growSlice(slices.Grow(p.applied, endApp-len(p.applied)), endApp)
+	ledgerVIPs, ledgerVMs := ids.NewSpare[appliedVIP](spec.Apps, perVIP), ids.NewSpare[appliedVM](spec.Apps, perApp)
+	for i := int(firstApp); i < endApp; i++ {
+		if rec := &p.applied[i]; cap(rec.vips)+cap(rec.vms) == 0 {
+			rec.vips, rec.vms = ledgerVIPs.Take(), ledgerVMs.Take()
+		}
+	}
 
 	// Stage 2 — apply, in app order. VIP v of app i is entry i·perVIP+v
 	// of vipH, its handle; its home switch's work list holds the entry

@@ -5,12 +5,14 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"megadc/internal/cluster"
 	"megadc/internal/lbswitch"
+	"megadc/internal/netmodel"
 )
 
 // buildScale constructs a scale-tier platform and sanity-checks it.
@@ -150,6 +152,165 @@ func TestBulkBuildNoPerRIPAllocs(t *testing.T) {
 		small, smallRIPs, large, largeRIPs, perInstance)
 	if perInstance > 0.01 {
 		t.Errorf("%.4f allocations per added instance, want at most 0.01", perInstance)
+	}
+}
+
+// TestBulkBuildNoPerAppAllocs is the allocation gate of the reserved
+// records: the bulk build carves every per-app record — the cluster's
+// application record and VM list, the fabric's VIP entry, RIP group and
+// per-app VIP list, the DNS exposure list, the network's link list and
+// Propagate's two ledger lists — from one allocation per kind, and
+// slices its name from a string its plan shard shares, so an added app
+// costs no heap object of its own (a record or list allocated per app
+// would make it at least 1). Two builds on one topology differ only in
+// app count; their allocation counts may differ by at most 0.5 per
+// added app. Each size counts its fewest over three
+// builds, each after a GC, as TestBulkBuildNoPerRIPAllocs does.
+func TestBulkBuildNoPerAppAllocs(t *testing.T) {
+	topo := ScaleSpecFor(1000).Topology()
+	build := func(apps int) int64 {
+		spec := ScaleSpecFor(1000)
+		spec.Apps = apps
+		spec.Workers = 1
+		cfg := DefaultConfig()
+		cfg.PropagateFullEvery = -1
+		p, err := NewPlatform(topo, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := p.OnboardAppsBulk(spec); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.Mallocs) - int64(before.Mallocs)
+	}
+	mallocs := func(apps int) int64 {
+		allocs := build(apps)
+		for i := 0; i < 2; i++ {
+			allocs = min(allocs, build(apps))
+		}
+		return allocs
+	}
+	const small, large = 500, 1000
+	a, b := mallocs(small), mallocs(large)
+	perApp := float64(b-a) / float64(large-small)
+	t.Logf("bulk build: %d allocations for %d apps, %d for %d: %.3f per added app", a, small, b, large, perApp)
+	if perApp > 0.5 {
+		t.Errorf("%.3f allocations per added app, want at most 0.5", perApp)
+	}
+}
+
+// TestBulkReservationsDoNotAlias grows app 0 of a bulk build past every
+// reservation its records were carved from — a second VIP (placed,
+// registered in DNS and advertised), a second route for its first VIP,
+// one more instance under that VIP, and a session — and checks after
+// each step that app 1, whose records sit right after app 0's in every
+// reservation, reads exactly as before: its DNS record, fabric VIP list,
+// RIP group, route links, Propagate ledger and VM list. Every ledger
+// entry must name a VIP and a VM of its own app, and the platform must
+// audit clean with every Propagate checked against a full recompute.
+func TestBulkReservationsDoNotAlias(t *testing.T) {
+	spec := ScaleSpecFor(500)
+	spec.Workers = 1
+	cfg := DefaultConfig()
+	cfg.PropagateFullEvery = -1
+	cfg.PropagateDebugCheck = true
+	cfg.PropagateWorkers = 1
+	p, err := NewPlatform(spec.Topology(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.OnboardAppsBulk(spec); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func(app cluster.AppID) string {
+		var b strings.Builder
+		vips, weights, err := p.DNS.Weights(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "dns %v %v\nfabric %v\n", vips, weights, p.Fabric.VIPsOfApp(app))
+		for _, vip := range vips {
+			h := p.handleOf(vip)
+			g, _ := p.Fabric.GroupOf(h)
+			fmt.Fprintf(&b, "vip %s links %v active %v group", vip, p.Net.AllLinks(h), p.Net.ActiveLinks(h))
+			for j := 0; j < g.Len(); j++ {
+				fmt.Fprintf(&b, " %d:%v", g.Tag(j), g.Weight(j))
+			}
+			b.WriteString("\n")
+		}
+		fmt.Fprintf(&b, "ledger %+v %+v\nvms %v\n", p.applied[app].vips, p.applied[app].vms, p.Cluster.App(app).VMIDs())
+		return b.String()
+	}
+	ownLedgers := func(step string) {
+		for _, app := range []cluster.AppID{0, 1} {
+			rec := &p.applied[app]
+			for _, av := range rec.vips {
+				if owner := p.vipOwner[av.vip]; owner != app {
+					t.Fatalf("after %s: app %d ledger lists VIP %d of app %d", step, app, av.vip, owner)
+				}
+			}
+			for _, e := range rec.vms {
+				if vm := p.Cluster.VM(e.vm); vm == nil || vm.App != app {
+					t.Fatalf("after %s: app %d ledger lists VM %d of another app", step, app, e.vm)
+				}
+			}
+		}
+	}
+	want := snapshot(1)
+	check := func(step string) {
+		t.Helper()
+		p.Propagate()
+		if got := snapshot(1); got != want {
+			t.Fatalf("after %s app 1 changed:\n%s\nwant:\n%s", step, got, want)
+		}
+		ownLedgers(step)
+	}
+
+	first := p.Fabric.VIPsOfApp(0)[0]
+	h0 := p.handleOf(first)
+	vip, _, err := p.allocVIP(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.DNS.Register(0, vip, p.handleOf(vip), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Net.Advertise(p.handleOf(vip), p.pickAdvertLink(), false); err != nil {
+		t.Fatal(err)
+	}
+	check("a second VIP")
+	// A link neither app uses, so an entry written into app 1's list
+	// could not pass for its own.
+	h1 := p.handleOf(p.Fabric.VIPsOfApp(1)[0])
+	link := netmodel.LinkID(0)
+	for slices.Contains(p.Net.AllLinks(h0), link) || slices.Contains(p.Net.AllLinks(h1), link) {
+		link++
+	}
+	if err := p.Net.Advertise(h0, link, false); err != nil {
+		t.Fatal(err)
+	}
+	check("a second route")
+	vm, err := p.DeployInstanceFor(0, p.podOrder[0], first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("a deployment")
+	p.SessionOpened(h0, vm.ID, cluster.Resources{CPU: 0.1, NetMbps: 0.5})
+	check("a session")
+	if g, _ := p.Fabric.GroupOf(h0); g.Len() != spec.InstancesPerApp+1 {
+		t.Fatalf("app 0's group holds %d RIPs, want %d", g.Len(), spec.InstancesPerApp+1)
+	}
+	if n := len(p.applied[0].vips); n != 2 {
+		t.Fatalf("app 0's ledger holds %d VIPs, want 2", n)
+	}
+	if err := p.AuditErr(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -57,6 +57,10 @@ type DNS struct {
 	ttl     float64  // seconds
 	records []record // indexed by AppID
 
+	// spare is room set aside by Reserve for the exposure lists of apps
+	// not yet registered, which their first Register takes.
+	spare ids.Spare[exposure]
+
 	// Resolutions counts queries answered; WeightChanges counts exposure
 	// reconfigurations (an agility/complexity output for E4/E5).
 	// StaleWrites counts SetWeightIfGen calls rejected because the record
@@ -121,6 +125,16 @@ func New(ttlSeconds float64) *DNS {
 // TTL returns the record TTL in seconds.
 func (d *DNS) TTL() float64 { return d.ttl }
 
+// Reserve readies the DNS for a bulk build of apps applications
+// registering perApp VIPs each: the record table gets room for them,
+// and their exposure lists are carved from one allocation as their
+// first VIPs register. A list that outgrows its room regrows into an
+// allocation of its own. Reserve changes no record, only capacity.
+func (d *DNS) Reserve(apps, perApp int) {
+	d.records = slices.Grow(d.records, apps)
+	d.spare = ids.NewSpare[exposure](apps, perApp)
+}
+
 // Register adds the VIP with address vip and handle h for app with the
 // given exposure weight (0 hides the VIP from resolution while keeping
 // it registered).
@@ -131,14 +145,17 @@ func (d *DNS) Register(app cluster.AppID, vip ipv4.Addr, h ids.Index, weight flo
 	if app < 0 {
 		return fmt.Errorf("%w: %d", ErrNoApp, app)
 	}
-	if int(app) >= len(d.records) {
-		d.records = append(d.records, make([]record, int(app)+1-len(d.records))...)
+	if n := int(app) + 1; n > len(d.records) {
+		d.records = slices.Grow(d.records, n-len(d.records))[:n] // room past len is zero: the table never shrinks
 	}
 	r := &d.records[app] // a new record has gen 0 until changed below
 	for _, e := range r.vips {
 		if e.vip == vip {
 			return fmt.Errorf("%w: %s", ErrDupVIP, vip)
 		}
+	}
+	if r.vips == nil {
+		r.vips = d.spare.Take()
 	}
 	r.vips = append(r.vips, exposure{vip: vip, h: h, weight: weight})
 	d.changed(app, r)

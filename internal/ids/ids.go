@@ -111,3 +111,44 @@ func (b *Bitset) AppendMembers(dst []int32) []int32 {
 	}
 	return dst
 }
+
+// Spare is room set aside in one allocation for the records or lists of
+// entities not yet created (DESIGN.md §13): a bulk build that knows
+// every count reserves one Spare per kind, and the constructor that
+// would have allocated each record or list takes it from there instead.
+// The zero value holds no room.
+type Spare[T any] struct {
+	room []T
+	n    int
+}
+
+// NewSpare sets aside room for count lists of n elements each, or, with
+// n = 1, for count records.
+func NewSpare[T any](count, n int) Spare[T] {
+	return Spare[T]{room: make([]T, count*n), n: n}
+}
+
+// Take returns the next list's room: an empty slice of capacity n,
+// capacity-limited, so a list that outgrows it reallocates instead of
+// writing into the next list's room. It returns nil once the room is
+// used up, and append then allocates as usual.
+func (s *Spare[T]) Take() []T {
+	if s.n == 0 || len(s.room) < s.n {
+		return nil
+	}
+	l := s.room[:0:s.n]
+	s.room = s.room[s.n:]
+	return l
+}
+
+// Next returns the next record of a Spare of records, zeroed, or a new
+// one once the room is used up. A record never moves, so its pointer
+// stays valid like an allocated one's.
+func (s *Spare[T]) Next() *T {
+	if len(s.room) == 0 {
+		return new(T)
+	}
+	r := &s.room[0]
+	s.room = s.room[1:]
+	return r
+}

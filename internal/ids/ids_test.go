@@ -160,3 +160,41 @@ func TestBitsetWatermarkSpan(t *testing.T) {
 		t.Fatalf("after Reset and Set(64): words [%d, %d)", b.lo, b.hi)
 	}
 }
+
+// TestSpare pins the reservation contract: Take hands out consecutive
+// rooms of n elements from one allocation, each capacity-limited, so an
+// append past a room's end reallocates and leaves the next room alone;
+// Next hands out consecutive records; both fall back to the allocator
+// once the room is used up, and the zero value holds no room.
+func TestSpare(t *testing.T) {
+	lists := NewSpare[int32](3, 2)
+	a, b := lists.Take(), lists.Take()
+	if len(a) != 0 || cap(a) != 2 || cap(b) != 2 {
+		t.Fatalf("rooms of length %d, capacities %d and %d, want 0, 2 and 2", len(a), cap(a), cap(b))
+	}
+	a = append(a, 1, 2)
+	b = append(b, 3, 4)
+	a = append(a, 5) // past its room
+	if b[0] != 3 || b[1] != 4 || len(a) != 3 || a[2] != 5 {
+		t.Fatalf("growing one room changed the next: a=%v b=%v", a, b)
+	}
+	if c := lists.Take(); cap(c) != 2 {
+		t.Fatalf("third room has capacity %d, want 2", cap(c))
+	}
+	if d := lists.Take(); d != nil {
+		t.Fatalf("room past the reservation = %v, want nil", d)
+	}
+	var none Spare[int32]
+	if none.Take() != nil {
+		t.Fatal("the zero Spare handed out room")
+	}
+
+	recs := NewSpare[[2]int](2, 1)
+	r1, r2 := recs.Next(), recs.Next()
+	if r1 == r2 || *r1 != [2]int{} || *r2 != [2]int{} {
+		t.Fatal("Next handed out one record twice or a used one")
+	}
+	if r3 := recs.Next(); r3 == nil || r3 == r1 || r3 == r2 {
+		t.Fatal("Next past the reservation did not allocate a new record")
+	}
+}

@@ -27,6 +27,10 @@ type Fabric struct {
 	tab      *vipTable
 	appVIPs  [][]ids.Index // per-app VIP handles, indexed by AppID
 
+	// spareVIPs is room set aside by Reserve for the VIP lists of apps
+	// not yet placed, which their first PlaceVIP takes.
+	spareVIPs ids.Spare[ids.Index]
+
 	// Transfers counts successful dynamic VIP transfers; BrokenConns
 	// counts connections broken by forced transfers.
 	Transfers   int64
@@ -46,7 +50,20 @@ var ErrVIPExists = errors.New("lbswitch: VIP already homed in fabric")
 var ErrVIPUnknown = errors.New("lbswitch: VIP not homed in fabric")
 
 // NewFabric returns an empty fabric.
-func NewFabric() *Fabric { return &Fabric{tab: newVIPTable()} }
+func NewFabric() *Fabric { return &Fabric{tab: newVIPTable(0)} }
+
+// Reserve readies the fabric for a bulk build of apps applications
+// placing perApp VIPs each, with ripsPerVIP RIPs in each VIP's group:
+// the address table gets room for their handles, and their entries,
+// RIP groups and per-app VIP lists are carved from one allocation per
+// kind as they are placed. Every carved list is capacity-limited, so
+// one that outgrows its room regrows into an allocation of its own.
+// Reserve changes no membership or order, only capacity.
+func (f *Fabric) Reserve(apps, perApp, ripsPerVIP int) {
+	f.tab.reserve(apps*perApp, ripsPerVIP)
+	f.appVIPs = slices.Grow(f.appVIPs, apps)
+	f.spareVIPs = ids.NewSpare[ids.Index](apps, perApp)
+}
 
 // AddSwitch creates a switch with the given limits and adds it to the pool.
 func (f *Fabric) AddSwitch(limits Limits) *Switch {
@@ -171,8 +188,11 @@ func (f *Fabric) PlaceVIP(vip VIP, app cluster.AppID, sw SwitchID) error {
 	if err := s.AddVIP(vip, app); err != nil {
 		return err
 	}
-	if int(app) >= len(f.appVIPs) {
-		f.appVIPs = append(f.appVIPs, make([][]ids.Index, int(app)+1-len(f.appVIPs))...)
+	if n := int(app) + 1; n > len(f.appVIPs) {
+		f.appVIPs = slices.Grow(f.appVIPs, n-len(f.appVIPs))[:n] // room past len is nil: the index never shrinks
+	}
+	if f.appVIPs[app] == nil {
+		f.appVIPs[app] = f.spareVIPs.Take()
 	}
 	f.appVIPs[app] = append(f.appVIPs[app], f.tab.ix[vip])
 	f.tracer.Record(trace.EvPlaceVIP, 0, 0, trace.VIP(vip), trace.App(app), trace.SwitchRef(sw))

@@ -24,6 +24,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -119,10 +120,11 @@ type ripEntry struct {
 	weight float64
 }
 
+// vipEntry is one configured VIP: 64 bytes, its two 32-bit IDs leading.
 type vipEntry struct {
 	h        ids.Index // the VIP's handle in its address table
-	sw       *Switch   // the switch the VIP is configured on
 	app      cluster.AppID
+	sw       *Switch    // the switch the VIP is configured on
 	rips     []ripEntry // the RIP group, in insertion order for determinism
 	conns    int
 	loadMbps float64 // fluid offered load
@@ -160,6 +162,11 @@ type vipTable struct {
 	addrs []VIP
 	slot  []vipSlot
 	live  int // slots with a non-nil entry
+
+	// Room set aside by reserve for the entries and RIP groups of the
+	// VIPs configured next (AddVIP).
+	spare     ids.Spare[vipEntry]
+	spareRIPs ids.Spare[ripEntry]
 }
 
 // vipSlot is one handle's row of the table. The home column lets
@@ -174,7 +181,23 @@ type vipSlot struct {
 // noSwitch is the home of a handle whose VIP is on no switch.
 const noSwitch SwitchID = -1
 
-func newVIPTable() *vipTable { return &vipTable{ix: make(map[VIP]ids.Index)} }
+// newVIPTable returns an empty table whose address map and columns
+// have room for n handles.
+func newVIPTable(n int) *vipTable {
+	return &vipTable{ix: make(map[VIP]ids.Index, n), addrs: make([]VIP, 0, n), slot: make([]vipSlot, 0, n)}
+}
+
+// reserve readies the table for vips more VIPs with rips RIPs each: the
+// address map and columns get room for their handles, rebuilt once
+// through newVIPTable instead of regrown on the way, and their entries
+// and RIP groups are set aside in one allocation each.
+func (t *vipTable) reserve(vips, rips int) {
+	r := newVIPTable(len(t.addrs) + vips)
+	maps.Copy(r.ix, t.ix)
+	t.ix, t.addrs, t.slot = r.ix, append(r.addrs, t.addrs...), append(r.slot, t.slot...)
+	t.spare = ids.NewSpare[vipEntry](vips, 1)
+	t.spareRIPs = ids.NewSpare[ripEntry](vips, rips)
+}
 
 // intern returns vip's handle, assigning the next one on first sight.
 func (t *vipTable) intern(vip VIP) ids.Index {
@@ -283,7 +306,7 @@ func (s *Switch) WeightGen() uint64 { return s.weightGen }
 // address table. Switches of a fabric share the fabric's table instead
 // (Fabric.AddSwitch).
 func NewSwitch(id SwitchID, limits Limits) *Switch {
-	return newSwitch(id, limits, newVIPTable())
+	return newSwitch(id, limits, newVIPTable(0))
 }
 
 func newSwitch(id SwitchID, limits Limits, tab *vipTable) *Switch {
@@ -397,7 +420,8 @@ func (s *Switch) AddVIP(vip VIP, app cluster.AppID) error {
 		return fmt.Errorf("%w: switch %d at %d", ErrVIPLimit, s.ID, s.Limits.MaxVIPs)
 	}
 	h := s.tab.intern(vip)
-	e := &vipEntry{h: h, sw: s, app: app, seq: s.nextSeq}
+	e := s.tab.spare.Next()
+	e.h, e.app, e.sw, e.seq, e.rips = h, app, s, s.nextSeq, s.tab.spareRIPs.Take()
 	s.tab.slot[h] = vipSlot{e: e, home: s.ID}
 	s.tab.live++
 	s.nextSeq++

@@ -185,7 +185,7 @@ func TestVIPRecordLifetime(t *testing.T) {
 	n, links := buildNet(t)
 	empty := func(vip VIPAddr) bool {
 		st := n.vips[n.h(vip)]
-		return len(st.ads) == 0 && st.traffic == 0 && st.share == 0 && len(st.applied) == 0
+		return !slices.ContainsFunc(st.links, func(e vipLink) bool { return e.adv }) && st.traffic == 0 && st.share == 0
 	}
 	n.SetVIPTraffic(ipV, 0)
 	if len(n.vips) != 0 {

@@ -73,7 +73,8 @@ type Link struct {
 	// in. A running add/subtract accumulator would drift by ULPs
 	// depending on update history, which would break the bit-for-bit
 	// equivalence between incremental and full demand propagation. The
-	// share itself lives in the VIP's record (vipState.shareOn).
+	// share itself lives in the VIP's record (vipState.shareOn), whose
+	// entry for the link is marked keyed while the link holds the key.
 	//
 	// A VIP whose share drops to 0 stays in shareKeys, so the undo/apply
 	// pair of a demand update rewrites a value instead of deleting and
@@ -106,7 +107,7 @@ func (l *Link) LoadMbps() float64 {
 			st := &l.net.vips[h]
 			share := st.shareOn(l.ID)
 			if share == 0 {
-				st.keyed = slices.DeleteFunc(st.keyed, func(id LinkID) bool { return id == l.ID })
+				st.unkey(l.ID)
 				continue
 			}
 			sum += share
@@ -120,16 +121,15 @@ func (l *Link) LoadMbps() float64 {
 }
 
 // addKey inserts handle h into the link's key set at its lexical
-// address position and records the link in the VIP's keyed list. Only
-// a key the link does not hold (never held, or compacted away) gets
-// here.
-func (l *Link) addKey(h ids.Index, st *vipState) {
+// address position; the caller marks the VIP's entry for the link
+// keyed. Only a key the link does not hold (never held, or compacted
+// away) gets here.
+func (l *Link) addKey(h ids.Index) {
 	addr := l.net.addr(h)
 	i, _ := slices.BinarySearchFunc(l.shareKeys, addr, func(k ids.Index, a VIPAddr) int {
 		return l.net.addr(k).Compare(a)
 	})
 	l.shareKeys = slices.Insert(l.shareKeys, i, h)
-	st.keyed = append(st.keyed, l.ID)
 }
 
 // Utilization returns load/capacity; above 1 means overloaded.
@@ -140,34 +140,68 @@ func (l *Link) Utilization() float64 {
 	return l.LoadMbps() / l.CapacityMbps
 }
 
-// advertisement is one VIP route at one link.
-type advertisement struct {
-	link   LinkID
-	padded bool // AS-path padded: kept as backup, attracts no new traffic
+// vipLink is one link of a VIP's record, 8 bytes: whether the VIP is
+// advertised there (adv; padded when the route is AS-path padded, kept
+// as backup and attracting no new traffic) and whether the link's share
+// keys hold the VIP (keyed). A link carries the VIP's traffic exactly
+// when it is active: advertised and not padded.
+type vipLink struct {
+	link   int32
+	adv    bool
+	padded bool
+	keyed  bool
 }
+
+// active reports whether the link carries the VIP's traffic.
+func (e vipLink) active() bool { return e.adv && !e.padded }
 
 // vipState is everything the network holds about one VIP, in one record
 // indexed by the VIP's handle, so a traffic update costs one slice
-// index. A record is empty (the zero value, bar its reusable slices)
-// while the VIP has no advertisement and no traffic.
+// index and reaches the VIP's links through one more load. A record is
+// empty (no advertised link, no traffic, no share) while the VIP has no
+// advertisement and no traffic; links the VIP left may stay listed,
+// keyed, until their next LoadMbps compacts them.
 type vipState struct {
-	ads     []advertisement
+	// links lists every link the VIP is advertised on or keyed by,
+	// sorted by link, at most one entry per link.
+	links   []vipLink
 	traffic float64
-	// applied lists the active links at the last redistribute, sorted:
-	// each carries share, the traffic split equally over them (0 when
-	// the VIP has no traffic or no active link).
-	applied []LinkID
-	share   float64
-	// keyed lists the links whose shareKeys hold this VIP.
-	keyed []LinkID
+	// share is the traffic split equally over the active links (0 when
+	// the VIP has no traffic or no active link); every active link is
+	// keyed while it is non-zero.
+	share float64
+}
+
+// find returns the index of link id's entry, or where it would go. A
+// VIP is listed on a link or two, so a scan beats a binary search.
+func (st *vipState) find(id LinkID) (int, bool) {
+	for i, e := range st.links {
+		if l := LinkID(e.link); l >= id {
+			return i, l == id
+		}
+	}
+	return len(st.links), false
 }
 
 // shareOn returns the VIP's traffic share on link id.
 func (st *vipState) shareOn(id LinkID) float64 {
-	if st.share != 0 && slices.Contains(st.applied, id) {
+	if st.share == 0 {
+		return 0
+	}
+	if i, ok := st.find(id); ok && st.links[i].active() {
 		return st.share
 	}
 	return 0
+}
+
+// unkey records that link id no longer holds the VIP's key, dropping
+// the entry when the VIP is not advertised there either.
+func (st *vipState) unkey(id LinkID) {
+	if i, ok := st.find(id); ok {
+		if st.links[i].keyed = false; !st.links[i].adv {
+			st.links = slices.Delete(st.links, i, i+1)
+		}
+	}
 }
 
 // Network is the access-connection layer state.
@@ -178,6 +212,10 @@ type Network struct {
 
 	vips []vipState // indexed by VIP handle
 	addr func(ids.Index) VIPAddr
+
+	// spare is room set aside by Reserve for the link lists of records
+	// not yet advertised, which their first Advertise takes.
+	spare ids.Spare[vipLink]
 
 	// RouteUpdates counts BGP route updates emitted towards the ISPs
 	// (each advertise, withdraw, or padding change is one update). The
@@ -266,16 +304,22 @@ func (n *Network) NumBorders() int { return len(n.borders) }
 
 // vip returns handle h's record, growing the table to hold it.
 func (n *Network) vip(h ids.Index) *vipState {
-	if int(h) >= len(n.vips) {
-		n.vips = append(n.vips, make([]vipState, int(h)+1-len(n.vips))...)
+	if k := int(h) + 1; k > len(n.vips) {
+		n.vips = slices.Grow(n.vips, k-len(n.vips))[:k] // room past len is zero: the table never shrinks
 	}
 	return &n.vips[h]
 }
 
 // Reserve makes room in the per-VIP table for vips more handles past
 // the highest one seen, so a build that advertises them in handle order
-// grows the table once instead of regrowing it on the way.
-func (n *Network) Reserve(vips int) { n.vips = slices.Grow(n.vips, vips) }
+// grows the table once instead of regrowing it on the way, and sets
+// aside one allocation from which each of the next vips records to
+// take a link gets a list with room for one link, the one a bulk build
+// advertises each VIP on.
+func (n *Network) Reserve(vips int) {
+	n.vips = slices.Grow(n.vips, vips)
+	n.spare = ids.NewSpare[vipLink](vips, 1)
+}
 
 // find returns handle h's record, or nil when the table never grew to it.
 func (n *Network) find(h ids.Index) *vipState {
@@ -303,26 +347,43 @@ func (n *Network) Advertise(h ids.Index, link LinkID, padded bool) error {
 		return fmt.Errorf("%w: %d", ErrUnknownLink, link)
 	}
 	st := n.vip(h)
-	for _, ad := range st.ads {
-		if ad.link == link {
-			return fmt.Errorf("%w: %s on %d", ErrDupAd, n.addr(h), link)
+	i, ok := st.find(link)
+	switch {
+	case ok && st.links[i].adv:
+		return fmt.Errorf("%w: %s on %d", ErrDupAd, n.addr(h), link)
+	case ok: // still keyed from an earlier route
+		st.links[i].adv, st.links[i].padded = true, padded
+	default:
+		if st.links == nil {
+			st.links = n.spare.Take()
 		}
+		st.links = slices.Insert(st.links, i, vipLink{link: int32(link), adv: true, padded: padded})
 	}
-	st.ads = append(st.ads, advertisement{link: link, padded: padded})
 	n.routeChanged(h, st)
 	return nil
 }
 
+// advertised returns the VIP's record and the index of its entry for
+// link when the VIP is advertised there.
+func (n *Network) advertised(h ids.Index, link LinkID) (*vipState, int, bool) {
+	if st := n.find(h); st != nil {
+		if i, ok := st.find(link); ok && st.links[i].adv {
+			return st, i, true
+		}
+	}
+	return nil, 0, false
+}
+
 // Withdraw removes the VIP's route from the given link.
 func (n *Network) Withdraw(h ids.Index, link LinkID) error {
-	if st := n.find(h); st != nil {
-		for i, ad := range st.ads {
-			if ad.link == link {
-				st.ads = slices.Delete(st.ads, i, i+1)
-				n.routeChanged(h, st)
-				return nil
-			}
+	if st, i, ok := n.advertised(h, link); ok {
+		if e := &st.links[i]; e.keyed {
+			e.adv, e.padded = false, false // the link still holds the key
+		} else {
+			st.links = slices.Delete(st.links, i, i+1)
 		}
+		n.routeChanged(h, st)
+		return nil
 	}
 	return fmt.Errorf("%w: %s not on link %d", ErrNoRoute, n.addr(h), link)
 }
@@ -331,24 +392,20 @@ func (n *Network) Withdraw(h ids.Index, link LinkID) error {
 // is the "advertise padded AS paths through the old routers before
 // withdrawing" transition step of the naive baseline.
 func (n *Network) SetPadded(h ids.Index, link LinkID, padded bool) error {
-	if st := n.find(h); st != nil {
-		for i, ad := range st.ads {
-			if ad.link == link {
-				if ad.padded != padded {
-					st.ads[i].padded = padded
-					n.routeChanged(h, st)
-				}
-				return nil
-			}
+	if st, i, ok := n.advertised(h, link); ok {
+		if st.links[i].padded != padded {
+			st.links[i].padded = padded
+			n.routeChanged(h, st)
 		}
+		return nil
 	}
 	return fmt.Errorf("%w: %s not on link %d", ErrNoRoute, n.addr(h), link)
 }
 
-// ads returns the VIP's advertisements (nil when it has none).
-func (n *Network) ads(h ids.Index) []advertisement {
+// linksOf returns the VIP's link entries (nil when it has none).
+func (n *Network) linksOf(h ids.Index) []vipLink {
 	if st := n.find(h); st != nil {
-		return st.ads
+		return st.links
 	}
 	return nil
 }
@@ -357,12 +414,11 @@ func (n *Network) ads(h ids.Index) []advertisement {
 // advertisements), sorted by LinkID.
 func (n *Network) ActiveLinks(h ids.Index) []LinkID {
 	var out []LinkID
-	for _, ad := range n.ads(h) {
-		if !ad.padded {
-			out = append(out, ad.link)
+	for _, e := range n.linksOf(h) {
+		if e.active() {
+			out = append(out, LinkID(e.link))
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -370,12 +426,12 @@ func (n *Network) ActiveLinks(h ids.Index) []LinkID {
 // how many of them terminate on serving links, without allocating — the
 // reachability inputs the demand-propagation hot path needs.
 func (n *Network) RouteCounts(h ids.Index) (active, serving int) {
-	for _, ad := range n.ads(h) {
-		if ad.padded {
+	for _, e := range n.linksOf(h) {
+		if !e.active() {
 			continue
 		}
 		active++
-		if n.links[ad.link].Serving() {
+		if n.links[e.link].Serving() {
 			serving++
 		}
 	}
@@ -385,10 +441,11 @@ func (n *Network) RouteCounts(h ids.Index) (active, serving int) {
 // AllLinks returns every link the VIP is advertised on, padded or not.
 func (n *Network) AllLinks(h ids.Index) []LinkID {
 	var out []LinkID
-	for _, ad := range n.ads(h) {
-		out = append(out, ad.link)
+	for _, e := range n.linksOf(h) {
+		if e.adv {
+			out = append(out, LinkID(e.link))
+		}
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -424,38 +481,38 @@ func (n *Network) VIPTraffic(h ids.Index) float64 {
 
 // redistribute incrementally updates link loads for one VIP: it
 // invalidates the links that carried its previous share and spreads the
-// current traffic over the current active-link set, keying the VIP on
-// any link that does not hold it yet. Incremental updates keep
+// current traffic over the current active links, keying the VIP on any
+// link that does not hold it yet. Incremental updates keep
 // SetVIPTraffic O(links-per-VIP) so experiments can carry tens of
-// thousands of VIPs. The active-link set is rebuilt, into the previous
-// slice, only when routes changed: every change to the advertisements
-// goes through routeChanged, so between route changes applied is
-// current and a traffic update spreads over it as it stands.
+// thousands of VIPs. Between route changes the links that carried the
+// previous share are the active ones; routes reports a route change
+// (every change to the advertisements goes through routeChanged), which
+// may have withdrawn or padded some of them, but each still holds its
+// keyed mark, so then every keyed link is invalidated.
 func (n *Network) redistribute(h ids.Index, st *vipState, routes bool) {
-	if st.share != 0 {
-		for _, id := range st.applied {
-			n.links[id].sumValid = false
+	active := 0
+	for _, e := range st.links {
+		if st.share != 0 && e.keyed && (routes || e.active()) {
+			n.links[e.link].sumValid = false
+		}
+		if e.active() {
+			active++
 		}
 	}
-	if routes {
-		st.applied = st.applied[:0]
-		for _, ad := range st.ads {
-			if !ad.padded {
-				st.applied = append(st.applied, ad.link)
-			}
-		}
-		slices.Sort(st.applied)
-	}
-	links := st.applied
 	st.share = 0
-	if st.traffic == 0 || len(links) == 0 {
+	if st.traffic == 0 || active == 0 {
 		return
 	}
-	st.share = st.traffic / float64(len(links))
-	for _, id := range links {
-		l := n.links[id]
-		if !slices.Contains(st.keyed, id) {
-			l.addKey(h, st)
+	st.share = st.traffic / float64(active)
+	for i := range st.links {
+		e := &st.links[i]
+		if !e.active() {
+			continue
+		}
+		l := n.links[e.link]
+		if !e.keyed {
+			l.addKey(h)
+			e.keyed = true
 		}
 		l.sumValid = false
 	}
@@ -515,11 +572,8 @@ func (n *Network) TotalCost() float64 {
 func (n *Network) VIPsOnLink(link LinkID) []ids.Index {
 	var out []ids.Index
 	for h := range n.vips {
-		for _, ad := range n.vips[h].ads {
-			if ad.link == link && !ad.padded {
-				out = append(out, ids.Index(h))
-				break
-			}
+		if i, ok := n.vips[h].find(link); ok && n.vips[h].links[i].active() {
+			out = append(out, ids.Index(h))
 		}
 	}
 	n.sortByAddr(out)
@@ -535,13 +589,14 @@ func (n *Network) sortByAddr(hs []ids.Index) {
 // CheckInvariants verifies that link loads equal the per-VIP traffic
 // shares, that no advertisement references a missing link, and that
 // every link's key set is in address order and agrees with the keyed
-// lists of its VIPs.
+// marks of its VIPs.
 func (n *Network) CheckInvariants() error {
 	// Lexical VIP order: the expected per-link loads are float sums, so
 	// the accumulation order must be the canonical one.
 	var vips []ids.Index
 	for h := range n.vips {
-		if st := &n.vips[h]; len(st.ads) > 0 || st.traffic != 0 {
+		st := &n.vips[h]
+		if slices.ContainsFunc(st.links, func(e vipLink) bool { return e.adv }) || st.traffic != 0 {
 			vips = append(vips, ids.Index(h))
 		}
 	}
@@ -549,9 +604,12 @@ func (n *Network) CheckInvariants() error {
 	want := make([]float64, len(n.links))
 	for _, h := range vips {
 		st := &n.vips[h]
-		for _, ad := range st.ads {
-			if n.Link(ad.link) == nil {
-				return fmt.Errorf("vip %s advertised on missing link %d", n.addr(h), ad.link)
+		for i, e := range st.links {
+			if n.Link(LinkID(e.link)) == nil {
+				return fmt.Errorf("vip %s lists missing link %d", n.addr(h), e.link)
+			}
+			if i > 0 && st.links[i-1].link >= e.link {
+				return fmt.Errorf("vip %s link list not strictly ascending at link %d", n.addr(h), e.link)
 			}
 		}
 		active := n.ActiveLinks(h)
@@ -567,7 +625,7 @@ func (n *Network) CheckInvariants() error {
 			if i > 0 && n.addr(l.shareKeys[i-1]).Compare(n.addr(h)) >= 0 {
 				return fmt.Errorf("link %d share keys out of address order at %s", l.ID, n.addr(h))
 			}
-			if !slices.Contains(n.vips[h].keyed, l.ID) {
+			if i, ok := n.vips[h].find(l.ID); !ok || !n.vips[h].links[i].keyed {
 				return fmt.Errorf("link %d keys vip %s, which does not list the link", l.ID, n.addr(h))
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"megadc/internal/ipv4"
 )
@@ -283,7 +284,9 @@ func TestPropertyTrafficConservation(t *testing.T) {
 // TestReserveVIPTable: a table reserved for n handles takes n
 // advertisements in handle order without regrowing, and its capacity
 // stays within 1.25× of its length (the bulk build's bound,
-// TestBulkLedgerCapacity).
+// TestBulkLedgerCapacity). Every record's link list is carved from the
+// one reserved allocation, capacity-limited, so a list that outgrows
+// its room reallocates instead of writing into the next record's.
 func TestReserveVIPTable(t *testing.T) {
 	const n = 1000
 	net, links := buildNet(t)
@@ -305,5 +308,38 @@ func TestReserveVIPTable(t *testing.T) {
 	}
 	if l, c := len(net.vips), cap(net.vips); l != n || 4*c > 5*l {
 		t.Errorf("table holds %d VIPs in capacity %d, want %d within 1.25×", l, c, n)
+	}
+	base := uintptr(unsafe.Pointer(&net.vips[0].links[0]))
+	for i := range net.vips {
+		st := &net.vips[i]
+		if len(st.links) != 1 || cap(st.links) != 1 {
+			t.Fatalf("VIP %d lists %d links in capacity %d, want 1 in 1", i, len(st.links), cap(st.links))
+		}
+		if off := uintptr(unsafe.Pointer(&st.links[0])) - base; off != uintptr(i)*unsafe.Sizeof(vipLink{}) {
+			t.Fatalf("VIP %d list at offset %d of the reservation, want entry %d", i, off, i)
+		}
+	}
+	// Growing VIP 0 past its room leaves VIP 1's list as it was.
+	v0, v1 := ipv4.MustParse("10.0.0.0"), ipv4.MustParse("10.0.0.1")
+	if err := net.Advertise(v0, links[3].ID, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := net.AllLinks(v1); len(got) != 1 || got[0] != links[1].ID {
+		t.Fatalf("VIP 1 links %v after VIP 0 grew, want [%d]", got, links[1].ID)
+	}
+	if err := net.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVIPRecordLayout pins a VIP's network record at 40 bytes (its link
+// list, traffic and share) and each link entry at 8 (the link and its
+// advertised, padded and keyed flags).
+func TestVIPRecordLayout(t *testing.T) {
+	if n := unsafe.Sizeof(vipState{}); n != 40 {
+		t.Errorf("vipState is %d bytes, want 40", n)
+	}
+	if n := unsafe.Sizeof(vipLink{}); n != 8 {
+		t.Errorf("vipLink is %d bytes, want 8", n)
 	}
 }
