@@ -23,7 +23,6 @@ package causal
 import (
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -77,6 +76,10 @@ type Node struct {
 
 // Tree is one decision's assembled provenance: the EvDecision root plus
 // everything recorded under its CauseID.
+//
+// A *Tree and its nodes are valid only until the tree is evicted: the
+// assembler recycles an evicted tree's storage for a later decision,
+// so a caller that keeps a tree past the cap must copy what it needs.
 type Tree struct {
 	Cause    uint64
 	Knob     int // EvDecision.A: core.Knob code
@@ -99,10 +102,29 @@ type Tree struct {
 	DeadLettered bool
 	Broken       int64
 
-	// rpc/req index open sub-lifecycles: bus message ID → attempt chain
-	// node, request seq → request chain node.
-	rpc map[int64]*Node
-	req map[int64]*Node
+	// chains indexes the tree's sub-lifecycles in the order they
+	// started: RPC attempt chains by bus message ID, request chains by
+	// submission seq. A tree holds a handful, so a backwards scan finds
+	// the newest chain for a key faster than a map would.
+	chains []chain
+}
+
+// chain is one sub-lifecycle's head node and its key.
+type chain struct {
+	key  int64
+	req  bool // a request chain (keyed by seq), else an RPC attempt chain
+	head *Node
+}
+
+// chainHead returns the newest chain head of the given kind and key, or
+// nil.
+func (t *Tree) chainHead(req bool, key int64) *Node {
+	for i := len(t.chains) - 1; i >= 0; i-- {
+		if c := &t.chains[i]; c.key == key && c.req == req {
+			return c.head
+		}
+	}
+	return nil
 }
 
 // Assembler groups flight-recorder events into per-decision span trees
@@ -113,12 +135,32 @@ type Assembler struct {
 	reg *metrics.Registry
 
 	trees map[uint64]*Tree
-	order []uint64 // CauseIDs in first-seen (= allocation) order
+	// ring holds the retained trees in first-seen (= allocation) order,
+	// oldest at head once the ring is full.
+	ring []*Tree
+	head int
 
-	// maxTrees bounds retained trees: when exceeded, the oldest tree is
-	// evicted (counters keep counting). New sets DefaultMaxTrees.
+	// maxTrees bounds retained trees: at the cap, opening a tree evicts
+	// the oldest (counters keep counting) and reuses its record. New
+	// sets DefaultMaxTrees.
 	maxTrees int
+
+	// free holds the nodes of evicted trees, reused before allocating.
+	free []*Node
+
+	// The metrics Handle feeds, each looked up in the registry at its
+	// first use (so an unused one stays unregistered): the counters and
+	// the causal.actuation histograms by knob and priority code.
+	decisions, evicted, deadlettered, broken *metrics.Counter
+	actuation                                [numKnobs + 1][numPriorities + 1]*metrics.Histogram
 }
+
+// The number of knob and priority codes KnobName and PriorityName name;
+// each maps every other code to "unknown".
+const (
+	numKnobs      = 6
+	numPriorities = 3
+)
 
 // DefaultMaxTrees is the retained-tree cap.
 const DefaultMaxTrees = 4096
@@ -151,7 +193,7 @@ func (a *Assembler) Handle(e *trace.Event) {
 	if t == nil {
 		return // decision evicted, or cause from before the assembler attached
 	}
-	n := &Node{Event: *e}
+	n := a.node(e)
 	t.Events++
 	if e.T > t.End {
 		t.End = e.T
@@ -160,14 +202,14 @@ func (a *Assembler) Handle(e *trace.Event) {
 	case trace.EvRPCSend:
 		// A carries the message ID. The first record for an ID starts an
 		// attempt chain under the root; casts (B == 0) and calls alike.
-		t.rpc[int64(e.A)] = n
+		t.chains = append(t.chains, chain{key: int64(e.A), head: n})
 		t.Root.Children = append(t.Root.Children, n)
 	case trace.EvRPCRetry, trace.EvRPCDrop, trace.EvRPCDeliver, trace.EvRPCAck, trace.EvRPCDeadLetter:
 		if e.Type == trace.EvRPCDeadLetter {
 			t.DeadLettered = true
-			a.reg.Counter("causal.deadlettered").Add(1)
+			counter(a.reg, &a.deadlettered, "causal.deadlettered").Add(1)
 		}
-		if p := t.rpc[int64(e.A)]; p != nil {
+		if p := t.chainHead(false, int64(e.A)); p != nil {
 			p.Children = append(p.Children, n)
 		} else {
 			t.Root.Children = append(t.Root.Children, n)
@@ -175,10 +217,10 @@ func (a *Assembler) Handle(e *trace.Event) {
 	case trace.EvReqSubmit:
 		// B carries the request's submission seq; a requeued request
 		// re-submits under a fresh seq and starts a sibling chain.
-		t.req[int64(e.B)] = n
+		t.chains = append(t.chains, chain{key: int64(e.B), req: true, head: n})
 		t.Root.Children = append(t.Root.Children, n)
 	case trace.EvReqProcess, trace.EvReqDone, trace.EvReqRequeue:
-		if p := t.req[int64(e.B)]; p != nil {
+		if p := t.chainHead(true, int64(e.B)); p != nil {
 			p.Children = append(p.Children, n)
 		} else {
 			t.Root.Children = append(t.Root.Children, n)
@@ -209,30 +251,67 @@ func isEffect(t trace.Type) bool {
 	return false
 }
 
-// open starts a new tree at an EvDecision root and evicts past the cap.
+// open starts a new tree at an EvDecision root. At the cap it evicts
+// the oldest tree and reuses its record and nodes for the new one.
 func (a *Assembler) open(e *trace.Event) {
 	if a.trees[e.Cause] != nil {
 		return // duplicate root; keep the first
 	}
-	t := &Tree{
+	counter(a.reg, &a.decisions, "causal.decisions").Add(1)
+	var t *Tree
+	if len(a.ring) < a.maxTrees {
+		t = new(Tree)
+		a.ring = append(a.ring, t)
+	} else {
+		t = a.ring[a.head]
+		a.head = (a.head + 1) % len(a.ring)
+		delete(a.trees, t.Cause)
+		a.free = appendNodes(a.free, t.Root)
+		counter(a.reg, &a.evicted, "causal.evicted").Add(1)
+	}
+	*t = Tree{
 		Cause:    e.Cause,
 		Knob:     int(e.A),
 		Priority: int(e.B),
-		Root:     &Node{Event: *e},
+		Root:     a.node(e),
 		Events:   1,
 		Start:    e.T,
 		End:      e.T,
-		rpc:      make(map[int64]*Node),
-		req:      make(map[int64]*Node),
+		chains:   t.chains[:0],
 	}
 	a.trees[e.Cause] = t
-	a.order = append(a.order, e.Cause)
-	a.reg.Counter("causal.decisions").Add(1)
-	if len(a.order) > a.maxTrees {
-		delete(a.trees, a.order[0])
-		a.order = a.order[1:]
-		a.reg.Counter("causal.evicted").Add(1)
+}
+
+// node returns a node holding a copy of e, reusing an evicted one when
+// there is one.
+func (a *Assembler) node(e *trace.Event) *Node {
+	n := len(a.free)
+	if n == 0 {
+		return &Node{Event: *e}
 	}
+	nd := a.free[n-1]
+	a.free = a.free[:n-1]
+	nd.Event = *e
+	return nd
+}
+
+// appendNodes appends n and its descendants to dst, each with its
+// Children emptied but keeping their capacity for the node's next use.
+func appendNodes(dst []*Node, n *Node) []*Node {
+	for _, c := range n.Children {
+		dst = appendNodes(dst, c)
+	}
+	clear(n.Children)
+	n.Children = n.Children[:0]
+	return append(dst, n)
+}
+
+// counter returns *c, looking the named counter up in reg on first use.
+func counter(reg *metrics.Registry, c **metrics.Counter, name string) *metrics.Counter {
+	if *c == nil {
+		*c = reg.Counter(name)
+	}
+	return *c
 }
 
 // effect records the decision-to-effect latency on the tree's first
@@ -244,8 +323,24 @@ func (a *Assembler) effect(t *Tree, at float64) {
 	}
 	t.Effected = true
 	t.EffectAt = at
-	a.reg.Histogram("causal.actuation." + KnobName(t.Knob) + "." + PriorityName(t.Priority)).
-		Observe(at - t.Start)
+	a.actuationHist(t.Knob, t.Priority).Observe(at - t.Start)
+}
+
+// actuationHist returns the causal.actuation.<knob>.<prio> histogram,
+// creating it at first use. Every unknown code shares the last slot,
+// as it shares the "unknown" label.
+func (a *Assembler) actuationHist(knob, prio int) *metrics.Histogram {
+	if knob < 0 || knob > numKnobs {
+		knob = numKnobs
+	}
+	if prio < 0 || prio > numPriorities {
+		prio = numPriorities
+	}
+	h := &a.actuation[knob][prio]
+	if *h == nil {
+		*h = a.reg.Histogram("causal.actuation." + KnobName(knob) + "." + PriorityName(prio))
+	}
+	return *h
 }
 
 // AddBroken attributes n broken sessions to the decision behind cause
@@ -258,7 +353,7 @@ func (a *Assembler) AddBroken(cause uint64, n int64) {
 	if t := a.trees[cause]; t != nil {
 		t.Broken += n
 	}
-	a.reg.Counter("causal.sessions_broken").Add(n)
+	counter(a.reg, &a.broken, "causal.sessions_broken").Add(n)
 }
 
 // Tree returns the assembled tree for cause, or nil.
@@ -271,10 +366,19 @@ func (a *Assembler) Tree(cause uint64) *Tree {
 
 // Causes returns the retained CauseIDs in allocation order.
 func (a *Assembler) Causes() []uint64 {
-	if a == nil {
+	if a == nil || len(a.ring) == 0 {
 		return nil
 	}
-	return slices.Clone(a.order)
+	out := make([]uint64, 0, len(a.ring))
+	for i := range a.ring {
+		out = append(out, a.at(i).Cause)
+	}
+	return out
+}
+
+// at returns the i-th oldest retained tree.
+func (a *Assembler) at(i int) *Tree {
+	return a.ring[(a.head+i)%len(a.ring)]
 }
 
 // Abandoned counts retained decisions that never produced an effect and
@@ -282,8 +386,7 @@ func (a *Assembler) Causes() []uint64 {
 // dropped on the floor. Published as the causal.abandoned gauge.
 func (a *Assembler) Abandoned() int {
 	n := 0
-	for _, c := range a.order {
-		t := a.trees[c]
+	for _, t := range a.ring {
 		if !t.Effected && !t.DeadLettered {
 			n++
 		}
@@ -297,7 +400,7 @@ func (a *Assembler) PublishMetrics(now float64) {
 	if a == nil {
 		return
 	}
-	a.reg.Gauge("causal.trees").Set(now, float64(len(a.order)))
+	a.reg.Gauge("causal.trees").Set(now, float64(len(a.ring)))
 	a.reg.Gauge("causal.abandoned").Set(now, float64(a.Abandoned()))
 }
 
@@ -321,8 +424,8 @@ func (a *Assembler) WriteAll(w io.Writer) error {
 	if a == nil {
 		return nil
 	}
-	for _, c := range a.order {
-		if err := a.WriteTree(w, c); err != nil {
+	for i := range a.ring {
+		if err := a.WriteTree(w, a.at(i).Cause); err != nil {
 			return err
 		}
 	}

@@ -267,3 +267,113 @@ func TestNilAssembler(t *testing.T) {
 		t.Error("nil WriteTree succeeded")
 	}
 }
+
+// decisionCycle feeds one decision with the event shapes a bus-routed,
+// serialized actuation produces: a retried, duplicated RPC, a requeued
+// request and an effect.
+func (f *feed) decisionCycle(c uint64) {
+	at := float64(c)
+	id := float64(c)
+	f.ev(at, trace.EvDecision, c, 5, 1, trace.VIP(ipv4.MustParse("198.51.0.1")), trace.Pod(2))
+	f.ev(at, trace.EvRPCSend, c, id, 1)
+	f.ev(at+1, trace.EvRPCDrop, c, id, 1)
+	f.ev(at+2, trace.EvRPCRetry, c, id, 2)
+	f.ev(at+3, trace.EvRPCDeliver, c, id, 3)
+	f.ev(at+3, trace.EvReqSubmit, c, 0, id)
+	f.ev(at+4, trace.EvReqRequeue, c, 0, id)
+	f.ev(at+4, trace.EvReqSubmit, c, 0, id+0.5)
+	f.ev(at+5, trace.EvReqDone, c, 0, id+0.5)
+	f.ev(at+6, trace.EvRPCAck, c, id, 3)
+	f.ev(at+6, trace.EvAdjustWeights, c, 0, 0)
+}
+
+// TestAssemblerSteadyStateAllocFree checks that once the tree cap is
+// reached, Handle allocates nothing: each new decision reuses the
+// evicted tree's record and nodes, the counters and histograms are
+// looked up once, and no tree keeps a map.
+func TestAssemblerSteadyStateAllocFree(t *testing.T) {
+	f := &feed{a: New(nil)}
+	f.a.maxTrees = 16
+	c := uint64(0)
+	for ; c < 64; c++ { // fill the cap, then evict past it
+		f.decisionCycle(c + 1)
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		c++
+		f.decisionCycle(c)
+	})
+	if allocs != 0 {
+		t.Errorf("Handle at the cap: %v allocs per decision, want 0", allocs)
+	}
+	if n := len(f.a.Causes()); n != 16 {
+		t.Errorf("%d trees retained, want 16", n)
+	}
+	reg := f.a.Registry()
+	if n := reg.Counter("causal.evicted").Value(); n != int64(c)-16 {
+		t.Errorf("causal.evicted = %d, want %d", n, c-16)
+	}
+	if n := reg.Histogram("causal.actuation.rip-weight-adjust.normal").Count(); n != c {
+		t.Errorf("actuation histogram count = %d, want %d", n, c)
+	}
+}
+
+// TestRecycledTreeStartsClean checks that a tree opened in an evicted
+// tree's storage carries nothing of it: the evicted tree's RPC and
+// request chains no longer catch events, and its flags, nodes and
+// counts are gone.
+func TestRecycledTreeStartsClean(t *testing.T) {
+	f := &feed{a: New(nil)}
+	f.a.maxTrees = 1
+	f.ev(0, trace.EvDecision, 1, 1, 2)
+	f.ev(1, trace.EvRPCSend, 1, 7, 1)
+	f.ev(2, trace.EvReqSubmit, 1, 0, 9)
+	f.ev(3, trace.EvRPCDeadLetter, 1, 7, 2)
+	f.ev(3, trace.EvDNSWrite, 1, 0, 0)
+	f.a.AddBroken(1, 4)
+	old := f.a.Tree(1)
+
+	f.ev(10, trace.EvDecision, 2, 4, 0)
+	t2 := f.a.Tree(2)
+	if t2 != old {
+		t.Fatal("the new tree did not reuse the evicted tree's record")
+	}
+	f.ev(11, trace.EvRPCRetry, 2, 7, 2)   // message 7 was the evicted tree's
+	f.ev(12, trace.EvReqProcess, 2, 0, 9) // and so was request 9
+	sameTypes(t, "recycled root", childTypes(t2.Root), trace.EvRPCRetry, trace.EvReqProcess)
+	for _, c := range t2.Root.Children {
+		if len(c.Children) != 0 {
+			t.Errorf("%v node kept %d stale children", c.Event.Type, len(c.Children))
+		}
+	}
+	if t2.Cause != 2 || t2.Knob != 4 || t2.Events != 3 || t2.Start != 10 || t2.End != 12 ||
+		t2.Effected || t2.DeadLettered || t2.Broken != 0 {
+		t.Errorf("recycled tree = %+v, want a fresh cause-2 tree", *t2)
+	}
+	var sb strings.Builder
+	if err := f.a.WriteAll(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := "cause 2 knob=vm-resize prio=low t=10..12 events=3\n" +
+		"  6 t=10 decision a=4 b=0 cause=2\n" +
+		"    7 t=11 rpc-retry a=7 b=2 cause=2\n" +
+		"    8 t=12 req-process a=0 b=9 cause=2\n"
+	if sb.String() != want {
+		t.Errorf("WriteAll:\n%s\nwant:\n%s", sb.String(), want)
+	}
+}
+
+// TestChainKindsKeyedApart checks that an RPC chain and a request chain
+// with the same key stay apart: a bus message ID and a request seq come
+// from different counters and can be equal.
+func TestChainKindsKeyedApart(t *testing.T) {
+	f := &feed{a: New(nil)}
+	f.ev(0, trace.EvDecision, 1, 5, 1)
+	f.ev(1, trace.EvRPCSend, 1, 4, 1)
+	f.ev(1, trace.EvReqSubmit, 1, 0, 4)
+	f.ev(2, trace.EvRPCDeliver, 1, 4, 1)
+	f.ev(3, trace.EvReqDone, 1, 0, 4)
+	root := f.a.Tree(1).Root
+	sameTypes(t, "root", childTypes(root), trace.EvRPCSend, trace.EvReqSubmit)
+	sameTypes(t, "rpc 4", childTypes(root.Children[0]), trace.EvRPCDeliver)
+	sameTypes(t, "request 4", childTypes(root.Children[1]), trace.EvReqDone)
+}

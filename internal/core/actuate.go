@@ -22,10 +22,11 @@ var errDeadLetter = errors.New("core: control-plane message dead-lettered")
 // decides how the change travels.
 type Action struct {
 	// Knob, Prio and Refs describe the decision: they are recorded on
-	// the EvDecision root of its causal tree.
+	// the EvDecision root of its causal tree. Refs is an array, as wide
+	// as an event's refs, so stating a decision allocates no slice.
 	Knob Knob
 	Prio viprip.Priority
-	Refs []trace.Ref
+	Refs [3]trace.Ref
 
 	// Delay is the actuation latency between the decision and the
 	// effect's dispatch. An Inline action dispatches within the deciding
@@ -65,34 +66,71 @@ type Action struct {
 // CauseID (0 on untraced runs) so multi-step protocols can continue
 // under it.
 func (p *Platform) actuate(a Action) uint64 {
-	cid := p.decide(a.Knob, a.Prio, a.Refs...)
-	var tok uint64
+	cid := p.decide(a.Knob, a.Prio, a.Refs[:]...)
+	x := p.acts.Get()
+	x.a, x.cid = a, cid
 	if a.Claim.kind != claimNone {
-		tok = p.claims.claim(a.Claim)
-	}
-	dispatch := func() {
-		p.claims.release(a.Claim, tok)
-		if a.Dispatch != nil {
-			a.Dispatch()
-		}
-		p.Cfg.Trace.WithCause(cid, func() {
-			apply := a.Apply
-			if r := a.Request; r != nil {
-				apply = func() { p.configure(r) }
-			}
-			if a.To == "" {
-				apply()
-				return
-			}
-			p.send(a.From, a.To, a.Name, apply, a.OnDead)
-		})
+		x.tok = p.claims.claim(a.Claim)
 	}
 	if a.Inline || (a.Request != nil && p.VIPRIP.Serialized()) {
-		dispatch()
+		x.dispatch()
 	} else {
-		p.Eng.After(a.Delay, dispatch)
+		p.Eng.After(a.Delay, x.fire)
 	}
 	return cid
+}
+
+// actuation is one Action between its decision and its dispatch. The
+// records are pooled (sim.Pool) with their callbacks bound once, so a
+// decision allocates no closure of its own; a record goes back to the
+// pool as its dispatch returns.
+type actuation struct {
+	p        *Platform
+	a        Action
+	cid, tok uint64
+
+	fire   func() // bound dispatch: the engine callback
+	effect func() // bound send: run under the decision's cause
+}
+
+// bind sets a fresh record's platform and callbacks.
+func (x *actuation) bind(p *Platform) {
+	x.p, x.fire, x.effect = p, x.dispatch, x.send
+}
+
+// dispatch runs as the actuation latency elapses: it releases the
+// claim, runs Dispatch, sends the effect under the decision's cause and
+// recycles the record.
+func (x *actuation) dispatch() {
+	p := x.p
+	p.claims.release(x.a.Claim, x.tok)
+	if x.a.Dispatch != nil {
+		x.a.Dispatch()
+	}
+	p.Cfg.Trace.WithCause(x.cid, x.effect)
+	*x = actuation{p: p, fire: x.fire, effect: x.effect}
+	p.acts.Put(x)
+}
+
+// send applies the effect where the decision was made, or carries it to
+// its endpoint as one control RPC.
+func (x *actuation) send() {
+	p, a := x.p, &x.a
+	if a.To == "" {
+		if a.Request != nil {
+			p.configure(a.Request)
+		} else {
+			a.Apply()
+		}
+		return
+	}
+	apply := a.Apply
+	if r := a.Request; r != nil {
+		// The message may land after this record is reused, so its
+		// effect cannot be a method of the record.
+		apply = func() { p.configure(r) }
+	}
+	p.send(a.From, a.To, a.Name, apply, a.OnDead)
 }
 
 // claimKind is what a claim holds. It is as wide as claimKey's owner,

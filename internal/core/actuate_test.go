@@ -198,3 +198,50 @@ func TestRequestSettlesOnce(t *testing.T) {
 		t.Errorf("outcomes = %v, want exactly one nil (the applied result)", outcomes)
 	}
 }
+
+// TestActuateAllocFree checks that, after warm-up, an action allocates
+// nothing on its way from decision to effect: not a local delayed one
+// with a claim, and not one routed over a lossy bus whose first
+// attempt is dropped, both traced. The action waits in a pooled record
+// with its callbacks bound once, as the bus message does.
+func TestActuateAllocFree(t *testing.T) {
+	cfg := testConfig()
+	cfg.Trace = trace.NewRecorder(1024)
+	cfg.Ctrl.Enable = true
+	cfg.Ctrl.Default = ctrlplane.LinkConfig{Delay: 0.5}
+	p := newTestPlatform(t, cfg)
+	applied := 0
+	apply := func() { applied++ }
+	local := func() {
+		p.actuate(Action{
+			Knob: KnobVMResize, Prio: viprip.PriorityLow, Delay: 3,
+			Refs:  [3]trace.Ref{trace.VM(4), trace.Pod(1)},
+			Claim: claimOf(1, claimVM, 4),
+			Apply: apply,
+		})
+		p.Eng.Run()
+	}
+	routed := func() {
+		p.Ctrl().DropNext = 1
+		p.actuate(Action{
+			Knob: KnobAppDeployment, Prio: viprip.PriorityNormal, Delay: 2,
+			Refs: [3]trace.Ref{trace.App(2), trace.VM(3)},
+			From: ctrlplane.Global, To: ctrlplane.CSM, Name: "remove-instance",
+			Apply: apply,
+		})
+		p.Eng.Run()
+	}
+	local()
+	routed()
+	for name, f := range map[string]func(){"local": local, "routed": routed} {
+		if n := testing.AllocsPerRun(50, f); n != 0 {
+			t.Errorf("%s action: %v allocs, want 0", name, n)
+		}
+	}
+	if applied != 2+2*51 {
+		t.Errorf("%d effects applied, want %d", applied, 2+2*51)
+	}
+	if p.claims.held(claimOf(1, claimVM, 4)) {
+		t.Error("claim outlived its action")
+	}
+}

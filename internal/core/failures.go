@@ -362,7 +362,8 @@ func (p *Platform) healthiestSwitchFor(dead *lbswitch.Switch, vip lbswitch.VIP) 
 	}
 	nRIPs := dead.NumRIPsOf(vip)
 	var best *lbswitch.Switch
-	for _, sw := range p.Fabric.Switches() {
+	for i := 0; i < p.Fabric.NumSwitches(); i++ {
+		sw := p.Fabric.Switch(lbswitch.SwitchID(i))
 		if sw.ID == dead.ID || !sw.Serving() {
 			continue
 		}

@@ -233,7 +233,7 @@ func (g *GlobalManager) shiftExposureOffLink(vi ids.Index, hot netmodel.LinkID) 
 	var gen int64
 	g.p.actuate(Action{
 		Knob: KnobSelectiveExposure, Prio: viprip.PriorityNormal,
-		Refs:     []trace.Ref{trace.VIP(vip), trace.App(app), trace.Link(hot)},
+		Refs:     [3]trace.Ref{trace.VIP(vip), trace.App(app), trace.Link(hot)},
 		Delay:    cfg.DNSUpdateLatency,
 		Dispatch: func() { gen = g.p.DNS.Gen(app) },
 		From:     ctrlplane.Global, To: ctrlplane.DNS, Name: "exposure-shift",
@@ -312,7 +312,7 @@ func (g *GlobalManager) costAwareExposure() {
 		var gen int64
 		g.p.actuate(Action{
 			Knob: KnobSelectiveExposure, Prio: viprip.PriorityLow,
-			Refs:     []trace.Ref{trace.VIP(vip), trace.App(app), trace.Link(hot.ID)},
+			Refs:     [3]trace.Ref{trace.VIP(vip), trace.App(app), trace.Link(hot.ID)},
 			Delay:    cfg.DNSUpdateLatency,
 			Dispatch: func() { gen = g.p.DNS.Gen(app) },
 			From:     ctrlplane.Global, To: ctrlplane.DNS, Name: "cost-shift",
@@ -439,7 +439,8 @@ func (g *GlobalManager) pickTransferTarget(from *lbswitch.Switch, vip lbswitch.V
 	nRIPs, load := from.NumRIPsOf(vip), from.VIPLoad(vip)
 	cfg := &g.p.Cfg
 	g.swCand = g.swCand[:0]
-	for _, sw := range g.p.Fabric.Switches() {
+	for i := 0; i < g.p.Fabric.NumSwitches(); i++ {
+		sw := g.p.Fabric.Switch(lbswitch.SwitchID(i))
 		if sw.ID == from.ID || !sw.Serving() {
 			continue
 		}
@@ -589,7 +590,7 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 	}
 	cid = g.p.actuate(Action{
 		Knob: KnobVIPTransfer, Prio: viprip.PriorityHigh,
-		Refs:  []trace.Ref{trace.VIP(vip), trace.SwitchRef(home), trace.SwitchRef(dst)},
+		Refs:  [3]trace.Ref{trace.VIP(vip), trace.SwitchRef(home), trace.SwitchRef(dst)},
 		Delay: cfg.DNSUpdateLatency,
 		From:  ctrlplane.Global, To: ctrlplane.DNS, Name: "drain-hide",
 		Apply: func() {
@@ -696,7 +697,7 @@ func (g *GlobalManager) interPodWeights() {
 			vip, nCold := grp.VIP(), len(coldIdx)
 			g.p.actuate(Action{
 				Knob: KnobRIPWeights, Prio: viprip.PriorityNormal,
-				Refs:  []trace.Ref{trace.VIP(vip), trace.SwitchRef(sw.ID)},
+				Refs:  [3]trace.Ref{trace.VIP(vip), trace.SwitchRef(sw.ID)},
 				Delay: cfg.SwitchReconfigLatency,
 				From:  ctrlplane.Global, To: ctrlplane.CSM, Name: "inter-pod-weights",
 				Request: &viprip.Request{
@@ -740,7 +741,7 @@ func (g *GlobalManager) deployToRelievePods() {
 		vip := g.hottestVIPOfApp(app, podID)
 		g.p.actuate(Action{
 			Knob: KnobAppDeployment, Prio: viprip.PriorityNormal,
-			Refs:  []trace.Ref{trace.App(app), trace.Pod(target), trace.VIP(vip)},
+			Refs:  [3]trace.Ref{trace.App(app), trace.Pod(target), trace.VIP(vip)},
 			Delay: cfg.VMDeployLatency,
 			Claim: claimOf(globalOwner, claimDeploy, int(app)),
 			From:  ctrlplane.Global, To: ctrlplane.Pod(int(target)), Name: "deploy",
@@ -782,7 +783,7 @@ func (g *GlobalManager) removeIdleInstances() {
 		}
 		g.p.actuate(Action{ // at most one removal per app per step
 			Knob: KnobAppDeployment, Prio: viprip.PriorityLow,
-			Refs:  []trace.Ref{trace.App(app), trace.VM(idle)},
+			Refs:  [3]trace.Ref{trace.App(app), trace.VM(idle)},
 			Delay: g.p.Cfg.SwitchReconfigLatency,
 			From:  ctrlplane.Global, To: ctrlplane.CSM, Name: "remove-instance",
 			Apply: func() {
@@ -874,7 +875,7 @@ func (g *GlobalManager) vacateAndTransfer(srv cluster.ServerID, donor, recipient
 	nVMs := server.NumVMs()
 	g.p.actuate(Action{
 		Knob: KnobServerTransfer, Prio: viprip.PriorityNormal,
-		Refs:  []trace.Ref{trace.Server(srv), trace.Pod(donor), trace.Pod(recipient)},
+		Refs:  [3]trace.Ref{trace.Server(srv), trace.Pod(donor), trace.Pod(recipient)},
 		Delay: g.p.Cfg.VacateLatencyPerVM*float64(nVMs) + g.p.Cfg.VMMigrateLatency,
 		Claim: claimOf(globalOwner, claimServer, int(srv)),
 		From:  ctrlplane.Global, To: ctrlplane.Pod(int(donor)), Name: "server-transfer",
@@ -967,7 +968,7 @@ func (g *GlobalManager) moveElephantServer(srv cluster.ServerID, nVMs int, pod, 
 	moved := false
 	g.p.actuate(Action{
 		Knob: KnobServerTransfer, Prio: viprip.PriorityHigh,
-		Refs:   []trace.Ref{trace.Server(srv), trace.Pod(pod), trace.Pod(target)},
+		Refs:   [3]trace.Ref{trace.Server(srv), trace.Pod(pod), trace.Pod(target)},
 		Inline: true,
 		Apply: func() {
 			if g.p.Cluster.TransferServer(srv, target) != nil {

@@ -190,6 +190,7 @@ type Platform struct {
 	dirtyScratch   []int32
 	computeScratch []int32
 	appScratch     []int32
+	satScratch     []int32         // TotalSatisfaction's demanded apps
 	vipOwner       []cluster.AppID // by VIP handle; -1 = unowned
 	applied        []appApplied    // by AppID
 	propagateTicks int64
@@ -220,6 +221,9 @@ type Platform struct {
 	// under a drain claim has its DNS exposure managed by the drain, so
 	// exposure reconciliation leaves it alone.
 	claims claimTable
+
+	// acts holds the records of actions awaiting dispatch (actuate.go).
+	acts sim.Pool[actuation]
 
 	// Session-level demand overlay (see SessionOpened/SessionClosed):
 	// discrete sessions contribute demand on top of the fluid model.
@@ -281,6 +285,7 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 
 		seed: topo.Seed,
 	}
+	p.acts.New = func(x *actuation) { x.bind(p) }
 	p.initFaultDomains()
 	// Access network: each ISP gets one AR; each AR gets LinksPerISP
 	// links to distinct border routers.
@@ -931,7 +936,11 @@ func (p *Platform) AppSatisfaction(app cluster.AppID) float64 {
 // TotalSatisfaction returns served/demanded CPU across all applications.
 func (p *Platform) TotalSatisfaction() float64 {
 	var demand, served float64
-	for _, app := range p.Cluster.AppIDs() {
+	for id := 0; id < p.Cluster.NumApps(); id++ {
+		app := cluster.AppID(id)
+		if p.Cluster.App(app) == nil {
+			continue
+		}
 		s, d := p.appServedDemand(app)
 		served += s
 		demand += d
@@ -939,7 +948,8 @@ func (p *Platform) TotalSatisfaction() float64 {
 	// Fluid demand of apps that no longer exist in the cluster still
 	// counts as unserved. Bitset iteration is ascending by app ID, so
 	// the float sum order is deterministic.
-	for _, ai := range p.demandApps.AppendMembers(nil) {
+	p.satScratch = p.demandApps.AppendMembers(p.satScratch[:0])
+	for _, ai := range p.satScratch {
 		app := cluster.AppID(ai)
 		if p.Cluster.App(app) == nil {
 			demand += p.appDemand[app].CPU

@@ -39,12 +39,6 @@ type PodManager struct {
 	Reconciled   int64
 	DroppedStale int64
 
-	// LastDecision is the wall-clock cost of the most recent Step — the
-	// quantity the paper worries grows with pod size ("too many servers
-	// and applications in the pod ... slows down its resource allocation
-	// algorithms beyond acceptable levels").
-	LastDecision time.Duration
-
 	// deferred queues the pod's non-local decisions (weight adjustments,
 	// scale-outs — anything needing the CSM pipeline) made while
 	// partitioned, FIFO, for Reconcile to replay after the heal. Pod-local
@@ -190,7 +184,6 @@ func (pm *PodManager) DecisionSpace() int {
 // ones (knob E), rebalance intra-pod RIP weights (knob F), and scale out
 // overloaded applications locally.
 func (pm *PodManager) Step() {
-	start := time.Now()
 	pm.Steps++
 	if pm.p.Cfg.Enabled(KnobVMResize) {
 		pm.resizeVMs()
@@ -202,7 +195,6 @@ func (pm *PodManager) Step() {
 	if pm.p.Cfg.Enabled(KnobAppDeployment) {
 		pm.localScaleOut()
 	}
-	pm.LastDecision = time.Since(start)
 }
 
 // resizeVMs is knob E: hot adjustment of VM hard slices. Two passes:
@@ -306,7 +298,7 @@ func (pm *PodManager) defaultSlice(app cluster.AppID) cluster.Resources {
 func (pm *PodManager) scheduleResize(vmID cluster.VMID, slice cluster.Resources) {
 	pm.p.actuate(Action{
 		Knob: KnobVMResize, Prio: viprip.PriorityNormal,
-		Refs:  []trace.Ref{trace.VM(vmID), trace.Pod(pm.pod)},
+		Refs:  [3]trace.Ref{trace.VM(vmID), trace.Pod(pm.pod)},
 		Delay: pm.p.Cfg.VMResizeLatency,
 		Claim: claimOf(int(pm.pod), claimVM, int(vmID)),
 		Apply: func() {
@@ -386,7 +378,7 @@ func (pm *PodManager) defragment() {
 		}
 		pm.p.actuate(Action{
 			Knob: KnobVMResize, Prio: viprip.PriorityLow,
-			Refs:  []trace.Ref{trace.VM(victim), trace.Server(sid), trace.Server(dst)},
+			Refs:  [3]trace.Ref{trace.VM(victim), trace.Server(sid), trace.Server(dst)},
 			Delay: pm.p.Cfg.VMMigrateLatency,
 			Claim: claimOf(int(pm.pod), claimVM, int(victim)),
 			Apply: func() {
@@ -585,7 +577,7 @@ func (pm *PodManager) desiredWeights(sw *lbswitch.Switch, vip lbswitch.VIP) ([]f
 func (pm *PodManager) issueWeights(vip lbswitch.VIP, newWeights []float64) {
 	pm.p.actuate(Action{
 		Knob: KnobRIPWeights, Prio: viprip.PriorityNormal,
-		Refs:  []trace.Ref{trace.VIP(vip), trace.Pod(pm.pod)},
+		Refs:  [3]trace.Ref{trace.VIP(vip), trace.Pod(pm.pod)},
 		Delay: pm.p.Cfg.SwitchReconfigLatency,
 		From:  ctrlplane.Pod(int(pm.pod)), To: ctrlplane.CSM, Name: "intra-weights",
 		Apply: func() {
@@ -689,7 +681,7 @@ func (pm *PodManager) tryScaleOut(app cluster.AppID, vip lbswitch.VIP, overload 
 func (pm *PodManager) scaleOut(app cluster.AppID, vip lbswitch.VIP, overload float64) {
 	pm.p.actuate(Action{
 		Knob: KnobAppDeployment, Prio: viprip.PriorityNormal,
-		Refs:  []trace.Ref{trace.App(app), trace.Pod(pm.pod), trace.VIP(vip)},
+		Refs:  [3]trace.Ref{trace.App(app), trace.Pod(pm.pod), trace.VIP(vip)},
 		Delay: pm.p.Cfg.VMDeployLatency,
 		Claim: claimOf(int(pm.pod), claimDeploy, int(app)),
 		From:  ctrlplane.Pod(int(pm.pod)), To: ctrlplane.CSM, Name: "local-deploy",

@@ -7,7 +7,10 @@ package core
 // ring. Untraced runs never schedule the sampler — there is no per-tick
 // branch anywhere near the Propagate hot path.
 
-import "megadc/internal/trace"
+import (
+	"megadc/internal/lbswitch"
+	"megadc/internal/trace"
+)
 
 // TraceSample appends one platform-wide observation to the recorder's
 // time series. Safe to call directly (e.g. from tests or a custom
@@ -28,8 +31,8 @@ func (p *Platform) TraceSample() {
 		Violations:   p.lastAuditCount,
 	}
 	var n int
-	for _, sw := range p.Fabric.Switches() {
-		u := sw.BottleneckUtilization()
+	for i := 0; i < p.Fabric.NumSwitches(); i++ {
+		u := p.Fabric.Switch(lbswitch.SwitchID(i)).BottleneckUtilization()
 		if u > s.SwitchUtilMax {
 			s.SwitchUtilMax = u
 		}

@@ -198,9 +198,13 @@ type DeadLetter struct {
 	T        float64 // simulated time the cap was declared exhausted
 }
 
-// message is one Call or Cast in flight. Its engine callbacks are bound
-// once, when it is sent, and every attempt and copy reuses them; each
-// runs under the cause captured at send time (DESIGN.md §16).
+// message is one Call or Cast in flight. Records are pooled: a record's
+// engine callbacks are bound once, when the pool first allocates it,
+// and every attempt, copy and later message reuses them; each runs
+// under the cause captured at send time (DESIGN.md §16). A record goes
+// back to the pool once the message is finished (a Call acked or
+// dead-lettered, a Cast sent) and no scheduled delivery, ack or retry
+// timer still refers to it (DESIGN.md §12).
 type message struct {
 	b        *Bus
 	id       uint64
@@ -216,8 +220,42 @@ type message struct {
 	timer    sim.Event
 	applied  bool // idempotency flag: later copies of a Call dedup
 	done     bool // acked or dead-lettered; straggler deliveries are inert
+	pending  int  // scheduled deliveries, acks and retry timers
 
 	onArrive, onExpire, onAck func()
+}
+
+// bind sets a fresh record's engine callbacks: each settles the event
+// that fired, runs its step under the message's cause, and recycles the
+// record if that was the last event referring to it.
+func (m *message) bind() {
+	m.onArrive = func() { m.fired(m.deliver) }
+	m.onExpire = func() { m.fired(m.expire) }
+	m.onAck = func() { m.fired(m.ack) }
+}
+
+// fired runs step for one of m's scheduled events.
+func (m *message) fired(step func()) {
+	m.pending--
+	m.b.tracer.WithCause(m.cause, step)
+	m.release()
+}
+
+// after schedules f, one of m's bound callbacks, d seconds from now.
+func (m *message) after(d float64, f func()) sim.Event {
+	m.pending++
+	return m.b.eng.After(d, f)
+}
+
+// release returns m to the pool once it is finished and nothing
+// scheduled refers to it.
+func (m *message) release() {
+	if m.pending > 0 || !m.cast && !m.done {
+		return
+	}
+	b, onArrive, onExpire, onAck := m.b, m.onArrive, m.onExpire, m.onAck
+	*m = message{b: b, onArrive: onArrive, onExpire: onExpire, onAck: onAck}
+	b.msgs.Put(m)
 }
 
 // Bus is the control-plane message bus. All methods are nil-safe; a nil
@@ -231,6 +269,7 @@ type Bus struct {
 
 	nextID      uint64
 	partitioned map[Endpoint]bool
+	msgs        sim.Pool[message] // records of messages off the ideal path
 
 	// OnHeal observes heals; the platform wires it to the pod managers'
 	// reconciliation.
@@ -267,12 +306,17 @@ func New(eng *sim.Engine, cfg Config) *Bus {
 	if eng == nil {
 		panic("ctrlplane: New(nil engine)")
 	}
-	return &Bus{
+	b := &Bus{
 		eng:         eng,
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		partitioned: make(map[Endpoint]bool),
 	}
+	b.msgs.New = func(m *message) {
+		m.b = b
+		m.bind()
+	}
+	return b
 }
 
 // SetTracer attaches the flight recorder (nil disables rpc tracing).
@@ -397,14 +441,11 @@ func (b *Bus) send(from, to Endpoint, name string, apply, onDead func(), cast bo
 		b.observeDelivery(0)
 		return
 	}
-	m := &message{b: b, id: id, from: from, to: to, name: name, apply: apply, onDead: onDead,
-		cast: cast, sentAt: b.eng.Now(), cause: b.tracer.CurrentCause()}
-	m.onArrive = func() { b.tracer.WithCause(m.cause, m.deliver) }
-	if !cast {
-		m.onExpire = func() { b.tracer.WithCause(m.cause, m.expire) }
-		m.onAck = func() { b.tracer.WithCause(m.cause, m.ack) }
-	}
+	m := b.msgs.Get()
+	m.id, m.from, m.to, m.name, m.apply, m.onDead = id, from, to, name, apply, onDead
+	m.cast, m.sentAt, m.cause = cast, b.eng.Now(), b.tracer.CurrentCause()
 	m.attempt()
+	m.release() // a Cast lost in flight is already finished
 }
 
 // fate draws one attempt's outcome over link l in a fixed order — loss,
@@ -463,10 +504,10 @@ func (m *message) attempt() {
 		b.Dropped++
 		b.tracer.RecordErr(trace.EvRPCDrop, float64(m.id), float64(m.attempts), from, to)
 	} else {
-		b.eng.After(d, m.onArrive)
+		m.after(d, m.onArrive)
 		if dup {
 			b.Duplicates++
-			b.eng.After(d2, m.onArrive)
+			m.after(d2, m.onArrive)
 		}
 	}
 	if m.cast {
@@ -476,7 +517,7 @@ func (m *message) attempt() {
 	if b.cfg.RetryJitter > 0 {
 		timeout *= 1 + b.cfg.RetryJitter*b.rng.Float64()
 	}
-	m.timer = b.eng.After(timeout, m.onExpire)
+	m.timer = m.after(timeout, m.onExpire)
 }
 
 // deliver lands one copy of m at its receiver. Receiver partitions are
@@ -519,7 +560,7 @@ func (m *message) deliver() {
 		b.Dropped++
 		return
 	}
-	b.eng.After(b.delay(l, 0), m.onAck)
+	m.after(b.delay(l, 0), m.onAck)
 }
 
 // ack settles m when an acknowledgment reaches its (unpartitioned)
@@ -535,7 +576,9 @@ func (m *message) ack() {
 	}
 	m.done = true
 	b.Acks++
-	b.eng.Cancel(m.timer)
+	if b.eng.Cancel(m.timer) {
+		m.pending--
+	}
 	b.tracer.Record(trace.EvRPCAck, float64(m.id), b.eng.Now()-m.sentAt, epRef(m.from), epRef(m.to))
 }
 

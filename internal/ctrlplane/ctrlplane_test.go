@@ -324,9 +324,10 @@ func TestSeededReproducibility(t *testing.T) {
 	}
 }
 
-// Binding a message's callbacks once makes a Call's allocations
-// independent of how many attempts it takes: a retry reuses the bound
-// delivery and timeout callbacks instead of allocating fresh ones.
+// Pooled message records with callbacks bound once make a Call
+// allocation-free after warm-up, however many attempts it takes: a
+// retry reuses the bound delivery and timeout callbacks, and the next
+// Call reuses the finished message's record.
 func TestCallAllocsIndependentOfAttempts(t *testing.T) {
 	eng := sim.New(1)
 	cfg := enabledCfg()
@@ -340,17 +341,55 @@ func TestCallAllocsIndependentOfAttempts(t *testing.T) {
 			eng.Run()
 		}
 	}
-	call(4)() // warm the engine's heap and slot table
+	call(4)() // warm the engine's heap and slot table, and the record pool
 	var allocs [3]float64
 	for i, k := range []int{0, 1, 4} {
 		allocs[i] = testing.AllocsPerRun(50, call(k))
 	}
-	if allocs[1] != allocs[0] || allocs[2] != allocs[0] {
-		t.Fatalf("allocations per Call with 0, 1 and 4 dropped attempts = %v, want all equal", allocs)
+	if allocs != [3]float64{} {
+		t.Fatalf("allocations per Call with 0, 1 and 4 dropped attempts = %v, want 0 each", allocs)
 	}
-	t.Logf("allocations per Call: %v", allocs[0])
 	if b.DeadLetters != 0 {
 		t.Fatalf("dead letters: %d", b.DeadLetters)
+	}
+}
+
+// TestMessageRecordsRecycled runs Calls and Casts through every fate —
+// loss, duplication, lost acks, a partition, dead letters — and checks
+// that every record goes back to the pool exactly when the run drains,
+// and that records are reused rather than allocated afresh.
+func TestMessageRecordsRecycled(t *testing.T) {
+	eng := sim.New(1)
+	cfg := enabledCfg()
+	cfg.MaxRetries = 2
+	cfg.Default = LinkConfig{Delay: 0.5, Jitter: 0.5, LossProb: 0.3, DupProb: 0.3}
+	cfg.Seed = 3
+	b := New(eng, cfg)
+	applied, dead := 0, 0
+	for i := 0; i < 200; i++ {
+		eng.After(float64(i), func() {
+			if i%5 == 0 {
+				b.Cast(Pod(i%3), Global, "snapshot", func() { applied++ })
+				return
+			}
+			b.Call(Global, Pod(i%3), "knob", func() { applied++ }, func() { dead++ })
+		})
+	}
+	eng.After(50, func() { b.Partition(Pod(1)) })
+	eng.After(90, func() { b.Heal(Pod(1)) })
+	eng.Run()
+	if n := b.msgs.Live(); n != 0 {
+		t.Errorf("%d message records still checked out after the run drained", n)
+	}
+	if b.msgs.Idle() >= 200 {
+		t.Errorf("%d records allocated for 200 messages: none reused", b.msgs.Idle())
+	}
+	if b.DeadLetters == 0 || b.Deduped == 0 || b.Duplicates == 0 || b.Retries == 0 {
+		t.Errorf("a fate went unexercised: dead %d, deduped %d, dups %d, retries %d",
+			b.DeadLetters, b.Deduped, b.Duplicates, b.Retries)
+	}
+	if int64(dead) != b.DeadLetters || applied == 0 {
+		t.Errorf("compensations %d for %d dead letters; %d applies", dead, b.DeadLetters, applied)
 	}
 }
 

@@ -1,9 +1,11 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -380,4 +382,71 @@ func TestRegistryKinds(t *testing.T) {
 		}()
 		r.Gauge("a.count")
 	}()
+}
+
+// TestRegistryKindConflicts checks that every way of claiming a name
+// already bound to another kind panics with both kinds named, that a
+// second RegisterHistogram of a name panics as a duplicate, and that
+// re-registering an availability tracker replaces the first.
+func TestRegistryKindConflicts(t *testing.T) {
+	newReg := func() *Registry {
+		r := NewRegistry()
+		r.Counter("c")
+		r.Gauge("g")
+		r.Histogram("h")
+		r.RegisterAvailability("a", NewAvailability(0.9))
+		return r
+	}
+	register := map[string]func(r *Registry, name string){
+		"counter":      func(r *Registry, name string) { r.Counter(name) },
+		"gauge":        func(r *Registry, name string) { r.Gauge(name) },
+		"histogram":    func(r *Registry, name string) { r.Histogram(name) },
+		"registered":   func(r *Registry, name string) { r.RegisterHistogram(name, NewHistogram()) },
+		"availability": func(r *Registry, name string) { r.RegisterAvailability(name, NewAvailability(0.9)) },
+	}
+	kinds := map[string]string{"c": "counter", "g": "gauge", "h": "histogram", "a": "availability"}
+	for how, f := range register {
+		for name, have := range kinds {
+			want := how
+			if how == "registered" {
+				want = "histogram"
+			}
+			var msg string
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						msg = fmt.Sprint(r)
+					}
+				}()
+				f(newReg(), name)
+			}()
+			switch {
+			case how == "registered" && have == "histogram":
+				if msg != `metrics: histogram "h" already registered` {
+					t.Errorf("RegisterHistogram over a histogram: panic %q, want a duplicate panic", msg)
+				}
+			case want == have:
+				if msg != "" {
+					t.Errorf("%s on %s %q panicked: %s", how, have, name, msg)
+				}
+			case !strings.Contains(msg, "registered as "+have+", requested as "+want):
+				t.Errorf("%s on %s %q: panic %q, want the kind conflict", how, have, name, msg)
+			}
+		}
+	}
+	r := newReg()
+	b := NewAvailability(0.5)
+	r.RegisterAvailability("a", b)
+	var got any
+	r.Each(func(name string, m any) {
+		if name == "a" {
+			got = m
+		}
+	})
+	if got != b || r.Kind("a") != "availability" || r.Kind("nope") != "" {
+		t.Errorf("re-registered availability not replaced, or Kind wrong")
+	}
+	if names := r.Names(); !slices.Equal(names, []string{"a", "c", "g", "h"}) {
+		t.Errorf("Names = %v", names)
+	}
 }

@@ -23,73 +23,69 @@ import (
 // goroutine only. Concurrent readers (the HTTP observer) must consume
 // published snapshots, never the live metrics (see internal/obs).
 type Registry struct {
-	mu     sync.Mutex
-	kinds  map[string]string // name → "counter" | "gauge" | "histogram" | "availability"
-	counts map[string]*Counter
-	gauges map[string]*Gauge
-	hists  map[string]*Histogram
-	avails map[string]*Availability
+	mu sync.Mutex
+	m  map[string]any // name → *Counter | *Gauge | *Histogram | *Availability
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		kinds:  make(map[string]string),
-		counts: make(map[string]*Counter),
-		gauges: make(map[string]*Gauge),
-		hists:  make(map[string]*Histogram),
-		avails: make(map[string]*Availability),
-	}
+	return &Registry{m: make(map[string]any)}
 }
 
-func (r *Registry) claim(name, kind string) {
+// kindOf names the kind of a registered metric.
+func kindOf(m any) string {
+	switch m.(type) {
+	case *Counter:
+		return "counter"
+	case *Gauge:
+		return "gauge"
+	case *Histogram:
+		return "histogram"
+	case *Availability:
+		return "availability"
+	}
+	return ""
+}
+
+// conflict panics for a name already registered as another kind.
+func conflict(name string, have any, kind string) {
+	panic(fmt.Sprintf("metrics: %q already registered as %s, requested as %s", name, kindOf(have), kind))
+}
+
+// lazy returns the metric of type T registered under name, creating it
+// with mk on first use.
+func lazy[T any](r *Registry, name, kind string, mk func() *T) *T {
 	if name == "" {
 		panic("metrics: empty metric name")
 	}
-	if have, ok := r.kinds[name]; ok && have != kind {
-		panic(fmt.Sprintf("metrics: %q already registered as %s, requested as %s", name, have, kind))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if have, ok := r.m[name]; ok {
+		m, ok := have.(*T)
+		if !ok {
+			conflict(name, have, kind)
+		}
+		return m
 	}
-	r.kinds[name] = kind
+	m := mk()
+	r.m[name] = m
+	return m
 }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "counter")
-	c, ok := r.counts[name]
-	if !ok {
-		c = &Counter{}
-		r.counts[name] = c
-	}
-	return c
+	return lazy(r, name, "counter", func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "gauge")
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return lazy(r, name, "gauge", func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram,
 // creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name, "histogram")
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram()
-		r.hists[name] = h
-	}
-	return h
+	return lazy(r, name, "histogram", NewHistogram)
 }
 
 // RegisterHistogram attaches an externally owned histogram under the
@@ -101,13 +97,18 @@ func (r *Registry) RegisterHistogram(name string, h *Histogram) {
 	if h == nil {
 		panic("metrics: RegisterHistogram(nil)")
 	}
+	if name == "" {
+		panic("metrics: empty metric name")
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.kinds[name] == "histogram" {
-		panic(fmt.Sprintf("metrics: histogram %q already registered", name))
+	if have, ok := r.m[name]; ok {
+		if _, dup := have.(*Histogram); dup {
+			panic(fmt.Sprintf("metrics: histogram %q already registered", name))
+		}
+		conflict(name, have, "histogram")
 	}
-	r.claim(name, "histogram")
-	r.hists[name] = h
+	r.m[name] = h
 }
 
 // RegisterAvailability attaches an externally owned availability
@@ -117,18 +118,25 @@ func (r *Registry) RegisterAvailability(name string, a *Availability) {
 	if a == nil {
 		panic("metrics: RegisterAvailability(nil)")
 	}
+	if name == "" {
+		panic("metrics: empty metric name")
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.claim(name, "availability")
-	r.avails[name] = a
+	if have, ok := r.m[name]; ok {
+		if _, same := have.(*Availability); !same {
+			conflict(name, have, "availability")
+		}
+	}
+	r.m[name] = a
 }
 
 // Names returns every registered metric name, sorted.
 func (r *Registry) Names() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.kinds))
-	for n := range r.kinds {
+	names := make([]string, 0, len(r.m))
+	for n := range r.m {
 		names = append(names, n)
 	}
 	slices.Sort(names)
@@ -140,7 +148,7 @@ func (r *Registry) Names() []string {
 func (r *Registry) Kind(name string) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.kinds[name]
+	return kindOf(r.m[name])
 }
 
 // Each visits every metric in sorted name order. The visited metric is
@@ -149,17 +157,7 @@ func (r *Registry) Kind(name string) string {
 func (r *Registry) Each(fn func(name string, m any)) {
 	for _, name := range r.Names() {
 		r.mu.Lock()
-		var m any
-		switch r.kinds[name] {
-		case "counter":
-			m = r.counts[name]
-		case "gauge":
-			m = r.gauges[name]
-		case "histogram":
-			m = r.hists[name]
-		case "availability":
-			m = r.avails[name]
-		}
+		m := r.m[name]
 		r.mu.Unlock()
 		if m != nil {
 			fn(name, m)

@@ -31,11 +31,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"unsafe"
 
 	"megadc/internal/cluster"
 	"megadc/internal/core"
 	"megadc/internal/dnsctl"
+	"megadc/internal/ids"
 	"megadc/internal/lbswitch"
 	"megadc/internal/metrics"
 	"megadc/internal/workload"
@@ -205,12 +207,13 @@ type Engine struct {
 	// apps[i/appChunk][i%appChunk]: a chunk never moves once allocated,
 	// so the registry keeps a pointer to each record's histogram.
 	apps    [][]appRec
-	driven  map[cluster.AppID]bool // apps already added, for AddApp's duplicate check
-	weights []float64              // by record index; its length is the number of apps
-	sampler *workload.Sampler      // built once at Start; weights are frozen after
-	queues  []swQueue              // by SwitchID, sized once in New; sw == nil = not attached yet
-	qOrder  []lbswitch.SwitchID    // attach order, for deterministic refresh
-	arrival func()                 // pre-bound per-arrival callback: arrive, then schedule the next
+	driven  ids.Bitset          // app IDs already added, for AddApp's duplicate check
+	name    []byte              // AddApp's buffer for building histogram names
+	weights []float64           // by record index; its length is the number of apps
+	sampler *workload.Sampler   // built once at Start; weights are frozen after
+	queues  []swQueue           // by SwitchID, sized once in New; sw == nil = not attached yet
+	qOrder  []lbswitch.SwitchID // attach order, for deterministic refresh
+	arrival func()              // pre-bound per-arrival callback: arrive, then schedule the next
 
 	latAll  *metrics.Histogram
 	waitAll *metrics.Histogram
@@ -261,7 +264,6 @@ func New(p *core.Platform, cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(seed)),
 		scan:     p.NewBackendScan(),
-		driven:   make(map[cluster.AppID]bool),
 		queues:   make([]swQueue, p.Fabric.NumSwitches()),
 		latAll:   cfg.Registry.Histogram("requests.latency.all"),
 		waitAll:  cfg.Registry.Histogram("requests.wait.all"),
@@ -282,7 +284,7 @@ func (e *Engine) AddApp(app cluster.AppID, weight float64) error {
 	if e.started {
 		return fmt.Errorf("requests: AddApp after Start")
 	}
-	if e.driven[app] {
+	if e.driven.Get(int(app)) {
 		return fmt.Errorf("requests: app %d already driven", app)
 	}
 	i := len(e.weights)
@@ -295,10 +297,21 @@ func (e *Engine) AddApp(app cluster.AppID, weight float64) error {
 		return err
 	}
 	r.hist.Init()
-	e.cfg.Registry.RegisterHistogram(fmt.Sprintf("requests.latency.app-%02d", app), &r.hist)
-	e.driven[app] = true
+	e.name = appendLatencyName(e.name[:0], app)
+	e.cfg.Registry.RegisterHistogram(string(e.name), &r.hist)
+	e.driven.Set(int(app))
 	e.weights = append(e.weights, weight)
 	return nil
+}
+
+// appendLatencyName appends the name of app's latency histogram,
+// requests.latency.app-%02d, to dst.
+func appendLatencyName(dst []byte, app cluster.AppID) []byte {
+	dst = append(dst, "requests.latency.app-"...)
+	if app >= 0 && app < 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(app), 10)
 }
 
 // app returns the record of the i-th added application.

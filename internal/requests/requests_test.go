@@ -100,8 +100,8 @@ func TestAddAppRejectsDuplicate(t *testing.T) {
 	if err := e.AddAppsZipf([]cluster.AppID{apps[1], apps[1]}, 1.0); err == nil {
 		t.Fatal("AddAppsZipf with a repeated app accepted")
 	}
-	if len(e.driven) != 2 || len(e.weights) != 2 {
-		t.Fatalf("%d apps, %d weights registered, want 2 and 2", len(e.driven), len(e.weights))
+	if e.driven.Count() != 2 || len(e.weights) != 2 {
+		t.Fatalf("%d apps, %d weights registered, want 2 and 2", e.driven.Count(), len(e.weights))
 	}
 }
 
@@ -603,5 +603,17 @@ func TestCapacityCoupling(t *testing.T) {
 	p.Eng.RunUntil(40)
 	if e.Stats().Served <= stalled.Served {
 		t.Error("service did not resume after repair")
+	}
+}
+
+// TestLatencyNameMatchesFormat checks AddApp's histogram name against
+// the %02d spelling it replaces, on both sides of the padding.
+func TestLatencyNameMatchesFormat(t *testing.T) {
+	var buf []byte
+	for _, app := range []cluster.AppID{0, 7, 9, 10, 42, 99, 100, 12345} {
+		buf = appendLatencyName(buf[:0], app)
+		if want := fmt.Sprintf("requests.latency.app-%02d", app); string(buf) != want {
+			t.Errorf("app %d: %q, want %q", app, buf, want)
+		}
 	}
 }
